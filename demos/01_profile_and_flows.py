@@ -11,8 +11,8 @@ Run:  python demos/01_profile_and_flows.py
 import numpy as np
 
 from weldfcs import (InfiniteVolume, TemperatureProfile, VolumeContext,
-                     build_h, build_xi, flow, periodize_profile)
-from weldfcs.spectral import PeriodicGrid
+                     build_h, build_xi, flow_family, periodize_profile)
+from weldfcs.spectral import LineGrid, PeriodicGrid
 
 # A kink interpolating between inverse temperatures 2 (left) and 1 (right),
 # exactly constant outside [-1, 1].
@@ -50,10 +50,17 @@ print("plateau value gamma*dbeta/beta_left =",
 # Flows: finite volume gives a lifted circle diffeomorphism, infinite
 # volume the shifted line diffeomorphism (identity outside a bounded set).
 grid = PeriodicGrid(ctx.L, 2048, x0=-0.75 * ctx.L)
-f_s = flow(build_xi(profile, ctx, t), 0.25, grid)
+f_s = flow_family(build_xi(profile, ctx, t), [0.25], grid)[0]
 print("\ncircle flow: min f' =", np.min(f_s.deriv_samples(1)),
       " lift defect =", np.max(np.abs(f_s(x + ctx.L) - f_s(x) - ctx.L)))
 
-g_s = flow(xi_plus, 0.25)
+# the line flow lives on a window around the field's support, padded by
+# six band heights plus the drift gamma*s
+lo, hi = xi_plus.support
+pad = 6.0 * xi_plus.gamma + abs(xi_plus.gamma * 0.25) + 1.0
+span = (hi - lo) + 2 * pad
+line = LineGrid(x0=lo - pad, span=span,
+                M=1 << int(np.ceil(np.log2(span / 0.02))))
+g_s = flow_family(xi_plus, [0.25], line)[0]
 print("line flow support:", g_s.support)
 print("max displacement:", np.max(np.abs(g_s.displacement())))

@@ -11,10 +11,9 @@ Run:  python demos/02_torus_welding.py
 import numpy as np
 
 from weldfcs import (CircleDiffeo, TemperatureProfile, TorusWeldProblem,
-                     VolumeContext, build_xi, effective_tau_ode,
+                     VolumeContext, build_xi, effective_tau_ode, flow_family,
                      residual_diagnostics, solve_Y1)
 from weldfcs.spectral import PeriodicGrid
-from weldfcs.torus_weld import flow_family
 
 L, N = 40.0, 256
 grid = PeriodicGrid(L, 4 * N, x0=-0.75 * L)

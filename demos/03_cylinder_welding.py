@@ -11,8 +11,8 @@ Run:  python demos/03_cylinder_welding.py
 import numpy as np
 
 from weldfcs import (CylinderWeldProblem, InfiniteVolume, Numerics,
-                     TemperatureProfile, build_h, build_xi, flow,
-                     flow_inverse, realspace_crosscheck, solve_cylinder)
+                     TemperatureProfile, build_h, build_xi, flow_family,
+                     realspace_crosscheck, solve_cylinder)
 from weldfcs.fcs import cylinder_grid
 
 profile = TemperatureProfile(2.0, 1.0)
@@ -26,9 +26,10 @@ grid = cylinder_grid(xi, s, numerics)
 print(f"window: [{grid.x0:.1f}, {grid.x0 + grid.span:.1f}]  M = {grid.M}  "
       f"dp = {grid.dp:.4f}")
 
-g = flow(xi, s, grid)
+g = flow_family(xi, [s], grid)[0]
+gi = flow_family(xi, [s], grid, inverse=True)[0]
 problem = CylinderWeldProblem(g, gamma, numerics.p_max_gamma / gamma,
-                              g_inverse=flow_inverse(xi, s, g))
+                              g_inverse=gi)
 sol = solve_cylinder(problem)
 print("condition estimate:", f"{sol.cond_estimate:.2f}",
       " solve residual:", f"{sol.solve_residual:.1e}")

@@ -12,7 +12,7 @@ from .fcs import (FcsResult, Numerics, appendix_b_check, ldf,
                   psi_infinite, rate_function)
 from .profile import (CircleDiffeo, InfiniteVolume, LineDiffeo, ReparamMap,
                       TemperatureProfile, VolumeContext, XiField, build_h,
-                      build_xi, flow, flow_inverse, periodize_profile)
+                      build_xi, flow_family, periodize_profile)
 from .torus_weld import (TorusWeldProblem, TorusWeldSolution, assemble_K,
                          effective_tau_ode, residual_diagnostics, solve_Y1)
 

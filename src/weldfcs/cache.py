@@ -83,7 +83,9 @@ class SolveCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         record = {"version": _VERSION, "key": _canonical(key),
                   "value": _encode(value)}
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
+        # a fresh temp file per write, so concurrent puts of one key never
+        # share it; os.replace then publishes each one atomically
+        tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
+        with open(tmp, "x") as fh:
             json.dump(record, fh, sort_keys=True)
         os.replace(tmp, path)

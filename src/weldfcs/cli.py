@@ -27,10 +27,9 @@ from .errors import ConfigInvalid, WeldFcsError
 from .fcs import (FcsResult, appendix_b_check, cylinder_grid, ldf,
                   levitov_lesovik, levy_khintchine_check, moments_closed_form,
                   psi_finite, psi_infinite, rate_function)
-from .profile import InfiniteVolume, build_h, build_xi, flow, flow_inverse
+from .profile import InfiniteVolume, build_h, build_xi, flow_family
 from .spectral import PeriodicGrid, fit_loglog_slope
-from .torus_weld import (TorusWeldProblem, flow_family, residual_diagnostics,
-                         solve_Y1)
+from .torus_weld import TorusWeldProblem, residual_diagnostics, solve_Y1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,6 +77,7 @@ def cmd_weld_torus(cfg: RunConfig, args) -> int:
     diffeos = flow_family(xi, s_values, grid)
     rows = []
     outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     for s, f in zip(s_values, diffeos):
         tau_s = 1j * ctx.gammaL / ctx.L - ctx.gammaL * s / ctx.L
         sol = solve_Y1(TorusWeldProblem(f, tau_s, num.n_modes, fine=grid.M,
@@ -113,9 +113,9 @@ def cmd_weld_cylinder(cfg: RunConfig, args) -> int:
     grid = cylinder_grid(xi, max(abs(s) for s in s_values), num)
     rows = []
     outdir = Path(cfg.output_dir)
-    for s in s_values:
-        g = flow(xi, s, grid)
-        gi = flow_inverse(xi, s, g)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for s, g, gi in zip(s_values, flow_family(xi, s_values, grid),
+                        flow_family(xi, s_values, grid, inverse=True)):
         prob = CylinderWeldProblem(g, gamma, num.p_max_gamma / gamma,
                                    g_inverse=gi)
         sol = solve_cylinder(prob)
@@ -262,10 +262,11 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     # reference infinite-volume welding data
     xi_inf = build_xi(cfg.profile, InfiniteVolume(cfg.v), t, "+")
     grid_inf = cylinder_grid(xi_inf, s, num)
-    g_inf = flow(xi_inf, s, grid_inf)
+    g_inf = flow_family(xi_inf, [s], grid_inf)[0]
+    gi_inf = flow_family(xi_inf, [s], grid_inf, inverse=True)[0]
     sol_inf = solve_cylinder(CylinderWeldProblem(
         g_inf, xi_inf.gamma, num.p_max_gamma / xi_inf.gamma,
-        g_inverse=flow_inverse(xi_inf, s, g_inf)))
+        g_inverse=gi_inf))
     lo, hi = xi_inf.support
     pts = np.linspace(lo - 1.0, hi + 1.0, 201)
     ref = sol_inf.xprime_at(pts)
@@ -328,7 +329,8 @@ def cmd_selftest(cfg, args) -> int:
     else:
         width = max(len(r["name"]) for r in results)
         for r in results:
-            print(f"{r['name']:<{width}}  defect={r['defect']:.3e}  "
+            defect = "n/a" if r["defect"] is None else f"{r['defect']:.3e}"
+            print(f"{r['name']:<{width}}  defect={defect:<9}  "
                   f"tol={r['tolerance']:.1e}  {r['status']}")
         print(f"{n_pass}/{len(results)} checks passed")
     return EXIT_OK if n_pass == len(results) else EXIT_NUMERICAL

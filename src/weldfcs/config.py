@@ -32,9 +32,14 @@ def _require(block: dict, key: str, blockname: str):
     return block[key]
 
 
+def _is_number(val) -> bool:
+    """JSON numbers only: bool is an int subclass but not a number here."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _positive(block: dict, key: str, blockname: str):
     val = _require(block, key, blockname)
-    if not isinstance(val, (int, float)) or val <= 0:
+    if not _is_number(val) or val <= 0:
         raise ConfigInvalid(f"{blockname}.{key}", f"must be positive, got {val!r}")
     return float(val)
 
@@ -102,7 +107,7 @@ def config_from_dict(data: dict) -> RunConfig:
     v = _positive(pblock, "v", "profile")
     L = pblock.get("L")
     if L is not None:
-        if not isinstance(L, (int, float)) or L <= 0:
+        if not _is_number(L) or L <= 0:
             raise ConfigInvalid("profile.L", f"must be positive, got {L!r}")
         L = float(L)
         if L / 4.0 < abs(center) + half_width:
@@ -136,10 +141,17 @@ def config_from_dict(data: dict) -> RunConfig:
     for key in nblock:
         if key not in valid:
             raise ConfigInvalid(f"numerics.{key}", "unknown key")
-    for key, val in nblock.items():
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise ConfigInvalid(f"numerics.{key}", f"must be positive, got {val!r}")
     int_fields = {"n_modes", "fine_factor", "s_nodes", "s_panels"}
+    for key, val in nblock.items():
+        if not _is_number(val) or val <= 0:
+            raise ConfigInvalid(f"numerics.{key}", f"must be positive, got {val!r}")
+        if key in int_fields and not isinstance(val, int):
+            raise ConfigInvalid(f"numerics.{key}",
+                                f"must be an integer, got {val!r}")
+    fine_factor = nblock.get("fine_factor", 4)
+    if fine_factor < 4:   # the torus assembly grid needs M >= 4 N
+        raise ConfigInvalid("numerics.fine_factor",
+                            f"must be at least 4, got {fine_factor!r}")
     try:
         numerics = Numerics(**{k: (int(v) if k in int_fields else float(v))
                                for k, v in nblock.items()})

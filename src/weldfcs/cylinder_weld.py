@@ -29,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NearSingular, WindowTooSmall
 from .profile import LineDiffeo
-from .spectral import (LineGrid, fit_exponential_rate,
+from .spectral import (LineGrid, lu_solve_conditioned,
                        schwarzian_from_derivatives)
 
 __all__ = [
@@ -262,20 +261,12 @@ def solve_cylinder(problem: CylinderWeldProblem,
     sigma = operator.sigma
     n2 = sigma.shape[0]
     z12_sol = operator.z12_ext[operator.sel]
-    A = np.eye(n2, dtype=complex) + sigma
-    lu, piv = sla.lu_factor(A)
-    anorm = np.linalg.norm(A, 1)
-    rcond = sla.lapack.zgecon(lu, anorm)[0]
-    cond = 1.0 / max(rcond, 1e-300)
-    if cond > cond_limit:
-        raise NearSingular(f"Nystrom system condition estimate {cond:.2e}")
-    rhs = -sigma @ z12_sol
-    dz = sla.lu_solve((lu, piv), rhs)
-    res = np.linalg.norm(A @ dz - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    dz, cond, res = lu_solve_conditioned(
+        np.eye(n2, dtype=complex) + sigma, -sigma @ z12_sol, cond_limit,
+        NearSingular, "Nystrom system")
     zhat_ext = operator.z12_ext.copy()
     zhat_ext[operator.sel] += dz
-    return CylinderWeldSolution(problem, operator, zhat_ext, dz, cond,
-                                float(res))
+    return CylinderWeldSolution(problem, operator, zhat_ext, dz, cond, res)
 
 
 def _pv_antisym(f, x0: float, radius: float, n_panels: int = 12,

@@ -17,21 +17,21 @@ welding pipeline is validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from . import profile as profile_mod
 from .analysis import counterterm_finite, counterterm_mover
 from .characters import Theory, log_character
-from .cylinder_weld import CylinderWeldProblem, assemble_sigma, solve_cylinder
+from .cylinder_weld import CylinderWeldProblem, solve_cylinder
 from .errors import DeltaBetaZero, PoleHit
-from .profile import (InfiniteVolume, LineDiffeo, TemperatureProfile,
-                      VolumeContext, XiField, build_h, build_xi, flow,
-                      flow_inverse)
+from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
+                      XiField, build_h, build_xi, flow_family)
 from .spectral import LineGrid, PeriodicGrid
-from .torus_weld import TorusWeldProblem, flow_family, solve_Y1
+from .torus_weld import TorusWeldProblem, solve_Y1
 
 __all__ = [
     "Numerics",
@@ -58,16 +58,16 @@ class Numerics:
     fine_factor: int = 4
     tail_tol: float = 1e-3
     # cylinder (infinite volume)
-    dx: float = 0.02               # in units of the kink half-width
+    # in units of the kink half-width; cylinder_grid rounds the lattice up
+    # to a power of two, so the real spacing is at most dx
+    dx: float = 0.02
     window_pad_gamma: float = 12.0
     window_factor: float = 8.0     # full FFT span / padded support window
     p_max_gamma: float = 40.0      # P_max = p_max_gamma / gamma
     # flow-time quadrature
     s_nodes: int = 8
     s_panels: int = 1
-    # alarms
-    lin_solve_rtol: float = 1e-10
-    diag_alarm: float = 1e-6
+    # alarm
     cond_limit: float = 1e14
 
     def key(self) -> tuple:
@@ -104,62 +104,14 @@ def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
 
 
 def _line_flow_family(xi_field: XiField, s_values, grid: LineGrid):
-    """Shifted line flows g_s and their inverses at several flow times."""
-    from scipy.integrate import solve_ivp
+    """Shifted line flows g_s paired with their inverses at several flow times.
 
-    from .errors import StepSizeUnderflow
-
-    s_values = np.asarray(s_values, dtype=float)
-    gamma = xi_field.gamma
-    fwd = [None] * len(s_values)
-    inv = [None] * len(s_values)
-
-    def run(rhs, y0, targets_signed):
-        targets = np.unique(targets_signed)
-        if targets[0] >= 0:
-            span, t_eval = targets[-1], targets
-        else:
-            span, t_eval = targets[0], targets[::-1]
-        sol = solve_ivp(rhs, (0.0, span), y0, method="DOP853",
-                        rtol=1e-13, atol=3e-14, t_eval=t_eval)
-        if not sol.success:
-            raise StepSizeUnderflow(f"line flow failed: {sol.message}")
-        return {float(t): sol.y[:, j] for j, t in enumerate(t_eval)}
-
-    for sign in (1.0, -1.0):
-        mask = (np.sign(s_values) == sign) & (s_values != 0.0)
-        if not np.any(mask):
-            continue
-        targets = s_values[mask]
-        gvals = run(lambda ss, yv: -xi_field(yv - gamma * ss), grid.x, targets)
-        for i, s in enumerate(s_values):
-            if mask[i]:
-                fwd[i] = gvals[float(s)]
-        # inverse: g_s^{-1}(y) = f_{-s}(y - gamma s); one pass per target
-        for i, s in enumerate(s_values):
-            if mask[i]:
-                sol = run(lambda ss, yv: (gamma + xi_field(yv)),
-                          grid.x - gamma * s, np.array([s]))
-                inv[i] = sol[float(s)]
-    out = []
-    for i, s in enumerate(s_values):
-        if s == 0.0:
-            g = grid.x.copy()
-            gi = grid.x.copy()
-        else:
-            g, gi = fwd[i], inv[i]
-        sup = _support_of(grid, g)
-        out.append((LineDiffeo(grid, g, sup),
-                    LineDiffeo(grid, gi, _support_of(grid, gi))))
-    return out
-
-
-def _support_of(grid: LineGrid, samples: np.ndarray) -> tuple[float, float]:
-    disp = np.abs(samples - grid.x)
-    nz = np.where(disp > 1e-13)[0]
-    if len(nz) == 0:
-        return (0.0, 0.0)
-    return (float(grid.x[nz[0]]), float(grid.x[nz[-1]]))
+    Calls ``flow_family`` through its module, so a traced run counts one
+    flows call per family.
+    """
+    return list(zip(profile_mod.flow_family(xi_field, s_values, grid),
+                    profile_mod.flow_family(xi_field, s_values, grid,
+                                            inverse=True)))
 
 
 def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
@@ -202,6 +154,18 @@ def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
     return vals
 
 
+def _flow_time(profile: TemperatureProfile, lam: float | None,
+               by_s: float | None) -> float:
+    """End flow time: ``by_s`` if given, else ``lam / delta_beta``."""
+    if by_s is not None:
+        return by_s
+    if lam is None:
+        raise ValueError("one of lam / by_s is required")
+    if profile.delta_beta == 0.0:
+        raise DeltaBetaZero("equal asymptotic temperatures; pass by_s")
+    return lam / profile.delta_beta
+
+
 @dataclass
 class PsiValue:
     """One evaluation of the log generating function."""
@@ -227,15 +191,7 @@ def psi_infinite(profile: TemperatureProfile, c: float, t: float,
     The ``c``-dependence is an exact overall factor.
     """
     numerics = numerics or Numerics()
-    if by_s is None:
-        if lam is None:
-            raise ValueError("one of lam / by_s is required")
-        dbeta = profile.delta_beta
-        if dbeta == 0.0:
-            raise DeltaBetaZero("equal asymptotic temperatures; pass by_s")
-        s_end = lam / dbeta
-    else:
-        s_end = by_s
+    s_end = _flow_time(profile, lam, by_s)
     if s_end == 0.0:
         return PsiValue(lam, 0.0, 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, 0.0)
 
@@ -270,15 +226,7 @@ def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
     Needs an evaluable character, i.e. a free-boson or free-fermion theory.
     """
     numerics = numerics or Numerics()
-    if by_s is None:
-        if lam is None:
-            raise ValueError("one of lam / by_s is required")
-        dbeta = profile.delta_beta
-        if dbeta == 0.0:
-            raise DeltaBetaZero("equal asymptotic temperatures; pass by_s")
-        s_end = lam / dbeta
-    else:
-        s_end = by_s
+    s_end = _flow_time(profile, lam, by_s)
     c = theory.c
     L = ctx.L
     tau0 = 1j * ctx.gammaL / L
@@ -472,10 +420,6 @@ def rate_function(beta_left: float, beta_right: float, c: float,
     for k, s in enumerate(sigma):
         fun = lambda nu: _ldf_real_deriv(beta_left, beta_right, c, nu) - s
         lo, hi = -beta_right + eps, beta_left - eps
-        # derivative of Xi is increasing in nu; expand brackets inward
-        while fun(lo) > 0 and (hi - lo) > 10 * eps:
-            lo = 0.5 * (lo - beta_right)  # cannot happen analytically; guard
-            break
         nu_star = brentq(fun, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
         out_nu[k] = nu_star
         out_i[k] = nu_star * s - _ldf_real(beta_left, beta_right, c, nu_star)

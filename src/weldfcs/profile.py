@@ -13,6 +13,7 @@ volume).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,8 +34,7 @@ __all__ = [
     "periodize_profile",
     "build_h",
     "build_xi",
-    "flow",
-    "flow_inverse",
+    "flow_family",
 ]
 
 _SMOOTHSTEP_POINTS = 2 ** 14  # resolution of the cumulative-integral splines
@@ -475,11 +475,18 @@ class LineDiffeo:
 
     grid: LineGrid
     samples: np.ndarray           # g(x_j)
-    support: tuple[float, float]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def displacement(self) -> np.ndarray:
         return self.samples - self.grid.x
+
+    @cached_property
+    def support(self) -> tuple[float, float]:
+        """Outermost grid points moved by more than 1e-13; (0, 0) if none."""
+        moved = np.nonzero(np.abs(self.displacement()) > 1e-13)[0]
+        if not len(moved):
+            return (0.0, 0.0)
+        return (float(self.grid.x[moved[0]]), float(self.grid.x[moved[-1]]))
 
     def deriv_samples(self, order: int = 1) -> np.ndarray:
         key = ("deriv", order)
@@ -513,65 +520,47 @@ class LineDiffeo:
         return x
 
 
-def _integrate_flow(rhs, s: float, y0: np.ndarray, rtol=1e-13, atol=3e-14):
-    if s == 0.0:
-        return np.array(y0, dtype=float)
-    sol = solve_ivp(rhs, (0.0, s), y0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepSizeUnderflow(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1]
+def _flows(rhs, y0: np.ndarray, s_values) -> list:
+    """Solutions of ``dy/ds = rhs(s, y)``, ``y(0) = y0``, at ``s_values``.
 
-
-def flow(xi_field: XiField, s: float, grid=None, shifted: bool | None = None):
-    """Flow the transport field for time ``s``.
-
-    Finite volume: returns the CircleDiffeo ``f_s`` (flow of ``-zeta``).
-    Infinite volume: returns the LineDiffeo ``g_s = f_s + gamma s`` which is
-    the identity outside a bounded interval.
+    One DOP853 pass per sign of s, sampled at the unique target times; zero
+    time returns a copy of the start.
     """
+    s_values = np.asarray(s_values, dtype=float)
+    at = {}
+    for sign in (1.0, -1.0):
+        targets = np.unique(s_values[np.sign(s_values) == sign])
+        if not len(targets):
+            continue
+        t_eval = targets if sign > 0 else targets[::-1]
+        sol = solve_ivp(rhs, (0.0, t_eval[-1]), y0, method="DOP853",
+                        rtol=1e-13, atol=3e-14, t_eval=t_eval)
+        if not sol.success:
+            raise StepSizeUnderflow(f"flow integration failed: {sol.message}")
+        at.update((float(t), sol.y[:, j]) for j, t in enumerate(t_eval))
+    return [at[s] if s != 0.0 else np.array(y0, dtype=float)
+            for s in s_values.tolist()]
+
+
+def flow_family(xi_field: XiField, s_values, grid,
+                inverse: bool = False) -> list:
+    """Flows of the transport field at several flow times, on one grid.
+
+    Finite volume: the CircleDiffeos ``f_s`` (flow of ``-zeta``), or with
+    ``inverse`` ``f_s^{-1} = f_{-s}``.  Infinite volume: the LineDiffeos
+    ``g_s = f_s + gamma s``, the identity outside a bounded interval, or with
+    ``inverse`` ``g_s^{-1}(y) = f_{-s}(y - gamma s)``; that start point
+    depends on s, so each inverse takes its own pass.
+    """
+    s_values = np.asarray(s_values, dtype=float)
     gamma = xi_field.gamma
     if xi_field.finite:
-        if grid is None:
-            raise ValueError("finite-volume flow needs a PeriodicGrid")
-        if shifted:
-            raise ValueError("shifted flows are an infinite-volume notion")
         rhs = lambda ss, yv: -(gamma + xi_field(yv))
-        fs = _integrate_flow(rhs, s, grid.x)
-        return CircleDiffeo(grid, fs)
-    if grid is None:
-        lo, hi = xi_field.support
-        pad = 6.0 * gamma + abs(gamma * s) + 1.0
-        span = (hi - lo) + 2 * pad
-        m = 1 << int(np.ceil(np.log2(span / 0.02)))
-        grid = LineGrid(x0=lo - pad, span=span, M=m)
-    rhs = lambda ss, yv: -xi_field(yv - gamma * ss)
-    gs = _integrate_flow(rhs, s, grid.x)
-    disp = np.abs(gs - grid.x)
-    if np.any(disp > 1e-13):
-        nz = np.where(disp > 1e-13)[0]
-        support = (float(grid.x[nz[0]]), float(grid.x[nz[-1]]))
-    else:
-        support = (0.0, 0.0)
-    return LineDiffeo(grid, gs, support)
-
-
-def flow_inverse(xi_field: XiField, s: float, diffeo):
-    """Inverse diffeomorphism via the backward flow (autonomous field).
-
-    ``f_s^{-1} = f_{-s}``; for the shifted line flow
-    ``g_s^{-1}(y) = f_{-s}(y - gamma s)``.
-    """
-    gamma = xi_field.gamma
-    if xi_field.finite:
-        rhs = lambda ss, yv: (gamma + xi_field(yv))
-        finv = _integrate_flow(rhs, s, diffeo.grid.x)
-        return CircleDiffeo(diffeo.grid, finv)
-    rhs = lambda ss, yv: (gamma + xi_field(yv))
-    ginv = _integrate_flow(rhs, s, diffeo.grid.x - gamma * s)
-    disp = np.abs(ginv - diffeo.grid.x)
-    if np.any(disp > 1e-13):
-        nz = np.where(disp > 1e-13)[0]
-        support = (float(diffeo.grid.x[nz[0]]), float(diffeo.grid.x[nz[-1]]))
-    else:
-        support = (0.0, 0.0)
-    return LineDiffeo(diffeo.grid, ginv, support)
+        times = -s_values if inverse else s_values
+        return [CircleDiffeo(grid, f) for f in _flows(rhs, grid.x, times)]
+    if not inverse:
+        rhs = lambda ss, yv: -xi_field(yv - gamma * ss)
+        return [LineDiffeo(grid, g) for g in _flows(rhs, grid.x, s_values)]
+    rhs = lambda ss, yv: gamma + xi_field(yv)
+    return [LineDiffeo(grid, _flows(rhs, grid.x - gamma * s, [s])[0])
+            for s in s_values]

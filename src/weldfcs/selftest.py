@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analysis, characters, cylinder_weld, fcs, profile, torus_weld
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
-                      build_h, build_xi, flow, flow_inverse, periodize_profile)
+                      build_h, build_xi, flow_family, periodize_profile)
 from .spectral import LineGrid, PeriodicGrid
 
 CHECKS = []
@@ -137,7 +137,7 @@ def _():
     ctx = _ctx(p)
     xi = build_xi(p, ctx, 3.0)
     grid = PeriodicGrid(ctx.L, 256, x0=-30.0)
-    f = flow(xi, 0.4, grid)
+    f = flow_family(xi, [0.4], grid)[0]
     return float(np.max(np.abs(f.samples - (grid.x - ctx.gammaL * 0.4))))
 
 
@@ -147,9 +147,9 @@ def _():
     ctx = _ctx(p)
     xi = build_xi(p, ctx, 1.0)
     grid = PeriodicGrid(ctx.L, 2048, x0=-30.0)
-    f_ab = flow(xi, 0.3, grid)
-    f_a = flow(xi, 0.15, grid)
-    comp = f_a(flow(xi, 0.15, grid).samples)
+    f_ab = flow_family(xi, [0.3], grid)[0]
+    f_a = flow_family(xi, [0.15], grid)[0]
+    comp = f_a(f_a.samples)
     return float(np.max(np.abs(f_ab.samples - comp)))
 
 
@@ -158,8 +158,8 @@ def _():
     p = _default_profile()
     ctx = _ctx(p)
     grid = PeriodicGrid(ctx.L, 1024, x0=-30.0)
-    f1 = flow(build_xi(p, ctx, 1.0), 0.2, grid)
-    f2 = flow(build_xi(p, ctx, -1.0), -0.2, grid)
+    f1 = flow_family(build_xi(p, ctx, 1.0), [0.2], grid)[0]
+    f2 = flow_family(build_xi(p, ctx, -1.0), [-0.2], grid)[0]
     lhs = f1(-grid.x - 20.0)
     rhs = -f2.samples - 20.0
     return float(np.max(np.abs(lhs - rhs)))
@@ -170,12 +170,12 @@ def _():
     p = _default_profile()
     xi_inf = build_xi(p, InfiniteVolume(1.0), 1.0, "+")
     span = LineGrid(-12.0, 24.0, 1024)
-    g_inf = flow(xi_inf, 0.3, span)
+    g_inf = flow_family(xi_inf, [0.3], span)[0]
     errs, Ls = [], [20.0, 40.0, 80.0]
     for L in Ls:
         ctx = _ctx(p, L)
         grid = PeriodicGrid(L, int(1024 * L / 20), x0=-0.75 * L)
-        fL = flow(build_xi(p, ctx, 1.0), 0.3, grid)
+        fL = flow_family(build_xi(p, ctx, 1.0), [0.3], grid)[0]
         h = build_h(p)
         hL = build_h(p, ctx)
         oLp = float(hL(np.array(-1.0)) - h(np.array(-1.0)))
@@ -324,7 +324,7 @@ def _kink_torus_solution():
         ctx = _ctx(p)
         xi = build_xi(p, ctx, 2.0)
         grid = PeriodicGrid(ctx.L, 4 * 256, x0=-0.75 * ctx.L)
-        f = torus_weld.flow_family(xi, [0.25], grid)[0]
+        f = flow_family(xi, [0.25], grid)[0]
         tau_s = 1j * ctx.gammaL / ctx.L - ctx.gammaL * 0.25 / ctx.L
         _KINK_SOL["sol"] = torus_weld.solve_Y1(
             torus_weld.TorusWeldProblem(f, tau_s, 256, fine=grid.M,
@@ -399,8 +399,8 @@ def _cyl_setup(s=0.25, t=2.0):
         num = fcs.Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0,
                            p_max_gamma=33.0)
         grid = fcs.cylinder_grid(xi, s, num)
-        g = flow(xi, s, grid)
-        gi = flow_inverse(xi, s, g)
+        g = flow_family(xi, [s], grid)[0]
+        gi = flow_family(xi, [s], grid, inverse=True)[0]
         prob = cylinder_weld.CylinderWeldProblem(g, gamma, 33.0 / gamma,
                                                  g_inverse=gi)
         _CYL[key] = (xi, prob, cylinder_weld.solve_cylinder(prob))
@@ -411,7 +411,7 @@ def _cyl_setup(s=0.25, t=2.0):
 def _():
     p = _default_profile()
     grid = LineGrid(-20.0, 40.0, 1024)
-    g0 = profile.LineDiffeo(grid, grid.x.copy(), (0.0, 0.0))
+    g0 = profile.LineDiffeo(grid, grid.x.copy())
     sol = cylinder_weld.solve_cylinder(
         cylinder_weld.CylinderWeldProblem(g0, p.beta0, 20.0))
     return float(max(np.max(np.abs(sol.xprime - 1.0)),
@@ -428,8 +428,8 @@ def _():
     vals = {}
     for sgn in (1.0, -1.0):
         s = sgn * 1e-4
-        g = flow(xi, s, grid)
-        gi = flow_inverse(xi, s, g)
+        g = flow_family(xi, [s], grid)[0]
+        gi = flow_family(xi, [s], grid, inverse=True)[0]
         sol = cylinder_weld.solve_cylinder(
             cylinder_weld.CylinderWeldProblem(g, gamma, 33.0 / gamma, g_inverse=gi))
         vals[sgn] = sol.xprime
@@ -449,8 +449,8 @@ def _():
     gamma = xi.gamma
     num = fcs.Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
     grid = fcs.cylinder_grid(xi, 0.3, num)
-    g = flow(xi, 0.3, grid)
-    gi = flow_inverse(xi, 0.3, g)
+    g = flow_family(xi, [0.3], grid)[0]
+    gi = flow_family(xi, [0.3], grid, inverse=True)[0]
     sol = cylinder_weld.solve_cylinder(
         cylinder_weld.CylinderWeldProblem(g, gamma, 33.0 / gamma, g_inverse=gi))
     h = build_h(p)
@@ -466,16 +466,16 @@ def _():
     num = fcs.Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
     xim = build_xi(p, InfiniteVolume(1.0), 2.0, "-")
     gm_grid = fcs.cylinder_grid(xim, 0.25, num)
-    gm = flow(xim, 0.25, gm_grid)
+    gm = flow_family(xim, [0.25], gm_grid)[0]
     solm = cylinder_weld.solve_cylinder(cylinder_weld.CylinderWeldProblem(
         gm, xim.gamma, 33.0 / xim.gamma,
-        g_inverse=flow_inverse(xim, 0.25, gm)))
+        g_inverse=flow_family(xim, [0.25], gm_grid, inverse=True)[0]))
     xip = build_xi(p, InfiniteVolume(1.0), -2.0, "+")
     gp_grid = fcs.cylinder_grid(xip, 0.25, num)
-    gp = flow(xip, -0.25, gp_grid)
+    gp = flow_family(xip, [-0.25], gp_grid)[0]
     solp = cylinder_weld.solve_cylinder(cylinder_weld.CylinderWeldProblem(
         gp, xip.gamma, 33.0 / xip.gamma,
-        g_inverse=flow_inverse(xip, -0.25, gp)))
+        g_inverse=flow_family(xip, [-0.25], gp_grid, inverse=True)[0]))
     lo, hi = xim.support
     pts = np.linspace(lo - 1, hi + 1, 201)
     return float(np.max(np.abs(solm.xprime_at(pts)
@@ -672,7 +672,7 @@ def run(names=None):
             defect = float(fn())
             status = "pass" if defect <= tol else "fail"
         except Exception as exc:   # noqa: BLE001 - report, never crash the table
-            defect = float("nan")
+            defect = None
             status = f"error: {type(exc).__name__}: {exc}"
         results.append({"name": name, "tolerance": tol, "defect": defect,
                         "status": status})

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import DerivativeUnresolved
 
@@ -26,7 +27,7 @@ __all__ = [
     "spectral_tail",
     "fd_derivative",
     "fit_loglog_slope",
-    "fit_exponential_rate",
+    "lu_solve_conditioned",
 ]
 
 
@@ -201,20 +202,21 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def fit_exponential_rate(x, magnitude, floor_ratio=1e-8, cap_ratio=1e-2):
-    """Fit rate r of magnitude ~ exp(-r x) on the decaying stretch.
+def lu_solve_conditioned(A: np.ndarray, b: np.ndarray, cond_limit: float,
+                         error: type, what: str):
+    """LU solve of ``A x = b`` gated by LAPACK's 1-norm condition estimate.
 
-    Points are kept where the magnitude sits between ``cap_ratio`` and
-    ``floor_ratio`` times its maximum, which skips both the core of the
-    field and the roundoff floor.
+    Raises ``error`` when the estimate exceeds ``cond_limit``; otherwise
+    returns ``(x, condition estimate, relative residual)``.
     """
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(magnitude, dtype=float)
-    peak = np.max(m)
-    keep = (m > floor_ratio * peak) & (m < cap_ratio * peak) & (x > x[np.argmax(m)])
-    if np.count_nonzero(keep) < 4:
-        return np.nan
-    return -float(np.polyfit(x[keep], np.log(m[keep]), 1)[0])
+    lu, piv = sla.lu_factor(A)
+    rcond = sla.lapack.zgecon(lu, np.linalg.norm(A, 1))[0]
+    cond = 1.0 / max(rcond, 1e-300)
+    if cond > cond_limit:
+        raise error(f"{what} condition estimate {cond:.2e}")
+    x = sla.lu_solve((lu, piv), b)
+    res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
+    return x, cond, float(res)
 
 
 def _fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from .profile import CircleDiffeo, XiField, flow
-from .spectral import PeriodicGrid, schwarzian_from_derivatives
+from .profile import CircleDiffeo, XiField, flow_family
+from .spectral import (PeriodicGrid, lu_solve_conditioned,
+                       schwarzian_from_derivatives)
 
 __all__ = [
     "TorusWeldProblem",
@@ -37,7 +37,6 @@ __all__ = [
     "solve_Y1",
     "effective_tau_ode",
     "residual_diagnostics",
-    "flow_family",
 ]
 
 
@@ -264,14 +263,8 @@ def solve_Y1(problem: TorusWeldProblem, blocks: KBlocks | None = None,
     rhs_full = (np.where(modes < 0, 1.0, 0.0) * fm_band) - blocks.K12 @ fm_band
     b = rhs_full[sel]
 
-    lu, piv = sla.lu_factor(A)
-    anorm = np.linalg.norm(A, 1)
-    rcond = sla.lapack.zgecon(lu, anorm)[0]
-    cond = 1.0 / max(rcond, 1e-300)
-    if cond > cond_limit:
-        raise SingularSystem(f"projected system condition estimate {cond:.2e}")
-    y = sla.lu_solve((lu, piv), b)
-    res = np.linalg.norm(A @ y - b) / max(np.linalg.norm(b), 1e-300)
+    y, cond, res = lu_solve_conditioned(A, b, cond_limit, SingularSystem,
+                                        "projected system")
 
     y1 = np.zeros(2 * N + 1, dtype=complex)
     y1[sel] = y
@@ -289,7 +282,7 @@ def solve_Y1(problem: TorusWeldProblem, blocks: KBlocks | None = None,
     tau_eff_b = problem.tau + ((K @ y1)[N] - (blocks.K12 @ fm_band)[N]) / L
 
     return TorusWeldSolution(problem, modes, y1, complex(tau_eff),
-                             complex(tau_eff_b), cond, float(res), blocks)
+                             complex(tau_eff_b), cond, res, blocks)
 
 
 def residual_diagnostics(sol: TorusWeldSolution) -> dict:
@@ -390,39 +383,3 @@ def effective_tau_ode(xi_field: XiField, s_end: float, a: float | None = None,
         acc = acc + half * np.dot(gl_w, deriv_vals)
         tau_path.append(acc)
     return s_grid, np.array(tau_path), sols
-
-
-def flow_family(xi_field: XiField, s_values, grid: PeriodicGrid):
-    """Circle diffeomorphisms of the zeta-flow at several flow times.
-
-    One integration pass; negative and positive times are handled separately.
-    """
-    from scipy.integrate import solve_ivp
-
-    from .errors import StepSizeUnderflow
-
-    s_values = np.asarray(s_values, dtype=float)
-    out = [None] * len(s_values)
-    gamma = xi_field.gamma
-    rhs = lambda ss, yv: -(gamma + xi_field(yv))
-    for sign in (1.0, -1.0):
-        mask = (np.sign(s_values) == sign) & (s_values != 0.0)
-        if not np.any(mask):
-            continue
-        targets = np.unique(s_values[mask])
-        if sign > 0:
-            span, t_eval = targets[-1], targets
-        else:
-            span, t_eval = targets[0], targets[::-1]
-        sol = solve_ivp(rhs, (0.0, span), grid.x, method="DOP853",
-                        rtol=1e-13, atol=3e-14, t_eval=t_eval, dense_output=False)
-        if not sol.success:
-            raise StepSizeUnderflow(f"flow family failed: {sol.message}")
-        for i, s in enumerate(s_values):
-            if mask[i]:
-                j = int(np.where(t_eval == s)[0][0])
-                out[i] = CircleDiffeo(grid, sol.y[:, j])
-    for i, s in enumerate(s_values):
-        if s == 0.0:
-            out[i] = CircleDiffeo(grid, grid.x.copy())
-    return out

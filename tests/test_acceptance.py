@@ -17,8 +17,8 @@ import pytest
 from weldfcs import (CircleDiffeo, CylinderWeldProblem, InfiniteVolume,
                      LineDiffeo, Numerics, TemperatureProfile, Theory,
                      TorusWeldProblem, VolumeContext, appendix_b_check,
-                     build_h, build_xi, character, effective_tau_ode, flow,
-                     flow_inverse, ldf, levitov_lesovik, log_character,
+                     build_h, build_xi, character, effective_tau_ode,
+                     flow_family, ldf, levitov_lesovik, log_character,
                      longtime_approach, moments_closed_form, psi_finite,
                      psi_infinite, rate_function, residual_diagnostics,
                      solve_Y1, solve_cylinder)
@@ -26,7 +26,6 @@ from weldfcs.cache import SolveCache
 from weldfcs.cli import main as cli_main
 from weldfcs.fcs import cylinder_grid
 from weldfcs.spectral import LineGrid, PeriodicGrid, fit_loglog_slope
-from weldfcs.torus_weld import flow_family
 
 KINK = TemperatureProfile(2.0, 1.0, center=0.0, half_width=1.0)
 LEAN = Numerics(n_modes=256, tail_tol=2e-3, s_nodes=6, dx=0.02,
@@ -55,7 +54,7 @@ def test_criterion_1_trivial_welds():
     sol = solve_Y1(TorusWeldProblem(f0, 0.1j, n))
     d_torus = max(float(np.max(np.abs(sol.y1_coeff))), abs(sol.tau_eff - 0.1j))
     lg = LineGrid(-20.0, 40.0, 512)
-    g0 = LineDiffeo(lg, lg.x.copy(), (0.0, 0.0))
+    g0 = LineDiffeo(lg, lg.x.copy())
     csol = solve_cylinder(CylinderWeldProblem(g0, KINK.beta0, 20.0))
     d_cyl = float(np.max(np.abs(csol.xprime - 1.0)))
     dt = record(1, "identity welds exact", max(d_torus, d_cyl), 1e-12, t0)
@@ -118,8 +117,8 @@ def test_criterion_5_linear_response():
     grid = cylinder_grid(xi, 1e-4, LEAN)
     xp = {}
     for sgn in (1.0, -1.0):
-        g = flow(xi, sgn * 1e-4, grid)
-        gi = flow_inverse(xi, sgn * 1e-4, g)
+        g = flow_family(xi, [sgn * 1e-4], grid)[0]
+        gi = flow_family(xi, [sgn * 1e-4], grid, inverse=True)[0]
         xp[sgn] = solve_cylinder(CylinderWeldProblem(
             g, xi.gamma, LEAN.p_max_gamma / xi.gamma, g_inverse=gi)).xprime
     d_num = (xp[1.0] - xp[-1.0]) / 2e-4
@@ -181,10 +180,10 @@ def test_criterion_9_thermodynamic_limit(psi_cache):
     s, t = 0.25, 4.0
     xi_inf = build_xi(KINK, InfiniteVolume(1.0), t, "+")
     grid_inf = cylinder_grid(xi_inf, s, LEAN)
-    g_inf = flow(xi_inf, s, grid_inf)
+    g_inf = flow_family(xi_inf, [s], grid_inf)[0]
     sol_inf = solve_cylinder(CylinderWeldProblem(
         g_inf, xi_inf.gamma, LEAN.p_max_gamma / xi_inf.gamma,
-        g_inverse=flow_inverse(xi_inf, s, g_inf)))
+        g_inverse=flow_family(xi_inf, [s], grid_inf, inverse=True)[0]))
     lo, hi = xi_inf.support
     pts = np.linspace(lo - 1, hi + 1, 201)
     ref = sol_inf.xprime_at(pts)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +53,14 @@ class TestConfig:
             config_from_dict(data)
 
     def test_negative_numeric_rejected(self):
-        data = base_config()
-        data["numerics"]["n_modes"] = -4
-        with pytest.raises(ConfigInvalid, match="n_modes"):
-            config_from_dict(data)
+        # with the other malformed numerics: a bool, a fractional count and
+        # a fine grid too coarse for the torus assembly
+        for key, value in (("n_modes", -4), ("n_modes", True),
+                           ("n_modes", 2.5), ("fine_factor", 3)):
+            data = base_config()
+            data["numerics"][key] = value
+            with pytest.raises(ConfigInvalid, match=key):
+                config_from_dict(data)
 
     def test_unknown_keys_rejected(self):
         data = base_config()
@@ -84,6 +90,50 @@ class TestCache:
         cache.put_scalar(("a", 1.0), 1.0)
         cache.put_scalar(("a", 1.0000000001), 2.0)
         assert cache.get_scalar(("a", 1.0)) == 1.0
+
+    def test_writers_of_one_key_use_distinct_temp_files(self, monkeypatch,
+                                                        tmp_path):
+        sources = []
+        replace = os.replace
+
+        def recording_replace(src, dst):
+            sources.append(str(src))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        cache = SolveCache(tmp_path)
+        cache.put_scalar(("k",), 1.0)
+        cache.put_scalar(("k",), 2.0)
+        assert len(sources) == 2 and sources[0] != sources[1]
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert cache.get_scalar(("k",)) == 2.0
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        errors = []
+
+        def write(value):
+            try:
+                for _ in range(25):
+                    cache.put_scalar(("shared",), value)
+            except Exception as exc:   # noqa: BLE001 - collected and asserted
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(float(i),))
+                       for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        assert cache.get_scalar(("shared",)) in {float(i) for i in range(8)}
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_env_var_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WELDFCS_CACHE", str(tmp_path))
@@ -129,18 +179,54 @@ class TestCli:
         assert (tmp_path / "ldf_rate.csv").read_text().splitlines()[0] \
             == "sigma,rate"
 
+    def test_selftest_json_reports_a_raising_check_as_null(self, capsys,
+                                                           monkeypatch):
+        from weldfcs import selftest
+
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selftest, "CHECKS", [("broken", 1e-12, broken)])
+        code = run_cli(["selftest", "--json"])
+
+        def no_constants(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads(capsys.readouterr().out,
+                            parse_constant=no_constants)
+        assert report["checks"][0]["defect"] is None
+        assert report["checks"][0]["status"].startswith("error")
+        assert code == 3
+
     def test_weld_torus_command(self, tmp_path):
         data = base_config()
         data["experiment"] = {"t": 1.0, "s_values": [0.2]}
-        data["io"] = {"output_dir": str(tmp_path)}
+        outdir = tmp_path / "fresh" / "out"
+        data["io"] = {"output_dir": str(outdir)}
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(data))
         assert run_cli(["weld-torus", "--config", str(cfg_path)]) == 0
-        payload = json.loads((tmp_path / "weld_torus.json").read_text())
+        payload = json.loads((outdir / "weld_torus.json").read_text())
         row = payload["rows"][0]
         assert row["tau_two_route"] < 1e-9
         assert row["tau_eff"]["im"] > 0
-        assert (tmp_path / "weld_torus_t1.0_s0.2.npz").exists()
+        assert (outdir / "weld_torus_t1.0_s0.2.npz").exists()
+
+    def test_weld_cylinder_command(self, tmp_path):
+        data = base_config()
+        data["numerics"] = {"dx": 0.08, "window_pad_gamma": 5.0,
+                            "window_factor": 3.5, "p_max_gamma": 14.0}
+        data["experiment"] = {"t": 1.0, "s_values": [-0.1, 0.2]}
+        outdir = tmp_path / "fresh" / "out"
+        data["io"] = {"output_dir": str(outdir)}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["weld-cylinder", "--config", str(cfg_path)]) == 0
+        payload = json.loads((outdir / "weld_cylinder.json").read_text())
+        assert [row["s"] for row in payload["rows"]] == [-0.1, 0.2]
+        for row in payload["rows"]:
+            assert row["xprime_min_abs"] > 0
+        assert (outdir / "weld_cylinder_t1.0_s0.2_p.npz").exists()
 
     def test_fcs_determinism_and_cache_equivalence(self, tmp_path):
         data = base_config()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weldfcs import (CylinderWeldProblem, InfiniteVolume, LineDiffeo,
-                     Numerics, assemble_sigma, build_xi, flow, flow_inverse,
+                     Numerics, assemble_sigma, build_xi, flow_family,
                      realspace_crosscheck, solve_cylinder)
 from weldfcs.errors import WindowTooSmall
 from weldfcs.fcs import cylinder_grid
@@ -14,8 +14,8 @@ def solve_kink(kink, t, s, num=None, p_max_gamma=33.0):
     num = num or Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
     xi = build_xi(kink, InfiniteVolume(1.0), t, "+")
     grid = cylinder_grid(xi, s, num)
-    g = flow(xi, s, grid)
-    gi = flow_inverse(xi, s, g)
+    g = flow_family(xi, [s], grid)[0]
+    gi = flow_family(xi, [s], grid, inverse=True)[0]
     prob = CylinderWeldProblem(g, xi.gamma, p_max_gamma / xi.gamma,
                                g_inverse=gi)
     return xi, prob, solve_cylinder(prob)
@@ -24,7 +24,7 @@ def solve_kink(kink, t, s, num=None, p_max_gamma=33.0):
 class TestAssembly:
     def test_identity_gives_zero_operator(self, kink):
         grid = LineGrid(-20.0, 40.0, 512)
-        g0 = LineDiffeo(grid, grid.x.copy(), (0.0, 0.0))
+        g0 = LineDiffeo(grid, grid.x.copy())
         op = assemble_sigma(CylinderWeldProblem(g0, kink.beta0, 20.0))
         assert np.max(np.abs(op.sigma)) == 0.0
         assert np.max(np.abs(op.z12_ext)) == 0.0
@@ -33,8 +33,8 @@ class TestAssembly:
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
         num = Numerics(dx=0.012, window_pad_gamma=6.0, window_factor=4.0)
         grid = cylinder_grid(xi, 0.25, num)
-        g = flow(xi, 0.25, grid)
-        gi = flow_inverse(xi, 0.25, g)
+        g = flow_family(xi, [0.25], grid)[0]
+        gi = flow_family(xi, [0.25], grid, inverse=True)[0]
         ops = {}
         for pm in (40.0, 80.0):
             ops[pm] = assemble_sigma(CylinderWeldProblem(g, xi.gamma, pm,
@@ -58,7 +58,7 @@ class TestAssembly:
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
         lo, hi = xi.support
         grid = LineGrid(lo - 2.0, (hi - lo) + 4.0, 512)
-        g = flow(xi, 0.2, grid)
+        g = flow_family(xi, [0.2], grid)[0]
         with pytest.raises(WindowTooSmall):
             CylinderWeldProblem(g, xi.gamma, 10.0)
 
@@ -66,7 +66,7 @@ class TestAssembly:
 class TestSolve:
     def test_identity(self, kink):
         grid = LineGrid(-20.0, 40.0, 512)
-        g0 = LineDiffeo(grid, grid.x.copy(), (0.0, 0.0))
+        g0 = LineDiffeo(grid, grid.x.copy())
         sol = solve_cylinder(CylinderWeldProblem(g0, kink.beta0, 20.0))
         assert np.max(np.abs(sol.xprime - 1.0)) == 0.0
         assert np.max(np.abs(sol.y1p())) == 0.0
@@ -80,8 +80,8 @@ class TestSolve:
         grid = cylinder_grid(xi, 1e-4, num)
         xp = {}
         for sgn in (1.0, -1.0):
-            g = flow(xi, sgn * 1e-4, grid)
-            gi = flow_inverse(xi, sgn * 1e-4, g)
+            g = flow_family(xi, [sgn * 1e-4], grid)[0]
+            gi = flow_family(xi, [sgn * 1e-4], grid, inverse=True)[0]
             xp[sgn] = solve_cylinder(
                 CylinderWeldProblem(g, xi.gamma, 33.0 / xi.gamma,
                                     g_inverse=gi)).xprime
@@ -100,8 +100,8 @@ class TestSolve:
         grid = cylinder_grid(xi, 1e-4, num)
         sx = {}
         for sgn in (1.0, -1.0):
-            g = flow(xi, sgn * 1e-4, grid)
-            gi = flow_inverse(xi, sgn * 1e-4, g)
+            g = flow_family(xi, [sgn * 1e-4], grid)[0]
+            gi = flow_family(xi, [sgn * 1e-4], grid, inverse=True)[0]
             sx[sgn] = solve_cylinder(
                 CylinderWeldProblem(g, xi.gamma, 33.0 / xi.gamma,
                                     g_inverse=gi)).schwarzian
@@ -127,16 +127,16 @@ class TestSolve:
         num = Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
         xim = build_xi(kink, InfiniteVolume(1.0), 2.0, "-")
         gm_grid = cylinder_grid(xim, 0.25, num)
-        gm = flow(xim, 0.25, gm_grid)
+        gm = flow_family(xim, [0.25], gm_grid)[0]
         solm = solve_cylinder(CylinderWeldProblem(
             gm, xim.gamma, 33.0 / xim.gamma,
-            g_inverse=flow_inverse(xim, 0.25, gm)))
+            g_inverse=flow_family(xim, [0.25], gm_grid, inverse=True)[0]))
         xip = build_xi(kink, InfiniteVolume(1.0), -2.0, "+")
         gp_grid = cylinder_grid(xip, 0.25, num)
-        gp = flow(xip, -0.25, gp_grid)
+        gp = flow_family(xip, [-0.25], gp_grid)[0]
         solp = solve_cylinder(CylinderWeldProblem(
             gp, xip.gamma, 33.0 / xip.gamma,
-            g_inverse=flow_inverse(xip, -0.25, gp)))
+            g_inverse=flow_family(xip, [-0.25], gp_grid, inverse=True)[0]))
         lo, hi = xim.support
         pts = np.linspace(lo - 1, hi + 1, 201)
         assert np.max(np.abs(solm.xprime_at(pts)
@@ -155,7 +155,7 @@ class TestSolve:
 class TestRealspaceCrosscheck:
     def test_identity(self, kink):
         grid = LineGrid(-20.0, 40.0, 1024)
-        g0 = LineDiffeo(grid, grid.x.copy(), (0.0, 0.0))
+        g0 = LineDiffeo(grid, grid.x.copy())
         prob = CylinderWeldProblem(g0, kink.beta0, 20.0)
         sol = solve_cylinder(prob)
         d = realspace_crosscheck(prob, sol, probes=np.array([0.0, 3.0]))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from weldfcs import (InfiniteVolume, TemperatureProfile, VolumeContext,
-                     build_h, build_xi, flow, flow_inverse, periodize_profile)
+                     build_h, build_xi, flow_family, periodize_profile)
 from weldfcs.errors import BoxTooSmall
-from weldfcs.spectral import PeriodicGrid, fit_loglog_slope
+from weldfcs.spectral import LineGrid, PeriodicGrid, fit_loglog_slope
 
 
 def brute_force_periodized(profile, L, x):
@@ -153,40 +153,50 @@ class TestXiField:
         assert -1.3 < slope < -0.7
 
 
+def line_window(xi, s):
+    """Window around the support of xi padded by 6 gamma + |gamma s| + 1,
+    with spacing at most 0.02."""
+    lo, hi = xi.support
+    pad = 6.0 * xi.gamma + abs(xi.gamma * s) + 1.0
+    span = (hi - lo) + 2 * pad
+    return LineGrid(x0=lo - pad, span=span,
+                    M=1 << int(np.ceil(np.log2(span / 0.02))))
+
+
 class TestFlows:
     def test_uniform_field_translates(self):
         p = TemperatureProfile(2.0, 2.0)
         ctx = VolumeContext(p, 30.0)
         xi = build_xi(p, ctx, 5.0)
         grid = PeriodicGrid(ctx.L, 256, x0=-22.5)
-        f = flow(xi, 0.7, grid)
+        f = flow_family(xi, [0.7], grid)[0]
         assert np.max(np.abs(f.samples - (grid.x - ctx.gammaL * 0.7))) < 1e-10
 
     def test_zero_time_flow_is_identity(self, kink, box):
         xi = build_xi(kink, box, 1.0)
         grid = PeriodicGrid(box.L, 512, x0=-30.0)
-        f = flow(xi, 0.0, grid)
+        f = flow_family(xi, [0.0], grid)[0]
         assert np.array_equal(f.samples, grid.x)
 
     def test_group_law(self, kink, box):
         xi = build_xi(kink, box, 1.0)
         grid = PeriodicGrid(box.L, 2048, x0=-30.0)
-        f_ab = flow(xi, 0.3, grid)
-        f_a = flow(xi, 0.15, grid)
-        f_b = flow(xi, 0.15, grid)
+        f_ab = flow_family(xi, [0.3], grid)[0]
+        f_a = flow_family(xi, [0.15], grid)[0]
+        f_b = flow_family(xi, [0.15], grid)[0]
         assert np.max(np.abs(f_ab.samples - f_a(f_b.samples))) < 1e-9
 
     def test_flow_reflection_symmetry(self, kink, box):
         grid = PeriodicGrid(box.L, 2048, x0=-30.0)
-        f1 = flow(build_xi(kink, box, 1.0), 0.2, grid)
-        f2 = flow(build_xi(kink, box, -1.0), -0.2, grid)
+        f1 = flow_family(build_xi(kink, box, 1.0), [0.2], grid)[0]
+        f2 = flow_family(build_xi(kink, box, -1.0), [-0.2], grid)[0]
         assert np.max(np.abs(f1(-grid.x - box.L / 2)
                              + f2.samples + box.L / 2)) < 1e-10
 
     def test_circle_diffeo_invariants(self, kink, box):
         xi = build_xi(kink, box, 2.0)
         grid = PeriodicGrid(box.L, 2048, x0=-30.0)
-        f = flow(xi, 0.3, grid)
+        f = flow_family(xi, [0.3], grid)[0]
         x = np.linspace(-5, 5, 41)
         assert np.max(np.abs(f(x + box.L) - f(x) - box.L)) < 1e-10
         assert np.min(f.deriv_samples(1)) > 0
@@ -194,7 +204,7 @@ class TestFlows:
 
     def test_line_flow_identity_outside_support(self, kink):
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
-        g = flow(xi, 0.4)
+        g = flow_family(xi, [0.4], line_window(xi, 0.4))[0]
         lo, hi = g.support
         grid = g.grid
         outside = (grid.x < lo - 0.1) | (grid.x > hi + 0.1)
@@ -203,14 +213,15 @@ class TestFlows:
 
     def test_line_flow_inverse_is_backward_flow(self, kink):
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
-        g = flow(xi, 0.3)
-        gi = flow_inverse(xi, 0.3, g)
+        grid = line_window(xi, 0.3)
+        g = flow_family(xi, [0.3], grid)[0]
+        gi = flow_family(xi, [0.3], grid, inverse=True)[0]
         x = np.linspace(*g.support, 101)
         assert np.max(np.abs(gi(g(x)) - x)) < 1e-10
 
     def test_recentered_line_flow_rate(self, kink):
         xi_inf = build_xi(kink, InfiniteVolume(1.0), 1.0, "+")
-        g_inf = flow(xi_inf, 0.3)
+        g_inf = flow_family(xi_inf, [0.3], line_window(xi_inf, 0.3))[0]
         h = build_h(kink)
         A = float(h(np.array([-1.0]))[0])
         pts = np.linspace(-5, 3, 101)
@@ -219,10 +230,29 @@ class TestFlows:
         for L in Ls:
             ctx = VolumeContext(kink, L)
             grid = PeriodicGrid(L, int(2048 * L / 40), x0=-0.75 * L)
-            f_l = flow(build_xi(kink, ctx, 1.0), 0.3, grid)
+            f_l = flow_family(build_xi(kink, ctx, 1.0), [0.3], grid)[0]
             hl = build_h(kink, ctx)
             o_l = float(hl(np.array([-1.0]))[0]) - A
             g_l = f_l(pts + o_l) - o_l + ctx.gammaL * 0.3
             errs.append(np.max(np.abs(g_l - ref)))
         slope = fit_loglog_slope(Ls, errs)
         assert -1.3 < slope < -0.7
+
+    @pytest.mark.parametrize("volume", ["finite", "infinite"])
+    def test_family_inverse_and_zero_time(self, kink, box, volume):
+        times = [-0.2, 0.0, 0.1, 0.3]
+        if volume == "finite":
+            xi = build_xi(kink, box, 1.0)
+            grid = PeriodicGrid(box.L, 2048, x0=-0.75 * box.L)
+        else:
+            xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
+            grid = line_window(xi, 0.3)
+        fwd = flow_family(xi, times, grid)
+        inv = flow_family(xi, times, grid, inverse=True)
+        for s, f, fi in zip(times, fwd, inv):
+            assert np.max(np.abs(f(fi.samples) - grid.x)) < 1e-10, s
+        assert np.array_equal(fwd[1].samples, grid.x)
+        assert np.array_equal(inv[1].samples, grid.x)
+        if volume == "infinite":
+            assert fwd[1].support == (0.0, 0.0)
+            assert inv[1].support == (0.0, 0.0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from weldfcs import (CircleDiffeo, TorusWeldProblem, assemble_K, build_xi,
-                     effective_tau_ode, residual_diagnostics, solve_Y1)
+                     effective_tau_ode, flow_family, residual_diagnostics,
+                     solve_Y1)
 from weldfcs.errors import QOnUnitCircle, TruncationTooCoarse
 from weldfcs.spectral import PeriodicGrid
-from weldfcs.torus_weld import flow_family
 
 L = 40.0
 
