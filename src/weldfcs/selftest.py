@@ -12,7 +12,7 @@ import numpy as np
 from . import analysis, characters, cylinder_weld, fcs, profile, torus_weld
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       build_h, build_xi, flow_family, periodize_profile)
-from .spectral import LineGrid, PeriodicGrid
+from .spectral import LineGrid, PeriodicGrid, bose_weight
 
 CHECKS = []
 
@@ -435,7 +435,7 @@ def _():
         vals[sgn] = sol.xprime
     d_num = (vals[1.0] - vals[-1.0]) / 2e-4
     xihat = grid.ft(xi(grid.x))
-    todd = grid.p / -np.expm1(-gamma * grid.p)
+    todd = bose_weight(grid.p, gamma)
     d_ref = grid.ift(1j * todd * xihat)
     lo, hi = xi.support
     m = (grid.x > lo - 2) & (grid.x < hi + 2)

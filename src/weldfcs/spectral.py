@@ -24,6 +24,7 @@ __all__ = [
     "PeriodicGrid",
     "LineGrid",
     "schwarzian_from_derivatives",
+    "bose_weight",
     "spectral_tail",
     "fd_derivative",
     "fit_loglog_slope",
@@ -170,6 +171,17 @@ def schwarzian_from_derivatives(d1, d2, d3):
     """S = d3/d1 - (3/2) (d2/d1)^2 from the first three derivatives."""
     r = d2 / d1
     return d3 / d1 - 1.5 * r * r
+
+
+def bose_weight(p, gamma: float) -> np.ndarray:
+    """``p / (1 - exp(-gamma p))`` in a form that cannot overflow.
+
+    For p < 0 it is evaluated as ``|p| e^{-gamma |p|} / (1 - e^{-gamma |p|})``;
+    for p > 0 the expression is the direct one, bit for bit.
+    """
+    p = np.asarray(p, dtype=float)
+    a = np.abs(p)
+    return a * np.where(p > 0, 1.0, np.exp(-gamma * a)) / -np.expm1(-gamma * a)
 
 
 def spectral_tail(values: np.ndarray, fraction: float = 0.25) -> float:

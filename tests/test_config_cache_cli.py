@@ -68,6 +68,17 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="betaleft"):
             config_from_dict(data)
 
+    def test_non_numeric_values_name_their_key(self):
+        for block, key, value in (("profile", "center", "left"),
+                                  ("profile", "sharpness", "4"),
+                                  ("profile", "L", [40.0]),
+                                  ("theory", "c", "one"),
+                                  ("theory", "radius", "1")):
+            data = base_config()
+            data[block][key] = value
+            with pytest.raises(ConfigInvalid, match=f"{block}.{key}"):
+                config_from_dict(data)
+
     def test_bad_theory(self):
         data = base_config()
         data["theory"] = {"model": "free_boson_radius", "c": 1.0}
@@ -84,6 +95,50 @@ class TestCache:
         assert cache.get_scalar(key) == complex(3.0, -0.5)
         cache.put_scalar(("tuple",), (complex(1, 2), complex(3, 4)))
         assert cache.get_scalar(("tuple",)) == (complex(1, 2), complex(3, 4))
+
+    def test_record_of_previous_version_is_a_miss(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        key = ("node", 1.0)
+        cache.put_scalar(key, 2.0)
+        path = Path(cache._path(key))
+        record = json.loads(path.read_text())
+        assert record["version"] == "weldfcs-cache-2"
+        record["version"] = "weldfcs-cache-1"
+        path.write_text(json.dumps(record))
+        assert cache.get_scalar(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_counterterms_computed_once_per_time(self, tmp_path, monkeypatch,
+                                                 kink, box):
+        # the counterterms depend on t but not on lambda: one quadrature per
+        # (t, mover) and per finite-volume time, and none on a warm cache
+        from weldfcs import Theory, fcs
+        calls = []
+        for name in ("counterterm_mover", "counterterm_finite"):
+            orig = getattr(fcs, name)
+            monkeypatch.setattr(fcs, name, lambda *a, _f=orig, _n=name:
+                                calls.append(_n) or _f(*a))
+        num = fcs.Numerics(n_modes=128, tail_tol=2e-3, s_nodes=2, dx=0.08,
+                           window_pad_gamma=5.0, window_factor=4.0,
+                           p_max_gamma=14.0)
+        theory = Theory("free_boson_radius", 1.0, radius=1.0)
+        cache = SolveCache(tmp_path)
+
+        def run():
+            return [(fcs.psi_infinite(kink, 1.0, 1.0, lam=lam, numerics=num,
+                                      cache=cache).ln_psi,
+                     fcs.psi_finite(kink, theory, box, 1.0, lam=lam,
+                                    numerics=num, cache=cache).ln_psi)
+                    for lam in (-0.05, 0.05)]
+
+        cold = run()
+        assert sorted(calls) == ["counterterm_finite"] * 2 \
+            + ["counterterm_mover"] * 2
+        warm = run()
+        assert len(calls) == 4
+        assert warm == cold
+        assert cold[0][0] == fcs.psi_infinite(kink, 1.0, 1.0, lam=-0.05,
+                                              numerics=num).ln_psi
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = SolveCache(tmp_path)
@@ -161,6 +216,20 @@ class TestCli:
         bad.write_text(json.dumps(base_config(profile={"beta_left": 2.0})))
         code = run_cli(["ldf", "--config", str(bad)])
         assert code == 2
+
+    def test_non_numeric_values_exit_2_naming_the_key(self, tmp_path,
+                                                      capsys):
+        for command, block, key, value in (
+                ("ldf", "profile", "center", "left"),
+                ("fcs", "experiment", "t_values", ["x"]),
+                ("moments", "experiment", "fd_step", "small"),
+                ("ldf", "experiment", "lambda_values", [])):
+            data = base_config()
+            data[block][key] = value
+            cfg_path = tmp_path / f"{key}.json"
+            cfg_path.write_text(json.dumps(data))
+            assert run_cli([command, "--config", str(cfg_path)]) == 2
+            assert f"{block}.{key}" in capsys.readouterr().err
 
     def test_missing_config_flag(self):
         assert run_cli(["fcs"]) == 2

@@ -4,6 +4,7 @@ import pytest
 from weldfcs import (CylinderWeldProblem, InfiniteVolume, LineDiffeo,
                      Numerics, assemble_sigma, build_xi, flow_family,
                      realspace_crosscheck, solve_cylinder)
+from weldfcs.cylinder_weld import _inverse_displacement, _substitution_kernel
 from weldfcs.errors import WindowTooSmall
 from weldfcs.fcs import cylinder_grid
 from weldfcs.profile import build_h
@@ -46,6 +47,71 @@ class TestAssembly:
         # ones the extension is meant to improve
         inner = np.abs(small.psol) <= 24.0
         assert np.max(np.abs((sub - small.sigma)[np.ix_(inner, inner)])) < 1e-10
+
+    def test_kernel_blocks_match_longdouble_sum(self, kink):
+        # A(p, q) = dx sum_m e^{i(p-q)x_m} (e^{-i q d_m} - 1) over the whole
+        # lattice, in extended precision, at sampled (p, q); B likewise from
+        # the inverse displacement
+        _, prob, sol = solve_kink(kink, 4.0, 0.3)
+        grid, psol = prob.grid, sol.operator.psol
+        x = grid.x.astype(np.longdouble)
+        dx = np.longdouble(grid.dx)
+        rng = np.random.default_rng(7)
+        rows = rng.choice(len(psol), 12, replace=False)
+        cols = rng.choice(len(psol), 12, replace=False)
+        for disp in (prob.g.displacement(), _inverse_displacement(prob)):
+            block, _, _ = _substitution_kernel(grid, disp, psol, 1.0)
+            d = disp.astype(np.longdouble)
+            worst = 0.0
+            for j in cols:
+                q = np.longdouble(psol[j])
+                a = -q * d
+                # e^{ia} - 1 = -2 sin^2(a/2) + i sin(a), without cancellation
+                em_re, em_im = -2.0 * np.sin(0.5 * a) ** 2, np.sin(a)
+                for r in rows:
+                    ph = (np.longdouble(psol[r]) - q) * x
+                    c, sn = np.cos(ph), np.sin(ph)
+                    ref = complex(float(dx * np.sum(c * em_re - sn * em_im)),
+                                  float(dx * np.sum(sn * em_re + c * em_im)))
+                    worst = max(worst, abs(block[r, j] - ref))
+            assert worst < 1e-13 * np.max(np.abs(block))
+
+    def test_inverse_displacement_vanishes_off_the_hull(self, kink):
+        # g^{-1} fixes every lattice point outside the hull of the points g
+        # moves; the flowed inverse leaves only round-off there
+        _, prob, _ = solve_kink(kink, 4.0, 0.3)
+        x = prob.grid.x
+        moved = np.nonzero(prob.g.displacement())[0]
+        hull = np.zeros(len(x), dtype=bool)
+        hull[moved[0]:moved[-1] + 1] = True
+        disp = _inverse_displacement(prob)
+        flowed = prob.g_inverse.samples - x
+        assert np.all(disp[~hull] == 0.0)
+        assert np.array_equal(disp[hull], flowed[hull])
+        assert np.max(np.abs(flowed[~hull])) < 1e-13
+
+    def test_source_matches_per_column_definition(self):
+        # z12 = -sum_{q>0} W A(p, q) e^{-gamma q} ghat(q) - e^{-gamma p} ghat
+        # (p > 0) or + ghat (p < 0), with every column of A summed over the
+        # whole lattice; a compact bump displacement, zero off [-2, 2]
+        grid = LineGrid(-16.0, 32.0, 256)
+        x = grid.x
+        disp = np.zeros_like(x)
+        core = np.abs(x) < 2.0
+        disp[core] = 0.3 * np.exp(-1.0 / (1.0 - (x[core] / 2.0) ** 2))
+        gamma = 1.0
+        op = assemble_sigma(CylinderWeldProblem(
+            LineDiffeo(grid, x + disp), gamma, 10.0))
+        p, dx, W = grid.p, grid.dx, grid.dp / (2.0 * np.pi)
+        phase = np.exp(1j * np.outer(p, x))
+        ghat = phase @ disp * dx
+        daq = np.zeros(grid.M, dtype=complex)
+        for q in op.psol[op.psol > 0]:
+            col = phase @ (np.expm1(-1j * q * disp) * np.exp(-1j * q * x)) * dx
+            daq += col * (W * np.exp(-gamma * q) * ghat[np.searchsorted(p, q)])
+        ref = -daq - np.where(p > 0, np.exp(-gamma * np.clip(p, 0.0, None)),
+                              -1.0) * ghat
+        assert np.max(np.abs(op.z12_ext - ref)) < 1e-13 * np.max(np.abs(ref))
 
     def test_schwartz_decay_diagnostic(self, kink):
         _, _, sol = solve_kink(kink, 4.0, 0.3)

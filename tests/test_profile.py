@@ -87,6 +87,25 @@ class TestReparamMap:
             y = np.linspace(-35, 35, 501)
             assert np.max(np.abs(h(h.inverse(y)) - y)) < 1e-11
 
+    def test_inverse_newton_only_on_kink_image(self, kink):
+        # h is linear outside [h(lo), h(hi)]: there h^{-1} is the closed form,
+        # bit for bit; inside, at the endpoints and outside, h(h^{-1}(y)) = y
+        h = build_h(kink)
+        lo, hi = kink.support
+        A, B = h(np.array([lo, hi]))
+        assert (A, B) == h.kink_image
+        inside = np.linspace(A, B, 201)
+        left = np.linspace(A - 30.0, A, 50, endpoint=False)
+        right = np.linspace(B, B + 30.0, 51)[1:]
+        y = np.concatenate([left, inside, right])
+        assert np.max(np.abs(h(h.inverse(y)) - y)) < 1e-12
+        b0 = kink.beta0
+        assert np.array_equal(h.inverse(left),
+                              lo + (left - A) * kink.beta_left / b0)
+        assert np.array_equal(h.inverse(right),
+                              hi + (right - B) * kink.beta_right / b0)
+        assert np.max(np.abs(h.inverse(np.array([A, B])) - [lo, hi])) < 1e-12
+
     def test_hL_approaches_h_at_rate_one_over_L(self, kink):
         # |h_L(x) - shift - h(x)| on a compact set halves when L doubles
         h = build_h(kink)
