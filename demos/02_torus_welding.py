@@ -10,13 +10,12 @@ Run:  python demos/02_torus_welding.py
 
 import numpy as np
 
-from weldfcs import (CircleDiffeo, TemperatureProfile, TorusWeldProblem,
-                     VolumeContext, build_xi, effective_tau_ode, flow_family,
-                     residual_diagnostics, solve_Y1)
+from weldfcs import (CircleDiffeo, Numerics, TemperatureProfile,
+                     TorusWeldProblem, VolumeContext, effective_tau,
+                     residual_diagnostics, solve_Y1, torus_nodes)
 from weldfcs.spectral import PeriodicGrid
 
-L, N = 40.0, 256
-grid = PeriodicGrid(L, 4 * N, x0=-0.75 * L)
+L = 40.0
 grid_small = PeriodicGrid(L, 4 * 96, x0=-0.75 * L)
 
 # identity twist: nothing to solve, tau is reproduced exactly
@@ -32,10 +31,8 @@ print("translation: tau_eff =", sol.tau_eff, " (expected 0.05 + 0.1j)")
 # transport flow of the kink at flow time s = 0.25
 profile = TemperatureProfile(2.0, 1.0)
 ctx = VolumeContext(profile, L, 1.0)
-xi = build_xi(profile, ctx, t=2.0)
-f = flow_family(xi, [0.25], grid)[0]
-tau_s = 1j * ctx.gammaL / L - ctx.gammaL * 0.25 / L
-sol = solve_Y1(TorusWeldProblem(f, tau_s, N, tail_tol=1e-3))
+numerics = Numerics(n_modes=256, tail_tol=1e-3, s_panels=4)
+sol = next(torus_nodes(profile, ctx, 2.0, [0.25], numerics).solutions())
 print("\nkink flow:   tau_eff =", sol.tau_eff)
 print("Im tau_eff > 0:", sol.tau_eff.imag > 0)
 
@@ -46,8 +43,7 @@ for key in ("boundary_eq_1", "boundary_eq_2", "integrability",
 
 # the twist path: accumulate d tau / ds along re-solved weldings and
 # compare with the direct solve at the endpoint
-s_grid, tau_path, _ = effective_tau_ode(xi, 0.25, n_modes=N, grid=grid,
-                                        tail_tol=1e-3)
-print("\naccumulated tau(0.25) =", tau_path[-1])
+_, tau_hat = effective_tau(profile, ctx, 2.0, 0.25, numerics)
+print("\naccumulated tau(0.25) =", tau_hat)
 print("direct      tau(0.25) =", sol.tau_eff)
-print("difference:", abs(tau_path[-1] - sol.tau_eff))
+print("difference:", abs(tau_hat - sol.tau_eff))

@@ -10,27 +10,21 @@ Run:  python demos/03_cylinder_welding.py
 
 import numpy as np
 
-from weldfcs import (CylinderWeldProblem, InfiniteVolume, Numerics,
-                     TemperatureProfile, build_h, build_xi, flow_family,
-                     realspace_crosscheck, solve_cylinder)
-from weldfcs.fcs import cylinder_grid
+from weldfcs import (Numerics, TemperatureProfile, build_h, cylinder_nodes,
+                     realspace_crosscheck)
 
 profile = TemperatureProfile(2.0, 1.0)
 numerics = Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0,
                     p_max_gamma=33.0)
 
 t, s = 8.0, 0.3
-xi = build_xi(profile, InfiniteVolume(1.0), t, "+")
-gamma = xi.gamma
-grid = cylinder_grid(xi, s, numerics)
+welds = cylinder_nodes(profile, 1.0, t, "+", [s], numerics)
+grid = welds.grid
 print(f"window: [{grid.x0:.1f}, {grid.x0 + grid.span:.1f}]  M = {grid.M}  "
       f"dp = {grid.dp:.4f}")
 
-g = flow_family(xi, [s], grid)[0]
-gi = flow_family(xi, [s], grid, inverse=True)[0]
-problem = CylinderWeldProblem(g, gamma, numerics.p_max_gamma / gamma,
-                              g_inverse=gi)
-sol = solve_cylinder(problem)
+sol = next(welds.solutions())
+problem = sol.problem
 print("condition estimate:", f"{sol.cond_estimate:.2f}",
       " solve residual:", f"{sol.solve_residual:.1e}")
 print("assembly:", {k: f"{v:.2e}" for k, v in sol.operator.diagnostics.items()})

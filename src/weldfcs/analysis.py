@@ -76,12 +76,6 @@ def action_integrand(xi_values: np.ndarray, xprime: np.ndarray,
     return complex(grid.integral(dens))
 
 
-def _quad_cc(f, lo, hi, **kw):
-    re = quad(lambda x: np.real(f(x)), lo, hi, **kw)[0]
-    im = quad(lambda x: np.imag(f(x)), lo, hi, **kw)[0]
-    return re + 1j * im
-
-
 def counterterm(profile: TemperatureProfile, t: float, v: float,
                 c: float) -> float:
     """Infinite-volume counterterm of the counting-statistics phase.

@@ -14,22 +14,23 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import selftest as selftest_mod
 from .cache import SolveCache, resolve_cache_dir
+from .characters import Theory
 from .config import RunConfig, load_config, read_number, read_numbers
-from .cylinder_weld import (CylinderWeldProblem, realspace_crosscheck,
-                            solve_cylinder)
+from .cylinder_weld import realspace_crosscheck
 from .errors import ConfigInvalid, WeldFcsError
-from .fcs import (FcsResult, appendix_b_check, cylinder_grid, ldf,
+from .fcs import (FcsResult, appendix_b_check, cylinder_nodes, ldf,
                   levitov_lesovik, levy_khintchine_check, moments_closed_form,
-                  psi_finite, psi_infinite, rate_function)
-from .profile import InfiniteVolume, build_h, build_xi, flow_family
-from .spectral import PeriodicGrid, fit_loglog_slope
-from .torus_weld import TorusWeldProblem, residual_diagnostics, solve_Y1
+                  psi_finite, psi_infinite, rate_function, torus_nodes)
+from .profile import VolumeContext, build_h
+from .spectral import fit_loglog_slope
+from .torus_weld import residual_diagnostics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,17 +73,12 @@ def cmd_weld_torus(cfg: RunConfig, args) -> int:
     t = read_number(exp, "t", "experiment", 0.0)
     s_values = read_numbers(exp, "s_values", "experiment",
                             [read_number(exp, "s", "experiment", 0.25)])
-    num = cfg.numerics
-    grid = PeriodicGrid(ctx.L, num.fine_factor * num.n_modes, x0=-0.75 * ctx.L)
-    xi = build_xi(cfg.profile, ctx, t)
-    diffeos = flow_family(xi, s_values, grid)
+    welds = torus_nodes(cfg.profile, ctx, t, s_values, cfg.numerics)
+    grid = welds.grid
     rows = []
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for s, f in zip(s_values, diffeos):
-        tau_s = 1j * ctx.gammaL / ctx.L - ctx.gammaL * s / ctx.L
-        sol = solve_Y1(TorusWeldProblem(f, tau_s, num.n_modes, fine=grid.M,
-                                        tail_tol=num.tail_tol))
+    for s, sol in zip(s_values, welds.solutions()):
         diag = residual_diagnostics(sol)
         rows.append({"t": t, "s": s, "tau_eff": _enc(sol.tau_eff),
                      **{k: _enc(v) for k, v in diag.items()}})
@@ -111,21 +107,16 @@ def cmd_weld_cylinder(cfg: RunConfig, args) -> int:
         raise ConfigInvalid("experiment.mover", f"must be '+' or '-', got {mover!r}")
     s_values = read_numbers(exp, "s_values", "experiment",
                             [read_number(exp, "s", "experiment", 0.25)])
-    num = cfg.numerics
-    xi = build_xi(cfg.profile, InfiniteVolume(cfg.v), t, mover)
-    gamma = xi.gamma
-    grid = cylinder_grid(xi, max(abs(s) for s in s_values), num)
+    welds = cylinder_nodes(cfg.profile, cfg.v, t, mover, s_values,
+                           cfg.numerics)
+    grid = welds.grid
     rows = []
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for s, g, gi in zip(s_values, flow_family(xi, s_values, grid),
-                        flow_family(xi, s_values, grid, inverse=True)):
-        prob = CylinderWeldProblem(g, gamma, num.p_max_gamma / gamma,
-                                   g_inverse=gi)
-        sol = solve_cylinder(prob)
+    for s, sol in zip(s_values, welds.solutions()):
         diag = {**sol.operator.diagnostics, **sol.decay_diagnostics()}
         if exp.get("crosscheck", False):
-            diag.update(realspace_crosscheck(prob, sol))
+            diag.update(realspace_crosscheck(sol.problem, sol))
         rows.append({"t": t, "s": s, "mover": mover,
                      **{k: _enc(v) for k, v in diag.items()}})
         np.savez(outdir / f"weld_cylinder_t{t}_s{s}_{'p' if mover == '+' else 'm'}.npz",
@@ -265,44 +256,33 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     num = cfg.numerics
 
     # reference infinite-volume welding data
-    xi_inf = build_xi(cfg.profile, InfiniteVolume(cfg.v), t, "+")
-    grid_inf = cylinder_grid(xi_inf, s, num)
-    g_inf = flow_family(xi_inf, [s], grid_inf)[0]
-    gi_inf = flow_family(xi_inf, [s], grid_inf, inverse=True)[0]
-    sol_inf = solve_cylinder(CylinderWeldProblem(
-        g_inf, xi_inf.gamma, num.p_max_gamma / xi_inf.gamma,
-        g_inverse=gi_inf))
-    lo, hi = xi_inf.support
+    ref_welds = cylinder_nodes(cfg.profile, cfg.v, t, "+", [s], num)
+    sol_inf = next(ref_welds.solutions())
+    lo, hi = ref_welds.xi.support
     pts = np.linspace(lo - 1.0, hi + 1.0, 201)
     ref = sol_inf.xprime_at(pts)
 
     h_inf = build_h(cfg.profile)
     A = h_inf(np.array(cfg.profile.support[0])).item()
     base_L = ls[0]
+    theory = cfg.theory if cfg.theory.model != "central_charge_only" \
+        else Theory("free_boson_radius", cfg.theory.c, radius=1.0)
     xerrs = []
     psi_defects = []
     vinf = psi_infinite(cfg.profile, cfg.theory.c, t_psi, lam=lam, v=cfg.v,
                         numerics=num, cache=cache)
     for L in ls:
-        from .profile import VolumeContext
         ctx = VolumeContext(cfg.profile, L, cfg.v)
         n_modes = int(num.n_modes * L / base_L)
-        grid = PeriodicGrid(L, num.fine_factor * n_modes, x0=-0.75 * L)
-        xi_l = build_xi(cfg.profile, ctx, t)
-        f = flow_family(xi_l, [s], grid)[0]
-        tau_s = 1j * ctx.gammaL / L - ctx.gammaL * s / L
-        sol = solve_Y1(TorusWeldProblem(f, tau_s, n_modes, fine=grid.M,
-                                        tail_tol=num.tail_tol))
+        numL = replace(num, n_modes=n_modes)
+        welds = torus_nodes(cfg.profile, ctx, t, [s], numL)
+        sol = next(welds.solutions())
         h_L = build_h(cfg.profile, ctx)
         oLp = h_L(np.array(cfg.profile.support[0])).item() - A
         # recentered X' of the torus solution at the comparison points
-        c_band = grid.band_coefficients(sol.xprime - 1.0, n_modes)
-        xl = 1.0 + grid.eval_band(c_band, pts + oLp)
+        c_band = welds.grid.band_coefficients(sol.xprime - 1.0, n_modes)
+        xl = 1.0 + welds.grid.eval_band(c_band, pts + oLp)
         xerrs.append(float(np.max(np.abs(xl - ref))))
-        from .characters import Theory
-        theory = cfg.theory if cfg.theory.model != "central_charge_only" \
-            else Theory("free_boson_radius", cfg.theory.c, radius=1.0)
-        numL = type(num)(**{**num.__dict__, "n_modes": n_modes})
         vfin = psi_finite(cfg.profile, theory, ctx, t_psi, lam=lam,
                           numerics=numL, cache=cache)
         psi_defects.append(abs(vfin.ln_psi - vinf.ln_psi))
@@ -312,8 +292,9 @@ def cmd_converge(cfg: RunConfig, args) -> int:
         "L_values": ls, "xprime_sup_errors": xerrs,
         "xprime_slope": float(slope),
         "psi_defects": psi_defects,
-        "psi_monotone": bool(all(b < a for a, b in zip(psi_defects,
-                                                       psi_defects[1:]))),
+        # the box matters once the transported kink images wrap it; past
+        # the wrap the defects sit at the solvers' truncation floor
+        "psi_wrapped": [bool(2.0 * cfg.v * t_psi >= L) for L in ls],
     }
     outdir = Path(cfg.output_dir)
     _write_json(outdir / "converge.json", payload)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,6 +39,9 @@ __all__ = [
     "FcsResult",
     "psi_infinite",
     "psi_finite",
+    "effective_tau",
+    "torus_nodes",
+    "cylinder_nodes",
     "moments_closed_form",
     "appendix_b_check",
     "ldf",
@@ -114,55 +118,107 @@ def _line_flow_family(xi_field: XiField, s_values, grid: LineGrid):
                                             inverse=True)))
 
 
+@dataclass(frozen=True, eq=False)
+class WeldNodes:
+    """Welding nodes of one transport field at the flow times ``s_values``.
+
+    One grid serves the whole set and the flows are taken over the whole
+    set, so a node's solution does not depend on which other nodes are
+    solved with it (a partly warm cache gives the cold bits).
+    """
+
+    xi: XiField
+    grid: PeriodicGrid | LineGrid
+    s_values: np.ndarray
+    numerics: Numerics
+
+    @cached_property
+    def xi_values(self) -> np.ndarray:
+        return self.xi(self.grid.x)
+
+    def solutions(self, which=None):
+        """Welding solutions at ``s_values[which]`` (all by default), in
+        order, solved one at a time as they are asked for."""
+        s_values, num, grid = self.s_values, self.numerics, self.grid
+        which = range(len(s_values)) if which is None else which
+        if self.xi.finite:
+            ctx = self.xi.ctx
+            tau0 = 1j * ctx.gammaL / ctx.L
+            diffeos = flow_family(self.xi, s_values, grid)
+            for i in which:
+                prob = TorusWeldProblem(
+                    diffeos[i], tau0 - ctx.gammaL * s_values[i] / ctx.L,
+                    num.n_modes, fine=grid.M, tail_tol=num.tail_tol)
+                yield solve_Y1(prob, cond_limit=num.cond_limit)
+        else:
+            gamma = self.xi.gamma
+            diffeos = _line_flow_family(self.xi, s_values, grid)
+            for i in which:
+                g, ginv = diffeos[i]
+                yield solve_cylinder(CylinderWeldProblem(
+                    g, gamma, num.p_max_gamma / gamma, g_inverse=ginv))
+
+
+def torus_nodes(profile: TemperatureProfile, ctx: VolumeContext, t: float,
+                s_values, numerics: Numerics) -> WeldNodes:
+    """Torus weldings of the box field at the drifted modular parameters
+    ``tau_s = i gamma_L / L - gamma_L s / L``, on the fine assembly grid."""
+    grid = PeriodicGrid(ctx.L, numerics.fine_factor * numerics.n_modes,
+                        x0=-0.75 * ctx.L)
+    return WeldNodes(build_xi(profile, ctx, t), grid,
+                     np.asarray(s_values, dtype=float), numerics)
+
+
+def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
+                   mover: str, s_values, numerics: Numerics) -> WeldNodes:
+    """Cylinder weldings of one mover's field, on the window grid sized by
+    the largest |s| of the whole set."""
+    xi_field = build_xi(profile, InfiniteVolume(v), t, mover)
+    s_values = np.asarray(s_values, dtype=float)
+    grid = cylinder_grid(xi_field, float(np.max(np.abs(s_values), initial=0.0)),
+                         numerics)
+    return WeldNodes(xi_field, grid, s_values, numerics)
+
+
+def _cached_many(cache, keys: list, compute_missing) -> list:
+    """Values of ``keys``, served from ``cache`` when there is one.
+
+    The misses are computed in one batch, ``compute_missing(indices)``
+    yielding their values in order, and each is stored as it comes.
+    """
+    values = [None if cache is None else cache.get_scalar(k) for k in keys]
+    missing = [i for i, value in enumerate(values) if value is None]
+    if missing:
+        for i, value in zip(missing, compute_missing(missing)):
+            values[i] = value
+            if cache is not None:
+                cache.put_scalar(keys[i], value)
+    return values
+
+
+def _cached(cache, key: tuple, compute):
+    """``compute()``, stored in and served from ``cache`` when there is one."""
+    return _cached_many(cache, [key], lambda _: [compute()])[0]
+
+
 def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
                         mover: str, s_nodes, numerics: Numerics,
                         cache=None) -> np.ndarray:
     """Welding action integrand ``int xi (SX - 2 pi^2/gamma^2 X'^2) dx``
     at each flow-time node (c-independent)."""
-    xi_field = build_xi(profile, InfiniteVolume(v), t, mover)
-    gamma = xi_field.gamma
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    vals = np.empty(len(s_nodes), dtype=complex)
-    pending = []
-    if cache is not None:
-        for i, s in enumerate(s_nodes):
-            key = ("cyl_action", profile.key(), v, t, mover, float(s),
-                   numerics.key())
-            hit = cache.get_scalar(key)
-            if hit is None:
-                pending.append(i)
-            else:
-                vals[i] = hit
-    else:
-        pending = list(range(len(s_nodes)))
-    if pending:
-        s_extent = float(np.max(np.abs(s_nodes[pending]), initial=0.0))
-        grid = cylinder_grid(xi_field, s_extent, numerics)
-        diffeos = _line_flow_family(xi_field, s_nodes[pending], grid)
-        xiv = xi_field(grid.x)
-        p_max = numerics.p_max_gamma / gamma
-        for (i, (g, ginv)) in zip(pending, diffeos):
-            prob = CylinderWeldProblem(g, gamma, p_max, g_inverse=ginv)
-            sol = solve_cylinder(prob)
-            dens = xiv * (sol.schwarzian
-                          - (2.0 * np.pi ** 2 / gamma ** 2) * sol.xprime ** 2)
-            vals[i] = grid.integral(dens)
-            if cache is not None:
-                key = ("cyl_action", profile.key(), v, t, mover, float(s_nodes[i]),
-                       numerics.key())
-                cache.put_scalar(key, complex(vals[i]))
-    return vals
+    keys = [("cyl_action", profile.key(), v, t, mover, float(s),
+             numerics.key()) for s in s_nodes]
 
+    def solve(which):
+        welds = cylinder_nodes(profile, v, t, mover, s_nodes, numerics)
+        gamma, grid = welds.xi.gamma, welds.grid
+        for sol in welds.solutions(which):
+            dens = welds.xi_values * (
+                sol.schwarzian
+                - (2.0 * np.pi ** 2 / gamma ** 2) * sol.xprime ** 2)
+            yield complex(grid.integral(dens))
 
-def _cached(cache, key: tuple, compute):
-    """``compute()``, stored in and served from ``cache`` when there is one."""
-    if cache is None:
-        return compute()
-    value = cache.get_scalar(key)
-    if value is None:
-        value = compute()
-        cache.put_scalar(key, value)
-    return value
+    return np.array(_cached_many(cache, keys, solve), dtype=complex)
 
 
 def _flow_time(profile: TemperatureProfile, lam: float | None,
@@ -230,6 +286,35 @@ def psi_infinite(profile: TemperatureProfile, c: float, t: float,
                     float(max(errs)) if errs else None)
 
 
+def effective_tau(profile: TemperatureProfile, ctx: VolumeContext, t: float,
+                  s_end: float, numerics: Numerics, cache=None):
+    """Welding action and effective modular parameter at flow time ``s_end``.
+
+    Both are flow-time integrals over torus weldings at the drifted modular
+    parameter, on the Gauss-Legendre panels of ``numerics``: the action
+    ``int ds int xi SX dx`` and ``tau^ = tau_0 + int ds L^-2 int xi X'^2 dx``.
+    Returns ``(action, tau_hat)``.
+    """
+    nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
+    # per-node records keyed by (profile, box, t, s, N); the flow-time
+    # quadrature then reduces cached scalars
+    keys = [("torus_node", profile.key(), ctx.key(), t, float(s),
+             numerics.key()) for s in nodes]
+
+    def solve(which):
+        welds = torus_nodes(profile, ctx, t, nodes, numerics)
+        xiv, grid = welds.xi_values, welds.grid
+        for sol in welds.solutions(which):
+            yield (complex(grid.integral(xiv * sol.schwarzian)),
+                   complex(grid.integral(xiv * sol.xprime ** 2) / ctx.L ** 2))
+
+    recs = _cached_many(cache, keys, solve)
+    action = sum(w * rec[0] for w, rec in zip(weights, recs))
+    tau_hat = 1j * ctx.gammaL / ctx.L + sum(w * rec[1]
+                                           for w, rec in zip(weights, recs))
+    return action, tau_hat
+
+
 def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
                t: float, lam: float | None = None,
                numerics: Numerics | None = None, cache=None,
@@ -241,49 +326,11 @@ def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
     numerics = numerics or Numerics()
     s_end = _flow_time(profile, lam, by_s)
     c = theory.c
-    L = ctx.L
-    tau0 = 1j * ctx.gammaL / L
+    tau0 = 1j * ctx.gammaL / ctx.L
     if s_end == 0.0:
         return PsiValue(lam, 0.0, 0.0 + 0.0j)
 
-    xi_field = build_xi(profile, ctx, t)
-    gammaL = ctx.gammaL
-    grid = PeriodicGrid(L, numerics.fine_factor * numerics.n_modes,
-                        x0=-0.75 * L)
-    nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
-
-    # per-node records keyed by (profile, box, t, s, N); the flow-time
-    # quadrature then reduces cached scalars
-    node_vals = [None] * len(nodes)
-    pending = []
-    for i, s_j in enumerate(nodes):
-        if cache is not None:
-            key = ("torus_node", profile.key(), ctx.key(), t, float(s_j),
-                   numerics.key())
-            hit = cache.get_scalar(key)
-            if hit is not None:
-                node_vals[i] = hit
-                continue
-        pending.append(i)
-    if pending:
-        xiv = xi_field(grid.x)
-        diffeos = flow_family(xi_field, nodes[pending], grid)
-        for i, f_j in zip(pending, diffeos):
-            s_j = nodes[i]
-            tau_j = tau0 - gammaL * s_j / L
-            prob = TorusWeldProblem(f_j, tau_j, numerics.n_modes,
-                                    fine=grid.M, tail_tol=numerics.tail_tol)
-            sol = solve_Y1(prob, cond_limit=numerics.cond_limit)
-            rec = (complex(grid.integral(xiv * sol.schwarzian)),
-                   complex(grid.integral(xiv * sol.xprime ** 2) / L ** 2))
-            node_vals[i] = rec
-            if cache is not None:
-                key = ("torus_node", profile.key(), ctx.key(), t,
-                       float(s_j), numerics.key())
-                cache.put_scalar(key, rec)
-    action = sum(w * rec[0] for w, rec in zip(weights, node_vals))
-    tau_hat = tau0 + sum(w * rec[1] for w, rec in zip(weights, node_vals))
-
+    action, tau_hat = effective_tau(profile, ctx, t, s_end, numerics, cache)
     log_ratio = log_character(theory, tau_hat) - log_character(theory, tau0)
     # the counterterms at t and at 0 do not depend on lam
     ct_t, ct_0 = [_cached(cache, ("ct_finite", ctx.key(), tt, c),

@@ -88,7 +88,10 @@ class TemperatureProfile:
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.half_width
         step, _ = self._step()
-        s = np.where(u <= -1.0, 0.0, np.where(u >= 1.0, 1.0, step(np.clip(u, -1, 1))))
+        # the spline only where it is needed: constant outside the kink
+        s = np.where(u >= 1.0, 1.0, 0.0)
+        m = np.abs(u) < 1.0
+        s[m] = step(u[m])
         return self.beta_left + (self.beta_right - self.beta_left) * s
 
     def beta_deriv(self, x, order: int = 1) -> np.ndarray:
@@ -333,7 +336,7 @@ class ReparamMap:
             r = self.__call__(x) - y
             step = r * self._beta(x) / b0
             if self.ctx is not None:
-                np.clip(step, -0.2 * self.ctx.L, 0.2 * self.ctx.L, out=step)
+                step = np.clip(step, -0.2 * self.ctx.L, 0.2 * self.ctx.L)
             x = x - step
             if np.max(np.abs(r)) < 1e-13:
                 break

@@ -7,6 +7,8 @@ convergence studies live in the acceptance test suite instead.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import analysis, characters, cylinder_weld, fcs, profile, torus_weld
@@ -316,19 +318,14 @@ def _():
 
 
 _KINK_SOL = {}
+_KINK_NUM = fcs.Numerics(n_modes=256, tail_tol=1e-3)
 
 
 def _kink_torus_solution():
     if "sol" not in _KINK_SOL:
         p = _default_profile()
-        ctx = _ctx(p)
-        xi = build_xi(p, ctx, 2.0)
-        grid = PeriodicGrid(ctx.L, 4 * 256, x0=-0.75 * ctx.L)
-        f = flow_family(xi, [0.25], grid)[0]
-        tau_s = 1j * ctx.gammaL / ctx.L - ctx.gammaL * 0.25 / ctx.L
-        _KINK_SOL["sol"] = torus_weld.solve_Y1(
-            torus_weld.TorusWeldProblem(f, tau_s, 256, fine=grid.M,
-                                        tail_tol=1e-3))
+        welds = fcs.torus_nodes(p, _ctx(p), 2.0, [0.25], _KINK_NUM)
+        _KINK_SOL["sol"] = next(welds.solutions())
     return _KINK_SOL["sol"]
 
 
@@ -347,13 +344,9 @@ def _():
 @check("torus.effective_tau_quadrature_vs_direct", 1e-9)
 def _():
     p = _default_profile()
-    ctx = _ctx(p)
-    xi = build_xi(p, ctx, 2.0)
-    grid = PeriodicGrid(ctx.L, 4 * 256, x0=-0.75 * ctx.L)
-    _, tau_path, _ = torus_weld.effective_tau_ode(
-        xi, 0.25, n_modes=256, grid=grid, tail_tol=1e-3,
-        n_panels=2, nodes_per_panel=8)
-    return abs(tau_path[-1] - _kink_torus_solution().tau_eff)
+    _, tau_hat = fcs.effective_tau(p, _ctx(p), 2.0, 0.25,
+                                   replace(_KINK_NUM, s_panels=2))
+    return abs(tau_hat - _kink_torus_solution().tau_eff)
 
 
 @check("torus.refinement_spectral", 0.1)
@@ -388,22 +381,21 @@ def _():
 # ---------------------------------------------------------------- cylinder
 
 _CYL = {}
+_CYL_NUM = fcs.Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0,
+                        p_max_gamma=33.0)
+
+
+def _cyl_nodes(t, s_values, mover="+"):
+    return fcs.cylinder_nodes(_default_profile(), 1.0, t, mover, s_values,
+                              _CYL_NUM)
 
 
 def _cyl_setup(s=0.25, t=2.0):
     key = (s, t)
     if key not in _CYL:
-        p = _default_profile()
-        xi = build_xi(p, InfiniteVolume(1.0), t, "+")
-        gamma = xi.gamma
-        num = fcs.Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0,
-                           p_max_gamma=33.0)
-        grid = fcs.cylinder_grid(xi, s, num)
-        g = flow_family(xi, [s], grid)[0]
-        gi = flow_family(xi, [s], grid, inverse=True)[0]
-        prob = cylinder_weld.CylinderWeldProblem(g, gamma, 33.0 / gamma,
-                                                 g_inverse=gi)
-        _CYL[key] = (xi, prob, cylinder_weld.solve_cylinder(prob))
+        welds = _cyl_nodes(t, [s])
+        sol = next(welds.solutions())
+        _CYL[key] = (welds.xi, sol.problem, sol)
     return _CYL[key]
 
 
@@ -420,22 +412,12 @@ def _():
 
 @check("cylinder.linear_response", 1e-6)
 def _():
-    p = _default_profile()
-    xi = build_xi(p, InfiniteVolume(1.0), 2.0, "+")
-    gamma = xi.gamma
-    num = fcs.Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
-    grid = fcs.cylinder_grid(xi, 1e-4, num)
-    vals = {}
-    for sgn in (1.0, -1.0):
-        s = sgn * 1e-4
-        g = flow_family(xi, [s], grid)[0]
-        gi = flow_family(xi, [s], grid, inverse=True)[0]
-        sol = cylinder_weld.solve_cylinder(
-            cylinder_weld.CylinderWeldProblem(g, gamma, 33.0 / gamma, g_inverse=gi))
-        vals[sgn] = sol.xprime
-    d_num = (vals[1.0] - vals[-1.0]) / 2e-4
-    xihat = grid.ft(xi(grid.x))
-    todd = bose_weight(grid.p, gamma)
+    welds = _cyl_nodes(2.0, [1e-4, -1e-4])
+    xi, grid = welds.xi, welds.grid
+    up, down = (sol.xprime for sol in welds.solutions())
+    d_num = (up - down) / 2e-4
+    xihat = grid.ft(welds.xi_values)
+    todd = bose_weight(grid.p, xi.gamma)
     d_ref = grid.ift(1j * todd * xihat)
     lo, hi = xi.support
     m = (grid.x > lo - 2) & (grid.x < hi + 2)
@@ -445,14 +427,7 @@ def _():
 @check("cylinder.bulk_plateau_factor", 1e-3)
 def _():
     p = _default_profile()
-    xi = build_xi(p, InfiniteVolume(1.0), 8.0, "+")
-    gamma = xi.gamma
-    num = fcs.Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
-    grid = fcs.cylinder_grid(xi, 0.3, num)
-    g = flow_family(xi, [0.3], grid)[0]
-    gi = flow_family(xi, [0.3], grid, inverse=True)[0]
-    sol = cylinder_weld.solve_cylinder(
-        cylinder_weld.CylinderWeldProblem(g, gamma, 33.0 / gamma, g_inverse=gi))
+    sol = next(_cyl_nodes(8.0, [0.3]).solutions())
     h = build_h(p)
     A = h(np.array(-1.0)).item()
     mid = A - 0.5 * p.beta0 / p.beta_left * 6.0
@@ -462,21 +437,10 @@ def _():
 
 @check("cylinder.mover_reflection", 1e-9)
 def _():
-    p = _default_profile()
-    num = fcs.Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
-    xim = build_xi(p, InfiniteVolume(1.0), 2.0, "-")
-    gm_grid = fcs.cylinder_grid(xim, 0.25, num)
-    gm = flow_family(xim, [0.25], gm_grid)[0]
-    solm = cylinder_weld.solve_cylinder(cylinder_weld.CylinderWeldProblem(
-        gm, xim.gamma, 33.0 / xim.gamma,
-        g_inverse=flow_family(xim, [0.25], gm_grid, inverse=True)[0]))
-    xip = build_xi(p, InfiniteVolume(1.0), -2.0, "+")
-    gp_grid = fcs.cylinder_grid(xip, 0.25, num)
-    gp = flow_family(xip, [-0.25], gp_grid)[0]
-    solp = cylinder_weld.solve_cylinder(cylinder_weld.CylinderWeldProblem(
-        gp, xip.gamma, 33.0 / xip.gamma,
-        g_inverse=flow_family(xip, [-0.25], gp_grid, inverse=True)[0]))
-    lo, hi = xim.support
+    minus = _cyl_nodes(2.0, [0.25], mover="-")
+    solm = next(minus.solutions())
+    solp = next(_cyl_nodes(-2.0, [-0.25]).solutions())
+    lo, hi = minus.xi.support
     pts = np.linspace(lo - 1, hi + 1, 201)
     return float(np.max(np.abs(solm.xprime_at(pts)
                                - np.conj(solp.xprime_at(-pts)))))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from .profile import CircleDiffeo, XiField, flow_family
+from .profile import CircleDiffeo
 from .spectral import (PeriodicGrid, lu_solve_conditioned,
                        schwarzian_from_derivatives)
 
@@ -35,7 +35,6 @@ __all__ = [
     "TorusWeldSolution",
     "assemble_K",
     "solve_Y1",
-    "effective_tau_ode",
     "residual_diagnostics",
 ]
 
@@ -319,67 +318,3 @@ def residual_diagnostics(sol: TorusWeldSolution) -> dict:
     out.update({f"tail_{k}": v for k, v in sol.blocks.tails.items()})
     out.update(sol.lemma1_defects())
     return out
-
-
-def effective_tau_ode(xi_field: XiField, s_end: float, a: float | None = None,
-                      n_modes: int = 256, fine: int | None = None,
-                      tail_tol: float = 1e-12, nodes_per_panel: int = 8,
-                      n_panels: int = 4, s_grid=None, grid: PeriodicGrid | None = None,
-                      return_solutions: bool = False):
-    """Integrate the effective-modular-parameter flow along the twist path.
-
-    The derivative ``d tau^ / ds = L^-2 int (zeta - a) X'_s^2 dx`` is a pure
-    function of ``s`` (the welding at flow time ``s`` uses the drifted
-    modular parameter ``tau_s = tau_0 - i a s / (i L)``), so the trajectory
-    is accumulated by composite Gauss-Legendre panels with a fresh welding
-    solve at every node.
-
-    Returns ``(s_points, tau_path, node_solutions)`` where ``tau_path[k]`` is
-    the accumulated value at ``s_points[k]``.
-    """
-    if not xi_field.finite:
-        raise ValueError("the effective modular parameter is a finite-volume notion")
-    ctx = xi_field.ctx
-    L = ctx.L
-    if a is None:
-        a = ctx.gammaL
-    tau0 = 1j * ctx.gammaL / L
-    if grid is None:
-        m = fine if fine is not None else 4 * n_modes
-        grid = PeriodicGrid(L, m, x0=-0.75 * L)
-
-    if s_grid is None:
-        s_grid = np.linspace(0.0, s_end, n_panels + 1)
-    s_grid = np.asarray(s_grid, dtype=float)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-
-    # all flow times needed, integrated in one pass
-    s_nodes = []
-    for k in range(len(s_grid) - 1):
-        mid = 0.5 * (s_grid[k] + s_grid[k + 1])
-        half = 0.5 * (s_grid[k + 1] - s_grid[k])
-        s_nodes.append(mid + half * gl_x)
-    s_nodes = np.concatenate(s_nodes) if s_nodes else np.array([])
-    diffeos = flow_family(xi_field, s_nodes, grid)
-
-    tau_path = [tau0]
-    acc = tau0
-    sols = []
-    zeta_shift = xi_field.gamma - a
-    for k in range(len(s_grid) - 1):
-        half = 0.5 * (s_grid[k + 1] - s_grid[k])
-        deriv_vals = []
-        for j in range(nodes_per_panel):
-            s_j = s_nodes[k * nodes_per_panel + j]
-            f_j = diffeos[k * nodes_per_panel + j]
-            tau_j = tau0 - a * s_j / L
-            prob = TorusWeldProblem(f_j, tau_j, n_modes, fine=grid.M,
-                                    tail_tol=tail_tol)
-            sol = solve_Y1(prob)
-            integrand = (xi_field(grid.x) + zeta_shift) * sol.xprime ** 2
-            deriv_vals.append(grid.integral(integrand) / L ** 2)
-            if return_solutions:
-                sols.append((s_j, sol))
-        acc = acc + half * np.dot(gl_w, deriv_vals)
-        tau_path.append(acc)
-    return s_grid, np.array(tau_path), sols

@@ -14,17 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from weldfcs import (CircleDiffeo, CylinderWeldProblem, InfiniteVolume,
-                     LineDiffeo, Numerics, TemperatureProfile, Theory,
-                     TorusWeldProblem, VolumeContext, appendix_b_check,
-                     build_h, build_xi, character, effective_tau_ode,
-                     flow_family, ldf, levitov_lesovik, log_character,
-                     longtime_approach, moments_closed_form, psi_finite,
-                     psi_infinite, rate_function, residual_diagnostics,
-                     solve_Y1, solve_cylinder)
+from weldfcs import (CircleDiffeo, CylinderWeldProblem, LineDiffeo, Numerics,
+                     TemperatureProfile, Theory, TorusWeldProblem,
+                     VolumeContext, appendix_b_check, build_h, character,
+                     cylinder_nodes, effective_tau, ldf, levitov_lesovik,
+                     log_character, longtime_approach, moments_closed_form,
+                     psi_finite, psi_infinite, rate_function, solve_Y1,
+                     solve_cylinder, torus_nodes)
 from weldfcs.cache import SolveCache
 from weldfcs.cli import main as cli_main
-from weldfcs.fcs import cylinder_grid
 from weldfcs.spectral import LineGrid, PeriodicGrid, fit_loglog_slope
 
 KINK = TemperatureProfile(2.0, 1.0, center=0.0, half_width=1.0)
@@ -76,12 +74,10 @@ def test_criterion_2_translation_tau():
 def test_criterion_3_lemma1_identities():
     t0 = time.time()
     ctx = VolumeContext(KINK, 40.0, 1.0)
-    xi = build_xi(KINK, ctx, 2.0)
-    n = 256
-    grid = PeriodicGrid(ctx.L, 4 * n, x0=-0.75 * ctx.L)
-    f = flow_family(xi, [0.25], grid)[0]
-    tau_s = 1j * ctx.gammaL / ctx.L - ctx.gammaL * 0.25 / ctx.L
-    sol = solve_Y1(TorusWeldProblem(f, tau_s, n, tail_tol=1e-3))
+    welds = torus_nodes(KINK, ctx, 2.0, [0.25],
+                        Numerics(n_modes=256, tail_tol=1e-3))
+    grid = welds.grid
+    sol = next(welds.solutions())
     d = sol.lemma1_defects()
     sx_scale = abs(grid.integral(sol.schwarzian))
     rel2 = d["schwarzian_abs"] / max(sx_scale, 1.0)
@@ -97,32 +93,21 @@ def test_criterion_3_lemma1_identities():
 def test_criterion_4_effective_tau_cross_check():
     t0 = time.time()
     ctx = VolumeContext(KINK, 40.0, 1.0)
-    xi = build_xi(KINK, ctx, 2.0)
-    n = 256
-    grid = PeriodicGrid(ctx.L, 4 * n, x0=-0.75 * ctx.L)
-    _, path, _ = effective_tau_ode(xi, 0.25, n_modes=n, grid=grid,
-                                   tail_tol=1e-3, n_panels=3,
-                                   nodes_per_panel=8)
-    f = flow_family(xi, [0.25], grid)[0]
-    tau_s = 1j * ctx.gammaL / ctx.L - ctx.gammaL * 0.25 / ctx.L
-    direct = solve_Y1(TorusWeldProblem(f, tau_s, n, tail_tol=1e-3)).tau_eff
+    num = Numerics(n_modes=256, tail_tol=1e-3, s_nodes=8, s_panels=3)
+    _, tau_hat = effective_tau(KINK, ctx, 2.0, 0.25, num)
+    direct = next(torus_nodes(KINK, ctx, 2.0, [0.25], num).solutions()).tau_eff
     dt = record(4, "accumulated vs direct effective tau at s=0.25",
-                abs(path[-1] - direct), 1e-8, t0)
+                abs(tau_hat - direct), 1e-8, t0)
     assert dt < 60.0
 
 
 def test_criterion_5_linear_response():
     t0 = time.time()
-    xi = build_xi(KINK, InfiniteVolume(1.0), 2.0, "+")
-    grid = cylinder_grid(xi, 1e-4, LEAN)
-    xp = {}
-    for sgn in (1.0, -1.0):
-        g = flow_family(xi, [sgn * 1e-4], grid)[0]
-        gi = flow_family(xi, [sgn * 1e-4], grid, inverse=True)[0]
-        xp[sgn] = solve_cylinder(CylinderWeldProblem(
-            g, xi.gamma, LEAN.p_max_gamma / xi.gamma, g_inverse=gi)).xprime
-    d_num = (xp[1.0] - xp[-1.0]) / 2e-4
-    xihat = grid.ft(xi(grid.x))
+    welds = cylinder_nodes(KINK, 1.0, 2.0, "+", [1e-4, -1e-4], LEAN)
+    xi, grid = welds.xi, welds.grid
+    up, down = (sol.xprime for sol in welds.solutions())
+    d_num = (up - down) / 2e-4
+    xihat = grid.ft(welds.xi_values)
     todd = grid.p / -np.expm1(-xi.gamma * grid.p)
     d_ref = grid.ift(1j * todd * xihat)
     lo, hi = xi.support
@@ -178,13 +163,9 @@ def test_criterion_9_thermodynamic_limit(psi_cache):
     t0 = time.time()
     # (a) recentered boundary derivative vs the band welding, slope in L
     s, t = 0.25, 4.0
-    xi_inf = build_xi(KINK, InfiniteVolume(1.0), t, "+")
-    grid_inf = cylinder_grid(xi_inf, s, LEAN)
-    g_inf = flow_family(xi_inf, [s], grid_inf)[0]
-    sol_inf = solve_cylinder(CylinderWeldProblem(
-        g_inf, xi_inf.gamma, LEAN.p_max_gamma / xi_inf.gamma,
-        g_inverse=flow_family(xi_inf, [s], grid_inf, inverse=True)[0]))
-    lo, hi = xi_inf.support
+    ref_welds = cylinder_nodes(KINK, 1.0, t, "+", [s], LEAN)
+    sol_inf = next(ref_welds.solutions())
+    lo, hi = ref_welds.xi.support
     pts = np.linspace(lo - 1, hi + 1, 201)
     ref = sol_inf.xprime_at(pts)
     h_inf = build_h(KINK)
@@ -193,11 +174,10 @@ def test_criterion_9_thermodynamic_limit(psi_cache):
     for L in Ls:
         ctx = VolumeContext(KINK, L, 1.0)
         n = int(256 * L / 40)
-        grid = PeriodicGrid(L, 4 * n, x0=-0.75 * L)
-        f = flow_family(build_xi(KINK, ctx, t), [s], grid)[0]
-        tau_s = 1j * ctx.gammaL / L - ctx.gammaL * s / L
-        sol = solve_Y1(TorusWeldProblem(f, tau_s, n, fine=grid.M,
-                                        tail_tol=2e-3))
+        welds = torus_nodes(KINK, ctx, t, [s], Numerics(n_modes=n,
+                                                        tail_tol=2e-3))
+        grid = welds.grid
+        sol = next(welds.solutions())
         h_l = build_h(KINK, ctx)
         o_l = h_l(np.array(-1.0)).item() - a_pt
         band = grid.band_coefficients(sol.xprime - 1.0, n)

@@ -140,6 +140,36 @@ class TestCache:
         assert cold[0][0] == fcs.psi_infinite(kink, 1.0, 1.0, lam=-0.05,
                                               numerics=num).ln_psi
 
+    @pytest.mark.parametrize("volume", ["infinite", "finite"])
+    def test_partly_warm_cache_gives_cold_bits(self, tmp_path, kink, box,
+                                               volume):
+        # delete the record of the smallest-|s| node: the rerun solves that
+        # node alone, and must land on the grid and flows of the whole set
+        from weldfcs import Theory, fcs
+        num = fcs.Numerics(n_modes=128, tail_tol=2e-3, s_nodes=4, dx=0.08,
+                           window_pad_gamma=5.0, window_factor=3.5,
+                           p_max_gamma=14.0)
+        theory = Theory("free_boson_radius", 1.0, radius=1.0)
+        cache = SolveCache(tmp_path)
+
+        def run():
+            if volume == "infinite":
+                return fcs.psi_infinite(kink, 1.0, 2.0, lam=0.2,
+                                        numerics=num, cache=cache)
+            return fcs.psi_finite(kink, theory, box, 2.0, lam=0.2,
+                                  numerics=num, cache=cache)
+
+        cold = run()
+        nodes, _ = fcs._gl_nodes(cold.s_end, num.s_nodes, num.s_panels)
+        s_min = float(nodes[np.argmin(np.abs(nodes))])
+        key = (("cyl_action", kink.key(), 1.0, 2.0, "+", s_min, num.key())
+               if volume == "infinite" else
+               ("torus_node", kink.key(), box.key(), 2.0, s_min, num.key()))
+        os.remove(cache._path(key))
+        assert cache.get_scalar(key) is None
+        assert run().ln_psi == cold.ln_psi
+        assert cache.get_scalar(key) is not None
+
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = SolveCache(tmp_path)
         cache.put_scalar(("a", 1.0), 1.0)
@@ -296,6 +326,26 @@ class TestCli:
         for row in payload["rows"]:
             assert row["xprime_min_abs"] > 0
         assert (outdir / "weld_cylinder_t1.0_s0.2_p.npz").exists()
+
+    def test_converge_command(self, tmp_path):
+        # two boxes, light numerics: 2 v t_psi = 24 wraps L=20 but not L=40
+        data = base_config()
+        data["numerics"] = {"n_modes": 64, "tail_tol": 5e-3, "s_nodes": 4,
+                            "dx": 0.08, "window_pad_gamma": 5.0,
+                            "window_factor": 3.5, "p_max_gamma": 14.0}
+        data["experiment"] = {"L_values": [20.0, 40.0], "t": 2.0, "s": 0.2,
+                              "lambda": 0.2, "t_psi": 12.0}
+        outdir = tmp_path / "out"
+        data["io"] = {"output_dir": str(outdir)}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["converge", "--config", str(cfg_path)]) == 0
+        payload = json.loads((outdir / "converge.json").read_text())
+        assert payload["L_values"] == [20.0, 40.0]
+        assert payload["psi_wrapped"] == [True, False]
+        assert "psi_monotone" not in payload
+        assert len(payload["psi_defects"]) == 2
+        assert len(payload["xprime_sup_errors"]) == 2
 
     def test_fcs_determinism_and_cache_equivalence(self, tmp_path):
         data = base_config()

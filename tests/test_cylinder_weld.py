@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from weldfcs import (CylinderWeldProblem, InfiniteVolume, LineDiffeo,
-                     Numerics, assemble_sigma, build_xi, flow_family,
-                     realspace_crosscheck, solve_cylinder)
+                     Numerics, assemble_sigma, build_xi, cylinder_nodes,
+                     flow_family, realspace_crosscheck, solve_cylinder)
 from weldfcs.cylinder_weld import _inverse_displacement, _substitution_kernel
 from weldfcs.errors import WindowTooSmall
 from weldfcs.fcs import cylinder_grid
@@ -11,15 +11,16 @@ from weldfcs.profile import build_h
 from weldfcs.spectral import LineGrid
 
 
-def solve_kink(kink, t, s, num=None, p_max_gamma=33.0):
-    num = num or Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
-    xi = build_xi(kink, InfiniteVolume(1.0), t, "+")
-    grid = cylinder_grid(xi, s, num)
-    g = flow_family(xi, [s], grid)[0]
-    gi = flow_family(xi, [s], grid, inverse=True)[0]
-    prob = CylinderWeldProblem(g, xi.gamma, p_max_gamma / xi.gamma,
-                               g_inverse=gi)
-    return xi, prob, solve_cylinder(prob)
+def kink_nodes(kink, t, s_values, mover="+", p_max_gamma=33.0):
+    return cylinder_nodes(kink, 1.0, t, mover, s_values, Numerics(
+        dx=0.02, window_pad_gamma=6.0, window_factor=4.0,
+        p_max_gamma=p_max_gamma))
+
+
+def solve_kink(kink, t, s, p_max_gamma=33.0):
+    welds = kink_nodes(kink, t, [s], p_max_gamma=p_max_gamma)
+    sol = next(welds.solutions())
+    return welds.xi, sol.problem, sol
 
 
 class TestAssembly:
@@ -141,18 +142,11 @@ class TestSolve:
     def test_linear_response_formula(self, kink):
         # central difference across s = +-1e-4 against the closed-form
         # momentum integral for the first-order response of X'
-        xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
-        num = Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
-        grid = cylinder_grid(xi, 1e-4, num)
-        xp = {}
-        for sgn in (1.0, -1.0):
-            g = flow_family(xi, [sgn * 1e-4], grid)[0]
-            gi = flow_family(xi, [sgn * 1e-4], grid, inverse=True)[0]
-            xp[sgn] = solve_cylinder(
-                CylinderWeldProblem(g, xi.gamma, 33.0 / xi.gamma,
-                                    g_inverse=gi)).xprime
-        d_num = (xp[1.0] - xp[-1.0]) / 2e-4
-        xihat = grid.ft(xi(grid.x))
+        welds = kink_nodes(kink, 2.0, [1e-4, -1e-4])
+        xi, grid = welds.xi, welds.grid
+        up, down = (sol.xprime for sol in welds.solutions())
+        d_num = (up - down) / 2e-4
+        xihat = grid.ft(welds.xi_values)
         todd = grid.p / -np.expm1(-xi.gamma * grid.p)
         d_ref = grid.ift(1j * todd * xihat)
         lo, hi = xi.support
@@ -161,18 +155,11 @@ class TestSolve:
 
     def test_linear_response_of_schwarzian(self, kink):
         # third-derivative version of the same response
-        xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
-        num = Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
-        grid = cylinder_grid(xi, 1e-4, num)
-        sx = {}
-        for sgn in (1.0, -1.0):
-            g = flow_family(xi, [sgn * 1e-4], grid)[0]
-            gi = flow_family(xi, [sgn * 1e-4], grid, inverse=True)[0]
-            sx[sgn] = solve_cylinder(
-                CylinderWeldProblem(g, xi.gamma, 33.0 / xi.gamma,
-                                    g_inverse=gi)).schwarzian
-        d_num = (sx[1.0] - sx[-1.0]) / 2e-4
-        xihat = grid.ft(xi(grid.x))
+        welds = kink_nodes(kink, 2.0, [1e-4, -1e-4])
+        xi, grid = welds.xi, welds.grid
+        up, down = (sol.schwarzian for sol in welds.solutions())
+        d_num = (up - down) / 2e-4
+        xihat = grid.ft(welds.xi_values)
         kern = grid.p ** 3 / -np.expm1(-xi.gamma * grid.p)
         d_ref = grid.ift(-1j * kern * xihat)
         lo, hi = xi.support
@@ -190,20 +177,10 @@ class TestSolve:
         assert abs(val - pred) < 1e-3
 
     def test_mover_reflection(self, kink):
-        num = Numerics(dx=0.02, window_pad_gamma=6.0, window_factor=4.0)
-        xim = build_xi(kink, InfiniteVolume(1.0), 2.0, "-")
-        gm_grid = cylinder_grid(xim, 0.25, num)
-        gm = flow_family(xim, [0.25], gm_grid)[0]
-        solm = solve_cylinder(CylinderWeldProblem(
-            gm, xim.gamma, 33.0 / xim.gamma,
-            g_inverse=flow_family(xim, [0.25], gm_grid, inverse=True)[0]))
-        xip = build_xi(kink, InfiniteVolume(1.0), -2.0, "+")
-        gp_grid = cylinder_grid(xip, 0.25, num)
-        gp = flow_family(xip, [-0.25], gp_grid)[0]
-        solp = solve_cylinder(CylinderWeldProblem(
-            gp, xip.gamma, 33.0 / xip.gamma,
-            g_inverse=flow_family(xip, [-0.25], gp_grid, inverse=True)[0]))
-        lo, hi = xim.support
+        minus = kink_nodes(kink, 2.0, [0.25], mover="-")
+        solm = next(minus.solutions())
+        solp = next(kink_nodes(kink, -2.0, [-0.25]).solutions())
+        lo, hi = minus.xi.support
         pts = np.linspace(lo - 1, hi + 1, 201)
         assert np.max(np.abs(solm.xprime_at(pts)
                              - np.conj(solp.xprime_at(-pts)))) < 1e-9

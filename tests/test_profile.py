@@ -40,6 +40,18 @@ class TestTemperatureProfile:
         assert abs(kink.beta_deriv(np.array([-1.0]))[0]) == 0.0
         assert abs(kink.beta_deriv(np.array([1.0]))[0]) == 0.0
 
+    def test_beta_scalar_matches_array(self, kink):
+        # the spline runs only inside the kink; a scalar takes the same
+        # branch as an array element, on the plateaus and at the edges
+        x = np.array([-5.0, -1.0, -0.3, 0.0, 0.7, 1.0, 5.0])
+        arr = kink.beta(x)
+        assert np.array_equal([kink.beta(float(v)) for v in x], arr)
+        assert arr[0] == arr[1] == kink.beta_left
+        assert arr[-1] == arr[-2] == kink.beta_right
+        step, _ = kink._step()
+        assert np.array_equal(arr[2:5], kink.beta_left
+                              + kink.delta_beta * step(x[2:5]))
+
     def test_beta0_arithmetic(self, kink):
         assert kink.beta0 == pytest.approx(4.0 / 3.0, abs=1e-15)
 
@@ -105,6 +117,16 @@ class TestReparamMap:
         assert np.array_equal(h.inverse(right),
                               hi + (right - B) * kink.beta_right / b0)
         assert np.max(np.abs(h.inverse(np.array([A, B])) - [lo, hi])) < 1e-12
+
+    @pytest.mark.parametrize("volume", ["infinite", "finite"])
+    def test_inverse_scalar_matches_array(self, kink, box, volume):
+        h = build_h(kink, box if volume == "finite" else None)
+        y = np.array([-25.0, -3.0, -0.4, 0.3, 2.0, 25.0])
+        arr = h.inverse(y)
+        scalars = [h.inverse(float(v)) for v in y]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert np.max(np.abs(np.array(scalars, dtype=float) - arr)) < 1e-12
+        assert np.max(np.abs(h(arr) - y)) < 1e-12
 
     def test_hL_approaches_h_at_rate_one_over_L(self, kink):
         # |h_L(x) - shift - h(x)| on a compact set halves when L doubles

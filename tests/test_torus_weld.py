@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from weldfcs import (CircleDiffeo, TorusWeldProblem, assemble_K, build_xi,
-                     effective_tau_ode, flow_family, residual_diagnostics,
-                     solve_Y1)
+from weldfcs import (CircleDiffeo, Numerics, TorusWeldProblem, assemble_K,
+                     build_xi, effective_tau, flow_family,
+                     residual_diagnostics, solve_Y1, torus_nodes)
 from weldfcs.errors import QOnUnitCircle, TruncationTooCoarse
 from weldfcs.spectral import PeriodicGrid
 
@@ -96,12 +96,8 @@ class TestSolve:
         assert abs(sols[64].tau_eff - sols[256].tau_eff) < 1e-8
 
     def test_solution_relations(self, kink, box):
-        xi = build_xi(kink, box, 2.0)
-        N = 256
-        grid = make_grid(N)
-        f = flow_family(xi, [0.25], grid)[0]
-        tau = 1j * box.gammaL / L - box.gammaL * 0.25 / L
-        sol = solve_Y1(TorusWeldProblem(f, tau, N, tail_tol=1e-3))
+        sol = next(torus_nodes(kink, box, 2.0, [0.25], Numerics(
+            n_modes=256, tail_tol=1e-3)).solutions())
         # X2 = X1 + L tau^, X'1 periodic, lift by L
         assert np.max(np.abs(sol.x2 - sol.x1 - L * sol.tau_eff)) < 1e-12
         assert sol.tau_eff.imag > 0
@@ -117,34 +113,27 @@ class TestSolve:
 
 class TestEffectiveTau:
     def test_zero_field_keeps_tau(self, kink, box):
-        xi = build_xi(kink, box, 0.0)
-        grid = make_grid(96)
-        s_grid, path, _ = effective_tau_ode(xi, 0.3, n_modes=96, grid=grid,
-                                            tail_tol=1e-8,
-                                            n_panels=2, nodes_per_panel=4)
         tau0 = 1j * box.gammaL / box.L
-        assert np.max(np.abs(np.array(path) - tau0)) < 1e-13
+        # the end points of the two panels over [0, 0.3]
+        for s_end, panels in ((0.15, 1), (0.3, 2)):
+            action, tau_hat = effective_tau(kink, box, 0.0, s_end, Numerics(
+                n_modes=96, tail_tol=1e-8, s_nodes=4, s_panels=panels))
+            assert abs(tau_hat - tau0) < 1e-13
+            assert abs(action) < 1e-13
 
     def test_initial_slope_is_field_mean(self, kink, box):
         # at s = 0 the welding is trivial, so d tau^/ds = L^-2 int xi dx
         xi = build_xi(kink, box, 2.0)
         grid = make_grid(192)
         ds = 2e-5
-        _, path, _ = effective_tau_ode(xi, ds, n_modes=192, grid=grid,
-                                       tail_tol=1e-3, n_panels=1,
-                                       nodes_per_panel=4)
-        slope = (path[-1] - path[0]) / ds
+        _, tau_hat = effective_tau(kink, box, 2.0, ds, Numerics(
+            n_modes=192, tail_tol=1e-3, s_nodes=4, s_panels=1))
+        slope = (tau_hat - 1j * box.gammaL / box.L) / ds
         ref = grid.integral(xi(grid.x)) / box.L ** 2
         assert abs(slope - ref) < 1e-7
 
     def test_path_against_direct_solve(self, kink, box):
-        xi = build_xi(kink, box, 2.0)
-        N = 192
-        grid = make_grid(N)
-        _, path, _ = effective_tau_ode(xi, 0.25, n_modes=N, grid=grid,
-                                       tail_tol=1e-3, n_panels=2,
-                                       nodes_per_panel=8)
-        f = flow_family(xi, [0.25], grid)[0]
-        tau_s = 1j * box.gammaL / L - box.gammaL * 0.25 / L
-        direct = solve_Y1(TorusWeldProblem(f, tau_s, N, tail_tol=1e-3)).tau_eff
-        assert abs(path[-1] - direct) < 1e-10
+        num = Numerics(n_modes=192, tail_tol=1e-3, s_nodes=8, s_panels=2)
+        _, tau_hat = effective_tau(kink, box, 2.0, 0.25, num)
+        direct = next(torus_nodes(kink, box, 2.0, [0.25], num).solutions())
+        assert abs(tau_hat - direct.tau_eff) < 1e-10
