@@ -37,6 +37,10 @@ class WindowTooSmall(WeldFcsError):
     """Diffeomorphism support too close to the real-space window edge."""
 
 
+class NodeTooLarge(WeldFcsError):
+    """Cylinder node estimated above the memory budget before allocation."""
+
+
 class NearSingular(WeldFcsError):
     """Cylinder Nystrom system close to singular (unexpected zero mode)."""
 

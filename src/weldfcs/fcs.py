@@ -28,7 +28,7 @@ from . import profile as profile_mod
 from .analysis import counterterm_finite, counterterm_mover
 from .characters import Theory, log_character
 from .cylinder_weld import CylinderWeldProblem, solve_cylinder
-from .errors import DeltaBetaZero, PoleHit
+from .errors import DeltaBetaZero, NodeTooLarge, PoleHit
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       XiField, build_h, build_xi, flow_family)
 from .spectral import LineGrid, PeriodicGrid, bose_weight
@@ -94,6 +94,24 @@ def cylinder_grid(xi_field: XiField, s_extent: float,
     m = 1 << int(math.ceil(math.log2(span / dx)))
     x0 = 0.5 * (wlo + whi) - 0.5 * span
     return LineGrid(x0=x0, span=span, M=m)
+
+
+# a cylinder node whose dense Nystrom matrix plus one lattice array would
+# take more bytes than this is refused before either is allocated; the
+# assembly holds a few matrices of that size at once
+_NODE_BYTES_MAX = 2 ** 30
+
+
+def _cylinder_size(grid: LineGrid, p_max: float) -> tuple[int, int, int]:
+    """Lattice size, Nystrom order and complex bytes of one dense Nystrom
+    matrix plus one lattice array, for a cylinder node on ``grid`` with
+    momentum cutoff ``p_max``; allocates nothing.
+
+    The order counts the half-offset momenta |p| <= p_max, as
+    ``assemble_sigma`` selects them.
+    """
+    order = min(2 * math.floor(p_max / grid.dp + 0.5), grid.M)
+    return grid.M, order, 16 * (order ** 2 + grid.M)
 
 
 def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
@@ -177,6 +195,14 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
     s_values = np.asarray(s_values, dtype=float)
     grid = cylinder_grid(xi_field, float(np.max(np.abs(s_values), initial=0.0)),
                          numerics)
+    m, order, nbytes = _cylinder_size(grid,
+                                      numerics.p_max_gamma / xi_field.gamma)
+    if nbytes > _NODE_BYTES_MAX:
+        raise NodeTooLarge(
+            f"cylinder node needs a {m}-point lattice and a Nystrom matrix of "
+            f"order {order}, about {nbytes / 2 ** 30:.3g} GiB, over the "
+            f"{_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget; lower |lambda| or "
+            f"coarsen the cylinder numerics")
     return WeldNodes(xi_field, grid, s_values, numerics)
 
 

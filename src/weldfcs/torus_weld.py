@@ -16,7 +16,8 @@ recovered from a second-kind Fredholm system in the Fourier basis
 
 The effective modular parameter of the welded torus follows from the
 integrated jump datum, and independently from the zero-mode boundary
-equation; the difference of the two routes is a solver diagnostic.
+equation.  The difference of the two routes and the band-edge tails of
+``K12`` and ``K21`` fall as N grows; each is checked against ``tail_tol``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class KBlocks:
     K12: np.ndarray
     K21: np.ndarray
     F: np.ndarray
-    Finv: np.ndarray
     tails: dict
 
     @property
@@ -88,75 +88,78 @@ class KBlocks:
         return self.K11 + self.K12 + self.K21
 
 
-def _coeff_index(grid: PeriodicGrid, modes: np.ndarray) -> np.ndarray:
-    return modes % grid.M
+def _substitution_matrices(f, n_modes: int, buffer: int):
+    """The parts of X -> X o f (``Finv``) and X -> X o f^{-1} (``F``) that
+    the cropped system reads.
 
-
-def _substitution_matrices(f, modes: np.ndarray):
-    """Matrices of X -> X o f (``Finv``) and X -> X o f^{-1} (``F``).
-
-    The f^{-1} matrix comes from the change of variables x = f(y), so the
-    inverse map is never sampled.
+    ``Finv`` comes on the band rows -N..N x the columns 0..N+b, ``F`` on the
+    rows -N..N+b x the band columns.  Both are read off one phase table
+    e^{-i p_n f(x_j)}, n = 0..N+b: f is real, so the negative modes are its
+    conjugates.  The f^{-1} matrix comes from the change of variables
+    x = f(y), so the inverse map is never sampled.
     """
     grid = f.grid
-    idx = modes % grid.M
-    fvals = f.samples
-    fp = f.deriv_samples(1)
-    pn = 2.0 * np.pi * modes / grid.L
+    N = n_modes
+    band = np.arange(-N, N + 1)
+    pb = 2.0 * np.pi * band / grid.L
+    phase = np.exp(-1j * np.outer(2.0 * np.pi * np.arange(N + buffer + 1)
+                                  / grid.L, f.samples))   # rows n >= 0
 
     # Finv[m, n] = (1/L) int e^{i p_m x} e^{-i p_n f(x)} dx   (batch FFT over x)
-    phase_f = np.exp(-1j * np.outer(pn, fvals))            # rows n, cols x_j
-    cols = np.fft.ifft(phase_f, axis=1)[:, idx]            # [n, m]
-    Finv = (cols * np.exp(1j * pn * grid.x0)[None, :]).T   # [m, n]
+    cols = np.fft.ifft(phase, axis=1)[:, band % grid.M]               # [n, m]
+    Finv = (cols * np.exp(1j * pb * grid.x0)[None, :]).T              # [m, n]
 
-    # F[m, n] = (1/L) int f'(y) e^{i p_m f(y)} e^{-i p_n y} dy  (batch FFT over y)
-    phase_mf = np.exp(1j * np.outer(pn, fvals)) * fp[None, :]
-    rows = np.fft.ifft(phase_mf, axis=1)[:, (-modes) % grid.M]     # [m, n]
-    F = rows * np.exp(-1j * pn * grid.x0)[None, :]
+    # F[m, n] = (1/L) int f'(y) e^{i p_m f(y)} e^{-i p_n y} dy  (batch FFT over
+    # y); f' is real, so a row m >= 0 is the conjugate forward transform
+    g = phase * f.deriv_samples(1)[None, :]
+    idx = (-band) % grid.M
+    rows = np.concatenate([np.fft.ifft(g[N:0:-1], axis=1)[:, idx],
+                           np.fft.fft(g, axis=1)[:, idx].conj() / grid.M])
+    F = rows * np.exp(-1j * pb * grid.x0)[None, :]                    # [m, n]
     return F, Finv
 
 
 def assemble_K(problem: TorusWeldProblem) -> KBlocks:
     """Assemble the truncated Fredholm blocks in the Fourier basis.
 
-    The ``K11`` product is formed on a mode band extended by ``buffer`` and
-    cropped back, which keeps its band-edge entries spectrally accurate (the
-    substitution operators scatter modes by a finite bandwidth factor).
+    The ``K11`` product sums over the modes 0..N+b, extended past the band by
+    ``buffer``, which keeps its band-edge entries spectrally accurate (the
+    substitution operators scatter modes by a finite bandwidth factor);
+    ``E0p`` zeroes the negative modes of that sum.
     """
     N = problem.n_modes
     grid = problem.f.grid
     buffer = problem.buffer if problem.buffer is not None else N // 2
     if N + buffer > grid.M // 2 - 1:
         raise ValueError("extended band exceeds the fine-grid Nyquist range")
-    modes_big = np.arange(-(N + buffer), N + buffer + 1)
-    Fb, Finvb = _substitution_matrices(problem.f, modes_big)
-    e0p_big = (modes_big >= 0).astype(float)
-    K11_big = np.diag(e0p_big) - Finvb @ (e0p_big[:, None] * Fb)
+    modes = np.arange(-N, N + 1)
+    F, Finv = _substitution_matrices(problem.f, N, buffer)
+    K11 = np.diag((modes >= 0).astype(float)) - Finv @ F[N:]
 
-    sel = slice(buffer, buffer + 2 * N + 1)
-    modes = modes_big[sel]
-    K11 = K11_big[sel, sel]
-    F = Fb[sel, sel]
-    Finv = Finvb[sel, sel]
+    qn = problem.q ** np.arange(N + 1, dtype=float)
+    K12 = np.zeros_like(K11)
+    K12[:, N:] = Finv[:, :N + 1] * qn[None, :]
+    K21 = np.zeros_like(K11)
+    K21[:N] = qn[N:0:-1, None] * F[:N]
 
-    q = problem.q
-    nn = modes
-    qp = np.where(nn >= 0, q ** np.clip(nn, 0, None).astype(float), 0.0)
-    qm = np.where(nn < 0, q ** np.clip(-nn, 0, None).astype(float), 0.0)
-    K12 = Finv * qp[None, :]
-    K21 = qm[:, None] * F
-
-    tails = _tail_diagnostics(problem, K11, K12, K21)
+    tails = _tail_diagnostics(problem, K12, K21)
     worst = max(tails.values())
     if worst > problem.tail_tol:
         raise TruncationTooCoarse(
             f"kernel band-edge magnitude {worst:.2e} exceeds "
-            f"tail_tol={problem.tail_tol:.2e} at N={N}")
-    return KBlocks(modes, K11, K12, K21, F, Finv, tails)
+            f"tail_tol={problem.tail_tol:.2e} at N={N}; raise n_modes")
+    return KBlocks(modes, K11, K12, K21, F[:2 * N + 1], tails)
 
 
-def _tail_diagnostics(problem, K11, K12, K21) -> dict:
-    """Largest entries in the outermost mode band of each block."""
+def _tail_diagnostics(problem, K12, K21) -> dict:
+    """Largest entries in the outermost mode band of the coupling blocks.
+
+    Both fall as N grows.  K11's band edge is left out: its corner holds the
+    part of the product that the buffer cuts off, which is the same share of
+    the band-edge modes at every N, and the solve does not feel it (dropping
+    the buffer raises it tenfold but moves tau_eff within its truncation
+    error).
+    """
     N = problem.n_modes
     w = max(1, N // 16)
 
@@ -168,7 +171,7 @@ def _tail_diagnostics(problem, K11, K12, K21) -> dict:
         edge[:, -w:] = True
         return float(np.max(np.abs(K[edge])))
 
-    return {"K11": edge_max(K11), "K12": edge_max(K12), "K21": edge_max(K21)}
+    return {"K12": edge_max(K12), "K21": edge_max(K21)}
 
 
 @dataclass(eq=False)
@@ -279,6 +282,11 @@ def solve_Y1(problem: TorusWeldProblem, blocks: KBlocks | None = None,
 
     # independent route: zero mode of the unprojected boundary equation
     tau_eff_b = problem.tau + ((K @ y1)[N] - (blocks.K12 @ fm_band)[N]) / L
+    two_route = abs(tau_eff - tau_eff_b)
+    if two_route > problem.tail_tol:
+        raise TruncationTooCoarse(
+            f"two-route tau_eff difference {two_route:.2e} exceeds "
+            f"tail_tol={problem.tail_tol:.2e} at N={N}; raise n_modes")
 
     return TorusWeldSolution(problem, modes, y1, complex(tau_eff),
                              complex(tau_eff_b), cond, res, blocks)

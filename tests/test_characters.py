@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weldfcs import Theory, character, log_character, small_tau_ratio
+from weldfcs.characters import _Q_ABS_MAX
 from weldfcs.errors import SeriesInfeasible
 
 
@@ -57,6 +58,58 @@ class TestCharacter:
     def test_central_charge_only_has_no_character(self):
         with pytest.raises(SeriesInfeasible):
             log_character(Theory("central_charge_only", 0.7), 0.5j)
+
+
+def _mpmath_log_character(mp, theory, tau):
+    """log chi at 30 digits: theta3(0 | 2 tau / r^2) / eta(tau) for the boson,
+    the half-integer product for the fermion (checked against
+    theta3(0 | tau) / eta(tau), its Jacobi triple-product form)."""
+    t = mp.mpc(tau.real, tau.imag)
+    eta = mp.eta(t)
+    if theory.model == "free_boson_radius":
+        x = 2 * t / mp.mpf(theory.radius) ** 2
+        return mp.log(mp.jtheta(3, 0, mp.exp(1j * mp.pi * x)) / eta)
+    q = mp.exp(2j * mp.pi * t)
+    prod, n = mp.exp(-2j * mp.pi * t / 24), 1
+    while True:
+        term = q ** (n - mp.mpf(0.5))
+        prod *= (1 + term) ** 2
+        if abs(term) < mp.mpf(10) ** -35:
+            break
+        n += 1
+    triple = mp.jtheta(3, 0, mp.exp(1j * mp.pi * t)) / eta
+    assert abs(prod - triple) < mp.mpf(10) ** -25 * abs(triple)
+    return mp.log(prod)
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("theory", [
+        Theory("free_boson_radius", 1.0, radius=1.0),
+        Theory("free_boson_radius", 1.0, radius=float(np.sqrt(2.0))),
+        Theory("free_fermion_c1")], ids=["boson_r1", "boson_r_sqrt2",
+                                         "fermion"])
+    def test_log_character_at_30_digits(self, theory):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        # Im tau at which the direct route's largest nome reaches _Q_ABS_MAX:
+        # q for eta and the fermion, exp(-2 pi Im tau / r^2) for theta3
+        r2 = theory.radius ** 2 if theory.radius else 1.0
+        edge = -np.log(_Q_ABS_MAX) / (2.0 * np.pi) * max(1.0, r2)
+        # both sides of that edge, and the tau^ of the finite-boxes workload
+        # (L = 40 and 80 at t = 4)
+        taus = [1.002j * edge, 0.1 + 1.002j * edge, 0.998j * edge,
+                0.1 + 0.998j * edge, -1.14e-4 + 0.03346j, -2.85e-5 + 0.0167j]
+        for tau in taus:
+            ref = complex(_mpmath_log_character(mp, theory, tau))
+            methods = ["modular", "auto"]
+            if tau.imag > edge:
+                methods.append("direct")
+            else:
+                with pytest.raises(SeriesInfeasible):
+                    log_character(theory, tau, "direct")
+            for method in methods:
+                err = abs(log_character(theory, tau, method) - ref)
+                assert err < 1e-13 * max(1.0, abs(ref)), (tau, method)
 
 
 class TestSmallTau:

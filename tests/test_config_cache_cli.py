@@ -102,8 +102,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-2"
-        record["version"] = "weldfcs-cache-1"
+        assert record["version"] == "weldfcs-cache-3"
+        record["version"] = "weldfcs-cache-2"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -374,6 +374,24 @@ class TestCli:
         assert csv_text.splitlines()[0] == ("t,lambda,re_lnpsi,im_lnpsi,"
                                             "re_lnpsi_plus,im_lnpsi_plus,"
                                             "re_lnpsi_minus,im_lnpsi_minus")
+
+    def test_fcs_unbounded_lattice_exits_3(self, tmp_path, capsys):
+        # lambda = 1e6 drifts the cylinder window to M = 2^27 under the
+        # benchmark's cylinder numerics; the node is refused before the
+        # lattice or its Nystrom matrix is allocated
+        data = base_config()
+        data["numerics"] = {"n_modes": 256, "tail_tol": 2e-3, "s_nodes": 4,
+                            "dx": 0.08, "window_pad_gamma": 5.0,
+                            "window_factor": 3.5, "p_max_gamma": 26.0}
+        data["experiment"] = {"mode": "infinite", "t_values": [4.0],
+                              "lambda_values": [1e6]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "NodeTooLarge" in err
+        assert f"{2 ** 27}-point lattice" in err
 
     def test_fcs_threads_match_serial(self, tmp_path):
         data = base_config()

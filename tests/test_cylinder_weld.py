@@ -6,7 +6,7 @@ from weldfcs import (CylinderWeldProblem, InfiniteVolume, LineDiffeo,
                      flow_family, realspace_crosscheck, solve_cylinder)
 from weldfcs.cylinder_weld import _inverse_displacement, _substitution_kernel
 from weldfcs.errors import WindowTooSmall
-from weldfcs.fcs import cylinder_grid
+from weldfcs.fcs import _NODE_BYTES_MAX, _cylinder_size, cylinder_grid
 from weldfcs.profile import build_h
 from weldfcs.spectral import LineGrid
 
@@ -48,6 +48,22 @@ class TestAssembly:
         # ones the extension is meant to improve
         inner = np.abs(small.psol) <= 24.0
         assert np.max(np.abs((sub - small.sigma)[np.ix_(inner, inner)])) < 1e-10
+
+    def test_size_estimate_matches_the_lattice(self, kink):
+        # the estimated M and Nystrom order against the lattice and the
+        # momenta assemble_sigma would select, under the benchmark's cylinder
+        # numerics; only s = 1e3 (M = 131072, a 50 GiB matrix) is over budget
+        xi = build_xi(kink, InfiniteVolume(1.0), 4.0, "+")
+        num = Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
+                       p_max_gamma=26.0)
+        p_max = num.p_max_gamma / xi.gamma
+        for s in (0.2, 10.0, 1e3):
+            grid = cylinder_grid(xi, s, num)
+            m, order, nbytes = _cylinder_size(grid, p_max)
+            n_sel = np.count_nonzero(np.abs(grid.p) <= p_max)
+            assert (m, order) == (grid.M, n_sel - n_sel % 2)
+            assert (nbytes > _NODE_BYTES_MAX) == (s == 1e3)
+        assert (m, order) == (131072, 58322)
 
     def test_kernel_blocks_match_longdouble_sum(self, kink):
         # A(p, q) = dx sum_m e^{i(p-q)x_m} (e^{-i q d_m} - 1) over the whole

@@ -55,12 +55,87 @@ class TestAssembly:
         with pytest.raises(QOnUnitCircle):
             TorusWeldProblem(f0, 1e-14j, N)
 
+    def test_blocks_match_longdouble_sums(self, kink, box):
+        # Finv[m, n] = (1/L) int e^{i p_m x} e^{-i p_n f(x)} dx,
+        # F[m, n] = (1/L) int f'(y) e^{i p_m f(y)} e^{-i p_n y} dy and
+        # K11 = delta_mn e0p - sum_{k=0}^{N+b} Finv[m, k] F[k, n], as
+        # extended-precision lattice sums at sampled (m, n); the band-edge
+        # samples reach into the buffer
+        N, s = 64, -0.3
+        grid = make_grid(N)
+        f = flow_family(build_xi(kink, box, 2.0), [s], grid)[0]
+        prob = TorusWeldProblem(f, 1j * box.gammaL / L - box.gammaL * s / L,
+                                N, tail_tol=1.0)
+        blocks = assemble_K(prob)
+        ld = np.longdouble
+        x = ld(grid.x0) + ld(L) / grid.M * np.arange(grid.M, dtype=ld)
+        fx, fp = f.samples.astype(ld), f.deriv_samples(1).astype(ld)
+        two_pi_l = 8 * np.arctan(ld(1)) / ld(L)
+
+        def e(ph):
+            return np.cos(ph) + 1j * np.sin(ph)
+
+        def finv(m, n):
+            return e(two_pi_l * (np.multiply.outer(m, x)
+                                 - np.multiply.outer(n, fx))).mean(axis=-1)
+
+        def fmat(m, n):
+            return (fp * e(two_pi_l * (np.multiply.outer(m, fx)
+                                       - np.multiply.outer(n, x)))
+                    ).mean(axis=-1)
+
+        picks = np.array([-N, -N + 1, -1, 0, 1, N // 2, N - 1, N])
+        rows = np.concatenate([picks, np.random.default_rng(3).integers(
+            -N, N + 1, 6)])
+        cols = np.concatenate([picks, np.random.default_rng(4).integers(
+            -N, N + 1, 6)])
+        k = np.arange(N + N // 2 + 1)
+        prod = np.array([[np.sum(finv(m, k) * fmat(k, n)) for n in cols]
+                         for m in rows])
+        q = complex(prob.q)
+        ref = {
+            "K11": np.equal.outer(rows, cols) * (rows >= 0)[:, None] - prod,
+            "K12": np.array([[finv(m, n) * q ** n if n >= 0 else 0.0
+                              for n in cols] for m in rows]),
+            "K21": np.array([[q ** -m * fmat(m, n) if m < 0 else 0.0
+                              for n in cols] for m in rows]),
+        }
+        scale = np.max(np.abs(blocks.K))
+        for name, block in (("K11", blocks.K11), ("K12", blocks.K12),
+                            ("K21", blocks.K21)):
+            got = block[np.ix_(rows + N, cols + N)]
+            err = np.max(np.abs(got - ref[name].astype(complex)))
+            assert err < 1e-13 * scale, name
+
     def test_truncation_alarm(self, kink, box):
         xi = build_xi(kink, box, 2.0)
         grid = make_grid(64)
         f = flow_family(xi, [0.25], grid)[0]
         with pytest.raises(TruncationTooCoarse):
             assemble_K(TorusWeldProblem(f, 0.1j, 64, tail_tol=1e-12))
+
+    def test_tail_check_tracks_convergence(self, kink, box):
+        # L = 40, t = 2, s = -0.3 at tail_tol 2e-3: N = 32 is rejected
+        # (tau_eff there is 5e-7 off its converged value); N = 128 and 192
+        # pass and agree to 4e-12, although K11's band-edge corner grows
+        # over that range (9.9e-3 and 1.07e-2)
+        xi = build_xi(kink, box, 2.0)
+        s = -0.3
+        tau = 1j * box.gammaL / L - box.gammaL * s / L
+
+        def solve(N):
+            f = flow_family(xi, [s], make_grid(N))[0]
+            return solve_Y1(TorusWeldProblem(f, tau, N, tail_tol=2e-3))
+
+        with pytest.raises(TruncationTooCoarse, match="raise n_modes"):
+            solve(32)
+        sol_192 = solve(192)
+        assert abs(solve(128).tau_eff - sol_192.tau_eff) < 1e-11
+        # a kernel whose two tau_eff routes disagree is rejected by the solve
+        blocks = sol_192.blocks
+        blocks.K12 = 2.0 * blocks.K12
+        with pytest.raises(TruncationTooCoarse, match="two-route"):
+            solve_Y1(sol_192.problem, blocks)
 
 
 class TestSolve:
