@@ -17,10 +17,6 @@ class BoxTooSmall(WeldFcsError):
     """Kink support does not fit inside [-L/4, L/4]."""
 
 
-class StepSizeUnderflow(WeldFcsError):
-    """Adaptive flow integrator failed to reach the requested flow time."""
-
-
 class QOnUnitCircle(WeldFcsError):
     """Modular nome |q| too close to 1 for the annulus solver."""
 

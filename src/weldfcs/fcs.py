@@ -28,7 +28,7 @@ from . import profile as profile_mod
 from .analysis import counterterm_finite, counterterm_mover
 from .characters import Theory, log_character
 from .cylinder_weld import CylinderWeldProblem, solve_cylinder
-from .errors import DeltaBetaZero, NodeTooLarge, PoleHit
+from .errors import ConfigInvalid, DeltaBetaZero, NodeTooLarge, PoleHit
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       XiField, build_h, build_xi, flow_family)
 from .spectral import LineGrid, PeriodicGrid, bose_weight
@@ -195,8 +195,11 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
     s_values = np.asarray(s_values, dtype=float)
     grid = cylinder_grid(xi_field, float(np.max(np.abs(s_values), initial=0.0)),
                          numerics)
-    m, order, nbytes = _cylinder_size(grid,
-                                      numerics.p_max_gamma / xi_field.gamma)
+    p_max = numerics.p_max_gamma / xi_field.gamma
+    if p_max > np.pi / grid.dx:
+        raise ConfigInvalid("numerics.p_max_gamma", f"cutoff {p_max:.6g} is "
+                            f"over the Nyquist momentum {np.pi / grid.dx:.6g}")
+    m, order, nbytes = _cylinder_size(grid, p_max)
     if nbytes > _NODE_BYTES_MAX:
         raise NodeTooLarge(
             f"cylinder node needs a {m}-point lattice and a Nystrom matrix of "

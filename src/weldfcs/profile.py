@@ -17,10 +17,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
-from .errors import BoxTooSmall, StepSizeUnderflow
+from .errors import BoxTooSmall
 from .spectral import LineGrid, PeriodicGrid
 
 __all__ = [
@@ -228,10 +228,13 @@ class ReparamMap:
         """int_{lo}^{x} 1/beta (infinite volume)."""
         (lo, hi), spl, kink_total = self._pieces()
         p = self.profile
-        return np.where(
-            x <= lo, (x - lo) / p.beta_left,
-            np.where(x >= hi, kink_total + (x - hi) / p.beta_right,
-                     spl(np.clip(x, lo, hi))))
+        x = np.asarray(x, dtype=float)
+        out = np.where(x <= lo, (x - lo) / p.beta_left,
+                       kink_total + (x - hi) / p.beta_right)
+        # the spline only inside the kink, as in TemperatureProfile.beta
+        m = (x > lo) & (x < hi)
+        out[m] = spl(x[m])
+        return out
 
     @cached_property
     def _anchor(self) -> np.ndarray:
@@ -257,12 +260,12 @@ class ReparamMap:
         xf = x - k * L
         # I(x) = int_{-L/4}^{x} 1/beta_L on the principal branch
         def istd(xx):
-            return np.where(
-                xx <= lo, (xx + 0.25 * L) / p.beta_left,
-                np.where(xx >= hi,
-                         (lo + 0.25 * L) / p.beta_left + kink_total
-                         + (xx - hi) / p.beta_right,
-                         (lo + 0.25 * L) / p.beta_left + spl(np.clip(xx, lo, hi))))
+            out = np.where(xx <= lo, (xx + 0.25 * L) / p.beta_left,
+                           (lo + 0.25 * L) / p.beta_left + kink_total
+                           + (xx - hi) / p.beta_right)
+            m = (xx > lo) & (xx < hi)
+            out[m] = (lo + 0.25 * L) / p.beta_left + spl(xx[m])
+            return out
         main = xf >= -0.25 * L
         ivals = np.where(main, istd(np.where(main, xf, 0.0)),
                          -istd(np.where(main, 0.0, -xf - 0.5 * L)))
@@ -543,47 +546,40 @@ class LineDiffeo:
         return x
 
 
-def _flows(rhs, y0: np.ndarray, s_values) -> list:
-    """Solutions of ``dy/ds = rhs(s, y)``, ``y(0) = y0``, at ``s_values``.
-
-    One DOP853 pass per sign of s, sampled at the unique target times; zero
-    time returns a copy of the start.
-    """
-    s_values = np.asarray(s_values, dtype=float)
-    at = {}
-    for sign in (1.0, -1.0):
-        targets = np.unique(s_values[np.sign(s_values) == sign])
-        if not len(targets):
-            continue
-        t_eval = targets if sign > 0 else targets[::-1]
-        sol = solve_ivp(rhs, (0.0, t_eval[-1]), y0, method="DOP853",
-                        rtol=1e-13, atol=3e-14, t_eval=t_eval)
-        if not sol.success:
-            raise StepSizeUnderflow(f"flow integration failed: {sol.message}")
-        at.update((float(t), sol.y[:, j]) for j, t in enumerate(t_eval))
-    return [at[s] if s != 0.0 else np.array(y0, dtype=float)
-            for s in s_values.tolist()]
-
-
 def flow_family(xi_field: XiField, s_values, grid,
                 inverse: bool = False) -> list:
     """Flows of the transport field at several flow times, on one grid.
 
-    Finite volume: the CircleDiffeos ``f_s`` (flow of ``-zeta``), or with
-    ``inverse`` ``f_s^{-1} = f_{-s}``.  Infinite volume: the LineDiffeos
-    ``g_s = f_s + gamma s``, the identity outside a bounded interval, or with
-    ``inverse`` ``g_s^{-1}(y) = f_{-s}(y - gamma s)``; that start point
-    depends on s, so each inverse takes its own pass.
+    With ``phi = h o (shift by v t) o h^{-1}``, ``phi' = gamma / zeta``, so
+    the flow of ``-zeta`` is a translation: ``f_s = phi^{-1}(phi - gamma s)``;
+    the minus mover is the plus one reflected (``sigma = -1``, time ``-t``).
+    Finite volume: the CircleDiffeos ``f_s``, or with ``inverse``
+    ``f_{-s}``.  Infinite volume: the LineDiffeos ``g_s = f_s + gamma s``, or
+    with ``inverse`` ``g_s^{-1}(y) = f_{-s}(y - gamma s)``, exactly the
+    identity off the swept interval ``(a + min(0, gamma s), b + max(0,
+    gamma s))``, (a, b) the support of xi.  Zero time copies the lattice.
     """
     s_values = np.asarray(s_values, dtype=float)
-    gamma = xi_field.gamma
+    gamma, h, x = xi_field.gamma, xi_field._hmap, grid.x
+    sigma = -1.0 if not xi_field.finite and xi_field.mover == "-" else 1.0
+    vt = sigma * xi_field.v * xi_field.t
+    phi = lambda y: h(h.inverse(sigma * y) + vt)
+    phi_inv = lambda w: sigma * h(h.inverse(w) - vt)
     if xi_field.finite:
-        rhs = lambda ss, yv: -(gamma + xi_field(yv))
-        times = -s_values if inverse else s_values
-        return [CircleDiffeo(grid, f) for f in _flows(rhs, grid.x, times)]
-    if not inverse:
-        rhs = lambda ss, yv: -xi_field(yv - gamma * ss)
-        return [LineDiffeo(grid, g) for g in _flows(rhs, grid.x, s_values)]
-    rhs = lambda ss, yv: gamma + xi_field(yv)
-    return [LineDiffeo(grid, _flows(rhs, grid.x - gamma * s, [s])[0])
-            for s in s_values]
+        phi_x = phi(x)
+        return [CircleDiffeo(grid, phi_inv(phi_x - gamma * s) if s else x.copy())
+                for s in (-s_values if inverse else s_values)]
+    a, b = xi_field.support
+    phi_x = None if inverse else phi(x)
+    out = []
+    for s in s_values.tolist():
+        samples = x.copy()
+        swept = (x > a + min(0.0, gamma * s)) & (x < b + max(0.0, gamma * s))
+        if s:
+            y = x[swept]
+            samples[swept] = (phi_inv(phi(y - gamma * s) + sigma * gamma * s)
+                              if inverse
+                              else phi_inv(phi_x[swept] - sigma * gamma * s)
+                              + gamma * s)
+        out.append(LineDiffeo(grid, samples))
+    return out

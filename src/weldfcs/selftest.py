@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from . import analysis, characters, cylinder_weld, fcs, profile, torus_weld
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
@@ -32,6 +33,12 @@ def _default_profile():
 
 def _ctx(p, L=40.0):
     return VolumeContext(p, L, 1.0)
+
+
+def _ode_flow(zeta, s, y0):
+    """The oracle flow of ``-zeta`` to time ``s``: DOP853 at rtol 1e-13."""
+    return solve_ivp(lambda ss, yv: -zeta(yv), (0.0, s), y0, method="DOP853",
+                     rtol=1e-13, atol=3e-14).y[:, -1]
 
 
 # ---------------------------------------------------------------- profile
@@ -140,7 +147,8 @@ def _():
     xi = build_xi(p, ctx, 3.0)
     grid = PeriodicGrid(ctx.L, 256, x0=-30.0)
     f = flow_family(xi, [0.4], grid)[0]
-    return float(np.max(np.abs(f.samples - (grid.x - ctx.gammaL * 0.4))))
+    refs = [grid.x - ctx.gammaL * 0.4, _ode_flow(xi.zeta, 0.4, grid.x)]
+    return float(np.max(np.abs(f.samples - refs)))
 
 
 @check("profile.flow_group_law", 1e-9)
@@ -149,10 +157,9 @@ def _():
     ctx = _ctx(p)
     xi = build_xi(p, ctx, 1.0)
     grid = PeriodicGrid(ctx.L, 2048, x0=-30.0)
-    f_ab = flow_family(xi, [0.3], grid)[0]
-    f_a = flow_family(xi, [0.15], grid)[0]
-    comp = f_a(f_a.samples)
-    return float(np.max(np.abs(f_ab.samples - comp)))
+    f_ab, f_a = flow_family(xi, [0.3, 0.15], grid)
+    refs = [f_a(f_a.samples), _ode_flow(xi.zeta, 0.3, grid.x)]
+    return float(np.max(np.abs(f_ab.samples - refs)))
 
 
 @check("profile.flow_reflection_symmetry", 1e-10)
@@ -251,17 +258,12 @@ def _():
     # S(f_{2s}) against the cocycle composition of S(f_s) with itself, for
     # an analytic flow field (third derivatives of box-scale samples are
     # roundoff-limited, so the check uses a small box)
-    from scipy.integrate import solve_ivp
     L = 10.0
     grid = PeriodicGrid(L, 512, x0=-L / 2)
     zeta = lambda y: 1.0 + 0.35 * np.sin(2 * np.pi * y / L) \
         + 0.15 * np.cos(4 * np.pi * y / L + 0.3)
-    def flow_to(s):
-        sol = solve_ivp(lambda ss, yv: -zeta(yv), (0.0, s), grid.x,
-                        method="DOP853", rtol=1e-13, atol=3e-14)
-        return profile.CircleDiffeo(grid, sol.y[:, -1])
-    fa = flow_to(0.12)
-    fab = flow_to(0.24)
+    fa = profile.CircleDiffeo(grid, _ode_flow(zeta, 0.12, grid.x))
+    fab = profile.CircleDiffeo(grid, _ode_flow(zeta, 0.24, grid.x))
     s_ab = analysis.schwarzian(analysis.SampledField(grid, fab.samples)).values
     d1 = fa.deriv_at(fa.samples, 1)
     d2 = fa.deriv_at(fa.samples, 2)

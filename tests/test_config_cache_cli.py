@@ -102,8 +102,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-3"
-        record["version"] = "weldfcs-cache-2"
+        assert record["version"] == "weldfcs-cache-4"
+        record["version"] = "weldfcs-cache-3"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -392,6 +392,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "NodeTooLarge" in err
         assert f"{2 ** 27}-point lattice" in err
+
+    def test_fcs_over_nyquist_cutoff_exits_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        # p_max = 200 / gamma is above pi / dx on the dx = 0.08 lattice; the
+        # node set is refused before any flow runs
+        data = base_config()
+        data["numerics"] = {"n_modes": 256, "tail_tol": 2e-3, "s_nodes": 4,
+                            "dx": 0.08, "window_pad_gamma": 5.0,
+                            "window_factor": 3.5, "p_max_gamma": 200.0}
+        data["experiment"] = {"mode": "infinite", "t_values": [4.0],
+                              "lambda_values": [0.02]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+
+        def no_flows(*args, **kwargs):
+            raise AssertionError("flowed before the cutoff check")
+
+        monkeypatch.setattr("weldfcs.profile.flow_family", no_flows)
+        monkeypatch.setattr("weldfcs.fcs.flow_family", no_flows)
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "numerics.p_max_gamma" in err
+        assert "Nyquist" in err
 
     def test_fcs_threads_match_serial(self, tmp_path):
         data = base_config()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from weldfcs import (InfiniteVolume, TemperatureProfile, VolumeContext,
                      build_h, build_xi, flow_family, periodize_profile)
@@ -51,6 +52,45 @@ class TestTemperatureProfile:
         step, _ = kink._step()
         assert np.array_equal(arr[2:5], kink.beta_left
                               + kink.delta_beta * step(x[2:5]))
+
+    @pytest.mark.parametrize("volume", ["infinite", "finite"])
+    def test_h_spline_only_inside_kink(self, kink, box, volume,
+                                       monkeypatch):
+        # h evaluates the kink spline only at lo < x < hi; the values are
+        # bit for bit those of evaluating it everywhere and keeping the
+        # branch, on the plateaus, at the edges and inside
+        spl, total = kink.inv_beta_integral()
+        lo, hi = kink.support
+        seen = []
+
+        def spy(xx):
+            seen.append(np.asarray(xx).copy())
+            return spl(xx)
+
+        monkeypatch.setitem(kink._cache, "invint", spy)
+        bl, br = kink.beta_left, kink.beta_right
+        x = np.array([-7.5, -1.0 - 1e-12, -1.0, -0.999, -0.3, 0.0, 0.6,
+                      0.999, 1.0, 1.0 + 1e-12, 7.5])
+
+        def kink_integral(xx, left, start):
+            # the full-lattice form: the spline runs at every point
+            return np.where(xx <= lo, (xx - left) / bl,
+                            np.where(xx >= hi, start + total + (xx - hi) / br,
+                                     start + spl(np.clip(xx, lo, hi))))
+
+        if volume == "infinite":
+            h = build_h(kink)
+            ref = kink.beta0 * (kink_integral(x, lo, 0.0)
+                                - kink_integral(np.array(0.0), lo, 0.0))
+        else:
+            h = build_h(kink, box)
+            quarter = 0.25 * box.L
+            ref = box.beta0L * kink_integral(x, -quarter,
+                                             (lo + quarter) / bl) - quarter
+        assert np.array_equal(h(x), ref)
+        assert np.array_equal([h(float(v)) for v in x], ref)
+        seen = np.concatenate([np.ravel(v) for v in seen])
+        assert np.all((seen > lo) & (seen < hi))
 
     def test_beta0_arithmetic(self, kink):
         assert kink.beta0 == pytest.approx(4.0 / 3.0, abs=1e-15)
@@ -204,7 +244,39 @@ def line_window(xi, s):
                     M=1 << int(np.ceil(np.log2(span / 0.02))))
 
 
+def ode_flow(rhs, s, y0):
+    """DOP853 solution of dy/ds = rhs(s, y), y(0) = y0, at flow time s."""
+    sol = solve_ivp(rhs, (0.0, s), y0, method="DOP853", rtol=1e-13,
+                    atol=3e-14)
+    assert sol.success, sol.message
+    return sol.y[:, -1]
+
+
 class TestFlows:
+    # measured max |closed form - DOP853| at t = 4, s = -0.3 and 0.3:
+    # circle 3.0e-12, line + 3.1e-12, line - 1.7e-13, inverse + 2.4e-12,
+    # inverse - 1.4e-13.  The gap is the integrator's: it shrinks when
+    # DOP853's tolerance is tightened
+    @pytest.mark.parametrize("s", [-0.3, 0.3])
+    @pytest.mark.parametrize("case", ["circle", "line+", "line-",
+                                      "inverse+", "inverse-"])
+    def test_closed_form_matches_ode(self, kink, box, case, s):
+        if case == "circle":
+            xi = build_xi(kink, box, 4.0)
+            grid = PeriodicGrid(box.L, 512, x0=-0.75 * box.L)
+            ref = ode_flow(lambda ss, y: -xi.zeta(y), s, grid.x)
+        else:
+            xi = build_xi(kink, InfiniteVolume(1.0), 4.0, case[-1])
+            grid = line_window(xi, s)
+            gamma = xi.gamma
+            if case.startswith("line"):
+                ref = ode_flow(lambda ss, y: -xi(y - gamma * ss), s, grid.x)
+            else:
+                # g_s^{-1}(y) = f_{-s}(y - gamma s): the flow of +zeta
+                ref = ode_flow(lambda ss, y: xi.zeta(y), s, grid.x - gamma * s)
+        flow = flow_family(xi, [s], grid, inverse=case.startswith("inverse"))
+        assert np.max(np.abs(flow[0].samples - ref)) < 1e-11
+
     def test_uniform_field_translates(self):
         p = TemperatureProfile(2.0, 2.0)
         ctx = VolumeContext(p, 30.0)
