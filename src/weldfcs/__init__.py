@@ -1,7 +1,6 @@
 """Counting statistics of energy transfers in 1+1d CFT temperature-profile
 states, computed by numerical conformal welding of annuli and bands."""
 
-from .analysis import SampledField, action_integrand, counterterm, schwarzian
 from .characters import Theory, character, log_character, small_tau_ratio
 from .cylinder_weld import (CylinderWeldProblem, CylinderWeldSolution,
                             assemble_sigma, realspace_crosscheck,

@@ -34,9 +34,15 @@ def _require(block: dict, key: str, blockname: str):
     return block[key]
 
 
-def _is_number(val) -> bool:
-    """JSON numbers only: bool is an int subclass but not a number here."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+def _is_finite_number(val) -> bool:
+    """Finite JSON numbers only: bool is an int subclass but not a number
+    here, and an integer too large for a float is not finite."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def read_number(block: dict, key: str, blockname: str,
@@ -46,7 +52,7 @@ def read_number(block: dict, key: str, blockname: str,
     ``ConfigInvalid`` naming the key."""
     val = _require(block, key, blockname) if default is None \
         else block.get(key, default)
-    if not _is_number(val) or not math.isfinite(val):
+    if not _is_finite_number(val):
         raise ConfigInvalid(f"{blockname}.{key}",
                             f"must be a finite number, got {val!r}")
     return float(val)
@@ -169,8 +175,9 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigInvalid(f"numerics.{key}", "unknown key")
     int_fields = {"n_modes", "fine_factor", "s_nodes", "s_panels"}
     for key, val in nblock.items():
-        if not _is_number(val) or val <= 0:
-            raise ConfigInvalid(f"numerics.{key}", f"must be positive, got {val!r}")
+        if not _is_finite_number(val) or val <= 0:
+            raise ConfigInvalid(f"numerics.{key}",
+                                f"must be a positive finite number, got {val!r}")
         if key in int_fields and not isinstance(val, int):
             raise ConfigInvalid(f"numerics.{key}",
                                 f"must be an integer, got {val!r}")
@@ -194,16 +201,22 @@ def config_from_dict(data: dict) -> RunConfig:
     for key in ioblock:
         if key not in _IO_KEYS:
             raise ConfigInvalid(f"io.{key}", "unknown key")
-    formats = tuple(ioblock.get("formats", ("json", "csv")))
+    formats = ioblock.get("formats", ["json", "csv"])
+    if not isinstance(formats, list):
+        raise ConfigInvalid("io.formats", f"must be a list, got {formats!r}")
     for fmt in formats:
         if fmt not in ("json", "csv"):
             raise ConfigInvalid("io.formats", f"unknown format {fmt!r}")
+    for key, types in (("output_dir", str), ("cache_dir", (str, type(None)))):
+        if not isinstance(ioblock.get(key, ""), types):
+            raise ConfigInvalid(f"io.{key}",
+                                f"must be a string, got {ioblock[key]!r}")
 
     return RunConfig(profile=profile, v=v, L=L, theory=theory,
                      numerics=numerics, experiment=eblock,
                      output_dir=ioblock.get("output_dir", "."),
                      cache_dir=ioblock.get("cache_dir"),
-                     formats=formats, raw=data)
+                     formats=tuple(formats), raw=data)
 
 
 def load_config(path: str) -> RunConfig:

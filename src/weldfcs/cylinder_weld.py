@@ -87,10 +87,6 @@ class CylinderOperator:
     ghat_ext: np.ndarray
     diagnostics: dict
 
-    @property
-    def n_half(self) -> int:
-        return len(self.psol) // 2
-
 
 def _inverse_displacement(problem: CylinderWeldProblem) -> np.ndarray:
     """Displacement of g^{-1} on the lattice, exactly zero where it must be.

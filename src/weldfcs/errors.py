@@ -41,14 +41,6 @@ class NearSingular(WeldFcsError):
     """Cylinder Nystrom system close to singular (unexpected zero mode)."""
 
 
-class DerivativeUnresolved(WeldFcsError):
-    """Spectral tail too large to trust high-order derivatives."""
-
-
-class SupportClipped(WeldFcsError):
-    """Compactly supported field touches the integration window edge."""
-
-
 class NotConverged(WeldFcsError):
     """Series truncation bound not met within the configured term cap."""
 

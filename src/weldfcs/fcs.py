@@ -25,12 +25,12 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import profile as profile_mod
-from .analysis import counterterm_finite, counterterm_mover
 from .characters import Theory, log_character
 from .cylinder_weld import CylinderWeldProblem, solve_cylinder
 from .errors import ConfigInvalid, DeltaBetaZero, NodeTooLarge, PoleHit
-from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
-                      XiField, build_h, build_xi, flow_family)
+from .profile import (InfiniteVolume, ReparamMap, TemperatureProfile,
+                      VolumeContext, XiField, build_h, build_xi, flow_family,
+                      periodize_profile)
 from .spectral import LineGrid, PeriodicGrid, bose_weight
 from .torus_weld import TorusWeldProblem, solve_Y1
 
@@ -40,6 +40,8 @@ __all__ = [
     "psi_infinite",
     "psi_finite",
     "effective_tau",
+    "counterterm_mover",
+    "counterterm_finite",
     "torus_nodes",
     "cylinder_nodes",
     "moments_closed_form",
@@ -91,15 +93,31 @@ def cylinder_grid(xi_field: XiField, s_extent: float,
     whi = hi + pad + drift
     span = (whi - wlo) * numerics.window_factor
     dx = numerics.dx * xi_field.profile.half_width
-    m = 1 << int(math.ceil(math.log2(span / dx)))
+    points = span / dx
+    if points <= 1.0:
+        raise ConfigInvalid("numerics.dx", f"spacing {dx:.6g} leaves at most "
+                            f"one lattice point in the {span:.6g} window")
+    if math.isinf(points):
+        raise NodeTooLarge(f"cylinder window of span {span:.6g} has no finite "
+                           f"lattice at spacing {dx:.6g}; lower |lambda| or "
+                           f"coarsen the cylinder numerics")
+    m = 1 << math.ceil(math.log2(points))
     x0 = 0.5 * (wlo + whi) - 0.5 * span
     return LineGrid(x0=x0, span=span, M=m)
 
 
-# a cylinder node whose dense Nystrom matrix plus one lattice array would
-# take more bytes than this is refused before either is allocated; the
-# assembly holds a few matrices of that size at once
+# a welding node whose largest arrays (see _cylinder_size and torus_nodes)
+# would take more bytes than this is refused before any is allocated; the
+# assembly holds a few arrays of that size at once
 _NODE_BYTES_MAX = 2 ** 30
+
+
+def _refuse_over_budget(nbytes: int, needs: str, advice: str):
+    """Raise ``NodeTooLarge`` when a node ``needs`` more than the budget."""
+    if nbytes > _NODE_BYTES_MAX:
+        raise NodeTooLarge(
+            f"{needs}, about {nbytes / 2 ** 30:.3g} GiB, over the "
+            f"{_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget; {advice}")
 
 
 def _cylinder_size(grid: LineGrid, p_max: float) -> tuple[int, int, int]:
@@ -181,8 +199,14 @@ def torus_nodes(profile: TemperatureProfile, ctx: VolumeContext, t: float,
                 s_values, numerics: Numerics) -> WeldNodes:
     """Torus weldings of the box field at the drifted modular parameters
     ``tau_s = i gamma_L / L - gamma_L s / L``, on the fine assembly grid."""
-    grid = PeriodicGrid(ctx.L, numerics.fine_factor * numerics.n_modes,
-                        x0=-0.75 * ctx.L)
+    n, m = numerics.n_modes, numerics.fine_factor * numerics.n_modes
+    # complex bytes of the phase table (modes 0..N + N//2 on the assembly
+    # grid) plus one dense (2N+1)-mode band matrix
+    _refuse_over_budget(16 * ((n + n // 2 + 1) * m + (2 * n + 1) ** 2),
+                        f"torus node with {n} modes needs a phase table on "
+                        f"a {m}-point grid",
+                        "lower numerics.n_modes or numerics.fine_factor")
+    grid = PeriodicGrid(ctx.L, m, x0=-0.75 * ctx.L)
     return WeldNodes(build_xi(profile, ctx, t), grid,
                      np.asarray(s_values, dtype=float), numerics)
 
@@ -200,12 +224,9 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
         raise ConfigInvalid("numerics.p_max_gamma", f"cutoff {p_max:.6g} is "
                             f"over the Nyquist momentum {np.pi / grid.dx:.6g}")
     m, order, nbytes = _cylinder_size(grid, p_max)
-    if nbytes > _NODE_BYTES_MAX:
-        raise NodeTooLarge(
-            f"cylinder node needs a {m}-point lattice and a Nystrom matrix of "
-            f"order {order}, about {nbytes / 2 ** 30:.3g} GiB, over the "
-            f"{_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget; lower |lambda| or "
-            f"coarsen the cylinder numerics")
+    _refuse_over_budget(nbytes, f"cylinder node needs a {m}-point lattice and "
+                        f"a Nystrom matrix of order {order}",
+                        "lower |lambda| or coarsen the cylinder numerics")
     return WeldNodes(xi_field, grid, s_values, numerics)
 
 
@@ -248,6 +269,47 @@ def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
             yield complex(grid.integral(dens))
 
     return np.array(_cached_many(cache, keys, solve), dtype=complex)
+
+
+def _schwarzian_weighted_quad(h: ReparamMap, weight, a: float,
+                              b: float) -> float:
+    """``int_a^b weight(x) Sh(x) dx`` by adaptive quadrature."""
+    def integrand(x):
+        xa = np.array([x])
+        return float(weight(xa)[0] * h.schwarzian(xa)[0])
+
+    return quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+
+
+def counterterm_mover(profile: TemperatureProfile, t: float, v: float,
+                      c: float, mover: str) -> float:
+    """Infinite-volume counterterm of one mover,
+    ``(c v / 24 pi) int (beta(x + sigma vt) - beta(x)) Sh(x) dx`` with
+    sigma = +1 for '+' and -1 for '-'; the Schwarzian of the reparameterizing
+    map restricts the integrand to the kink interval."""
+    sign = 1.0 if mover == "+" else -1.0
+    val = _schwarzian_weighted_quad(
+        build_h(profile),
+        lambda x: profile.beta(x + sign * v * t) - profile.beta(x),
+        *profile.support)
+    return c * v / (24.0 * np.pi) * val
+
+
+def counterterm_finite(profile: TemperatureProfile, ctx: VolumeContext,
+                       t: float, c: float) -> float:
+    """Finite-volume counterterm ``(c v/24 pi) int_I beta_L(x+vt) Sh_L(x) dx``.
+
+    The Schwarzian of the lifted map is supported on the kink image and its
+    reflection, so the integral reduces to two short windows.
+    """
+    h = build_h(profile, ctx)
+    beta_L = periodize_profile(profile, ctx)
+    v = ctx.v
+    lo, hi = profile.support
+    windows = [(lo, hi), (-0.5 * ctx.L - hi, -0.5 * ctx.L - lo)]
+    val = sum(_schwarzian_weighted_quad(h, lambda x: beta_L(x + v * t), a, b)
+              for a, b in windows)
+    return c * v / (24.0 * np.pi) * val
 
 
 def _flow_time(profile: TemperatureProfile, lam: float | None,

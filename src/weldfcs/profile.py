@@ -441,11 +441,6 @@ class CircleDiffeo:
     def L(self) -> float:
         return self.grid.L
 
-    def periodic_coefficients(self) -> np.ndarray:
-        if "coeff" not in self._cache:
-            self._cache["coeff"] = self.grid.coefficients(self.samples - self.grid.x)
-        return self._cache["coeff"]
-
     def deriv_samples(self, order: int = 1) -> np.ndarray:
         key = ("deriv", order)
         if key not in self._cache:
@@ -467,32 +462,6 @@ class CircleDiffeo:
                                                / self.L, kk))
             out[i:i + chunk] = pts[i:i + chunk] + (ph @ c).real
         return out.reshape(np.shape(x))
-
-    def deriv_at(self, x, order: int = 1) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        c = np.fft.ifft(self.samples - self.grid.x)
-        kk = self.grid.mode_numbers()
-        w = c * (-2j * np.pi * kk / self.L) ** order
-        pts = np.atleast_1d(x)
-        out = np.empty(pts.shape, dtype=float)
-        chunk = max(1, int(2e6 // self.grid.M))
-        for i in range(0, len(pts), chunk):
-            ph = np.exp(-2j * np.pi * np.outer((pts[i:i + chunk] - self.grid.x0)
-                                               / self.L, kk))
-            out[i:i + chunk] = (ph @ w).real
-        out = out.reshape(np.shape(x))
-        return out + (1.0 if order == 1 else 0.0)
-
-    def inverse(self, y) -> np.ndarray:
-        """Monotone interpolation start + Newton polish to ~1e-12."""
-        y = np.asarray(y, dtype=float)
-        x = y.copy()
-        for _ in range(60):
-            r = self.__call__(x) - y
-            x = x - r / self.deriv_at(x, 1)
-            if np.max(np.abs(r)) < 1e-13:
-                break
-        return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,10 +12,11 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import analysis, characters, cylinder_weld, fcs, profile, torus_weld
+from . import characters, cylinder_weld, fcs, profile, torus_weld
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       build_h, build_xi, flow_family, periodize_profile)
-from .spectral import LineGrid, PeriodicGrid, bose_weight
+from .spectral import (LineGrid, PeriodicGrid, bose_weight,
+                       schwarzian_from_derivatives)
 
 CHECKS = []
 
@@ -195,65 +196,44 @@ def _():
     return abs(fit_loglog_slope(Ls, errs) - (-1.0))
 
 
-# ---------------------------------------------------------------- analysis
+# ---------------------------------------------------------------- schwarzian
 
-@check("analysis.schwarzian_identity", 1e-12)
+def _schwarzian(f):
+    """S(f) on the grid, by the solvers' spectral route."""
+    return schwarzian_from_derivatives(
+        *(f.deriv_samples(order) for order in (1, 2, 3)))
+
+
+def _periodic_at(grid, values, pts):
+    """The spectral interpolant of periodic samples at arbitrary points."""
+    phase = np.exp(-2j * np.pi * np.outer((pts - grid.x0) / grid.L,
+                                          grid.mode_numbers()))
+    return np.real(phase @ np.fft.ifft(values))
+
+
+@check("schwarzian.identity", 0.0)
 def _():
     grid = PeriodicGrid(10.0, 256)
-    s = analysis.schwarzian(analysis.SampledField(grid, grid.x.copy()))
-    return float(np.max(np.abs(s.values)))
+    s = _schwarzian(profile.CircleDiffeo(grid, grid.x.copy()))
+    return float(np.max(np.abs(s)))
 
 
-@check("analysis.schwarzian_mobius", 1e-9)
-def _():
-    # away from the one-sided closures the FD error sits at the
-    # truncation/roundoff sweet spot of the sampling
-    grid = LineGrid(0.0, 2.0, 32)
-    x = grid.x
-    mob = (2.0 * x + 0.3) / (0.5 * x + 1.7)
-    s = analysis.schwarzian(analysis.SampledField(grid, mob))
-    return float(np.max(np.abs(s.values[11:-11])))
-
-
-@check("analysis.schwarzian_chain_rule", 1e-8)
+@check("schwarzian.chain_rule", 1e-8)
 def _():
     L = 10.0
     grid = PeriodicGrid(L, 512)
     f2 = grid.x + 0.3 * np.sin(2 * np.pi * grid.x / L) \
         + 0.1 * np.cos(4 * np.pi * grid.x / L)
     f1 = lambda y: y + 0.2 * np.sin(2 * np.pi * y / L + 0.5)
-    s12 = analysis.schwarzian(analysis.SampledField(grid, f1(f2))).values
-    s2 = analysis.schwarzian(analysis.SampledField(grid, f2)).values
-    s1 = analysis.schwarzian(analysis.SampledField(grid, f1(grid.x))).values
-    c = np.fft.ifft(s1)
-    kk = grid.mode_numbers()
-    s1_at = np.real(np.exp(-2j * np.pi * np.outer(f2 / L, kk)) @ c)
-    f2p = 1 + grid.derivative(f2 - grid.x, 1).real
-    return float(np.max(np.abs(s12 - (f2p ** 2 * s1_at + s2))))
+    inner = profile.CircleDiffeo(grid, f2)
+    s12 = _schwarzian(profile.CircleDiffeo(grid, f1(f2)))
+    s1 = _schwarzian(profile.CircleDiffeo(grid, f1(grid.x)))
+    rhs = inner.deriv_samples(1) ** 2 * _periodic_at(grid, s1, f2) \
+        + _schwarzian(inner)
+    return float(np.max(np.abs(s12 - rhs)))
 
 
-@check("analysis.counterterm_t0_and_flat", 1e-14)
-def _():
-    p = _default_profile()
-    d1 = abs(analysis.counterterm(p, 0.0, 1.0, 1.0))
-    d2 = abs(analysis.counterterm(TemperatureProfile(2.0, 2.0), 3.0, 1.0, 1.0))
-    return max(d1, d2)
-
-
-@check("analysis.action_integrand_identity_weld", 1e-12)
-def _():
-    p = _default_profile()
-    xi = build_xi(p, InfiniteVolume(1.0), 2.0, "+")
-    grid = LineGrid(-16.0, 32.0, 2048)
-    xiv = xi(grid.x)
-    gamma = xi.gamma
-    val = analysis.action_integrand(xiv, np.ones(grid.M), np.zeros(grid.M),
-                                    gamma, grid)
-    ref = -(2 * np.pi ** 2 / gamma ** 2) * grid.integral(xiv)
-    return abs(val - ref) / abs(ref)
-
-
-@check("analysis.schwarzian_flow_consistency", 1e-7)
+@check("schwarzian.flow_cocycle", 1e-7)
 def _():
     # S(f_{2s}) against the cocycle composition of S(f_s) with itself, for
     # an analytic flow field (third derivatives of box-scale samples are
@@ -264,14 +244,29 @@ def _():
         + 0.15 * np.cos(4 * np.pi * y / L + 0.3)
     fa = profile.CircleDiffeo(grid, _ode_flow(zeta, 0.12, grid.x))
     fab = profile.CircleDiffeo(grid, _ode_flow(zeta, 0.24, grid.x))
-    s_ab = analysis.schwarzian(analysis.SampledField(grid, fab.samples)).values
-    d1 = fa.deriv_at(fa.samples, 1)
-    d2 = fa.deriv_at(fa.samples, 2)
-    d3 = fa.deriv_at(fa.samples, 3)
-    s_at = d3 / d1 - 1.5 * (d2 / d1) ** 2
-    fap = fa.deriv_samples(1)
-    s_a = analysis.schwarzian(analysis.SampledField(grid, fa.samples)).values
-    return float(np.max(np.abs(s_ab - (fap ** 2 * s_at + s_a))))
+    s_a = _schwarzian(fa)
+    rhs = fa.deriv_samples(1) ** 2 * _periodic_at(grid, s_a, fa.samples) + s_a
+    return float(np.max(np.abs(_schwarzian(fab) - rhs)))
+
+
+@check("counterterm.t0_and_flat", 0.0)
+def _():
+    flat = TemperatureProfile(2.0, 2.0)
+    return max(abs(fcs.counterterm_mover(p, t, 1.0, 1.0, mover))
+               for mover in ("+", "-")
+               for p, t in ((_default_profile(), 0.0), (flat, 3.0)))
+
+
+@check("action.identity_weld", 1e-12)
+def _():
+    # at s = 0 the weld is the identity (X' = 1, SX = 0), so the action is
+    # -(2 pi^2 / gamma^2) int xi
+    welds = _cyl_nodes(2.0, [0.0])
+    val = fcs._mover_action_nodes(_default_profile(), 2.0, 1.0, "+", [0.0],
+                                  _CYL_NUM)[0]
+    ref = -(2 * np.pi ** 2 / welds.xi.gamma ** 2) \
+        * welds.grid.integral(welds.xi_values)
+    return abs(val - ref) / abs(ref)
 
 
 # ---------------------------------------------------------------- torus

@@ -18,15 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DerivativeUnresolved
-
 __all__ = [
     "PeriodicGrid",
     "LineGrid",
     "schwarzian_from_derivatives",
     "bose_weight",
-    "spectral_tail",
-    "fd_derivative",
     "fit_loglog_slope",
     "lu_solve_conditioned",
 ]
@@ -63,9 +59,6 @@ class PeriodicGrid:
         """Coefficients c_n of u = sum c_n exp(-i p_n x), FFT storage order."""
         c = np.fft.ifft(values)
         return c * np.exp(1j * self.momenta() * self.x0)
-
-    def values(self, coeff: np.ndarray) -> np.ndarray:
-        return np.fft.fft(coeff * np.exp(-1j * self.momenta() * self.x0))
 
     def band_coefficients(self, values: np.ndarray, n_max: int) -> np.ndarray:
         """Coefficients for modes -n_max..n_max (ascending order)."""
@@ -184,29 +177,6 @@ def bose_weight(p, gamma: float) -> np.ndarray:
     return a * np.where(p > 0, 1.0, np.exp(-gamma * a)) / -np.expm1(-gamma * a)
 
 
-def spectral_tail(values: np.ndarray, fraction: float = 0.25) -> float:
-    """Relative magnitude of the top ``fraction`` of the spectrum.
-
-    Used as the resolution diagnostic before high-order spectral
-    differentiation.
-    """
-    c = np.abs(np.fft.fft(np.asarray(values) - np.mean(values)))
-    m = len(c)
-    k = np.abs(np.fft.fftfreq(m, d=1.0 / m))
-    cutoff = (0.5 - 0.5 * fraction) * m
-    top = np.max(c[k >= cutoff], initial=0.0)
-    peak = np.max(c)
-    return float(top / peak) if peak > 0 else 0.0
-
-
-def require_resolved(values: np.ndarray, tol: float, what: str = "field"):
-    tail = spectral_tail(values)
-    if tail > tol:
-        raise DerivativeUnresolved(
-            f"{what}: relative spectral tail {tail:.2e} exceeds {tol:.2e}")
-    return tail
-
-
 def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(ys) against log(xs)."""
     xs = np.log(np.asarray(xs, dtype=float))
@@ -230,34 +200,3 @@ def lu_solve_conditioned(A: np.ndarray, b: np.ndarray, cond_limit: float,
     res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
     return x, cond, float(res)
 
-
-def _fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative on given offsets."""
-    n = len(offsets)
-    import math
-    A = np.vander(offsets, n, increasing=True).T
-    rhs = np.zeros(n)
-    rhs[m] = math.factorial(m)
-    return np.linalg.solve(A, rhs)
-
-
-def fd_derivative(values: np.ndarray, dx: float, order: int,
-                  acc: int = 8) -> np.ndarray:
-    """High-order finite-difference derivative with one-sided edge closure."""
-    values = np.asarray(values)
-    n = len(values)
-    width = acc + order
-    half = width // 2
-    out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
-    cen = _fd_weights(np.arange(-half, width - half, dtype=float), order)
-    inner = np.convolve(values, cen[::-1], mode="valid")
-    out[half:half + len(inner)] = inner
-    for i in range(half):
-        offs = np.arange(width, dtype=float) - i
-        w = _fd_weights(offs, order)
-        out[i] = np.dot(w, values[:width])
-    for i in range(n - (width - half - 1), n):
-        offs = np.arange(-width + 1, 1, dtype=float) + (n - 1 - i)
-        w = _fd_weights(offs, order)
-        out[i] = np.dot(w, values[-width:])
-    return out / dx ** order

@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from weldfcs import Numerics, TemperatureProfile, VolumeContext
+# one BLAS thread, as perfbench runs: a threaded pool makes small dense
+# solves slower and the timed acceptance criteria noisy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from weldfcs import Numerics, TemperatureProfile, VolumeContext  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from weldfcs import InfiniteVolume, SampledField, TemperatureProfile, build_xi
-from weldfcs.analysis import (action_integrand, counterterm,
-                              counterterm_finite, counterterm_mover,
-                              schwarzian)
-from weldfcs.errors import DerivativeUnresolved, SupportClipped
-from weldfcs.profile import VolumeContext, build_h
-from weldfcs.spectral import LineGrid, PeriodicGrid, fd_derivative
+from weldfcs import TemperatureProfile
+from weldfcs.fcs import counterterm_finite, counterterm_mover
+from weldfcs.profile import VolumeContext
+from weldfcs.spectral import LineGrid, PeriodicGrid
+
+
+def counterterm(profile, t, v, c):
+    """Counterterm of both movers."""
+    return sum(counterterm_mover(profile, t, v, c, mover) for mover in "+-")
 
 
 class TestSpectralTools:
@@ -33,72 +35,6 @@ class TestSpectralTools:
                    epsabs=1e-14)[0]
         assert uhat[k].real == pytest.approx(ref, abs=1e-12)
         assert abs(uhat[k].imag) < 1e-12
-
-    def test_fd_derivative_polynomial_exact(self):
-        x = np.linspace(0, 1, 41)
-        vals = x ** 5 - 2 * x ** 3 + x
-        d2 = fd_derivative(vals, x[1] - x[0], 2)
-        ref = 20 * x ** 3 - 12 * x
-        assert np.max(np.abs(d2 - ref)) < 1e-9
-
-
-class TestSchwarzian:
-    def test_identity(self):
-        grid = PeriodicGrid(10.0, 128)
-        s = schwarzian(SampledField(grid, grid.x.copy()))
-        assert np.max(np.abs(s.values)) < 1e-12
-
-    def test_mobius_on_line_samples(self):
-        grid = LineGrid(0.0, 2.0, 32)
-        x = grid.x
-        mob = (2.0 * x + 0.3) / (0.5 * x + 1.7)
-        s = schwarzian(SampledField(grid, mob))
-        assert np.max(np.abs(s.values[11:-11])) < 1e-9
-
-    def test_chain_rule(self):
-        L = 10.0
-        grid = PeriodicGrid(L, 512)
-        f2 = grid.x + 0.3 * np.sin(2 * np.pi * grid.x / L) \
-            + 0.1 * np.cos(4 * np.pi * grid.x / L)
-        f1 = lambda y: y + 0.2 * np.sin(2 * np.pi * y / L + 0.5)
-        s12 = schwarzian(SampledField(grid, f1(f2))).values
-        s2 = schwarzian(SampledField(grid, f2)).values
-        s1 = schwarzian(SampledField(grid, f1(grid.x))).values
-        c = np.fft.ifft(s1)
-        kk = grid.mode_numbers()
-        s1_at = np.real(np.exp(-2j * np.pi * np.outer(f2 / L, kk)) @ c)
-        f2p = 1 + grid.derivative(f2 - grid.x, 1).real
-        assert np.max(np.abs(s12 - (f2p ** 2 * s1_at + s2))) < 1e-8
-
-    def test_unresolved_input_rejected(self):
-        grid = PeriodicGrid(10.0, 64)
-        rough = grid.x + 0.2 * np.sign(np.sin(20 * grid.x))
-        with pytest.raises(DerivativeUnresolved):
-            schwarzian(SampledField(grid, rough))
-
-
-class TestActionIntegrand:
-    def test_zero_field(self, kink):
-        grid = LineGrid(-16.0, 32.0, 512)
-        val = action_integrand(np.zeros(grid.M), np.ones(grid.M),
-                               np.zeros(grid.M), 1.0, grid)
-        assert val == 0.0
-
-    def test_identity_welding_reduces_to_field_integral(self, kink):
-        xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
-        grid = LineGrid(-16.0, 32.0, 2048)
-        xiv = xi(grid.x)
-        gamma = xi.gamma
-        val = action_integrand(xiv, np.ones(grid.M), np.zeros(grid.M),
-                               gamma, grid)
-        ref = -(2 * np.pi ** 2 / gamma ** 2) * grid.integral(xiv)
-        assert val == pytest.approx(ref, rel=1e-12)
-
-    def test_support_clipped(self, kink):
-        grid = LineGrid(-2.0, 4.0, 256)
-        xiv = np.exp(-grid.x ** 2)    # visibly nonzero at the edges
-        with pytest.raises(SupportClipped):
-            action_integrand(xiv, np.ones(grid.M), np.zeros(grid.M), 1.0, grid)
 
 
 class TestCounterterm:
@@ -136,13 +72,6 @@ class TestCounterterm:
         ref = c * v / (24 * np.pi) * quad(integrand, -1.0, 1.0,
                                           epsabs=1e-12, limit=500)[0]
         assert counterterm(kink, t, v, c) == pytest.approx(ref, abs=1e-8)
-
-    def test_mover_split_sums_to_total(self, kink):
-        t = 2.5
-        total = counterterm(kink, t, 1.0, 0.8)
-        parts = (counterterm_mover(kink, t, 1.0, 0.8, "+")
-                 + counterterm_mover(kink, t, 1.0, 0.8, "-"))
-        assert parts == pytest.approx(total, rel=1e-10)
 
     def test_finite_volume_approaches_infinite(self, kink):
         t = 3.0

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,32 @@ class TestConfig:
             data[block][key] = value
             with pytest.raises(ConfigInvalid, match=f"{block}.{key}"):
                 config_from_dict(data)
+
+    def test_io_and_numerics_blocks_return_or_name_a_key(self):
+        # any io / numerics block is either accepted or refused with
+        # ConfigInvalid, never with another exception
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        values = st.one_of(st.none(), st.booleans(), st.integers(),
+                           st.floats(), st.text(max_size=4),
+                           st.lists(st.one_of(st.sampled_from(["json", "csv"]),
+                                              st.integers()), max_size=3))
+        numerics = st.dictionaries(
+            st.sampled_from(["n_modes", "fine_factor", "tail_tol", "dx",
+                             "s_nodes", "cond_limit", "window_factor"]),
+            values, max_size=3)
+        io = st.dictionaries(st.sampled_from(["output_dir", "cache_dir",
+                                              "formats"]), values, max_size=3)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(numerics, io)
+        def accepted_or_named(nblock, ioblock):
+            try:
+                config_from_dict(base_config(numerics=nblock, io=ioblock))
+            except ConfigInvalid:
+                pass
+
+        accepted_or_named()
 
     def test_bad_theory(self):
         data = base_config()
@@ -231,15 +258,15 @@ def run_cli(args):
 
 
 class TestCli:
-    def test_selftest_is_separate_command(self, capsys):
-        # the full invariant battery, run through its own CLI command
-        code = run_cli(["selftest", "--json"])
-        report = json.loads(capsys.readouterr().out)
-        failed = [f"{r['name']} ({r['status']}, defect={r['defect']:.3e}, "
-                  f"tol={r['tolerance']:.1e})"
-                  for r in report["checks"] if r["status"] != "pass"]
-        assert not failed, "self-test checks failed: " + "; ".join(failed)
-        assert code == 0
+    def test_selftest_is_separate_command(self, capsys, monkeypatch):
+        # no config needed; the text table ends in the pass count
+        from weldfcs import selftest
+        monkeypatch.setattr(selftest, "CHECKS", [("ok", 1e-12, lambda: 0.0)])
+        assert run_cli(["selftest"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split() == ["ok", "defect=0.000e+00", "tol=1.0e-12",
+                                  "pass"]
+        assert out[-1] == "1/1 checks passed"
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -253,7 +280,15 @@ class TestCli:
                 ("ldf", "profile", "center", "left"),
                 ("fcs", "experiment", "t_values", ["x"]),
                 ("moments", "experiment", "fd_step", "small"),
-                ("ldf", "experiment", "lambda_values", [])):
+                ("ldf", "experiment", "lambda_values", []),
+                ("ldf", "io", "formats", 3),
+                ("ldf", "io", "formats", "json"),
+                ("ldf", "io", "output_dir", 3),
+                ("ldf", "io", "cache_dir", ["c"]),
+                ("ldf", "numerics", "dx", float("inf")),
+                ("ldf", "numerics", "tail_tol", float("nan")),
+                ("ldf", "numerics", "window_factor", 10 ** 400),
+                ("fcs", "numerics", "dx", 1e308)):
             data = base_config()
             data[block][key] = value
             cfg_path = tmp_path / f"{key}.json"
@@ -392,6 +427,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "NodeTooLarge" in err
         assert f"{2 ** 27}-point lattice" in err
+
+    @pytest.mark.parametrize("mode,key,value", [
+        ("infinite", "window_factor", 1e308), ("finite", "n_modes", 2 ** 14)])
+    def test_fcs_node_over_budget_exits_3_unallocated(
+            self, tmp_path, capsys, monkeypatch, mode, key, value):
+        # an unbounded cylinder window and a 40 GiB torus node are refused
+        # before any flow runs or any array is allocated
+        data = base_config()
+        data["numerics"][key] = value
+        data["experiment"] = {"mode": mode, "t_values": [4.0],
+                              "lambda_values": [0.02]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+
+        def no_flows(*args, **kwargs):
+            raise AssertionError("flowed before the size check")
+
+        monkeypatch.setattr("weldfcs.profile.flow_family", no_flows)
+        monkeypatch.setattr("weldfcs.fcs.flow_family", no_flows)
+        tracemalloc.start()
+        try:
+            assert run_cli(["fcs", "--config", str(cfg_path)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24
+        assert "NodeTooLarge" in capsys.readouterr().err
 
     def test_fcs_over_nyquist_cutoff_exits_2(self, tmp_path, capsys,
                                             monkeypatch):

@@ -313,7 +313,6 @@ class TestFlows:
         x = np.linspace(-5, 5, 41)
         assert np.max(np.abs(f(x + box.L) - f(x) - box.L)) < 1e-10
         assert np.min(f.deriv_samples(1)) > 0
-        assert np.max(np.abs(f(f.inverse(x)) - x)) < 1e-11
 
     def test_line_flow_identity_outside_support(self, kink):
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
