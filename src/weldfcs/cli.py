@@ -22,9 +22,10 @@ import numpy as np
 from . import selftest as selftest_mod
 from .cache import SolveCache, resolve_cache_dir
 from .characters import Theory
-from .config import RunConfig, load_config, read_number, read_numbers
+from .config import (RunConfig, load_config, read_number, read_numbers,
+                     read_positive)
 from .cylinder_weld import realspace_crosscheck
-from .errors import ConfigInvalid, WeldFcsError
+from .errors import BoxTooSmall, ConfigInvalid, WeldFcsError
 from .fcs import (FcsResult, appendix_b_check, cylinder_nodes, ldf,
                   levitov_lesovik, levy_khintchine_check, moments_closed_form,
                   psi_finite, psi_infinite, rate_function, torus_nodes)
@@ -175,7 +176,7 @@ def cmd_fcs(cfg: RunConfig, args) -> int:
 def cmd_moments(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
     t = read_number(exp, "t", "experiment", 2.0)
-    h = read_number(exp, "fd_step", "experiment", 0.02)
+    h = read_positive(exp, "fd_step", "experiment", 0.02)
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
     closed = moments_closed_form(cfg.profile, cfg.theory.c, t, cfg.v)
@@ -248,6 +249,10 @@ def cmd_ldf(cfg: RunConfig, args) -> int:
 def cmd_converge(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
     ls = read_numbers(exp, "L_values", "experiment", [40.0, 80.0, 160.0])
+    try:
+        ctxs = [VolumeContext(cfg.profile, L, cfg.v) for L in ls]
+    except BoxTooSmall as exc:
+        raise ConfigInvalid("experiment.L_values", str(exc)) from exc
     t = read_number(exp, "t", "experiment", 4.0)
     s = read_number(exp, "s", "experiment", 0.25)
     lam = read_number(exp, "lambda", "experiment", 0.2)
@@ -271,8 +276,7 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     psi_defects = []
     vinf = psi_infinite(cfg.profile, cfg.theory.c, t_psi, lam=lam, v=cfg.v,
                         numerics=num, cache=cache)
-    for L in ls:
-        ctx = VolumeContext(cfg.profile, L, cfg.v)
+    for L, ctx in zip(ls, ctxs):
         n_modes = int(num.n_modes * L / base_L)
         numL = replace(num, n_modes=n_modes)
         welds = torus_nodes(cfg.profile, ctx, t, [s], numL)

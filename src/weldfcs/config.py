@@ -18,7 +18,7 @@ from .fcs import Numerics
 from .profile import TemperatureProfile, VolumeContext
 
 __all__ = ["RunConfig", "load_config", "config_from_dict", "read_number",
-           "read_numbers"]
+           "read_numbers", "read_positive"]
 
 SCHEMA_VERSION = "weldfcs-config-1"
 
@@ -68,8 +68,9 @@ def read_numbers(block: dict, key: str, blockname: str, default: list) -> list:
     return [read_number({key: v}, key, blockname) for v in vals]
 
 
-def _positive(block: dict, key: str, blockname: str,
-              default: float | None = None) -> float:
+def read_positive(block: dict, key: str, blockname: str,
+                  default: float | None = None) -> float:
+    """``read_number``, refusing a value <= 0."""
     val = read_number(block, key, blockname, default)
     if val <= 0:
         raise ConfigInvalid(f"{blockname}.{key}", f"must be positive, got {val!r}")
@@ -130,16 +131,16 @@ def config_from_dict(data: dict) -> RunConfig:
     for key in pblock:
         if key not in _PROFILE_KEYS:
             raise ConfigInvalid(f"profile.{key}", "unknown key")
-    beta_left = _positive(pblock, "beta_left", "profile")
-    beta_right = _positive(pblock, "beta_right", "profile")
-    half_width = _positive(pblock, "half_width", "profile")
+    beta_left = read_positive(pblock, "beta_left", "profile")
+    beta_right = read_positive(pblock, "beta_right", "profile")
+    half_width = read_positive(pblock, "half_width", "profile")
     center = read_number(pblock, "center", "profile", 0.0)
     shape = pblock.get("shape", "bump")
-    sharpness = _positive(pblock, "sharpness", "profile", 4.0)
-    v = _positive(pblock, "v", "profile")
+    sharpness = read_positive(pblock, "sharpness", "profile", 4.0)
+    v = read_positive(pblock, "v", "profile")
     L = pblock.get("L")
     if L is not None:
-        L = _positive(pblock, "L", "profile")
+        L = read_positive(pblock, "L", "profile")
         if L / 4.0 < abs(center) + half_width:
             raise ConfigInvalid(
                 "profile.half_width",
@@ -157,10 +158,10 @@ def config_from_dict(data: dict) -> RunConfig:
     for key in tblock:
         if key not in _THEORY_KEYS:
             raise ConfigInvalid(f"theory.{key}", "unknown key")
-    c = _positive(tblock, "c", "theory", 1.0)
+    c = read_positive(tblock, "c", "theory", 1.0)
     radius = tblock.get("radius")
     if radius is not None:
-        radius = _positive(tblock, "radius", "theory")
+        radius = read_positive(tblock, "radius", "theory")
     try:
         theory = Theory(tblock.get("model", "central_charge_only"), c, radius)
     except ValueError as exc:
@@ -173,7 +174,7 @@ def config_from_dict(data: dict) -> RunConfig:
     for key in nblock:
         if key not in valid:
             raise ConfigInvalid(f"numerics.{key}", "unknown key")
-    int_fields = {"n_modes", "fine_factor", "s_nodes", "s_panels"}
+    int_fields = {"n_modes", "s_nodes", "s_panels"}
     for key, val in nblock.items():
         if not _is_finite_number(val) or val <= 0:
             raise ConfigInvalid(f"numerics.{key}",
@@ -181,10 +182,6 @@ def config_from_dict(data: dict) -> RunConfig:
         if key in int_fields and not isinstance(val, int):
             raise ConfigInvalid(f"numerics.{key}",
                                 f"must be an integer, got {val!r}")
-    fine_factor = nblock.get("fine_factor", 4)
-    if fine_factor < 4:   # the torus assembly grid needs M >= 4 N
-        raise ConfigInvalid("numerics.fine_factor",
-                            f"must be at least 4, got {fine_factor!r}")
     try:
         numerics = Numerics(**{k: (int(v) if k in int_fields else float(v))
                                for k, v in nblock.items()})

@@ -50,25 +50,31 @@ __all__ = [
 ]
 
 
+# the support of g must keep this many band heights from the window edges
+_MIN_EDGE_GAP = 5.0
+# the solve refuses a Nystrom system whose condition estimate exceeds this
+_COND_LIMIT = 1e12
+
+
 @dataclass(frozen=True, eq=False)
 class CylinderWeldProblem:
-    """Welding problem on the band, discretized on ``g``'s window grid."""
+    """Welding problem on the band, discretized on ``g``'s window grid;
+    ``g_inverse`` holds g^{-1} on the same grid."""
 
     g: LineDiffeo
     gamma: float
     p_max: float
-    g_inverse: LineDiffeo | None = None
-    min_edge_gap: float = 5.0
+    g_inverse: LineDiffeo
 
     def __post_init__(self):
         grid = self.g.grid
         lo, hi = self.g.support
         if lo != hi:  # nontrivial support
             gap = min(lo - grid.x0, grid.x0 + grid.span - hi)
-            if gap < self.min_edge_gap * self.gamma:
+            if gap < _MIN_EDGE_GAP * self.gamma:
                 raise WindowTooSmall(
                     f"support gap {gap:.3f} below "
-                    f"{self.min_edge_gap} * gamma = {self.min_edge_gap * self.gamma:.3f}")
+                    f"{_MIN_EDGE_GAP} * gamma = {_MIN_EDGE_GAP * self.gamma:.3f}")
         if self.p_max > np.pi / grid.dx:
             raise ValueError("p_max exceeds the fine-lattice Nyquist momentum")
 
@@ -92,18 +98,16 @@ def _inverse_displacement(problem: CylinderWeldProblem) -> np.ndarray:
     """Displacement of g^{-1} on the lattice, exactly zero where it must be.
 
     g maps the hull of the points it moves onto itself, so g^{-1} fixes every
-    lattice point outside that hull.  A computed inverse (flow or Newton)
-    leaves round-off there, which would put those points in B's support.
+    lattice point outside that hull.  A computed inverse leaves round-off
+    there, which would put those points in B's support.  When g moves no
+    point, the inverse is not read.
     """
-    g = problem.g
-    x = g.grid.x
-    moved = np.nonzero(g.displacement())[0]
+    x = problem.grid.x
+    moved = np.nonzero(problem.g.displacement())[0]
     disp = np.zeros_like(x)
     if len(moved):
         hull = slice(moved[0], moved[-1] + 1)
-        inv = problem.g_inverse.samples if problem.g_inverse is not None \
-            else g.inverse(x)
-        disp[hull] = inv[hull] - x[hull]
+        disp[hull] = problem.g_inverse.samples[hull] - x[hull]
     return disp
 
 
@@ -204,7 +208,6 @@ class CylinderWeldSolution:
     problem: CylinderWeldProblem
     operator: CylinderOperator
     zhat_ext: np.ndarray          # Z on the full lattice (source + correction)
-    dz: np.ndarray                # solved correction on the solve lattice
     cond_estimate: float
     solve_residual: float
     _cache: dict = field(default_factory=dict, repr=False)
@@ -270,34 +273,31 @@ class CylinderWeldSolution:
         }
 
 
-def solve_cylinder(problem: CylinderWeldProblem,
-                   operator: CylinderOperator | None = None,
-                   cond_limit: float = 1e12) -> CylinderWeldSolution:
+def solve_cylinder(problem: CylinderWeldProblem) -> CylinderWeldSolution:
     """Solve the recast system for the correction and reconstruct the data."""
-    if operator is None:
-        operator = assemble_sigma(problem)
+    operator = assemble_sigma(problem)
     sigma = operator.sigma
     n2 = sigma.shape[0]
     z12_sol = operator.z12_ext[operator.sel]
     dz, cond, res = lu_solve_conditioned(
-        np.eye(n2, dtype=complex) + sigma, -sigma @ z12_sol, cond_limit,
+        np.eye(n2, dtype=complex) + sigma, -sigma @ z12_sol, _COND_LIMIT,
         NearSingular, "Nystrom system")
     zhat_ext = operator.z12_ext.copy()
     zhat_ext[operator.sel] += dz
-    return CylinderWeldSolution(problem, operator, zhat_ext, dz, cond, res)
+    return CylinderWeldSolution(problem, operator, zhat_ext, cond, res)
 
 
-def _pv_antisym(f, x0: float, radius: float, n_panels: int = 12,
-                order: int = 24) -> complex:
+def _pv_antisym(f, x0: float, radius: float) -> complex:
     """PV int f(y) dy over |y - x0| < radius by symmetric excision.
 
     ``PV int = int_0^R (f(x0 + r) + f(x0 - r)) dr``: for a simple-pole kernel
     the two one-sided singular parts cancel in the sum, leaving a smooth
-    integrand handled by graded Gauss-Legendre panels (denser near r = 0).
+    integrand handled by 12 graded 24-point Gauss-Legendre panels (denser
+    near r = 0).
     """
-    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes, wts = np.polynomial.legendre.leggauss(24)
     total = 0.0 + 0.0j
-    edges = radius * (np.arange(n_panels + 1) / n_panels) ** 2
+    edges = radius * (np.arange(13) / 12) ** 2
     for a, b in zip(edges[:-1], edges[1:]):
         r = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         w = 0.5 * (b - a) * wts
@@ -307,7 +307,7 @@ def _pv_antisym(f, x0: float, radius: float, n_panels: int = 12,
 
 def realspace_crosscheck(problem: CylinderWeldProblem,
                          sol: CylinderWeldSolution,
-                         probes=None, pv_radius: float | None = None) -> dict:
+                         probes=None) -> dict:
     """Defects of the two real-space boundary relations (derivative form).
 
     The boundary values of the derivative of the holomorphic correction must
@@ -319,8 +319,9 @@ def realspace_crosscheck(problem: CylinderWeldProblem,
                                           - PV int Y2'(y)/(y - x) dy ]
 
     with Y2' = Y1' - (g' - 1).  Principal values are computed by symmetric
-    excision (antisymmetrized integrand) with graded Gauss-Legendre panels;
-    the quadrature route never touches the momentum-space solve.
+    excision (antisymmetrized integrand) over |y - x| < 2 gamma with graded
+    Gauss-Legendre panels; the quadrature route never touches the
+    momentum-space solve.
     """
     grid = sol.grid
     gamma = problem.gamma
@@ -343,18 +344,16 @@ def realspace_crosscheck(problem: CylinderWeldProblem,
     if probes is None:
         lo, hi = g.support
         probes = np.linspace(lo - 0.5 * gamma, hi + 0.5 * gamma, 7)
-    if pv_radius is None:
-        pv_radius = 2.0 * gamma
+    pv_radius = 2.0 * gamma
 
     xlo, xhi = grid.x0 + grid.dx, grid.x0 + grid.span - grid.dx
     nodes, wts = np.polynomial.legendre.leggauss(24)
 
-    def smooth_int(f, a, b, n_panels=None):
+    def smooth_int(f, a, b):
         if b <= a:
             return 0.0 + 0.0j
-        if n_panels is None:
-            # resolve the gamma-scale structure of the boundary data
-            n_panels = max(8, int(np.ceil(2.0 * (b - a) / gamma)))
+        # resolve the gamma-scale structure of the boundary data
+        n_panels = max(8, int(np.ceil(2.0 * (b - a) / gamma)))
         total = 0.0 + 0.0j
         edges = np.linspace(a, b, n_panels + 1)
         for aa, bb in zip(edges[:-1], edges[1:]):

@@ -59,9 +59,8 @@ __all__ = [
 class Numerics:
     """Resolution and tolerance knobs; defaults match the documented scheme."""
 
-    # torus (finite volume)
+    # torus (finite volume); the assembly grid has 4 * n_modes points
     n_modes: int = 256
-    fine_factor: int = 4
     tail_tol: float = 1e-3
     # cylinder (infinite volume)
     # in units of the kink half-width; cylinder_grid rounds the lattice up
@@ -73,11 +72,9 @@ class Numerics:
     # flow-time quadrature
     s_nodes: int = 8
     s_panels: int = 1
-    # alarm
-    cond_limit: float = 1e14
 
     def key(self) -> tuple:
-        return ("numerics", self.n_modes, self.fine_factor, self.tail_tol,
+        return ("numerics", self.n_modes, self.tail_tol,
                 self.dx, self.window_pad_gamma, self.window_factor,
                 self.p_max_gamma, self.s_nodes, self.s_panels)
 
@@ -182,30 +179,31 @@ class WeldNodes:
             tau0 = 1j * ctx.gammaL / ctx.L
             diffeos = flow_family(self.xi, s_values, grid)
             for i in which:
-                prob = TorusWeldProblem(
+                yield solve_Y1(TorusWeldProblem(
                     diffeos[i], tau0 - ctx.gammaL * s_values[i] / ctx.L,
-                    num.n_modes, fine=grid.M, tail_tol=num.tail_tol)
-                yield solve_Y1(prob, cond_limit=num.cond_limit)
+                    num.n_modes, num.tail_tol))
         else:
             gamma = self.xi.gamma
             diffeos = _line_flow_family(self.xi, s_values, grid)
             for i in which:
                 g, ginv = diffeos[i]
                 yield solve_cylinder(CylinderWeldProblem(
-                    g, gamma, num.p_max_gamma / gamma, g_inverse=ginv))
+                    g, gamma, num.p_max_gamma / gamma, ginv))
 
 
 def torus_nodes(profile: TemperatureProfile, ctx: VolumeContext, t: float,
                 s_values, numerics: Numerics) -> WeldNodes:
     """Torus weldings of the box field at the drifted modular parameters
-    ``tau_s = i gamma_L / L - gamma_L s / L``, on the fine assembly grid."""
-    n, m = numerics.n_modes, numerics.fine_factor * numerics.n_modes
+    ``tau_s = i gamma_L / L - gamma_L s / L``, on the 4N-point assembly
+    grid."""
+    n = numerics.n_modes
+    m = 4 * n
     # complex bytes of the phase table (modes 0..N + N//2 on the assembly
     # grid) plus one dense (2N+1)-mode band matrix
     _refuse_over_budget(16 * ((n + n // 2 + 1) * m + (2 * n + 1) ** 2),
                         f"torus node with {n} modes needs a phase table on "
                         f"a {m}-point grid",
-                        "lower numerics.n_modes or numerics.fine_factor")
+                        "lower numerics.n_modes")
     grid = PeriodicGrid(ctx.L, m, x0=-0.75 * ctx.L)
     return WeldNodes(build_xi(profile, ctx, t), grid,
                      np.asarray(s_values, dtype=float), numerics)

@@ -183,18 +183,22 @@ class InfiniteVolume:
     v: float = 1.0
 
 
+def _fold(x: np.ndarray, L: float):
+    """Fold x into [-3L/4, L/4) and reflect [-3L/4, -L/4) onto [-L/4, L/4]:
+    the point where the L-periodic extension takes the profile's value, and
+    the mask of the reflected points."""
+    xf = np.mod(x + 0.75 * L, L) - 0.75 * L
+    reflected = xf < -0.25 * L
+    return np.where(reflected, -xf - 0.5 * L, xf), reflected
+
+
 def periodize_profile(profile: TemperatureProfile, ctx: VolumeContext) -> Callable:
     """L-periodic extension: beta on [-L/4, L/4], reflected on [-3L/4, -L/4]."""
     if ctx.profile is not profile and ctx.profile != profile:
         raise ValueError("context was built for a different profile")
-    L = ctx.L
 
     def beta_L(x):
-        x = np.asarray(x, dtype=float)
-        xf = np.mod(x + 0.75 * L, L) - 0.75 * L
-        reflected = xf < -0.25 * L
-        arg = np.where(reflected, -xf - 0.5 * L, xf)
-        return profile.beta(arg)
+        return profile.beta(_fold(np.asarray(x, dtype=float), ctx.L)[0])
 
     return beta_L
 
@@ -271,23 +275,19 @@ class ReparamMap:
                          -istd(np.where(main, 0.0, -xf - 0.5 * L)))
         return b0 * ivals - 0.25 * L + k * L
 
+    def _beta_derivs(self, x):
+        """beta, beta' and beta'' of the (periodized) profile at x."""
+        p = self.profile
+        if self.ctx is None:
+            return p.beta(x), p.beta_deriv(x, 1), p.beta_deriv(x, 2)
+        arg, reflected = _fold(x, self.ctx.L)
+        sgn = np.where(reflected, -1.0, 1.0)
+        return p.beta(arg), sgn * p.beta_deriv(arg, 1), p.beta_deriv(arg, 2)
+
     def deriv(self, x, order: int = 1) -> np.ndarray:
         """Analytic derivatives: h' = beta0/beta and its chain rule."""
-        x = np.asarray(x, dtype=float)
         b0 = self.beta0
-        if self.ctx is None:
-            b = self.profile.beta(x)
-            b1 = self.profile.beta_deriv(x, 1)
-            b2 = self.profile.beta_deriv(x, 2)
-        else:
-            L = self.ctx.L
-            xf = np.mod(x + 0.75 * L, L) - 0.75 * L
-            refl = xf < -0.25 * L
-            arg = np.where(refl, -xf - 0.5 * L, xf)
-            b = self.profile.beta(arg)
-            sgn = np.where(refl, -1.0, 1.0)
-            b1 = sgn * self.profile.beta_deriv(arg, 1)
-            b2 = self.profile.beta_deriv(arg, 2)
+        b, b1, b2 = self._beta_derivs(np.asarray(x, dtype=float))
         if order == 1:
             return b0 / b
         if order == 2:
@@ -298,19 +298,7 @@ class ReparamMap:
 
     def schwarzian(self, x) -> np.ndarray:
         """S h = (beta'/beta)^2 / 2 - beta''/beta, supported on the kink."""
-        x = np.asarray(x, dtype=float)
-        if self.ctx is None:
-            b = self.profile.beta(x)
-            b1 = self.profile.beta_deriv(x, 1)
-            b2 = self.profile.beta_deriv(x, 2)
-        else:
-            L = self.ctx.L
-            xf = np.mod(x + 0.75 * L, L) - 0.75 * L
-            refl = xf < -0.25 * L
-            arg = np.where(refl, -xf - 0.5 * L, xf)
-            b = self.profile.beta(arg)
-            b1 = self.profile.beta_deriv(arg, 1)  # sign squares / cancels below
-            b2 = self.profile.beta_deriv(arg, 2)
+        b, b1, b2 = self._beta_derivs(np.asarray(x, dtype=float))
         return 0.5 * (b1 / b) ** 2 - b2 / b
 
     def inverse(self, y) -> np.ndarray:
@@ -494,25 +482,9 @@ class LineDiffeo:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        ghat = self._ghat()
-        return x + self.grid.eval_ft(ghat, x).real
-
-    def _ghat(self) -> np.ndarray:
         if "ghat" not in self._cache:
             self._cache["ghat"] = self.grid.ft(self.displacement())
-        return self._cache["ghat"]
-
-    def inverse(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        ghat = self._ghat()
-        x = y.copy()
-        for _ in range(60):
-            r = x + self.grid.eval_ft(ghat, x).real - y
-            dp1 = 1.0 + self.grid.eval_ft(ghat, x, deriv=1).real
-            x = x - r / dp1
-            if np.max(np.abs(r)) < 1e-13:
-                break
-        return x
+        return x + self.grid.eval_ft(self._cache["ghat"], x).real
 
 
 def flow_family(xi_field: XiField, s_values, grid,

@@ -359,8 +359,7 @@ def _():
         f = profile.CircleDiffeo(
             grid, grid.x - amp * L / (2 * np.pi) * np.log(1 - r * z).imag)
         sols[N] = torus_weld.solve_Y1(
-            torus_weld.TorusWeldProblem(f, 0.15j, N, fine=grid.M,
-                                        tail_tol=1.0))
+            torus_weld.TorusWeldProblem(f, 0.15j, N, tail_tol=1.0))
     shared = np.arange(-8, 9)
     def band(sol):
         return sol.y1_coeff[sol.modes.searchsorted(shared)]
@@ -402,7 +401,7 @@ def _():
     grid = LineGrid(-20.0, 40.0, 1024)
     g0 = profile.LineDiffeo(grid, grid.x.copy())
     sol = cylinder_weld.solve_cylinder(
-        cylinder_weld.CylinderWeldProblem(g0, p.beta0, 20.0))
+        cylinder_weld.CylinderWeldProblem(g0, p.beta0, 20.0, g0))
     return float(max(np.max(np.abs(sol.xprime - 1.0)),
                      np.max(np.abs(sol.y1p()))))
 

@@ -6,9 +6,9 @@ recovered from a second-kind Fredholm system in the Fourier basis
 ``e_n(x) = exp(-i p_n x)``, ``p_n = 2 pi n / L``:
 
 * ``F`` is the substitution matrix of ``X -> X o f^{-1}`` and ``Finv`` that of
-  ``X -> X o f``, both assembled by FFT quadrature on a fine grid (the
-  ``f^{-1}`` matrix uses the change of variables ``x = f(y)``, so the inverse
-  map itself is never sampled);
+  ``X -> X o f``, both assembled by FFT quadrature on a grid of M >= 4N
+  points (the ``f^{-1}`` matrix uses the change of variables ``x = f(y)``,
+  so the inverse map itself is never sampled);
 * ``K11 = E0p - Finv E0p F``, ``K12 = Finv Q E0p``, ``K21 = Em Q^{-1} F`` with
   ``Q = diag(q^n)``, ``q = exp(2 pi i tau)``;
 * the zero mode is projected out (the kernel of ``I - K`` is the constants)
@@ -40,30 +40,26 @@ __all__ = [
 ]
 
 
+# the solve refuses a projected system whose condition estimate exceeds this
+_COND_LIMIT = 1e14
+
+
 @dataclass(frozen=True, eq=False)
 class TorusWeldProblem:
-    """Welding problem on the annulus with spectral truncation ``n_modes``."""
+    """Welding problem on the annulus with spectral truncation ``n_modes``,
+    assembled on the grid of ``f``, which needs M >= 4 N points."""
 
     f: CircleDiffeo
     tau: complex
     n_modes: int
-    fine: int | None = None       # assembly grid size, defaults to 4 * n_modes
     tail_tol: float = 1e-12
-    buffer: int | None = None     # product-band extension, defaults to n_modes // 2
 
     def __post_init__(self):
         q = np.exp(2j * np.pi * self.tau)
         if abs(q) >= 1.0 - 1e-12:
             raise QOnUnitCircle(f"|q| = {abs(q):.15f} too close to 1")
-        m = self.fine if self.fine is not None else 4 * self.n_modes
-        if m < 4 * self.n_modes:
-            raise ValueError("fine grid must satisfy M >= 4 N")
-        if m != self.f.grid.M:
-            raise ValueError("diffeo must be sampled on the fine assembly grid")
-
-    @property
-    def M(self) -> int:
-        return self.fine if self.fine is not None else 4 * self.n_modes
+        if self.f.grid.M < 4 * self.n_modes:
+            raise ValueError("assembly grid must satisfy M >= 4 N")
 
     @property
     def L(self) -> float:
@@ -123,17 +119,14 @@ def assemble_K(problem: TorusWeldProblem) -> KBlocks:
     """Assemble the truncated Fredholm blocks in the Fourier basis.
 
     The ``K11`` product sums over the modes 0..N+b, extended past the band by
-    ``buffer``, which keeps its band-edge entries spectrally accurate (the
-    substitution operators scatter modes by a finite bandwidth factor);
-    ``E0p`` zeroes the negative modes of that sum.
+    the buffer b = N // 2, which keeps its band-edge entries spectrally
+    accurate (the substitution operators scatter modes by a finite bandwidth
+    factor); ``E0p`` zeroes the negative modes of that sum.  M >= 4 N keeps
+    N + b below the grid's Nyquist mode.
     """
     N = problem.n_modes
-    grid = problem.f.grid
-    buffer = problem.buffer if problem.buffer is not None else N // 2
-    if N + buffer > grid.M // 2 - 1:
-        raise ValueError("extended band exceeds the fine-grid Nyquist range")
     modes = np.arange(-N, N + 1)
-    F, Finv = _substitution_matrices(problem.f, N, buffer)
+    F, Finv = _substitution_matrices(problem.f, N, N // 2)
     K11 = np.diag((modes >= 0).astype(float)) - Finv @ F[N:]
 
     qn = problem.q ** np.arange(N + 1, dtype=float)
@@ -190,29 +183,17 @@ class TorusWeldSolution:
     def grid(self) -> PeriodicGrid:
         return self.problem.f.grid
 
-    def _band_values(self, coeff_band, order=0) -> np.ndarray:
-        grid = self.grid
-        pn = 2.0 * np.pi * self.modes / self.problem.L
-        full = np.zeros(grid.M, dtype=complex)
-        full[self.modes % grid.M] = coeff_band * (-1j * pn) ** order \
-            * np.exp(-1j * pn * grid.x0)
-        return np.fft.fft(full)
-
-    def y1_values(self, order: int = 0) -> np.ndarray:
+    def y1_values(self, order: int) -> np.ndarray:
+        """The ``order``-th derivative of Y1 on the assembly grid."""
         key = ("y1", order)
         if key not in self._cache:
-            self._cache[key] = self._band_values(self.y1_coeff, order)
+            grid = self.grid
+            pn = 2.0 * np.pi * self.modes / self.problem.L
+            full = np.zeros(grid.M, dtype=complex)
+            full[self.modes % grid.M] = self.y1_coeff * (-1j * pn) ** order \
+                * np.exp(-1j * pn * grid.x0)
+            self._cache[key] = np.fft.fft(full)
         return self._cache[key]
-
-    @property
-    def x1(self) -> np.ndarray:
-        """Boundary value X1 = f - Y1 - L tau on the fine grid."""
-        return (self.problem.f.samples - self.y1_values()
-                - self.problem.L * self.problem.tau)
-
-    @property
-    def x2(self) -> np.ndarray:
-        return self.x1 + self.problem.L * self.tau_eff
 
     @property
     def xprime(self) -> np.ndarray:
@@ -225,7 +206,7 @@ class TorusWeldSolution:
 
     @property
     def schwarzian(self) -> np.ndarray:
-        """S X on the fine grid (X' never vanishes for solvable data)."""
+        """S X on the assembly grid (X' never vanishes for solvable data)."""
         return schwarzian_from_derivatives(
             self.xderiv(1), self.xderiv(2), self.xderiv(3))
 
@@ -247,8 +228,8 @@ class TorusWeldSolution:
         }
 
 
-def solve_Y1(problem: TorusWeldProblem, blocks: KBlocks | None = None,
-             cond_limit: float = 1e14) -> TorusWeldSolution:
+def solve_Y1(problem: TorusWeldProblem,
+             blocks: KBlocks | None = None) -> TorusWeldSolution:
     """Solve the projected system and fix the effective modular parameter."""
     if blocks is None:
         blocks = assemble_K(problem)
@@ -265,7 +246,7 @@ def solve_Y1(problem: TorusWeldProblem, blocks: KBlocks | None = None,
     rhs_full = (np.where(modes < 0, 1.0, 0.0) * fm_band) - blocks.K12 @ fm_band
     b = rhs_full[sel]
 
-    y, cond, res = lu_solve_conditioned(A, b, cond_limit, SingularSystem,
+    y, cond, res = lu_solve_conditioned(A, b, _COND_LIMIT, SingularSystem,
                                         "projected system")
 
     y1 = np.zeros(2 * N + 1, dtype=complex)

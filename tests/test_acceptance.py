@@ -53,7 +53,7 @@ def test_criterion_1_trivial_welds():
     d_torus = max(float(np.max(np.abs(sol.y1_coeff))), abs(sol.tau_eff - 0.1j))
     lg = LineGrid(-20.0, 40.0, 512)
     g0 = LineDiffeo(lg, lg.x.copy())
-    csol = solve_cylinder(CylinderWeldProblem(g0, KINK.beta0, 20.0))
+    csol = solve_cylinder(CylinderWeldProblem(g0, KINK.beta0, 20.0, g0))
     d_cyl = float(np.max(np.abs(csol.xprime - 1.0)))
     dt = record(1, "identity welds exact", max(d_torus, d_cyl), 1e-12, t0)
     assert dt < 1.0

@@ -31,6 +31,26 @@ def base_config(**overrides):
     return cfg
 
 
+def config_blocks():
+    """hypothesis, and a function giving the strategy of config blocks over
+    some keys, with values of every JSON type and the valid shape and model
+    names."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                       st.text(max_size=4),
+                       st.sampled_from(["bump", "free_boson_radius",
+                                        "free_fermion_c1",
+                                        "central_charge_only"]),
+                       st.lists(st.one_of(st.sampled_from(["json", "csv"]),
+                                          st.integers()), max_size=3))
+
+    def blocks(keys):
+        return st.dictionaries(st.sampled_from(keys), values, max_size=3)
+
+    return hypothesis, blocks
+
+
 class TestConfig:
     def test_roundtrip(self):
         cfg = config_from_dict(base_config())
@@ -54,20 +74,23 @@ class TestConfig:
             config_from_dict(data)
 
     def test_negative_numeric_rejected(self):
-        # with the other malformed numerics: a bool, a fractional count and
-        # a fine grid too coarse for the torus assembly
+        # with the other malformed numerics: a bool and a fractional count
         for key, value in (("n_modes", -4), ("n_modes", True),
-                           ("n_modes", 2.5), ("fine_factor", 3)):
+                           ("n_modes", 2.5)):
             data = base_config()
             data["numerics"][key] = value
             with pytest.raises(ConfigInvalid, match=key):
                 config_from_dict(data)
 
     def test_unknown_keys_rejected(self):
-        data = base_config()
-        data["profile"]["betaleft"] = 1.0
-        with pytest.raises(ConfigInvalid, match="betaleft"):
-            config_from_dict(data)
+        # the torus assembly grid and the condition limits are fixed, so
+        # numerics.fine_factor and numerics.cond_limit are unknown keys
+        for block, key in (("profile", "betaleft"), ("numerics", "fine_factor"),
+                           ("numerics", "cond_limit")):
+            data = base_config()
+            data[block][key] = 4
+            with pytest.raises(ConfigInvalid, match=f"{block}.{key}"):
+                config_from_dict(data)
 
     def test_non_numeric_values_name_their_key(self):
         for block, key, value in (("profile", "center", "left"),
@@ -83,24 +106,34 @@ class TestConfig:
     def test_io_and_numerics_blocks_return_or_name_a_key(self):
         # any io / numerics block is either accepted or refused with
         # ConfigInvalid, never with another exception
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        values = st.one_of(st.none(), st.booleans(), st.integers(),
-                           st.floats(), st.text(max_size=4),
-                           st.lists(st.one_of(st.sampled_from(["json", "csv"]),
-                                              st.integers()), max_size=3))
-        numerics = st.dictionaries(
-            st.sampled_from(["n_modes", "fine_factor", "tail_tol", "dx",
-                             "s_nodes", "cond_limit", "window_factor"]),
-            values, max_size=3)
-        io = st.dictionaries(st.sampled_from(["output_dir", "cache_dir",
-                                              "formats"]), values, max_size=3)
+        hypothesis, blocks = config_blocks()
 
         @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(numerics, io)
+        @hypothesis.given(blocks(["n_modes", "tail_tol", "dx", "s_nodes",
+                                  "window_factor"]),
+                          blocks(["output_dir", "cache_dir", "formats"]))
         def accepted_or_named(nblock, ioblock):
             try:
                 config_from_dict(base_config(numerics=nblock, io=ioblock))
+            except ConfigInvalid:
+                pass
+
+        accepted_or_named()
+
+    def test_profile_and_theory_blocks_return_or_name_a_key(self):
+        # any values of the profile and theory keys, over the valid base
+        # blocks, are either accepted or refused with ConfigInvalid
+        hypothesis, blocks = config_blocks()
+        base = base_config()
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(blocks(list(base["profile"]) + ["sharpness"]),
+                          blocks(["model", "c", "radius"]))
+        def accepted_or_named(pblock, tblock):
+            try:
+                config_from_dict(base_config(
+                    profile={**base["profile"], **pblock},
+                    theory={**base["theory"], **tblock}))
             except ConfigInvalid:
                 pass
 
@@ -276,10 +309,15 @@ class TestCli:
 
     def test_non_numeric_values_exit_2_naming_the_key(self, tmp_path,
                                                       capsys):
+        # with values out of range: a finite-difference step <= 0 and a box
+        # that cannot hold the kink
         for command, block, key, value in (
                 ("ldf", "profile", "center", "left"),
                 ("fcs", "experiment", "t_values", ["x"]),
                 ("moments", "experiment", "fd_step", "small"),
+                ("moments", "experiment", "fd_step", 0),
+                ("moments", "experiment", "fd_step", -0.02),
+                ("converge", "experiment", "L_values", [40.0, 3.0]),
                 ("ldf", "experiment", "lambda_values", []),
                 ("ldf", "io", "formats", 3),
                 ("ldf", "io", "formats", "json"),

@@ -27,7 +27,7 @@ class TestAssembly:
     def test_identity_gives_zero_operator(self, kink):
         grid = LineGrid(-20.0, 40.0, 512)
         g0 = LineDiffeo(grid, grid.x.copy())
-        op = assemble_sigma(CylinderWeldProblem(g0, kink.beta0, 20.0))
+        op = assemble_sigma(CylinderWeldProblem(g0, kink.beta0, 20.0, g0))
         assert np.max(np.abs(op.sigma)) == 0.0
         assert np.max(np.abs(op.z12_ext)) == 0.0
 
@@ -107,18 +107,16 @@ class TestAssembly:
         assert np.array_equal(disp[hull], flowed[hull])
         assert np.max(np.abs(flowed[~hull])) < 1e-13
 
-    def test_source_matches_per_column_definition(self):
+    def test_source_matches_per_column_definition(self, kink):
         # z12 = -sum_{q>0} W A(p, q) e^{-gamma q} ghat(q) - e^{-gamma p} ghat
         # (p > 0) or + ghat (p < 0), with every column of A summed over the
-        # whole lattice; a compact bump displacement, zero off [-2, 2]
+        # whole lattice; g and g^{-1} are a kink flow on a coarse lattice
         grid = LineGrid(-16.0, 32.0, 256)
-        x = grid.x
-        disp = np.zeros_like(x)
-        core = np.abs(x) < 2.0
-        disp[core] = 0.3 * np.exp(-1.0 / (1.0 - (x[core] / 2.0) ** 2))
-        gamma = 1.0
-        op = assemble_sigma(CylinderWeldProblem(
-            LineDiffeo(grid, x + disp), gamma, 10.0))
+        xi = build_xi(kink, InfiniteVolume(1.0), 1.0, "+")
+        g, gi = (flow_family(xi, [0.3], grid, inverse=inverse)[0]
+                 for inverse in (False, True))
+        x, disp, gamma = grid.x, g.displacement(), xi.gamma
+        op = assemble_sigma(CylinderWeldProblem(g, gamma, 10.0, gi))
         p, dx, W = grid.p, grid.dx, grid.dp / (2.0 * np.pi)
         phase = np.exp(1j * np.outer(p, x))
         ghat = phase @ disp * dx
@@ -141,16 +139,17 @@ class TestAssembly:
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
         lo, hi = xi.support
         grid = LineGrid(lo - 2.0, (hi - lo) + 4.0, 512)
-        g = flow_family(xi, [0.2], grid)[0]
+        g, gi = (flow_family(xi, [0.2], grid, inverse=inverse)[0]
+                 for inverse in (False, True))
         with pytest.raises(WindowTooSmall):
-            CylinderWeldProblem(g, xi.gamma, 10.0)
+            CylinderWeldProblem(g, xi.gamma, 10.0, gi)
 
 
 class TestSolve:
     def test_identity(self, kink):
         grid = LineGrid(-20.0, 40.0, 512)
         g0 = LineDiffeo(grid, grid.x.copy())
-        sol = solve_cylinder(CylinderWeldProblem(g0, kink.beta0, 20.0))
+        sol = solve_cylinder(CylinderWeldProblem(g0, kink.beta0, 20.0, g0))
         assert np.max(np.abs(sol.xprime - 1.0)) == 0.0
         assert np.max(np.abs(sol.y1p())) == 0.0
         assert np.max(np.abs(sol.schwarzian)) == 0.0
@@ -215,7 +214,7 @@ class TestRealspaceCrosscheck:
     def test_identity(self, kink):
         grid = LineGrid(-20.0, 40.0, 1024)
         g0 = LineDiffeo(grid, grid.x.copy())
-        prob = CylinderWeldProblem(g0, kink.beta0, 20.0)
+        prob = CylinderWeldProblem(g0, kink.beta0, 20.0, g0)
         sol = solve_cylinder(prob)
         d = realspace_crosscheck(prob, sol, probes=np.array([0.0, 3.0]))
         assert d["boundary_eq_1"] < 1e-12
