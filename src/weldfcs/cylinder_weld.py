@@ -27,19 +27,25 @@ that support S it factors into two small matrices,
     A(p, q) = sum_{m in S} e^{i p x_m} * [dx (e^{-i q d_m} - 1) e^{-i q x_m}],
 
 so the whole block is one (n x |S|) @ (|S| x n) product; B comes from the
-inverse displacement in the same way.
+inverse displacement in the same way.  Sigma is a short chain of these
+blocks, so it is never formed: it is applied from the four factors, and
+``(I + Sigma) dZ = -Sigma Z12`` is solved by GMRES.  Sigma is a compact
+perturbation of the identity of low numerical rank, so a few iterations
+reach round-off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import NearSingular, WindowTooSmall
 from .profile import LineDiffeo
-from .spectral import (LineGrid, lu_solve_conditioned,
-                       schwarzian_from_derivatives)
+from .spectral import LineGrid, schwarzian_from_derivatives
 
 __all__ = [
     "CylinderWeldProblem",
@@ -54,6 +60,12 @@ __all__ = [
 _MIN_EDGE_GAP = 5.0
 # the solve refuses a Nystrom system whose condition estimate exceeds this
 _COND_LIMIT = 1e12
+# GMRES stops once its least-squares residual estimate is this fraction of
+# the right-hand side; unlike the true residual, that estimate keeps falling
+# past round-off, so the stop is reached
+_GMRES_TOL = 1e-15
+# and refuses a system it has not solved in this many iterations
+_GMRES_CAP = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +95,84 @@ class CylinderWeldProblem:
         return self.g.grid
 
 
+class FactoredSigma(LinearOperator):
+    """The recast Nystrom operator Sigma (weights included), applied from the
+    substitution-kernel factors DA = P_A V_A and DB = P_B V_B.
+
+    Rows and columns run over the p < 0 half of the solve lattice first.
+    With T+- = 1 / (1 - e^{-+gamma p}), u+- = T+- x+-, c+- = V_B[:, +-] u+-,
+    b1 = P_B[-] c+, b2 = P_B[+] c-, b3 = P_B[-] c- and
+    z = (-b1, b2 - e^{-gamma p+} u+),
+
+        Sigma x = (-(1 + e^{gamma p-}) b1 - e^{gamma p-} b3, b2) + P_A V_A z,
+
+    at about 4.5 n |S| multiply-adds for order n and support S.
+    """
+
+    def __init__(self, pa, va, pb, vb, psol, gamma: float):
+        n2 = len(psol)
+        super().__init__(complex, (n2, n2))
+        self.nn = nn = n2 // 2
+        self.pa, self.va, self.pb, self.vb = pa, va, pb, vb
+        pm, pp = psol[:nn], psol[nn:]
+        self.eqp = np.exp(-gamma * pp)[:, None]
+        self.eqm = np.exp(gamma * pm)[:, None]
+        self.tp = 1.0 / -np.expm1(-gamma * pp)[:, None]
+        self.tm = 1.0 / -np.expm1(gamma * pm)[:, None]
+
+    def _matmat(self, x):
+        nn, k = self.nn, x.shape[1]
+        up = self.tp * x[nn:]
+        um = self.tm * x[:nn]
+        cp = self.vb[:, nn:] @ up
+        cm = self.vb[:, :nn] @ um
+        b13 = self.pb[:nn] @ np.hstack([cp, cm])
+        b1, b3 = b13[:, :k], b13[:, k:]
+        b2 = self.pb[nn:] @ cm
+        out = self.pa @ (self.va @ np.vstack([-b1, b2 - self.eqp * up]))
+        out[:nn] -= (1.0 + self.eqm) * b1 + self.eqm * b3
+        out[nn:] += b2
+        return out
+
+
 @dataclass(eq=False)
 class CylinderOperator:
     problem: CylinderWeldProblem
     sel: np.ndarray               # extended-lattice indices of the solve lattice
     psol: np.ndarray
-    sigma: np.ndarray             # (2n, 2n) Nystrom matrix (weights included)
+    sigma: FactoredSigma          # (2n, 2n) Nystrom operator, never formed
     z12_ext: np.ndarray           # source on the full fine lattice
     ghat_ext: np.ndarray
-    diagnostics: dict
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        """Sampled Schwartz-type bound ``|Sigma^(p, q)| (1+p^2)(1+q^2)`` over
+        ``Sigma[::7, ::7]``, the largest |Sigma| entry and the source's tail.
+
+        Computed on first read from Sigma's columns, a block at a time, so the
+        solve pays nothing for it and no n x n array is held.
+        """
+        n2, grid = len(self.psol), self.problem.grid
+        step, block = 7, 70       # blocks start on a sampled column
+        sigma_max, sampled = 0.0, []
+        for j0 in range(0, n2, block):
+            s = self.sigma.matmat(np.eye(n2, min(block, n2 - j0), -j0,
+                                         dtype=complex))
+            sigma_max = max(sigma_max, float(np.max(np.abs(s))))
+            sampled.append(s[::step, ::step])
+        ssub = np.hstack(sampled) / (grid.dp / (2.0 * np.pi))
+        pp = self.psol[::step]
+        wgt = (1.0 + pp[:, None] ** 2) * (1.0 + pp[None, :] ** 2)
+        src = np.abs(self.ghat_ext)
+        peak = float(np.max(src))
+        pext = grid.p
+        ncut = max(2, len(pext) // 20)
+        edge = float(np.max(src[np.argsort(np.abs(pext))[-ncut:]]))
+        return {
+            "schwartz_bound": float(np.max(np.abs(ssub) * wgt)),
+            "source_tail": edge / peak if peak > 0 else 0.0,
+            "sigma_max": sigma_max,
+        }
 
 
 def _inverse_displacement(problem: CylinderWeldProblem) -> np.ndarray:
@@ -113,22 +194,24 @@ def _inverse_displacement(problem: CylinderWeldProblem) -> np.ndarray:
 
 def _substitution_kernel(grid: LineGrid, disp: np.ndarray, p: np.ndarray,
                          weight: float):
-    """Weighted kernel block ``weight * (e^{-i q d} - 1)^(p, q)`` for p, q in ``p``.
+    """Factors of the weighted kernel block ``weight * (e^{-i q d} - 1)^(p, q)``
+    for p, q in ``p``.
 
     Only the support S of ``disp`` contributes, so the block is the product
-    ``e^{i p x_S} @ V`` with ``V[m, j] = weight dx expm1(-i p_j d_m)
-    e^{-i p_j x_m}``.  Returns the block, S and V.
+    ``P @ V`` of ``P = e^{i p x_S}`` and ``V[m, j] = weight dx expm1(-i p_j d_m)
+    e^{-i p_j x_m}``.  Returns P, V and S.
     """
     supp = np.nonzero(disp)[0]
-    x = grid.x[supp]
+    phase = np.exp(1j * np.outer(p, grid.x[supp]))
     v = np.expm1(-1j * np.outer(disp[supp], p))
-    v *= np.exp(-1j * np.outer(x, p))
+    # e^{-i p x} is the conjugate of e^{i p x}, bit for bit
+    v *= phase.T.conj()
     v *= weight * grid.dx
-    return np.exp(1j * np.outer(p, x)) @ v, supp, v
+    return phase, v, supp
 
 
 def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
-    """Assemble the recast Nystrom matrix and the closed-form source."""
+    """Factor the recast Nystrom operator and assemble the closed-form source."""
     grid = problem.grid
     gamma = problem.gamma
     pext = grid.p
@@ -136,16 +219,14 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     if len(sel) % 2:
         sel = sel[:-1]
     psol = pext[sel]
-    n2 = len(psol)
-    nn = n2 // 2
     W = grid.dp / (2.0 * np.pi)
 
     gm = problem.g.displacement()
     ghat_ext = grid.ft(gm)
-    # the quadrature weight W is folded into V, so A and B are never formed
-    DA, supp_a, va = _substitution_kernel(grid, gm, psol, W)
-    DB, _, _ = _substitution_kernel(grid, _inverse_displacement(problem),
-                                    psol, W)
+    # the quadrature weight W is folded into V
+    pa, va, supp_a = _substitution_kernel(grid, gm, psol, W)
+    pb, vb, _ = _substitution_kernel(grid, _inverse_displacement(problem),
+                                     psol, W)
 
     # sum_q W A(p, q) e^{-gamma q} ghat(q) over q > 0, for every lattice p:
     # the transform of a field that lives on the support of the displacement
@@ -154,53 +235,11 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     u[supp_a] = va @ (eqp_cols * ghat_ext[sel]) / grid.dx
     daq_ghat_ext = grid.ft(u)
 
-    sl_m, sl_p = slice(0, nn), slice(nn, n2)
-    pp, pm = psol[sl_p], psol[sl_m]
-    eqp = np.exp(-gamma * pp)
-    eqm = np.exp(gamma * pm)
-    Tp = 1.0 / -np.expm1(-gamma * pp)
-    Tm = 1.0 / -np.expm1(gamma * pm)
-    Inn = np.eye(nn)
-
-    DApp, DApm = DA[sl_p, sl_p], DA[sl_p, sl_m]
-    DAmp, DAmm = DA[sl_m, sl_p], DA[sl_m, sl_m]
-    DBpp, DBpm = DB[sl_p, sl_p], DB[sl_p, sl_m]
-    DBmp, DBmm = DB[sl_m, sl_p], DB[sl_m, sl_m]
-
-    s_pp = -(DApm @ DBmp + DApp * eqp[None, :]) * Tp[None, :]
-    s_pm = ((Inn + DApp) @ DBpm) * Tm[None, :]
-    s_mp = -((Inn + DAmm) @ DBmp + DAmp * eqp[None, :]
-             + eqm[:, None] * DBmp) * Tp[None, :]
-    s_mm = (DAmp @ DBpm - eqm[:, None] * DBmm) * Tm[None, :]
-    sigma = np.zeros((n2, n2), dtype=complex)
-    sigma[sl_p, sl_p] = s_pp
-    sigma[sl_p, sl_m] = s_pm
-    sigma[sl_m, sl_p] = s_mp
-    sigma[sl_m, sl_m] = s_mm
-
     z12_ext = -daq_ghat_ext - np.where(
         pext > 0, np.exp(-gamma * np.clip(pext, 0.0, None)), -1.0) * ghat_ext
-
-    diagnostics = _assembly_diagnostics(problem, sigma, psol, ghat_ext, pext, W)
-    return CylinderOperator(problem, sel, psol, sigma, z12_ext, ghat_ext,
-                            diagnostics)
-
-
-def _assembly_diagnostics(problem, sigma, psol, ghat_ext, pext, W) -> dict:
-    # Schwartz-type bound: sampled |Sigma^(p,q)| (1+p^2)(1+q^2)
-    ssub = sigma[::7, ::7] / W
-    pp = psol[::7]
-    wgt = (1.0 + pp[:, None] ** 2) * (1.0 + pp[None, :] ** 2)
-    schwartz = float(np.max(np.abs(ssub) * wgt))
-    src = np.abs(ghat_ext)
-    peak = float(np.max(src))
-    ncut = max(2, len(pext) // 20)
-    edge = float(np.max(src[np.argsort(np.abs(pext))[-ncut:]]))
-    return {
-        "schwartz_bound": schwartz,
-        "source_tail": edge / peak if peak > 0 else 0.0,
-        "sigma_max": float(np.max(np.abs(sigma))),
-    }
+    return CylinderOperator(problem, sel, psol,
+                            FactoredSigma(pa, va, pb, vb, psol, gamma),
+                            z12_ext, ghat_ext)
 
 
 @dataclass(eq=False)
@@ -273,36 +312,79 @@ class CylinderWeldSolution:
         }
 
 
+def _gmres(sigma: FactoredSigma, b: np.ndarray):
+    """Solve ``(I + sigma) x = b`` by full-orthogonalization GMRES from x = 0.
+
+    The Arnoldi basis is orthogonalized twice per step (classical
+    Gram-Schmidt, repeated).  Returns ``(x, condition estimate)``: the
+    estimate is the ratio of the extreme singular values of the Arnoldi
+    Hessenberg matrix, which are those of I + sigma on the Krylov space.  A
+    zero ``b`` has the zero solution and reads 1.  Raises ``NearSingular``
+    past ``_GMRES_CAP`` iterations or the condition limit.
+    """
+    n = len(b)
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 1.0
+    cap = min(_GMRES_CAP, n)
+    basis = np.empty((n, cap + 1), dtype=complex)
+    hess = np.zeros((cap + 1, cap), dtype=complex)
+    # Givens rotations reduce hess to upper-triangular r column by column;
+    # g is the rotated right-hand side, |g[j + 1]| the residual estimate
+    r = np.zeros((cap, cap), dtype=complex)
+    cs, sn = np.zeros(cap), np.zeros(cap, dtype=complex)
+    g = np.zeros(cap + 1, dtype=complex)
+    g[0] = beta
+    basis[:, 0] = b / beta
+    for j in range(cap):
+        v = basis[:, :j + 1]
+        w = basis[:, j] + sigma.matvec(basis[:, j])
+        for _ in range(2):
+            h = v.conj().T @ w
+            w -= v @ h
+            hess[:j + 1, j] += h
+        hess[j + 1, j] = np.linalg.norm(w)
+        col = hess[:j + 2, j].copy()
+        for i in range(j):
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  -np.conj(sn[i]) * col[i] + cs[i] * col[i + 1])
+        a, rho = col[j], np.hypot(abs(col[j]), col[j + 1].real)
+        if rho == 0.0:
+            raise NearSingular("Nystrom system singular on its Krylov space")
+        cs[j] = abs(a) / rho
+        sn[j] = col[j + 1].real / rho * (a / abs(a) if a != 0 else 1.0)
+        r[:j + 1, j] = col[:j + 1]
+        r[j, j] = cs[j] * a + sn[j] * col[j + 1]
+        g[j + 1] = -np.conj(sn[j]) * g[j]
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= _GMRES_TOL * beta:
+            break
+        basis[:, j + 1] = w / hess[j + 1, j].real
+    else:
+        raise NearSingular(
+            f"Nystrom system not solved in {cap} GMRES iterations "
+            f"(residual estimate {abs(g[cap]) / beta:.2e})")
+    k = j + 1
+    sv = np.linalg.svd(hess[:k + 1, :k], compute_uv=False)
+    cond = float(sv[0] / max(sv[-1], 1e-300))
+    if cond > _COND_LIMIT:
+        raise NearSingular(f"Nystrom system condition estimate {cond:.2e}")
+    y = solve_triangular(r[:k, :k], g[:k])
+    return basis[:, :k] @ y, cond
+
+
 def solve_cylinder(problem: CylinderWeldProblem) -> CylinderWeldSolution:
     """Solve the recast system for the correction and reconstruct the data."""
     operator = assemble_sigma(problem)
     sigma = operator.sigma
-    n2 = sigma.shape[0]
-    z12_sol = operator.z12_ext[operator.sel]
-    dz, cond, res = lu_solve_conditioned(
-        np.eye(n2, dtype=complex) + sigma, -sigma @ z12_sol, _COND_LIMIT,
-        NearSingular, "Nystrom system")
+    rhs = -sigma.matvec(operator.z12_ext[operator.sel])
+    dz, cond = _gmres(sigma, rhs)
+    # the true relative residual, one more product
+    res = (np.linalg.norm(dz + sigma.matvec(dz) - rhs)
+           / max(np.linalg.norm(rhs), 1e-300))
     zhat_ext = operator.z12_ext.copy()
     zhat_ext[operator.sel] += dz
-    return CylinderWeldSolution(problem, operator, zhat_ext, cond, res)
-
-
-def _pv_antisym(f, x0: float, radius: float) -> complex:
-    """PV int f(y) dy over |y - x0| < radius by symmetric excision.
-
-    ``PV int = int_0^R (f(x0 + r) + f(x0 - r)) dr``: for a simple-pole kernel
-    the two one-sided singular parts cancel in the sum, leaving a smooth
-    integrand handled by 12 graded 24-point Gauss-Legendre panels (denser
-    near r = 0).
-    """
-    nodes, wts = np.polynomial.legendre.leggauss(24)
-    total = 0.0 + 0.0j
-    edges = radius * (np.arange(13) / 12) ** 2
-    for a, b in zip(edges[:-1], edges[1:]):
-        r = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * wts
-        total += np.sum(w * (f(x0 + r) + f(x0 - r)))
-    return total
+    return CylinderWeldSolution(problem, operator, zhat_ext, cond, float(res))
 
 
 def realspace_crosscheck(problem: CylinderWeldProblem,
@@ -325,64 +407,66 @@ def realspace_crosscheck(problem: CylinderWeldProblem,
     """
     grid = sol.grid
     gamma = problem.gamma
-    g = problem.g
-    ghat = grid.ft(g.displacement())
-    y1p_hat = sol.y1p_hat()
+    lo, hi = problem.g.support
+    ghat = grid.ft(problem.g.displacement())
+    # Y1', g - id and g' - 1 as three series, evaluated from one phase matrix
+    series = np.stack([sol.y1p_hat(), ghat, -1j * grid.p * ghat], axis=1)
 
-    def y1p(y):
-        return grid.eval_ft(y1p_hat, y)
+    def fields(y):
+        """Y1', g, g' and Y2' at the points ``y``."""
+        f = grid.eval_ft(series, y)
+        y1p, gp = f[:, 0], 1.0 + f[:, 2].real
+        return y1p, y + f[:, 1].real, gp, y1p - (gp - 1.0)
 
-    def gval(y):
-        return y + grid.eval_ft(ghat, y).real
-
-    def gp(y):
-        return 1.0 + grid.eval_ft(ghat, y, deriv=1).real
-
-    def y2p(y):
-        return y1p(y) - (gp(y) - 1.0)
-
-    if probes is None:
-        lo, hi = g.support
-        probes = np.linspace(lo - 0.5 * gamma, hi + 0.5 * gamma, 7)
-    pv_radius = 2.0 * gamma
-
-    xlo, xhi = grid.x0 + grid.dx, grid.x0 + grid.span - grid.dx
     nodes, wts = np.polynomial.legendre.leggauss(24)
 
-    def smooth_int(f, a, b):
+    def panels(edges):
+        """Nodes and weights of a 24-point Gauss-Legendre rule per panel."""
+        half = 0.5 * np.diff(edges)[:, None]
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        return (half * nodes + mid).ravel(), (half * wts).ravel()
+
+    def smooth_rule(a, b):
+        # panels resolve the gamma-scale structure of the boundary data
         if b <= a:
-            return 0.0 + 0.0j
-        # resolve the gamma-scale structure of the boundary data
-        n_panels = max(8, int(np.ceil(2.0 * (b - a) / gamma)))
-        total = 0.0 + 0.0j
-        edges = np.linspace(a, b, n_panels + 1)
-        for aa, bb in zip(edges[:-1], edges[1:]):
-            r = 0.5 * (bb - aa) * nodes + 0.5 * (aa + bb)
-            w = 0.5 * (bb - aa) * wts
-            total += np.sum(w * f(r))
-        return total
+            return np.empty(0), np.empty(0)
+        return panels(np.linspace(a, b, max(8, int(np.ceil(2.0 * (b - a)
+                                                            / gamma))) + 1))
+
+    if probes is None:
+        probes = np.linspace(lo - 0.5 * gamma, hi + 0.5 * gamma, 7)
+    pv_radius = 2.0 * gamma
+    xlo, xhi = grid.x0 + grid.dx, grid.x0 + grid.span - grid.dx
+    # PV int f over |y - x| < R = int_0^R (f(x + r) + f(x - r)) dr: for a
+    # simple-pole kernel the one-sided singular parts cancel in the sum, so
+    # 12 panels graded towards r = 0 integrate it
+    r, w_pv = panels(pv_radius * (np.arange(13) / 12) ** 2)
+    n = len(r)
+    y_all, w_all = smooth_rule(xlo, xhi)
+    y1p_all, g_all, _, y2p_all = fields(y_all)
 
     d1 = []
     d2 = []
     for xt in np.atleast_1d(probes):
-        gx = float(gval(np.array([xt]))[0])
-        gpx = float(gp(np.array([xt]))[0])
-        y1px = complex(y1p(np.array([xt]))[0])
-        y2px = complex(y2p(np.array([xt]))[0])
+        y_lo, w_lo = smooth_rule(xlo, xt - pv_radius)
+        y_hi, w_hi = smooth_rule(xt + pv_radius, xhi)
+        w_out = np.concatenate([w_lo, w_hi])
+        # the probe, then x + r, x - r and the panels outside the excision
+        y = np.concatenate([[xt], xt + r, xt - r, y_lo, y_hi])
+        y1p, gval, gp, y2p = fields(y)
+        gx, gpx, y1px, y2px = gval[0], gp[0], y1p[0], y2p[0]
 
-        f1 = lambda y: y1p(y) / (gval(y) - gx)
-        pv1 = _pv_antisym(f1, xt, pv_radius)
-        pv1 += smooth_int(f1, xlo, xt - pv_radius)
-        pv1 += smooth_int(f1, xt + pv_radius, xhi)
-        t1 = smooth_int(lambda y: y2p(y) / (y - gx + 1j * gamma), xlo, xhi)
+        def pv(f):
+            # f on y[1:]: x + r, x - r, then the outside panels
+            return (np.sum(w_pv * (f[:n] + f[n:2 * n]))
+                    + np.sum(w_out * f[2 * n:]))
+
+        pv1 = pv(y1p[1:] / (gval[1:] - gx))
+        t1 = np.sum(w_all * (y2p_all / (y_all - gx + 1j * gamma)))
         d1.append(abs(0.5 * y1px / gpx - (pv1 - t1) / (2j * np.pi)))
 
-        f2 = lambda y: y2p(y) / (y - xt)
-        pv2 = _pv_antisym(f2, xt, pv_radius)
-        pv2 += smooth_int(f2, xlo, xt - pv_radius)
-        pv2 += smooth_int(f2, xt + pv_radius, xhi)
-        t2 = smooth_int(lambda y: y1p(y) / (gval(y) - xt - 1j * gamma),
-                        xlo, xhi)
+        pv2 = pv(y2p[1:] / (y[1:] - xt))
+        t2 = np.sum(w_all * (y1p_all / (g_all - xt - 1j * gamma)))
         d2.append(abs(0.5 * y2px - (t2 - pv2) / (2j * np.pi)))
 
     return {

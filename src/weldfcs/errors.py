@@ -34,7 +34,8 @@ class WindowTooSmall(WeldFcsError):
 
 
 class NodeTooLarge(WeldFcsError):
-    """Cylinder node estimated above the memory budget before allocation."""
+    """Welding node estimated above the memory budget before allocation, or
+    out of memory below it."""
 
 
 class NearSingular(WeldFcsError):

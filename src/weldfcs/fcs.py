@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from . import profile as profile_mod
 from .characters import Theory, log_character
-from .cylinder_weld import CylinderWeldProblem, solve_cylinder
+from .cylinder_weld import _GMRES_CAP, CylinderWeldProblem, solve_cylinder
 from .errors import ConfigInvalid, DeltaBetaZero, NodeTooLarge, PoleHit
 from .profile import (InfiniteVolume, ReparamMap, TemperatureProfile,
                       VolumeContext, XiField, build_h, build_xi, flow_family,
@@ -103,9 +103,8 @@ def cylinder_grid(xi_field: XiField, s_extent: float,
     return LineGrid(x0=x0, span=span, M=m)
 
 
-# a welding node whose largest arrays (see _cylinder_size and torus_nodes)
-# would take more bytes than this is refused before any is allocated; the
-# assembly holds a few arrays of that size at once
+# a welding node whose working set (see _cylinder_size and torus_nodes)
+# would take more bytes than this is refused before any of it is allocated
 _NODE_BYTES_MAX = 2 ** 30
 
 
@@ -117,16 +116,28 @@ def _refuse_over_budget(nbytes: int, needs: str, advice: str):
             f"{_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget; {advice}")
 
 
-def _cylinder_size(grid: LineGrid, p_max: float) -> tuple[int, int, int]:
-    """Lattice size, Nystrom order and complex bytes of one dense Nystrom
-    matrix plus one lattice array, for a cylinder node on ``grid`` with
-    momentum cutoff ``p_max``; allocates nothing.
+def _cylinder_size(grid: LineGrid, p_max: float,
+                   window_factor: float) -> tuple[int, int, int]:
+    """Lattice size, Nystrom order n and complex bytes of the working set of
+    a cylinder node on ``grid`` with momentum cutoff ``p_max``; allocates
+    nothing.
 
     The order counts the half-offset momenta |p| <= p_max, as
-    ``assemble_sigma`` selects them.
+    ``assemble_sigma`` selects them.  The working set is the four n x |S|
+    kernel factors, the GMRES basis of at most ``_GMRES_CAP + 1`` vectors of
+    length n, and one lattice array.  Both displacements live in the padded
+    window, 1 / ``window_factor`` of the lattice, so a support S has at most
+    M / window_factor + 1 points.
     """
     order = min(2 * math.floor(p_max / grid.dp + 0.5), grid.M)
-    return grid.M, order, 16 * (order ** 2 + grid.M)
+    supp = min(grid.M, math.floor(grid.M / window_factor) + 1)
+    return grid.M, order, 16 * (4 * order * supp + (_GMRES_CAP + 1) * order
+                                + grid.M)
+
+
+def _s_extent(s_values) -> float:
+    """Largest |s| of a node set; it sizes the set's cylinder window."""
+    return float(np.max(np.abs(s_values), initial=0.0))
 
 
 def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
@@ -178,17 +189,29 @@ class WeldNodes:
             ctx = self.xi.ctx
             tau0 = 1j * ctx.gammaL / ctx.L
             diffeos = flow_family(self.xi, s_values, grid)
-            for i in which:
-                yield solve_Y1(TorusWeldProblem(
+
+            def solve(i):
+                return solve_Y1(TorusWeldProblem(
                     diffeos[i], tau0 - ctx.gammaL * s_values[i] / ctx.L,
                     num.n_modes, num.tail_tol))
         else:
             gamma = self.xi.gamma
             diffeos = _line_flow_family(self.xi, s_values, grid)
-            for i in which:
+
+            def solve(i):
                 g, ginv = diffeos[i]
-                yield solve_cylinder(CylinderWeldProblem(
+                return solve_cylinder(CylinderWeldProblem(
                     g, gamma, num.p_max_gamma / gamma, ginv))
+        for i in which:
+            try:
+                sol = solve(i)
+            except MemoryError as exc:
+                raise NodeTooLarge(
+                    f"{'torus' if self.xi.finite else 'cylinder'} node at "
+                    f"t = {self.xi.t:.6g}, s = {s_values[i]:.6g} on a "
+                    f"{grid.M}-point grid ran out of memory below the "
+                    f"{_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget") from exc
+            yield sol
 
 
 def torus_nodes(profile: TemperatureProfile, ctx: VolumeContext, t: float,
@@ -215,15 +238,14 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
     the largest |s| of the whole set."""
     xi_field = build_xi(profile, InfiniteVolume(v), t, mover)
     s_values = np.asarray(s_values, dtype=float)
-    grid = cylinder_grid(xi_field, float(np.max(np.abs(s_values), initial=0.0)),
-                         numerics)
+    grid = cylinder_grid(xi_field, _s_extent(s_values), numerics)
     p_max = numerics.p_max_gamma / xi_field.gamma
     if p_max > np.pi / grid.dx:
         raise ConfigInvalid("numerics.p_max_gamma", f"cutoff {p_max:.6g} is "
                             f"over the Nyquist momentum {np.pi / grid.dx:.6g}")
-    m, order, nbytes = _cylinder_size(grid, p_max)
+    m, order, nbytes = _cylinder_size(grid, p_max, numerics.window_factor)
     _refuse_over_budget(nbytes, f"cylinder node needs a {m}-point lattice and "
-                        f"a Nystrom matrix of order {order}",
+                        f"a Nystrom system of order {order}",
                         "lower |lambda| or coarsen the cylinder numerics")
     return WeldNodes(xi_field, grid, s_values, numerics)
 
@@ -253,8 +275,13 @@ def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
                         mover: str, s_nodes, numerics: Numerics,
                         cache=None) -> np.ndarray:
     """Welding action integrand ``int xi (SX - 2 pi^2/gamma^2 X'^2) dx``
-    at each flow-time node (c-independent)."""
-    keys = [("cyl_action", profile.key(), v, t, mover, float(s),
+    at each flow-time node (c-independent).
+
+    A node's value depends on its set's window, so the key holds the set's
+    largest |s| as well as the node's s.
+    """
+    extent = _s_extent(s_nodes)
+    keys = [("cyl_action", profile.key(), v, t, mover, float(s), extent,
              numerics.key()) for s in s_nodes]
 
     def solve(which):
@@ -271,12 +298,14 @@ def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
 
 def _schwarzian_weighted_quad(h: ReparamMap, weight, a: float,
                               b: float) -> float:
-    """``int_a^b weight(x) Sh(x) dx`` by adaptive quadrature."""
-    def integrand(x):
-        xa = np.array([x])
-        return float(weight(xa)[0] * h.schwarzian(xa)[0])
+    """``int_a^b weight(x) Sh(x) dx`` by 8 panels of 32-point Gauss-Legendre.
 
-    return quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+    Sh is smooth and vanishes with all its derivatives at the ends of the
+    kink window, so the fixed rule meets adaptive quadrature within 1e-14.
+    """
+    nodes, weights = _gl_nodes(b - a, 32, 8)
+    x = a + nodes
+    return float(np.dot(weights, weight(x) * h.schwarzian(x)))
 
 
 def counterterm_mover(profile: TemperatureProfile, t: float, v: float,

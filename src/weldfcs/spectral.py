@@ -149,15 +149,19 @@ class LineGrid:
 
     def eval_ft(self, uhat: np.ndarray, points: np.ndarray,
                 deriv: int = 0) -> np.ndarray:
-        """Evaluate (dp/2pi) sum exp(-i p x) (-i p)^deriv uhat at points."""
+        """Evaluate (dp/2pi) sum exp(-i p x) (-i p)^deriv uhat at points.
+
+        A 2-D ``uhat`` holds one series per column, all evaluated from one
+        phase matrix; the result then has a trailing axis of columns.
+        """
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        res = np.zeros(pts.shape, dtype=complex)
-        w = uhat * (-1j * self.p) ** deriv * self.dp / (2.0 * np.pi)
+        w = (uhat.T * (-1j * self.p) ** deriv * self.dp / (2.0 * np.pi)).T
+        res = np.zeros(pts.shape + w.shape[1:], dtype=complex)
         chunk = max(1, int(2e6 // self.M))
         for i in range(0, len(pts), chunk):
             ph = np.exp(-1j * np.outer(pts[i:i + chunk], self.p))
             res[i:i + chunk] = ph @ w
-        return res.reshape(np.shape(points))
+        return res.reshape(np.shape(points) + w.shape[1:])
 
 
 def schwarzian_from_derivatives(d1, d2, d3):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from weldfcs import TemperatureProfile
+from weldfcs import TemperatureProfile, fcs
 from weldfcs.fcs import counterterm_finite, counterterm_mover
 from weldfcs.profile import VolumeContext
 from weldfcs.spectral import LineGrid, PeriodicGrid
@@ -72,6 +72,28 @@ class TestCounterterm:
         ref = c * v / (24 * np.pi) * quad(integrand, -1.0, 1.0,
                                           epsabs=1e-12, limit=500)[0]
         assert counterterm(kink, t, v, c) == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [1.0, 4.0, 30.0])
+    def test_fixed_rule_matches_adaptive_quadrature(self, kink, monkeypatch,
+                                                    t):
+        # oracle: the same integrands by adaptive quadrature, one point at a
+        # time, for both movers and two boxes
+        def adaptive(h, weight, a, b):
+            def integrand(x):
+                xa = np.array([x])
+                return float(weight(xa)[0] * h.schwarzian(xa)[0])
+            return quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12,
+                        limit=400)[0]
+
+        def counterterms():
+            return ([counterterm_mover(kink, t, 1.0, 1.0, m) for m in "+-"]
+                    + [counterterm_finite(kink, VolumeContext(kink, L), t, 1.0)
+                       for L in (40.0, 80.0)])
+
+        fixed = counterterms()
+        monkeypatch.setattr(fcs, "_schwarzian_weighted_quad", adaptive)
+        for value, ref in zip(fixed, counterterms()):
+            assert value == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_finite_volume_approaches_infinite(self, kink):
         t = 3.0

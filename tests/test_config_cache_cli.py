@@ -162,8 +162,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-4"
-        record["version"] = "weldfcs-cache-3"
+        assert record["version"] == "weldfcs-cache-5"
+        record["version"] = "weldfcs-cache-4"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -222,13 +222,29 @@ class TestCache:
         cold = run()
         nodes, _ = fcs._gl_nodes(cold.s_end, num.s_nodes, num.s_panels)
         s_min = float(nodes[np.argmin(np.abs(nodes))])
-        key = (("cyl_action", kink.key(), 1.0, 2.0, "+", s_min, num.key())
+        extent = float(np.max(np.abs(nodes)))
+        key = (("cyl_action", kink.key(), 1.0, 2.0, "+", s_min, extent,
+                num.key())
                if volume == "infinite" else
                ("torus_node", kink.key(), box.key(), 2.0, s_min, num.key()))
         os.remove(cache._path(key))
         assert cache.get_scalar(key) is None
         assert run().ln_psi == cold.ln_psi
         assert cache.get_scalar(key) is not None
+
+    def test_node_on_another_window_is_a_miss(self, tmp_path, kink):
+        # a cylinder node's value depends on the window its set's largest
+        # |s| sizes: a cache filled by the set {s, 4 s} must not serve s on
+        # the narrower window of the set {s}
+        from weldfcs import fcs
+        num = fcs.Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
+                           p_max_gamma=14.0)
+        cache = SolveCache(tmp_path)
+        fcs._mover_action_nodes(kink, 2.0, 1.0, "+", [0.1, 0.4], num, cache)
+        alone = fcs._mover_action_nodes(kink, 2.0, 1.0, "+", [0.1], num, cache)
+        assert (cache.hits, cache.misses) == (0, 3)
+        cold = fcs._mover_action_nodes(kink, 2.0, 1.0, "+", [0.1], num)
+        assert alone[0] == cold[0]
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = SolveCache(tmp_path)
@@ -493,6 +509,29 @@ class TestCli:
             tracemalloc.stop()
         assert peak < 2 ** 24
         assert "NodeTooLarge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,solver", [("infinite", "solve_cylinder"),
+                                             ("finite", "solve_Y1")])
+    def test_fcs_out_of_memory_exits_3_naming_the_node(
+            self, tmp_path, capsys, monkeypatch, mode, solver):
+        # a MemoryError below the budget is a numerical failure of its node
+        data = base_config()
+        data["experiment"] = {"mode": mode, "t_values": [4.0],
+                              "lambda_values": [0.02]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+
+        def out_of_memory(problem):
+            raise MemoryError
+
+        monkeypatch.setattr(f"weldfcs.fcs.{solver}", out_of_memory)
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        volume = "cylinder" if mode == "infinite" else "torus"
+        assert f"NodeTooLarge: {volume} node at t = 4, s = " in err
+        assert "ran out of memory" in err
+        assert "Traceback" not in err
 
     def test_fcs_over_nyquist_cutoff_exits_2(self, tmp_path, capsys,
                                             monkeypatch):

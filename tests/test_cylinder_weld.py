@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.sparse.linalg import LinearOperator
 
 from weldfcs import (CylinderWeldProblem, InfiniteVolume, LineDiffeo,
                      Numerics, assemble_sigma, build_xi, cylinder_nodes,
-                     flow_family, realspace_crosscheck, solve_cylinder)
+                     cylinder_weld, flow_family, realspace_crosscheck,
+                     solve_cylinder)
 from weldfcs.cylinder_weld import _inverse_displacement, _substitution_kernel
-from weldfcs.errors import WindowTooSmall
-from weldfcs.fcs import _NODE_BYTES_MAX, _cylinder_size, cylinder_grid
+from weldfcs.errors import NearSingular, WindowTooSmall
+from weldfcs.fcs import (_NODE_BYTES_MAX, _cylinder_size, _gl_nodes,
+                         cylinder_grid)
 from weldfcs.profile import build_h
 from weldfcs.spectral import LineGrid
+
+# the benchmark's cylinder numerics (perfbench infinite-moments)
+BENCH = Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
+                 p_max_gamma=26.0, s_nodes=4)
 
 
 def kink_nodes(kink, t, s_values, mover="+", p_max_gamma=33.0):
@@ -23,12 +31,56 @@ def solve_kink(kink, t, s, p_max_gamma=33.0):
     return welds.xi, sol.problem, sol
 
 
+def dense_sigma(op):
+    """The recast Nystrom matrix formed from the dense kernel blocks DA and
+    DB: the oracle of the factored product (p < 0 block first)."""
+    prob, psol = op.problem, op.psol
+    grid, gamma = prob.grid, prob.gamma
+    W = grid.dp / (2.0 * np.pi)
+    pa, va, _ = _substitution_kernel(grid, prob.g.displacement(), psol, W)
+    pb, vb, _ = _substitution_kernel(grid, _inverse_displacement(prob),
+                                     psol, W)
+    DA, DB = pa @ va, pb @ vb
+    n2 = len(psol)
+    m, p = slice(0, n2 // 2), slice(n2 // 2, n2)
+    eqp, eqm = np.exp(-gamma * psol[p]), np.exp(gamma * psol[m])
+    Tp, Tm = 1.0 / -np.expm1(-gamma * psol[p]), 1.0 / -np.expm1(gamma * psol[m])
+    Inn = np.eye(n2 // 2)
+    sigma = np.zeros((n2, n2), dtype=complex)
+    sigma[p, p] = -(DA[p, m] @ DB[m, p] + DA[p, p] * eqp) * Tp
+    sigma[p, m] = ((Inn + DA[p, p]) @ DB[p, m]) * Tm
+    sigma[m, p] = -((Inn + DA[m, m]) @ DB[m, p] + DA[m, p] * eqp
+                    + eqm[:, None] * DB[m, p]) * Tp
+    sigma[m, m] = (DA[m, p] @ DB[p, m] - eqm[:, None] * DB[m, m]) * Tm
+    return sigma
+
+
+def factored_sigma(op):
+    """Sigma as the factored product gives it, column by column."""
+    return op.sigma.matmat(np.eye(op.sigma.shape[0], dtype=complex))
+
+
+@pytest.fixture(scope="module")
+def oracle_nodes(kink, lean_numerics):
+    """Solved nodes of the benchmark set (t=4, lambda=0.04) and of a LEAN
+    set (t=4, lambda=0.2, its two ends), both movers."""
+    sols = []
+    for num, lam, which in ((BENCH, 0.04, None),
+                            (lean_numerics, 0.2, [0, 5])):
+        s_nodes, _ = _gl_nodes(lam / kink.delta_beta, num.s_nodes, 1)
+        for mover in "+-":
+            welds = cylinder_nodes(kink, 1.0, 4.0, mover, s_nodes, num)
+            sols += list(welds.solutions(which))
+    return sols
+
+
 class TestAssembly:
     def test_identity_gives_zero_operator(self, kink):
         grid = LineGrid(-20.0, 40.0, 512)
         g0 = LineDiffeo(grid, grid.x.copy())
         op = assemble_sigma(CylinderWeldProblem(g0, kink.beta0, 20.0, g0))
-        assert np.max(np.abs(op.sigma)) == 0.0
+        assert np.max(np.abs(factored_sigma(op))) == 0.0
+        assert np.max(np.abs(dense_sigma(op))) == 0.0
         assert np.max(np.abs(op.z12_ext)) == 0.0
 
     def test_entries_stable_under_pmax_doubling(self, kink):
@@ -42,24 +94,29 @@ class TestAssembly:
             ops[pm] = assemble_sigma(CylinderWeldProblem(g, xi.gamma, pm,
                                                          g_inverse=gi))
         small, big = ops[40.0], ops[80.0]
+        dense_small, dense_big = dense_sigma(small), dense_sigma(big)
         pos = np.searchsorted(big.psol, small.psol)
-        sub = big.sigma[np.ix_(pos, pos)]
+        sub = dense_big[np.ix_(pos, pos)]
         # entries well inside the smaller cutoff; the outermost rows are the
         # ones the extension is meant to improve
         inner = np.abs(small.psol) <= 24.0
-        assert np.max(np.abs((sub - small.sigma)[np.ix_(inner, inner)])) < 1e-10
+        assert np.max(np.abs((sub - dense_small)[np.ix_(inner, inner)])) < 1e-10
+        # the factored product of both operators against its oracle
+        for op, dense in ((small, dense_small), (big, dense_big)):
+            assert (np.max(np.abs(factored_sigma(op) - dense))
+                    < 1e-13 * np.max(np.abs(dense)))
 
     def test_size_estimate_matches_the_lattice(self, kink):
         # the estimated M and Nystrom order against the lattice and the
         # momenta assemble_sigma would select, under the benchmark's cylinder
-        # numerics; only s = 1e3 (M = 131072, a 50 GiB matrix) is over budget
+        # numerics; only s = 1e3 (M = 131072, 130 GiB of kernel factors) is
+        # over budget
         xi = build_xi(kink, InfiniteVolume(1.0), 4.0, "+")
-        num = Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
-                       p_max_gamma=26.0)
+        num = BENCH
         p_max = num.p_max_gamma / xi.gamma
         for s in (0.2, 10.0, 1e3):
             grid = cylinder_grid(xi, s, num)
-            m, order, nbytes = _cylinder_size(grid, p_max)
+            m, order, nbytes = _cylinder_size(grid, p_max, num.window_factor)
             n_sel = np.count_nonzero(np.abs(grid.p) <= p_max)
             assert (m, order) == (grid.M, n_sel - n_sel % 2)
             assert (nbytes > _NODE_BYTES_MAX) == (s == 1e3)
@@ -77,7 +134,8 @@ class TestAssembly:
         rows = rng.choice(len(psol), 12, replace=False)
         cols = rng.choice(len(psol), 12, replace=False)
         for disp in (prob.g.displacement(), _inverse_displacement(prob)):
-            block, _, _ = _substitution_kernel(grid, disp, psol, 1.0)
+            phase, v, _ = _substitution_kernel(grid, disp, psol, 1.0)
+            block = phase @ v
             d = disp.astype(np.longdouble)
             worst = 0.0
             for j in cols:
@@ -143,6 +201,44 @@ class TestAssembly:
                  for inverse in (False, True))
         with pytest.raises(WindowTooSmall):
             CylinderWeldProblem(g, xi.gamma, 10.0, gi)
+
+
+class TestMatrixFree:
+    def test_factored_product_matches_dense_oracle(self, oracle_nodes):
+        for sol in oracle_nodes:
+            dense = dense_sigma(sol.operator)
+            err = np.max(np.abs(factored_sigma(sol.operator) - dense))
+            assert err < 1e-13 * np.max(np.abs(dense))
+
+    def test_condition_estimate_against_zgecon(self, oracle_nodes):
+        # the Hessenberg estimate (2-norm, on the Krylov space) against
+        # LAPACK's 1-norm estimate of the dense I + Sigma
+        for sol in oracle_nodes:
+            a = np.eye(len(sol.operator.psol)) + dense_sigma(sol.operator)
+            lu, _ = sla.lu_factor(a)
+            cond = 1.0 / sla.lapack.zgecon(lu, np.linalg.norm(a, 1))[0]
+            assert 0.5 < sol.cond_estimate / cond < 2.0
+            assert sol.solve_residual < 1e-14
+
+    def test_unsolvable_system_refused_at_the_cap(self, kink, monkeypatch):
+        # I + Sigma a cyclic shift and a source that makes the right-hand
+        # side e_0 - e_1: well conditioned, but the GMRES residual falls only
+        # as 1 / sqrt(iterations), so the iteration cap refuses it
+        assemble = cylinder_weld.assemble_sigma
+
+        def tampered(problem):
+            op = assemble(problem)
+            n2 = len(op.psol)
+            op.sigma = LinearOperator(
+                (n2, n2), matvec=lambda x: np.roll(x, 1, axis=0) - x,
+                dtype=complex)
+            op.z12_ext = np.zeros_like(op.z12_ext)
+            op.z12_ext[op.sel[0]] = 1.0
+            return op
+
+        monkeypatch.setattr(cylinder_weld, "assemble_sigma", tampered)
+        with pytest.raises(NearSingular, match="100 GMRES iterations"):
+            solve_kink(kink, 2.0, 0.25)
 
 
 class TestSolve:
