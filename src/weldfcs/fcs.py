@@ -28,8 +28,8 @@ from . import profile as profile_mod
 from .characters import Theory, log_character
 from .cylinder_weld import _GMRES_CAP, CylinderWeldProblem, solve_cylinder
 from .errors import ConfigInvalid, DeltaBetaZero, NodeTooLarge, PoleHit
-from .profile import (InfiniteVolume, ReparamMap, TemperatureProfile,
-                      VolumeContext, XiField, build_h, build_xi, flow_family,
+from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
+                      XiField, build_h, build_xi, flow_family,
                       periodize_profile)
 from .spectral import LineGrid, PeriodicGrid, bose_weight
 from .torus_weld import TorusWeldProblem, solve_Y1
@@ -296,16 +296,20 @@ def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
     return np.array(_cached_many(cache, keys, solve), dtype=complex)
 
 
-def _schwarzian_weighted_quad(h: ReparamMap, weight, a: float,
-                              b: float) -> float:
-    """``int_a^b weight(x) Sh(x) dx`` by 8 panels of 32-point Gauss-Legendre.
+def _fixed_rule(integrand, edges) -> float:
+    """``int integrand(x) dx`` over the span of ``edges``, by 8 panels of
+    32-point Gauss-Legendre on each piece between consecutive edges.
 
-    Sh is smooth and vanishes with all its derivatives at the ends of the
-    kink window, so the fixed rule meets adaptive quadrature within 1e-14.
+    ``integrand`` takes an array.  Cut at its kinks, the pieces are smooth;
+    the counterterms' Schwarzian factor vanishes with all its derivatives at
+    the ends of its window.  The rule meets adaptive quadrature within 1e-14.
     """
-    nodes, weights = _gl_nodes(b - a, 32, 8)
-    x = a + nodes
-    return float(np.dot(weights, weight(x) * h.schwarzian(x)))
+    edges = np.unique(edges)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes, weights = _gl_nodes(b - a, 32, 8)
+        total += float(np.dot(weights, integrand(a + nodes)))
+    return total
 
 
 def counterterm_mover(profile: TemperatureProfile, t: float, v: float,
@@ -315,10 +319,10 @@ def counterterm_mover(profile: TemperatureProfile, t: float, v: float,
     sigma = +1 for '+' and -1 for '-'; the Schwarzian of the reparameterizing
     map restricts the integrand to the kink interval."""
     sign = 1.0 if mover == "+" else -1.0
-    val = _schwarzian_weighted_quad(
-        build_h(profile),
-        lambda x: profile.beta(x + sign * v * t) - profile.beta(x),
-        *profile.support)
+    h = build_h(profile)
+    val = _fixed_rule(lambda x: (profile.beta(x + sign * v * t)
+                                 - profile.beta(x)) * h.schwarzian(x),
+                      profile.support)
     return c * v / (24.0 * np.pi) * val
 
 
@@ -334,8 +338,8 @@ def counterterm_finite(profile: TemperatureProfile, ctx: VolumeContext,
     v = ctx.v
     lo, hi = profile.support
     windows = [(lo, hi), (-0.5 * ctx.L - hi, -0.5 * ctx.L - lo)]
-    val = sum(_schwarzian_weighted_quad(h, lambda x: beta_L(x + v * t), a, b)
-              for a, b in windows)
+    val = sum(_fixed_rule(lambda x: beta_L(x + v * t) * h.schwarzian(x), w)
+              for w in windows)
     return c * v / (24.0 * np.pi) * val
 
 
@@ -478,16 +482,14 @@ def moments_closed_form(profile: TemperatureProfile, c: float, t: float,
 
     mean = 0.0
     for mover, sign in (("+", 1.0), ("-", -1.0)):
-        # int xi dy by the substitution y = h(x); both movers give the same value
+        # int xi dy by the substitution y = h(x); both movers give the same
+        # value.  The integrand has kinks where x or x + sign vt crosses an
+        # edge of the kink
         def igr(x):
-            xa = np.array([x])
-            b = profile.beta(xa)[0]
-            bt = profile.beta(xa + sign * v * t)[0]
-            return (bt / b - 1.0) * beta0 / b
-        span_lo = min(lo, lo - sign * v * t)
-        span_hi = max(hi, hi - sign * v * t)
-        xi_int = gamma * quad(igr, span_lo, span_hi, epsabs=1e-14,
-                              epsrel=1e-13, limit=400)[0]
+            b = profile.beta(x)
+            return (profile.beta(x + sign * v * t) / b - 1.0) * beta0 / b
+        shift = sign * v * t
+        xi_int = gamma * _fixed_rule(igr, (lo, hi, lo - shift, hi - shift))
         ct = counterterm_mover(profile, t, v, c, mover)
         mean += (np.pi * c / (12.0 * gamma ** 2 * dbeta) * xi_int
                  - ct / dbeta)
@@ -519,17 +521,12 @@ def appendix_b_check(gamma: float, p: float, shift_frac: float = 0.25) -> dict:
     eta = shift_frac * gamma
     span = 12.0 * gamma          # integrand ~ exp(-4 pi |y| / gamma)
 
-    def fre(y):
+    def integrand(y):
         z = y + 1j * eta
-        return (np.exp(-1j * p * z) / np.sinh(np.pi * z / gamma) ** 4).real
+        return np.exp(-1j * p * z) / np.sinh(np.pi * z / gamma) ** 4
 
-    def fim(y):
-        z = y + 1j * eta
-        return (np.exp(-1j * p * z) / np.sinh(np.pi * z / gamma) ** 4).imag
-
-    re = quad(fre, -span, span, epsabs=1e-13, epsrel=1e-12, limit=800)[0]
-    im = quad(fim, -span, span, epsabs=1e-13, epsrel=1e-12, limit=800)[0]
-    value = re + 1j * im
+    value = quad(integrand, -span, span, epsabs=1e-13, epsrel=1e-12,
+                 limit=800, complex_func=True)[0]
     closed = (gamma ** 4 / (3.0 * np.pi ** 3) * p
               * (p ** 2 + 4.0 * np.pi ** 2 / gamma ** 2)
               / -np.expm1(-gamma * p))
@@ -566,11 +563,8 @@ def levitov_lesovik(beta_left: float, beta_right: float, lam: float) -> complex:
         return val
 
     span = 60.0 / min(beta_left, beta_right)
-    re = quad(lambda w: integrand(w).real, -span, span, epsabs=1e-13,
-              epsrel=1e-12, limit=800)[0]
-    im = quad(lambda w: integrand(w).imag, -span, span, epsabs=1e-13,
-              epsrel=1e-12, limit=800)[0]
-    return (re + 1j * im) / (2.0 * np.pi)
+    return quad(integrand, -span, span, epsabs=1e-13, epsrel=1e-12,
+                limit=800, complex_func=True)[0] / (2.0 * np.pi)
 
 
 def _ldf_real(beta_left: float, beta_right: float, c: float, nu: float) -> float:
@@ -626,11 +620,9 @@ def levy_khintchine_check(beta_left: float, beta_right: float, c: float,
         return val
 
     span = 60.0 / min(beta_left, beta_right)
-    re = quad(lambda q: integrand(q).real, -span, span, epsabs=1e-13,
-              epsrel=1e-12, limit=800)[0]
-    im = quad(lambda q: integrand(q).imag, -span, span, epsabs=1e-13,
-              epsrel=1e-12, limit=800)[0]
-    value = (np.pi * c / 12.0) * (re + 1j * im)
+    value = (np.pi * c / 12.0) * quad(integrand, -span, span, epsabs=1e-13,
+                                      epsrel=1e-12, limit=800,
+                                      complex_func=True)[0]
     closed = ldf(beta_left, beta_right, c, lam)["total"]
     return {"quadrature": value, "closed_form": closed,
             "abs_error": abs(value - closed)}

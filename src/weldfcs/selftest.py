@@ -44,19 +44,19 @@ def _ode_flow(zeta, s, y0):
 
 # ---------------------------------------------------------------- profile
 
-@check("profile.flat_periodization_constant", 1e-14)
+@check("profile.flat_periodization_constant", 0.0)
 def _():
     p = TemperatureProfile(2.0, 2.0)
-    bl = periodize_profile(p, _ctx(p))
-    x = np.linspace(-60, 60, 501)
-    return float(np.max(np.abs(bl(x) - 2.0)))
+    x = np.linspace(-100, 100, 1001)
+    return max(float(np.max(np.abs(periodize_profile(p, _ctx(p, L))(x) - 2.0)))
+               for L in (30.0, 40.0))
 
 
 @check("profile.asymptotes_exact", 0.0)
 def _():
     p = _default_profile()
-    left = np.max(np.abs(p.beta(np.linspace(-30, -1.0, 50)) - 2.0))
-    right = np.max(np.abs(p.beta(np.linspace(1.0, 30, 50)) - 1.0))
+    left = np.max(np.abs(p.beta(np.linspace(-50, -1.0, 200)) - 2.0))
+    right = np.max(np.abs(p.beta(np.linspace(1.0, 50, 200)) - 1.0))
     return float(max(left, right))
 
 
@@ -65,13 +65,13 @@ def _():
     return abs(_default_profile().beta0 - 4.0 / 3.0)
 
 
-@check("profile.beta0L_recompute", 1e-11)
+@check("profile.beta0L_recompute", 1e-12)
 def _():
     from scipy.integrate import quad
     p = _default_profile()
     ctx = _ctx(p)
-    val = quad(lambda x: 1.0 / p.beta(np.array([x])).item(), -10, 10,
-               epsabs=1e-14, limit=300)[0]
+    val = quad(lambda x: 1.0 / p.beta(np.array([x])).item(), -ctx.L / 4,
+               ctx.L / 4, epsabs=1e-14, limit=400)[0]
     return abs(1.0 / ctx.beta0L - 2.0 / ctx.L * val)
 
 
@@ -87,7 +87,7 @@ def _():
 def _():
     p = _default_profile()
     h = build_h(p, _ctx(p))
-    x = np.linspace(-35, 25, 401)
+    x = np.linspace(-70, 70, 801)
     d1 = np.max(np.abs(h(x + 40.0) - h(x) - 40.0))
     d2 = np.max(np.abs(h(-x - 20.0) + h(x) + 20.0))
     return float(max(d1, d2))
@@ -99,23 +99,27 @@ def _():
     ctx = _ctx(p)
     h = build_h(p, ctx)
     bl = periodize_profile(p, ctx)
-    x = np.linspace(-35, 25, 401)
+    x = np.linspace(-70, 70, 801)
     return float(np.max(np.abs(h.deriv(x) * bl(x) - ctx.beta0L)))
 
 
 @check("profile.h_inverse_roundtrip", 1e-11)
 def _():
     p = _default_profile()
-    h = build_h(p)
-    y = np.linspace(-25, 25, 401)
-    return float(np.max(np.abs(h(h.inverse(y)) - y)))
+    y = np.linspace(-35, 35, 501)
+    return max(float(np.max(np.abs(h(h.inverse(y)) - y)))
+               for h in (build_h(p), build_h(p, _ctx(p))))
 
 
-@check("profile.xi_vanishes_at_t0", 1e-14)
+@check("profile.xi_vanishes_at_t0", 0.0)
 def _():
+    # at t = 0 the field is exactly zero and zeta = gamma_L
     p = _default_profile()
-    xi = build_xi(p, _ctx(p), 0.0)
-    return float(np.max(np.abs(xi(np.linspace(-30, 10, 301)))))
+    ctx = _ctx(p)
+    xi = build_xi(p, ctx, 0.0)
+    return float(max(np.max(np.abs(xi(np.linspace(-60, 60, 501)))),
+                     np.max(np.abs(xi.zeta(np.linspace(-5, 5, 11))
+                                   - ctx.gammaL))))
 
 
 @check("profile.xi_finite_reflection", 1e-12)
@@ -123,7 +127,7 @@ def _():
     p = _default_profile()
     xi_p = build_xi(p, _ctx(p), 1.5)
     xi_m = build_xi(p, _ctx(p), -1.5)
-    y = np.linspace(-30, 10, 301)
+    y = np.linspace(-60, 60, 701)
     return float(np.max(np.abs(xi_p(-y - 20.0) - xi_m(y))))
 
 
@@ -144,12 +148,15 @@ def _():
 @check("profile.flow_of_uniform_field_translates", 1e-11)
 def _():
     p = TemperatureProfile(2.0, 2.0)   # flat: zeta = gamma
-    ctx = _ctx(p)
-    xi = build_xi(p, ctx, 3.0)
-    grid = PeriodicGrid(ctx.L, 256, x0=-30.0)
-    f = flow_family(xi, [0.4], grid)[0]
-    refs = [grid.x - ctx.gammaL * 0.4, _ode_flow(xi.zeta, 0.4, grid.x)]
-    return float(np.max(np.abs(f.samples - refs)))
+    worst = 0.0
+    for L, t, s in ((40.0, 3.0, 0.4), (30.0, 5.0, 0.7)):
+        ctx = _ctx(p, L)
+        xi = build_xi(p, ctx, t)
+        grid = PeriodicGrid(L, 256, x0=-0.75 * L)
+        f = flow_family(xi, [s], grid)[0]
+        refs = [grid.x - ctx.gammaL * s, _ode_flow(xi.zeta, s, grid.x)]
+        worst = max(worst, float(np.max(np.abs(f.samples - refs))))
+    return worst
 
 
 @check("profile.flow_group_law", 1e-9)
@@ -167,7 +174,7 @@ def _():
 def _():
     p = _default_profile()
     ctx = _ctx(p)
-    grid = PeriodicGrid(ctx.L, 1024, x0=-30.0)
+    grid = PeriodicGrid(ctx.L, 2048, x0=-30.0)
     f1 = flow_family(build_xi(p, ctx, 1.0), [0.2], grid)[0]
     f2 = flow_family(build_xi(p, ctx, -1.0), [-0.2], grid)[0]
     lhs = f1(-grid.x - 20.0)
@@ -275,20 +282,31 @@ def _torus_grid(L=40.0, N=96):
     return PeriodicGrid(L, 4 * N, x0=-0.75 * L), N
 
 
-@check("torus.identity_weld_exact", 1e-13)
+@check("torus.identity_weld_exact", 0.0)
 def _():
-    grid, N = _torus_grid()
-    f0 = profile.CircleDiffeo(grid, grid.x.copy())
-    sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(f0, 0.1j, N))
-    return float(max(np.max(np.abs(sol.y1_coeff)), abs(sol.tau_eff - 0.1j)))
+    worst = 0.0
+    for N in (64, 96):
+        grid, _ = _torus_grid(N=N)
+        f0 = profile.CircleDiffeo(grid, grid.x.copy())
+        sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(f0, 0.1j, N))
+        worst = max(worst, np.max(np.abs(sol.y1_coeff)),
+                    abs(sol.tau_eff - 0.1j))
+    return float(worst)
 
 
 @check("torus.translation_tau_shift", 1e-13)
 def _():
-    grid, N = _torus_grid()
-    ft = profile.CircleDiffeo(grid, grid.x - 2.0)
-    sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(ft, 0.1j, N))
-    return abs(sol.tau_eff - (0.1j + 2.0 / 40.0))
+    # tau_eff within 1e-13, Y1 within 1e-14 (hence the factor 10) and the
+    # two tau_eff routes within 1e-13
+    worst = 0.0
+    for N in (64, 96):
+        grid, _ = _torus_grid(N=N)
+        ft = profile.CircleDiffeo(grid, grid.x - 2.0)
+        sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(ft, 0.1j, N))
+        worst = max(worst, abs(sol.tau_eff - (0.1j + 2.0 / 40.0)),
+                    10.0 * np.max(np.abs(sol.y1_coeff)),
+                    torus_weld.residual_diagnostics(sol)["tau_two_route"])
+    return float(worst)
 
 
 @check("torus.sine_residuals", 1e-10)
@@ -395,15 +413,18 @@ def _cyl_setup(s=0.25, t=2.0):
     return _CYL[key]
 
 
-@check("cylinder.identity_weld_exact", 1e-14)
+@check("cylinder.identity_weld_exact", 0.0)
 def _():
     p = _default_profile()
-    grid = LineGrid(-20.0, 40.0, 1024)
-    g0 = profile.LineDiffeo(grid, grid.x.copy())
-    sol = cylinder_weld.solve_cylinder(
-        cylinder_weld.CylinderWeldProblem(g0, p.beta0, 20.0, g0))
-    return float(max(np.max(np.abs(sol.xprime - 1.0)),
-                     np.max(np.abs(sol.y1p()))))
+    worst = 0.0
+    for M in (512, 1024):
+        grid = LineGrid(-20.0, 40.0, M)
+        g0 = profile.LineDiffeo(grid, grid.x.copy())
+        sol = cylinder_weld.solve_cylinder(
+            cylinder_weld.CylinderWeldProblem(g0, p.beta0, 20.0, g0))
+        worst = max(worst, np.max(np.abs(sol.xprime - 1.0)),
+                    np.max(np.abs(sol.y1p())), np.max(np.abs(sol.schwarzian)))
+    return float(worst)
 
 
 @check("cylinder.linear_response", 1e-6)
@@ -416,7 +437,7 @@ def _():
     todd = bose_weight(grid.p, xi.gamma)
     d_ref = grid.ift(1j * todd * xihat)
     lo, hi = xi.support
-    m = (grid.x > lo - 2) & (grid.x < hi + 2)
+    m = (grid.x > lo - 3) & (grid.x < hi + 3)
     return float(np.max(np.abs(d_num[m] - d_ref[m])))
 
 
@@ -486,22 +507,24 @@ def _():
 def _():
     fb = characters.Theory("free_boson_radius", 1.0, radius=np.sqrt(2.0))
     ff = characters.Theory("free_fermion_c1", 1.0)
-    rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(12):
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.25, 2.0))
-        a = characters.character(fb, tau, method="direct")
-        b = characters.character(ff, tau, method="direct")
-        worst = max(worst, abs(a - b) / abs(a))
+    for seed in (11, 20240817):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.25, 2.0))
+            a = characters.character(fb, tau, method="direct")
+            b = characters.character(ff, tau, method="direct")
+            worst = max(worst, abs(a - b) / abs(a))
     return worst
 
 
 @check("characters.positivity_on_imaginary_axis", 0.0)
 def _():
     th = characters.Theory("free_boson_radius", 1.0, radius=1.0)
-    ok = all(characters.character(th, 1j * t).real > 0
-             and abs(characters.character(th, 1j * t).imag) < 1e-10
-             for t in (0.2, 0.7, 1.5, 3.0))
+    vals = [characters.character(th, 1j * t)
+            for t in (0.05, 0.2, 0.7, 1.0, 1.5, 2.5, 3.0)]
+    ok = all(v.real > 0 and abs(v.imag) < min(1e-10, 1e-9 * v.real)
+             for v in vals)
     return 0.0 if ok else 1.0
 
 
@@ -516,7 +539,7 @@ def _():
 def _():
     th = characters.Theory("free_boson_radius", 1.0, radius=1.3)
     worst = 0.0
-    for tau in (0.02 + 0.3j, -0.01 + 0.15j, 0.09j):
+    for tau in (0.02 + 0.3j, -0.01 + 0.15j, 0.09j, 0.3 + 0.5j):
         a = characters.log_character(th, tau, "direct")
         b = characters.log_character(th, tau, "modular")
         worst = max(worst, abs(a - b))
@@ -533,7 +556,7 @@ def _():
 
 # ---------------------------------------------------------------- fcs closed forms
 
-@check("ldf.zero_at_origin", 1e-15)
+@check("ldf.zero_at_origin", 0.0)
 def _():
     return abs(fcs.ldf(2.0, 1.0, 1.0, 0.0)["total"])
 
@@ -544,7 +567,7 @@ def _():
     worst = 0.0
     dbeta = 1.0 - 2.0
     for _ in range(20):
-        lam = complex(rng.uniform(-2, 2), rng.uniform(-0.4, 0.6))
+        lam = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.8))
         a = fcs.ldf(2.0, 1.0, 1.0, lam)["total"]
         b = fcs.ldf(2.0, 1.0, 1.0, -lam + 1j * dbeta)["total"]
         worst = max(worst, abs(a - b))
@@ -560,7 +583,7 @@ def _():
 
 @check("ldf.gallavotti_cohen", 1e-10)
 def _():
-    sig = np.linspace(-5, 5, 21)
+    sig = np.linspace(-5, 5, 41)
     r1 = fcs.rate_function(2.0, 1.0, 1.0, sig)["rate"]
     r2 = fcs.rate_function(2.0, 1.0, 1.0, -sig)["rate"]
     dbeta = 1.0 - 2.0
@@ -572,15 +595,18 @@ def _():
     c = 1.0
     drift = np.pi * c / 12.0 * (1.0 / 4.0 - 1.0)   # beta_l=2, beta_r=1 at nu=0
     out = fcs.rate_function(2.0, 1.0, c, [drift])
-    return abs(out["rate"][0])
+    return max(abs(out["rate"][0]), abs(out["nu_star"][0]))
 
 
 @check("ldf.rate_symmetric_when_equal_temps", 1e-12)
 def _():
-    sig = np.linspace(0.2, 3.0, 7)
-    a = fcs.rate_function(1.5, 1.5, 0.7, sig)["rate"]
-    b = fcs.rate_function(1.5, 1.5, 0.7, -sig)["rate"]
-    return float(np.max(np.abs(a - b)))
+    worst = 0.0
+    for beta, c, sig in ((1.5, 0.7, np.linspace(0.2, 3.0, 7)),
+                         (1.3, 0.6, np.linspace(0.1, 4.0, 17))):
+        a = fcs.rate_function(beta, beta, c, sig)["rate"]
+        b = fcs.rate_function(beta, beta, c, -sig)["rate"]
+        worst = max(worst, float(np.max(np.abs(a - b))))
+    return worst
 
 
 @check("ldf.levy_khintchine_integral", 1e-8)
@@ -602,23 +628,30 @@ def _():
 
 @check("fcs.appendix_b_identity", 1e-8)
 def _():
-    return fcs.appendix_b_check(1.0, 2.0)["abs_error"]
+    return max(fcs.appendix_b_check(gamma, p)["abs_error"]
+               for gamma, p in ((1.0, 2.0), (0.7, 1.0), (1.5, 3.0),
+                                (2.0, 0.5), (1.0, -1.5)))
 
 
 @check("fcs.psi_zero_lambda", 0.0)
 def _():
     p = _default_profile()
-    return abs(fcs.psi_infinite(p, 1.0, 2.0, lam=0.0).ln_psi)
+    return max(abs(fcs.psi_infinite(p, 1.0, 2.0, lam=0.0).ln_psi),
+               abs(fcs.psi_infinite(p, 1.0, 3.0, lam=0.0,
+                                    numerics=_CYL_NUM).ln_psi))
 
 
 @check("fcs.delta_beta_guard", 0.0)
 def _():
+    # equal temperatures refuse lam; by s, the transport field vanishes and
+    # ln Psi is exactly zero
     from .errors import DeltaBetaZero
     p = TemperatureProfile(2.0, 2.0)
     try:
         fcs.psi_infinite(p, 1.0, 2.0, lam=0.1)
     except DeltaBetaZero:
-        return 0.0
+        return abs(fcs.psi_infinite(p, 1.0, 2.0, by_s=0.2,
+                                    numerics=_CYL_NUM).ln_psi)
     return 1.0
 
 

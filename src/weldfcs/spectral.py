@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "PeriodicGrid",
@@ -24,7 +23,6 @@ __all__ = [
     "schwarzian_from_derivatives",
     "bose_weight",
     "fit_loglog_slope",
-    "lu_solve_conditioned",
 ]
 
 
@@ -186,21 +184,4 @@ def fit_loglog_slope(xs, ys) -> float:
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.log(np.asarray(ys, dtype=float))
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-def lu_solve_conditioned(A: np.ndarray, b: np.ndarray, cond_limit: float,
-                         error: type, what: str):
-    """LU solve of ``A x = b`` gated by LAPACK's 1-norm condition estimate.
-
-    Raises ``error`` when the estimate exceeds ``cond_limit``; otherwise
-    returns ``(x, condition estimate, relative residual)``.
-    """
-    lu, piv = sla.lu_factor(A)
-    rcond = sla.lapack.zgecon(lu, np.linalg.norm(A, 1))[0]
-    cond = 1.0 / max(rcond, 1e-300)
-    if cond > cond_limit:
-        raise error(f"{what} condition estimate {cond:.2e}")
-    x = sla.lu_solve((lu, piv), b)
-    res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
-    return x, cond, float(res)
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
 from .profile import CircleDiffeo
-from .spectral import (PeriodicGrid, lu_solve_conditioned,
-                       schwarzian_from_derivatives)
+from .spectral import PeriodicGrid, schwarzian_from_derivatives
 
 __all__ = [
     "TorusWeldProblem",
@@ -144,6 +144,17 @@ def assemble_K(problem: TorusWeldProblem) -> KBlocks:
     return KBlocks(modes, K11, K12, K21, F[:2 * N + 1], tails)
 
 
+def _band_to_grid(grid: PeriodicGrid, modes: np.ndarray, coeff: np.ndarray,
+                  order: int) -> np.ndarray:
+    """The ``order``-th derivative of the band series ``sum c_n e_n`` on the
+    grid, by one FFT."""
+    pn = 2.0 * np.pi * modes / grid.L
+    full = np.zeros(grid.M, dtype=complex)
+    full[modes % grid.M] = coeff * (-1j * pn) ** order \
+        * np.exp(-1j * pn * grid.x0)
+    return np.fft.fft(full)
+
+
 def _tail_diagnostics(problem, K12, K21) -> dict:
     """Largest entries in the outermost mode band of the coupling blocks.
 
@@ -187,12 +198,8 @@ class TorusWeldSolution:
         """The ``order``-th derivative of Y1 on the assembly grid."""
         key = ("y1", order)
         if key not in self._cache:
-            grid = self.grid
-            pn = 2.0 * np.pi * self.modes / self.problem.L
-            full = np.zeros(grid.M, dtype=complex)
-            full[self.modes % grid.M] = self.y1_coeff * (-1j * pn) ** order \
-                * np.exp(-1j * pn * grid.x0)
-            self._cache[key] = np.fft.fft(full)
+            self._cache[key] = _band_to_grid(self.grid, self.modes,
+                                             self.y1_coeff, order)
         return self._cache[key]
 
     @property
@@ -246,17 +253,20 @@ def solve_Y1(problem: TorusWeldProblem,
     rhs_full = (np.where(modes < 0, 1.0, 0.0) * fm_band) - blocks.K12 @ fm_band
     b = rhs_full[sel]
 
-    y, cond, res = lu_solve_conditioned(A, b, _COND_LIMIT, SingularSystem,
-                                        "projected system")
+    # LU solve gated by LAPACK's 1-norm condition estimate
+    lu, piv = sla.lu_factor(A)
+    rcond = sla.lapack.zgecon(lu, np.linalg.norm(A, 1))[0]
+    cond = 1.0 / max(rcond, 1e-300)
+    if cond > _COND_LIMIT:
+        raise SingularSystem(f"projected system condition estimate {cond:.2e}")
+    y = sla.lu_solve((lu, piv), b)
+    res = float(np.linalg.norm(A @ y - b) / max(np.linalg.norm(b), 1e-300))
 
     y1 = np.zeros(2 * N + 1, dtype=complex)
     y1[sel] = y
 
     # direct effective modular parameter from the integrated jump datum
-    pn = 2.0 * np.pi * modes / L
-    full = np.zeros(grid.M, dtype=complex)
-    full[modes % grid.M] = y1 * (-1j * pn) * np.exp(-1j * pn * grid.x0)
-    y1p = np.fft.fft(full)
+    y1p = _band_to_grid(grid, modes, y1, 1)
     fm = problem.f.samples - grid.x
     fp = problem.f.deriv_samples(1)
     tau_eff = problem.tau - grid.integral(fm * (fp - y1p)) / L ** 2
@@ -270,7 +280,8 @@ def solve_Y1(problem: TorusWeldProblem,
             f"tail_tol={problem.tail_tol:.2e} at N={N}; raise n_modes")
 
     return TorusWeldSolution(problem, modes, y1, complex(tau_eff),
-                             complex(tau_eff_b), cond, res, blocks)
+                             complex(tau_eff_b), cond, res, blocks,
+                             _cache={("y1", 1): y1p})
 
 
 def residual_diagnostics(sol: TorusWeldSolution) -> dict:

@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from weldfcs import TemperatureProfile, fcs
-from weldfcs.fcs import counterterm_finite, counterterm_mover
+from weldfcs.fcs import (counterterm_finite, counterterm_mover,
+                         moments_closed_form)
 from weldfcs.profile import VolumeContext
 from weldfcs.spectral import LineGrid, PeriodicGrid
 
@@ -76,23 +77,28 @@ class TestCounterterm:
     @pytest.mark.parametrize("t", [1.0, 4.0, 30.0])
     def test_fixed_rule_matches_adaptive_quadrature(self, kink, monkeypatch,
                                                     t):
-        # oracle: the same integrands by adaptive quadrature, one point at a
-        # time, for both movers and two boxes
-        def adaptive(h, weight, a, b):
-            def integrand(x):
-                xa = np.array([x])
-                return float(weight(xa)[0] * h.schwarzian(xa)[0])
-            return quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12,
-                        limit=400)[0]
+        # oracle: the same integrands by adaptive quadrature on the same
+        # pieces, one point at a time; the counterterms of both movers and
+        # two boxes, and the closed-form mean of three kinks
+        def adaptive(integrand, edges):
+            edges = np.unique(edges)
+            return sum(quad(lambda x: float(integrand(np.array([x]))[0]),
+                            a, b, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
 
-        def counterterms():
+        kinks = [kink] + [TemperatureProfile(bl, br, center=0.0,
+                                             half_width=1.0)
+                          for bl, br in ((0.5, 4.0), (4.0, 0.5))]
+
+        def values():
             return ([counterterm_mover(kink, t, 1.0, 1.0, m) for m in "+-"]
                     + [counterterm_finite(kink, VolumeContext(kink, L), t, 1.0)
-                       for L in (40.0, 80.0)])
+                       for L in (40.0, 80.0)]
+                    + [moments_closed_form(p, 1.0, t)["mean"] for p in kinks])
 
-        fixed = counterterms()
-        monkeypatch.setattr(fcs, "_schwarzian_weighted_quad", adaptive)
-        for value, ref in zip(fixed, counterterms()):
+        fixed = values()
+        monkeypatch.setattr(fcs, "_fixed_rule", adaptive)
+        for value, ref in zip(fixed, values()):
             assert value == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_finite_volume_approaches_infinite(self, kink):

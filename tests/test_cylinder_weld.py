@@ -11,7 +11,6 @@ from weldfcs.cylinder_weld import _inverse_displacement, _substitution_kernel
 from weldfcs.errors import NearSingular, WindowTooSmall
 from weldfcs.fcs import (_NODE_BYTES_MAX, _cylinder_size, _gl_nodes,
                          cylinder_grid)
-from weldfcs.profile import build_h
 from weldfcs.spectral import LineGrid
 
 # the benchmark's cylinder numerics (perfbench infinite-moments)
@@ -242,28 +241,6 @@ class TestMatrixFree:
 
 
 class TestSolve:
-    def test_identity(self, kink):
-        grid = LineGrid(-20.0, 40.0, 512)
-        g0 = LineDiffeo(grid, grid.x.copy())
-        sol = solve_cylinder(CylinderWeldProblem(g0, kink.beta0, 20.0, g0))
-        assert np.max(np.abs(sol.xprime - 1.0)) == 0.0
-        assert np.max(np.abs(sol.y1p())) == 0.0
-        assert np.max(np.abs(sol.schwarzian)) == 0.0
-
-    def test_linear_response_formula(self, kink):
-        # central difference across s = +-1e-4 against the closed-form
-        # momentum integral for the first-order response of X'
-        welds = kink_nodes(kink, 2.0, [1e-4, -1e-4])
-        xi, grid = welds.xi, welds.grid
-        up, down = (sol.xprime for sol in welds.solutions())
-        d_num = (up - down) / 2e-4
-        xihat = grid.ft(welds.xi_values)
-        todd = grid.p / -np.expm1(-xi.gamma * grid.p)
-        d_ref = grid.ift(1j * todd * xihat)
-        lo, hi = xi.support
-        m = (grid.x > lo - 3) & (grid.x < hi + 3)
-        assert np.max(np.abs(d_num[m] - d_ref[m])) < 1e-6
-
     def test_linear_response_of_schwarzian(self, kink):
         # third-derivative version of the same response
         welds = kink_nodes(kink, 2.0, [1e-4, -1e-4])
@@ -276,25 +253,6 @@ class TestSolve:
         lo, hi = xi.support
         m = (grid.x > lo - 3) & (grid.x < hi + 3)
         assert np.max(np.abs(d_num[m] - d_ref[m])) < 2e-4
-
-    def test_bulk_translation_asymptotics(self, kink):
-        s = 0.3
-        _, _, sol = solve_kink(kink, 8.0, s)
-        h = build_h(kink)
-        A = h(np.array([-1.0])).item()
-        mid = A - 0.5 * kink.beta0 / kink.beta_left * 6.0
-        pred = 1.0 / (1.0 - 1j * kink.delta_beta / kink.beta_left * s)
-        val = sol.xprime_at(np.array([mid]))[0]
-        assert abs(val - pred) < 1e-3
-
-    def test_mover_reflection(self, kink):
-        minus = kink_nodes(kink, 2.0, [0.25], mover="-")
-        solm = next(minus.solutions())
-        solp = next(kink_nodes(kink, -2.0, [-0.25]).solutions())
-        lo, hi = minus.xi.support
-        pts = np.linspace(lo - 1, hi + 1, 201)
-        assert np.max(np.abs(solm.xprime_at(pts)
-                             - np.conj(solp.xprime_at(-pts)))) < 1e-9
 
     def test_exponential_tail_and_nonvanishing(self, kink):
         _, _, sol = solve_kink(kink, 2.0, 0.25)

@@ -19,17 +19,6 @@ def brute_force_periodized(profile, L, x):
 
 
 class TestTemperatureProfile:
-    def test_flat_profile_periodizes_to_constant(self):
-        p = TemperatureProfile(2.0, 2.0)
-        ctx = VolumeContext(p, 30.0)
-        beta_L = periodize_profile(p, ctx)
-        x = np.linspace(-100, 100, 1001)
-        assert np.max(np.abs(beta_L(x) - 2.0)) == 0.0
-
-    def test_asymptotes_exactly_constant(self, kink):
-        assert np.all(kink.beta(np.linspace(-50, -1.0, 200)) == 2.0)
-        assert np.all(kink.beta(np.linspace(1.0, 50, 200)) == 1.0)
-
     def test_monotone_and_c1_at_edges(self, kink):
         x = np.linspace(-1.0, 1.0, 2001)
         b = kink.beta(x)
@@ -92,9 +81,6 @@ class TestTemperatureProfile:
         seen = np.concatenate([np.ravel(v) for v in seen])
         assert np.all((seen > lo) & (seen < hi))
 
-    def test_beta0_arithmetic(self, kink):
-        assert kink.beta0 == pytest.approx(4.0 / 3.0, abs=1e-15)
-
     def test_midpoint_reflection_value(self, kink, box):
         beta_L = periodize_profile(kink, box)
         assert beta_L(np.array([-box.L / 2])).item() == pytest.approx(
@@ -112,20 +98,6 @@ class TestTemperatureProfile:
 
 
 class TestReparamMap:
-    def test_finite_volume_identities(self, kink, box):
-        h = build_h(kink, box)
-        x = np.linspace(-70, 70, 801)
-        assert np.max(np.abs(h(x + box.L) - h(x) - box.L)) < 1e-11
-        assert np.max(np.abs(h(-x - box.L / 2) + h(x) + box.L / 2)) < 1e-11
-        beta_L = periodize_profile(kink, box)
-        assert np.max(np.abs(h.deriv(x) * beta_L(x) - box.beta0L)) < 1e-13
-
-    def test_beta0L_recompute(self, kink, box):
-        from scipy.integrate import quad
-        val = quad(lambda x: 1.0 / kink.beta(np.array([x])).item(),
-                   -box.L / 4, box.L / 4, epsabs=1e-14, limit=400)[0]
-        assert abs(1.0 / box.beta0L - 2.0 / box.L * val) < 1e-12
-
     def test_flat_profile_gives_identity(self):
         p = TemperatureProfile(2.0, 2.0)
         h = build_h(p)
@@ -133,11 +105,6 @@ class TestReparamMap:
         assert np.max(np.abs(h(x) - x)) < 1e-13
         hl = build_h(p, VolumeContext(p, 30.0))
         assert np.max(np.abs(hl(x) - x)) < 1e-12
-
-    def test_inverse_roundtrip(self, kink, box):
-        for h in (build_h(kink), build_h(kink, box)):
-            y = np.linspace(-35, 35, 501)
-            assert np.max(np.abs(h(h.inverse(y)) - y)) < 1e-11
 
     def test_inverse_newton_only_on_kink_image(self, kink):
         # h is linear outside [h(lo), h(hi)]: there h^{-1} is the closed form,
@@ -181,11 +148,6 @@ class TestReparamMap:
 
 
 class TestXiField:
-    def test_zero_time_field_vanishes(self, kink, box):
-        xi = build_xi(kink, box, 0.0)
-        assert np.max(np.abs(xi(np.linspace(-60, 60, 501)))) == 0.0
-        assert np.max(np.abs(xi.zeta(np.linspace(-5, 5, 11)) - box.gammaL)) == 0.0
-
     def test_plateau_value_and_length(self, kink):
         # for vt >= 2 delta the + field equals gamma dbeta / beta_left on a
         # plateau of length (beta0/beta_left)(vt - 2 delta) ending at h(a-delta)
@@ -205,12 +167,6 @@ class TestXiField:
         A = float(h(np.array([-1.0]))[0])
         assert xi(np.array([A])).item() == pytest.approx(
             -xi.gamma / 2.0, abs=1e-9)
-
-    def test_finite_field_reflection_symmetry(self, kink, box):
-        y = np.linspace(-60, 60, 701)
-        xi_p = build_xi(kink, box, 1.5)
-        xi_m = build_xi(kink, box, -1.5)
-        assert np.max(np.abs(xi_p(-y - box.L / 2) - xi_m(y))) < 1e-12
 
     def test_minus_mover_is_reflected_plus(self, kink):
         y = np.linspace(-25, 25, 501)
@@ -277,34 +233,11 @@ class TestFlows:
         flow = flow_family(xi, [s], grid, inverse=case.startswith("inverse"))
         assert np.max(np.abs(flow[0].samples - ref)) < 1e-11
 
-    def test_uniform_field_translates(self):
-        p = TemperatureProfile(2.0, 2.0)
-        ctx = VolumeContext(p, 30.0)
-        xi = build_xi(p, ctx, 5.0)
-        grid = PeriodicGrid(ctx.L, 256, x0=-22.5)
-        f = flow_family(xi, [0.7], grid)[0]
-        assert np.max(np.abs(f.samples - (grid.x - ctx.gammaL * 0.7))) < 1e-10
-
     def test_zero_time_flow_is_identity(self, kink, box):
         xi = build_xi(kink, box, 1.0)
         grid = PeriodicGrid(box.L, 512, x0=-30.0)
         f = flow_family(xi, [0.0], grid)[0]
         assert np.array_equal(f.samples, grid.x)
-
-    def test_group_law(self, kink, box):
-        xi = build_xi(kink, box, 1.0)
-        grid = PeriodicGrid(box.L, 2048, x0=-30.0)
-        f_ab = flow_family(xi, [0.3], grid)[0]
-        f_a = flow_family(xi, [0.15], grid)[0]
-        f_b = flow_family(xi, [0.15], grid)[0]
-        assert np.max(np.abs(f_ab.samples - f_a(f_b.samples))) < 1e-9
-
-    def test_flow_reflection_symmetry(self, kink, box):
-        grid = PeriodicGrid(box.L, 2048, x0=-30.0)
-        f1 = flow_family(build_xi(kink, box, 1.0), [0.2], grid)[0]
-        f2 = flow_family(build_xi(kink, box, -1.0), [-0.2], grid)[0]
-        assert np.max(np.abs(f1(-grid.x - box.L / 2)
-                             + f2.samples + box.L / 2)) < 1e-10
 
     def test_circle_diffeo_invariants(self, kink, box):
         xi = build_xi(kink, box, 2.0)

@@ -139,24 +139,6 @@ class TestAssembly:
 
 
 class TestSolve:
-    def test_identity(self):
-        N = 64
-        grid = make_grid(N)
-        f0 = CircleDiffeo(grid, grid.x.copy())
-        sol = solve_Y1(TorusWeldProblem(f0, 0.1j, N))
-        assert np.max(np.abs(sol.y1_coeff)) == 0.0
-        assert sol.tau_eff == 0.1j
-
-    def test_translation(self):
-        N = 64
-        grid = make_grid(N)
-        ft = CircleDiffeo(grid, grid.x - 0.05 * L)
-        sol = solve_Y1(TorusWeldProblem(ft, 0.1j, N))
-        assert np.max(np.abs(sol.y1_coeff)) < 1e-14
-        assert abs(sol.tau_eff - (0.1j + 0.05)) < 1e-13
-        d = residual_diagnostics(sol)
-        assert d["tau_two_route"] < 1e-12
-
     def test_sine_matches_fine_reference(self):
         eps = 0.02 * L / (2 * np.pi)
         sols = {}
