@@ -81,6 +81,9 @@ class TestTemperatureProfile:
         seen = np.concatenate([np.ravel(v) for v in seen])
         assert np.all((seen > lo) & (seen < hi))
 
+    def test_beta0_arithmetic(self, kink):
+        assert kink.beta0 == pytest.approx(4.0 / 3.0, abs=1e-15)
+
     def test_midpoint_reflection_value(self, kink, box):
         beta_L = periodize_profile(kink, box)
         assert beta_L(np.array([-box.L / 2])).item() == pytest.approx(
