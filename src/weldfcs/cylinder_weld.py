@@ -45,7 +45,8 @@ from scipy.sparse.linalg import LinearOperator
 
 from .errors import NearSingular, WindowTooSmall
 from .profile import LineDiffeo
-from .spectral import LineGrid, schwarzian_from_derivatives
+from .spectral import (LineGrid, progression_phases,
+                       schwarzian_from_derivatives)
 
 __all__ = [
     "CylinderWeldProblem",
@@ -195,19 +196,23 @@ def _inverse_displacement(problem: CylinderWeldProblem) -> np.ndarray:
 def _substitution_kernel(grid: LineGrid, disp: np.ndarray, p: np.ndarray,
                          weight: float):
     """Factors of the weighted kernel block ``weight * (e^{-i q d} - 1)^(p, q)``
-    for p, q in ``p``.
+    for p, q in ``p``, the grid's momenta in a band symmetric about zero.
 
     Only the support S of ``disp`` contributes, so the block is the product
     ``P @ V`` of ``P = e^{i p x_S}`` and ``V[m, j] = weight dx expm1(-i p_j d_m)
-    e^{-i p_j x_m}``.  Returns P, V and S.
+    e^{-i p_j x_m}``.  Both come from the lattice's block phase tables.
+    Returns P, V and S.
     """
     supp = np.nonzero(disp)[0]
-    phase = np.exp(1j * np.outer(p, grid.x[supp]))
-    v = np.expm1(-1j * np.outer(disp[supp], p))
-    # e^{-i p x} is the conjugate of e^{i p x}, bit for bit
-    v *= phase.T.conj()
+    j0 = 0.5 - len(p) / 2                   # p_j = (j0 + j) dp
+    phase = progression_phases(j0, grid.dp, len(p), grid.x[supp])
+    # V^T = conj(expm1(i p d) e^{i p x}): e^{-i p x} is the conjugate of
+    # P, and both conjugates are exact
+    v = progression_phases(j0, grid.dp, len(p), disp[supp], expm1=True)
+    v *= phase
+    np.conjugate(v, out=v)
     v *= weight * grid.dx
-    return phase, v, supp
+    return phase, v.T, supp
 
 
 def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:

@@ -185,10 +185,21 @@ class WeldNodes:
         order, solved one at a time as they are asked for."""
         s_values, num, grid = self.s_values, self.numerics, self.grid
         which = range(len(s_values)) if which is None else which
+        volume = "torus" if self.xi.finite else "cylinder"
+
+        def out_of_memory(what):
+            return NodeTooLarge(
+                f"{volume} {what} on a {grid.M}-point grid ran out of memory "
+                f"below the {_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget")
+
+        flows = flow_family if self.xi.finite else _line_flow_family
+        try:
+            diffeos = flows(self.xi, s_values, grid)
+        except MemoryError as exc:
+            raise out_of_memory(f"flows at t = {self.xi.t:.6g}") from exc
         if self.xi.finite:
             ctx = self.xi.ctx
             tau0 = 1j * ctx.gammaL / ctx.L
-            diffeos = flow_family(self.xi, s_values, grid)
 
             def solve(i):
                 return solve_Y1(TorusWeldProblem(
@@ -196,7 +207,6 @@ class WeldNodes:
                     num.n_modes, num.tail_tol))
         else:
             gamma = self.xi.gamma
-            diffeos = _line_flow_family(self.xi, s_values, grid)
 
             def solve(i):
                 g, ginv = diffeos[i]
@@ -206,11 +216,8 @@ class WeldNodes:
             try:
                 sol = solve(i)
             except MemoryError as exc:
-                raise NodeTooLarge(
-                    f"{'torus' if self.xi.finite else 'cylinder'} node at "
-                    f"t = {self.xi.t:.6g}, s = {s_values[i]:.6g} on a "
-                    f"{grid.M}-point grid ran out of memory below the "
-                    f"{_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget") from exc
+                raise out_of_memory(f"node at t = {self.xi.t:.6g}, "
+                                    f"s = {s_values[i]:.6g}") from exc
             yield sol
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "schwarzian_from_derivatives",
     "bose_weight",
     "fit_loglog_slope",
+    "progression_phases",
 ]
 
 
@@ -83,8 +84,9 @@ class PeriodicGrid:
         chunk = max(1, int(2e6 // max(len(pn), 1)))
         wcoef = coeff_band * (-1j * pn) ** deriv
         for i in range(0, len(pts), chunk):
-            ph = np.exp(-1j * np.outer(pts[i:i + chunk], pn))
-            res[i:i + chunk] = ph @ wcoef
+            ph = progression_phases(-n_max, 2.0 * np.pi / self.L, len(pn),
+                                    -pts[i:i + chunk])
+            res[i:i + chunk] = ph.T @ wcoef
         out[...] = res.reshape(np.shape(points))
         return out
 
@@ -157,9 +159,49 @@ class LineGrid:
         res = np.zeros(pts.shape + w.shape[1:], dtype=complex)
         chunk = max(1, int(2e6 // self.M))
         for i in range(0, len(pts), chunk):
-            ph = np.exp(-1j * np.outer(pts[i:i + chunk], self.p))
-            res[i:i + chunk] = ph @ w
+            ph = progression_phases(0.5 - self.M / 2, self.dp, self.M,
+                                    -pts[i:i + chunk])
+            res[i:i + chunk] = ph.T @ w
         return res.reshape(np.shape(points) + w.shape[1:])
+
+
+def progression_phases(j0: float, dp: float, n: int, x,
+                       expm1: bool = False) -> np.ndarray:
+    """The (n, len(x)) table ``e^{i p_j x_k}``, or ``e^{i p_j x_k} - 1`` with
+    ``expm1``, over the momenta ``p_j = (j0 + j) dp``, j = 0..n-1, where
+    dp > 0, ``2 j0`` is an integer and the last momentum is not negative.
+
+    The entry at -p is the conjugate of the one at p, so the rows with
+    p < 0 are conjugates of rows of the table T over |p| = (mu + i) dp,
+    i = 0..r-1, with mu the least |p| / dp.  T is built by angle addition in
+    blocks of B = ceil(sqrt(r)) rows: ``|p| = c + b dp`` with c the block's
+    first momentum and b < B, so T is ``e^{i c x} e^{i b dp x}``, about
+    2 sqrt(r) len(x) exponentials and one complex multiply per entry.  With
+    E = expm1 it is ``E_c + E_b + E_c E_b``, whose terms share a sign at
+    small arguments, so those keep their relative accuracy.  Rounding the
+    angles costs what the direct ``np.exp`` costs; ``e^{-i p x}`` is the
+    table at ``-x``.
+    """
+    x = np.asarray(x, dtype=float)
+    func = np.expm1 if expm1 else np.exp
+    k = max(0, int(np.ceil(-j0)))                   # rows with p_j < 0
+    mu = j0 + k
+    # row j >= k is T[j - k], row j < k is conj(T[k - j - 2 mu])
+    r = max(n - k, int(k + 1 - 2 * mu) if k else 0)
+    b = max(1, int(np.ceil(np.sqrt(r))))
+    blocks = -(-r // b)
+    # T is written as whole blocks, just below the rows with p < 0
+    buf = np.empty((k + blocks * b, len(x)), dtype=complex)
+    table = buf[k:].reshape(blocks, b, len(x))
+    base = func(1j * np.outer((mu + b * np.arange(blocks)) * dp, x))
+    sub = func(1j * np.outer(dp * np.arange(b), x))
+    np.multiply(base[:, None], sub[None], out=table)
+    if expm1:
+        table += base[:, None]
+        table += sub[None]
+    lo = int(1 - 2 * mu)
+    np.conjugate(buf[k + lo:2 * k + lo][::-1], out=buf[:k])
+    return buf[:n]
 
 
 def schwarzian_from_derivatives(d1, d2, d3):

@@ -29,7 +29,8 @@ import scipy.linalg as sla
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
 from .profile import CircleDiffeo
-from .spectral import PeriodicGrid, schwarzian_from_derivatives
+from .spectral import (PeriodicGrid, progression_phases,
+                       schwarzian_from_derivatives)
 
 __all__ = [
     "TorusWeldProblem",
@@ -90,27 +91,30 @@ def _substitution_matrices(f, n_modes: int, buffer: int):
 
     ``Finv`` comes on the band rows -N..N x the columns 0..N+b, ``F`` on the
     rows -N..N+b x the band columns.  Both are read off one phase table
-    e^{-i p_n f(x_j)}, n = 0..N+b: f is real, so the negative modes are its
-    conjugates.  The f^{-1} matrix comes from the change of variables
-    x = f(y), so the inverse map is never sampled.
+    e^{-i p_n f(x_j)}, n = 0..N+b, by one FFT batch each: f is real, so the
+    negative modes are its conjugates.  The f^{-1} matrix comes from the
+    change of variables x = f(y), so the inverse map is never sampled.
     """
     grid = f.grid
     N = n_modes
     band = np.arange(-N, N + 1)
     pb = 2.0 * np.pi * band / grid.L
-    phase = np.exp(-1j * np.outer(2.0 * np.pi * np.arange(N + buffer + 1)
-                                  / grid.L, f.samples))   # rows n >= 0
+    # rows n >= 0, from the modes' block phase tables
+    phase = progression_phases(0.0, 2.0 * np.pi / grid.L, N + buffer + 1,
+                               -f.samples)
 
     # Finv[m, n] = (1/L) int e^{i p_m x} e^{-i p_n f(x)} dx   (batch FFT over x)
     cols = np.fft.ifft(phase, axis=1)[:, band % grid.M]               # [n, m]
     Finv = (cols * np.exp(1j * pb * grid.x0)[None, :]).T              # [m, n]
 
     # F[m, n] = (1/L) int f'(y) e^{i p_m f(y)} e^{-i p_n y} dy  (batch FFT over
-    # y); f' is real, so a row m >= 0 is the conjugate forward transform
-    g = phase * f.deriv_samples(1)[None, :]
-    idx = (-band) % grid.M
-    rows = np.concatenate([np.fft.ifft(g[N:0:-1], axis=1)[:, idx],
-                           np.fft.fft(g, axis=1)[:, idx].conj() / grid.M])
+    # y); f' is real, so a row m >= 0 is the conjugate forward transform, and
+    # a row m < 0 is the forward transform of row -m at the mirrored modes;
+    # Finv has read the phase table, so it takes the weight f' in place
+    phase *= f.deriv_samples(1)[None, :]
+    gt = np.fft.fft(phase, axis=1)
+    rows = np.concatenate([gt[N:0:-1][:, band % grid.M],
+                           gt[:, (-band) % grid.M].conj()]) / grid.M
     F = rows * np.exp(-1j * pb * grid.x0)[None, :]                    # [m, n]
     return F, Finv
 

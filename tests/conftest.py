@@ -29,6 +29,8 @@ def lean_numerics():
                     window_pad_gamma=6.0, window_factor=4.0, p_max_gamma=33.0)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so a test's draws do not depend on which
+    tests ran before it."""
     return np.random.default_rng(20240817)

@@ -162,8 +162,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-5"
-        record["version"] = "weldfcs-cache-4"
+        assert record["version"] == "weldfcs-cache-6"
+        record["version"] = "weldfcs-cache-5"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -530,6 +530,29 @@ class TestCli:
         err = capsys.readouterr().err
         volume = "cylinder" if mode == "infinite" else "torus"
         assert f"NodeTooLarge: {volume} node at t = 4, s = " in err
+        assert "ran out of memory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["infinite", "finite"])
+    def test_fcs_out_of_memory_in_flows_exits_3_naming_the_set(
+            self, tmp_path, capsys, monkeypatch, mode):
+        # a MemoryError while a node set's flows are built exits 3 as well
+        data = base_config()
+        data["experiment"] = {"mode": mode, "t_values": [4.0],
+                              "lambda_values": [0.02]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("weldfcs.profile.flow_family", out_of_memory)
+        monkeypatch.setattr("weldfcs.fcs.flow_family", out_of_memory)
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        volume = "cylinder" if mode == "infinite" else "torus"
+        assert f"NodeTooLarge: {volume} flows at t = 4 on a " in err
         assert "ran out of memory" in err
         assert "Traceback" not in err
 
