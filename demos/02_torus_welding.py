@@ -10,7 +10,7 @@ Run:  python demos/02_torus_welding.py
 
 import numpy as np
 
-from weldfcs import (CircleDiffeo, Numerics, TemperatureProfile,
+from weldfcs import (Diffeo, Numerics, TemperatureProfile,
                      TorusWeldProblem, VolumeContext, effective_tau,
                      residual_diagnostics, solve_Y1, torus_nodes)
 from weldfcs.spectral import PeriodicGrid
@@ -19,12 +19,12 @@ L = 40.0
 grid_small = PeriodicGrid(L, 4 * 96, x0=-0.75 * L)
 
 # identity twist: nothing to solve, tau is reproduced exactly
-f0 = CircleDiffeo(grid_small, grid_small.x.copy())
+f0 = Diffeo(grid_small, grid_small.x.copy())
 sol = solve_Y1(TorusWeldProblem(f0, 0.1j, 96))
 print("identity:    tau_eff =", sol.tau_eff)
 
 # translation by b: the torus marking shifts tau by b / L
-ft = CircleDiffeo(grid_small, grid_small.x - 2.0)
+ft = Diffeo(grid_small, grid_small.x - 2.0)
 sol = solve_Y1(TorusWeldProblem(ft, 0.1j, 96))
 print("translation: tau_eff =", sol.tau_eff, " (expected 0.05 + 0.1j)")
 

@@ -10,9 +10,9 @@ from .fcs import (FcsResult, Numerics, appendix_b_check, cylinder_nodes,
                   levy_khintchine_check, longtime_approach,
                   moments_closed_form, psi_finite, psi_infinite,
                   rate_function, torus_nodes)
-from .profile import (CircleDiffeo, InfiniteVolume, LineDiffeo, ReparamMap,
-                      TemperatureProfile, VolumeContext, XiField, build_h,
-                      build_xi, flow_family, periodize_profile)
+from .profile import (Diffeo, InfiniteVolume, ReparamMap, TemperatureProfile,
+                      VolumeContext, XiField, build_h, build_xi, flow_family,
+                      periodize_profile)
 from .torus_weld import (TorusWeldProblem, TorusWeldSolution, assemble_K,
                          residual_diagnostics, solve_Y1)
 

@@ -106,6 +106,10 @@ def cmd_weld_cylinder(cfg: RunConfig, args) -> int:
     mover = exp.get("mover", "+")
     if mover not in ("+", "-"):
         raise ConfigInvalid("experiment.mover", f"must be '+' or '-', got {mover!r}")
+    crosscheck = exp.get("crosscheck", False)
+    if not isinstance(crosscheck, bool):
+        raise ConfigInvalid("experiment.crosscheck",
+                            f"must be true or false, got {crosscheck!r}")
     s_values = read_numbers(exp, "s_values", "experiment",
                             [read_number(exp, "s", "experiment", 0.25)])
     welds = cylinder_nodes(cfg.profile, cfg.v, t, mover, s_values,
@@ -116,7 +120,7 @@ def cmd_weld_cylinder(cfg: RunConfig, args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for s, sol in zip(s_values, welds.solutions()):
         diag = {**sol.operator.diagnostics, **sol.decay_diagnostics()}
-        if exp.get("crosscheck", False):
+        if crosscheck:
             diag.update(realspace_crosscheck(sol.problem, sol))
         rows.append({"t": t, "s": s, "mover": mover,
                      **{k: _enc(v) for k, v in diag.items()}})

@@ -44,7 +44,7 @@ from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import NearSingular, WindowTooSmall
-from .profile import LineDiffeo
+from .profile import Diffeo
 from .spectral import (LineGrid, progression_phases,
                        schwarzian_from_derivatives)
 
@@ -74,10 +74,10 @@ class CylinderWeldProblem:
     """Welding problem on the band, discretized on ``g``'s window grid;
     ``g_inverse`` holds g^{-1} on the same grid."""
 
-    g: LineDiffeo
+    g: Diffeo
     gamma: float
     p_max: float
-    g_inverse: LineDiffeo
+    g_inverse: Diffeo
 
     def __post_init__(self):
         grid = self.g.grid

@@ -250,6 +250,11 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
     if p_max > np.pi / grid.dx:
         raise ConfigInvalid("numerics.p_max_gamma", f"cutoff {p_max:.6g} is "
                             f"over the Nyquist momentum {np.pi / grid.dx:.6g}")
+    if p_max < 0.5 * grid.dp:
+        raise ConfigInvalid("numerics.p_max_gamma", f"cutoff {p_max:.6g} is "
+                            f"below the first solve momentum "
+                            f"{0.5 * grid.dp:.6g}, so the Nystrom system "
+                            f"would be empty")
     m, order, nbytes = _cylinder_size(grid, p_max, numerics.window_factor)
     _refuse_over_budget(nbytes, f"cylinder node needs a {m}-point lattice and "
                         f"a Nystrom system of order {order}",

@@ -29,8 +29,7 @@ __all__ = [
     "InfiniteVolume",
     "ReparamMap",
     "XiField",
-    "CircleDiffeo",
-    "LineDiffeo",
+    "Diffeo",
     "periodize_profile",
     "build_h",
     "build_xi",
@@ -223,26 +222,24 @@ class ReparamMap:
             return self.profile.beta(x)
         return periodize_profile(self.profile, self.ctx)(x)
 
-    def _pieces(self):
+    def _raw(self, x, left: float) -> np.ndarray:
+        """int_{left}^{x} 1/beta of the unperiodized profile, for a ``left``
+        at or below the kink: its low edge in infinite volume, -L/4 in
+        finite volume."""
         p = self.profile
-        spl, kink_total = p.inv_beta_integral()
-        return p.support, spl, kink_total
-
-    def _raw(self, x) -> np.ndarray:
-        """int_{lo}^{x} 1/beta (infinite volume)."""
-        (lo, hi), spl, kink_total = self._pieces()
-        p = self.profile
+        (lo, hi), (spl, kink_total) = p.support, p.inv_beta_integral()
         x = np.asarray(x, dtype=float)
-        out = np.where(x <= lo, (x - lo) / p.beta_left,
-                       kink_total + (x - hi) / p.beta_right)
+        below = (lo - left) / p.beta_left
+        out = np.where(x <= lo, (x - left) / p.beta_left,
+                       below + kink_total + (x - hi) / p.beta_right)
         # the spline only inside the kink, as in TemperatureProfile.beta
         m = (x > lo) & (x < hi)
-        out[m] = spl(x[m])
+        out[m] = below + spl(x[m])
         return out
 
     @cached_property
     def _anchor(self) -> np.ndarray:
-        return self._raw(0.0)
+        return self._raw(0.0, self.profile.support[0])
 
     @cached_property
     def kink_image(self) -> tuple[float, float]:
@@ -255,25 +252,18 @@ class ReparamMap:
         x = np.asarray(x, dtype=float)
         if self.ctx is None:
             # h(x) = int_0^x beta0/beta ; anchor so h(0) = 0
-            return self.beta0 * (self._raw(x) - self._anchor)
-        (lo, hi), spl, kink_total = self._pieces()
-        p = self.profile
-        b0 = self.beta0
+            return self.beta0 * (self._raw(x, self.profile.support[0])
+                                 - self._anchor)
         L = self.ctx.L
         k = np.floor((x + 0.75 * L) / L)
         xf = x - k * L
-        # I(x) = int_{-L/4}^{x} 1/beta_L on the principal branch
-        def istd(xx):
-            out = np.where(xx <= lo, (xx + 0.25 * L) / p.beta_left,
-                           (lo + 0.25 * L) / p.beta_left + kink_total
-                           + (xx - hi) / p.beta_right)
-            m = (xx > lo) & (xx < hi)
-            out[m] = (lo + 0.25 * L) / p.beta_left + spl(xx[m])
-            return out
+        # int_{-L/4}^{x} 1/beta_L on the principal branch, where [-3L/4,
+        # -L/4) is the reflection of [-L/4, L/4]
         main = xf >= -0.25 * L
-        ivals = np.where(main, istd(np.where(main, xf, 0.0)),
-                         -istd(np.where(main, 0.0, -xf - 0.5 * L)))
-        return b0 * ivals - 0.25 * L + k * L
+        ivals = np.where(main, self._raw(np.where(main, xf, 0.0), -0.25 * L),
+                         -self._raw(np.where(main, 0.0, -xf - 0.5 * L),
+                                    -0.25 * L))
+        return self.beta0 * ivals - 0.25 * L + k * L
 
     def _beta_derivs(self, x):
         """beta, beta' and beta'' of the (periodized) profile at x."""
@@ -375,6 +365,13 @@ class XiField:
     def L(self) -> float:
         return self.ctx.L
 
+    @property
+    def sigma(self) -> float:
+        """-1 for the minus mover in infinite volume, which is the plus mover
+        reflected (y -> -y, t -> -t); 1 otherwise (in finite volume both
+        movers live on the doubled circle)."""
+        return -1.0 if not self.finite and self.mover == "-" else 1.0
+
     @cached_property
     def _hmap(self) -> ReparamMap:
         return build_h(self.profile, self.ctx if self.finite else None)
@@ -383,18 +380,10 @@ class XiField:
         return self.__call__(y) + self.gamma
 
     def __call__(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
         h = self._hmap
-        if self.finite:
-            x = h.inverse(y)
-            bL = periodize_profile(self.profile, self.ctx)
-            return self.gamma * (bL(x + self.v * self.t) / bL(x) - 1.0)
-        t_eff = self.t if self.mover == "+" else -self.t
-        y_eff = y if self.mover == "+" else -y
-        # evaluate only inside the support: hinv is linear far out anyway
-        x = h.inverse(y_eff)
-        b = self.profile.beta
-        return self.gamma * (b(x + self.v * t_eff) / b(x) - 1.0)
+        x = h.inverse(self.sigma * np.asarray(y, dtype=float))
+        return self.gamma * (h._beta(x + self.sigma * self.v * self.t)
+                             / h._beta(x) - 1.0)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -403,13 +392,10 @@ class XiField:
             raise ValueError("support is an infinite-volume notion here")
         h = self._hmap
         lo, hi = self.profile.support
-        t_eff = self.t if self.mover == "+" else -self.t
-        vt = self.v * t_eff
+        vt = self.sigma * self.v * self.t
         a = h(np.array(lo - max(vt, 0.0))).item()
         b = h(np.array(hi - min(vt, 0.0))).item()
-        if self.mover == "+":
-            return (a, b)
-        return (-b, -a)
+        return (a, b) if self.sigma > 0 else (-b, -a)
 
 
 def build_xi(profile: TemperatureProfile, ctx, t: float, mover: str = "+") -> XiField:
@@ -418,46 +404,13 @@ def build_xi(profile: TemperatureProfile, ctx, t: float, mover: str = "+") -> Xi
 
 
 @dataclass(frozen=True, eq=False)
-class CircleDiffeo:
-    """Lifted circle diffeomorphism sampled on a periodic grid."""
+class Diffeo:
+    """Diffeomorphism sampled on a grid: on a ``PeriodicGrid`` a lifted circle
+    map (f(x + L) = f(x) + L), on a ``LineGrid`` a line map equal to the
+    identity outside a bounded interval."""
 
-    grid: PeriodicGrid
+    grid: PeriodicGrid | LineGrid
     samples: np.ndarray           # f(x_j)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def L(self) -> float:
-        return self.grid.L
-
-    def deriv_samples(self, order: int = 1) -> np.ndarray:
-        key = ("deriv", order)
-        if key not in self._cache:
-            d = self.grid.derivative(self.samples - self.grid.x, order).real
-            if order == 1:
-                d = d + 1.0
-            self._cache[key] = d
-        return self._cache[key]
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        c = np.fft.ifft(self.samples - self.grid.x)
-        kk = self.grid.mode_numbers()
-        pts = np.atleast_1d(x)
-        out = np.empty(pts.shape, dtype=float)
-        chunk = max(1, int(2e6 // self.grid.M))
-        for i in range(0, len(pts), chunk):
-            ph = np.exp(-2j * np.pi * np.outer((pts[i:i + chunk] - self.grid.x0)
-                                               / self.L, kk))
-            out[i:i + chunk] = pts[i:i + chunk] + (ph @ c).real
-        return out.reshape(np.shape(x))
-
-
-@dataclass(frozen=True, eq=False)
-class LineDiffeo:
-    """Line diffeomorphism equal to the identity outside a bounded interval."""
-
-    grid: LineGrid
-    samples: np.ndarray           # g(x_j)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def displacement(self) -> np.ndarray:
@@ -482,9 +435,7 @@ class LineDiffeo:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if "ghat" not in self._cache:
-            self._cache["ghat"] = self.grid.ft(self.displacement())
-        return x + self.grid.eval_ft(self._cache["ghat"], x).real
+        return x + self.grid.interpolate(self.displacement(), x).real
 
 
 def flow_family(xi_field: XiField, s_values, grid,
@@ -493,22 +444,22 @@ def flow_family(xi_field: XiField, s_values, grid,
 
     With ``phi = h o (shift by v t) o h^{-1}``, ``phi' = gamma / zeta``, so
     the flow of ``-zeta`` is a translation: ``f_s = phi^{-1}(phi - gamma s)``;
-    the minus mover is the plus one reflected (``sigma = -1``, time ``-t``).
-    Finite volume: the CircleDiffeos ``f_s``, or with ``inverse``
-    ``f_{-s}``.  Infinite volume: the LineDiffeos ``g_s = f_s + gamma s``, or
-    with ``inverse`` ``g_s^{-1}(y) = f_{-s}(y - gamma s)``, exactly the
-    identity off the swept interval ``(a + min(0, gamma s), b + max(0,
-    gamma s))``, (a, b) the support of xi.  Zero time copies the lattice.
+    the minus mover is the plus one reflected (``XiField.sigma``).  Finite
+    volume: the Diffeos ``f_s``, or with ``inverse`` ``f_{-s}``.  Infinite
+    volume: the Diffeos ``g_s = f_s + gamma s``, or with ``inverse``
+    ``g_s^{-1}(y) = f_{-s}(y - gamma s)``, exactly the identity off the
+    swept interval ``(a + min(0, gamma s), b + max(0, gamma s))``, (a, b)
+    the support of xi.  Zero time copies the lattice.
     """
     s_values = np.asarray(s_values, dtype=float)
     gamma, h, x = xi_field.gamma, xi_field._hmap, grid.x
-    sigma = -1.0 if not xi_field.finite and xi_field.mover == "-" else 1.0
+    sigma = xi_field.sigma
     vt = sigma * xi_field.v * xi_field.t
     phi = lambda y: h(h.inverse(sigma * y) + vt)
     phi_inv = lambda w: sigma * h(h.inverse(w) - vt)
     if xi_field.finite:
         phi_x = phi(x)
-        return [CircleDiffeo(grid, phi_inv(phi_x - gamma * s) if s else x.copy())
+        return [Diffeo(grid, phi_inv(phi_x - gamma * s) if s else x.copy())
                 for s in (-s_values if inverse else s_values)]
     a, b = xi_field.support
     phi_x = None if inverse else phi(x)
@@ -522,5 +473,5 @@ def flow_family(xi_field: XiField, s_values, grid,
                               if inverse
                               else phi_inv(phi_x[swept] - sigma * gamma * s)
                               + gamma * s)
-        out.append(LineDiffeo(grid, samples))
+        out.append(Diffeo(grid, samples))
     return out

@@ -211,17 +211,10 @@ def _schwarzian(f):
         *(f.deriv_samples(order) for order in (1, 2, 3)))
 
 
-def _periodic_at(grid, values, pts):
-    """The spectral interpolant of periodic samples at arbitrary points."""
-    phase = np.exp(-2j * np.pi * np.outer((pts - grid.x0) / grid.L,
-                                          grid.mode_numbers()))
-    return np.real(phase @ np.fft.ifft(values))
-
-
 @check("schwarzian.identity", 0.0)
 def _():
     grid = PeriodicGrid(10.0, 256)
-    s = _schwarzian(profile.CircleDiffeo(grid, grid.x.copy()))
+    s = _schwarzian(profile.Diffeo(grid, grid.x.copy()))
     return float(np.max(np.abs(s)))
 
 
@@ -232,10 +225,10 @@ def _():
     f2 = grid.x + 0.3 * np.sin(2 * np.pi * grid.x / L) \
         + 0.1 * np.cos(4 * np.pi * grid.x / L)
     f1 = lambda y: y + 0.2 * np.sin(2 * np.pi * y / L + 0.5)
-    inner = profile.CircleDiffeo(grid, f2)
-    s12 = _schwarzian(profile.CircleDiffeo(grid, f1(f2)))
-    s1 = _schwarzian(profile.CircleDiffeo(grid, f1(grid.x)))
-    rhs = inner.deriv_samples(1) ** 2 * _periodic_at(grid, s1, f2) \
+    inner = profile.Diffeo(grid, f2)
+    s12 = _schwarzian(profile.Diffeo(grid, f1(f2)))
+    s1 = _schwarzian(profile.Diffeo(grid, f1(grid.x)))
+    rhs = inner.deriv_samples(1) ** 2 * grid.interpolate(s1, f2).real \
         + _schwarzian(inner)
     return float(np.max(np.abs(s12 - rhs)))
 
@@ -249,10 +242,11 @@ def _():
     grid = PeriodicGrid(L, 512, x0=-L / 2)
     zeta = lambda y: 1.0 + 0.35 * np.sin(2 * np.pi * y / L) \
         + 0.15 * np.cos(4 * np.pi * y / L + 0.3)
-    fa = profile.CircleDiffeo(grid, _ode_flow(zeta, 0.12, grid.x))
-    fab = profile.CircleDiffeo(grid, _ode_flow(zeta, 0.24, grid.x))
+    fa = profile.Diffeo(grid, _ode_flow(zeta, 0.12, grid.x))
+    fab = profile.Diffeo(grid, _ode_flow(zeta, 0.24, grid.x))
     s_a = _schwarzian(fa)
-    rhs = fa.deriv_samples(1) ** 2 * _periodic_at(grid, s_a, fa.samples) + s_a
+    rhs = fa.deriv_samples(1) ** 2 * grid.interpolate(s_a, fa.samples).real \
+        + s_a
     return float(np.max(np.abs(_schwarzian(fab) - rhs)))
 
 
@@ -287,7 +281,7 @@ def _():
     worst = 0.0
     for N in (64, 96):
         grid, _ = _torus_grid(N=N)
-        f0 = profile.CircleDiffeo(grid, grid.x.copy())
+        f0 = profile.Diffeo(grid, grid.x.copy())
         sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(f0, 0.1j, N))
         worst = max(worst, np.max(np.abs(sol.y1_coeff)),
                     abs(sol.tau_eff - 0.1j))
@@ -301,7 +295,7 @@ def _():
     worst = 0.0
     for N in (64, 96):
         grid, _ = _torus_grid(N=N)
-        ft = profile.CircleDiffeo(grid, grid.x - 2.0)
+        ft = profile.Diffeo(grid, grid.x - 2.0)
         sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(ft, 0.1j, N))
         worst = max(worst, abs(sol.tau_eff - (0.1j + 2.0 / 40.0)),
                     10.0 * np.max(np.abs(sol.y1_coeff)),
@@ -313,7 +307,7 @@ def _():
 def _():
     grid, N = _torus_grid()
     eps = 0.02 * 40.0 / (2 * np.pi)
-    fs = profile.CircleDiffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / 40.0))
+    fs = profile.Diffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / 40.0))
     sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(fs, 0.15j, N))
     d = torus_weld.residual_diagnostics(sol)
     return max(d["boundary_eq_1"], d["boundary_eq_2"], d["integrability"],
@@ -374,7 +368,7 @@ def _():
     for N in (16, 32, 64):
         grid = PeriodicGrid(L, 8 * N, x0=-0.75 * L)
         z = np.exp(2j * np.pi * grid.x / L)
-        f = profile.CircleDiffeo(
+        f = profile.Diffeo(
             grid, grid.x - amp * L / (2 * np.pi) * np.log(1 - r * z).imag)
         sols[N] = torus_weld.solve_Y1(
             torus_weld.TorusWeldProblem(f, 0.15j, N, tail_tol=1.0))
@@ -419,7 +413,7 @@ def _():
     worst = 0.0
     for M in (512, 1024):
         grid = LineGrid(-20.0, 40.0, M)
-        g0 = profile.LineDiffeo(grid, grid.x.copy())
+        g0 = profile.Diffeo(grid, grid.x.copy())
         sol = cylinder_weld.solve_cylinder(
             cylinder_weld.CylinderWeldProblem(g0, p.beta0, 20.0, g0))
         worst = max(worst, np.max(np.abs(sol.xprime - 1.0)),
@@ -563,14 +557,15 @@ def _():
 
 @check("ldf.fluctuation_symmetry_20pts", 1e-12)
 def _():
-    rng = np.random.default_rng(3)
     worst = 0.0
     dbeta = 1.0 - 2.0
-    for _ in range(20):
-        lam = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.8))
-        a = fcs.ldf(2.0, 1.0, 1.0, lam)["total"]
-        b = fcs.ldf(2.0, 1.0, 1.0, -lam + 1j * dbeta)["total"]
-        worst = max(worst, abs(a - b))
+    for seed in (3, 20240817):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            lam = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.8))
+            a = fcs.ldf(2.0, 1.0, 1.0, lam)["total"]
+            b = fcs.ldf(2.0, 1.0, 1.0, -lam + 1j * dbeta)["total"]
+            worst = max(worst, abs(a - b))
     return worst
 
 

@@ -47,12 +47,9 @@ class PeriodicGrid:
     def dx(self) -> float:
         return self.L / self.M
 
-    def mode_numbers(self) -> np.ndarray:
-        """Mode indices in FFT storage order (0, 1, ..., -1)."""
-        return np.fft.fftfreq(self.M, d=1.0 / self.M)
-
     def momenta(self) -> np.ndarray:
-        return 2.0 * np.pi * self.mode_numbers() / self.L
+        """Mode momenta in FFT storage order (modes 0, 1, ..., -1)."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.M, d=1.0 / self.M) / self.L
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Coefficients c_n of u = sum c_n exp(-i p_n x), FFT storage order."""
@@ -73,22 +70,20 @@ class PeriodicGrid:
         """Trapezoid rule over one period (spectrally accurate)."""
         return np.sum(values) * self.dx
 
-    def eval_band(self, coeff_band: np.ndarray, points: np.ndarray,
-                  deriv: int = 0) -> np.ndarray:
+    def eval_band(self, coeff_band: np.ndarray,
+                  points: np.ndarray) -> np.ndarray:
         """Evaluate a symmetric-band trig series at arbitrary points."""
         n_max = (len(coeff_band) - 1) // 2
-        pn = 2.0 * np.pi * np.arange(-n_max, n_max + 1) / self.L
-        out = np.zeros(np.shape(points), dtype=complex)
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        res = np.zeros(pts.shape, dtype=complex)
-        chunk = max(1, int(2e6 // max(len(pn), 1)))
-        wcoef = coeff_band * (-1j * pn) ** deriv
-        for i in range(0, len(pts), chunk):
-            ph = progression_phases(-n_max, 2.0 * np.pi / self.L, len(pn),
-                                    -pts[i:i + chunk])
-            res[i:i + chunk] = ph.T @ wcoef
-        out[...] = res.reshape(np.shape(points))
-        return out
+        return _progression_sum(-n_max, 2.0 * np.pi / self.L, coeff_band,
+                                points)
+
+    def interpolate(self, values: np.ndarray,
+                    points: np.ndarray) -> np.ndarray:
+        """The trigonometric interpolant of periodic samples at arbitrary
+        points, over the FFT modes -M/2..M/2-1 (Nyquist included)."""
+        c = np.fft.fftshift(np.fft.ifft(values))
+        return _progression_sum(-self.M // 2, 2.0 * np.pi / self.L, c,
+                                np.asarray(points, dtype=float) - self.x0)
 
 
 @dataclass(frozen=True)
@@ -147,22 +142,37 @@ class LineGrid:
     def integral(self, values: np.ndarray) -> complex | float:
         return np.sum(values) * self.dx
 
-    def eval_ft(self, uhat: np.ndarray, points: np.ndarray,
-                deriv: int = 0) -> np.ndarray:
-        """Evaluate (dp/2pi) sum exp(-i p x) (-i p)^deriv uhat at points.
+    def eval_ft(self, uhat: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Evaluate (dp/2pi) sum exp(-i p x) uhat at points.
 
         A 2-D ``uhat`` holds one series per column, all evaluated from one
         phase matrix; the result then has a trailing axis of columns.
         """
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        w = (uhat.T * (-1j * self.p) ** deriv * self.dp / (2.0 * np.pi)).T
-        res = np.zeros(pts.shape + w.shape[1:], dtype=complex)
-        chunk = max(1, int(2e6 // self.M))
-        for i in range(0, len(pts), chunk):
-            ph = progression_phases(0.5 - self.M / 2, self.dp, self.M,
-                                    -pts[i:i + chunk])
-            res[i:i + chunk] = ph.T @ w
-        return res.reshape(np.shape(points) + w.shape[1:])
+        w = (uhat.T * self.dp / (2.0 * np.pi)).T
+        return _progression_sum(0.5 - self.M / 2, self.dp, w, points)
+
+    def interpolate(self, values: np.ndarray,
+                    points: np.ndarray) -> np.ndarray:
+        """The band-limited interpolant of window samples at arbitrary
+        points."""
+        return self.eval_ft(self.ft(values), points)
+
+
+def _progression_sum(j0: float, dp: float, w: np.ndarray,
+                     points) -> np.ndarray:
+    """``sum_j w_j e^{-i p_j x}`` at the points, over the momenta
+    ``p_j = (j0 + j) dp`` of ``progression_phases``; a 2-D ``w`` holds one
+    series per column, and the result then has a trailing axis of columns.
+    The points, of any shape, go in chunks, so a phase table holds about 2e6
+    entries."""
+    n = len(w)
+    pts = np.ravel(np.asarray(points, dtype=float))
+    res = np.zeros(pts.shape + w.shape[1:], dtype=complex)
+    chunk = max(1, int(2e6 // n))
+    for i in range(0, len(pts), chunk):
+        res[i:i + chunk] = progression_phases(j0, dp, n,
+                                              -pts[i:i + chunk]).T @ w
+    return res.reshape(np.shape(points) + w.shape[1:])
 
 
 def progression_phases(j0: float, dp: float, n: int, x,

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from .profile import CircleDiffeo
+from .profile import Diffeo
 from .spectral import (PeriodicGrid, progression_phases,
                        schwarzian_from_derivatives)
 
@@ -50,7 +50,7 @@ class TorusWeldProblem:
     """Welding problem on the annulus with spectral truncation ``n_modes``,
     assembled on the grid of ``f``, which needs M >= 4 N points."""
 
-    f: CircleDiffeo
+    f: Diffeo
     tau: complex
     n_modes: int
     tail_tol: float = 1e-12
@@ -64,7 +64,7 @@ class TorusWeldProblem:
 
     @property
     def L(self) -> float:
-        return self.f.L
+        return self.f.grid.L
 
     @property
     def q(self) -> complex:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from weldfcs import (CircleDiffeo, CylinderWeldProblem, LineDiffeo, Numerics,
+from weldfcs import (CylinderWeldProblem, Diffeo, Numerics,
                      TemperatureProfile, Theory, TorusWeldProblem,
                      VolumeContext, appendix_b_check, build_h, character,
                      cylinder_nodes, effective_tau, ldf, levitov_lesovik,
@@ -48,11 +48,11 @@ def test_criterion_1_trivial_welds():
     t0 = time.time()
     n = 96
     grid = PeriodicGrid(40.0, 4 * n, x0=-30.0)
-    f0 = CircleDiffeo(grid, grid.x.copy())
+    f0 = Diffeo(grid, grid.x.copy())
     sol = solve_Y1(TorusWeldProblem(f0, 0.1j, n))
     d_torus = max(float(np.max(np.abs(sol.y1_coeff))), abs(sol.tau_eff - 0.1j))
     lg = LineGrid(-20.0, 40.0, 512)
-    g0 = LineDiffeo(lg, lg.x.copy())
+    g0 = Diffeo(lg, lg.x.copy())
     csol = solve_cylinder(CylinderWeldProblem(g0, KINK.beta0, 20.0, g0))
     d_cyl = float(np.max(np.abs(csol.xprime - 1.0)))
     dt = record(1, "identity welds exact", max(d_torus, d_cyl), 1e-12, t0)
@@ -64,7 +64,7 @@ def test_criterion_2_translation_tau():
     n = 96
     grid = PeriodicGrid(40.0, 4 * n, x0=-30.0)
     b = 2.0
-    ft = CircleDiffeo(grid, grid.x - b)
+    ft = Diffeo(grid, grid.x - b)
     sol = solve_Y1(TorusWeldProblem(ft, 0.1j, n))
     defect = abs(sol.tau_eff - (0.1j + b / 40.0))
     dt = record(2, "translation shifts tau by b/L", defect, 1e-10, t0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from weldfcs import TemperatureProfile, fcs
+from weldfcs import Diffeo, TemperatureProfile, fcs
 from weldfcs.fcs import (counterterm_finite, counterterm_mover,
                          moments_closed_form)
 from weldfcs.profile import VolumeContext
@@ -36,6 +36,71 @@ class TestSpectralTools:
                    epsabs=1e-14)[0]
         assert uhat[k].real == pytest.approx(ref, abs=1e-12)
         assert abs(uhat[k].imag) < 1e-12
+
+    def test_interpolate_returns_samples_and_is_periodic(self):
+        # rounding the angles p x errs by about eps |p x|, which grows with
+        # M, so the bound scales with M
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(periodic=st.booleans(),
+                          m=st.sampled_from([2, 8, 64, 256]),
+                          length=st.floats(0.5, 100.0),
+                          offset=st.floats(-1.0, 1.0),
+                          seed=st.integers(0, 2 ** 32 - 1),
+                          k=st.integers(-3, 3))
+        def prop(periodic, m, length, offset, seed, k):
+            x0 = offset * length
+            grid = (PeriodicGrid(length, m, x0=x0) if periodic
+                    else LineGrid(x0, length, m))
+            rng = np.random.default_rng(seed)
+            values = rng.standard_normal(m)
+            bound = 64 * np.finfo(float).eps * m * np.max(np.abs(values))
+            assert np.max(np.abs(grid.interpolate(values, grid.x) - values)) \
+                <= bound
+            if periodic:
+                pts = x0 + rng.uniform(-length, 2 * length, 50)
+                assert np.max(np.abs(grid.interpolate(values, pts + k * length)
+                                     - grid.interpolate(values, pts))) <= bound
+
+        prop()
+
+    @pytest.mark.parametrize("m", [512, 2048])
+    def test_periodic_interpolate_matches_direct_exp(self, m):
+        # the direct np.exp sum over the FFT modes -M/2..M/2-1, over several
+        # periods; the Nyquist term's imaginary part off the lattice tells
+        # mode -M/2 from +M/2
+        L, x0 = 40.0, -30.0
+        grid = PeriodicGrid(L, m, x0=x0)
+        z = 2 * np.pi * grid.x / L
+        disp = 0.3 * np.sin(z) + 0.1 * np.cos(2 * z + 0.5)
+        values = disp + 0.2j * np.cos(z) + 0.05 * (-1.0) ** np.arange(m)
+        pts = np.linspace(x0 - 2 * L, x0 + 3 * L, 3001)
+        phase = np.exp(-2j * np.pi * np.outer(
+            (pts - x0) / L, np.fft.fftfreq(m, d=1.0 / m)))
+        direct = phase @ np.fft.ifft(values)
+        assert np.max(np.abs(grid.interpolate(values, pts) - direct)) < 1e-12
+        # points of any shape give values of that shape
+        got = grid.interpolate(values, pts[:3000].reshape(30, 100))
+        assert np.max(np.abs(got - direct[:3000].reshape(30, 100))) < 1e-12
+        f = Diffeo(grid, grid.x + disp)
+        ref = pts + (phase @ np.fft.ifft(disp)).real
+        assert np.max(np.abs(f(pts) - ref)) < 1e-13
+
+    def test_eval_ft_of_columns_matches_direct_exp(self):
+        grid = LineGrid(-20.0, 40.0, 1024)
+        x = grid.x
+        cols = [np.exp(-x ** 2), x * np.exp(-x ** 2 / 2),
+                np.tanh(x) * np.exp(-x ** 2 / 8)]
+        uhat = np.stack([grid.ft(c) for c in cols], axis=1)
+        pts = np.random.default_rng(5).uniform(-19.0, 19.0, 777)
+        direct = grid.dp / (2 * np.pi) * np.exp(
+            -1j * np.outer(pts, grid.p)) @ uhat
+        got = grid.eval_ft(uhat, pts)
+        assert got.shape == (777, 3)
+        assert np.max(np.abs(got - direct)) < 1e-14
 
     # (j0, dp, n, |x| range, points): the cylinder's half-offset lattice,
     # the torus modes 0..N+N//2 at L = 40 and 80 (|p x| to about 3600), a

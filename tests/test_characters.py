@@ -19,15 +19,6 @@ class TestTheory:
 
 
 class TestCharacter:
-    def test_boson_sqrt2_equals_fermion(self, rng):
-        fb = Theory("free_boson_radius", 1.0, radius=np.sqrt(2.0))
-        ff = Theory("free_fermion_c1", 1.0)
-        for _ in range(12):
-            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.25, 2.0))
-            a = character(fb, tau, method="direct")
-            b = character(ff, tau, method="direct")
-            assert abs(a - b) / abs(a) < 1e-12
-
     def test_finite_at_moderate_imag(self):
         th = Theory("free_boson_radius", 1.0, radius=1.0)
         val = character(th, 0.05j, method="direct")

@@ -325,8 +325,8 @@ class TestCli:
 
     def test_non_numeric_values_exit_2_naming_the_key(self, tmp_path,
                                                       capsys):
-        # with values out of range: a finite-difference step <= 0 and a box
-        # that cannot hold the kink
+        # with values out of range: a finite-difference step <= 0, a box
+        # that cannot hold the kink and a crosscheck flag that is not a bool
         for command, block, key, value in (
                 ("ldf", "profile", "center", "left"),
                 ("fcs", "experiment", "t_values", ["x"]),
@@ -342,8 +342,12 @@ class TestCli:
                 ("ldf", "numerics", "dx", float("inf")),
                 ("ldf", "numerics", "tail_tol", float("nan")),
                 ("ldf", "numerics", "window_factor", 10 ** 400),
-                ("fcs", "numerics", "dx", 1e308)):
+                ("fcs", "numerics", "dx", 1e308),
+                ("weld-cylinder", "experiment", "crosscheck", "false"),
+                ("weld-cylinder", "experiment", "crosscheck", 0)):
             data = base_config()
+            # a command that is not refused writes here, not into the cwd
+            data["io"] = {"output_dir": str(tmp_path / "out")}
             data[block][key] = value
             cfg_path = tmp_path / f"{key}.json"
             cfg_path.write_text(json.dumps(data))
@@ -579,6 +583,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerics.p_max_gamma" in err
         assert "Nyquist" in err
+
+    def test_fcs_cutoff_below_first_momentum_exits_2(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # p_max = 1e-6 / gamma is below dp / 2, the least |p| of the solve
+        # lattice, so the Nystrom correction would be empty; the node set is
+        # refused before any flow runs
+        data = base_config()
+        data["numerics"]["p_max_gamma"] = 1e-6
+        data["experiment"] = {"mode": "infinite", "t_values": [4.0],
+                              "lambda_values": [0.02]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+
+        def no_flows(*args, **kwargs):
+            raise AssertionError("flowed before the cutoff check")
+
+        monkeypatch.setattr("weldfcs.profile.flow_family", no_flows)
+        monkeypatch.setattr("weldfcs.fcs.flow_family", no_flows)
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "numerics.p_max_gamma" in err
+        assert "first solve momentum" in err
 
     def test_fcs_threads_match_serial(self, tmp_path):
         data = base_config()

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator
 
-from weldfcs import (CylinderWeldProblem, InfiniteVolume, LineDiffeo,
+from weldfcs import (CylinderWeldProblem, Diffeo, InfiniteVolume,
                      Numerics, assemble_sigma, build_xi, cylinder_nodes,
                      cylinder_weld, flow_family, realspace_crosscheck,
                      solve_cylinder)
@@ -76,7 +76,7 @@ def oracle_nodes(kink, lean_numerics):
 class TestAssembly:
     def test_identity_gives_zero_operator(self, kink):
         grid = LineGrid(-20.0, 40.0, 512)
-        g0 = LineDiffeo(grid, grid.x.copy())
+        g0 = Diffeo(grid, grid.x.copy())
         op = assemble_sigma(CylinderWeldProblem(g0, kink.beta0, 20.0, g0))
         assert np.max(np.abs(factored_sigma(op))) == 0.0
         assert np.max(np.abs(dense_sigma(op))) == 0.0
@@ -267,7 +267,7 @@ class TestSolve:
 class TestRealspaceCrosscheck:
     def test_identity(self, kink):
         grid = LineGrid(-20.0, 40.0, 1024)
-        g0 = LineDiffeo(grid, grid.x.copy())
+        g0 = Diffeo(grid, grid.x.copy())
         prob = CylinderWeldProblem(g0, kink.beta0, 20.0, g0)
         sol = solve_cylinder(prob)
         d = realspace_crosscheck(prob, sol, probes=np.array([0.0, 3.0]))

@@ -1,24 +1,13 @@
 import numpy as np
 import pytest
 
-from weldfcs import (InfiniteVolume, TemperatureProfile, Theory, build_xi,
-                     ldf, levy_jump_rates, moments_closed_form, psi_finite,
-                     psi_infinite, rate_function)
-from weldfcs.errors import DeltaBetaZero, PoleHit
+from weldfcs import (InfiniteVolume, Theory, build_xi, ldf, levy_jump_rates,
+                     moments_closed_form, psi_finite, psi_infinite,
+                     rate_function)
+from weldfcs.errors import PoleHit
 
 
 class TestLdf:
-    def test_zero_at_origin(self):
-        assert ldf(2.0, 1.0, 1.0, 0.0)["total"] == 0
-
-    def test_fluctuation_symmetry_exact(self, rng):
-        dbeta = -1.0
-        for _ in range(20):
-            lam = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.8))
-            a = ldf(2.0, 1.0, 1.0, lam)["total"]
-            b = ldf(2.0, 1.0, 1.0, -lam + 1j * dbeta)["total"]
-            assert abs(a - b) < 1e-12
-
     def test_pole_rejection(self):
         with pytest.raises(PoleHit):
             ldf(2.0, 1.0, 1.0, -2.0j)
@@ -51,10 +40,6 @@ class TestLevyJumpRates:
         w = levy_jump_rates(2.0, 1.0, 1.0, 0.0, np.array([0.5, -0.5]))
         assert w[0] == pytest.approx(np.pi / 12 * np.exp(-1.0), rel=1e-14)
         assert w[1] == pytest.approx(np.pi / 12 * np.exp(-0.5), rel=1e-14)
-
-    def test_diagonal_convention(self):
-        assert float(levy_jump_rates(2.0, 1.0, 1.0, 0.3, 0.3)) \
-            == pytest.approx(np.pi / 12.0, rel=1e-14)
 
 
 class TestClosedFormMoments:
@@ -138,18 +123,6 @@ class TestClosedFormMoments:
 
 
 class TestPsiInfinite:
-    def test_zero_lambda(self, kink, lean_numerics):
-        val = psi_infinite(kink, 1.0, 3.0, lam=0.0, numerics=lean_numerics)
-        assert val.ln_psi == 0
-
-    def test_equal_temperature_guard_and_by_s(self, lean_numerics):
-        flat = TemperatureProfile(2.0, 2.0)
-        with pytest.raises(DeltaBetaZero):
-            psi_infinite(flat, 1.0, 2.0, lam=0.1, numerics=lean_numerics)
-        val = psi_infinite(flat, 1.0, 2.0, by_s=0.2, numerics=lean_numerics)
-        # equilibrium: the transport field vanishes, only the free action
-        assert abs(val.ln_psi) < 1e-12
-
     def test_conjugation_symmetry(self, kink, lean_numerics):
         a = psi_infinite(kink, 1.0, 3.0, lam=0.15, numerics=lean_numerics)
         b = psi_infinite(kink, 1.0, 3.0, lam=-0.15, numerics=lean_numerics)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weldfcs import (CircleDiffeo, Numerics, TorusWeldProblem, assemble_K,
+from weldfcs import (Diffeo, Numerics, TorusWeldProblem, assemble_K,
                      build_xi, effective_tau, flow_family,
                      residual_diagnostics, solve_Y1, torus_nodes)
 from weldfcs.errors import QOnUnitCircle, TruncationTooCoarse
@@ -18,7 +18,7 @@ class TestAssembly:
     def test_identity_gives_free_operator(self):
         N = 64
         grid = make_grid(N)
-        f0 = CircleDiffeo(grid, grid.x.copy())
+        f0 = Diffeo(grid, grid.x.copy())
         blocks = assemble_K(TorusWeldProblem(f0, 0.1j, N))
         q = np.exp(2j * np.pi * 0.1j)
         ref = q ** np.abs(blocks.modes)
@@ -31,7 +31,7 @@ class TestAssembly:
         N = 64
         b = 2.0
         grid = make_grid(N)
-        ft = CircleDiffeo(grid, grid.x - b)
+        ft = Diffeo(grid, grid.x - b)
         blocks = assemble_K(TorusWeldProblem(ft, 0.1j, N))
         pn = 2 * np.pi * blocks.modes / L
         assert np.max(np.abs(np.diag(blocks.F) - np.exp(-1j * pn * b))) < 1e-12
@@ -42,7 +42,7 @@ class TestAssembly:
         entries = {}
         for N in (48, 96):
             grid = make_grid(N)
-            f = CircleDiffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / L))
+            f = Diffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / L))
             blocks = assemble_K(TorusWeldProblem(f, 0.15j, N))
             sel = blocks.modes.searchsorted(np.arange(-16, 17))
             entries[N] = blocks.K[np.ix_(sel, sel)]
@@ -51,7 +51,7 @@ class TestAssembly:
     def test_q_on_unit_circle_rejected(self):
         N = 16
         grid = make_grid(N)
-        f0 = CircleDiffeo(grid, grid.x.copy())
+        f0 = Diffeo(grid, grid.x.copy())
         with pytest.raises(QOnUnitCircle):
             TorusWeldProblem(f0, 1e-14j, N)
 
@@ -144,7 +144,7 @@ class TestSolve:
         sols = {}
         for N, factor in ((64, 4), (256, 4)):
             grid = make_grid(N, factor=factor)
-            f = CircleDiffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / L))
+            f = Diffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / L))
             sols[N] = solve_Y1(TorusWeldProblem(f, 0.15j, N))
         shared = np.arange(-16, 17)
         a = sols[64].y1_coeff[sols[64].modes.searchsorted(shared)]
