@@ -8,8 +8,6 @@ the welded boundary data.
 Run:  python demos/02_torus_welding.py
 """
 
-import numpy as np
-
 from weldfcs import (Diffeo, Numerics, TemperatureProfile,
                      TorusWeldProblem, VolumeContext, effective_tau,
                      residual_diagnostics, solve_Y1, torus_nodes)
@@ -20,12 +18,13 @@ grid_small = PeriodicGrid(L, 4 * 96, x0=-0.75 * L)
 
 # identity twist: nothing to solve, tau is reproduced exactly
 f0 = Diffeo(grid_small, grid_small.x.copy())
-sol = solve_Y1(TorusWeldProblem(f0, 0.1j, 96))
+sol = solve_Y1(TorusWeldProblem(f0, 0.1j, 96, f0))
 print("identity:    tau_eff =", sol.tau_eff)
 
 # translation by b: the torus marking shifts tau by b / L
 ft = Diffeo(grid_small, grid_small.x - 2.0)
-sol = solve_Y1(TorusWeldProblem(ft, 0.1j, 96))
+sol = solve_Y1(TorusWeldProblem(ft, 0.1j, 96,
+                                Diffeo(grid_small, grid_small.x + 2.0)))
 print("translation: tau_eff =", sol.tau_eff, " (expected 0.05 + 0.1j)")
 
 # transport flow of the kink at flow time s = 0.25

@@ -13,11 +13,13 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["SolveCache", "resolve_cache_dir"]
 
 # Bump whenever an algorithm change moves the bits of a cached value, so
 # records computed before the change are misses rather than served.
-_VERSION = "weldfcs-cache-6"
+_VERSION = "weldfcs-cache-7"
 
 
 def resolve_cache_dir(explicit: str | None = None) -> str | None:
@@ -29,9 +31,10 @@ def resolve_cache_dir(explicit: str | None = None) -> str | None:
 
 def _canonical(obj) -> str:
     if isinstance(obj, (tuple, list)):
-        return "(" + ",".join(_canonical(x) for x in obj) + ")"
-    if isinstance(obj, float):
-        return repr(obj)
+        return "(" + ",".join([_canonical(x) for x in obj]) + ")"
+    if isinstance(obj, np.generic):
+        # a numpy scalar keys as the Python number of equal value
+        obj = obj.item()
     if isinstance(obj, complex):
         return f"({obj.real!r}+{obj.imag!r}j)"
     return repr(obj)

@@ -20,18 +20,12 @@ Momentum-space kernels of the substitution operators::
     (G - I)^(p, q)      = int e^{i(p-q)x} (e^{+i p (g(x)-x)} g'(x) - 1) dx
 
 where the second form comes from the change of variables x = g(y).  On the
-lattice the first form is a sum over the points the displacement d moves,
-since ``expm1(0) == 0`` makes every other term exactly zero.  Restricted to
-that support S it factors into two small matrices,
-
-    A(p, q) = sum_{m in S} e^{i p x_m} * [dx (e^{-i q d_m} - 1) e^{-i q x_m}],
-
-so the whole block is one (n x |S|) @ (|S| x n) product; B comes from the
-inverse displacement in the same way.  Sigma is a short chain of these
-blocks, so it is never formed: it is applied from the four factors, and
-``(I + Sigma) dZ = -Sigma Z12`` is solved by GMRES.  Sigma is a compact
-perturbation of the identity of low numerical rank, so a few iterations
-reach round-off.
+lattice the first form A factors through the support of the displacement
+(``fredholm._substitution_kernel``), and B comes from the inverse
+displacement in the same way.  Sigma is a short chain of these blocks, so it
+is never formed: ``(I + Sigma) dZ = -Sigma Z12`` is solved from the four
+factors by ``fredholm._gmres``, in a few iterations, since Sigma is a
+compact perturbation of the identity of low numerical rank.
 """
 
 from __future__ import annotations
@@ -40,13 +34,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import NearSingular, WindowTooSmall
+from .fredholm import _gmres, _substitution_kernel
 from .profile import Diffeo
-from .spectral import (LineGrid, progression_phases,
-                       schwarzian_from_derivatives)
+from .spectral import LineGrid, schwarzian_from_derivatives
 
 __all__ = [
     "CylinderWeldProblem",
@@ -61,12 +54,6 @@ __all__ = [
 _MIN_EDGE_GAP = 5.0
 # the solve refuses a Nystrom system whose condition estimate exceeds this
 _COND_LIMIT = 1e12
-# GMRES stops once its least-squares residual estimate is this fraction of
-# the right-hand side; unlike the true residual, that estimate keeps falling
-# past round-off, so the stop is reached
-_GMRES_TOL = 1e-15
-# and refuses a system it has not solved in this many iterations
-_GMRES_CAP = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,28 +180,6 @@ def _inverse_displacement(problem: CylinderWeldProblem) -> np.ndarray:
     return disp
 
 
-def _substitution_kernel(grid: LineGrid, disp: np.ndarray, p: np.ndarray,
-                         weight: float):
-    """Factors of the weighted kernel block ``weight * (e^{-i q d} - 1)^(p, q)``
-    for p, q in ``p``, the grid's momenta in a band symmetric about zero.
-
-    Only the support S of ``disp`` contributes, so the block is the product
-    ``P @ V`` of ``P = e^{i p x_S}`` and ``V[m, j] = weight dx expm1(-i p_j d_m)
-    e^{-i p_j x_m}``.  Both come from the lattice's block phase tables.
-    Returns P, V and S.
-    """
-    supp = np.nonzero(disp)[0]
-    j0 = 0.5 - len(p) / 2                   # p_j = (j0 + j) dp
-    phase = progression_phases(j0, grid.dp, len(p), grid.x[supp])
-    # V^T = conj(expm1(i p d) e^{i p x}): e^{-i p x} is the conjugate of
-    # P, and both conjugates are exact
-    v = progression_phases(j0, grid.dp, len(p), disp[supp], expm1=True)
-    v *= phase
-    np.conjugate(v, out=v)
-    v *= weight * grid.dx
-    return phase, v.T, supp
-
-
 def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     """Factor the recast Nystrom operator and assemble the closed-form source."""
     grid = problem.grid
@@ -317,73 +282,12 @@ class CylinderWeldSolution:
         }
 
 
-def _gmres(sigma: FactoredSigma, b: np.ndarray):
-    """Solve ``(I + sigma) x = b`` by full-orthogonalization GMRES from x = 0.
-
-    The Arnoldi basis is orthogonalized twice per step (classical
-    Gram-Schmidt, repeated).  Returns ``(x, condition estimate)``: the
-    estimate is the ratio of the extreme singular values of the Arnoldi
-    Hessenberg matrix, which are those of I + sigma on the Krylov space.  A
-    zero ``b`` has the zero solution and reads 1.  Raises ``NearSingular``
-    past ``_GMRES_CAP`` iterations or the condition limit.
-    """
-    n = len(b)
-    beta = float(np.linalg.norm(b))
-    if beta == 0.0:
-        return np.zeros_like(b), 1.0
-    cap = min(_GMRES_CAP, n)
-    basis = np.empty((n, cap + 1), dtype=complex)
-    hess = np.zeros((cap + 1, cap), dtype=complex)
-    # Givens rotations reduce hess to upper-triangular r column by column;
-    # g is the rotated right-hand side, |g[j + 1]| the residual estimate
-    r = np.zeros((cap, cap), dtype=complex)
-    cs, sn = np.zeros(cap), np.zeros(cap, dtype=complex)
-    g = np.zeros(cap + 1, dtype=complex)
-    g[0] = beta
-    basis[:, 0] = b / beta
-    for j in range(cap):
-        v = basis[:, :j + 1]
-        w = basis[:, j] + sigma.matvec(basis[:, j])
-        for _ in range(2):
-            h = v.conj().T @ w
-            w -= v @ h
-            hess[:j + 1, j] += h
-        hess[j + 1, j] = np.linalg.norm(w)
-        col = hess[:j + 2, j].copy()
-        for i in range(j):
-            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                  -np.conj(sn[i]) * col[i] + cs[i] * col[i + 1])
-        a, rho = col[j], np.hypot(abs(col[j]), col[j + 1].real)
-        if rho == 0.0:
-            raise NearSingular("Nystrom system singular on its Krylov space")
-        cs[j] = abs(a) / rho
-        sn[j] = col[j + 1].real / rho * (a / abs(a) if a != 0 else 1.0)
-        r[:j + 1, j] = col[:j + 1]
-        r[j, j] = cs[j] * a + sn[j] * col[j + 1]
-        g[j + 1] = -np.conj(sn[j]) * g[j]
-        g[j] *= cs[j]
-        if abs(g[j + 1]) <= _GMRES_TOL * beta:
-            break
-        basis[:, j + 1] = w / hess[j + 1, j].real
-    else:
-        raise NearSingular(
-            f"Nystrom system not solved in {cap} GMRES iterations "
-            f"(residual estimate {abs(g[cap]) / beta:.2e})")
-    k = j + 1
-    sv = np.linalg.svd(hess[:k + 1, :k], compute_uv=False)
-    cond = float(sv[0] / max(sv[-1], 1e-300))
-    if cond > _COND_LIMIT:
-        raise NearSingular(f"Nystrom system condition estimate {cond:.2e}")
-    y = solve_triangular(r[:k, :k], g[:k])
-    return basis[:, :k] @ y, cond
-
-
 def solve_cylinder(problem: CylinderWeldProblem) -> CylinderWeldSolution:
     """Solve the recast system for the correction and reconstruct the data."""
     operator = assemble_sigma(problem)
     sigma = operator.sigma
     rhs = -sigma.matvec(operator.z12_ext[operator.sel])
-    dz, cond = _gmres(sigma, rhs)
+    dz, cond = _gmres(sigma.matvec, rhs, _COND_LIMIT, NearSingular)
     # the true relative residual, one more product
     res = (np.linalg.norm(dz + sigma.matvec(dz) - rhs)
            / max(np.linalg.norm(rhs), 1e-300))

@@ -26,8 +26,10 @@ from scipy.optimize import brentq
 
 from . import profile as profile_mod
 from .characters import Theory, log_character
-from .cylinder_weld import _GMRES_CAP, CylinderWeldProblem, solve_cylinder
+from .cylinder_weld import CylinderWeldProblem, solve_cylinder
 from .errors import ConfigInvalid, DeltaBetaZero, NodeTooLarge, PoleHit
+from .fredholm import _GMRES_CAP
+# flow_family is not called here, but perfbench's tracer wraps this name
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       XiField, build_h, build_xi, flow_family,
                       periodize_profile)
@@ -103,7 +105,7 @@ def cylinder_grid(xi_field: XiField, s_extent: float,
     return LineGrid(x0=x0, span=span, M=m)
 
 
-# a welding node whose working set (see _cylinder_size and torus_nodes)
+# a welding node whose working set (see _cylinder_size and _refuse_torus)
 # would take more bytes than this is refused before any of it is allocated
 _NODE_BYTES_MAX = 2 ** 30
 
@@ -135,6 +137,18 @@ def _cylinder_size(grid: LineGrid, p_max: float,
                                 + grid.M)
 
 
+def _refuse_torus(n: int, supports: int):
+    """Refuse a torus node with n modes whose map and inverse move
+    ``supports`` grid points in all, if its working set is over the budget:
+    the two factor pairs, the GMRES basis and a band-edge tail slab with
+    its modulus (README "Command line")."""
+    _refuse_over_budget(
+        16 * (2 * (2 * n + n // 2 + 1) * supports + (_GMRES_CAP + 1) * 2 * n
+              + 2 * max(1, n // 16) * (2 * n + 1)),
+        f"torus node with {n} modes and {supports} moved grid points",
+        "lower numerics.n_modes")
+
+
 def _s_extent(s_values) -> float:
     """Largest |s| of a node set; it sizes the set's cylinder window."""
     return float(np.max(np.abs(s_values), initial=0.0))
@@ -151,8 +165,9 @@ def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _line_flow_family(xi_field: XiField, s_values, grid: LineGrid):
-    """Shifted line flows g_s paired with their inverses at several flow times.
+def _line_flow_family(xi_field: XiField, s_values, grid):
+    """The flows at several flow times paired with their inverses, in either
+    volume (``flow_family`` and its ``inverse``).
 
     Calls ``flow_family`` through its module, so a traced run counts one
     flows call per family.
@@ -178,46 +193,46 @@ class WeldNodes:
 
     @cached_property
     def xi_values(self) -> np.ndarray:
-        return self.xi(self.grid.x)
+        try:
+            return self.xi(self.grid.x)
+        except MemoryError as exc:
+            raise self._out_of_memory(f"field at t = {self.xi.t:.6g}") from exc
+
+    def _out_of_memory(self, what: str) -> NodeTooLarge:
+        volume = "torus" if self.xi.finite else "cylinder"
+        return NodeTooLarge(
+            f"{volume} {what} on a {self.grid.M}-point grid ran out of memory "
+            f"below the {_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget")
 
     def solutions(self, which=None):
         """Welding solutions at ``s_values[which]`` (all by default), in
-        order, solved one at a time as they are asked for."""
-        s_values, num, grid = self.s_values, self.numerics, self.grid
-        which = range(len(s_values)) if which is None else which
-        volume = "torus" if self.xi.finite else "cylinder"
-
-        def out_of_memory(what):
-            return NodeTooLarge(
-                f"{volume} {what} on a {grid.M}-point grid ran out of memory "
-                f"below the {_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget")
-
-        flows = flow_family if self.xi.finite else _line_flow_family
+        order, solved one at a time as they are asked for.  A torus set is
+        refused when its largest node's factors, sized by the supports of
+        the flows, would be over the budget."""
+        s_values, num, xi = self.s_values, self.numerics, self.xi
         try:
-            diffeos = flows(self.xi, s_values, grid)
+            pairs = _line_flow_family(xi, s_values, self.grid)
+            if xi.finite:
+                tau0, n = 1j * xi.gamma / xi.L, num.n_modes
+                problems = [TorusWeldProblem(f, tau0 - xi.gamma * s / xi.L, n,
+                                             finv, num.tail_tol)
+                            for (f, finv), s in zip(pairs, s_values)]
+                _refuse_torus(n, max(
+                    (sum(map(np.count_nonzero, p.displacements))
+                     for p in problems), default=0))
+            else:
+                problems = [CylinderWeldProblem(
+                    g, xi.gamma, num.p_max_gamma / xi.gamma, ginv)
+                    for g, ginv in pairs]
         except MemoryError as exc:
-            raise out_of_memory(f"flows at t = {self.xi.t:.6g}") from exc
-        if self.xi.finite:
-            ctx = self.xi.ctx
-            tau0 = 1j * ctx.gammaL / ctx.L
-
-            def solve(i):
-                return solve_Y1(TorusWeldProblem(
-                    diffeos[i], tau0 - ctx.gammaL * s_values[i] / ctx.L,
-                    num.n_modes, num.tail_tol))
-        else:
-            gamma = self.xi.gamma
-
-            def solve(i):
-                g, ginv = diffeos[i]
-                return solve_cylinder(CylinderWeldProblem(
-                    g, gamma, num.p_max_gamma / gamma, ginv))
-        for i in which:
+            raise self._out_of_memory(f"flows at t = {xi.t:.6g}") from exc
+        solve = solve_Y1 if xi.finite else solve_cylinder
+        for i in range(len(s_values)) if which is None else which:
             try:
-                sol = solve(i)
+                sol = solve(problems[i])
             except MemoryError as exc:
-                raise out_of_memory(f"node at t = {self.xi.t:.6g}, "
-                                    f"s = {s_values[i]:.6g}") from exc
+                raise self._out_of_memory(f"node at t = {xi.t:.6g}, "
+                                          f"s = {s_values[i]:.6g}") from exc
             yield sol
 
 
@@ -227,14 +242,8 @@ def torus_nodes(profile: TemperatureProfile, ctx: VolumeContext, t: float,
     ``tau_s = i gamma_L / L - gamma_L s / L``, on the 4N-point assembly
     grid."""
     n = numerics.n_modes
-    m = 4 * n
-    # complex bytes of the phase table (modes 0..N + N//2 on the assembly
-    # grid) plus one dense (2N+1)-mode band matrix
-    _refuse_over_budget(16 * ((n + n // 2 + 1) * m + (2 * n + 1) ** 2),
-                        f"torus node with {n} modes needs a phase table on "
-                        f"a {m}-point grid",
-                        "lower numerics.n_modes")
-    grid = PeriodicGrid(ctx.L, m, x0=-0.75 * ctx.L)
+    _refuse_torus(n, 0)                 # the flows fix the supports later
+    grid = PeriodicGrid(ctx.L, 4 * n, x0=-0.75 * ctx.L)
     return WeldNodes(build_xi(profile, ctx, t), grid,
                      np.asarray(s_values, dtype=float), numerics)
 

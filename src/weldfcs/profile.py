@@ -437,6 +437,15 @@ class Diffeo:
         x = np.asarray(x, dtype=float)
         return x + self.grid.interpolate(self.displacement(), x).real
 
+    def inverse(self) -> "Diffeo":
+        """The inverse map on the same grid, by 12 Newton steps on the
+        interpolants of the map and its derivative."""
+        y = self.grid.x - self.displacement()
+        for _ in range(12):
+            y = y - (self(y) - self.grid.x) / self.grid.interpolate(
+                self.deriv_samples(1), y).real
+        return Diffeo(self.grid, y)
+
 
 def flow_family(xi_field: XiField, s_values, grid,
                 inverse: bool = False) -> list:

@@ -282,7 +282,7 @@ def _():
     for N in (64, 96):
         grid, _ = _torus_grid(N=N)
         f0 = profile.Diffeo(grid, grid.x.copy())
-        sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(f0, 0.1j, N))
+        sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(f0, 0.1j, N, f0))
         worst = max(worst, np.max(np.abs(sol.y1_coeff)),
                     abs(sol.tau_eff - 0.1j))
     return float(worst)
@@ -296,7 +296,8 @@ def _():
     for N in (64, 96):
         grid, _ = _torus_grid(N=N)
         ft = profile.Diffeo(grid, grid.x - 2.0)
-        sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(ft, 0.1j, N))
+        sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(
+            ft, 0.1j, N, profile.Diffeo(grid, grid.x + 2.0)))
         worst = max(worst, abs(sol.tau_eff - (0.1j + 2.0 / 40.0)),
                     10.0 * np.max(np.abs(sol.y1_coeff)),
                     torus_weld.residual_diagnostics(sol)["tau_two_route"])
@@ -308,7 +309,8 @@ def _():
     grid, N = _torus_grid()
     eps = 0.02 * 40.0 / (2 * np.pi)
     fs = profile.Diffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / 40.0))
-    sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(fs, 0.15j, N))
+    sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(fs, 0.15j, N,
+                                                       fs.inverse()))
     d = torus_weld.residual_diagnostics(sol)
     return max(d["boundary_eq_1"], d["boundary_eq_2"], d["integrability"],
                d["tau_two_route"])
@@ -371,7 +373,8 @@ def _():
         f = profile.Diffeo(
             grid, grid.x - amp * L / (2 * np.pi) * np.log(1 - r * z).imag)
         sols[N] = torus_weld.solve_Y1(
-            torus_weld.TorusWeldProblem(f, 0.15j, N, tail_tol=1.0))
+            torus_weld.TorusWeldProblem(f, 0.15j, N, f.inverse(),
+                                        tail_tol=1.0))
     shared = np.arange(-8, 9)
     def band(sol):
         return sol.y1_coeff[sol.modes.searchsorted(shared)]

@@ -47,6 +47,10 @@ class PeriodicGrid:
     def dx(self) -> float:
         return self.L / self.M
 
+    @property
+    def dp(self) -> float:
+        return 2.0 * np.pi / self.L
+
     def momenta(self) -> np.ndarray:
         """Mode momenta in FFT storage order (modes 0, 1, ..., -1)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.M, d=1.0 / self.M) / self.L
@@ -74,15 +78,14 @@ class PeriodicGrid:
                   points: np.ndarray) -> np.ndarray:
         """Evaluate a symmetric-band trig series at arbitrary points."""
         n_max = (len(coeff_band) - 1) // 2
-        return _progression_sum(-n_max, 2.0 * np.pi / self.L, coeff_band,
-                                points)
+        return _progression_sum(-n_max, self.dp, coeff_band, points)
 
     def interpolate(self, values: np.ndarray,
                     points: np.ndarray) -> np.ndarray:
         """The trigonometric interpolant of periodic samples at arbitrary
         points, over the FFT modes -M/2..M/2-1 (Nyquist included)."""
         c = np.fft.fftshift(np.fft.ifft(values))
-        return _progression_sum(-self.M // 2, 2.0 * np.pi / self.L, c,
+        return _progression_sum(-self.M // 2, self.dp, c,
                                 np.asarray(points, dtype=float) - self.x0)
 
 

@@ -1,18 +1,24 @@
 """Annulus-to-torus conformal welding: the finite-volume Fredholm solve.
 
-The welding data is a lifted circle diffeomorphism ``f`` and a modular
-parameter ``tau`` (Im tau > 0).  Boundary values of the uniformizing map are
-recovered from a second-kind Fredholm system in the Fourier basis
+The welding data is a lifted circle diffeomorphism ``f``, its inverse and a
+modular parameter ``tau`` (Im tau > 0).  Boundary values of the uniformizing
+map are recovered from a second-kind Fredholm system in the Fourier basis
 ``e_n(x) = exp(-i p_n x)``, ``p_n = 2 pi n / L``:
 
-* ``F`` is the substitution matrix of ``X -> X o f^{-1}`` and ``Finv`` that of
-  ``X -> X o f``, both assembled by FFT quadrature on a grid of M >= 4N
-  points (the ``f^{-1}`` matrix uses the change of variables ``x = f(y)``,
-  so the inverse map itself is never sampled);
+* ``Finv`` is the substitution operator of ``X -> X o f`` and ``F`` that of
+  ``X -> X o f^{-1}``;
 * ``K11 = E0p - Finv E0p F``, ``K12 = Finv Q E0p``, ``K21 = Em Q^{-1} F`` with
   ``Q = diag(q^n)``, ``q = exp(2 pi i tau)``;
 * the zero mode is projected out (the kernel of ``I - K`` is the constants)
   and the solution is fixed by the mean-zero convention.
+
+With c = L Re tau, f = id + c + d and f^{-1} = id - c + d~, where d and d~
+live on the grid points the twist moves.  On the grid, exactly,
+``Finv = (I + P_A V_A) D_c`` and ``F = (I + P_B V_B) conj(D_c)`` with
+``D_c = diag(e^{-i p_n c})`` and the support factors of d and d~, so
+``I - K`` is applied from them and never formed.  Its diagonal is
+``Dg_n = 1 - e^{-L Im tau |p_n|}``, the torus form of the cylinder's
+T+-^{-1}, and GMRES solves the Dg-scaled projected system.
 
 The effective modular parameter of the welded torus follows from the
 integrated jump datum, and independently from the zero-mode boundary
@@ -23,14 +29,14 @@ equation.  The difference of the two routes and the band-edge tails of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
+from .fredholm import _gmres, _substitution_kernel
 from .profile import Diffeo
-from .spectral import (PeriodicGrid, progression_phases,
-                       schwarzian_from_derivatives)
+from .spectral import PeriodicGrid, schwarzian_from_derivatives
 
 __all__ = [
     "TorusWeldProblem",
@@ -48,17 +54,18 @@ _COND_LIMIT = 1e14
 @dataclass(frozen=True, eq=False)
 class TorusWeldProblem:
     """Welding problem on the annulus with spectral truncation ``n_modes``,
-    assembled on the grid of ``f``, which needs M >= 4 N points."""
+    assembled on the grid of ``f``, which needs M >= 4 N points;
+    ``f_inverse`` holds f^{-1} on the same grid."""
 
     f: Diffeo
     tau: complex
     n_modes: int
+    f_inverse: Diffeo
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        q = np.exp(2j * np.pi * self.tau)
-        if abs(q) >= 1.0 - 1e-12:
-            raise QOnUnitCircle(f"|q| = {abs(q):.15f} too close to 1")
+        if abs(self.q) >= 1.0 - 1e-12:
+            raise QOnUnitCircle(f"|q| = {abs(self.q):.15f} too close to 1")
         if self.f.grid.M < 4 * self.n_modes:
             raise ValueError("assembly grid must satisfy M >= 4 N")
 
@@ -70,82 +77,71 @@ class TorusWeldProblem:
     def q(self) -> complex:
         return complex(np.exp(2j * np.pi * self.tau))
 
-
-@dataclass(eq=False)
-class KBlocks:
-    modes: np.ndarray
-    K11: np.ndarray
-    K12: np.ndarray
-    K21: np.ndarray
-    F: np.ndarray
-    tails: dict
-
-    @property
-    def K(self) -> np.ndarray:
-        return self.K11 + self.K12 + self.K21
+    @cached_property
+    def displacements(self) -> tuple[np.ndarray, np.ndarray]:
+        """d and d~ on the grid; entries of round-off size (1e-13) are zero,
+        so the support factors skip them."""
+        c = self.L * self.tau.real
+        out = (self.f.displacement() - c, self.f_inverse.displacement() + c)
+        for d in out:
+            d[np.abs(d) <= 1e-13] = 0.0
+        return out
 
 
-def _substitution_matrices(f, n_modes: int, buffer: int):
-    """The parts of X -> X o f (``Finv``) and X -> X o f^{-1} (``F``) that
-    the cropped system reads.
+class TorusOperator:
+    """``I - K`` applied from the support factors over the modes -N..N+b,
+    b = N // 2 (row and column j is mode j - N); never formed."""
 
-    ``Finv`` comes on the band rows -N..N x the columns 0..N+b, ``F`` on the
-    rows -N..N+b x the band columns.  Both are read off one phase table
-    e^{-i p_n f(x_j)}, n = 0..N+b, by one FFT batch each: f is real, so the
-    negative modes are its conjugates.  The f^{-1} matrix comes from the
-    change of variables x = f(y), so the inverse map is never sampled.
-    """
-    grid = f.grid
-    N = n_modes
-    band = np.arange(-N, N + 1)
-    pb = 2.0 * np.pi * band / grid.L
-    # rows n >= 0, from the modes' block phase tables
-    phase = progression_phases(0.0, 2.0 * np.pi / grid.L, N + buffer + 1,
-                               -f.samples)
+    def __init__(self, problem: TorusWeldProblem):
+        N, grid, L, tau = problem.n_modes, problem.f.grid, problem.L, problem.tau
+        p = grid.dp * np.arange(-N, N + N // 2 + 1)
+        d, dt = problem.displacements
+        self.pa, self.va, _ = _substitution_kernel(grid, d, p, 1.0 / L)
+        self.pb, self.vb, _ = _substitution_kernel(grid, dt, p, 1.0 / L)
+        self.N, self.modes = N, np.arange(-N, N + 1)
+        self.dc = np.exp(-1j * p * (L * tau.real))
+        self.dg = -np.expm1(-L * tau.imag * np.abs(p[:2 * N + 1]))
+        self.qn = problem.q ** np.arange(N + 1, dtype=float)
+        self.tails = _tail_diagnostics(self, abs(problem.q))
 
-    # Finv[m, n] = (1/L) int e^{i p_m x} e^{-i p_n f(x)} dx   (batch FFT over x)
-    cols = np.fft.ifft(phase, axis=1)[:, band % grid.M]               # [n, m]
-    Finv = (cols * np.exp(1j * pb * grid.x0)[None, :]).T              # [m, n]
+    def residuals(self, y1: np.ndarray, y2: np.ndarray):
+        """The residuals ``E0p y1 - K11 y1 - K12 y2`` (band) and
+        ``Em y2 - K21 y1`` (modes < 0) of the two boundary relations, with
+        ``F = (I + P_B V_B) conj(D_c)`` and ``Finv = (I + P_A V_A) D_c``."""
+        N, n = self.N, len(y1)
+        z = self.dc[:n].conj() * y1
+        fy = self.pb @ (self.vb[:, :n] @ z)                 # F y1
+        fy[:n] += z
+        # r1 = Finv (E0 F y1 - Q E0p y2), over the modes 0..N+b
+        u = self.dc[N:] * fy[N:]
+        u[:N + 1] -= self.dc[N:n] * self.qn * y2[N:]
+        r1 = self.pa[:n] @ (self.va[:, N:] @ u)
+        r1[N:] += u[:N + 1]
+        return r1, y2[:N] - self.qn[:0:-1] * fy[:N]
 
-    # F[m, n] = (1/L) int f'(y) e^{i p_m f(y)} e^{-i p_n y} dy  (batch FFT over
-    # y); f' is real, so a row m >= 0 is the conjugate forward transform, and
-    # a row m < 0 is the forward transform of row -m at the mirrored modes;
-    # Finv has read the phase table, so it takes the weight f' in place
-    phase *= f.deriv_samples(1)[None, :]
-    gt = np.fft.fft(phase, axis=1)
-    rows = np.concatenate([gt[N:0:-1][:, band % grid.M],
-                           gt[:, (-band) % grid.M].conj()]) / grid.M
-    F = rows * np.exp(-1j * pb * grid.x0)[None, :]                    # [m, n]
-    return F, Finv
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``(I - K) x``."""
+        r1, r2 = self.residuals(x, x)
+        r1[:self.N] += r2
+        return r1
 
 
-def assemble_K(problem: TorusWeldProblem) -> KBlocks:
-    """Assemble the truncated Fredholm blocks in the Fourier basis.
+def assemble_K(problem: TorusWeldProblem) -> TorusOperator:
+    """Factor the truncated Fredholm operator in the Fourier basis.
 
     The ``K11`` product sums over the modes 0..N+b, extended past the band by
     the buffer b = N // 2, which keeps its band-edge entries spectrally
     accurate (the substitution operators scatter modes by a finite bandwidth
-    factor); ``E0p`` zeroes the negative modes of that sum.  M >= 4 N keeps
-    N + b below the grid's Nyquist mode.
+    factor).  M >= 4 N keeps N + b below the grid's Nyquist mode.
     """
-    N = problem.n_modes
-    modes = np.arange(-N, N + 1)
-    F, Finv = _substitution_matrices(problem.f, N, N // 2)
-    K11 = np.diag((modes >= 0).astype(float)) - Finv @ F[N:]
-
-    qn = problem.q ** np.arange(N + 1, dtype=float)
-    K12 = np.zeros_like(K11)
-    K12[:, N:] = Finv[:, :N + 1] * qn[None, :]
-    K21 = np.zeros_like(K11)
-    K21[:N] = qn[N:0:-1, None] * F[:N]
-
-    tails = _tail_diagnostics(problem, K12, K21)
-    worst = max(tails.values())
+    op = TorusOperator(problem)
+    worst = max(op.tails.values())
     if worst > problem.tail_tol:
         raise TruncationTooCoarse(
             f"kernel band-edge magnitude {worst:.2e} exceeds "
-            f"tail_tol={problem.tail_tol:.2e} at N={N}; raise n_modes")
-    return KBlocks(modes, K11, K12, K21, F[:2 * N + 1], tails)
+            f"tail_tol={problem.tail_tol:.2e} at N={problem.n_modes}; "
+            f"raise n_modes")
+    return op
 
 
 def _band_to_grid(grid: PeriodicGrid, modes: np.ndarray, coeff: np.ndarray,
@@ -159,8 +155,11 @@ def _band_to_grid(grid: PeriodicGrid, modes: np.ndarray, coeff: np.ndarray,
     return np.fft.fft(full)
 
 
-def _tail_diagnostics(problem, K12, K21) -> dict:
-    """Largest entries in the outermost mode band of the coupling blocks.
+def _tail_diagnostics(op: TorusOperator, qabs: float) -> dict:
+    """Largest entries in the outermost mode band (N // 16 wide) of the
+    coupling blocks, from the factors a slab at a time: |K12[m, n]| is
+    |(I + P_A V_A)[m, n]| |q|^n on n >= 0 and |K21[m, n]| is
+    |q|^|m| |(I + P_B V_B)[m, n]| on m < 0.
 
     Both fall as N grows.  K11's band edge is left out: its corner holds the
     part of the product that the buffer cuts off, which is the same share of
@@ -168,18 +167,22 @@ def _tail_diagnostics(problem, K12, K21) -> dict:
     the buffer raises it tenfold but moves tau_eff within its truncation
     error).
     """
-    N = problem.n_modes
-    w = max(1, N // 16)
+    band, w = np.arange(2 * op.N + 1), max(1, op.N // 16)
+    edge = np.r_[band[:w], band[-w:]]
+    power, one = qabs ** np.abs(op.modes), np.ones(len(band))
 
-    def edge_max(K):
-        edge = np.zeros_like(K, dtype=bool)
-        edge[:w, :] = True
-        edge[-w:, :] = True
-        edge[:, :w] = True
-        edge[:, -w:] = True
-        return float(np.max(np.abs(K[edge])))
+    def edge_max(p, v, rw, cw):
+        worst = 0.0
+        for r, c in ((edge, band), (band, edge)):
+            r, c = r[rw[r] > 0], c[cw[c] > 0]
+            blk = p[r] @ v[:, c]
+            blk[np.equal.outer(r, c)] += 1.0
+            worst = max(worst, float(np.max(
+                np.abs(blk) * rw[r, None] * cw[c], initial=0.0)))
+        return worst
 
-    return {"K12": edge_max(K12), "K21": edge_max(K21)}
+    return {"K12": edge_max(op.pa, op.va, one, power * (op.modes >= 0)),
+            "K21": edge_max(op.pb, op.vb, power * (op.modes < 0), one)}
 
 
 @dataclass(eq=False)
@@ -191,29 +194,23 @@ class TorusWeldSolution:
     tau_eff_boundary: complex
     cond_estimate: float
     solve_residual: float
-    blocks: KBlocks
+    operator: TorusOperator
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def grid(self) -> PeriodicGrid:
         return self.problem.f.grid
 
-    def y1_values(self, order: int) -> np.ndarray:
-        """The ``order``-th derivative of Y1 on the assembly grid."""
-        key = ("y1", order)
-        if key not in self._cache:
-            self._cache[key] = _band_to_grid(self.grid, self.modes,
-                                             self.y1_coeff, order)
-        return self._cache[key]
-
     @property
     def xprime(self) -> np.ndarray:
-        return self.problem.f.deriv_samples(1) - self.y1_values(1)
+        return self.xderiv(1)
 
     def xderiv(self, order: int) -> np.ndarray:
-        if order == 1:
-            return self.xprime
-        return (self.problem.f.deriv_samples(order) - self.y1_values(order))
+        """The ``order``-th derivative of X = f - Y1 on the assembly grid."""
+        if order not in self._cache:
+            self._cache[order] = self.problem.f.deriv_samples(order) \
+                - _band_to_grid(self.grid, self.modes, self.y1_coeff, order)
+        return self._cache[order]
 
     @property
     def schwarzian(self) -> np.ndarray:
@@ -239,44 +236,36 @@ class TorusWeldSolution:
         }
 
 
-def solve_Y1(problem: TorusWeldProblem,
-             blocks: KBlocks | None = None) -> TorusWeldSolution:
+def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:
     """Solve the projected system and fix the effective modular parameter."""
-    if blocks is None:
-        blocks = assemble_K(problem)
-    N = problem.n_modes
-    modes = blocks.modes
-    grid = problem.f.grid
-    L = problem.L
+    op = assemble_K(problem)
+    N, modes, grid, L = problem.n_modes, op.modes, problem.f.grid, problem.L
 
     fm_band = grid.band_coefficients(problem.f.samples - grid.x, N)
-    K = blocks.K
+    # the residuals at Y1 = 0, Y2 = f - id are -K12 fm and Em fm
+    rhs, em_fm = op.residuals(np.zeros_like(fm_band), fm_band)
+    rhs[:N] += em_fm
+    # GMRES on the Dg-scaled projected system, gated by the Hessenberg
+    # estimate times cond(Dg), which bounds the unscaled condition
     sel = modes != 0
-    A = np.eye(2 * N + 1, dtype=complex) - K
-    A = A[np.ix_(sel, sel)]
-    rhs_full = (np.where(modes < 0, 1.0, 0.0) * fm_band) - blocks.K12 @ fm_band
-    b = rhs_full[sel]
-
-    # LU solve gated by LAPACK's 1-norm condition estimate
-    lu, piv = sla.lu_factor(A)
-    rcond = sla.lapack.zgecon(lu, np.linalg.norm(A, 1))[0]
-    cond = 1.0 / max(rcond, 1e-300)
-    if cond > _COND_LIMIT:
-        raise SingularSystem(f"projected system condition estimate {cond:.2e}")
-    y = sla.lu_solve((lu, piv), b)
-    res = float(np.linalg.norm(A @ y - b) / max(np.linalg.norm(b), 1e-300))
-
-    y1 = np.zeros(2 * N + 1, dtype=complex)
-    y1[sel] = y
+    dg = op.dg[sel]
+    y, cond = _gmres(lambda y: op.matvec(np.insert(y, N, 0.0))[sel] / dg - y,
+                     rhs[sel] / dg, _COND_LIMIT, SingularSystem,
+                     scale=float(dg.max() / dg.min()))
+    y1 = np.insert(y, N, 0.0)
+    # the residual of the unprojected system: its projection gives the
+    # solve's true relative residual, its zero mode the second tau route
+    resid = op.matvec(y1) - rhs
+    res = float(np.linalg.norm(resid[sel])
+                / max(np.linalg.norm(rhs[sel]), 1e-300))
 
     # direct effective modular parameter from the integrated jump datum
-    y1p = _band_to_grid(grid, modes, y1, 1)
-    fm = problem.f.samples - grid.x
-    fp = problem.f.deriv_samples(1)
-    tau_eff = problem.tau - grid.integral(fm * (fp - y1p)) / L ** 2
+    xp = problem.f.deriv_samples(1) - _band_to_grid(grid, modes, y1, 1)
+    tau_eff = problem.tau - grid.integral((problem.f.samples - grid.x) * xp) \
+        / L ** 2
 
     # independent route: zero mode of the unprojected boundary equation
-    tau_eff_b = problem.tau + ((K @ y1)[N] - (blocks.K12 @ fm_band)[N]) / L
+    tau_eff_b = problem.tau - resid[N] / L
     two_route = abs(tau_eff - tau_eff_b)
     if two_route > problem.tail_tol:
         raise TruncationTooCoarse(
@@ -284,28 +273,19 @@ def solve_Y1(problem: TorusWeldProblem,
             f"tail_tol={problem.tail_tol:.2e} at N={N}; raise n_modes")
 
     return TorusWeldSolution(problem, modes, y1, complex(tau_eff),
-                             complex(tau_eff_b), cond, res, blocks,
-                             _cache={("y1", 1): y1p})
+                             complex(tau_eff_b), cond, res, op,
+                             _cache={1: xp})
 
 
 def residual_diagnostics(sol: TorusWeldSolution) -> dict:
     """Unprojected boundary-relation residuals plus integrability defects."""
-    problem = sol.problem
-    blocks = sol.blocks
-    modes = sol.modes
-    grid = sol.grid
-    N = problem.n_modes
-    L = problem.L
+    problem, grid = sol.problem, sol.grid
+    N, L = problem.n_modes, problem.L
 
     fm_band = grid.band_coefficients(problem.f.samples - grid.x, N)
     jump = fm_band.copy()
     jump[N] += L * (sol.tau_eff - problem.tau)     # Y12 = (f - id) + L (tau^ - tau)
-    y2 = sol.y1_coeff - jump
-
-    e0p = (modes >= 0).astype(float)
-    em = (modes < 0).astype(float)
-    r1 = e0p * sol.y1_coeff - blocks.K11 @ sol.y1_coeff - blocks.K12 @ y2
-    r2 = em * y2 - blocks.K21 @ sol.y1_coeff
+    r1, r2 = sol.operator.residuals(sol.y1_coeff, sol.y1_coeff - jump)
 
     # real-space integrability defect (1/L) int Y12(x) X'(x) dx
     jump_vals = (problem.f.samples - grid.x) + L * (sol.tau_eff - problem.tau)
@@ -319,6 +299,6 @@ def residual_diagnostics(sol: TorusWeldSolution) -> dict:
         "solve_residual": sol.solve_residual,
         "cond_estimate": sol.cond_estimate,
     }
-    out.update({f"tail_{k}": v for k, v in sol.blocks.tails.items()})
+    out.update({f"tail_{k}": v for k, v in sol.operator.tails.items()})
     out.update(sol.lemma1_defects())
     return out

@@ -49,7 +49,7 @@ def test_criterion_1_trivial_welds():
     n = 96
     grid = PeriodicGrid(40.0, 4 * n, x0=-30.0)
     f0 = Diffeo(grid, grid.x.copy())
-    sol = solve_Y1(TorusWeldProblem(f0, 0.1j, n))
+    sol = solve_Y1(TorusWeldProblem(f0, 0.1j, n, f0))
     d_torus = max(float(np.max(np.abs(sol.y1_coeff))), abs(sol.tau_eff - 0.1j))
     lg = LineGrid(-20.0, 40.0, 512)
     g0 = Diffeo(lg, lg.x.copy())
@@ -65,7 +65,7 @@ def test_criterion_2_translation_tau():
     grid = PeriodicGrid(40.0, 4 * n, x0=-30.0)
     b = 2.0
     ft = Diffeo(grid, grid.x - b)
-    sol = solve_Y1(TorusWeldProblem(ft, 0.1j, n))
+    sol = solve_Y1(TorusWeldProblem(ft, 0.1j, n, Diffeo(grid, grid.x + b)))
     defect = abs(sol.tau_eff - (0.1j + b / 40.0))
     dt = record(2, "translation shifts tau by b/L", defect, 1e-10, t0)
     assert dt < 1.0

@@ -11,7 +11,7 @@ import pytest
 
 from weldfcs.cache import SolveCache, resolve_cache_dir
 from weldfcs.cli import main
-from weldfcs.config import config_from_dict, load_config
+from weldfcs.config import config_from_dict
 from weldfcs.errors import ConfigInvalid
 
 
@@ -156,14 +156,49 @@ class TestCache:
         cache.put_scalar(("tuple",), (complex(1, 2), complex(3, 4)))
         assert cache.get_scalar(("tuple",)) == (complex(1, 2), complex(3, 4))
 
+    def test_numpy_scalars_key_and_round_trip_as_python_numbers(
+            self, tmp_path):
+        # a key maps to the same record whether its numbers are Python or
+        # numpy scalars (a float t iterated from an array is np.float64),
+        # bools stay apart from the ints they equal, and a record written
+        # with numpy scalars reads back as the equal Python value
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        cache = SolveCache(tmp_path)
+        numbers = st.one_of(st.booleans(), st.integers(-2 ** 62, 2 ** 62),
+                            st.floats(allow_nan=False),
+                            st.complex_numbers(allow_nan=False))
+        as_numpy = {bool: np.bool_, int: np.int64, float: np.float64,
+                    complex: np.complex128}
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.lists(numbers, max_size=4),
+                          st.one_of(st.complex_numbers(allow_nan=False),
+                                    st.tuples(st.complex_numbers(
+                                        allow_nan=False), st.floats(
+                                        allow_nan=False))))
+        def prop(items, value):
+            key = ("node", *items)
+            swapped = ("node", *(as_numpy[type(x)](x) for x in items))
+            assert cache._path(swapped) == cache._path(key)
+            for x in items:
+                if isinstance(x, bool):
+                    assert cache._path(("b", x)) != cache._path(("b", int(x)))
+            stored = (tuple(as_numpy[type(v)](v) for v in value)
+                      if isinstance(value, tuple) else np.complex128(value))
+            cache.put_scalar(swapped, stored)
+            assert cache.get_scalar(key) == value
+
+        prop()
+
     def test_record_of_previous_version_is_a_miss(self, tmp_path):
         cache = SolveCache(tmp_path)
         key = ("node", 1.0)
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-6"
-        record["version"] = "weldfcs-cache-5"
+        assert record["version"] == "weldfcs-cache-7"
+        record["version"] = "weldfcs-cache-6"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -557,6 +592,29 @@ class TestCli:
         err = capsys.readouterr().err
         volume = "cylinder" if mode == "infinite" else "torus"
         assert f"NodeTooLarge: {volume} flows at t = 4 on a " in err
+        assert "ran out of memory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["infinite", "finite"])
+    def test_fcs_out_of_memory_sampling_the_field_exits_3(
+            self, tmp_path, capsys, monkeypatch, mode):
+        # a MemoryError while a node set's transport field is sampled, which
+        # the action integrals read outside the node solves, exits 3 too
+        data = base_config()
+        data["experiment"] = {"mode": mode, "t_values": [4.0],
+                              "lambda_values": [0.02]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+
+        def out_of_memory(self, y):
+            raise MemoryError
+
+        monkeypatch.setattr("weldfcs.profile.XiField.__call__", out_of_memory)
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        volume = "cylinder" if mode == "infinite" else "torus"
+        assert f"NodeTooLarge: {volume} field at t = 4 on a " in err
         assert "ran out of memory" in err
         assert "Traceback" not in err
 

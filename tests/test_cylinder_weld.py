@@ -7,7 +7,8 @@ from weldfcs import (CylinderWeldProblem, Diffeo, InfiniteVolume,
                      Numerics, assemble_sigma, build_xi, cylinder_nodes,
                      cylinder_weld, flow_family, realspace_crosscheck,
                      solve_cylinder)
-from weldfcs.cylinder_weld import _inverse_displacement, _substitution_kernel
+from weldfcs.cylinder_weld import _inverse_displacement
+from weldfcs.fredholm import _substitution_kernel
 from weldfcs.errors import NearSingular, WindowTooSmall
 from weldfcs.fcs import (_NODE_BYTES_MAX, _cylinder_size, _gl_nodes,
                          cylinder_grid)

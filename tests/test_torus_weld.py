@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from weldfcs import (Diffeo, Numerics, TorusWeldProblem, assemble_K,
-                     build_xi, effective_tau, flow_family,
-                     residual_diagnostics, solve_Y1, torus_nodes)
-from weldfcs.errors import QOnUnitCircle, TruncationTooCoarse
+from weldfcs import (Diffeo, Numerics, TorusWeldProblem, VolumeContext,
+                     assemble_K, build_xi, effective_tau, flow_family,
+                     residual_diagnostics, solve_Y1, torus_nodes, torus_weld)
+from weldfcs.errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
+from weldfcs.fcs import _gl_nodes
 from weldfcs.spectral import PeriodicGrid
 
 L = 40.0
@@ -14,28 +16,93 @@ def make_grid(n_modes, x0=-0.75 * L, factor=4):
     return PeriodicGrid(L, factor * n_modes, x0=x0)
 
 
+def kink_problem(kink, N, t, s, tail_tol=1.0):
+    """The pipeline's torus problem of the L = 40 box field at flow time s,
+    with the map and its inverse from the flows."""
+    ctx = VolumeContext(kink, L, 1.0)
+    xi = build_xi(kink, ctx, t)
+    f, finv = (flow_family(xi, [s], make_grid(N), inverse=inv)[0]
+               for inv in (False, True))
+    tau = 1j * ctx.gammaL / L - ctx.gammaL * s / L
+    return TorusWeldProblem(f, tau, N, finv, tail_tol)
+
+
+def dense_blocks(prob):
+    """K11, K12 and K21 formed from the dense substitution matrices
+    Finv[m, n] = (1/M) sum_j e^{i p_m x_j} e^{-i p_n f(x_j)} and F, the same
+    sum over f^{-1}, by direct exponentials: the oracle of the factored
+    operator."""
+    N, grid = prob.n_modes, prob.f.grid
+    band, low = np.arange(-N, N + 1), np.arange(N + N // 2 + 1)
+
+    def sub(g, rows, cols):
+        return (np.exp(1j * grid.dp * np.outer(rows, grid.x))
+                @ np.exp(-1j * grid.dp * np.outer(g.samples, cols)) / grid.M)
+
+    finv = sub(prob.f, band, low)
+    F = sub(prob.f_inverse, np.arange(-N, N + N // 2 + 1), band)
+    qn = prob.q ** np.arange(N + 1, dtype=float)
+    K11 = np.diag((band >= 0).astype(float)) - finv @ F[N:]
+    K12 = np.zeros_like(K11)
+    K12[:, N:] = finv[:, :N + 1] * qn[None, :]
+    K21 = np.zeros_like(K11)
+    K21[:N] = qn[N:0:-1, None] * F[:N]
+    return K11, K12, K21
+
+
+def factored_blocks(op):
+    """K11, K12 and K21 as the factored operator applies them, column by
+    column, through the residuals of the two boundary relations."""
+    n = len(op.modes)
+    eye, zero = np.eye(n, dtype=complex), np.zeros(n, dtype=complex)
+    first = [op.residuals(e, zero) for e in eye]
+    K11 = np.diag((op.modes >= 0).astype(float)) \
+        - np.stack([r1 for r1, _ in first], axis=1)
+    K21 = np.zeros((n, n), dtype=complex)
+    K21[:n // 2] = -np.stack([r2 for _, r2 in first], axis=1)
+    K12 = -np.stack([op.residuals(zero, e)[0] for e in eye], axis=1)
+    return K11, K12, K21
+
+
+@pytest.fixture(scope="module")
+def oracle_problems(kink):
+    """A node of the benchmark's L = 40 box (t = 4, lambda = 0.04) and a
+    node of criterion 9's t = 30 set (lambda = 0.2), at L = 40, N = 192."""
+    probs = []
+    for t, lam in ((4.0, 0.04), (30.0, 0.2)):
+        s = _gl_nodes(lam / kink.delta_beta, 4, 1)[0][-1]
+        probs.append(kink_problem(kink, 192, t, s))
+    return probs
+
+
 class TestAssembly:
     def test_identity_gives_free_operator(self):
         N = 64
         grid = make_grid(N)
         f0 = Diffeo(grid, grid.x.copy())
-        blocks = assemble_K(TorusWeldProblem(f0, 0.1j, N))
+        op = assemble_K(TorusWeldProblem(f0, 0.1j, N, f0))
+        K11, K12, K21 = factored_blocks(op)
+        K = K11 + K12 + K21
         q = np.exp(2j * np.pi * 0.1j)
-        ref = q ** np.abs(blocks.modes)
-        assert np.max(np.abs(np.diag(blocks.K) - ref)) < 1e-13
-        offdiag = blocks.K - np.diag(np.diag(blocks.K))
+        ref = q ** np.abs(op.modes)
+        assert np.max(np.abs(np.diag(K) - ref)) < 1e-13
+        offdiag = K - np.diag(np.diag(K))
         assert np.max(np.abs(offdiag)) < 1e-13
-        assert np.max(np.abs(blocks.K11)) < 1e-13
+        assert np.max(np.abs(K11)) < 1e-13
 
     def test_translation_gives_phase_matrix(self):
         N = 64
         b = 2.0
         grid = make_grid(N)
         ft = Diffeo(grid, grid.x - b)
-        blocks = assemble_K(TorusWeldProblem(ft, 0.1j, N))
-        pn = 2 * np.pi * blocks.modes / L
-        assert np.max(np.abs(np.diag(blocks.F) - np.exp(-1j * pn * b))) < 1e-12
-        assert np.max(np.abs(blocks.K11)) < 1e-12
+        op = assemble_K(TorusWeldProblem(ft, 0.1j, N,
+                                         Diffeo(grid, grid.x + b)))
+        pn = 2 * np.pi * op.modes / L
+        # F = (I + P_B V_B) conj(D_c) from the factors, on the band
+        n = 2 * N + 1
+        F = (np.eye(n) + op.pb[:n] @ op.vb[:, :n]) * op.dc[:n].conj()
+        assert np.max(np.abs(np.diag(F) - np.exp(-1j * pn * b))) < 1e-12
+        assert np.max(np.abs(factored_blocks(op)[0])) < 1e-12
 
     def test_refinement_consistency_on_shared_modes(self):
         eps = 0.02 * L / (2 * np.pi)
@@ -43,9 +110,10 @@ class TestAssembly:
         for N in (48, 96):
             grid = make_grid(N)
             f = Diffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / L))
-            blocks = assemble_K(TorusWeldProblem(f, 0.15j, N))
-            sel = blocks.modes.searchsorted(np.arange(-16, 17))
-            entries[N] = blocks.K[np.ix_(sel, sel)]
+            op = assemble_K(TorusWeldProblem(f, 0.15j, N, f.inverse()))
+            K = sum(factored_blocks(op))
+            sel = op.modes.searchsorted(np.arange(-16, 17))
+            entries[N] = K[np.ix_(sel, sel)]
         assert np.max(np.abs(entries[48] - entries[96])) < 1e-10
 
     def test_q_on_unit_circle_rejected(self):
@@ -53,36 +121,29 @@ class TestAssembly:
         grid = make_grid(N)
         f0 = Diffeo(grid, grid.x.copy())
         with pytest.raises(QOnUnitCircle):
-            TorusWeldProblem(f0, 1e-14j, N)
+            TorusWeldProblem(f0, 1e-14j, N, f0)
 
     def test_blocks_match_longdouble_sums(self, kink, box):
         # Finv[m, n] = (1/L) int e^{i p_m x} e^{-i p_n f(x)} dx,
-        # F[m, n] = (1/L) int f'(y) e^{i p_m f(y)} e^{-i p_n y} dy and
+        # F[m, n] = (1/L) int e^{i p_m x} e^{-i p_n f^{-1}(x)} dx and
         # K11 = delta_mn e0p - sum_{k=0}^{N+b} Finv[m, k] F[k, n], as
         # extended-precision lattice sums at sampled (m, n); the band-edge
         # samples reach into the buffer
         N, s = 64, -0.3
-        grid = make_grid(N)
-        f = flow_family(build_xi(kink, box, 2.0), [s], grid)[0]
-        prob = TorusWeldProblem(f, 1j * box.gammaL / L - box.gammaL * s / L,
-                                N, tail_tol=1.0)
-        blocks = assemble_K(prob)
+        prob = kink_problem(kink, N, 2.0, s)
+        grid = prob.f.grid
+        K11, K12, K21 = factored_blocks(assemble_K(prob))
         ld = np.longdouble
         x = ld(grid.x0) + ld(L) / grid.M * np.arange(grid.M, dtype=ld)
-        fx, fp = f.samples.astype(ld), f.deriv_samples(1).astype(ld)
+        fx, fix = (g.samples.astype(ld) for g in (prob.f, prob.f_inverse))
         two_pi_l = 8 * np.arctan(ld(1)) / ld(L)
 
         def e(ph):
             return np.cos(ph) + 1j * np.sin(ph)
 
-        def finv(m, n):
+        def sub(gx, m, n):
             return e(two_pi_l * (np.multiply.outer(m, x)
-                                 - np.multiply.outer(n, fx))).mean(axis=-1)
-
-        def fmat(m, n):
-            return (fp * e(two_pi_l * (np.multiply.outer(m, fx)
-                                       - np.multiply.outer(n, x)))
-                    ).mean(axis=-1)
+                                 - np.multiply.outer(n, gx))).mean(axis=-1)
 
         picks = np.array([-N, -N + 1, -1, 0, 1, N // 2, N - 1, N])
         rows = np.concatenate([picks, np.random.default_rng(3).integers(
@@ -90,19 +151,18 @@ class TestAssembly:
         cols = np.concatenate([picks, np.random.default_rng(4).integers(
             -N, N + 1, 6)])
         k = np.arange(N + N // 2 + 1)
-        prod = np.array([[np.sum(finv(m, k) * fmat(k, n)) for n in cols]
+        prod = np.array([[np.sum(sub(fx, m, k) * sub(fix, k, n)) for n in cols]
                          for m in rows])
         q = complex(prob.q)
         ref = {
             "K11": np.equal.outer(rows, cols) * (rows >= 0)[:, None] - prod,
-            "K12": np.array([[finv(m, n) * q ** n if n >= 0 else 0.0
+            "K12": np.array([[sub(fx, m, n) * q ** n if n >= 0 else 0.0
                               for n in cols] for m in rows]),
-            "K21": np.array([[q ** -m * fmat(m, n) if m < 0 else 0.0
+            "K21": np.array([[q ** -m * sub(fix, m, n) if m < 0 else 0.0
                               for n in cols] for m in rows]),
         }
-        scale = np.max(np.abs(blocks.K))
-        for name, block in (("K11", blocks.K11), ("K12", blocks.K12),
-                            ("K21", blocks.K21)):
+        scale = np.max(np.abs(K11 + K12 + K21))
+        for name, block in (("K11", K11), ("K12", K12), ("K21", K21)):
             got = block[np.ix_(rows + N, cols + N)]
             err = np.max(np.abs(got - ref[name].astype(complex)))
             assert err < 1e-13 * scale, name
@@ -110,32 +170,91 @@ class TestAssembly:
     def test_truncation_alarm(self, kink, box):
         xi = build_xi(kink, box, 2.0)
         grid = make_grid(64)
-        f = flow_family(xi, [0.25], grid)[0]
+        f, finv = (flow_family(xi, [0.25], grid, inverse=inv)[0]
+                   for inv in (False, True))
         with pytest.raises(TruncationTooCoarse):
-            assemble_K(TorusWeldProblem(f, 0.1j, 64, tail_tol=1e-12))
+            assemble_K(TorusWeldProblem(f, 0.1j, 64, finv, tail_tol=1e-12))
 
-    def test_tail_check_tracks_convergence(self, kink, box):
+    def test_tail_check_tracks_convergence(self, kink, box, monkeypatch):
         # L = 40, t = 2, s = -0.3 at tail_tol 2e-3: N = 32 is rejected
         # (tau_eff there is 5e-7 off its converged value); N = 128 and 192
         # pass and agree to 4e-12, although K11's band-edge corner grows
         # over that range (9.9e-3 and 1.07e-2)
-        xi = build_xi(kink, box, 2.0)
-        s = -0.3
-        tau = 1j * box.gammaL / L - box.gammaL * s / L
-
         def solve(N):
-            f = flow_family(xi, [s], make_grid(N))[0]
-            return solve_Y1(TorusWeldProblem(f, tau, N, tail_tol=2e-3))
+            return solve_Y1(kink_problem(kink, N, 2.0, -0.3,
+                                         tail_tol=2e-3))
 
         with pytest.raises(TruncationTooCoarse, match="raise n_modes"):
             solve(32)
         sol_192 = solve(192)
         assert abs(solve(128).tau_eff - sol_192.tau_eff) < 1e-11
         # a kernel whose two tau_eff routes disagree is rejected by the solve
-        blocks = sol_192.blocks
-        blocks.K12 = 2.0 * blocks.K12
+        assemble = torus_weld.assemble_K
+
+        def tampered(problem):
+            op = assemble(problem)
+            op.qn = 2.0 * op.qn
+            return op
+
+        monkeypatch.setattr(torus_weld, "assemble_K", tampered)
         with pytest.raises(TruncationTooCoarse, match="two-route"):
-            solve_Y1(sol_192.problem, blocks)
+            solve_Y1(sol_192.problem)
+
+
+class TestFactored:
+    def test_factored_operator_matches_dense_oracle(self, oracle_problems):
+        for prob in oracle_problems:
+            op = assemble_K(prob)
+            dense = dense_blocks(prob)
+            scale = np.max(np.abs(sum(dense)))
+            for got, ref in zip(factored_blocks(op), dense):
+                assert np.max(np.abs(got - ref)) < 1e-13 * scale
+            # the composed operator, as GMRES applies it
+            a = np.stack([op.matvec(e) for e in np.eye(len(op.modes))],
+                         axis=1)
+            assert np.max(np.abs(a - (np.eye(len(op.modes)) - sum(dense)))) \
+                < 1e-13 * scale
+            # the band-edge tails, against a scan of the dense blocks
+            w = max(1, prob.n_modes // 16)
+            edge = np.zeros(a.shape, dtype=bool)
+            edge[:w] = edge[-w:] = edge[:, :w] = edge[:, -w:] = True
+            for name, block in (("K12", dense[1]), ("K21", dense[2])):
+                ref = np.max(np.abs(block[edge]))
+                assert abs(op.tails[name] - ref) < 1e-13 * scale
+
+    def test_condition_estimate_against_zgecon(self, oracle_problems):
+        # the Hessenberg estimate times cond(Dg) against LAPACK's 1-norm
+        # estimate of the dense projected I - K
+        for prob in oracle_problems:
+            sol = solve_Y1(prob)
+            sel = sol.modes != 0
+            a = (np.eye(len(sel)) - sum(dense_blocks(prob)))[np.ix_(sel, sel)]
+            lu, _ = sla.lu_factor(a)
+            cond = 1.0 / sla.lapack.zgecon(lu, np.linalg.norm(a, 1))[0]
+            assert 0.5 < sol.cond_estimate / cond < 2.0
+            assert sol.solve_residual < 1e-13
+
+    def test_unsolvable_system_refused_at_the_cap(self, kink, monkeypatch):
+        # the scaled projected operator a cyclic shift: well conditioned, but
+        # GMRES gains nothing before the shift's period, so the iteration
+        # cap refuses it
+        assemble = torus_weld.assemble_K
+
+        def tampered(problem):
+            op = assemble(problem)
+            sel = op.modes != 0
+
+            def shift(x):
+                out = np.zeros_like(x)
+                out[sel] = op.dg[sel] * np.roll(x[sel], 1)
+                return out
+
+            op.matvec = shift
+            return op
+
+        monkeypatch.setattr(torus_weld, "assemble_K", tampered)
+        with pytest.raises(SingularSystem, match="100 GMRES iterations"):
+            solve_Y1(kink_problem(kink, 96, 2.0, 0.25))
 
 
 class TestSolve:
@@ -145,7 +264,7 @@ class TestSolve:
         for N, factor in ((64, 4), (256, 4)):
             grid = make_grid(N, factor=factor)
             f = Diffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / L))
-            sols[N] = solve_Y1(TorusWeldProblem(f, 0.15j, N))
+            sols[N] = solve_Y1(TorusWeldProblem(f, 0.15j, N, f.inverse()))
         shared = np.arange(-16, 17)
         a = sols[64].y1_coeff[sols[64].modes.searchsorted(shared)]
         b = sols[256].y1_coeff[sols[256].modes.searchsorted(shared)]
