@@ -20,9 +20,9 @@ Momentum-space kernels of the substitution operators::
     (G - I)^(p, q)      = int e^{i(p-q)x} (e^{+i p (g(x)-x)} g'(x) - 1) dx
 
 where the second form comes from the change of variables x = g(y).  On the
-lattice the first form A factors through the support of the displacement
-(``fredholm._substitution_kernel``), and B comes from the inverse
-displacement in the same way.  Sigma is a short chain of these blocks, so it
+lattice A, and B from the inverse displacement in the first form, factor
+through the union of the two supports with one shared phase table
+(``fredholm._substitution_kernel``).  Sigma is a short chain of these blocks, so it
 is never formed: ``(I + Sigma) dZ = -Sigma Z12`` is solved from the four
 factors by ``fredholm._gmres``, in a few iterations, since Sigma is a
 compact perturbation of the identity of low numerical rank.
@@ -85,7 +85,8 @@ class CylinderWeldProblem:
 
 class FactoredSigma(LinearOperator):
     """The recast Nystrom operator Sigma (weights included), applied from the
-    substitution-kernel factors DA = P_A V_A and DB = P_B V_B.
+    substitution-kernel factors DA = P V_A and DB = P V_B, which share one
+    phase table P (written P_A and P_B below).
 
     Rows and columns run over the p < 0 half of the solve lattice first.
     With T+- = 1 / (1 - e^{-+gamma p}), u+- = T+- x+-, c+- = V_B[:, +-] u+-,
@@ -94,14 +95,14 @@ class FactoredSigma(LinearOperator):
 
         Sigma x = (-(1 + e^{gamma p-}) b1 - e^{gamma p-} b3, b2) + P_A V_A z,
 
-    at about 4.5 n |S| multiply-adds for order n and support S.
+    at about 4.5 n |U| multiply-adds for order n and union support U.
     """
 
-    def __init__(self, pa, va, pb, vb, psol, gamma: float):
+    def __init__(self, phase, va, vb, psol, gamma: float):
         n2 = len(psol)
         super().__init__(complex, (n2, n2))
         self.nn = nn = n2 // 2
-        self.pa, self.va, self.pb, self.vb = pa, va, pb, vb
+        self.phase, self.va, self.vb = phase, va, vb
         pm, pp = psol[:nn], psol[nn:]
         self.eqp = np.exp(-gamma * pp)[:, None]
         self.eqm = np.exp(gamma * pm)[:, None]
@@ -114,10 +115,10 @@ class FactoredSigma(LinearOperator):
         um = self.tm * x[:nn]
         cp = self.vb[:, nn:] @ up
         cm = self.vb[:, :nn] @ um
-        b13 = self.pb[:nn] @ np.hstack([cp, cm])
+        b13 = self.phase[:nn] @ np.hstack([cp, cm])
         b1, b3 = b13[:, :k], b13[:, k:]
-        b2 = self.pb[nn:] @ cm
-        out = self.pa @ (self.va @ np.vstack([-b1, b2 - self.eqp * up]))
+        b2 = self.phase[nn:] @ cm
+        out = self.phase @ (self.va @ np.vstack([-b1, b2 - self.eqp * up]))
         out[:nn] -= (1.0 + self.eqm) * b1 + self.eqm * b3
         out[nn:] += b2
         return out
@@ -193,22 +194,22 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
 
     gm = problem.g.displacement()
     ghat_ext = grid.ft(gm)
-    # the quadrature weight W is folded into V
-    pa, va, supp_a = _substitution_kernel(grid, gm, psol, W)
-    pb, vb, _ = _substitution_kernel(grid, _inverse_displacement(problem),
-                                     psol, W)
+    # the quadrature weight W is folded into V; both factors share the
+    # phase table over the union of the two supports
+    phase, (va, vb), union = _substitution_kernel(
+        grid, (gm, _inverse_displacement(problem)), psol, W)
 
     # sum_q W A(p, q) e^{-gamma q} ghat(q) over q > 0, for every lattice p:
     # the transform of a field that lives on the support of the displacement
     eqp_cols = np.where(psol > 0, np.exp(-gamma * np.clip(psol, 0.0, None)), 0.0)
     u = np.zeros(grid.M, dtype=complex)
-    u[supp_a] = va @ (eqp_cols * ghat_ext[sel]) / grid.dx
+    u[union] = va @ (eqp_cols * ghat_ext[sel]) / grid.dx
     daq_ghat_ext = grid.ft(u)
 
     z12_ext = -daq_ghat_ext - np.where(
         pext > 0, np.exp(-gamma * np.clip(pext, 0.0, None)), -1.0) * ghat_ext
     return CylinderOperator(problem, sel, psol,
-                            FactoredSigma(pa, va, pb, vb, psol, gamma),
+                            FactoredSigma(phase, va, vb, psol, gamma),
                             z12_ext, ghat_ext)
 
 

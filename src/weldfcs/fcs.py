@@ -105,7 +105,7 @@ def cylinder_grid(xi_field: XiField, s_extent: float,
     return LineGrid(x0=x0, span=span, M=m)
 
 
-# a welding node whose working set (see _cylinder_size and _refuse_torus)
+# a welding node whose working set (see _cylinder_size and _torus_bytes)
 # would take more bytes than this is refused before any of it is allocated
 _NODE_BYTES_MAX = 2 ** 30
 
@@ -125,27 +125,36 @@ def _cylinder_size(grid: LineGrid, p_max: float,
     nothing.
 
     The order counts the half-offset momenta |p| <= p_max, as
-    ``assemble_sigma`` selects them.  The working set is the four n x |S|
-    kernel factors, the GMRES basis of at most ``_GMRES_CAP + 1`` vectors of
-    length n, and one lattice array.  Both displacements live in the padded
-    window, 1 / ``window_factor`` of the lattice, so a support S has at most
+    ``assemble_sigma`` selects them.  The working set is the three n x |U|
+    kernel factors (one shared phase table and the two V), the GMRES basis
+    of at most ``_GMRES_CAP + 1`` vectors of length n, and one lattice
+    array.  Both displacements live in the padded window, 1 /
+    ``window_factor`` of the lattice, so their union support U has at most
     M / window_factor + 1 points.
     """
     order = min(2 * math.floor(p_max / grid.dp + 0.5), grid.M)
     supp = min(grid.M, math.floor(grid.M / window_factor) + 1)
-    return grid.M, order, 16 * (4 * order * supp + (_GMRES_CAP + 1) * order
+    return grid.M, order, 16 * (3 * order * supp + (_GMRES_CAP + 1) * order
                                 + grid.M)
 
 
-def _refuse_torus(n: int, supports: int):
-    """Refuse a torus node with n modes whose map and inverse move
-    ``supports`` grid points in all, if its working set is over the budget:
-    the two factor pairs, the GMRES basis and a band-edge tail slab with
-    its modulus (README "Command line")."""
+def _torus_bytes(n: int, support: int) -> int:
+    """Complex bytes of the working set of a torus node with n modes whose
+    map and inverse move ``support`` grid points between them (the union
+    support U): the phase table over the modes -n..n + n // 2, V_A over
+    0..n + n // 2 and V_B over -n..n, all on U, the GMRES basis and a
+    band-edge tail slab with its modulus (README "Command line")."""
+    b, w = n // 2, max(1, n // 16)
+    return 16 * ((2 * n + b + 1 + n + b + 1 + 2 * n + 1) * support
+                 + (_GMRES_CAP + 1) * 2 * n + 2 * w * (2 * n + 1))
+
+
+def _refuse_torus(n: int, support: int):
+    """Refuse a torus node with n modes and union support of ``support``
+    points if its working set is over the budget."""
     _refuse_over_budget(
-        16 * (2 * (2 * n + n // 2 + 1) * supports + (_GMRES_CAP + 1) * 2 * n
-              + 2 * max(1, n // 16) * (2 * n + 1)),
-        f"torus node with {n} modes and {supports} moved grid points",
+        _torus_bytes(n, support),
+        f"torus node with {n} modes and {support} moved grid points",
         "lower numerics.n_modes")
 
 
@@ -167,11 +176,18 @@ def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
 
 def _line_flow_family(xi_field: XiField, s_values, grid):
     """The flows at several flow times paired with their inverses, in either
-    volume (``flow_family`` and its ``inverse``).
+    volume (``flow_family`` and its ``inverse``).  In finite volume the
+    inverses are the flows at -s, so one call over (s, -s) serves both and
+    takes phi on the grid once.
 
     Calls ``flow_family`` through its module, so a traced run counts one
     flows call per family.
     """
+    if xi_field.finite:
+        s = np.asarray(s_values, dtype=float)
+        flows = profile_mod.flow_family(xi_field, np.concatenate([s, -s]),
+                                        grid)
+        return list(zip(flows[:len(s)], flows[len(s):]))
     return list(zip(profile_mod.flow_family(xi_field, s_values, grid),
                     profile_mod.flow_family(xi_field, s_values, grid,
                                             inverse=True)))
@@ -218,7 +234,7 @@ class WeldNodes:
                                              finv, num.tail_tol)
                             for (f, finv), s in zip(pairs, s_values)]
                 _refuse_torus(n, max(
-                    (sum(map(np.count_nonzero, p.displacements))
+                    (np.count_nonzero(np.logical_or(*p.displacements))
                      for p in problems), default=0))
             else:
                 problems = [CylinderWeldProblem(

@@ -17,27 +17,32 @@ _GMRES_TOL = 1e-15
 _GMRES_CAP = 100
 
 
-def _substitution_kernel(grid, disp: np.ndarray, p: np.ndarray,
-                         weight: float):
-    """Factors of the weighted kernel block ``weight * (e^{-i q d} - 1)^(p, q)``
-    for p, q in ``p``, consecutive momenta of the grid's spacing dp from a
-    multiple of dp / 2.
+def _substitution_kernel(grid, disps, p: np.ndarray, weight: float,
+                         cols=None):
+    """Factors of the weighted kernel blocks ``weight * (e^{-i q d} - 1)^(p, q)``
+    of each displacement d in ``disps``, for p in ``p``, consecutive momenta
+    of the grid's spacing dp from a multiple of dp / 2, and q in ``p[a:b]``
+    for its pair ``cols[k] = (a, b)`` (all of ``p`` by default).
 
-    Only the support S of ``disp`` contributes, so the block is the product
-    ``P @ V`` of ``P = e^{i p x_S}`` and ``V[m, j] = weight dx expm1(-i p_j d_m)
-    e^{-i p_j x_m}``.  Both come from the lattice's block phase tables.
-    Returns P, V and S.
+    Only the union U of the supports contributes, so block k is the product
+    ``P @ V_k`` of the one table ``P = e^{i p x_U}`` and ``V_k[m, j] =
+    weight dx expm1(-i q_j d_m) e^{-i q_j x_m}``, whose rows at the points d
+    does not move are exact zeros.  Both come from the lattice's block phase
+    tables.  Returns P, the list of the V_k and U.
     """
-    supp = np.nonzero(disp)[0]
+    union = np.nonzero(np.logical_or.reduce([d != 0 for d in disps]))[0]
     j0, n = round(2.0 * p[0] / grid.dp) / 2, len(p)     # p_j = (j0 + j) dp
-    phase = progression_phases(j0, grid.dp, n, grid.x[supp])
-    # V^T = conj(expm1(i p d) e^{i p x}): e^{-i p x} is the conjugate of
-    # P, and both conjugates are exact
-    v = progression_phases(j0, grid.dp, n, disp[supp], expm1=True)
-    v *= phase
-    np.conjugate(v, out=v)
-    v *= weight * grid.dx
-    return phase, v.T, supp
+    phase = progression_phases(j0, grid.dp, n, grid.x[union])
+    vs = []
+    for d, (a, b) in zip(disps, cols or [(0, n)] * len(disps)):
+        # V^T = conj(expm1(i q d) e^{i q x}): e^{-i q x} is the conjugate
+        # of P, and both conjugates are exact
+        v = progression_phases(j0 + a, grid.dp, b - a, d[union], expm1=True)
+        v *= phase[a:b]
+        np.conjugate(v, out=v)
+        v *= weight * grid.dx
+        vs.append(v.T)
+    return phase, vs, union
 
 
 def _gmres(sigma, b: np.ndarray, limit: float, error: type,

@@ -183,12 +183,14 @@ class InfiniteVolume:
 
 
 def _fold(x: np.ndarray, L: float):
-    """Fold x into [-3L/4, L/4) and reflect [-3L/4, -L/4) onto [-L/4, L/4]:
-    the point where the L-periodic extension takes the profile's value, and
-    the mask of the reflected points."""
-    xf = np.mod(x + 0.75 * L, L) - 0.75 * L
+    """Write x = k L + xf with xf in [-3L/4, L/4) and reflect [-3L/4, -L/4)
+    onto [-L/4, L/4] by xf -> -xf - L/2: the point where the L-periodic
+    extension takes the profile's value, the mask of the reflected points,
+    and k."""
+    k = np.floor((x + 0.75 * L) / L)
+    xf = x - k * L
     reflected = xf < -0.25 * L
-    return np.where(reflected, -xf - 0.5 * L, xf), reflected
+    return np.where(reflected, -xf - 0.5 * L, xf), reflected, k
 
 
 def periodize_profile(profile: TemperatureProfile, ctx: VolumeContext) -> Callable:
@@ -243,7 +245,8 @@ class ReparamMap:
 
     @cached_property
     def kink_image(self) -> tuple[float, float]:
-        """(h(lo), h(hi)) for the kink interval [lo, hi] (infinite volume)."""
+        """(h(lo), h(hi)) for the kink interval [lo, hi], which in finite
+        volume lies on the principal branch."""
         lo, hi = self.profile.support
         return (self.__call__(np.array(lo)).item(),
                 self.__call__(np.array(hi)).item())
@@ -255,14 +258,11 @@ class ReparamMap:
             return self.beta0 * (self._raw(x, self.profile.support[0])
                                  - self._anchor)
         L = self.ctx.L
-        k = np.floor((x + 0.75 * L) / L)
-        xf = x - k * L
+        xf, reflected, k = _fold(x, L)
         # int_{-L/4}^{x} 1/beta_L on the principal branch, where [-3L/4,
         # -L/4) is the reflection of [-L/4, L/4]
-        main = xf >= -0.25 * L
-        ivals = np.where(main, self._raw(np.where(main, xf, 0.0), -0.25 * L),
-                         -self._raw(np.where(main, 0.0, -xf - 0.5 * L),
-                                    -0.25 * L))
+        ivals = self._raw(xf, -0.25 * L)
+        ivals = np.where(reflected, -ivals, ivals)
         return self.beta0 * ivals - 0.25 * L + k * L
 
     def _beta_derivs(self, x):
@@ -270,7 +270,7 @@ class ReparamMap:
         p = self.profile
         if self.ctx is None:
             return p.beta(x), p.beta_deriv(x, 1), p.beta_deriv(x, 2)
-        arg, reflected = _fold(x, self.ctx.L)
+        arg, reflected, _ = _fold(x, self.ctx.L)
         sgn = np.where(reflected, -1.0, 1.0)
         return p.beta(arg), sgn * p.beta_deriv(arg, 1), p.beta_deriv(arg, 2)
 
@@ -292,14 +292,22 @@ class ReparamMap:
         return 0.5 * (b1 / b) ** 2 - b2 / b
 
     def inverse(self, y) -> np.ndarray:
-        """Newton inversion polished to ~1e-12 (the map is strictly monotone).
+        """h^{-1}, Newton-polished only on the kink image [h(lo), h(hi)]:
+        off it h is linear, and h^{-1} is its closed form.
 
-        Infinite volume: h is linear outside the kink image [h(lo), h(hi)],
-        so only the points inside it are polished.
+        Finite volume first folds y onto the principal branch [-L/4, L/4],
+        which h maps onto itself and which the reflection x -> -x - L/2,
+        under which h is equivariant, brings [-3L/4, -L/4) onto.
         """
         y = np.asarray(y, dtype=float)
-        if self.ctx is not None:
-            return self._newton(y.copy(), y)
+        if self.ctx is None:
+            return self._principal_inverse(y)
+        L = self.ctx.L
+        yf, reflected, k = _fold(y, L)
+        x = self._principal_inverse(yf)
+        return np.where(reflected, -x - 0.5 * L, x) + k * L
+
+    def _principal_inverse(self, y: np.ndarray) -> np.ndarray:
         p = self.profile
         b0 = self.beta0
         (lo, hi), (A, B) = p.support, self.kink_image
@@ -315,10 +323,7 @@ class ReparamMap:
         b0 = self.beta0
         for _ in range(60):
             r = self.__call__(x) - y
-            step = r * self._beta(x) / b0
-            if self.ctx is not None:
-                step = np.clip(step, -0.2 * self.ctx.L, 0.2 * self.ctx.L)
-            x = x - step
+            x = x - r * self._beta(x) / b0
             if np.max(np.abs(r)) < 1e-13:
                 break
         return x

@@ -15,8 +15,9 @@ map are recovered from a second-kind Fredholm system in the Fourier basis
 With c = L Re tau, f = id + c + d and f^{-1} = id - c + d~, where d and d~
 live on the grid points the twist moves.  On the grid, exactly,
 ``Finv = (I + P_A V_A) D_c`` and ``F = (I + P_B V_B) conj(D_c)`` with
-``D_c = diag(e^{-i p_n c})`` and the support factors of d and d~, so
-``I - K`` is applied from them and never formed.  Its diagonal is
+``D_c = diag(e^{-i p_n c})`` and the support factors of d and d~, which
+share one phase table P_B over the union of their supports (P_A is its band
+rows), so ``I - K`` is applied from them and never formed.  Its diagonal is
 ``Dg_n = 1 - e^{-L Im tau |p_n|}``, the torus form of the cylinder's
 T+-^{-1}, and GMRES solves the Dg-scaled projected system.
 
@@ -89,15 +90,19 @@ class TorusWeldProblem:
 
 
 class TorusOperator:
-    """``I - K`` applied from the support factors over the modes -N..N+b,
-    b = N // 2 (row and column j is mode j - N); never formed."""
+    """``I - K`` applied from the support factors; never formed.
+
+    One phase table P over the union U of the two supports, and over the
+    modes -N..N+b, b = N // 2 (row j is mode j - N), serves both maps:
+    P_A is its band rows and P_B all of it.  V_A spans the modes 0..N+b
+    that the K11 product sums over and V_B the band -N..N."""
 
     def __init__(self, problem: TorusWeldProblem):
         N, grid, L, tau = problem.n_modes, problem.f.grid, problem.L, problem.tau
         p = grid.dp * np.arange(-N, N + N // 2 + 1)
-        d, dt = problem.displacements
-        self.pa, self.va, _ = _substitution_kernel(grid, d, p, 1.0 / L)
-        self.pb, self.vb, _ = _substitution_kernel(grid, dt, p, 1.0 / L)
+        self.phase, (self.va, self.vb), _ = _substitution_kernel(
+            grid, problem.displacements, p, 1.0 / L,
+            cols=((N, len(p)), (0, 2 * N + 1)))
         self.N, self.modes = N, np.arange(-N, N + 1)
         self.dc = np.exp(-1j * p * (L * tau.real))
         self.dg = -np.expm1(-L * tau.imag * np.abs(p[:2 * N + 1]))
@@ -110,12 +115,12 @@ class TorusOperator:
         ``F = (I + P_B V_B) conj(D_c)`` and ``Finv = (I + P_A V_A) D_c``."""
         N, n = self.N, len(y1)
         z = self.dc[:n].conj() * y1
-        fy = self.pb @ (self.vb[:, :n] @ z)                 # F y1
+        fy = self.phase @ (self.vb @ z)                     # F y1
         fy[:n] += z
         # r1 = Finv (E0 F y1 - Q E0p y2), over the modes 0..N+b
         u = self.dc[N:] * fy[N:]
         u[:N + 1] -= self.dc[N:n] * self.qn * y2[N:]
-        r1 = self.pa[:n] @ (self.va[:, N:] @ u)
+        r1 = self.phase[:n] @ (self.va @ u)
         r1[N:] += u[:N + 1]
         return r1, y2[:N] - self.qn[:0:-1] * fy[:N]
 
@@ -161,28 +166,44 @@ def _tail_diagnostics(op: TorusOperator, qabs: float) -> dict:
     |(I + P_A V_A)[m, n]| |q|^n on n >= 0 and |K21[m, n]| is
     |q|^|m| |(I + P_B V_B)[m, n]| on m < 0.
 
+    Every entry of P has modulus 1, so |(I + P V)[m, n]| <= 1 + |V[:, n]|_1,
+    which times the weights bounds each of a block's two slabs (edge rows,
+    edge columns).  The slab with the larger bound is scanned first and the
+    other only if its bound reaches half the largest entry found, so it is
+    skipped only when it cannot hold the maximum, rounding included.
+
     Both fall as N grows.  K11's band edge is left out: its corner holds the
     part of the product that the buffer cuts off, which is the same share of
     the band-edge modes at every N, and the solve does not feel it (dropping
     the buffer raises it tenfold but moves tau_eff within its truncation
     error).
     """
-    band, w = np.arange(2 * op.N + 1), max(1, op.N // 16)
+    N = op.N
+    band, w = np.arange(2 * N + 1), max(1, N // 16)
     edge = np.r_[band[:w], band[-w:]]
     power, one = qabs ** np.abs(op.modes), np.ones(len(band))
 
-    def edge_max(p, v, rw, cw):
+    def edge_max(v, c0, rw, cw):
+        # column j of v is band column c0 + j
+        cols = np.nonzero(cw)[0]
+        cbound = np.zeros(len(band))
+        cbound[cols] = cw[cols] * (1.0 + np.abs(v[:, cols - c0]).sum(axis=0))
+        slabs = [(float(np.max(rw[r], initial=0.0)
+                        * np.max(cbound[c], initial=0.0)), r, c)
+                 for r, c in ((edge[rw[edge] > 0], cols),
+                              (np.nonzero(rw)[0], edge[cw[edge] > 0]))]
         worst = 0.0
-        for r, c in ((edge, band), (band, edge)):
-            r, c = r[rw[r] > 0], c[cw[c] > 0]
-            blk = p[r] @ v[:, c]
+        for bound, r, c in sorted(slabs, key=lambda slab: -slab[0]):
+            if bound < 0.5 * worst:
+                continue
+            blk = op.phase[r] @ v[:, c - c0]
             blk[np.equal.outer(r, c)] += 1.0
             worst = max(worst, float(np.max(
                 np.abs(blk) * rw[r, None] * cw[c], initial=0.0)))
         return worst
 
-    return {"K12": edge_max(op.pa, op.va, one, power * (op.modes >= 0)),
-            "K21": edge_max(op.pb, op.vb, power * (op.modes < 0), one)}
+    return {"K12": edge_max(op.va, N, one, power * (op.modes >= 0)),
+            "K21": edge_max(op.vb, 0, power * (op.modes < 0), one)}
 
 
 @dataclass(eq=False)

@@ -37,10 +37,9 @@ def dense_sigma(op):
     prob, psol = op.problem, op.psol
     grid, gamma = prob.grid, prob.gamma
     W = grid.dp / (2.0 * np.pi)
-    pa, va, _ = _substitution_kernel(grid, prob.g.displacement(), psol, W)
-    pb, vb, _ = _substitution_kernel(grid, _inverse_displacement(prob),
-                                     psol, W)
-    DA, DB = pa @ va, pb @ vb
+    phase, (va, vb), _ = _substitution_kernel(
+        grid, (prob.g.displacement(), _inverse_displacement(prob)), psol, W)
+    DA, DB = phase @ va, phase @ vb
     n2 = len(psol)
     m, p = slice(0, n2 // 2), slice(n2 // 2, n2)
     eqp, eqm = np.exp(-gamma * psol[p]), np.exp(gamma * psol[m])
@@ -134,7 +133,7 @@ class TestAssembly:
         rows = rng.choice(len(psol), 12, replace=False)
         cols = rng.choice(len(psol), 12, replace=False)
         for disp in (prob.g.displacement(), _inverse_displacement(prob)):
-            phase, v, _ = _substitution_kernel(grid, disp, psol, 1.0)
+            phase, (v,), _ = _substitution_kernel(grid, (disp,), psol, 1.0)
             block = phase @ v
             d = disp.astype(np.longdouble)
             worst = 0.0

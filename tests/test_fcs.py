@@ -12,6 +12,31 @@ class TestLdf:
         with pytest.raises(PoleHit):
             ldf(2.0, 1.0, 1.0, -2.0j)
 
+    def test_fluctuation_symmetry_property(self):
+        # ldf(lambda) = ldf(-lambda + i (beta_right - beta_left)) over random
+        # temperatures, central charges and complex lambda kept 0.25 from
+        # the poles -i beta_left and i beta_right, at the 1e-12 of the
+        # self-test's ldf.fluctuation_symmetry_20pts
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(beta_left=st.floats(0.5, 4.0),
+                          beta_right=st.floats(0.5, 4.0),
+                          c=st.floats(0.1, 10.0), re=st.floats(-4.0, 4.0),
+                          im=st.floats(-5.0, 5.0))
+        def check(beta_left, beta_right, c, re, im):
+            lam = complex(re, im)
+            hypothesis.assume(min(abs(lam + 1j * beta_left),
+                                  abs(lam - 1j * beta_right)) >= 0.25)
+            a = ldf(beta_left, beta_right, c, lam)["total"]
+            b = ldf(beta_left, beta_right, c,
+                    -lam + 1j * (beta_right - beta_left))["total"]
+            assert abs(a - b) < 1e-12
+
+        check()
+
     def test_central_charge_prefactor(self):
         a = ldf(2.0, 1.0, 1.0, 0.4)["total"]
         b = ldf(2.0, 1.0, 0.7, 0.4)["total"]

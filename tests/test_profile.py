@@ -125,6 +125,45 @@ class TestReparamMap:
                               hi + (right - B) * kink.beta_right / b0)
         assert np.max(np.abs(h.inverse(np.array([A, B])) - [lo, hi])) < 1e-12
 
+    def test_inverse_roundtrip_property(self, kink):
+        # h(h^{-1}(y)) = y and h^{-1}(h(x)) = x within 64 eps max(L, |y|), in
+        # both volumes, over three periods, on both branches, at the edges
+        # of the kink image and its reflection, at +-L/4 and for 0-d input
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        maps = {(finite, L): build_h(kink, VolumeContext(kink, L)
+                                     if finite else None)
+                for finite in (False, True) for L in (40.0, 80.0)}
+
+        def special(h, L):
+            """Kink-image edges, their neighbours and +-L/4, each also
+            reflected (x -> -x - L/2) and shifted by one period."""
+            pts = []
+            for a in h.kink_image + (0.25 * L, -0.25 * L):
+                pts += [a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf)]
+            pts += [-a - 0.5 * L for a in pts]
+            return [a + k * L for a in pts for k in (-1, 0, 1)]
+
+        @hypothesis.settings(max_examples=200, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(key=st.sampled_from(sorted(maps)), data=st.data(),
+                          scalar=st.booleans())
+        def check(key, data, scalar):
+            h, L = maps[key], key[1]
+            value = st.one_of(st.floats(-1.5 * L, 1.5 * L),
+                              st.sampled_from(special(h, L)))
+            if scalar:
+                y = data.draw(value)
+                assert np.ndim(h.inverse(y)) == 0 and np.ndim(h(y)) == 0
+            else:
+                y = np.array(data.draw(st.lists(value, min_size=1,
+                                                max_size=8)))
+            tol = 64 * np.finfo(float).eps * np.maximum(L, np.abs(y))
+            assert np.all(np.abs(h(h.inverse(y)) - y) <= tol)
+            assert np.all(np.abs(h.inverse(h(y)) - y) <= tol)
+
+        check()
+
     @pytest.mark.parametrize("volume", ["infinite", "finite"])
     def test_inverse_scalar_matches_array(self, kink, box, volume):
         h = build_h(kink, box if volume == "finite" else None)

@@ -6,8 +6,9 @@ from weldfcs import (Diffeo, Numerics, TorusWeldProblem, VolumeContext,
                      assemble_K, build_xi, effective_tau, flow_family,
                      residual_diagnostics, solve_Y1, torus_nodes, torus_weld)
 from weldfcs.errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from weldfcs.fcs import _gl_nodes
+from weldfcs.fcs import _gl_nodes, _torus_bytes
 from weldfcs.spectral import PeriodicGrid
+from weldfcs.torus_weld import TorusOperator
 
 L = 40.0
 
@@ -16,14 +17,15 @@ def make_grid(n_modes, x0=-0.75 * L, factor=4):
     return PeriodicGrid(L, factor * n_modes, x0=x0)
 
 
-def kink_problem(kink, N, t, s, tail_tol=1.0):
-    """The pipeline's torus problem of the L = 40 box field at flow time s,
-    with the map and its inverse from the flows."""
-    ctx = VolumeContext(kink, L, 1.0)
+def kink_problem(kink, N, t, s, tail_tol=1.0, length=L):
+    """The pipeline's torus problem of the box field at flow time s (an
+    L = 40 box by default), with the map and its inverse from the flows."""
+    ctx = VolumeContext(kink, length, 1.0)
     xi = build_xi(kink, ctx, t)
-    f, finv = (flow_family(xi, [s], make_grid(N), inverse=inv)[0]
+    grid = PeriodicGrid(length, 4 * N, x0=-0.75 * length)
+    f, finv = (flow_family(xi, [s], grid, inverse=inv)[0]
                for inv in (False, True))
-    tau = 1j * ctx.gammaL / L - ctx.gammaL * s / L
+    tau = 1j * ctx.gammaL / length - ctx.gammaL * s / length
     return TorusWeldProblem(f, tau, N, finv, tail_tol)
 
 
@@ -64,6 +66,32 @@ def factored_blocks(op):
     return K11, K12, K21
 
 
+def tail_slabs(op, qabs):
+    """Per coupling block, the largest weighted entry of each of its two
+    edge slabs from a scan of all four, and each slab's bound
+    max(row weights) max(column weight (1 + |V[:, n]|_1))."""
+    N = op.N
+    band, w = np.arange(2 * N + 1), max(1, N // 16)
+    edge = np.r_[band[:w], band[-w:]]
+    power, one = qabs ** np.abs(op.modes), np.ones(len(band))
+    out = {}
+    for name, v, c0, rw, cw in (
+            ("K12", op.va, N, one, power * (op.modes >= 0)),
+            ("K21", op.vb, 0, power * (op.modes < 0), one)):
+        out[name] = []
+        for r, c in ((edge, band), (band, edge)):
+            r, c = r[rw[r] > 0], c[cw[c] > 0]
+            blk = op.phase[r] @ v[:, c - c0]
+            blk[np.equal.outer(r, c)] += 1.0
+            worst = float(np.max(np.abs(blk) * rw[r, None] * cw[c],
+                                 initial=0.0))
+            bound = float(np.max(rw[r], initial=0.0) * np.max(
+                cw[c] * (1.0 + np.abs(v[:, c - c0]).sum(axis=0)),
+                initial=0.0))
+            out[name].append((worst, bound))
+    return out
+
+
 @pytest.fixture(scope="module")
 def oracle_problems(kink):
     """A node of the benchmark's L = 40 box (t = 4, lambda = 0.04) and a
@@ -100,7 +128,7 @@ class TestAssembly:
         pn = 2 * np.pi * op.modes / L
         # F = (I + P_B V_B) conj(D_c) from the factors, on the band
         n = 2 * N + 1
-        F = (np.eye(n) + op.pb[:n] @ op.vb[:, :n]) * op.dc[:n].conj()
+        F = (np.eye(n) + op.phase[:n] @ op.vb) * op.dc[:n].conj()
         assert np.max(np.abs(np.diag(F) - np.exp(-1j * pn * b))) < 1e-12
         assert np.max(np.abs(factored_blocks(op)[0])) < 1e-12
 
@@ -202,6 +230,41 @@ class TestAssembly:
 
 
 class TestFactored:
+    def test_tails_skip_is_exact(self, kink, oracle_problems):
+        # the reported tails equal a scan of all four slabs bit for bit: on
+        # the benchmark node, where the bound skips a slab of each block; at
+        # N = 12, below assemble_K's gate, where no slab is skipped and K12's
+        # slab with the smaller bound holds the larger entry (0.049 against
+        # 0.045); and on the identity, whose union support is empty
+        grid = make_grid(64)
+        f0 = Diffeo(grid, grid.x.copy())
+        cases = ((oracle_problems[0], True),
+                 (kink_problem(kink, 12, 30.0, -1.0), False),
+                 (TorusWeldProblem(f0, 0.1j, 64, f0), False))
+        for prob, skips in cases:
+            op = TorusOperator(prob)
+            slabs = tail_slabs(op, abs(prob.q))
+            for name, pair in slabs.items():
+                worst = max(w for w, _ in pair)
+                assert op.tails[name] == worst
+                assert any(b < 0.5 * worst for _, b in pair) == skips
+        assert op.phase.shape[1] == 0
+
+    def test_memory_formula_bounds_the_operator(self, kink, oracle_problems):
+        # _torus_bytes against the arrays the operator holds, on the
+        # benchmark L = 40 node and on a node of criterion 9's t = 30,
+        # L = 80 set (N = 512)
+        s = _gl_nodes(0.2 / kink.delta_beta, 6, 1)[0][-1]
+        for prob in (oracle_problems[0],
+                     kink_problem(kink, 512, 30.0, s, length=80.0)):
+            op = TorusOperator(prob)
+            held = sum(a.nbytes for a in vars(op).values()
+                       if isinstance(a, np.ndarray))
+            union = np.count_nonzero(np.logical_or(*prob.displacements))
+            assert op.phase.shape == (2 * prob.n_modes + prob.n_modes // 2
+                                      + 1, union)
+            assert held <= _torus_bytes(prob.n_modes, union) <= 2 * held
+
     def test_factored_operator_matches_dense_oracle(self, oracle_problems):
         for prob in oracle_problems:
             op = assemble_K(prob)
