@@ -21,9 +21,11 @@ Momentum-space kernels of the substitution operators::
 
 where the second form comes from the change of variables x = g(y).  On the
 lattice A, and B from the inverse displacement in the first form, factor
-through the union of the two supports with one shared phase table
-(``fredholm._substitution_kernel``).  Sigma is a short chain of these blocks, so it
-is never formed: ``(I + Sigma) dZ = -Sigma Z12`` is solved from the four
+through the union of the two supports into one shared phase factor and a V
+factor each (``fredholm._substitution_kernel``).  The phase factor is a
+slice of the lattice DFT, applied by FFT and never stored
+(``fredholm.PhaseFactor``).  Sigma is a short chain of these blocks, so it
+is never formed: ``(I + Sigma) dZ = -Sigma Z12`` is solved from the
 factors by ``fredholm._gmres``, in a few iterations, since Sigma is a
 compact perturbation of the identity of low numerical rank.
 """
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import NearSingular, WindowTooSmall
-from .fredholm import _gmres, _substitution_kernel
+from .fredholm import PhaseFactor, _gmres, _substitution_kernel
 from .profile import Diffeo
 from .spectral import LineGrid, schwarzian_from_derivatives
 
@@ -86,7 +88,8 @@ class CylinderWeldProblem:
 class FactoredSigma(LinearOperator):
     """The recast Nystrom operator Sigma (weights included), applied from the
     substitution-kernel factors DA = P V_A and DB = P V_B, which share one
-    phase table P (written P_A and P_B below).
+    phase factor P (written P_A and P_B below), applied by FFT
+    (``fredholm.PhaseFactor``).
 
     Rows and columns run over the p < 0 half of the solve lattice first.
     With T+- = 1 / (1 - e^{-+gamma p}), u+- = T+- x+-, c+- = V_B[:, +-] u+-,
@@ -95,7 +98,9 @@ class FactoredSigma(LinearOperator):
 
         Sigma x = (-(1 + e^{gamma p-}) b1 - e^{gamma p-} b3, b2) + P_A V_A z,
 
-    at about 4.5 n |U| multiply-adds for order n and union support U.
+    at about 2 n |U| multiply-adds and two FFT batches of the lattice for
+    order n and union support U: one over (c+, c-), which gives b1, b3 and
+    b2, and one over V_A z.
     """
 
     def __init__(self, phase, va, vb, psol, gamma: float):
@@ -113,12 +118,10 @@ class FactoredSigma(LinearOperator):
         nn, k = self.nn, x.shape[1]
         up = self.tp * x[nn:]
         um = self.tm * x[:nn]
-        cp = self.vb[:, nn:] @ up
-        cm = self.vb[:, :nn] @ um
-        b13 = self.phase[:nn] @ np.hstack([cp, cm])
-        b1, b3 = b13[:, :k], b13[:, k:]
-        b2 = self.phase[nn:] @ cm
-        out = self.phase @ (self.va @ np.vstack([-b1, b2 - self.eqp * up]))
+        b = self.phase(np.hstack([self.vb[:, nn:] @ up,
+                                  self.vb[:, :nn] @ um]))
+        b1, b3, b2 = b[:nn, :k], b[:nn, k:], b[nn:, k:]
+        out = self.phase(self.va @ np.vstack([-b1, b2 - self.eqp * up]))
         out[:nn] -= (1.0 + self.eqm) * b1 + self.eqm * b3
         out[nn:] += b2
         return out
@@ -195,8 +198,8 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     gm = problem.g.displacement()
     ghat_ext = grid.ft(gm)
     # the quadrature weight W is folded into V; both factors share the
-    # phase table over the union of the two supports
-    phase, (va, vb), union = _substitution_kernel(
+    # phase factor over the union of the two supports
+    (va, vb), union = _substitution_kernel(
         grid, (gm, _inverse_displacement(problem)), psol, W)
 
     # sum_q W A(p, q) e^{-gamma q} ghat(q) over q > 0, for every lattice p:
@@ -209,7 +212,8 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     z12_ext = -daq_ghat_ext - np.where(
         pext > 0, np.exp(-gamma * np.clip(pext, 0.0, None)), -1.0) * ghat_ext
     return CylinderOperator(problem, sel, psol,
-                            FactoredSigma(phase, va, vb, psol, gamma),
+                            FactoredSigma(PhaseFactor(grid, union, psol),
+                                          va, vb, psol, gamma),
                             z12_ext, ghat_ext)
 
 

@@ -125,28 +125,30 @@ def _cylinder_size(grid: LineGrid, p_max: float,
     nothing.
 
     The order counts the half-offset momenta |p| <= p_max, as
-    ``assemble_sigma`` selects them.  The working set is the three n x |U|
-    kernel factors (one shared phase table and the two V), the GMRES basis
-    of at most ``_GMRES_CAP + 1`` vectors of length n, and one lattice
-    array.  Both displacements live in the padded window, 1 /
-    ``window_factor`` of the lattice, so their union support U has at most
-    M / window_factor + 1 points.
+    ``assemble_sigma`` selects them.  The working set is the two n x |U|
+    kernel factors V_A and V_B, the GMRES basis of at most
+    ``_GMRES_CAP + 1`` vectors of length n, one lattice array, and the FFT
+    scratch of a two-column phase-factor product on the lattice.  Both
+    displacements live in the padded window, 1 / ``window_factor`` of the
+    lattice, so their union support U has at most M / window_factor + 1
+    points.
     """
     order = min(2 * math.floor(p_max / grid.dp + 0.5), grid.M)
     supp = min(grid.M, math.floor(grid.M / window_factor) + 1)
-    return grid.M, order, 16 * (3 * order * supp + (_GMRES_CAP + 1) * order
-                                + grid.M)
+    return grid.M, order, 16 * (2 * order * supp + (_GMRES_CAP + 1) * order
+                                + 3 * grid.M)
 
 
 def _torus_bytes(n: int, support: int) -> int:
     """Complex bytes of the working set of a torus node with n modes whose
     map and inverse move ``support`` grid points between them (the union
-    support U): the phase table over the modes -n..n + n // 2, V_A over
-    0..n + n // 2 and V_B over -n..n, all on U, the GMRES basis and a
-    band-edge tail slab with its modulus (README "Command line")."""
-    b, w = n // 2, max(1, n // 16)
-    return 16 * ((2 * n + b + 1 + n + b + 1 + 2 * n + 1) * support
-                 + (_GMRES_CAP + 1) * 2 * n + 2 * w * (2 * n + 1))
+    support U): V_A over the modes 0..n + n // 2 and V_B over -n..n, both
+    on U, the GMRES basis, the FFT scratch of one phase-factor product on
+    the 4n-point lattice, and a band-edge tail slab of 2 w columns with its
+    FFT scratch and modulus (README "Command line")."""
+    b, w, m = n // 2, max(1, n // 16), 4 * n
+    return 16 * ((n + b + 1 + 2 * n + 1) * support
+                 + (_GMRES_CAP + 1) * 2 * n + m + 2 * w * (m + 2 * n + 1))
 
 
 def _refuse_torus(n: int, support: int):

@@ -133,7 +133,14 @@ class TemperatureProfile:
             cum = _cumsimps(1.0 / self.beta(xk), xk[1] - xk[0])
             self._cache["invint"] = make_interp_spline(xk, cum, k=5)
             self._cache["invint_total"] = float(cum[-1])
+            self._cache["invint_table"] = (xk, cum)
         return self._cache["invint"], self._cache["invint_total"]
+
+    def inv_beta_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points and values of int 1/beta that ``inv_beta_integral``
+        interpolates."""
+        self.inv_beta_integral()
+        return self._cache["invint_table"]
 
     def key(self) -> tuple:
         """Canonical tuple identifying this profile (cache keys)."""
@@ -293,7 +300,9 @@ class ReparamMap:
 
     def inverse(self, y) -> np.ndarray:
         """h^{-1}, Newton-polished only on the kink image [h(lo), h(hi)]:
-        off it h is linear, and h^{-1} is its closed form.
+        off it h is linear, and h^{-1} is its closed form.  Each point's
+        value depends on that point alone, so the inverse of a concatenation
+        is the concatenation of the inverses, bit for bit.
 
         Finite volume first folds y onto the principal branch [-L/4, L/4],
         which h maps onto itself and which the reflection x -> -x - L/2,
@@ -312,19 +321,27 @@ class ReparamMap:
         b0 = self.beta0
         (lo, hi), (A, B) = p.support, self.kink_image
         x = np.where(y < A, lo + (y - A) * p.beta_left / b0,
-                     np.where(y > B, hi + (y - B) * p.beta_right / b0,
-                              p.center + (y - 0.5 * (A + B))))
+                     hi + (y - B) * p.beta_right / b0)
         inside = (y >= A) & (y <= B)
         if np.any(inside):
-            x[inside] = self._newton(x[inside], y[inside])
+            # h(x) - h(lo) = b0 int_lo^x 1/beta: the tabulated integral,
+            # interpolated linearly, starts Newton about 1e-9 off the root
+            xk, cum = p.inv_beta_table()
+            x[inside] = self._newton(np.interp((y[inside] - A) / b0, cum, xk),
+                                     y[inside])
         return x
 
     def _newton(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Newton sweeps on h(x) = y; a point is frozen after the sweep in
+        which its residual falls below 1e-13."""
         b0 = self.beta0
+        active = np.arange(len(x))
         for _ in range(60):
-            r = self.__call__(x) - y
-            x = x - r * self._beta(x) / b0
-            if np.max(np.abs(r)) < 1e-13:
+            xa = x[active]
+            r = self.__call__(xa) - y[active]
+            x[active] = xa - r * self._beta(xa) / b0
+            active = active[np.abs(r) >= 1e-13]
+            if not len(active):
                 break
         return x
 
@@ -459,11 +476,13 @@ def flow_family(xi_field: XiField, s_values, grid,
     With ``phi = h o (shift by v t) o h^{-1}``, ``phi' = gamma / zeta``, so
     the flow of ``-zeta`` is a translation: ``f_s = phi^{-1}(phi - gamma s)``;
     the minus mover is the plus one reflected (``XiField.sigma``).  Finite
-    volume: the Diffeos ``f_s``, or with ``inverse`` ``f_{-s}``.  Infinite
-    volume: the Diffeos ``g_s = f_s + gamma s``, or with ``inverse``
-    ``g_s^{-1}(y) = f_{-s}(y - gamma s)``, exactly the identity off the
-    swept interval ``(a + min(0, gamma s), b + max(0, gamma s))``, (a, b)
-    the support of xi.  Zero time copies the lattice.
+    volume: the Diffeos ``f_s``, whose inverses are the flows at -s.
+    Infinite volume: the Diffeos ``g_s = f_s + gamma s``, or with
+    ``inverse`` ``g_s^{-1}(y) = f_{-s}(y - gamma s)``, exactly the identity
+    off the swept interval ``(a + min(0, gamma s), b + max(0, gamma s))``,
+    (a, b) the support of xi.  Zero time copies the lattice.  Every time
+    goes through one h^{-1} call per stage: a 2-D one in finite volume, one
+    over the concatenated swept points on the line.
     """
     s_values = np.asarray(s_values, dtype=float)
     gamma, h, x = xi_field.gamma, xi_field._hmap, grid.x
@@ -472,20 +491,30 @@ def flow_family(xi_field: XiField, s_values, grid,
     phi = lambda y: h(h.inverse(sigma * y) + vt)
     phi_inv = lambda w: sigma * h(h.inverse(w) - vt)
     if xi_field.finite:
-        phi_x = phi(x)
-        return [Diffeo(grid, phi_inv(phi_x - gamma * s) if s else x.copy())
-                for s in (-s_values if inverse else s_values)]
+        if inverse:
+            raise ValueError("a finite-volume flow's inverse is the flow "
+                             "at -s")
+        moved = s_values != 0
+        samples = np.tile(x, (len(s_values), 1))
+        samples[moved] = phi_inv(phi(x) - gamma * s_values[moved, None])
+        return [Diffeo(grid, row) for row in samples]
+    if not len(s_values):
+        return []
     a, b = xi_field.support
-    phi_x = None if inverse else phi(x)
+    swept = [(x > a + min(0.0, gamma * s)) & (x < b + max(0.0, gamma * s))
+             & (s != 0) for s in s_values.tolist()]
+    counts = [np.count_nonzero(m) for m in swept]
+    shift = np.repeat(gamma * s_values, counts)
+    if inverse:
+        y = np.concatenate([x[m] for m in swept])
+        moved = phi_inv(phi(y - shift) + sigma * shift)
+    else:
+        phi_x = phi(x)
+        moved = phi_inv(np.concatenate([phi_x[m] for m in swept])
+                        - sigma * shift) + shift
     out = []
-    for s in s_values.tolist():
+    for m, part in zip(swept, np.split(moved, np.cumsum(counts)[:-1])):
         samples = x.copy()
-        swept = (x > a + min(0.0, gamma * s)) & (x < b + max(0.0, gamma * s))
-        if s:
-            y = x[swept]
-            samples[swept] = (phi_inv(phi(y - gamma * s) + sigma * gamma * s)
-                              if inverse
-                              else phi_inv(phi_x[swept] - sigma * gamma * s)
-                              + gamma * s)
+        samples[m] = part
         out.append(Diffeo(grid, samples))
     return out

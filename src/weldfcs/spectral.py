@@ -48,6 +48,10 @@ class PeriodicGrid:
         return self.L / self.M
 
     @property
+    def span(self) -> float:
+        return self.L
+
+    @property
     def dp(self) -> float:
         return 2.0 * np.pi / self.L
 
@@ -178,25 +182,28 @@ def _progression_sum(j0: float, dp: float, w: np.ndarray,
     return res.reshape(np.shape(points) + w.shape[1:])
 
 
-def progression_phases(j0: float, dp: float, n: int, x,
-                       expm1: bool = False) -> np.ndarray:
-    """The (n, len(x)) table ``e^{i p_j x_k}``, or ``e^{i p_j x_k} - 1`` with
-    ``expm1``, over the momenta ``p_j = (j0 + j) dp``, j = 0..n-1, where
-    dp > 0, ``2 j0`` is an integer and the last momentum is not negative.
+def progression_phases(j0: float, dp: float, n: int, x, d=None,
+                       scale: float = 1.0) -> np.ndarray:
+    """The (n, len(x)) table ``scale e^{i p_j x_k}``, or with displacements d
+    ``scale e^{i p_j x_k} expm1(i p_j d_k)``, over the momenta
+    ``p_j = (j0 + j) dp``, j = 0..n-1, where dp > 0, ``2 j0`` is an integer
+    and the last momentum is not negative; ``scale`` is real.
 
     The entry at -p is the conjugate of the one at p, so the rows with
     p < 0 are conjugates of rows of the table T over |p| = (mu + i) dp,
     i = 0..r-1, with mu the least |p| / dp.  T is built by angle addition in
     blocks of B = ceil(sqrt(r)) rows: ``|p| = c + b dp`` with c the block's
-    first momentum and b < B, so T is ``e^{i c x} e^{i b dp x}``, about
+    first momentum and b < B, so T is ``X_c X_b`` with X = e^{i p x}, about
     2 sqrt(r) len(x) exponentials and one complex multiply per entry.  With
-    E = expm1 it is ``E_c + E_b + E_c E_b``, whose terms share a sign at
-    small arguments, so those keep their relative accuracy.  Rounding the
+    d it is ``F_c G_b + X_c F_b``, F = X expm1(i p d) and G = X + F =
+    e^{i p (x + d)}, whose terms share a sign at small p d, so those keep
+    their relative accuracy (at x = 0 it is ``E_c + E_b + E_c E_b`` with
+    E = expm1).  ``scale`` multiplies the block tables of c.  Rounding the
     angles costs what the direct ``np.exp`` costs; ``e^{-i p x}`` is the
-    table at ``-x``.
+    table at ``-x``, and the conjugate of the table with d the table at
+    (-x, -d).
     """
     x = np.asarray(x, dtype=float)
-    func = np.expm1 if expm1 else np.exp
     k = max(0, int(np.ceil(-j0)))                   # rows with p_j < 0
     mu = j0 + k
     # row j >= k is T[j - k], row j < k is conj(T[k - j - 2 mu])
@@ -206,12 +213,19 @@ def progression_phases(j0: float, dp: float, n: int, x,
     # T is written as whole blocks, just below the rows with p < 0
     buf = np.empty((k + blocks * b, len(x)), dtype=complex)
     table = buf[k:].reshape(blocks, b, len(x))
-    base = func(1j * np.outer((mu + b * np.arange(blocks)) * dp, x))
-    sub = func(1j * np.outer(dp * np.arange(b), x))
-    np.multiply(base[:, None], sub[None], out=table)
-    if expm1:
-        table += base[:, None]
-        table += sub[None]
+    pc, pb = (mu + b * np.arange(blocks)) * dp, dp * np.arange(b)
+    base = scale * np.exp(1j * np.outer(pc, x))
+    sub = np.exp(1j * np.outer(pb, x))
+    if d is None:
+        np.multiply(base[:, None], sub[None], out=table)
+    else:
+        d = np.asarray(d, dtype=float)
+        fsub = sub * np.expm1(1j * np.outer(pb, d))
+        np.multiply((base * np.expm1(1j * np.outer(pc, d)))[:, None],
+                    sub + fsub, out=table)
+        tmp = np.empty_like(fsub)
+        for blk, xc in zip(table, base):
+            blk += np.multiply(xc, fsub, out=tmp)
     lo = int(1 - 2 * mu)
     np.conjugate(buf[k + lo:2 * k + lo][::-1], out=buf[:k])
     return buf[:n]

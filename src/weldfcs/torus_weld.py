@@ -16,8 +16,10 @@ With c = L Re tau, f = id + c + d and f^{-1} = id - c + d~, where d and d~
 live on the grid points the twist moves.  On the grid, exactly,
 ``Finv = (I + P_A V_A) D_c`` and ``F = (I + P_B V_B) conj(D_c)`` with
 ``D_c = diag(e^{-i p_n c})`` and the support factors of d and d~, which
-share one phase table P_B over the union of their supports (P_A is its band
-rows), so ``I - K`` is applied from them and never formed.  Its diagonal is
+share one phase factor P_B over the union of their supports (P_A is its
+band rows), so ``I - K`` is applied from them and never formed.  P is a
+slice of the DFT of the 4N-point assembly grid, so each product with it
+is one FFT and no phase table is stored.  The diagonal of ``I - K`` is
 ``Dg_n = 1 - e^{-L Im tau |p_n|}``, the torus form of the cylinder's
 T+-^{-1}, and GMRES solves the Dg-scaled projected system.
 
@@ -30,12 +32,12 @@ equation.  The difference of the two routes and the band-edge tails of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from .fredholm import _gmres, _substitution_kernel
+from .fredholm import PhaseFactor, _gmres, _substitution_kernel
 from .profile import Diffeo
 from .spectral import PeriodicGrid, schwarzian_from_derivatives
 
@@ -92,22 +94,25 @@ class TorusWeldProblem:
 class TorusOperator:
     """``I - K`` applied from the support factors; never formed.
 
-    One phase table P over the union U of the two supports, and over the
+    One phase factor P over the union U of the two supports, and over the
     modes -N..N+b, b = N // 2 (row j is mode j - N), serves both maps:
-    P_A is its band rows and P_B all of it.  V_A spans the modes 0..N+b
-    that the K11 product sums over and V_B the band -N..N."""
+    P_A is its band rows and P_B all of it; it is applied by FFT and never
+    stored (``fredholm.PhaseFactor``).  V_A spans the modes 0..N+b that the
+    K11 product sums over and V_B the band -N..N."""
 
     def __init__(self, problem: TorusWeldProblem):
         N, grid, L, tau = problem.n_modes, problem.f.grid, problem.L, problem.tau
         p = grid.dp * np.arange(-N, N + N // 2 + 1)
-        self.phase, (self.va, self.vb), _ = _substitution_kernel(
+        (self.va, self.vb), union = _substitution_kernel(
             grid, problem.displacements, p, 1.0 / L,
             cols=((N, len(p)), (0, 2 * N + 1)))
+        self.phase = PhaseFactor(grid, union, p)
         self.N, self.modes = N, np.arange(-N, N + 1)
         self.dc = np.exp(-1j * p * (L * tau.real))
         self.dg = -np.expm1(-L * tau.imag * np.abs(p[:2 * N + 1]))
         self.qn = problem.q ** np.arange(N + 1, dtype=float)
-        self.tails = _tail_diagnostics(self, abs(problem.q))
+        self.tails = _tail_diagnostics(
+            self, abs(problem.q), [d[union] for d in problem.displacements])
 
     def residuals(self, y1: np.ndarray, y2: np.ndarray):
         """The residuals ``E0p y1 - K11 y1 - K12 y2`` (band) and
@@ -115,12 +120,12 @@ class TorusOperator:
         ``F = (I + P_B V_B) conj(D_c)`` and ``Finv = (I + P_A V_A) D_c``."""
         N, n = self.N, len(y1)
         z = self.dc[:n].conj() * y1
-        fy = self.phase @ (self.vb @ z)                     # F y1
+        fy = self.phase(self.vb @ z)                        # F y1
         fy[:n] += z
         # r1 = Finv (E0 F y1 - Q E0p y2), over the modes 0..N+b
         u = self.dc[N:] * fy[N:]
         u[:N + 1] -= self.dc[N:n] * self.qn * y2[N:]
-        r1 = self.phase[:n] @ (self.va @ u)
+        r1 = self.phase(self.va @ u, slice(0, n))
         r1[N:] += u[:N + 1]
         return r1, y2[:N] - self.qn[:0:-1] * fy[:N]
 
@@ -160,17 +165,71 @@ def _band_to_grid(grid: PeriodicGrid, modes: np.ndarray, coeff: np.ndarray,
     return np.fft.fft(full)
 
 
-def _tail_diagnostics(op: TorusOperator, qabs: float) -> dict:
-    """Largest entries in the outermost mode band (N // 16 wide) of the
-    coupling blocks, from the factors a slab at a time: |K12[m, n]| is
-    |(I + P_A V_A)[m, n]| |q|^n on n >= 0 and |K21[m, n]| is
-    |q|^|m| |(I + P_B V_B)[m, n]| on m < 0.
+def _slab_max(op: TorusOperator, rects, v: np.ndarray, c0: int,
+              rw: np.ndarray, cw: np.ndarray) -> float:
+    """Largest entry of ``I + P V``, weighted by rw (rows) and cw (columns),
+    over rectangles ``((r0, r1), (a, b))`` of band rows and columns, where
+    column j of ``v`` is band column c0 + j.  A rectangle of a few rows
+    takes them from ``PhaseFactor.table``; one of a few columns is one FFT
+    batch."""
+    worst = 0.0
+    for (r0, r1), (a, b) in rects:
+        vs = v[:, a - c0:b - c0]
+        blk = (op.phase.table(r0, r1) @ vs if r1 - r0 < b - a
+               else op.phase(vs, slice(r0, r1)))
+        diag = np.arange(max(r0, a), min(r1, b))
+        blk[diag - r0, diag - a] += 1.0
+        worst = max(worst, float(np.max(np.abs(blk) * rw[r0:r1, None]
+                                        * cw[a:b])))
+    return worst
 
-    Every entry of P has modulus 1, so |(I + P V)[m, n]| <= 1 + |V[:, n]|_1,
-    which times the weights bounds each of a block's two slabs (edge rows,
-    edge columns).  The slab with the larger bound is scanned first and the
-    other only if its bound reaches half the largest entry found, so it is
-    skipped only when it cannot hold the maximum, rounding included.
+
+def _edge_slabs(op: TorusOperator, qabs: float, disps) -> dict:
+    """Per coupling block, its two slabs in the outermost mode band (N // 16
+    wide), edge rows and edge columns, as ``(bound, scan)`` pairs: scan()
+    is the slab's largest weighted entry, and bound is at least that.
+
+    |K12[m, n]| is |(I + P_A V_A)[m, n]| |q|^n on n >= 0 and |K21[m, n]| is
+    |q|^|m| |(I + P_B V_B)[m, n]| on m < 0, so a slab holds the contiguous
+    rows and columns of positive weight.  Every entry of P has modulus 1
+    and |expm1(i theta)| <= min(2, |theta|), so with ``disps`` the
+    displacements d on U, |(I + P V)[m, n]| <= 1 + min(2 |S|, |q_n| |d|_1)
+    / M, S the points d moves, which times the weights bounds a slab.
+    """
+    N = op.N
+    n, w = 2 * N + 1, max(1, N // 16)
+    power, one = qabs ** np.abs(op.modes), np.ones(n)
+
+    def edges(lo, hi):
+        return [e for e in ((lo, min(hi, w)), (max(lo, n - w), hi))
+                if e[0] < e[1]]
+
+    out = {}
+    for name, v, c0, d, rw, cw, rows, cols in (
+            ("K12", op.va, N, disps[0], one, power * (op.modes >= 0),
+             (0, n), (N, n)),
+            ("K21", op.vb, 0, disps[1], power * (op.modes < 0), one,
+             (0, N), (0, n))):
+        cbound = cw * (1.0 + np.minimum(
+            2.0 * np.count_nonzero(d),
+            op.phase.dp * np.abs(op.modes) * np.sum(np.abs(d)))
+            / op.phase.size)
+        out[name] = []
+        for rects in ([(r, cols) for r in edges(*rows)],
+                      [(rows, c) for c in edges(*cols)]):
+            bound = max(float(np.max(rw[r0:r1]) * np.max(cbound[a:b]))
+                        for (r0, r1), (a, b) in rects)
+            out[name].append((bound, partial(_slab_max, op, rects, v, c0,
+                                             rw, cw)))
+    return out
+
+
+def _tail_diagnostics(op: TorusOperator, qabs: float, disps) -> dict:
+    """Largest entries in the outermost mode band of the coupling blocks,
+    read off the factors a slab at a time (``_edge_slabs``).  The slab with
+    the larger bound is scanned first and the other only if its bound
+    reaches half the largest entry found, so it is skipped only when it
+    cannot hold the maximum, rounding included.
 
     Both fall as N grows.  K11's band edge is left out: its corner holds the
     part of the product that the buffer cuts off, which is the same share of
@@ -178,32 +237,14 @@ def _tail_diagnostics(op: TorusOperator, qabs: float) -> dict:
     the buffer raises it tenfold but moves tau_eff within its truncation
     error).
     """
-    N = op.N
-    band, w = np.arange(2 * N + 1), max(1, N // 16)
-    edge = np.r_[band[:w], band[-w:]]
-    power, one = qabs ** np.abs(op.modes), np.ones(len(band))
-
-    def edge_max(v, c0, rw, cw):
-        # column j of v is band column c0 + j
-        cols = np.nonzero(cw)[0]
-        cbound = np.zeros(len(band))
-        cbound[cols] = cw[cols] * (1.0 + np.abs(v[:, cols - c0]).sum(axis=0))
-        slabs = [(float(np.max(rw[r], initial=0.0)
-                        * np.max(cbound[c], initial=0.0)), r, c)
-                 for r, c in ((edge[rw[edge] > 0], cols),
-                              (np.nonzero(rw)[0], edge[cw[edge] > 0]))]
+    tails = {}
+    for name, slabs in _edge_slabs(op, qabs, disps).items():
         worst = 0.0
-        for bound, r, c in sorted(slabs, key=lambda slab: -slab[0]):
-            if bound < 0.5 * worst:
-                continue
-            blk = op.phase[r] @ v[:, c - c0]
-            blk[np.equal.outer(r, c)] += 1.0
-            worst = max(worst, float(np.max(
-                np.abs(blk) * rw[r, None] * cw[c], initial=0.0)))
-        return worst
-
-    return {"K12": edge_max(op.va, N, one, power * (op.modes >= 0)),
-            "K21": edge_max(op.vb, 0, power * (op.modes < 0), one)}
+        for bound, scan in sorted(slabs, key=lambda slab: -slab[0]):
+            if bound >= 0.5 * worst:
+                worst = max(worst, scan())
+        tails[name] = worst
+    return tails
 
 
 @dataclass(eq=False)

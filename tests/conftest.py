@@ -34,3 +34,19 @@ def rng():
     """A fresh generator per test, so a test's draws do not depend on which
     tests ran before it."""
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def lattice_phase():
+    """The oracle of the welding phase factor: ``e^{i p_j x_m}`` over the
+    momenta ``p_j = (j0 + j) 2 pi / span``, j < n, and the lattice points
+    ``x_m = x0 + m span / M``, m in ``union``, with the angles formed and
+    their cosine and sine taken in extended precision, rounded to complex."""
+    def phase(grid, union, j0, n):
+        ld = np.longdouble
+        span = ld(grid.span)
+        p = (ld(j0) + np.arange(n, dtype=ld)) * (8 * np.arctan(ld(1)) / span)
+        x = ld(grid.x0) + np.asarray(union, dtype=ld) * (span / grid.M)
+        a = np.multiply.outer(p, x)
+        return np.cos(a).astype(float) + 1j * np.sin(a).astype(float)
+    return phase

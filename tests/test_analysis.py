@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from weldfcs import Diffeo, TemperatureProfile, fcs
 from weldfcs.fcs import (counterterm_finite, counterterm_mover,
                          moments_closed_form)
+from weldfcs.fredholm import PhaseFactor
 from weldfcs.profile import VolumeContext
 from weldfcs.spectral import LineGrid, PeriodicGrid, progression_phases
 
@@ -118,28 +119,41 @@ class TestSpectralTools:
                     (-3.5, 0.3, 8, 5.0, 0)]
 
     @staticmethod
-    def _exact(j0, dp, n, x, expm1):
+    def _exact(j0, dp, n, x, d=None, scale=1.0):
         """The table in extended precision, rounded to complex."""
         ld = np.longdouble
-        a = np.multiply.outer((ld(j0) + np.arange(n, dtype=ld)) * ld(dp),
-                              x.astype(ld))
-        re = -2.0 * np.sin(a / 2) ** 2 if expm1 else np.cos(a)
-        return re.astype(float) + 1j * np.sin(a).astype(float)
+        p = (ld(j0) + np.arange(n, dtype=ld)) * ld(dp)
+        a = np.multiply.outer(p, x.astype(ld))
+        re, im = np.cos(a), np.sin(a)
+        if d is not None:
+            # times e^{ipd} - 1 = -2 sin^2(pd/2) + i sin(pd), without
+            # cancellation
+            b = np.multiply.outer(p, d.astype(ld))
+            er, ei = -2.0 * np.sin(b / 2) ** 2, np.sin(b)
+            re, im = re * er - im * ei, im * er + re * ei
+        return ((ld(scale) * re).astype(float)
+                + 1j * (ld(scale) * im).astype(float))
 
     @pytest.mark.parametrize("j0,dp,n,xmax,m", PROGRESSIONS)
-    @pytest.mark.parametrize("expm1", [False, True])
+    @pytest.mark.parametrize("twisted", [False, True])
     def test_progression_phases_match_longdouble(self, j0, dp, n, xmax, m,
-                                                 expm1):
+                                                 twisted):
         # both routes round the angle p x, the direct one once and the block
         # one in two parts, so their largest errors agree up to which
         # entries the roundings hit: over ten draws of x the block route's
         # is 0.55-1.05 times the direct route's on the large tables; on the
-        # small ones a few roundings of the complex product decide
-        x = np.random.default_rng(n).uniform(-xmax, xmax, m)
-        ref = self._exact(j0, dp, n, x, expm1)
-        got = progression_phases(j0, dp, n, x, expm1)
-        direct = (np.expm1 if expm1 else np.exp)(
-            1j * np.outer((j0 + np.arange(n)) * dp, x))
+        # small ones a few roundings of the complex product decide.  The
+        # twisted table (displacements d, as the V factors use it) against
+        # the product of direct exp and expm1, weight folded in
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-xmax, xmax, m)
+        d, scale = (rng.uniform(-2.0, 2.0, m), 0.3) if twisted else (None, 1.0)
+        ref = self._exact(j0, dp, n, x, d, scale)
+        got = progression_phases(j0, dp, n, x, d, scale)
+        p = (j0 + np.arange(n)) * dp
+        direct = scale * np.exp(1j * np.outer(p, x))
+        if twisted:
+            direct *= np.expm1(1j * np.outer(p, d))
         assert got.shape == (n, m)
         if not m:
             return
@@ -150,17 +164,48 @@ class TestSpectralTools:
     @pytest.mark.parametrize("j0,n", [(-195.5, 392), (-64.0, 129),
                                       (0.0, 50), (-2.5, 10)])
     def test_progression_expm1_keeps_relative_accuracy(self, j0, n):
-        # |p d| up to 1e-12, on progressions that straddle p = 0 or start at
-        # it: every entry to a few roundings of its own size, as np.expm1
+        # |p d| up to 1e-12 at x = 0, where the twisted table is expm1(i p d),
+        # on progressions that straddle p = 0 or start at it: every entry to
+        # a few roundings of its own size, as np.expm1
         dp = 0.1
         d = np.random.default_rng(0).uniform(-1, 1, 30) * 1e-12 / (
             (abs(j0) + n) * dp)
-        ref = self._exact(j0, dp, n, d, True)
-        got = progression_phases(j0, dp, n, d, expm1=True)
+        x = np.zeros_like(d)
+        ref = self._exact(j0, dp, n, x, d)
+        got = progression_phases(j0, dp, n, x, d)
         zero = ref == 0.0                   # the row p = 0
         assert np.all(got[zero] == 0.0)
         rel = np.abs(got - ref)[~zero] / np.abs(ref[~zero])
         assert np.max(rel) < 4 * np.finfo(float).eps
+
+    # (grid, j0, n): the torus modes -N..N+N//2 at L = 40 and 80, the
+    # cylinder's half-offset lattice, and both flavours with an origin far
+    # from 0, where the point nearest 0 lies off the window
+    PHASE_FACTORS = [(PeriodicGrid(40.0, 1536, -30.0), -384, 961),
+                     (PeriodicGrid(80.0, 1536, -60.0), -384, 961),
+                     (LineGrid(-32.63, 73.4, 1024), -195.5, 392),
+                     (LineGrid(523.7, 80.0, 2048), -195.5, 392),
+                     (PeriodicGrid(40.0, 1024, 700.0), -256, 641)]
+
+    @pytest.mark.parametrize("grid,j0,n", PHASE_FACTORS)
+    def test_phase_factor_matches_longdouble(self, grid, j0, n, rng,
+                                             lattice_phase):
+        # P w by one FFT against the extended-precision P on the lattice,
+        # for a vector and a batch of columns, all rows and a slice; its
+        # twiddles stay small, so it errs by the FFT's round-off, where the
+        # dense np.exp table errs by the rounding of p x (6e-14 to 3e-12 of
+        # the largest entry on these grids)
+        union = np.sort(rng.choice(grid.M, 300, replace=False))
+        phase = PhaseFactor(grid, union, (j0 + np.arange(n)) * grid.dp)
+        w = rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3))
+        ref = lattice_phase(grid, union, j0, n) @ w
+        scale = np.max(np.abs(ref))
+        got = phase(w)
+        assert got.shape == (n, 3)
+        assert np.max(np.abs(got - ref)) < 16 * np.finfo(float).eps * scale
+        assert np.max(np.abs(phase(w[:, 1]) - got[:, 1])) \
+            < 4 * np.finfo(float).eps * scale
+        assert np.array_equal(phase(w, slice(5, 50)), got[5:50])
 
 
 class TestCounterterm:

@@ -31,14 +31,16 @@ def solve_kink(kink, t, s, p_max_gamma=33.0):
     return welds.xi, sol.problem, sol
 
 
-def dense_sigma(op):
+def dense_sigma(op, lattice_phase):
     """The recast Nystrom matrix formed from the dense kernel blocks DA and
-    DB: the oracle of the factored product (p < 0 block first)."""
+    DB, with the phase factor formed in extended precision: the oracle of
+    the factored product (p < 0 block first)."""
     prob, psol = op.problem, op.psol
     grid, gamma = prob.grid, prob.gamma
     W = grid.dp / (2.0 * np.pi)
-    phase, (va, vb), _ = _substitution_kernel(
+    (va, vb), union = _substitution_kernel(
         grid, (prob.g.displacement(), _inverse_displacement(prob)), psol, W)
+    phase = lattice_phase(grid, union, psol[0] / grid.dp, len(psol))
     DA, DB = phase @ va, phase @ vb
     n2 = len(psol)
     m, p = slice(0, n2 // 2), slice(n2 // 2, n2)
@@ -74,15 +76,15 @@ def oracle_nodes(kink, lean_numerics):
 
 
 class TestAssembly:
-    def test_identity_gives_zero_operator(self, kink):
+    def test_identity_gives_zero_operator(self, kink, lattice_phase):
         grid = LineGrid(-20.0, 40.0, 512)
         g0 = Diffeo(grid, grid.x.copy())
         op = assemble_sigma(CylinderWeldProblem(g0, kink.beta0, 20.0, g0))
         assert np.max(np.abs(factored_sigma(op))) == 0.0
-        assert np.max(np.abs(dense_sigma(op))) == 0.0
+        assert np.max(np.abs(dense_sigma(op, lattice_phase))) == 0.0
         assert np.max(np.abs(op.z12_ext)) == 0.0
 
-    def test_entries_stable_under_pmax_doubling(self, kink):
+    def test_entries_stable_under_pmax_doubling(self, kink, lattice_phase):
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
         num = Numerics(dx=0.012, window_pad_gamma=6.0, window_factor=4.0)
         grid = cylinder_grid(xi, 0.25, num)
@@ -93,7 +95,8 @@ class TestAssembly:
             ops[pm] = assemble_sigma(CylinderWeldProblem(g, xi.gamma, pm,
                                                          g_inverse=gi))
         small, big = ops[40.0], ops[80.0]
-        dense_small, dense_big = dense_sigma(small), dense_sigma(big)
+        dense_small, dense_big = (dense_sigma(op, lattice_phase)
+                                  for op in (small, big))
         pos = np.searchsorted(big.psol, small.psol)
         sub = dense_big[np.ix_(pos, pos)]
         # entries well inside the smaller cutoff; the outermost rows are the
@@ -121,7 +124,7 @@ class TestAssembly:
             assert (nbytes > _NODE_BYTES_MAX) == (s == 1e3)
         assert (m, order) == (131072, 58322)
 
-    def test_kernel_blocks_match_longdouble_sum(self, kink):
+    def test_kernel_blocks_match_longdouble_sum(self, kink, lattice_phase):
         # A(p, q) = dx sum_m e^{i(p-q)x_m} (e^{-i q d_m} - 1) over the whole
         # lattice, in extended precision, at sampled (p, q); B likewise from
         # the inverse displacement
@@ -133,8 +136,9 @@ class TestAssembly:
         rows = rng.choice(len(psol), 12, replace=False)
         cols = rng.choice(len(psol), 12, replace=False)
         for disp in (prob.g.displacement(), _inverse_displacement(prob)):
-            phase, (v,), _ = _substitution_kernel(grid, (disp,), psol, 1.0)
-            block = phase @ v
+            (v,), union = _substitution_kernel(grid, (disp,), psol, 1.0)
+            block = lattice_phase(grid, union, psol[0] / grid.dp,
+                                  len(psol)) @ v
             d = disp.astype(np.longdouble)
             worst = 0.0
             for j in cols:
@@ -203,17 +207,29 @@ class TestAssembly:
 
 
 class TestMatrixFree:
-    def test_factored_product_matches_dense_oracle(self, oracle_nodes):
+    def test_factored_product_matches_dense_oracle(self, oracle_nodes,
+                                                   lattice_phase):
         for sol in oracle_nodes:
-            dense = dense_sigma(sol.operator)
+            dense = dense_sigma(sol.operator, lattice_phase)
             err = np.max(np.abs(factored_sigma(sol.operator) - dense))
             assert err < 1e-13 * np.max(np.abs(dense))
+            # no phase table is held: the only arrays over the union
+            # support with two axes are V_A and V_B
+            sigma = sol.operator.sigma
+            union = sigma.va.shape[0]
+            assert sorted(
+                name for obj in (sigma, sigma.phase)
+                for name, a in vars(obj).items()
+                if isinstance(a, np.ndarray) and a.ndim > 1
+                and union in a.shape) == ["va", "vb"]
 
-    def test_condition_estimate_against_zgecon(self, oracle_nodes):
+    def test_condition_estimate_against_zgecon(self, oracle_nodes,
+                                               lattice_phase):
         # the Hessenberg estimate (2-norm, on the Krylov space) against
         # LAPACK's 1-norm estimate of the dense I + Sigma
         for sol in oracle_nodes:
-            a = np.eye(len(sol.operator.psol)) + dense_sigma(sol.operator)
+            a = np.eye(len(sol.operator.psol)) + dense_sigma(sol.operator,
+                                                             lattice_phase)
             lu, _ = sla.lu_factor(a)
             cond = 1.0 / sla.lapack.zgecon(lu, np.linalg.norm(a, 1))[0]
             assert 0.5 < sol.cond_estimate / cond < 2.0

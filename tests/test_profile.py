@@ -5,6 +5,9 @@ from scipy.integrate import solve_ivp
 from weldfcs import (InfiniteVolume, TemperatureProfile, VolumeContext,
                      build_h, build_xi, flow_family, periodize_profile)
 from weldfcs.errors import BoxTooSmall
+from weldfcs.fcs import (Numerics, _gl_nodes, _line_flow_family,
+                         cylinder_nodes, torus_nodes)
+from weldfcs.profile import ReparamMap
 from weldfcs.spectral import LineGrid, PeriodicGrid, fit_loglog_slope
 
 
@@ -163,6 +166,68 @@ class TestReparamMap:
             assert np.all(np.abs(h.inverse(h(y)) - y) <= tol)
 
         check()
+
+    def test_inverse_of_concatenation_property(self, kink):
+        # each point's h^{-1} depends on that point alone: the inverse of a
+        # concatenation is the concatenation of the pieces' inverses, bit
+        # for bit, in both volumes, with points drawn mostly on the kink
+        # image, where Newton polishes them
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        maps = {(finite, L): build_h(kink, VolumeContext(kink, L)
+                                     if finite else None)
+                for finite in (False, True) for L in (40.0, 80.0)}
+
+        @hypothesis.settings(max_examples=100, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(key=st.sampled_from(sorted(maps)), data=st.data())
+        def check(key, data):
+            h, L = maps[key], key[1]
+            A, B = h.kink_image
+            value = st.one_of(st.floats(A, B), st.floats(-1.5 * L, 1.5 * L),
+                              st.floats(A - L, B - L))
+            pieces = [np.array(piece) for piece in data.draw(st.lists(
+                st.lists(value, min_size=1, max_size=6), min_size=2,
+                max_size=4))]
+            whole = h.inverse(np.concatenate(pieces))
+            assert np.array_equal(whole, np.concatenate(
+                [h.inverse(piece) for piece in pieces]))
+
+        check()
+
+    def test_inverse_takes_at_most_three_sweeps(self, kink, monkeypatch):
+        # every h^{-1} call of the benchmark's seed-0 node sets (their
+        # fields and their flows, both movers of infinite-moments and both
+        # boxes of finite-boxes) starts Newton from the tabulated integral
+        # and stops within 3 sweeps
+        sweeps, calls = [], [0]
+        call, newton = ReparamMap.__call__, ReparamMap._newton
+
+        def counted_call(self, x):
+            calls[0] += 1
+            return call(self, x)
+
+        def counted_newton(self, x, y):
+            calls[0] = 0
+            out = newton(self, x, y)
+            sweeps.append(calls[0])
+            return out
+
+        monkeypatch.setattr(ReparamMap, "__call__", counted_call)
+        monkeypatch.setattr(ReparamMap, "_newton", counted_newton)
+        moments = Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
+                           p_max_gamma=26.0, s_nodes=4)
+        for lam in (-0.04, -0.02, 0.02, 0.04):
+            s = _gl_nodes(lam / kink.delta_beta, 4, 1)[0]
+            sets = [cylinder_nodes(kink, 1.0, 4.0, mover, s, moments)
+                    for mover in "+-"]
+            sets += [torus_nodes(kink, VolumeContext(kink, L), 4.0, s,
+                                 Numerics(n_modes=n, s_nodes=4))
+                     for L, n in ((40.0, 192), (80.0, 384))]
+            for nodes in sets:
+                nodes.xi_values
+                _line_flow_family(nodes.xi, nodes.s_values, nodes.grid)
+        assert len(sweeps) > 0 and max(sweeps) <= 3
 
     @pytest.mark.parametrize("volume", ["infinite", "finite"])
     def test_inverse_scalar_matches_array(self, kink, box, volume):
@@ -332,7 +397,13 @@ class TestFlows:
             xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
             grid = line_window(xi, 0.3)
         fwd = flow_family(xi, times, grid)
-        inv = flow_family(xi, times, grid, inverse=True)
+        if volume == "finite":
+            # the inverses are the flows at -s, and there is no other route
+            inv = flow_family(xi, np.negative(times), grid)
+            with pytest.raises(ValueError, match="at -s"):
+                flow_family(xi, times, grid, inverse=True)
+        else:
+            inv = flow_family(xi, times, grid, inverse=True)
         for s, f, fi in zip(times, fwd, inv):
             assert np.max(np.abs(f(fi.samples) - grid.x)) < 1e-10, s
         assert np.array_equal(fwd[1].samples, grid.x)

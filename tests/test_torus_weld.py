@@ -23,8 +23,7 @@ def kink_problem(kink, N, t, s, tail_tol=1.0, length=L):
     ctx = VolumeContext(kink, length, 1.0)
     xi = build_xi(kink, ctx, t)
     grid = PeriodicGrid(length, 4 * N, x0=-0.75 * length)
-    f, finv = (flow_family(xi, [s], grid, inverse=inv)[0]
-               for inv in (False, True))
+    f, finv = flow_family(xi, [s, -s], grid)
     tau = 1j * ctx.gammaL / length - ctx.gammaL * s / length
     return TorusWeldProblem(f, tau, N, finv, tail_tol)
 
@@ -66,30 +65,25 @@ def factored_blocks(op):
     return K11, K12, K21
 
 
-def tail_slabs(op, qabs):
+def union_support(prob):
+    """The grid points the map or its inverse moves."""
+    return np.nonzero(np.logical_or(*prob.displacements))[0]
+
+
+def tail_slabs(op, prob):
     """Per coupling block, the largest weighted entry of each of its two
-    edge slabs from a scan of all four, and each slab's bound
-    max(row weights) max(column weight (1 + |V[:, n]|_1))."""
-    N = op.N
-    band, w = np.arange(2 * N + 1), max(1, N // 16)
-    edge = np.r_[band[:w], band[-w:]]
-    power, one = qabs ** np.abs(op.modes), np.ones(len(band))
-    out = {}
-    for name, v, c0, rw, cw in (
-            ("K12", op.va, N, one, power * (op.modes >= 0)),
-            ("K21", op.vb, 0, power * (op.modes < 0), one)):
-        out[name] = []
-        for r, c in ((edge, band), (band, edge)):
-            r, c = r[rw[r] > 0], c[cw[c] > 0]
-            blk = op.phase[r] @ v[:, c - c0]
-            blk[np.equal.outer(r, c)] += 1.0
-            worst = float(np.max(np.abs(blk) * rw[r, None] * cw[c],
-                                 initial=0.0))
-            bound = float(np.max(rw[r], initial=0.0) * np.max(
-                cw[c] * (1.0 + np.abs(v[:, c - c0]).sum(axis=0)),
-                initial=0.0))
-            out[name].append((worst, bound))
-    return out
+    edge slabs from a scan of all four, and each slab's bound."""
+    union = union_support(prob)
+    slabs = torus_weld._edge_slabs(op, abs(prob.q),
+                                   [d[union] for d in prob.displacements])
+    return {name: [(scan(), bound) for bound, scan in pair]
+            for name, pair in slabs.items()}
+
+
+def held_arrays(op):
+    """The arrays an operator holds, its phase factor's included."""
+    return {name: a for obj in (op, op.phase) for name, a in vars(obj).items()
+            if isinstance(a, np.ndarray)}
 
 
 @pytest.fixture(scope="module")
@@ -118,17 +112,19 @@ class TestAssembly:
         assert np.max(np.abs(offdiag)) < 1e-13
         assert np.max(np.abs(K11)) < 1e-13
 
-    def test_translation_gives_phase_matrix(self):
+    def test_translation_gives_phase_matrix(self, lattice_phase):
         N = 64
         b = 2.0
         grid = make_grid(N)
         ft = Diffeo(grid, grid.x - b)
-        op = assemble_K(TorusWeldProblem(ft, 0.1j, N,
-                                         Diffeo(grid, grid.x + b)))
+        prob = TorusWeldProblem(ft, 0.1j, N, Diffeo(grid, grid.x + b))
+        op = assemble_K(prob)
         pn = 2 * np.pi * op.modes / L
-        # F = (I + P_B V_B) conj(D_c) from the factors, on the band
+        # F = (I + P_B V_B) conj(D_c) from the factors, on the band, with P
+        # formed in extended precision
         n = 2 * N + 1
-        F = (np.eye(n) + op.phase[:n] @ op.vb) * op.dc[:n].conj()
+        P = lattice_phase(grid, union_support(prob), -N, n)
+        F = (np.eye(n) + P @ op.vb) * op.dc[:n].conj()
         assert np.max(np.abs(np.diag(F) - np.exp(-1j * pn * b))) < 1e-12
         assert np.max(np.abs(factored_blocks(op)[0])) < 1e-12
 
@@ -198,8 +194,7 @@ class TestAssembly:
     def test_truncation_alarm(self, kink, box):
         xi = build_xi(kink, box, 2.0)
         grid = make_grid(64)
-        f, finv = (flow_family(xi, [0.25], grid, inverse=inv)[0]
-                   for inv in (False, True))
+        f, finv = flow_family(xi, [0.25, -0.25], grid)
         with pytest.raises(TruncationTooCoarse):
             assemble_K(TorusWeldProblem(f, 0.1j, 64, finv, tail_tol=1e-12))
 
@@ -234,8 +229,8 @@ class TestFactored:
         # the reported tails equal a scan of all four slabs bit for bit: on
         # the benchmark node, where the bound skips a slab of each block; at
         # N = 12, below assemble_K's gate, where no slab is skipped and K12's
-        # slab with the smaller bound holds the larger entry (0.049 against
-        # 0.045); and on the identity, whose union support is empty
+        # slab with the smaller bound holds the larger entry; and on the
+        # identity, whose union support is empty.  Every bound holds.
         grid = make_grid(64)
         f0 = Diffeo(grid, grid.x.copy())
         cases = ((oracle_problems[0], True),
@@ -243,26 +238,28 @@ class TestFactored:
                  (TorusWeldProblem(f0, 0.1j, 64, f0), False))
         for prob, skips in cases:
             op = TorusOperator(prob)
-            slabs = tail_slabs(op, abs(prob.q))
-            for name, pair in slabs.items():
+            for name, pair in tail_slabs(op, prob).items():
                 worst = max(w for w, _ in pair)
                 assert op.tails[name] == worst
+                assert all(w <= b for w, b in pair)
                 assert any(b < 0.5 * worst for _, b in pair) == skips
-        assert op.phase.shape[1] == 0
+        assert op.va.shape[0] == op.vb.shape[0] == 0
 
     def test_memory_formula_bounds_the_operator(self, kink, oracle_problems):
         # _torus_bytes against the arrays the operator holds, on the
         # benchmark L = 40 node and on a node of criterion 9's t = 30,
-        # L = 80 set (N = 512)
+        # L = 80 set (N = 512); the phase factor is not among them: the
+        # only arrays over the union support are V_A and V_B
         s = _gl_nodes(0.2 / kink.delta_beta, 6, 1)[0][-1]
         for prob in (oracle_problems[0],
                      kink_problem(kink, 512, 30.0, s, length=80.0)):
             op = TorusOperator(prob)
-            held = sum(a.nbytes for a in vars(op).values()
-                       if isinstance(a, np.ndarray))
-            union = np.count_nonzero(np.logical_or(*prob.displacements))
-            assert op.phase.shape == (2 * prob.n_modes + prob.n_modes // 2
-                                      + 1, union)
+            arrays = held_arrays(op)
+            held = sum(a.nbytes for a in arrays.values())
+            union = len(union_support(prob))
+            assert sorted(name for name, a in arrays.items()
+                          if a.ndim > 1) == ["va", "vb"]
+            assert op.va.shape[0] == op.vb.shape[0] == union
             assert held <= _torus_bytes(prob.n_modes, union) <= 2 * held
 
     def test_factored_operator_matches_dense_oracle(self, oracle_problems):
