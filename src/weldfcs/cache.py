@@ -19,7 +19,7 @@ __all__ = ["SolveCache", "resolve_cache_dir"]
 
 # Bump whenever an algorithm change moves the bits of a cached value, so
 # records computed before the change are misses rather than served.
-_VERSION = "weldfcs-cache-9"
+_VERSION = "weldfcs-cache-10"
 
 
 def resolve_cache_dir(explicit: str | None = None) -> str | None:
@@ -30,7 +30,13 @@ def resolve_cache_dir(explicit: str | None = None) -> str | None:
 
 
 def _canonical(obj) -> str:
-    if isinstance(obj, (tuple, list)):
+    # exact-type fast paths for what keys are made of; every other type
+    # (bool, None, complex, numpy scalars, subclasses) takes the general
+    # branches below, which give the same strings for these types
+    kind = type(obj)
+    if kind is float or kind is int or kind is str:
+        return repr(obj)
+    if kind is tuple or kind is list or isinstance(obj, (tuple, list)):
         return "(" + ",".join([_canonical(x) for x in obj]) + ")"
     if isinstance(obj, np.generic):
         # a numpy scalar keys as the Python number of equal value
@@ -74,12 +80,12 @@ class SolveCache:
         return os.path.join(self.dir, digest[:2], f"{digest}.json")
 
     def get_scalar(self, key):
-        path = self._path(key)
-        if not os.path.exists(path):
+        try:
+            with open(self._path(key)) as fh:
+                record = json.load(fh)
+        except FileNotFoundError:
             self.misses += 1
             return None
-        with open(path) as fh:
-            record = json.load(fh)
         if record.get("version") != _VERSION:
             self.misses += 1
             return None

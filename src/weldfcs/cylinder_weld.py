@@ -41,7 +41,7 @@ from scipy.sparse.linalg import LinearOperator
 from .errors import NearSingular, WindowTooSmall
 from .fredholm import PhaseFactor, _gmres, _substitution_kernel
 from .profile import Diffeo
-from .spectral import LineGrid, schwarzian_from_derivatives
+from .spectral import LineGrid, gauss_legendre, schwarzian_from_derivatives
 
 __all__ = [
     "CylinderWeldProblem",
@@ -332,7 +332,7 @@ def realspace_crosscheck(problem: CylinderWeldProblem,
         y1p, gp = f[:, 0], 1.0 + f[:, 2].real
         return y1p, y + f[:, 1].real, gp, y1p - (gp - 1.0)
 
-    nodes, wts = np.polynomial.legendre.leggauss(24)
+    nodes, wts = gauss_legendre(24)
 
     def panels(edges):
         """Nodes and weights of a 24-point Gauss-Legendre rule per panel."""

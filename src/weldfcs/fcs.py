@@ -33,7 +33,7 @@ from .fredholm import _GMRES_CAP
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       XiField, build_h, build_xi, flow_family,
                       periodize_profile)
-from .spectral import LineGrid, PeriodicGrid, bose_weight
+from .spectral import LineGrid, PeriodicGrid, bose_weight, gauss_legendre
 from .torus_weld import TorusWeldProblem, solve_Y1
 
 __all__ = [
@@ -167,7 +167,7 @@ def _s_extent(s_values) -> float:
 
 def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
     """Gauss-Legendre nodes/weights for int_0^{s_end} ds, panelized."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
+    gl_x, gl_w = gauss_legendre(n_nodes)
     edges = np.linspace(0.0, s_end, n_panels + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):

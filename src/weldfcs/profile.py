@@ -8,6 +8,12 @@ it: the reparameterizing map ``h`` with ``h' = beta0 / beta``, the transport
 fields ``xi`` for right (+) and left (-) movers, and the diffeomorphism
 flows those fields generate on the circle (finite volume) or line (infinite
 volume).
+
+The kink enters through two cumulative-Simpson tables on 2^14 + 1 points:
+the smoothstep and, from it, int 1/beta over the kink interval, whose total
+fixes beta_{0,L}.  Their quintic splines are built only when a point off the
+tables needs them, so a run that reads every welding node from the cache
+computes the two tables and no spline.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ __all__ = [
     "flow_family",
 ]
 
-_SMOOTHSTEP_POINTS = 2 ** 14  # resolution of the cumulative-integral splines
+_SMOOTHSTEP_POINTS = 2 ** 14  # resolution of the cumulative-integral tables
 
 
 def _cumsimps(y: np.ndarray, dx: float) -> np.ndarray:
@@ -71,16 +77,22 @@ class TemperatureProfile:
         out[m] = np.exp(-self.sharpness / (1.0 - u[m] * u[m]))
         return out
 
+    def _step_table(self):
+        """The smoothstep S_k = cum_k / norm on its uniform grid u_k over
+        [-1, 1], cum the cumulative Simpson integral of the bump, and norm."""
+        if "step_table" not in self._cache:
+            u = np.linspace(-1.0, 1.0, _SMOOTHSTEP_POINTS + 1)
+            cum = _cumsimps(self._bump(u), u[1] - u[0])
+            self._cache["step_table"] = (u, cum / cum[-1], cum[-1])
+        return self._cache["step_table"]
+
     def _step(self):
+        """The quintic spline through the smoothstep table, built on first
+        use, and the bump's norm."""
+        u, steps, norm = self._step_table()
         if "step" not in self._cache:
-            n = _SMOOTHSTEP_POINTS + 1
-            u = np.linspace(-1.0, 1.0, n)
-            b = self._bump(u)
-            cum = _cumsimps(b, u[1] - u[0])
-            norm = cum[-1]
-            self._cache["norm"] = norm
-            self._cache["step"] = make_interp_spline(u, cum / norm, k=5)
-        return self._cache["step"], self._cache["norm"]
+            self._cache["step"] = make_interp_spline(u, steps, k=5)
+        return self._cache["step"], norm
 
     # -- evaluation ------------------------------------------------------------
     def beta(self, x) -> np.ndarray:
@@ -96,7 +108,7 @@ class TemperatureProfile:
     def beta_deriv(self, x, order: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.half_width
-        _, norm = self._step()
+        norm = self._step_table()[2]
         db = self.beta_right - self.beta_left
         out = np.zeros_like(u)
         m = np.abs(u) < 1.0
@@ -124,23 +136,26 @@ class TemperatureProfile:
         """Harmonic-mean inverse temperature of the two asymptotes."""
         return 2.0 / (1.0 / self.beta_left + 1.0 / self.beta_right)
 
-    def inv_beta_integral(self):
-        """Spline of x -> int_{a-delta}^{x} dx'/beta(x') on the kink interval."""
-        if "invint" not in self._cache:
-            n = _SMOOTHSTEP_POINTS + 1
-            lo, hi = self.support
-            xk = np.linspace(lo, hi, n)
-            cum = _cumsimps(1.0 / self.beta(xk), xk[1] - xk[0])
-            self._cache["invint"] = make_interp_spline(xk, cum, k=5)
-            self._cache["invint_total"] = float(cum[-1])
-            self._cache["invint_table"] = (xk, cum)
-        return self._cache["invint"], self._cache["invint_total"]
-
     def inv_beta_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The points and values of int 1/beta that ``inv_beta_integral``
-        interpolates."""
-        self.inv_beta_integral()
+        """Points x_k of the kink interval and int_{lo}^{x_k} 1/beta, by
+        cumulative Simpson over beta_k = beta_left + delta_beta S_k, the
+        smoothstep table on the same grid; no spline is built."""
+        if "invint_table" not in self._cache:
+            lo, hi = self.support
+            xk = np.linspace(lo, hi, _SMOOTHSTEP_POINTS + 1)
+            beta = self.beta_left + self.delta_beta * self._step_table()[1]
+            self._cache["invint_table"] = (xk, _cumsimps(1.0 / beta,
+                                                         xk[1] - xk[0]))
         return self._cache["invint_table"]
+
+    def inv_beta_integral(self):
+        """Quintic spline of x -> int_{lo}^{x} 1/beta through
+        ``inv_beta_table``, built on first use, and its total over the
+        kink interval."""
+        xk, cum = self.inv_beta_table()
+        if "invint" not in self._cache:
+            self._cache["invint"] = make_interp_spline(xk, cum, k=5)
+        return self._cache["invint"], float(cum[-1])
 
     def key(self) -> tuple:
         """Canonical tuple identifying this profile (cache keys)."""
@@ -168,7 +183,7 @@ class VolumeContext:
         if "beta0L" not in self._cache:
             p = self.profile
             lo, hi = p.support
-            _, kink = p.inv_beta_integral()
+            kink = float(p.inv_beta_table()[1][-1])
             total = ((lo + self.L / 4.0) / p.beta_left + kink
                      + (self.L / 4.0 - hi) / p.beta_right)
             self._cache["beta0L"] = self.L / (2.0 * total)
@@ -236,14 +251,16 @@ class ReparamMap:
         at or below the kink: its low edge in infinite volume, -L/4 in
         finite volume."""
         p = self.profile
-        (lo, hi), (spl, kink_total) = p.support, p.inv_beta_integral()
+        (lo, hi), kink_total = p.support, float(p.inv_beta_table()[1][-1])
         x = np.asarray(x, dtype=float)
         below = (lo - left) / p.beta_left
         out = np.where(x <= lo, (x - left) / p.beta_left,
                        below + kink_total + (x - hi) / p.beta_right)
-        # the spline only inside the kink, as in TemperatureProfile.beta
+        # the spline only inside the kink, as in TemperatureProfile.beta,
+        # and built only when a point lies there
         m = (x > lo) & (x < hi)
-        out[m] = below + spl(x[m])
+        if np.any(m):
+            out[m] = below + p.inv_beta_integral()[0](x[m])
         return out
 
     @cached_property

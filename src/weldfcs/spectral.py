@@ -14,6 +14,7 @@ Fourier-transform convention on the line: ``uhat(p) = int exp(+i p x) u(x) dx``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,17 @@ __all__ = [
     "bose_weight",
     "fit_loglog_slope",
     "progression_phases",
+    "gauss_legendre",
 ]
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    computed once per order and returned read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

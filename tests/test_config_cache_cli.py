@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weldfcs.cache import SolveCache, resolve_cache_dir
+from weldfcs.cache import SolveCache, _canonical, resolve_cache_dir
 from weldfcs.cli import main
 from weldfcs.config import config_from_dict
 from weldfcs.errors import ConfigInvalid
@@ -151,6 +151,7 @@ class TestCache:
         cache = SolveCache(tmp_path)
         key = ("demo", 1.5, (2, "x"), complex(0.25, -1.0))
         assert cache.get_scalar(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
         cache.put_scalar(key, complex(3.0, -0.5))
         assert cache.get_scalar(key) == complex(3.0, -0.5)
         cache.put_scalar(("tuple",), (complex(1, 2), complex(3, 4)))
@@ -197,11 +198,37 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-9"
-        record["version"] = "weldfcs-cache-8"
+        assert record["version"] == "weldfcs-cache-10"
+        record["version"] = "weldfcs-cache-9"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_key_strings_are_pinned(self):
+        # the strings that name every record: a change to any of them
+        # orphans existing caches, so they are pinned as the canonical form
+        # wrote them before its exact-type fast paths
+        from weldfcs import Numerics, TemperatureProfile, VolumeContext
+        p = TemperatureProfile(2.0, 1.0, 0.25, 1.5, sharpness=5.0)
+        num = Numerics(n_modes=128, tail_tol=2e-3, s_nodes=4, dx=0.08)
+        torus = ("torus_node", p.key(), VolumeContext(p, 40.0).key(), 1.0,
+                 0.0123456789, num.key())
+        cyl = ("cyl_action", p.key(), 1.0, np.float64(2.0), "-",
+               np.float64(-0.1) / 3, np.float64(0.7), num.key())
+        mixed = ("mixed", np.int64(-7), np.bool_(True),
+                 np.complex128(1.5 - 0.25j), True, False, None, -0.0,
+                 float("inf"), [1, [2.5, "x"], ()], complex(-0.0, 1e-300))
+        prof = "('profile',2.0,1.0,0.25,1.5,'bump',5.0"
+        nums = "('numerics',128,0.002,0.08,12.0,8.0,40.0,4,1)"
+        assert _canonical(torus) == (
+            f"('torus_node',{prof}),{prof},'L',40.0,'v',1.0),1.0,"
+            f"0.0123456789,{nums})")
+        assert _canonical(cyl) == (
+            f"('cyl_action',{prof}),1.0,2.0,'-',-0.03333333333333333,0.7,"
+            f"{nums})")
+        assert _canonical(mixed) == (
+            "('mixed',-7,True,(1.5+-0.25j),True,False,None,-0.0,inf,"
+            "(1,(2.5,'x'),()),(-0.0+1e-300j))")
 
     def test_counterterms_computed_once_per_time(self, tmp_path, monkeypatch,
                                                  kink, box):
@@ -389,6 +416,65 @@ class TestCli:
             assert run_cli([command, "--config", str(cfg_path)]) == 2
             assert f"{block}.{key}" in capsys.readouterr().err
 
+    def test_fcs_invalid_experiment_exits_2_before_any_weld(
+            self, tmp_path, capsys, monkeypatch):
+        # one of mode, t_values and lambda_values invalid (a name that is no
+        # mode, a list that is empty or holds a non-number, a nested list or
+        # a bool, or no list at all), the others valid or absent: exit 2
+        # with a config error, no traceback, before any ln Psi is computed
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from weldfcs import cli
+
+        def no_weld(*args, **kwargs):
+            raise AssertionError("an invalid experiment reached a weld")
+
+        monkeypatch.setattr(cli, "psi_infinite", no_weld)
+        monkeypatch.setattr(cli, "psi_finite", no_weld)
+        modes = ["infinite", "finite", "both"]
+        number = st.floats(-2.0, 2.0)
+        not_a_number = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                                 st.lists(number, max_size=2))
+        bad_list = st.one_of(
+            st.just([]), st.booleans(), number, st.text(max_size=4),
+            st.tuples(st.lists(number, max_size=3), not_a_number,
+                      st.integers(0, 3)).map(
+                lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
+        bad = {"mode": st.one_of(
+                   st.none(), st.booleans(), number, st.lists(
+                       st.sampled_from(modes), max_size=2),
+                   st.text(max_size=8).filter(lambda m: m not in modes)),
+               "t_values": bad_list, "lambda_values": bad_list}
+        good = {"mode": st.sampled_from(modes),
+                "t_values": st.lists(number, min_size=1, max_size=3),
+                "lambda_values": st.lists(number, min_size=1, max_size=3)}
+        cfg_path = tmp_path / "run.json"
+
+        @st.composite
+        def experiments(draw):
+            broken = draw(st.sampled_from(sorted(bad)))
+            block = {broken: draw(bad[broken])}
+            for key in set(good) - {broken}:
+                if draw(st.booleans()):
+                    block[key] = draw(good[key])
+            return broken, block
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(experiments())
+        def prop(case):
+            broken, experiment = case
+            data = base_config(experiment=experiment,
+                               io={"output_dir": str(tmp_path / "out")})
+            cfg_path.write_text(json.dumps(data))
+            assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert f"'experiment.{broken}'" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "out").exists()
+
+        prop()
+
     def test_missing_config_flag(self):
         assert run_cli(["fcs"]) == 2
 
@@ -502,6 +588,39 @@ class TestCli:
         assert csv_text.splitlines()[0] == ("t,lambda,re_lnpsi,im_lnpsi,"
                                             "re_lnpsi_plus,im_lnpsi_plus,"
                                             "re_lnpsi_minus,im_lnpsi_minus")
+
+    def test_fcs_warm_rerun_builds_no_spline(self, tmp_path, monkeypatch):
+        # a warm rerun needs the tabulated int 1/beta (beta_{0,L}) and cache
+        # reads: no spline is built, each Legendre order is computed once,
+        # and the output is the cold run's, byte for byte
+        from weldfcs import profile, spectral
+        data = base_config()
+        data["numerics"] = {"n_modes": 96, "tail_tol": 5e-3, "s_nodes": 3,
+                            "dx": 0.08, "window_pad_gamma": 5.0,
+                            "window_factor": 4.0, "p_max_gamma": 14.0}
+        data["experiment"] = {"mode": "both", "t_values": [1.0],
+                              "lambda_values": [-0.05, 0.05]}
+        data["io"] = {"output_dir": str(tmp_path / "out"),
+                      "cache_dir": str(tmp_path / "cache")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "out" / "fcs.json"
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
+        cold = out.read_bytes()
+        out.unlink()
+
+        def no_spline(*args, **kwargs):
+            raise AssertionError("a warm rerun built a spline")
+
+        orders = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(profile, "make_interp_spline", no_spline)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: orders.append(n) or leggauss(n))
+        spectral.gauss_legendre.cache_clear()
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
+        assert out.read_bytes() == cold
+        assert orders == [3]
 
     def test_fcs_unbounded_lattice_exits_3(self, tmp_path, capsys):
         # lambda = 1e6 drifts the cylinder window to M = 2^27 under the

@@ -84,6 +84,47 @@ class TestTemperatureProfile:
         seen = np.concatenate([np.ravel(v) for v in seen])
         assert np.all((seen > lo) & (seen < hi))
 
+    def test_tables_agree_with_their_splines(self):
+        # each quintic spline reproduces its table at its own knots within
+        # 4 ulp of the table's scale, and the tabulated total of int 1/beta
+        # matches the total over beta evaluated through the step spline.
+        # That evaluation takes S at u = (x - center) / half_width, rounded
+        # off the table's grid, so its S moves by the knot error plus max S'
+        # times the rounding of u, and 1/beta by |delta_beta| / min beta
+        # times as much; each total is a running sum of 2^14 Simpson pieces,
+        # whose rounding alone is bounded by 2^14 eps relative
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from weldfcs.profile import _SMOOTHSTEP_POINTS, _cumsimps
+        eps = np.finfo(float).eps
+        positive = st.floats(0.05, 20.0)
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.floats(-20.0, 20.0), st.floats(0.05, 10.0),
+                          positive, positive, st.floats(0.5, 30.0))
+        def prop(center, half_width, beta_left, beta_right, sharpness):
+            p = TemperatureProfile(beta_left, beta_right, center, half_width,
+                                   sharpness=sharpness)
+            u, steps, norm = p._step_table()
+            xk, cum = p.inv_beta_table()
+            step, _ = p._step()
+            spl, total = p.inv_beta_integral()
+            for f, knots, table in ((step, u, steps), (spl, xk, cum)):
+                ulp = np.spacing(np.max(np.abs(table)))
+                assert np.max(np.abs(f(knots) - table)) <= 4 * ulp
+            assert total == cum[-1]
+            evaluated = _cumsimps(1.0 / p.beta(xk), xk[1] - xk[0])[-1]
+            ratio = abs(p.delta_beta) / min(beta_left, beta_right)
+            slope = np.exp(-sharpness) / norm      # max S'
+            du = np.max(np.abs((xk - center) / half_width - u))
+            bound = ratio * (4 * eps + 2 * slope * du) \
+                + _SMOOTHSTEP_POINTS * eps
+            assert abs(total - evaluated) <= bound * total
+
+        prop()
+        off_center = TemperatureProfile(3.0, 0.7, 1.0, 2.5, sharpness=5.0)
+        assert off_center.inv_beta_integral()[1] == 3.8392352792653806
+
     def test_midpoint_reflection_value(self, kink, box):
         beta_L = periodize_profile(kink, box)
         assert beta_L(np.array([-box.L / 2])).item() == pytest.approx(
