@@ -40,9 +40,9 @@ EXIT_NUMERICAL = 3
 
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, separators=(",", ": "))
-        fh.write("\n")
+    # one write of the whole text: json.dump would write it piece by piece
+    text = json.dumps(payload, sort_keys=True, indent=1, separators=(",", ": "))
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, rows):

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import NearSingular, WindowTooSmall
 from .fredholm import PhaseFactor, _gmres, _substitution_kernel
@@ -85,7 +84,7 @@ class CylinderWeldProblem:
         return self.g.grid
 
 
-class FactoredSigma(LinearOperator):
+class FactoredSigma:
     """The recast Nystrom operator Sigma (weights included), applied from the
     substitution-kernel factors DA = P V_A and DB = P V_B, which share one
     phase factor P (written P_A and P_B below), applied by FFT
@@ -105,7 +104,7 @@ class FactoredSigma(LinearOperator):
 
     def __init__(self, phase, va, vb, psol, gamma: float):
         n2 = len(psol)
-        super().__init__(complex, (n2, n2))
+        self.shape = (n2, n2)
         self.nn = nn = n2 // 2
         self.phase, self.va, self.vb = phase, va, vb
         pm, pp = psol[:nn], psol[nn:]
@@ -114,7 +113,12 @@ class FactoredSigma(LinearOperator):
         self.tp = 1.0 / -np.expm1(-gamma * pp)[:, None]
         self.tm = 1.0 / -np.expm1(gamma * pm)[:, None]
 
-    def _matmat(self, x):
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Sigma x for x of shape (2n,)."""
+        return self.matmat(x[:, None])[:, 0]
+
+    def matmat(self, x: np.ndarray) -> np.ndarray:
+        """Sigma x for x of shape (2n, k)."""
         nn, k = self.nn, x.shape[1]
         up = self.tp * x[nn:]
         um = self.tm * x[:nn]

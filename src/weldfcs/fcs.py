@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import profile as profile_mod
 from .characters import Theory, log_character
@@ -128,27 +126,29 @@ def _cylinder_size(grid: LineGrid, p_max: float,
     ``assemble_sigma`` selects them.  The working set is the two n x |U|
     kernel factors V_A and V_B, the GMRES basis of at most
     ``_GMRES_CAP + 1`` vectors of length n, one lattice array, and the FFT
-    scratch of a two-column phase-factor product on the lattice.  Both
-    displacements live in the padded window, 1 / ``window_factor`` of the
-    lattice, so their union support U has at most M / window_factor + 1
+    input and output of a two-column phase-factor product on the lattice.
+    Both displacements live in the padded window, 1 / ``window_factor`` of
+    the lattice, so their union support U has at most M / window_factor + 1
     points.
     """
     order = min(2 * math.floor(p_max / grid.dp + 0.5), grid.M)
     supp = min(grid.M, math.floor(grid.M / window_factor) + 1)
     return grid.M, order, 16 * (2 * order * supp + (_GMRES_CAP + 1) * order
-                                + 3 * grid.M)
+                                + 5 * grid.M)
 
 
 def _torus_bytes(n: int, support: int) -> int:
     """Complex bytes of the working set of a torus node with n modes whose
     map and inverse move ``support`` grid points between them (the union
     support U): V_A over the modes 0..n + n // 2 and V_B over -n..n, both
-    on U, the GMRES basis, the FFT scratch of one phase-factor product on
-    the 4n-point lattice, and a band-edge tail slab of 2 w columns with its
-    FFT scratch and modulus (README "Command line")."""
+    on U, the GMRES basis, the FFT input and output of one phase-factor
+    product on the 4n-point lattice, and a band-edge tail slab of 2 w
+    columns with its FFT input and output and modulus (README "Command
+    line")."""
     b, w, m = n // 2, max(1, n // 16), 4 * n
     return 16 * ((n + b + 1 + 2 * n + 1) * support
-                 + (_GMRES_CAP + 1) * 2 * n + m + 2 * w * (m + 2 * n + 1))
+                 + (_GMRES_CAP + 1) * 2 * n + 2 * m
+                 + 2 * w * (2 * m + 2 * n + 1))
 
 
 def _refuse_torus(n: int, support: int):
@@ -557,6 +557,7 @@ def appendix_b_check(gamma: float, p: float, shift_frac: float = 0.25) -> dict:
     prescription) against the closed form
     ``(gamma^4 / 3 pi^3) p (p^2 + 4 pi^2/gamma^2) / (1 - e^{-gamma p})``.
     """
+    from scipy.integrate import quad
     eta = shift_frac * gamma
     span = 12.0 * gamma          # integrand ~ exp(-4 pi |y| / gamma)
 
@@ -591,6 +592,8 @@ def ldf(beta_left: float, beta_right: float, c: float, lam) -> dict:
 
 def levitov_lesovik(beta_left: float, beta_right: float, lam: float) -> complex:
     """Free-fermion (c=1) two-channel pure-transmission rate by quadrature."""
+    from scipy.integrate import quad
+
     def fermi(b, w):
         return 1.0 / (np.exp(b * w) + 1.0)
 
@@ -625,6 +628,7 @@ def rate_function(beta_left: float, beta_right: float, c: float,
     ``(-beta_right, beta_left)`` and its derivative spans all of R, so the
     stationary point is bracketed and polished to machine accuracy.
     """
+    from scipy.optimize import brentq
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     eps = 1e-12 * min(beta_left, beta_right)
     out_i = np.empty(len(sigma))
@@ -653,6 +657,8 @@ def levy_jump_rates(beta_left: float, beta_right: float, c: float,
 def levy_khintchine_check(beta_left: float, beta_right: float, c: float,
                           lam: float) -> dict:
     """Jump-measure integral of (e^{i lam q} - 1) against the closed form."""
+    from scipy.integrate import quad
+
     def integrand(q):
         dens = np.exp(-beta_left * q) if q > 0 else np.exp(beta_right * q)
         val = (np.exp(1j * lam * q) - 1.0) * dens

@@ -10,8 +10,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
-from scipy.linalg import solve_triangular
 
 from .spectral import progression_phases
 
@@ -85,7 +83,7 @@ class PhaseFactor:
         wt = w.T if self.pre is None else w.T * self.pre
         a = np.zeros(wt.shape[:-1] + (self.size,), dtype=complex)
         a[..., self.scatter] = wt
-        y = scipy.fft.ifft(a, norm="forward", overwrite_x=True)
+        y = np.fft.ifft(a, norm="forward")
         return (y[..., self.rows[rows]] * self.post[rows]).T
 
     def table(self, start: int, stop: int) -> np.ndarray:
@@ -157,5 +155,9 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
     cond = scale * float(sv[0] / max(sv[-1], 1e-300))
     if cond > limit:
         raise error(f"system condition estimate {cond:.2e}")
-    y = solve_triangular(r[:k, :k], g[:k])
+    # back-substitution on the triangular factor, a column at a time
+    y = g[:k].copy()
+    for i in range(k - 1, -1, -1):
+        y[i] /= r[i, i]
+        y[:i] -= r[:i, i] * y[i]
     return basis[:, :k] @ y, cond

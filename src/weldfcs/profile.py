@@ -11,9 +11,12 @@ volume).
 
 The kink enters through two cumulative-Simpson tables on 2^14 + 1 points:
 the smoothstep and, from it, int 1/beta over the kink interval, whose total
-fixes beta_{0,L}.  Their quintic splines are built only when a point off the
-tables needs them, so a run that reads every welding node from the cache
-computes the two tables and no spline.
+fixes beta_{0,L}.  Between their knots each is read through a quintic
+Hermite interpolant, whose first and second derivatives at the knots come
+from the closed-form bump, so it needs no global solve and is exact at the
+knots.  An interpolant is built only when a point off the tables needs it,
+so a run that reads every welding node from the cache computes the two
+tables and nothing else.  Everything here is numpy alone.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import make_interp_spline
 
 from .errors import BoxTooSmall
 from .spectral import LineGrid, PeriodicGrid
@@ -46,8 +47,63 @@ _SMOOTHSTEP_POINTS = 2 ** 14  # resolution of the cumulative-integral tables
 
 
 def _cumsimps(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative composite Simpson on a uniform grid, anchored at 0."""
-    return np.concatenate(([0.0], cumulative_simpson(y, dx=dx)))
+    """Cumulative composite Simpson on a uniform grid of at least 3 points,
+    anchored at 0.
+
+    Interval k takes the quadratic through its own points and the next one
+    (h1, from the left) when k is even and through the previous one (h2,
+    from the right) when k is odd; the last interval always takes h2
+    (K. V. Cartwright, J. Math. Sci. Math. Educ. 12 (2), 1-9).  Term for
+    term this is ``scipy.integrate.cumulative_simpson`` at equal spacing.
+    """
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    h1 = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    h2 = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    pieces = np.empty(len(y))
+    pieces[0] = 0.0
+    pieces[1:-1:2] = h1[::2]
+    pieces[2::2] = h2[::2]
+    pieces[-1] = h2[-1]
+    return np.cumsum(pieces)
+
+
+class _QuinticHermite:
+    """Piecewise quintic Hermite interpolant of values f and first and
+    second derivatives d1, d2 at the knots ``start + k * step`` (the last
+    one ``stop``) of a uniform grid, laid out as ``np.linspace`` lays them.
+
+    A point x is expanded about its nearest knot x_k: with H = x_m - x_k
+    for the neighbour m on x's side and s = (x - x_k) / H in [0, 1/2],
+    the interpolant on [x_k, x_m] is
+    ``f_k + s H f'_k + s^2 H^2 f''_k / 2 + a s^3 + b s^4 + c s^5``, whose
+    last three coefficients match f, f' and f'' at x_m.  At a knot s = 0,
+    so the knot's value comes back exactly.
+    """
+
+    def __init__(self, start: float, stop: float, f: np.ndarray,
+                 d1: np.ndarray, d2: np.ndarray):
+        self.n = len(f) - 1
+        self.start, self.stop = start, stop
+        self.step = (stop - start) / self.n
+        self.f, self.d1, self.d2 = f, d1, d2
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        n = self.n
+        k = np.clip(np.rint((x - self.start) / self.step), 0, n).astype(int)
+        dx = x - np.where(k == n, self.stop, k * self.step + self.start)
+        m = np.where(((dx >= 0) & (k < n)) | (k == 0), k + 1, k - 1)
+        H = (m - k) * self.step
+        s = dx / H
+        g0, g1 = H * self.d1[k], H * self.d1[m]
+        c0, c1 = H * H * self.d2[k], H * H * self.d2[m]
+        r0 = self.f[m] - self.f[k] - g0 - 0.5 * c0
+        r1 = g1 - g0 - c0
+        r2 = c1 - c0
+        a = 10.0 * r0 - 4.0 * r1 + 0.5 * r2
+        b = -15.0 * r0 + 7.0 * r1 - r2
+        c = 6.0 * r0 - 3.0 * r1 + 0.5 * r2
+        return self.f[k] + s * (g0 + s * (0.5 * c0 + s * (a + s * (b + s * c))))
 
 
 @dataclass(frozen=True)
@@ -71,27 +127,40 @@ class TemperatureProfile:
             raise ValueError(f"unknown profile shape '{self.shape}'")
 
     # -- smoothstep machinery ------------------------------------------------
-    def _bump(self, u: np.ndarray) -> np.ndarray:
+    def _bump(self, u: np.ndarray, order: int = 0) -> np.ndarray:
+        """The bump b (order 0) or b' (order 1) at u, zero off (-1, 1)."""
         out = np.zeros_like(u, dtype=float)
         m = np.abs(u) < 1.0
-        out[m] = np.exp(-self.sharpness / (1.0 - u[m] * u[m]))
+        um = u[m]
+        out[m] = np.exp(-self.sharpness / (1.0 - um * um))
+        if order == 1:
+            out[m] *= -self.sharpness * 2.0 * um / (1.0 - um * um) ** 2
         return out
 
+    @staticmethod
+    def _knots() -> np.ndarray:
+        """The smoothstep table's knots u_k over [-1, 1], made on demand."""
+        return np.linspace(-1.0, 1.0, _SMOOTHSTEP_POINTS + 1)
+
     def _step_table(self):
-        """The smoothstep S_k = cum_k / norm on its uniform grid u_k over
-        [-1, 1], cum the cumulative Simpson integral of the bump, and norm."""
+        """The smoothstep S_k = cum_k / norm on the uniform grid of
+        ``_SMOOTHSTEP_POINTS + 1`` knots over [-1, 1], cum the cumulative
+        Simpson integral of the bump, and norm."""
         if "step_table" not in self._cache:
-            u = np.linspace(-1.0, 1.0, _SMOOTHSTEP_POINTS + 1)
+            u = self._knots()
             cum = _cumsimps(self._bump(u), u[1] - u[0])
-            self._cache["step_table"] = (u, cum / cum[-1], cum[-1])
+            self._cache["step_table"] = (cum / cum[-1], cum[-1])
         return self._cache["step_table"]
 
     def _step(self):
-        """The quintic spline through the smoothstep table, built on first
-        use, and the bump's norm."""
-        u, steps, norm = self._step_table()
+        """The quintic Hermite interpolant of the smoothstep table, with
+        S' = b / norm and S'' = b' / norm at the knots, built on first use,
+        and the bump's norm."""
+        steps, norm = self._step_table()
         if "step" not in self._cache:
-            self._cache["step"] = make_interp_spline(u, steps, k=5)
+            u = self._knots()
+            self._cache["step"] = _QuinticHermite(
+                -1.0, 1.0, steps, self._bump(u) / norm, self._bump(u, 1) / norm)
         return self._cache["step"], norm
 
     # -- evaluation ------------------------------------------------------------
@@ -99,7 +168,7 @@ class TemperatureProfile:
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.half_width
         step, _ = self._step()
-        # the spline only where it is needed: constant outside the kink
+        # the interpolant only where it is needed: constant outside the kink
         s = np.where(u >= 1.0, 1.0, 0.0)
         m = np.abs(u) < 1.0
         s[m] = step(u[m])
@@ -108,19 +177,14 @@ class TemperatureProfile:
     def beta_deriv(self, x, order: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.half_width
-        norm = self._step_table()[2]
+        if order not in (1, 2):
+            raise ValueError("beta_deriv supports order 1 and 2")
+        norm = self._step_table()[1]
         db = self.beta_right - self.beta_left
         out = np.zeros_like(u)
         m = np.abs(u) < 1.0
-        um = u[m]
-        core = np.exp(-self.sharpness / (1.0 - um * um))
-        if order == 1:
-            out[m] = db / (self.half_width * norm) * core
-        elif order == 2:
-            d_core = core * (-self.sharpness * 2.0 * um / (1.0 - um * um) ** 2)
-            out[m] = db / (self.half_width ** 2 * norm) * d_core
-        else:
-            raise ValueError("beta_deriv supports order 1 and 2")
+        out[m] = (db / (self.half_width ** order * norm)
+                  * self._bump(u[m], order - 1))
         return out
 
     @property
@@ -139,22 +203,28 @@ class TemperatureProfile:
     def inv_beta_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Points x_k of the kink interval and int_{lo}^{x_k} 1/beta, by
         cumulative Simpson over beta_k = beta_left + delta_beta S_k, the
-        smoothstep table on the same grid; no spline is built."""
+        smoothstep table on the same grid; no interpolant is built."""
         if "invint_table" not in self._cache:
             lo, hi = self.support
             xk = np.linspace(lo, hi, _SMOOTHSTEP_POINTS + 1)
-            beta = self.beta_left + self.delta_beta * self._step_table()[1]
+            beta = self.beta_left + self.delta_beta * self._step_table()[0]
             self._cache["invint_table"] = (xk, _cumsimps(1.0 / beta,
                                                          xk[1] - xk[0]))
         return self._cache["invint_table"]
 
     def inv_beta_integral(self):
-        """Quintic spline of x -> int_{lo}^{x} 1/beta through
-        ``inv_beta_table``, built on first use, and its total over the
-        kink interval."""
+        """The quintic Hermite interpolant of x -> int_{lo}^{x} 1/beta
+        through ``inv_beta_table``, built on first use, and its total over
+        the kink interval.  Its derivatives at the knots are 1/beta_k and
+        -beta'_k / beta_k^2, with beta'_k = delta_beta S'_k / half_width."""
         xk, cum = self.inv_beta_table()
         if "invint" not in self._cache:
-            self._cache["invint"] = make_interp_spline(xk, cum, k=5)
+            steps, norm = self._step_table()
+            beta = self.beta_left + self.delta_beta * steps
+            slope = self.delta_beta * (self._bump(self._knots()) / norm) \
+                / self.half_width
+            self._cache["invint"] = _QuinticHermite(
+                xk[0], xk[-1], cum, 1.0 / beta, -slope / beta ** 2)
         return self._cache["invint"], float(cum[-1])
 
     def key(self) -> tuple:
@@ -256,7 +326,7 @@ class ReparamMap:
         below = (lo - left) / p.beta_left
         out = np.where(x <= lo, (x - left) / p.beta_left,
                        below + kink_total + (x - hi) / p.beta_right)
-        # the spline only inside the kink, as in TemperatureProfile.beta,
+        # the interpolant only inside the kink, as in TemperatureProfile.beta,
         # and built only when a point lies there
         m = (x > lo) & (x < hi)
         if np.any(m):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import characters, cylinder_weld, fcs, profile, torus_weld
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
@@ -38,6 +37,7 @@ def _ctx(p, L=40.0):
 
 def _ode_flow(zeta, s, y0):
     """The oracle flow of ``-zeta`` to time ``s``: DOP853 at rtol 1e-13."""
+    from scipy.integrate import solve_ivp
     return solve_ivp(lambda ss, yv: -zeta(yv), (0.0, s), y0, method="DOP853",
                      rtol=1e-13, atol=3e-14).y[:, -1]
 

@@ -207,6 +207,33 @@ class TestSpectralTools:
             < 4 * np.finfo(float).eps * scale
         assert np.array_equal(phase(w, slice(5, 50)), got[5:50])
 
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="numpy 1.x runs the C pocketfft, not the C++ "
+                               "one that scipy.fft runs")
+    @pytest.mark.parametrize("M", [256, 384, 512, 768, 1024, 1536, 2048,
+                                   3072, 4096, 6144, 8192])
+    def test_phase_factor_fft_is_scipys(self, M, rng, monkeypatch):
+        # numpy's inverse FFT gives the product of scipy.fft's, bit for bit,
+        # on the lattice sizes of the tests and the benchmark: the circle
+        # with integer momenta and the line with half-offset ones, for one
+        # column and batches of 3 and 24
+        import scipy.fft
+        for grid, j0 in ((PeriodicGrid(40.0, M, -10.0), -M // 4),
+                         (LineGrid(-31.7, 0.07 * M, M), 0.5 - M // 4)):
+            union = np.sort(rng.choice(M, M // 8, replace=False))
+            phase = PhaseFactor(grid, union,
+                                (j0 + np.arange(M // 2)) * grid.dp)
+            for k in (1, 3, 24):
+                w = (rng.standard_normal((len(union), k))
+                     + 1j * rng.standard_normal((len(union), k)))
+                got = phase(w)
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.fft, "ifft",
+                                  lambda a, norm: scipy.fft.ifft(
+                                      a, norm=norm, overwrite_x=True))
+                    ref = phase(w)
+                assert np.array_equal(got, ref)
+
 
 class TestCounterterm:
     def test_zero_time(self, kink):

@@ -198,8 +198,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-10"
-        record["version"] = "weldfcs-cache-9"
+        assert record["version"] == "weldfcs-cache-11"
+        record["version"] = "weldfcs-cache-10"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -368,6 +368,66 @@ def run_cli(args):
     return main(args)
 
 
+def experiment_values():
+    """hypothesis strategies, and the strategies of a number, of a value
+    that is no finite number and of a value that is no non-empty list of
+    finite numbers."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.floats(-2.0, 2.0)
+    not_a_number = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                             st.lists(number, max_size=2))
+    bad_list = st.one_of(
+        st.just([]), st.booleans(), number, st.text(max_size=4),
+        st.tuples(st.lists(number, max_size=3), not_a_number,
+                  st.integers(0, 3)).map(
+            lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
+    return st, number, not_a_number, bad_list
+
+
+def refuses_invalid_experiment(command, bad, good, welds, tmp_path, capsys,
+                               monkeypatch):
+    """One key of the experiment block drawn from ``bad``, the others from
+    ``good`` or absent: ``command`` exits 2 with a config error naming the
+    key and no traceback, before any of the ``cli`` functions named in
+    ``welds`` runs and before it writes any output."""
+    import hypothesis
+    st = hypothesis.strategies
+    from weldfcs import cli
+
+    def no_weld(*args, **kwargs):
+        raise AssertionError("an invalid experiment reached a weld")
+
+    for name in welds:
+        monkeypatch.setattr(cli, name, no_weld)
+    cfg_path = tmp_path / "run.json"
+
+    @st.composite
+    def experiments(draw):
+        broken = draw(st.sampled_from(sorted(bad)))
+        block = {broken: draw(bad[broken])}
+        for key in set(good) - {broken}:
+            if draw(st.booleans()):
+                block[key] = draw(good[key])
+        return broken, block
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(experiments())
+    def prop(case):
+        broken, experiment = case
+        data = base_config(experiment=experiment,
+                           io={"output_dir": str(tmp_path / "out")})
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"'experiment.{broken}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    prop()
+
+
 class TestCli:
     def test_selftest_is_separate_command(self, capsys, monkeypatch):
         # no config needed; the text table ends in the pass count
@@ -422,24 +482,8 @@ class TestCli:
         # mode, a list that is empty or holds a non-number, a nested list or
         # a bool, or no list at all), the others valid or absent: exit 2
         # with a config error, no traceback, before any ln Psi is computed
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        from weldfcs import cli
-
-        def no_weld(*args, **kwargs):
-            raise AssertionError("an invalid experiment reached a weld")
-
-        monkeypatch.setattr(cli, "psi_infinite", no_weld)
-        monkeypatch.setattr(cli, "psi_finite", no_weld)
+        st, number, _, bad_list = experiment_values()
         modes = ["infinite", "finite", "both"]
-        number = st.floats(-2.0, 2.0)
-        not_a_number = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
-                                 st.lists(number, max_size=2))
-        bad_list = st.one_of(
-            st.just([]), st.booleans(), number, st.text(max_size=4),
-            st.tuples(st.lists(number, max_size=3), not_a_number,
-                      st.integers(0, 3)).map(
-                lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
         bad = {"mode": st.one_of(
                    st.none(), st.booleans(), number, st.lists(
                        st.sampled_from(modes), max_size=2),
@@ -448,32 +492,38 @@ class TestCli:
         good = {"mode": st.sampled_from(modes),
                 "t_values": st.lists(number, min_size=1, max_size=3),
                 "lambda_values": st.lists(number, min_size=1, max_size=3)}
-        cfg_path = tmp_path / "run.json"
+        refuses_invalid_experiment("fcs", bad, good,
+                                   ("psi_infinite", "psi_finite"),
+                                   tmp_path, capsys, monkeypatch)
 
-        @st.composite
-        def experiments(draw):
-            broken = draw(st.sampled_from(sorted(bad)))
-            block = {broken: draw(bad[broken])}
-            for key in set(good) - {broken}:
-                if draw(st.booleans()):
-                    block[key] = draw(good[key])
-            return broken, block
+    def test_moments_invalid_experiment_exits_2_before_any_weld(
+            self, tmp_path, capsys, monkeypatch):
+        # t no finite number, or fd_step no finite number or not positive
+        st, number, not_a_number, _ = experiment_values()
+        bad = {"t": not_a_number,
+               "fd_step": st.one_of(not_a_number, st.floats(max_value=0.0))}
+        good = {"t": number, "fd_step": st.floats(1e-4, 0.1)}
+        refuses_invalid_experiment("moments", bad, good, ("psi_infinite",),
+                                   tmp_path, capsys, monkeypatch)
 
-        @hypothesis.settings(max_examples=150, deadline=None)
-        @hypothesis.given(experiments())
-        def prop(case):
-            broken, experiment = case
-            data = base_config(experiment=experiment,
-                               io={"output_dir": str(tmp_path / "out")})
-            cfg_path.write_text(json.dumps(data))
-            assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error: ")
-            assert f"'experiment.{broken}'" in err
-            assert "Traceback" not in err
-            assert not (tmp_path / "out").exists()
-
-        prop()
+    def test_converge_invalid_experiment_exits_2_before_any_weld(
+            self, tmp_path, capsys, monkeypatch):
+        # L_values no list of numbers, or one of its boxes too small for
+        # the kink (|center| + half_width = 1, so L < 4), or one of t, s,
+        # lambda and t_psi no finite number
+        st, number, not_a_number, bad_list = experiment_values()
+        box = st.floats(4.0, 200.0)
+        small = st.tuples(st.lists(box, max_size=2), st.floats(-1e3, 3.99),
+                          st.integers(0, 2)).map(
+            lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+        bad = {"L_values": st.one_of(bad_list, small),
+               **{key: not_a_number for key in ("t", "s", "lambda", "t_psi")}}
+        good = {"L_values": st.lists(box, min_size=1, max_size=3),
+                **{key: number for key in ("t", "s", "lambda", "t_psi")}}
+        refuses_invalid_experiment(
+            "converge", bad, good,
+            ("psi_infinite", "psi_finite", "cylinder_nodes", "torus_nodes"),
+            tmp_path, capsys, monkeypatch)
 
     def test_missing_config_flag(self):
         assert run_cli(["fcs"]) == 2
@@ -591,8 +641,8 @@ class TestCli:
 
     def test_fcs_warm_rerun_builds_no_spline(self, tmp_path, monkeypatch):
         # a warm rerun needs the tabulated int 1/beta (beta_{0,L}) and cache
-        # reads: no spline is built, each Legendre order is computed once,
-        # and the output is the cold run's, byte for byte
+        # reads: no interpolant is built, each Legendre order is computed
+        # once, and the output is the cold run's, byte for byte
         from weldfcs import profile, spectral
         data = base_config()
         data["numerics"] = {"n_modes": 96, "tail_tol": 5e-3, "s_nodes": 3,
@@ -610,11 +660,11 @@ class TestCli:
         out.unlink()
 
         def no_spline(*args, **kwargs):
-            raise AssertionError("a warm rerun built a spline")
+            raise AssertionError("a warm rerun built an interpolant")
 
         orders = []
         leggauss = np.polynomial.legendre.leggauss
-        monkeypatch.setattr(profile, "make_interp_spline", no_spline)
+        monkeypatch.setattr(profile, "_QuinticHermite", no_spline)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda n: orders.append(n) or leggauss(n))
         spectral.gauss_legendre.cache_clear()
@@ -801,6 +851,72 @@ class TestCli:
                             "--threads", threads]) == 0
             blobs[tag] = (outdir / "fcs.json").read_bytes()
         assert blobs["ser"] == blobs["par"]
+
+    def test_write_json_bytes_are_pinned(self, tmp_path):
+        # the one-call writer gives the bytes json.dump gave, piece by piece
+        from weldfcs.cli import _write_json
+        payload = {"rows": [{"t": 1.0, "lambda": -0.05,
+                             "ln_psi": {"re": -1.2345678901234568e-05,
+                                        "im": 0.1}}],
+                   "command": "fcs", "label": "\u03b2 kink",
+                   "metadata": {"profile": {"L": None, "shape": "bump"},
+                                "formats": ["json", "csv"], "ok": True,
+                                "n": 3}}
+        path = tmp_path / "new" / "out.json"
+        _write_json(path, payload)
+        assert path.read_bytes() == (
+            b'{\n "command": "fcs",\n "label": "\\u03b2 kink",\n'
+            b' "metadata": {\n  "formats": [\n   "json",\n   "csv"\n  ],\n'
+            b'  "n": 3,\n  "ok": true,\n  "profile": {\n   "L": null,\n'
+            b'   "shape": "bump"\n  }\n },\n "rows": [\n  {\n'
+            b'   "lambda": -0.05,\n   "ln_psi": {\n    "im": 0.1,\n'
+            b'    "re": -1.2345678901234568e-05\n   },\n   "t": 1.0\n  }\n'
+            b' ]\n}\n')
+
+    def test_welding_commands_import_no_scipy(self, tmp_path):
+        # a fresh process runs a cold and a warm fcs in both volumes, then
+        # converge, weld-torus and weld-cylinder: none of them loads scipy
+        import weldfcs
+        light = {"n_modes": 64, "tail_tol": 5e-3, "s_nodes": 3, "dx": 0.08,
+                 "window_pad_gamma": 5.0, "window_factor": 3.5,
+                 "p_max_gamma": 14.0}
+        experiments = {
+            "fcs": {"mode": "both", "t_values": [1.0],
+                    "lambda_values": [-0.05, 0.05]},
+            "converge": {"L_values": [40.0], "t": 1.0, "s": 0.2,
+                         "lambda": 0.2, "t_psi": 2.0},
+            "weld-torus": {"t": 1.0, "s_values": [0.2]},
+            "weld-cylinder": {"t": 1.0, "s_values": [0.2]}}
+        argvs = []
+        for command, experiment in experiments.items():
+            data = base_config(numerics=light, experiment=experiment)
+            data["io"] = {"output_dir": str(tmp_path / command),
+                          "cache_dir": str(tmp_path / "cache")}
+            cfg_path = tmp_path / f"{command}.json"
+            cfg_path.write_text(json.dumps(data))
+            argvs.append([command, "--config", str(cfg_path)])
+        argvs.insert(1, argvs[0])            # the warm fcs rerun
+        script = (
+            "import json, sys\n"
+            "from weldfcs.cli import main\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded.append(sorted(m for m in sys.modules\n"
+            "                         if m.split('.')[0] == 'scipy'))\n"
+            "print(json.dumps(loaded))\n")
+        src = str(Path(weldfcs.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        assert dict(zip(["fcs cold", "fcs warm", "converge", "weld-torus",
+                         "weld-cylinder"], loaded)) == {
+            "fcs cold": [], "fcs warm": [], "converge": [], "weld-torus": [],
+            "weld-cylinder": []}
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "weldfcs.cli", "--help"],

@@ -85,16 +85,25 @@ class TestTemperatureProfile:
         assert np.all((seen > lo) & (seen < hi))
 
     def test_tables_agree_with_their_splines(self):
-        # each quintic spline reproduces its table at its own knots within
-        # 4 ulp of the table's scale, and the tabulated total of int 1/beta
-        # matches the total over beta evaluated through the step spline.
-        # That evaluation takes S at u = (x - center) / half_width, rounded
-        # off the table's grid, so its S moves by the knot error plus max S'
-        # times the rounding of u, and 1/beta by |delta_beta| / min beta
-        # times as much; each total is a running sum of 2^14 Simpson pieces,
-        # whose rounding alone is bounded by 2^14 eps relative
+        # each quintic Hermite interpolant returns its table exactly at its
+        # own knots, and off them stays near scipy's quintic spline through
+        # the same table; and the tabulated total of int 1/beta matches the
+        # total over beta evaluated through the step interpolant.
+        # Off the knots the two interpolants part by rounding, made larger
+        # by the slope times the rounding of the knots, and by the table's
+        # odd-even Simpson pattern, which the spline follows and the
+        # Hermite, held to the exact derivatives, does not; the table's
+        # fourth differences measure that pattern.
+        # The evaluation of beta takes S at u = (x - center) / half_width,
+        # rounded off the table's grid, so its S moves by 4 ulp of rounding
+        # plus max S' times the rounding of u, and 1/beta by
+        # |delta_beta| / min beta times as much; each total is a running sum
+        # of 2^14 Simpson pieces, whose rounding alone is bounded by
+        # 2^14 eps relative
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
+        from scipy.interpolate import make_interp_spline
+
         from weldfcs.profile import _SMOOTHSTEP_POINTS, _cumsimps
         eps = np.finfo(float).eps
         positive = st.floats(0.05, 20.0)
@@ -105,17 +114,26 @@ class TestTemperatureProfile:
         def prop(center, half_width, beta_left, beta_right, sharpness):
             p = TemperatureProfile(beta_left, beta_right, center, half_width,
                                    sharpness=sharpness)
-            u, steps, norm = p._step_table()
+            rng = np.random.default_rng(7)
+            u = np.linspace(-1.0, 1.0, _SMOOTHSTEP_POINTS + 1)
+            steps, norm = p._step_table()
             xk, cum = p.inv_beta_table()
             step, _ = p._step()
             spl, total = p.inv_beta_integral()
-            for f, knots, table in ((step, u, steps), (spl, xk, cum)):
-                ulp = np.spacing(np.max(np.abs(table)))
-                assert np.max(np.abs(f(knots) - table)) <= 4 * ulp
+            slope = np.exp(-sharpness) / norm      # max S'
+            for f, knots, table, fmax in (
+                    (step, u, steps, slope),
+                    (spl, xk, cum, 1.0 / min(beta_left, beta_right))):
+                assert np.array_equal(f(knots), table)
+                off = rng.uniform(knots[0], knots[-1], 2000)
+                rounding = np.spacing(np.max(np.abs(table))) \
+                    + fmax * np.spacing(np.max(np.abs(knots)))
+                bound = 16 * rounding + 2 * np.max(np.abs(np.diff(table, 4)))
+                spline = make_interp_spline(knots, table, k=5)
+                assert np.max(np.abs(f(off) - spline(off))) <= bound
             assert total == cum[-1]
             evaluated = _cumsimps(1.0 / p.beta(xk), xk[1] - xk[0])[-1]
             ratio = abs(p.delta_beta) / min(beta_left, beta_right)
-            slope = np.exp(-sharpness) / norm      # max S'
             du = np.max(np.abs((xk - center) / half_width - u))
             bound = ratio * (4 * eps + 2 * slope * du) \
                 + _SMOOTHSTEP_POINTS * eps
@@ -124,6 +142,17 @@ class TestTemperatureProfile:
         prop()
         off_center = TemperatureProfile(3.0, 0.7, 1.0, 2.5, sharpness=5.0)
         assert off_center.inv_beta_integral()[1] == 3.8392352792653806
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 101, 1024, 16385])
+    def test_cumsimps_is_scipys_cumulative_simpson(self, n, rng):
+        # the numpy transcription against scipy, bit for bit, on odd and
+        # even lengths
+        from scipy.integrate import cumulative_simpson
+
+        from weldfcs.profile import _cumsimps
+        y = rng.standard_normal(n)
+        ref = np.concatenate(([0.0], cumulative_simpson(y, dx=0.37)))
+        assert np.array_equal(_cumsimps(y, 0.37), ref)
 
     def test_midpoint_reflection_value(self, kink, box):
         beta_L = periodize_profile(kink, box)
