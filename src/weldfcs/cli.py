@@ -1,10 +1,11 @@
 """Command-line orchestration: configuration in, tables out.
 
-    weldfcs <command> --config <file> [--threads N] [--cache-dir D] [--json]
+    weldfcs <command> --config <file> [--threads 1] [--cache-dir D] [--json]
 
 Commands: weld-torus, weld-cylinder, fcs, moments, ldf, converge, selftest.
 Outputs are deterministic (no timestamps, sorted keys), so identical
-configurations produce byte-identical files.
+configurations produce byte-identical files.  ``--threads`` accepts only 1:
+every command runs in one thread.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,10 +143,7 @@ def cmd_fcs(cfg: RunConfig, args) -> int:
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
 
-    nodes = [(t, lam) for t in t_values for lam in lam_values]
-
-    def eval_node(node):
-        t, lam = node
+    def eval_node(t, lam):
         row = {"t": t, "lambda": lam}
         if mode in ("infinite", "both"):
             val = psi_infinite(cfg.profile, cfg.theory.c, t, lam=lam,
@@ -162,11 +159,7 @@ def cmd_fcs(cfg: RunConfig, args) -> int:
                 row["ln_psi"] = valf.ln_psi
         return row
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            entries = list(pool.map(eval_node, nodes))
-    else:
-        entries = [eval_node(n) for n in nodes]
+    entries = [eval_node(t, lam) for t in t_values for lam in lam_values]
 
     result = FcsResult(t_values, lam_values, entries, cfg.metadata())
     outdir = Path(cfg.output_dir)
@@ -347,7 +340,8 @@ def main(argv=None) -> int:
         description="Energy-transfer counting statistics via conformal welding")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON run configuration")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepts only 1: every command runs in one thread")
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (selftest)")
@@ -355,6 +349,9 @@ def main(argv=None) -> int:
 
     fn, needs_config = COMMANDS[args.command]
     try:
+        if args.threads != 1:
+            raise ConfigInvalid("--threads", f"only 1 is supported, got "
+                                f"{args.threads}")
         cfg = None
         if needs_config:
             if not args.config:

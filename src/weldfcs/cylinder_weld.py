@@ -149,7 +149,7 @@ class CylinderOperator:
         solve pays nothing for it and no n x n array is held.
         """
         n2, grid = len(self.psol), self.problem.grid
-        step, block = 7, 70       # blocks start on a sampled column
+        step, block = 7, 14       # blocks start on a sampled column
         sigma_max, sampled = 0.0, []
         for j0 in range(0, n2, block):
             s = self.sigma.matmat(np.eye(n2, min(block, n2 - j0), -j0,

@@ -50,6 +50,11 @@ class SeriesInfeasible(WeldFcsError):
     """Character q-series not evaluable at the requested modular parameter."""
 
 
+class OutOfRange(WeldFcsError):
+    """A closed form leaves the double-precision range at the requested
+    parameters."""
+
+
 class PoleHit(WeldFcsError):
     """Counting parameter sits on a pole of the closed-form rate."""
 

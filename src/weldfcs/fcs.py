@@ -25,7 +25,8 @@ import numpy as np
 from . import profile as profile_mod
 from .characters import Theory, log_character
 from .cylinder_weld import CylinderWeldProblem, solve_cylinder
-from .errors import ConfigInvalid, DeltaBetaZero, NodeTooLarge, PoleHit
+from .errors import (ConfigInvalid, DeltaBetaZero, NodeTooLarge, OutOfRange,
+                     PoleHit)
 from .fredholm import _GMRES_CAP
 # flow_family is not called here, but perfbench's tracer wraps this name
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
@@ -111,8 +112,13 @@ _NODE_BYTES_MAX = 2 ** 30
 def _refuse_over_budget(nbytes: int, needs: str, advice: str):
     """Raise ``NodeTooLarge`` when a node ``needs`` more than the budget."""
     if nbytes > _NODE_BYTES_MAX:
+        # a size near the float limit does not divide into a float: give
+        # its power of two
+        bits = nbytes.bit_length()
+        size = (f"{nbytes / 2 ** 30:.3g}" if bits < 1000
+                else f"2^{bits - 31}")
         raise NodeTooLarge(
-            f"{needs}, about {nbytes / 2 ** 30:.3g} GiB, over the "
+            f"{needs}, about {size} GiB, over the "
             f"{_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget; {advice}")
 
 
@@ -310,29 +316,47 @@ def _cached(cache, key: tuple, compute):
     return _cached_many(cache, [key], lambda _: [compute()])[0]
 
 
-def _mover_action_nodes(profile: TemperatureProfile, t: float, v: float,
-                        mover: str, s_nodes, numerics: Numerics,
-                        cache=None) -> np.ndarray:
-    """Welding action integrand ``int xi (SX - 2 pi^2/gamma^2 X'^2) dx``
-    at each flow-time node (c-independent).
+def _node_records(profile: TemperatureProfile, ctx, t: float, s_nodes,
+                  numerics: Numerics, cache=None, mover: str = "+"
+                  ) -> np.ndarray:
+    """Welding record ``(int xi SX dx, int xi X'^2 dx)`` at each flow-time
+    node (c-independent), one row per node, in either volume: ``ctx`` is a
+    ``VolumeContext`` (torus, both movers) or an ``InfiniteVolume``
+    (cylinder, one mover).
 
-    A node's value depends on its set's window, so the key holds the set's
-    largest |s| as well as the node's s.
+    A cylinder node's value depends on its set's window, so its key holds
+    the set's largest |s| as well as the node's s.
     """
-    extent = _s_extent(s_nodes)
-    keys = [("cyl_action", profile.key(), v, t, mover, float(s), extent,
-             numerics.key()) for s in s_nodes]
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    if isinstance(ctx, VolumeContext):
+        keys = [("torus_node", profile.key(), ctx.key(), t, float(s),
+                 numerics.key()) for s in s_nodes]
+        nodes = lambda: torus_nodes(profile, ctx, t, s_nodes, numerics)
+    else:
+        extent = _s_extent(s_nodes)
+        keys = [("cyl_node", profile.key(), ctx.v, t, mover, float(s), extent,
+                 numerics.key()) for s in s_nodes]
+        nodes = lambda: cylinder_nodes(profile, ctx.v, t, mover, s_nodes,
+                                       numerics)
 
     def solve(which):
-        welds = cylinder_nodes(profile, v, t, mover, s_nodes, numerics)
-        gamma, grid = welds.xi.gamma, welds.grid
+        welds = nodes()
+        xiv, grid = welds.xi_values, welds.grid
         for sol in welds.solutions(which):
-            dens = welds.xi_values * (
-                sol.schwarzian
-                - (2.0 * np.pi ** 2 / gamma ** 2) * sol.xprime ** 2)
-            yield complex(grid.integral(dens))
+            yield (complex(grid.integral(xiv * sol.schwarzian)),
+                   complex(grid.integral(xiv * sol.xprime ** 2)))
 
     return np.array(_cached_many(cache, keys, solve), dtype=complex)
+
+
+def _flow_integrals(profile: TemperatureProfile, ctx, t: float, s_end: float,
+                    numerics: Numerics, cache=None, mover: str = "+"):
+    """``int_0^s_end ds`` of each entry of the node record, on the
+    Gauss-Legendre panels of ``numerics``: ``(a_SX, a_X'^2)``."""
+    nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
+    a_sx, a_xp2 = np.dot(weights, _node_records(profile, ctx, t, nodes,
+                                                numerics, cache, mover))
+    return complex(a_sx), complex(a_xp2)
 
 
 def _fixed_rule(integrand, edges) -> float:
@@ -403,48 +427,39 @@ class PsiValue:
     ln_psi: complex
     ln_psi_plus: complex | None = None
     ln_psi_minus: complex | None = None
-    quad_error: float | None = None
     meta: dict = field(default_factory=dict)
 
 
 def psi_infinite(profile: TemperatureProfile, c: float, t: float,
                  lam: float | None = None, v: float = 1.0,
                  numerics: Numerics | None = None, cache=None,
-                 by_s: float | None = None,
-                 error_estimate: bool = False) -> PsiValue:
+                 by_s: float | None = None) -> PsiValue:
     """Thermodynamic-limit log generating function at one counting parameter.
 
     ``lam`` parameterizes by the counting variable (flow time
     ``s = lam / delta_beta``); the equal-temperature limit must use ``by_s``.
-    The ``c``-dependence is an exact overall factor.
+    The ``c``-dependence is an exact overall factor.  Each mover's welding
+    action is ``a_SX - (2 pi^2 / gamma^2) a_X'^2``.
     """
     numerics = numerics or Numerics()
     s_end = _flow_time(profile, lam, by_s)
     if s_end == 0.0:
-        return PsiValue(lam, 0.0, 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, 0.0)
+        return PsiValue(lam, 0.0, 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j)
 
+    ctx = InfiniteVolume(v)
+    gamma = v * profile.beta0
     parts = {}
-    errs = []
     for mover in ("+", "-"):
-        nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
-        vals = _mover_action_nodes(profile, t, v, mover, nodes, numerics, cache)
-        action = np.dot(weights, vals)
-        if error_estimate:
-            nodes2, weights2 = _gl_nodes(s_end, 2 * numerics.s_nodes,
-                                         numerics.s_panels)
-            vals2 = _mover_action_nodes(profile, t, v, mover, nodes2,
-                                        numerics, cache)
-            action2 = np.dot(weights2, vals2)
-            errs.append(abs(action2 - action) * abs(c) / (24.0 * np.pi))
-            action = action2
+        a_sx, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache,
+                                      mover)
+        action = a_sx - (2.0 * np.pi ** 2 / gamma ** 2) * a_xp2
         # includes v/(24 pi); depends on t but not on lam
         ct = _cached(cache, ("ct_mover", profile.key(), t, v, 1.0, mover),
                      lambda: counterterm_mover(profile, t, v, 1.0, mover))
         parts[mover] = -1j * c / (24.0 * np.pi) * action \
             - 1j * c * s_end * ct
-    total = parts["+"] + parts["-"]
-    return PsiValue(lam, s_end, total, parts["+"], parts["-"],
-                    float(max(errs)) if errs else None)
+    return PsiValue(lam, s_end, parts["+"] + parts["-"], parts["+"],
+                    parts["-"])
 
 
 def effective_tau(profile: TemperatureProfile, ctx: VolumeContext, t: float,
@@ -452,28 +467,12 @@ def effective_tau(profile: TemperatureProfile, ctx: VolumeContext, t: float,
     """Welding action and effective modular parameter at flow time ``s_end``.
 
     Both are flow-time integrals over torus weldings at the drifted modular
-    parameter, on the Gauss-Legendre panels of ``numerics``: the action
-    ``int ds int xi SX dx`` and ``tau^ = tau_0 + int ds L^-2 int xi X'^2 dx``.
+    parameter: the action ``a_SX = int ds int xi SX dx`` and
+    ``tau^ = tau_0 + L^-2 int ds int xi X'^2 dx``.
     Returns ``(action, tau_hat)``.
     """
-    nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
-    # per-node records keyed by (profile, box, t, s, N); the flow-time
-    # quadrature then reduces cached scalars
-    keys = [("torus_node", profile.key(), ctx.key(), t, float(s),
-             numerics.key()) for s in nodes]
-
-    def solve(which):
-        welds = torus_nodes(profile, ctx, t, nodes, numerics)
-        xiv, grid = welds.xi_values, welds.grid
-        for sol in welds.solutions(which):
-            yield (complex(grid.integral(xiv * sol.schwarzian)),
-                   complex(grid.integral(xiv * sol.xprime ** 2) / ctx.L ** 2))
-
-    recs = _cached_many(cache, keys, solve)
-    action = sum(w * rec[0] for w, rec in zip(weights, recs))
-    tau_hat = 1j * ctx.gammaL / ctx.L + sum(w * rec[1]
-                                           for w, rec in zip(weights, recs))
-    return action, tau_hat
+    a_sx, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache)
+    return a_sx, 1j * ctx.gammaL / ctx.L + a_xp2 / ctx.L ** 2
 
 
 def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
@@ -516,6 +515,10 @@ def moments_closed_form(profile: TemperatureProfile, c: float, t: float,
         raise DeltaBetaZero("moments are parameterized by delta beta")
     beta0 = profile.beta0
     gamma = v * beta0
+    if not np.finfo(float).tiny <= gamma * gamma < math.inf:
+        # both cumulants carry 1 / gamma^2
+        raise OutOfRange(f"gamma = v beta0 = {gamma:.6g} squares outside "
+                         f"the double range; bring profile.v nearer 1")
     h = build_h(profile)
     lo, hi = profile.support
 
@@ -541,12 +544,18 @@ def moments_closed_form(profile: TemperatureProfile, c: float, t: float,
         pad = 8.0 * gamma
         span = 4.0 * ((shi - slo) + 2 * pad)
         m = 1 << int(math.ceil(math.log2(span / (0.01 * profile.half_width))))
+        # x, xi, p and the kernel in doubles, the transform in complex
+        _refuse_over_budget(48 * m, f"variance quadrature needs a {m}-point "
+                            f"lattice", "bring profile.v nearer 1 or lower t")
         grid = LineGrid(x0=0.5 * (slo + shi) - span / 2, span=span, M=m)
         xihat = grid.ft(xi_field(grid.x))
         p = grid.p
         kern = (p ** 2 + 4.0 * np.pi ** 2 / gamma ** 2) * bose_weight(p, gamma)
         var += (c / (48.0 * np.pi ** 2 * dbeta ** 2)
                 * np.sum(kern * np.abs(xihat) ** 2).real * grid.dp)
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise OutOfRange(f"closed-form cumulants at gamma = {gamma:.6g} are "
+                         f"not finite; bring profile.v nearer 1")
     return {"mean": mean, "variance": var, "delta_beta": dbeta, "gamma": gamma}
 
 

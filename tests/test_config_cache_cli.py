@@ -198,8 +198,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-11"
-        record["version"] = "weldfcs-cache-10"
+        assert record["version"] == "weldfcs-cache-12"
+        record["version"] = "weldfcs-cache-11"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -213,7 +213,7 @@ class TestCache:
         num = Numerics(n_modes=128, tail_tol=2e-3, s_nodes=4, dx=0.08)
         torus = ("torus_node", p.key(), VolumeContext(p, 40.0).key(), 1.0,
                  0.0123456789, num.key())
-        cyl = ("cyl_action", p.key(), 1.0, np.float64(2.0), "-",
+        cyl = ("cyl_node", p.key(), 1.0, np.float64(2.0), "-",
                np.float64(-0.1) / 3, np.float64(0.7), num.key())
         mixed = ("mixed", np.int64(-7), np.bool_(True),
                  np.complex128(1.5 - 0.25j), True, False, None, -0.0,
@@ -224,7 +224,7 @@ class TestCache:
             f"('torus_node',{prof}),{prof},'L',40.0,'v',1.0),1.0,"
             f"0.0123456789,{nums})")
         assert _canonical(cyl) == (
-            f"('cyl_action',{prof}),1.0,2.0,'-',-0.03333333333333333,0.7,"
+            f"('cyl_node',{prof}),1.0,2.0,'-',-0.03333333333333333,0.7,"
             f"{nums})")
         assert _canonical(mixed) == (
             "('mixed',-7,True,(1.5+-0.25j),True,False,None,-0.0,inf,"
@@ -285,7 +285,7 @@ class TestCache:
         nodes, _ = fcs._gl_nodes(cold.s_end, num.s_nodes, num.s_panels)
         s_min = float(nodes[np.argmin(np.abs(nodes))])
         extent = float(np.max(np.abs(nodes)))
-        key = (("cyl_action", kink.key(), 1.0, 2.0, "+", s_min, extent,
+        key = (("cyl_node", kink.key(), 1.0, 2.0, "+", s_min, extent,
                 num.key())
                if volume == "infinite" else
                ("torus_node", kink.key(), box.key(), 2.0, s_min, num.key()))
@@ -298,15 +298,16 @@ class TestCache:
         # a cylinder node's value depends on the window its set's largest
         # |s| sizes: a cache filled by the set {s, 4 s} must not serve s on
         # the narrower window of the set {s}
-        from weldfcs import fcs
+        from weldfcs import InfiniteVolume, fcs
         num = fcs.Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
                            p_max_gamma=14.0)
         cache = SolveCache(tmp_path)
-        fcs._mover_action_nodes(kink, 2.0, 1.0, "+", [0.1, 0.4], num, cache)
-        alone = fcs._mover_action_nodes(kink, 2.0, 1.0, "+", [0.1], num, cache)
+        line = InfiniteVolume(1.0)
+        fcs._node_records(kink, line, 2.0, [0.1, 0.4], num, cache)
+        alone = fcs._node_records(kink, line, 2.0, [0.1], num, cache)
         assert (cache.hits, cache.misses) == (0, 3)
-        cold = fcs._mover_action_nodes(kink, 2.0, 1.0, "+", [0.1], num)
-        assert alone[0] == cold[0]
+        cold = fcs._node_records(kink, line, 2.0, [0.1], num)
+        assert np.array_equal(alone, cold)
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = SolveCache(tmp_path)
@@ -524,6 +525,39 @@ class TestCli:
             "converge", bad, good,
             ("psi_infinite", "psi_finite", "cylinder_nodes", "torus_nodes"),
             tmp_path, capsys, monkeypatch)
+
+    def test_ldf_invalid_experiment_exits_2_before_any_rate(
+            self, tmp_path, capsys, monkeypatch):
+        # lambda_values or sigma_values no non-empty list of finite numbers
+        st, number, _, bad_list = experiment_values()
+        keys = ("lambda_values", "sigma_values")
+        refuses_invalid_experiment(
+            "ldf", {key: bad_list for key in keys},
+            {key: st.lists(number, min_size=1, max_size=3) for key in keys},
+            ("ldf", "levitov_lesovik", "rate_function",
+             "levy_khintchine_check"), tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("command,welds", [
+        ("weld-torus", "torus_nodes"), ("weld-cylinder", "cylinder_nodes")])
+    def test_weld_invalid_experiment_exits_2_before_any_weld(
+            self, tmp_path, capsys, monkeypatch, command, welds):
+        # t or s no finite number or s_values no non-empty list of them; for
+        # weld-cylinder also a mover other than '+' or '-', or a crosscheck
+        # flag that is not a bool
+        st, number, not_a_number, bad_list = experiment_values()
+        bad = {"t": not_a_number, "s": not_a_number, "s_values": bad_list}
+        good = {"t": number, "s": number,
+                "s_values": st.lists(number, min_size=1, max_size=3)}
+        if command == "weld-cylinder":
+            bad["mover"] = st.one_of(not_a_number, st.just(1),
+                                     st.text(max_size=2).filter(
+                                         lambda m: m not in ("+", "-")))
+            bad["crosscheck"] = st.one_of(st.none(), number, st.integers(),
+                                          st.text(max_size=4))
+            good["mover"] = st.sampled_from(["+", "-"])
+            good["crosscheck"] = st.booleans()
+        refuses_invalid_experiment(command, bad, good, (welds,), tmp_path,
+                                   capsys, monkeypatch)
 
     def test_missing_config_flag(self):
         assert run_cli(["fcs"]) == 2
@@ -834,23 +868,44 @@ class TestCli:
         assert "numerics.p_max_gamma" in err
         assert "first solve momentum" in err
 
-    def test_fcs_threads_match_serial(self, tmp_path):
-        data = base_config()
-        data["numerics"] = {"n_modes": 96, "tail_tol": 5e-3, "s_nodes": 4,
-                            "dx": 0.04, "window_pad_gamma": 5.0,
-                            "window_factor": 4.0, "p_max_gamma": 20.0}
-        data["experiment"] = {"mode": "infinite", "t_values": [1.0, 1.5],
-                              "lambda_values": [0.15]}
-        blobs = {}
-        for tag, threads in (("ser", "1"), ("par", "2")):
-            outdir = tmp_path / tag
-            data["io"] = {"output_dir": str(outdir)}
-            cfg_path = tmp_path / f"{tag}.json"
-            cfg_path.write_text(json.dumps(data))
+    def test_threads_other_than_1_exit_2(self, tmp_path, capsys):
+        # every command runs in one thread: --threads parses, and only 1 is
+        # accepted, before the config is read
+        data = base_config(experiment={"mode": "infinite", "t_values": [1.0],
+                                       "lambda_values": [0.0]},
+                           io={"output_dir": str(tmp_path / "out")})
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        for threads in ("0", "2", "-1", "8"):
             assert run_cli(["fcs", "--config", str(cfg_path),
-                            "--threads", threads]) == 0
-            blobs[tag] = (outdir / "fcs.json").read_bytes()
-        assert blobs["ser"] == blobs["par"]
+                            "--threads", threads]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "'--threads'" in err
+        assert not (tmp_path / "out").exists()
+        assert run_cli(["fcs", "--config", str(cfg_path),
+                        "--threads", "1"]) == 0
+
+    @pytest.mark.parametrize("command,block,key,value,error", [
+        ("fcs", "experiment", "t_values", [1e300], "NodeTooLarge"),
+        ("moments", "experiment", "fd_step", 1e300, "NodeTooLarge"),
+        ("moments", "profile", "v", 1e300, "OutOfRange"),
+        ("moments", "profile", "v", 1e-300, "OutOfRange"),
+        ("moments", "profile", "v", 1e20, "NodeTooLarge")])
+    def test_extreme_values_exit_3_naming_the_error(
+            self, tmp_path, capsys, command, block, key, value, error):
+        # sizes past the float range and closed forms that leave it are
+        # numerical failures with a named error, not tracebacks
+        data = base_config(io={"output_dir": str(tmp_path / "out")})
+        data["experiment"] = {"mode": "infinite", "t_values": [1.0],
+                              "lambda_values": [0.2]} \
+            if command == "fcs" else {"t": 2.0}
+        data[block][key] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli([command, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {error}: ")
+        assert "Traceback" not in err
 
     def test_write_json_bytes_are_pinned(self, tmp_path):
         # the one-call writer gives the bytes json.dump gave, piece by piece

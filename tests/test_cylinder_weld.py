@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -195,6 +197,24 @@ class TestAssembly:
         assert np.isfinite(d["schwartz_bound"])
         # weighted kernel bounded by an O(10) constant for the default kink
         assert d["schwartz_bound"] < 100.0
+
+    def test_diagnostics_stay_within_the_node_budget(self, kink):
+        # the diagnostics apply Sigma a block of columns at a time; their
+        # peak stays under the working set that admitted the node
+        # (M = 2048, order 380: about 4.8 MB against 7.0 MB)
+        num = Numerics(dx=0.04, window_pad_gamma=6.0, window_factor=4.0,
+                       p_max_gamma=20.0)
+        welds = cylinder_nodes(kink, 1.0, 2.0, "+", [0.25], num)
+        op = next(welds.solutions()).operator
+        _, _, nbytes = _cylinder_size(welds.grid, 20.0 / welds.xi.gamma,
+                                      num.window_factor)
+        tracemalloc.start()
+        try:
+            op.diagnostics
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes
 
     def test_window_too_small(self, kink):
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -164,10 +166,12 @@ class TestPsiInfinite:
         assert cache.hits > 0
 
     def test_quadrature_error_estimate(self, kink, lean_numerics):
-        val = psi_infinite(kink, 1.0, 2.0, lam=0.2, numerics=lean_numerics,
-                           error_estimate=True)
-        assert val.quad_error is not None
-        assert val.quad_error < 1e-7
+        # doubling the flow-time nodes moves each mover's ln Psi by < 1e-7
+        val = psi_infinite(kink, 1.0, 2.0, lam=0.2, numerics=lean_numerics)
+        fine = psi_infinite(kink, 1.0, 2.0, lam=0.2, numerics=replace(
+            lean_numerics, s_nodes=2 * lean_numerics.s_nodes))
+        assert abs(fine.ln_psi_plus - val.ln_psi_plus) < 1e-7
+        assert abs(fine.ln_psi_minus - val.ln_psi_minus) < 1e-7
 
     def test_mover_split_sums(self, kink, lean_numerics):
         val = psi_infinite(kink, 1.0, 2.0, lam=0.2, numerics=lean_numerics)
