@@ -174,6 +174,9 @@ def cmd_moments(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
     t = read_number(exp, "t", "experiment", 2.0)
     h = read_positive(exp, "fd_step", "experiment", 0.02)
+    if t == 0.0:
+        raise ConfigInvalid("experiment.t", "t = 0 transfers no energy, so "
+                            "the moments have no relative error; use t != 0")
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
     closed = moments_closed_form(cfg.profile, cfg.theory.c, t, cfg.v)
@@ -281,7 +284,8 @@ def cmd_converge(cfg: RunConfig, args) -> int:
         h_L = build_h(cfg.profile, ctx)
         oLp = h_L(np.array(cfg.profile.support[0])).item() - A
         # recentered X' of the torus solution at the comparison points
-        c_band = welds.grid.band_coefficients(sol.xprime - 1.0, n_modes)
+        c_band = welds.grid.coefficients(sol.xprime - 1.0)[
+            sol.modes % welds.grid.M]
         xl = 1.0 + welds.grid.eval_band(c_band, pts + oLp)
         xerrs.append(float(np.max(np.abs(xl - ref))))
         vfin = psi_finite(cfg.profile, theory, ctx, t_psi, lam=lam,

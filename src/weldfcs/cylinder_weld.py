@@ -32,15 +32,15 @@ compact perturbation of the identity of low numerical rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NearSingular, WindowTooSmall
-from .fredholm import PhaseFactor, _gmres, _substitution_kernel
+from .fredholm import PhaseFactor, WeldSolution, _gmres, _substitution_kernel
 from .profile import Diffeo
-from .spectral import LineGrid, gauss_legendre, schwarzian_from_derivatives
+from .spectral import LineGrid, gauss_legendre
 
 __all__ = [
     "CylinderWeldProblem",
@@ -222,55 +222,17 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
 
 
 @dataclass(eq=False)
-class CylinderWeldSolution:
-    problem: CylinderWeldProblem
-    operator: CylinderOperator
+class CylinderWeldSolution(WeldSolution):
+    """X = g - Y1 on the window grid."""
+
     zhat_ext: np.ndarray          # Z on the full lattice (source + correction)
-    cond_estimate: float
-    solve_residual: float
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def grid(self) -> LineGrid:
-        return self.problem.grid
-
-    def y1p_hat(self) -> np.ndarray:
-        """Fourier transform of the boundary-correction derivative."""
-        if "y1p_hat" not in self._cache:
-            p = self.grid.p
-            todd = p / -np.expm1(-self.problem.gamma * np.abs(p))
-            self._cache["y1p_hat"] = -1j * todd * self.zhat_ext
-        return self._cache["y1p_hat"]
-
-    def _xm1_hat(self) -> np.ndarray:
-        # transform of X' - 1 = (g' - 1) - Y1'
-        if "xm1" not in self._cache:
-            self._cache["xm1"] = (-1j * self.grid.p * self.operator.ghat_ext
-                                  - self.y1p_hat())
-        return self._cache["xm1"]
-
-    def y1p(self, order: int = 0) -> np.ndarray:
-        return self.grid.ift((-1j * self.grid.p) ** order * self.y1p_hat())
-
-    @property
-    def xprime(self) -> np.ndarray:
-        key = "xprime"
-        if key not in self._cache:
-            self._cache[key] = 1.0 + self.grid.ift(self._xm1_hat())
-        return self._cache[key]
-
-    def xderiv(self, order: int) -> np.ndarray:
-        if order == 1:
-            return self.xprime
-        return self.grid.ift((-1j * self.grid.p) ** (order - 1) * self._xm1_hat())
+    # own names for the shared reconstruction, which a tracer wraps per class
+    xprime, schwarzian = WeldSolution.xprime, WeldSolution.schwarzian
 
     def xprime_at(self, points) -> np.ndarray:
-        return 1.0 + self.grid.eval_ft(self._xm1_hat(), points)
-
-    @property
-    def schwarzian(self) -> np.ndarray:
-        return schwarzian_from_derivatives(
-            self.xderiv(1), self.xderiv(2), self.xderiv(3))
+        return 1.0 + self.grid.eval_ft(-1j * self.grid.p * self.xm_coeff,
+                                       points)
 
     def decay_diagnostics(self) -> dict:
         """Exponential falloff of X' - 1 to the right of the twist support."""
@@ -302,7 +264,10 @@ def solve_cylinder(problem: CylinderWeldProblem) -> CylinderWeldSolution:
            / max(np.linalg.norm(rhs), 1e-300))
     zhat_ext = operator.z12_ext.copy()
     zhat_ext[operator.sel] += dz
-    return CylinderWeldSolution(problem, operator, zhat_ext, cond, float(res))
+    # X - id = (g - id) - Y1, with Y1^ = Z^ / (1 - e^{-gamma |p|})
+    y1_hat = zhat_ext / -np.expm1(-problem.gamma * np.abs(problem.grid.p))
+    return CylinderWeldSolution(problem, operator, operator.ghat_ext - y1_hat,
+                                cond, float(res), zhat_ext)
 
 
 def realspace_crosscheck(problem: CylinderWeldProblem,
@@ -326,15 +291,16 @@ def realspace_crosscheck(problem: CylinderWeldProblem,
     grid = sol.grid
     gamma = problem.gamma
     lo, hi = problem.g.support
-    ghat = grid.ft(problem.g.displacement())
-    # Y1', g - id and g' - 1 as three series, evaluated from one phase matrix
-    series = np.stack([sol.y1p_hat(), ghat, -1j * grid.p * ghat], axis=1)
+    ghat = sol.operator.ghat_ext
+    # g - id, g' - 1 and X' - 1 as three series, from one phase matrix
+    series = np.stack([ghat, -1j * grid.p * ghat,
+                       -1j * grid.p * sol.xm_coeff], axis=1)
 
     def fields(y):
-        """Y1', g, g' and Y2' at the points ``y``."""
+        """Y1' = g' - X', g, g' and Y2' = 1 - X' at the points ``y``."""
         f = grid.eval_ft(series, y)
-        y1p, gp = f[:, 0], 1.0 + f[:, 2].real
-        return y1p, y + f[:, 1].real, gp, y1p - (gp - 1.0)
+        return (f[:, 1] - f[:, 2], y + f[:, 0].real, 1.0 + f[:, 1].real,
+                -f[:, 2])
 
     nodes, wts = gauss_legendre(24)
 

@@ -122,6 +122,11 @@ def _refuse_over_budget(nbytes: int, needs: str, advice: str):
             f"{_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget; {advice}")
 
 
+def _count(n: int) -> str:
+    """``n`` in full below 2^64, past it as a power of two."""
+    return str(n) if n.bit_length() <= 64 else f"2^{math.log2(n):.4g}"
+
+
 def _cylinder_size(grid: LineGrid, p_max: float,
                    window_factor: float) -> tuple[int, int, int]:
     """Lattice size, Nystrom order n and complex bytes of the working set of
@@ -289,8 +294,9 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
                             f"{0.5 * grid.dp:.6g}, so the Nystrom system "
                             f"would be empty")
     m, order, nbytes = _cylinder_size(grid, p_max, numerics.window_factor)
-    _refuse_over_budget(nbytes, f"cylinder node needs a {m}-point lattice and "
-                        f"a Nystrom system of order {order}",
+    _refuse_over_budget(nbytes, f"cylinder node needs a {_count(m)}-point "
+                        f"lattice and a Nystrom system of order "
+                        f"{_count(order)}",
                         "lower |lambda| or coarsen the cylinder numerics")
     return WeldNodes(xi_field, grid, s_values, numerics)
 
@@ -545,14 +551,18 @@ def moments_closed_form(profile: TemperatureProfile, c: float, t: float,
         span = 4.0 * ((shi - slo) + 2 * pad)
         m = 1 << int(math.ceil(math.log2(span / (0.01 * profile.half_width))))
         # x, xi, p and the kernel in doubles, the transform in complex
-        _refuse_over_budget(48 * m, f"variance quadrature needs a {m}-point "
-                            f"lattice", "bring profile.v nearer 1 or lower t")
+        _refuse_over_budget(48 * m, f"variance quadrature needs a "
+                            f"{_count(m)}-point lattice",
+                            "bring profile.v nearer 1 or lower t")
         grid = LineGrid(x0=0.5 * (slo + shi) - span / 2, span=span, M=m)
         xihat = grid.ft(xi_field(grid.x))
         p = grid.p
-        kern = (p ** 2 + 4.0 * np.pi ** 2 / gamma ** 2) * bose_weight(p, gamma)
-        var += (c / (48.0 * np.pi ** 2 * dbeta ** 2)
-                * np.sum(kern * np.abs(xihat) ** 2).real * grid.dp)
+        # a kernel that overflows leaves var not finite, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            kern = (p ** 2 + 4.0 * np.pi ** 2 / gamma ** 2) \
+                * bose_weight(p, gamma)
+            var += (c / (48.0 * np.pi ** 2 * dbeta ** 2)
+                    * np.sum(kern * np.abs(xihat) ** 2).real * grid.dp)
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise OutOfRange(f"closed-form cumulants at gamma = {gamma:.6g} are "
                          f"not finite; bring profile.v nearer 1")

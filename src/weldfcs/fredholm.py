@@ -2,16 +2,18 @@
 kernels, on a lattice a sum over the points the displacement moves, since
 ``expm1(0) == 0`` makes every other term exactly zero; the phase factor
 that maps them back to momenta, which is a slice of the lattice DFT and is
-applied by one FFT (Cooley and Tukey, Math. Comp. 19 (1965)); and GMRES,
+applied by one FFT (Cooley and Tukey, Math. Comp. 19 (1965)); GMRES,
 which takes a few steps on the identity plus a compact part (Campbell,
-Ipsen, Kelley and Meyer, BIT 36 (1996))."""
+Ipsen, Kelley and Meyer, BIT 36 (1996)); and the welded map both solutions
+reconstruct, X = f - Y1 on the circle or g - Y1 on the line."""
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .spectral import progression_phases
+from .spectral import progression_phases, schwarzian_from_derivatives
 
 # GMRES stops once its least-squares residual estimate is this fraction of
 # the right-hand side; unlike the true residual, that estimate keeps falling
@@ -161,3 +163,38 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
         y[i] /= r[i, i]
         y[:i] -= r[:i, i] * y[i]
     return basis[:, :k] @ y, cond
+
+
+@dataclass(eq=False)
+class WeldSolution:
+    """The welded map X of a solved welding problem, held as X - id in its
+    grid's spectrum (``coefficients`` on a ``PeriodicGrid``, ``ft`` on a
+    ``LineGrid``); each derivative on the grid is one ``grid.series``."""
+
+    problem: object
+    operator: object
+    xm_coeff: np.ndarray          # X - id in the grid's spectrum
+    cond_estimate: float
+    solve_residual: float
+    _derivs: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def grid(self):
+        return self.problem.grid
+
+    def xderiv(self, order: int) -> np.ndarray:
+        """The ``order``-th derivative of X on the grid, kept once made."""
+        if order not in self._derivs:
+            d = self.grid.series(self.xm_coeff, order)
+            self._derivs[order] = d + 1.0 if order == 1 else d
+        return self._derivs[order]
+
+    @property
+    def xprime(self) -> np.ndarray:
+        return self.xderiv(1)
+
+    @property
+    def schwarzian(self) -> np.ndarray:
+        """S X on the grid (X' never vanishes for solvable data)."""
+        return schwarzian_from_derivatives(
+            self.xderiv(1), self.xderiv(2), self.xderiv(3))

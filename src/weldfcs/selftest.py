@@ -418,8 +418,8 @@ def _():
         g0 = profile.Diffeo(grid, grid.x.copy())
         sol = cylinder_weld.solve_cylinder(
             cylinder_weld.CylinderWeldProblem(g0, p.beta0, 20.0, g0))
-        worst = max(worst, np.max(np.abs(sol.xprime - 1.0)),
-                    np.max(np.abs(sol.y1p())), np.max(np.abs(sol.schwarzian)))
+        worst = max(worst, *(np.max(np.abs(a)) for a in (
+            sol.xprime - 1.0, sol.zhat_ext, sol.schwarzian)))
     return float(worst)
 
 

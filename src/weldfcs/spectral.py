@@ -75,15 +75,18 @@ class PeriodicGrid:
         c = np.fft.ifft(values)
         return c * np.exp(1j * self.momenta() * self.x0)
 
-    def band_coefficients(self, values: np.ndarray, n_max: int) -> np.ndarray:
-        """Coefficients for modes -n_max..n_max (ascending order)."""
-        c = self.coefficients(values)
-        modes = np.arange(-n_max, n_max + 1)
-        return c[modes % self.M]
-
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         c = np.fft.ifft(values)
         return np.fft.fft(c * (-1j * self.momenta()) ** order)
+
+    def series(self, coeff: np.ndarray, order: int = 0) -> np.ndarray:
+        """The ``order``-th derivative on the grid of ``sum c_n exp(-i p_n x)``
+        (``coefficients``' layout), by one FFT; the Nyquist mode is a cosine,
+        whose odd derivatives vanish on the grid as in ``derivative``.real."""
+        p = self.momenta()
+        d = (-1j * p) ** order
+        d[self.M // 2] = d[self.M // 2].real
+        return np.fft.fft(coeff * d * np.exp(-1j * p * self.x0))
 
     def integral(self, values: np.ndarray) -> complex | float:
         """Trapezoid rule over one period (spectrally accurate)."""
@@ -154,8 +157,13 @@ class LineGrid:
         a[idx] = uhat / px0
         return np.fft.fft(a) * np.conj(hs) * self.dp / (2.0 * np.pi)
 
+    def series(self, uhat: np.ndarray, order: int = 0) -> np.ndarray:
+        """The ``order``-th derivative on the window of the function whose
+        transform (``ft``'s layout) is ``uhat``."""
+        return self.ift((-1j * self.p) ** order * uhat)
+
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        return self.ift((-1j * self.p) ** order * self.ft(values))
+        return self.series(self.ft(values), order)
 
     def integral(self, values: np.ndarray) -> complex | float:
         return np.sum(values) * self.dx

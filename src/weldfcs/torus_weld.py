@@ -31,13 +31,13 @@ equation.  The difference of the two routes and the band-edge tails of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from .fredholm import PhaseFactor, _gmres, _substitution_kernel
+from .fredholm import PhaseFactor, WeldSolution, _gmres, _substitution_kernel
 from .profile import Diffeo
 from .spectral import PeriodicGrid, schwarzian_from_derivatives
 
@@ -73,8 +73,12 @@ class TorusWeldProblem:
             raise ValueError("assembly grid must satisfy M >= 4 N")
 
     @property
+    def grid(self) -> PeriodicGrid:
+        return self.f.grid
+
+    @property
     def L(self) -> float:
-        return self.f.grid.L
+        return self.grid.L
 
     @property
     def q(self) -> complex:
@@ -101,7 +105,7 @@ class TorusOperator:
     K11 product sums over and V_B the band -N..N."""
 
     def __init__(self, problem: TorusWeldProblem):
-        N, grid, L, tau = problem.n_modes, problem.f.grid, problem.L, problem.tau
+        N, grid, L, tau = problem.n_modes, problem.grid, problem.L, problem.tau
         p = grid.dp * np.arange(-N, N + N // 2 + 1)
         (self.va, self.vb), union = _substitution_kernel(
             grid, problem.displacements, p, 1.0 / L,
@@ -152,17 +156,6 @@ def assemble_K(problem: TorusWeldProblem) -> TorusOperator:
             f"tail_tol={problem.tail_tol:.2e} at N={problem.n_modes}; "
             f"raise n_modes")
     return op
-
-
-def _band_to_grid(grid: PeriodicGrid, modes: np.ndarray, coeff: np.ndarray,
-                  order: int) -> np.ndarray:
-    """The ``order``-th derivative of the band series ``sum c_n e_n`` on the
-    grid, by one FFT."""
-    pn = 2.0 * np.pi * modes / grid.L
-    full = np.zeros(grid.M, dtype=complex)
-    full[modes % grid.M] = coeff * (-1j * pn) ** order \
-        * np.exp(-1j * pn * grid.x0)
-    return np.fft.fft(full)
 
 
 def _slab_max(op: TorusOperator, rects, v: np.ndarray, c0: int,
@@ -248,37 +241,22 @@ def _tail_diagnostics(op: TorusOperator, qabs: float, disps) -> dict:
 
 
 @dataclass(eq=False)
-class TorusWeldSolution:
-    problem: TorusWeldProblem
+class TorusWeldSolution(WeldSolution):
+    """X = f - Y1 on the assembly grid, with Y1's band coefficients on
+    ``modes`` and the effective modular parameter by its two routes."""
+
     modes: np.ndarray
     y1_coeff: np.ndarray          # band coefficients, mean fixed to zero
-    tau_eff: complex
-    tau_eff_boundary: complex
-    cond_estimate: float
-    solve_residual: float
-    operator: TorusOperator
-    _cache: dict = field(default_factory=dict, repr=False)
+    tau_eff_boundary: complex     # zero mode of the boundary equation
 
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.problem.f.grid
+    # own names for the shared reconstruction, which a tracer wraps per class
+    xprime, schwarzian = WeldSolution.xprime, WeldSolution.schwarzian
 
-    @property
-    def xprime(self) -> np.ndarray:
-        return self.xderiv(1)
-
-    def xderiv(self, order: int) -> np.ndarray:
-        """The ``order``-th derivative of X = f - Y1 on the assembly grid."""
-        if order not in self._cache:
-            self._cache[order] = self.problem.f.deriv_samples(order) \
-                - _band_to_grid(self.grid, self.modes, self.y1_coeff, order)
-        return self._cache[order]
-
-    @property
-    def schwarzian(self) -> np.ndarray:
-        """S X on the assembly grid (X' never vanishes for solvable data)."""
-        return schwarzian_from_derivatives(
-            self.xderiv(1), self.xderiv(2), self.xderiv(3))
+    @cached_property
+    def tau_eff(self) -> complex:
+        """The effective modular parameter from the integrated jump datum."""
+        jump = self.grid.integral(self.problem.f.displacement() * self.xprime)
+        return complex(self.problem.tau - jump / self.problem.L ** 2)
 
     def lemma1_defects(self) -> dict:
         """Stokes identities relating X-integrals across the two boundaries."""
@@ -301,11 +279,12 @@ class TorusWeldSolution:
 def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:
     """Solve the projected system and fix the effective modular parameter."""
     op = assemble_K(problem)
-    N, modes, grid, L = problem.n_modes, op.modes, problem.f.grid, problem.L
-
-    fm_band = grid.band_coefficients(problem.f.samples - grid.x, N)
+    N, modes, grid = problem.n_modes, op.modes, problem.grid
+    band = modes % grid.M
+    # X - id = (f - id) - Y1, from f - id's coefficients once Y1 is solved
+    xm = grid.coefficients(problem.f.displacement())
     # the residuals at Y1 = 0, Y2 = f - id are -K12 fm and Em fm
-    rhs, em_fm = op.residuals(np.zeros_like(fm_band), fm_band)
+    rhs, em_fm = op.residuals(np.zeros(len(modes), dtype=complex), xm[band])
     rhs[:N] += em_fm
     # GMRES on the Dg-scaled projected system, gated by the Hessenberg
     # estimate times cond(Dg), which bounds the unscaled condition
@@ -321,22 +300,16 @@ def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:
     res = float(np.linalg.norm(resid[sel])
                 / max(np.linalg.norm(rhs[sel]), 1e-300))
 
-    # direct effective modular parameter from the integrated jump datum
-    xp = problem.f.deriv_samples(1) - _band_to_grid(grid, modes, y1, 1)
-    tau_eff = problem.tau - grid.integral((problem.f.samples - grid.x) * xp) \
-        / L ** 2
-
-    # independent route: zero mode of the unprojected boundary equation
-    tau_eff_b = problem.tau - resid[N] / L
-    two_route = abs(tau_eff - tau_eff_b)
+    xm[band] -= y1
+    # the second tau route: zero mode of the unprojected boundary equation
+    sol = TorusWeldSolution(problem, op, xm, cond, res, modes, y1,
+                            complex(problem.tau - resid[N] / problem.L))
+    two_route = abs(sol.tau_eff - sol.tau_eff_boundary)
     if two_route > problem.tail_tol:
         raise TruncationTooCoarse(
             f"two-route tau_eff difference {two_route:.2e} exceeds "
             f"tail_tol={problem.tail_tol:.2e} at N={N}; raise n_modes")
-
-    return TorusWeldSolution(problem, modes, y1, complex(tau_eff),
-                             complex(tau_eff_b), cond, res, op,
-                             _cache={1: xp})
+    return sol
 
 
 def residual_diagnostics(sol: TorusWeldSolution) -> dict:
@@ -344,9 +317,9 @@ def residual_diagnostics(sol: TorusWeldSolution) -> dict:
     problem, grid = sol.problem, sol.grid
     N, L = problem.n_modes, problem.L
 
-    fm_band = grid.band_coefficients(problem.f.samples - grid.x, N)
-    jump = fm_band.copy()
-    jump[N] += L * (sol.tau_eff - problem.tau)     # Y12 = (f - id) + L (tau^ - tau)
+    # Y12 = (f - id) + L (tau^ - tau), with f - id = (X - id) + Y1
+    jump = sol.xm_coeff[sol.modes % grid.M] + sol.y1_coeff
+    jump[N] += L * (sol.tau_eff - problem.tau)
     r1, r2 = sol.operator.residuals(sol.y1_coeff, sol.y1_coeff - jump)
 
     # real-space integrability defect (1/L) int Y12(x) X'(x) dx

@@ -180,7 +180,7 @@ def test_criterion_9_thermodynamic_limit(psi_cache):
         sol = next(welds.solutions())
         h_l = build_h(KINK, ctx)
         o_l = h_l(np.array(-1.0)).item() - a_pt
-        band = grid.band_coefficients(sol.xprime - 1.0, n)
+        band = grid.coefficients(sol.xprime - 1.0)[sol.modes % grid.M]
         errs.append(float(np.max(np.abs(
             1.0 + grid.eval_band(band, pts + o_l) - ref))))
     slope = fit_loglog_slope(Ls, errs)

@@ -22,6 +22,30 @@ class TestSpectralTools:
         d = grid.derivative(u, 1)
         assert np.max(np.abs(d - (-1j * 2 * np.pi * 3 / 7.0) * u)) < 1e-12
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_series_of_transform_is_derivative(self, periodic):
+        # on the circle a real u with a nonzero Nyquist coefficient, whose
+        # odd derivatives vanish on the grid under the cosine convention as
+        # in the real part of derivative; on the line series(ft) is the
+        # derivative bit for bit
+        if periodic:
+            grid = PeriodicGrid(7.0, 64, x0=-5.25)
+            z = 2 * np.pi * grid.x / 7.0
+            u = np.sin(z) + 0.3 * np.cos(3 * z + 0.4) \
+                + 0.2 * (-1.0) ** np.arange(64)
+            assert abs(grid.coefficients(u)[32]) > 0.1
+            for k in range(4):
+                ref = grid.derivative(u, k).real
+                got = grid.series(grid.coefficients(u), k)
+                assert np.max(np.abs(got - ref)) \
+                    < 1e-13 * (grid.M * grid.dp / 2) ** k
+        else:
+            grid = LineGrid(-8.0, 16.0, 256)
+            u = np.exp(-grid.x ** 2) * (1.0 + 0.5j * grid.x)
+            for k in range(4):
+                assert np.array_equal(grid.series(grid.ft(u), k),
+                                      grid.derivative(u, k))
+
     def test_line_ft_pair_roundtrip(self):
         grid = LineGrid(-8.0, 16.0, 256)
         u = np.exp(-grid.x ** 2)

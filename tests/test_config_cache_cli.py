@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -198,8 +199,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-12"
-        record["version"] = "weldfcs-cache-11"
+        assert record["version"] == "weldfcs-cache-13"
+        record["version"] = "weldfcs-cache-12"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -456,6 +457,7 @@ class TestCli:
                 ("moments", "experiment", "fd_step", "small"),
                 ("moments", "experiment", "fd_step", 0),
                 ("moments", "experiment", "fd_step", -0.02),
+                ("moments", "experiment", "t", 0),
                 ("converge", "experiment", "L_values", [40.0, 3.0]),
                 ("ldf", "experiment", "lambda_values", []),
                 ("ldf", "io", "formats", 3),
@@ -890,6 +892,7 @@ class TestCli:
         ("moments", "experiment", "fd_step", 1e300, "NodeTooLarge"),
         ("moments", "profile", "v", 1e300, "OutOfRange"),
         ("moments", "profile", "v", 1e-300, "OutOfRange"),
+        ("moments", "profile", "v", 1e-150, "OutOfRange"),
         ("moments", "profile", "v", 1e20, "NodeTooLarge")])
     def test_extreme_values_exit_3_naming_the_error(
             self, tmp_path, capsys, command, block, key, value, error):
@@ -906,6 +909,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {error}: ")
         assert "Traceback" not in err
+        # a size past 2^64 is written as a power of two, not in full
+        assert not re.search(r"\d{20}", err)
 
     def test_write_json_bytes_are_pinned(self, tmp_path):
         # the one-call writer gives the bytes json.dump gave, piece by piece

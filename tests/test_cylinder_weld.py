@@ -290,6 +290,19 @@ class TestSolve:
         m = (grid.x > lo - 3) & (grid.x < hi + 3)
         assert np.max(np.abs(d_num[m] - d_ref[m])) < 2e-4
 
+    def test_reconstruction_matches_g_less_y1(self, kink):
+        # X^(k) = g^(k) - Y1^(k), with Y1'^ = -i p Z^ / (1 - e^{-gamma |p|})
+        # and g^(k) from the transform of g - id (its real part would drop
+        # a round-off that p^3 raises to 5e-11)
+        _, prob, sol = solve_kink(kink, 2.0, 0.25)
+        grid, p = prob.grid, prob.grid.p
+        ghat = grid.ft(prob.g.displacement())
+        y1p_hat = -1j * p / -np.expm1(-prob.gamma * np.abs(p)) * sol.zhat_ext
+        for k in (1, 2, 3):
+            ref = (k == 1) + grid.ift((-1j * p) ** k * ghat) \
+                - grid.ift((-1j * p) ** (k - 1) * y1p_hat)
+            assert np.max(np.abs(sol.xderiv(k) - ref)) < 1e-12
+
     def test_exponential_tail_and_nonvanishing(self, kink):
         _, _, sol = solve_kink(kink, 2.0, 0.25)
         d = sol.decay_diagnostics()

@@ -345,6 +345,19 @@ class TestSolve:
         assert d["schwarzian_abs"] < 1e-7
 
 
+    def test_reconstruction_matches_f_less_y1(self, kink):
+        # X^(k) = f^(k) - Y1^(k), the band series of Y1 summed on the grid
+        sol = solve_Y1(kink_problem(kink, 96, 2.0, 0.25, tail_tol=1e-3))
+        grid, f = sol.grid, sol.problem.f
+        pn = grid.dp * sol.modes
+        for k in (1, 2, 3):
+            full = np.zeros(grid.M, dtype=complex)
+            full[sol.modes % grid.M] = sol.y1_coeff * (-1j * pn) ** k \
+                * np.exp(-1j * pn * grid.x0)
+            ref = f.deriv_samples(k) - np.fft.fft(full)
+            assert np.max(np.abs(sol.xderiv(k) - ref)) < 1e-12
+
+
 class TestEffectiveTau:
     def test_zero_field_keeps_tau(self, kink, box):
         tau0 = 1j * box.gammaL / box.L
