@@ -36,8 +36,8 @@ print("\nkink flow:   tau_eff =", sol.tau_eff)
 print("Im tau_eff > 0:", sol.tau_eff.imag > 0)
 
 diag = residual_diagnostics(sol)
-for key in ("boundary_eq_1", "boundary_eq_2", "integrability",
-            "tau_two_route", "xprime_sq_rel", "schwarzian_abs"):
+for key in ("boundary_eq_1", "boundary_eq_2", "tau_two_route",
+            "xprime_sq_rel", "schwarzian_abs"):
     print(f"  {key:15s} = {diag[key]:.3e}")
 
 # the twist path: accumulate d tau / ds along re-solved weldings and

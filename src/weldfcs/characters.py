@@ -18,7 +18,7 @@ convergent again.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class Theory:
             raise ValueError("the free fermion has c = 1")
 
     def key(self) -> tuple:
-        return ("theory", self.model, self.c, self.radius)
+        return ("theory", *(getattr(self, f.name) for f in fields(self)))
 
 
 def _check_upper(tau: complex):

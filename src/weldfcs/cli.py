@@ -91,11 +91,11 @@ def cmd_weld_torus(cfg: RunConfig, args) -> int:
     _write_json(outdir / "weld_torus.json", payload)
     if "csv" in cfg.formats:
         header = ["t", "s", "re_tau_eff", "im_tau_eff", "boundary_eq_1",
-                  "boundary_eq_2", "integrability", "tau_two_route"]
+                  "boundary_eq_2", "tau_two_route"]
         table = [header] + [
             [r["t"], r["s"], r["tau_eff"]["re"], r["tau_eff"]["im"],
-             r["boundary_eq_1"], r["boundary_eq_2"], r["integrability"],
-             r["tau_two_route"]] for r in rows]
+             r["boundary_eq_1"], r["boundary_eq_2"], r["tau_two_route"]]
+            for r in rows]
         _write_csv(outdir / "weld_torus.csv", table)
     return EXIT_OK
 

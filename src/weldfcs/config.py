@@ -22,9 +22,8 @@ __all__ = ["RunConfig", "load_config", "config_from_dict", "read_number",
 
 SCHEMA_VERSION = "weldfcs-config-1"
 
-_PROFILE_KEYS = {"beta_left", "beta_right", "center", "half_width", "shape",
-                 "sharpness", "L", "v"}
-_THEORY_KEYS = {"model", "c", "radius"}
+_PROFILE_KEYS = {f.name for f in fields(TemperatureProfile)} | {"L", "v"}
+_THEORY_KEYS = {f.name for f in fields(Theory)}
 _IO_KEYS = {"output_dir", "cache_dir", "formats"}
 
 
@@ -99,24 +98,13 @@ class RunConfig:
             raise ConfigInvalid("profile.half_width", str(exc)) from exc
 
     def metadata(self) -> dict:
-        meta = {
+        return {
             "schema": SCHEMA_VERSION,
-            "profile": {
-                "beta_left": self.profile.beta_left,
-                "beta_right": self.profile.beta_right,
-                "center": self.profile.center,
-                "half_width": self.profile.half_width,
-                "shape": self.profile.shape,
-                "sharpness": self.profile.sharpness,
-                "L": self.L,
-                "v": self.v,
-            },
-            "theory": {"model": self.theory.model, "c": self.theory.c,
-                       "radius": self.theory.radius},
+            "profile": {**asdict(self.profile), "L": self.L, "v": self.v},
+            "theory": asdict(self.theory),
             "numerics": asdict(self.numerics),
             "experiment": self.experiment,
         }
-        return meta
 
 
 def config_from_dict(data: dict) -> RunConfig:

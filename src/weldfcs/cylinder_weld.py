@@ -83,6 +83,13 @@ class CylinderWeldProblem:
     def grid(self) -> LineGrid:
         return self.g.grid
 
+    @cached_property
+    def displacements(self) -> tuple[np.ndarray, np.ndarray]:
+        """g - id and g^{-1} - id on the grid, zero where the map moves no
+        point (``Diffeo.moved``), so the support factors skip those
+        points."""
+        return self.g.moved(), self.g_inverse.moved()
+
 
 class FactoredSigma:
     """The recast Nystrom operator Sigma (weights included), applied from the
@@ -171,23 +178,6 @@ class CylinderOperator:
         }
 
 
-def _inverse_displacement(problem: CylinderWeldProblem) -> np.ndarray:
-    """Displacement of g^{-1} on the lattice, exactly zero where it must be.
-
-    g maps the hull of the points it moves onto itself, so g^{-1} fixes every
-    lattice point outside that hull.  A computed inverse leaves round-off
-    there, which would put those points in B's support.  When g moves no
-    point, the inverse is not read.
-    """
-    x = problem.grid.x
-    moved = np.nonzero(problem.g.displacement())[0]
-    disp = np.zeros_like(x)
-    if len(moved):
-        hull = slice(moved[0], moved[-1] + 1)
-        disp[hull] = problem.g_inverse.samples[hull] - x[hull]
-    return disp
-
-
 def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     """Factor the recast Nystrom operator and assemble the closed-form source."""
     grid = problem.grid
@@ -199,12 +189,13 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     psol = pext[sel]
     W = grid.dp / (2.0 * np.pi)
 
-    gm = problem.g.displacement()
-    ghat_ext = grid.ft(gm)
+    # the source transforms the raw displacement: at small flow times the
+    # edge displacements are themselves of round-off size
+    ghat_ext = grid.ft(problem.g.displacement())
     # the quadrature weight W is folded into V; both factors share the
     # phase factor over the union of the two supports
-    (va, vb), union = _substitution_kernel(
-        grid, (gm, _inverse_displacement(problem)), psol, W)
+    (va, vb), union = _substitution_kernel(grid, problem.displacements,
+                                           psol, W)
 
     # sum_q W A(p, q) e^{-gamma q} ghat(q) over q > 0, for every lattice p:
     # the transform of a field that lives on the support of the displacement

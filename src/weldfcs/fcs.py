@@ -17,7 +17,7 @@ welding pipeline is validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -75,9 +75,7 @@ class Numerics:
     s_panels: int = 1
 
     def key(self) -> tuple:
-        return ("numerics", self.n_modes, self.tail_tol,
-                self.dx, self.window_pad_gamma, self.window_factor,
-                self.p_max_gamma, self.s_nodes, self.s_panels)
+        return ("numerics", *(getattr(self, f.name) for f in fields(self)))
 
 
 def cylinder_grid(xi_field: XiField, s_extent: float,
@@ -334,14 +332,16 @@ def _node_records(profile: TemperatureProfile, ctx, t: float, s_nodes,
     the set's largest |s| as well as the node's s.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
+    pkey, nkey = profile.key(), numerics.key()
     if isinstance(ctx, VolumeContext):
-        keys = [("torus_node", profile.key(), ctx.key(), t, float(s),
-                 numerics.key()) for s in s_nodes]
+        ckey = ctx.key()
+        keys = [("torus_node", pkey, ckey, t, float(s), nkey)
+                for s in s_nodes]
         nodes = lambda: torus_nodes(profile, ctx, t, s_nodes, numerics)
     else:
         extent = _s_extent(s_nodes)
-        keys = [("cyl_node", profile.key(), ctx.v, t, mover, float(s), extent,
-                 numerics.key()) for s in s_nodes]
+        keys = [("cyl_node", pkey, ctx.v, t, mover, float(s), extent, nkey)
+                for s in s_nodes]
         nodes = lambda: cylinder_nodes(profile, ctx.v, t, mover, s_nodes,
                                        numerics)
 

@@ -21,7 +21,7 @@ tables and nothing else.  Everything here is numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
 
@@ -116,7 +116,6 @@ class TemperatureProfile:
     half_width: float = 1.0
     shape: str = "bump"
     sharpness: float = 4.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta_left <= 0 or self.beta_right <= 0:
@@ -142,32 +141,30 @@ class TemperatureProfile:
         """The smoothstep table's knots u_k over [-1, 1], made on demand."""
         return np.linspace(-1.0, 1.0, _SMOOTHSTEP_POINTS + 1)
 
+    @cached_property
     def _step_table(self):
         """The smoothstep S_k = cum_k / norm on the uniform grid of
         ``_SMOOTHSTEP_POINTS + 1`` knots over [-1, 1], cum the cumulative
         Simpson integral of the bump, and norm."""
-        if "step_table" not in self._cache:
-            u = self._knots()
-            cum = _cumsimps(self._bump(u), u[1] - u[0])
-            self._cache["step_table"] = (cum / cum[-1], cum[-1])
-        return self._cache["step_table"]
+        u = self._knots()
+        cum = _cumsimps(self._bump(u), u[1] - u[0])
+        return cum / cum[-1], cum[-1]
 
+    @cached_property
     def _step(self):
         """The quintic Hermite interpolant of the smoothstep table, with
         S' = b / norm and S'' = b' / norm at the knots, built on first use,
         and the bump's norm."""
-        steps, norm = self._step_table()
-        if "step" not in self._cache:
-            u = self._knots()
-            self._cache["step"] = _QuinticHermite(
-                -1.0, 1.0, steps, self._bump(u) / norm, self._bump(u, 1) / norm)
-        return self._cache["step"], norm
+        steps, norm = self._step_table
+        u = self._knots()
+        return _QuinticHermite(-1.0, 1.0, steps, self._bump(u) / norm,
+                               self._bump(u, 1) / norm), norm
 
     # -- evaluation ------------------------------------------------------------
     def beta(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.half_width
-        step, _ = self._step()
+        step, _ = self._step
         # the interpolant only where it is needed: constant outside the kink
         s = np.where(u >= 1.0, 1.0, 0.0)
         m = np.abs(u) < 1.0
@@ -179,7 +176,7 @@ class TemperatureProfile:
         u = (x - self.center) / self.half_width
         if order not in (1, 2):
             raise ValueError("beta_deriv supports order 1 and 2")
-        norm = self._step_table()[1]
+        norm = self._step_table[1]
         db = self.beta_right - self.beta_left
         out = np.zeros_like(u)
         m = np.abs(u) < 1.0
@@ -200,37 +197,33 @@ class TemperatureProfile:
         """Harmonic-mean inverse temperature of the two asymptotes."""
         return 2.0 / (1.0 / self.beta_left + 1.0 / self.beta_right)
 
+    @cached_property
     def inv_beta_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Points x_k of the kink interval and int_{lo}^{x_k} 1/beta, by
         cumulative Simpson over beta_k = beta_left + delta_beta S_k, the
         smoothstep table on the same grid; no interpolant is built."""
-        if "invint_table" not in self._cache:
-            lo, hi = self.support
-            xk = np.linspace(lo, hi, _SMOOTHSTEP_POINTS + 1)
-            beta = self.beta_left + self.delta_beta * self._step_table()[0]
-            self._cache["invint_table"] = (xk, _cumsimps(1.0 / beta,
-                                                         xk[1] - xk[0]))
-        return self._cache["invint_table"]
+        lo, hi = self.support
+        xk = np.linspace(lo, hi, _SMOOTHSTEP_POINTS + 1)
+        beta = self.beta_left + self.delta_beta * self._step_table[0]
+        return xk, _cumsimps(1.0 / beta, xk[1] - xk[0])
 
+    @cached_property
     def inv_beta_integral(self):
         """The quintic Hermite interpolant of x -> int_{lo}^{x} 1/beta
         through ``inv_beta_table``, built on first use, and its total over
         the kink interval.  Its derivatives at the knots are 1/beta_k and
         -beta'_k / beta_k^2, with beta'_k = delta_beta S'_k / half_width."""
-        xk, cum = self.inv_beta_table()
-        if "invint" not in self._cache:
-            steps, norm = self._step_table()
-            beta = self.beta_left + self.delta_beta * steps
-            slope = self.delta_beta * (self._bump(self._knots()) / norm) \
-                / self.half_width
-            self._cache["invint"] = _QuinticHermite(
-                xk[0], xk[-1], cum, 1.0 / beta, -slope / beta ** 2)
-        return self._cache["invint"], float(cum[-1])
+        xk, cum = self.inv_beta_table
+        steps, norm = self._step_table
+        beta = self.beta_left + self.delta_beta * steps
+        slope = self.delta_beta * (self._bump(self._knots()) / norm) \
+            / self.half_width
+        return (_QuinticHermite(xk[0], xk[-1], cum, 1.0 / beta,
+                                -slope / beta ** 2), float(cum[-1]))
 
     def key(self) -> tuple:
         """Canonical tuple identifying this profile (cache keys)."""
-        return ("profile", self.beta_left, self.beta_right, self.center,
-                self.half_width, self.shape, self.sharpness)
+        return ("profile", *(getattr(self, f.name) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,6 @@ class VolumeContext:
     profile: TemperatureProfile
     L: float
     v: float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.profile.support
@@ -248,16 +240,14 @@ class VolumeContext:
             raise BoxTooSmall(
                 f"kink support [{lo}, {hi}] exceeds [-L/4, L/4] with L={self.L}")
 
-    @property
+    @cached_property
     def beta0L(self) -> float:
-        if "beta0L" not in self._cache:
-            p = self.profile
-            lo, hi = p.support
-            kink = float(p.inv_beta_table()[1][-1])
-            total = ((lo + self.L / 4.0) / p.beta_left + kink
-                     + (self.L / 4.0 - hi) / p.beta_right)
-            self._cache["beta0L"] = self.L / (2.0 * total)
-        return self._cache["beta0L"]
+        p = self.profile
+        lo, hi = p.support
+        kink = float(p.inv_beta_table[1][-1])
+        total = ((lo + self.L / 4.0) / p.beta_left + kink
+                 + (self.L / 4.0 - hi) / p.beta_right)
+        return self.L / (2.0 * total)
 
     @property
     def gammaL(self) -> float:
@@ -321,7 +311,7 @@ class ReparamMap:
         at or below the kink: its low edge in infinite volume, -L/4 in
         finite volume."""
         p = self.profile
-        (lo, hi), kink_total = p.support, float(p.inv_beta_table()[1][-1])
+        (lo, hi), kink_total = p.support, float(p.inv_beta_table[1][-1])
         x = np.asarray(x, dtype=float)
         below = (lo - left) / p.beta_left
         out = np.where(x <= lo, (x - left) / p.beta_left,
@@ -330,7 +320,7 @@ class ReparamMap:
         # and built only when a point lies there
         m = (x > lo) & (x < hi)
         if np.any(m):
-            out[m] = below + p.inv_beta_integral()[0](x[m])
+            out[m] = below + p.inv_beta_integral[0](x[m])
         return out
 
     @cached_property
@@ -413,7 +403,7 @@ class ReparamMap:
         if np.any(inside):
             # h(x) - h(lo) = b0 int_lo^x 1/beta: the tabulated integral,
             # interpolated linearly, starts Newton about 1e-9 off the root
-            xk, cum = p.inv_beta_table()
+            xk, cum = p.inv_beta_table
             x[inside] = self._newton(np.interp((y[inside] - A) / b0, cum, xk),
                                      y[inside])
         return x
@@ -525,10 +515,18 @@ class Diffeo:
     def displacement(self) -> np.ndarray:
         return self.samples - self.grid.x
 
+    def moved(self, c: float = 0.0) -> np.ndarray:
+        """The displacement less ``c``, exactly zero wherever its magnitude
+        is at most 1e-13: the points a map moves by more than round-off,
+        which are the only ones its substitution kernel sums over."""
+        d = self.displacement() - c
+        d[np.abs(d) <= 1e-13] = 0.0
+        return d
+
     @cached_property
     def support(self) -> tuple[float, float]:
-        """Outermost grid points moved by more than 1e-13; (0, 0) if none."""
-        moved = np.nonzero(np.abs(self.displacement()) > 1e-13)[0]
+        """Outermost grid points ``moved`` leaves nonzero; (0, 0) if none."""
+        moved = np.nonzero(self.moved())[0]
         if not len(moved):
             return (0.0, 0.0)
         return (float(self.grid.x[moved[0]]), float(self.grid.x[moved[-1]]))

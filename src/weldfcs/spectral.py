@@ -13,8 +13,8 @@ Fourier-transform convention on the line: ``uhat(p) = int exp(+i p x) u(x) dx``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class LineGrid:
     x0: float
     span: float
     M: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M % 2:
@@ -137,22 +136,21 @@ class LineGrid:
         """Half-offset momentum lattice, ascending; excludes p = 0."""
         return (np.arange(self.M) - self.M / 2 + 0.5) * self.dp
 
+    @cached_property
     def _phases(self):
-        if "hs" not in self._cache:
-            self._cache["hs"] = np.exp(1j * np.pi * np.arange(self.M) / self.M)
-            self._cache["idx"] = (np.arange(self.M) - self.M // 2) % self.M
-            self._cache["px0"] = np.exp(1j * self.p * self.x0)
-        return self._cache["hs"], self._cache["idx"], self._cache["px0"]
+        return (np.exp(1j * np.pi * np.arange(self.M) / self.M),
+                (np.arange(self.M) - self.M // 2) % self.M,
+                np.exp(1j * self.p * self.x0))
 
     def ft(self, values: np.ndarray) -> np.ndarray:
         """uhat(p_m) = int exp(+i p_m x) u(x) dx, sampled on the lattice."""
-        hs, idx, px0 = self._phases()
+        hs, idx, px0 = self._phases
         c = self.M * np.fft.ifft(values * hs) * self.dx
         return c[idx] * px0
 
     def ift(self, uhat: np.ndarray) -> np.ndarray:
         """u(x_j) = (dp / 2 pi) * sum_m exp(-i p_m x_j) uhat_m."""
-        hs, idx, px0 = self._phases()
+        hs, idx, px0 = self._phases
         a = np.zeros(self.M, dtype=complex)
         a[idx] = uhat / px0
         return np.fft.fft(a) * np.conj(hs) * self.dp / (2.0 * np.pi)

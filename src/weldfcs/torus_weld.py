@@ -86,13 +86,10 @@ class TorusWeldProblem:
 
     @cached_property
     def displacements(self) -> tuple[np.ndarray, np.ndarray]:
-        """d and d~ on the grid; entries of round-off size (1e-13) are zero,
-        so the support factors skip them."""
+        """d and d~ on the grid, zero where the map moves no point
+        (``Diffeo.moved``), so the support factors skip those points."""
         c = self.L * self.tau.real
-        out = (self.f.displacement() - c, self.f_inverse.displacement() + c)
-        for d in out:
-            d[np.abs(d) <= 1e-13] = 0.0
-        return out
+        return self.f.moved(c), self.f_inverse.moved(-c)
 
 
 class TorusOperator:
@@ -313,7 +310,7 @@ def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:
 
 
 def residual_diagnostics(sol: TorusWeldSolution) -> dict:
-    """Unprojected boundary-relation residuals plus integrability defects."""
+    """Unprojected boundary-relation residuals plus the solve's diagnostics."""
     problem, grid = sol.problem, sol.grid
     N, L = problem.n_modes, problem.L
 
@@ -322,14 +319,9 @@ def residual_diagnostics(sol: TorusWeldSolution) -> dict:
     jump[N] += L * (sol.tau_eff - problem.tau)
     r1, r2 = sol.operator.residuals(sol.y1_coeff, sol.y1_coeff - jump)
 
-    # real-space integrability defect (1/L) int Y12(x) X'(x) dx
-    jump_vals = (problem.f.samples - grid.x) + L * (sol.tau_eff - problem.tau)
-    integr = grid.integral(jump_vals * sol.xprime) / L
-
     out = {
         "boundary_eq_1": float(np.max(np.abs(r1))),
         "boundary_eq_2": float(np.max(np.abs(r2))),
-        "integrability": abs(integr),
         "tau_two_route": abs(sol.tau_eff - sol.tau_eff_boundary),
         "solve_residual": sol.solve_residual,
         "cond_estimate": sol.cond_estimate,

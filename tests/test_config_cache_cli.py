@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -5,11 +6,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weldfcs import Numerics, TemperatureProfile, Theory
 from weldfcs.cache import SolveCache, _canonical, resolve_cache_dir
 from weldfcs.cli import main
 from weldfcs.config import config_from_dict
@@ -30,6 +33,17 @@ def base_config(**overrides):
     for key, val in overrides.items():
         cfg[key] = val
     return cfg
+
+
+def child_env() -> dict:
+    """This environment with the imported weldfcs's source root first on
+    PYTHONPATH, so a child process imports the same package."""
+    import weldfcs
+    src = str(Path(weldfcs.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def config_blocks():
@@ -199,8 +213,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-13"
-        record["version"] = "weldfcs-cache-12"
+        assert record["version"] == "weldfcs-cache-14"
+        record["version"] = "weldfcs-cache-13"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -209,7 +223,7 @@ class TestCache:
         # the strings that name every record: a change to any of them
         # orphans existing caches, so they are pinned as the canonical form
         # wrote them before its exact-type fast paths
-        from weldfcs import Numerics, TemperatureProfile, VolumeContext
+        from weldfcs import VolumeContext
         p = TemperatureProfile(2.0, 1.0, 0.25, 1.5, sharpness=5.0)
         num = Numerics(n_modes=128, tail_tol=2e-3, s_nodes=4, dx=0.08)
         torus = ("torus_node", p.key(), VolumeContext(p, 40.0).key(), 1.0,
@@ -230,6 +244,21 @@ class TestCache:
         assert _canonical(mixed) == (
             "('mixed',-7,True,(1.5+-0.25j),True,False,None,-0.0,inf,"
             "(1,(2.5,'x'),()),(-0.0+1e-300j))")
+
+    @pytest.mark.parametrize("obj", [
+        TemperatureProfile(2.0, 1.0), Numerics(),
+        Theory("free_boson_radius", 1.0, 1.0)],
+        ids=lambda obj: type(obj).__name__)
+    def test_every_field_enters_the_key(self, obj):
+        # a field the key left out would let two runs that differ in it
+        # share cache records; validation is bypassed, so each field takes
+        # a new value of its own type
+        for f in fields(obj):
+            other = copy.copy(obj)
+            old = getattr(obj, f.name)
+            object.__setattr__(other, f.name,
+                               old + ("x" if isinstance(old, str) else 1))
+            assert other.key() != obj.key(), f.name
 
     def test_counterterms_computed_once_per_time(self, tmp_path, monkeypatch,
                                                  kink, box):
@@ -936,7 +965,6 @@ class TestCli:
     def test_welding_commands_import_no_scipy(self, tmp_path):
         # a fresh process runs a cold and a warm fcs in both volumes, then
         # converge, weld-torus and weld-cylinder: none of them loads scipy
-        import weldfcs
         light = {"n_modes": 64, "tail_tol": 5e-3, "s_nodes": 3, "dx": 0.08,
                  "window_pad_gamma": 5.0, "window_factor": 3.5,
                  "p_max_gamma": 14.0}
@@ -965,12 +993,8 @@ class TestCli:
             "    loaded.append(sorted(m for m in sys.modules\n"
             "                         if m.split('.')[0] == 'scipy'))\n"
             "print(json.dumps(loaded))\n")
-        src = str(Path(weldfcs.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                             capture_output=True, text=True, env=env)
+                             capture_output=True, text=True, env=child_env())
         assert out.returncode == 0, out.stderr
         loaded = json.loads(out.stdout.splitlines()[-1])
         assert dict(zip(["fcs cold", "fcs warm", "converge", "weld-torus",
@@ -980,6 +1004,6 @@ class TestCli:
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "weldfcs.cli", "--help"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=child_env())
         assert out.returncode == 0
         assert "weldfcs" in out.stdout

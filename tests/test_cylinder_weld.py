@@ -6,15 +6,14 @@ import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator
 
 from weldfcs import (CylinderWeldProblem, Diffeo, InfiniteVolume,
-                     Numerics, assemble_sigma, build_xi, cylinder_nodes,
-                     cylinder_weld, flow_family, realspace_crosscheck,
-                     solve_cylinder)
-from weldfcs.cylinder_weld import _inverse_displacement
+                     Numerics, TorusWeldProblem, assemble_sigma, build_xi,
+                     cylinder_nodes, cylinder_weld, flow_family,
+                     realspace_crosscheck, solve_cylinder)
 from weldfcs.fredholm import _substitution_kernel
 from weldfcs.errors import NearSingular, WindowTooSmall
 from weldfcs.fcs import (_NODE_BYTES_MAX, _cylinder_size, _gl_nodes,
                          cylinder_grid)
-from weldfcs.spectral import LineGrid
+from weldfcs.spectral import LineGrid, PeriodicGrid
 
 # the benchmark's cylinder numerics (perfbench infinite-moments)
 BENCH = Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
@@ -40,8 +39,8 @@ def dense_sigma(op, lattice_phase):
     prob, psol = op.problem, op.psol
     grid, gamma = prob.grid, prob.gamma
     W = grid.dp / (2.0 * np.pi)
-    (va, vb), union = _substitution_kernel(
-        grid, (prob.g.displacement(), _inverse_displacement(prob)), psol, W)
+    (va, vb), union = _substitution_kernel(grid, prob.displacements,
+                                           psol, W)
     phase = lattice_phase(grid, union, psol[0] / grid.dp, len(psol))
     DA, DB = phase @ va, phase @ vb
     n2 = len(psol)
@@ -137,7 +136,7 @@ class TestAssembly:
         rng = np.random.default_rng(7)
         rows = rng.choice(len(psol), 12, replace=False)
         cols = rng.choice(len(psol), 12, replace=False)
-        for disp in (prob.g.displacement(), _inverse_displacement(prob)):
+        for disp in prob.displacements:
             (v,), union = _substitution_kernel(grid, (disp,), psol, 1.0)
             block = lattice_phase(grid, union, psol[0] / grid.dp,
                                   len(psol)) @ v
@@ -156,19 +155,32 @@ class TestAssembly:
                     worst = max(worst, abs(block[r, j] - ref))
             assert worst < 1e-13 * np.max(np.abs(block))
 
-    def test_inverse_displacement_vanishes_off_the_hull(self, kink):
-        # g^{-1} fixes every lattice point outside the hull of the points g
-        # moves; the flowed inverse leaves only round-off there
-        _, prob, _ = solve_kink(kink, 4.0, 0.3)
-        x = prob.grid.x
-        moved = np.nonzero(prob.g.displacement())[0]
-        hull = np.zeros(len(x), dtype=bool)
-        hull[moved[0]:moved[-1] + 1] = True
-        disp = _inverse_displacement(prob)
-        flowed = prob.g_inverse.samples - x
-        assert np.all(disp[~hull] == 0.0)
-        assert np.array_equal(disp[hull], flowed[hull])
-        assert np.max(np.abs(flowed[~hull])) < 1e-13
+    def test_displacements_drop_only_round_off(self, kink, box):
+        # both solvers read one rule (Diffeo.moved): each displacement is
+        # the raw one, less the twist c on the torus, where that exceeds
+        # 1e-13 and exactly 0 elsewhere; on the line, g^{-1} fixes every
+        # point outside the hull of the points g moves, so the union of the
+        # two supports lies in that hull
+        s = 0.25
+        grid = PeriodicGrid(box.L, 384, x0=-0.75 * box.L)
+        f, finv = flow_family(build_xi(kink, box, 2.0), [s, -s], grid)
+        tau = 1j * box.gammaL / box.L - box.gammaL * s / box.L
+        torus = TorusWeldProblem(f, tau, 96, finv)
+        c = box.L * tau.real
+        _, cyl, _ = solve_kink(kink, 4.0, 0.3)
+        dropped = 0
+        for prob, raws in (
+                (torus, (f.displacement() - c, finv.displacement() + c)),
+                (cyl, (cyl.g.displacement(), cyl.g_inverse.displacement()))):
+            for disp, raw in zip(prob.displacements, raws):
+                big = np.abs(raw) > 1e-13
+                assert np.array_equal(disp[big], raw[big])
+                assert np.all(disp[~big] == 0.0)
+                dropped += np.count_nonzero(raw[~big])
+        assert dropped > 0
+        moved = np.nonzero(cyl.g.moved())[0]
+        union = np.nonzero(np.logical_or(*cyl.displacements))[0]
+        assert moved[0] <= union[0] and union[-1] <= moved[-1]
 
     def test_source_matches_per_column_definition(self, kink):
         # z12 = -sum_{q>0} W A(p, q) e^{-gamma q} ghat(q) - e^{-gamma p} ghat

@@ -41,7 +41,7 @@ class TestTemperatureProfile:
         assert np.array_equal([kink.beta(float(v)) for v in x], arr)
         assert arr[0] == arr[1] == kink.beta_left
         assert arr[-1] == arr[-2] == kink.beta_right
-        step, _ = kink._step()
+        step, _ = kink._step
         assert np.array_equal(arr[2:5], kink.beta_left
                               + kink.delta_beta * step(x[2:5]))
 
@@ -51,7 +51,7 @@ class TestTemperatureProfile:
         # h evaluates the kink spline only at lo < x < hi; the values are
         # bit for bit those of evaluating it everywhere and keeping the
         # branch, on the plateaus, at the edges and inside
-        spl, total = kink.inv_beta_integral()
+        spl, total = kink.inv_beta_integral
         lo, hi = kink.support
         seen = []
 
@@ -59,7 +59,7 @@ class TestTemperatureProfile:
             seen.append(np.asarray(xx).copy())
             return spl(xx)
 
-        monkeypatch.setitem(kink._cache, "invint", spy)
+        monkeypatch.setitem(kink.__dict__, "inv_beta_integral", (spy, total))
         bl, br = kink.beta_left, kink.beta_right
         x = np.array([-7.5, -1.0 - 1e-12, -1.0, -0.999, -0.3, 0.0, 0.6,
                       0.999, 1.0, 1.0 + 1e-12, 7.5])
@@ -116,10 +116,10 @@ class TestTemperatureProfile:
                                    sharpness=sharpness)
             rng = np.random.default_rng(7)
             u = np.linspace(-1.0, 1.0, _SMOOTHSTEP_POINTS + 1)
-            steps, norm = p._step_table()
-            xk, cum = p.inv_beta_table()
-            step, _ = p._step()
-            spl, total = p.inv_beta_integral()
+            steps, norm = p._step_table
+            xk, cum = p.inv_beta_table
+            step, _ = p._step
+            spl, total = p.inv_beta_integral
             slope = np.exp(-sharpness) / norm      # max S'
             for f, knots, table, fmax in (
                     (step, u, steps, slope),
@@ -141,7 +141,7 @@ class TestTemperatureProfile:
 
         prop()
         off_center = TemperatureProfile(3.0, 0.7, 1.0, 2.5, sharpness=5.0)
-        assert off_center.inv_beta_integral()[1] == 3.8392352792653806
+        assert off_center.inv_beta_integral[1] == 3.8392352792653806
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 101, 1024, 16385])
     def test_cumsimps_is_scipys_cumulative_simpson(self, n, rng):

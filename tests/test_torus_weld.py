@@ -339,7 +339,6 @@ class TestSolve:
         d = residual_diagnostics(sol)
         assert d["boundary_eq_1"] < 1e-10
         assert d["boundary_eq_2"] < 1e-10
-        assert d["integrability"] < 1e-10
         assert d["tau_two_route"] < 1e-10
         assert d["xprime_sq_rel"] < 1e-8
         assert d["schwarzian_abs"] < 1e-7
