@@ -1,4 +1,4 @@
-"""Disk cache for welding-node results.
+"""Disk cache for flow-time integrals and the other records of ln Psi.
 
 Keys are canonical reprs of parameter tuples hashed with sha256; values are
 small JSON records (complex scalars split into re/im).  Identical keys from
@@ -19,7 +19,7 @@ __all__ = ["SolveCache", "resolve_cache_dir"]
 
 # Bump whenever an algorithm change moves the bits of a cached value, so
 # records computed before the change are misses rather than served.
-_VERSION = "weldfcs-cache-14"
+_VERSION = "weldfcs-cache-15"
 
 
 def resolve_cache_dir(explicit: str | None = None) -> str | None:

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import selftest as selftest_mod
 from .cache import SolveCache, resolve_cache_dir
 from .characters import Theory
 from .config import (RunConfig, load_config, read_number, read_numbers,
@@ -311,7 +310,8 @@ def cmd_converge(cfg: RunConfig, args) -> int:
 
 
 def cmd_selftest(cfg, args) -> int:
-    results = selftest_mod.run()
+    from . import selftest      # the battery loads only for this command
+    results = selftest.run()
     n_pass = sum(1 for r in results if r["status"] == "pass")
     if args.json:
         print(json.dumps({"checks": results,

@@ -217,9 +217,19 @@ class CylinderWeldSolution(WeldSolution):
     """X = g - Y1 on the window grid."""
 
     zhat_ext: np.ndarray          # Z on the full lattice (source + correction)
+    dz: np.ndarray                # the solved correction on the solve lattice
+    rhs: np.ndarray               # -Sigma Z12, the system's right-hand side
 
     # own names for the shared reconstruction, which a tracer wraps per class
     xprime, schwarzian = WeldSolution.xprime, WeldSolution.schwarzian
+
+    @cached_property
+    def solve_residual(self) -> float:
+        """The solve's true relative residual, one more product of Sigma,
+        taken on first read."""
+        dz, rhs = self.dz, self.rhs
+        return float(np.linalg.norm(dz + self.operator.sigma.matvec(dz) - rhs)
+                     / max(np.linalg.norm(rhs), 1e-300))
 
     def xprime_at(self, points) -> np.ndarray:
         return 1.0 + self.grid.eval_ft(-1j * self.grid.p * self.xm_coeff,
@@ -250,15 +260,12 @@ def solve_cylinder(problem: CylinderWeldProblem) -> CylinderWeldSolution:
     sigma = operator.sigma
     rhs = -sigma.matvec(operator.z12_ext[operator.sel])
     dz, cond = _gmres(sigma.matvec, rhs, _COND_LIMIT, NearSingular)
-    # the true relative residual, one more product
-    res = (np.linalg.norm(dz + sigma.matvec(dz) - rhs)
-           / max(np.linalg.norm(rhs), 1e-300))
     zhat_ext = operator.z12_ext.copy()
     zhat_ext[operator.sel] += dz
     # X - id = (g - id) - Y1, with Y1^ = Z^ / (1 - e^{-gamma |p|})
     y1_hat = zhat_ext / -np.expm1(-problem.gamma * np.abs(problem.grid.p))
     return CylinderWeldSolution(problem, operator, operator.ghat_ext - y1_hat,
-                                cond, float(res), zhat_ext)
+                                cond, zhat_ext, dz, rhs)
 
 
 def realspace_crosscheck(problem: CylinderWeldProblem,

@@ -169,11 +169,6 @@ def _refuse_torus(n: int, support: int):
         "lower numerics.n_modes")
 
 
-def _s_extent(s_values) -> float:
-    """Largest |s| of a node set; it sizes the set's cylinder window."""
-    return float(np.max(np.abs(s_values), initial=0.0))
-
-
 def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
     """Gauss-Legendre nodes/weights for int_0^{s_end} ds, panelized."""
     gl_x, gl_w = gauss_legendre(n_nodes)
@@ -209,8 +204,7 @@ class WeldNodes:
     """Welding nodes of one transport field at the flow times ``s_values``.
 
     One grid serves the whole set and the flows are taken over the whole
-    set, so a node's solution does not depend on which other nodes are
-    solved with it (a partly warm cache gives the cold bits).
+    set.
     """
 
     xi: XiField
@@ -231,11 +225,11 @@ class WeldNodes:
             f"{volume} {what} on a {self.grid.M}-point grid ran out of memory "
             f"below the {_NODE_BYTES_MAX / 2 ** 30:.3g} GiB budget")
 
-    def solutions(self, which=None):
-        """Welding solutions at ``s_values[which]`` (all by default), in
-        order, solved one at a time as they are asked for.  A torus set is
-        refused when its largest node's factors, sized by the supports of
-        the flows, would be over the budget."""
+    def solutions(self):
+        """Welding solutions at ``s_values``, in order, solved one at a time
+        as they are asked for.  A torus set is refused when its largest
+        node's factors, sized by the supports of the flows, would be over
+        the budget."""
         s_values, num, xi = self.s_values, self.numerics, self.xi
         try:
             pairs = _line_flow_family(xi, s_values, self.grid)
@@ -254,12 +248,12 @@ class WeldNodes:
         except MemoryError as exc:
             raise self._out_of_memory(f"flows at t = {xi.t:.6g}") from exc
         solve = solve_Y1 if xi.finite else solve_cylinder
-        for i in range(len(s_values)) if which is None else which:
+        for problem, s in zip(problems, s_values):
             try:
-                sol = solve(problems[i])
+                sol = solve(problem)
             except MemoryError as exc:
                 raise self._out_of_memory(f"node at t = {xi.t:.6g}, "
-                                          f"s = {s_values[i]:.6g}") from exc
+                                          f"s = {s:.6g}") from exc
             yield sol
 
 
@@ -281,7 +275,8 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
     the largest |s| of the whole set."""
     xi_field = build_xi(profile, InfiniteVolume(v), t, mover)
     s_values = np.asarray(s_values, dtype=float)
-    grid = cylinder_grid(xi_field, _s_extent(s_values), numerics)
+    grid = cylinder_grid(xi_field, float(np.max(np.abs(s_values),
+                                                initial=0.0)), numerics)
     p_max = numerics.p_max_gamma / xi_field.gamma
     if p_max > np.pi / grid.dx:
         raise ConfigInvalid("numerics.p_max_gamma", f"cutoff {p_max:.6g} is "
@@ -299,70 +294,57 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
     return WeldNodes(xi_field, grid, s_values, numerics)
 
 
-def _cached_many(cache, keys: list, compute_missing) -> list:
-    """Values of ``keys``, served from ``cache`` when there is one.
-
-    The misses are computed in one batch, ``compute_missing(indices)``
-    yielding their values in order, and each is stored as it comes.
-    """
-    values = [None if cache is None else cache.get_scalar(k) for k in keys]
-    missing = [i for i, value in enumerate(values) if value is None]
-    if missing:
-        for i, value in zip(missing, compute_missing(missing)):
-            values[i] = value
-            if cache is not None:
-                cache.put_scalar(keys[i], value)
-    return values
-
-
 def _cached(cache, key: tuple, compute):
     """``compute()``, stored in and served from ``cache`` when there is one."""
-    return _cached_many(cache, [key], lambda _: [compute()])[0]
+    value = None if cache is None else cache.get_scalar(key)
+    if value is None:
+        value = compute()
+        if cache is not None:
+            cache.put_scalar(key, value)
+    return value
 
 
 def _node_records(profile: TemperatureProfile, ctx, t: float, s_nodes,
-                  numerics: Numerics, cache=None, mover: str = "+"
-                  ) -> np.ndarray:
+                  numerics: Numerics, mover: str = "+") -> np.ndarray:
     """Welding record ``(int xi SX dx, int xi X'^2 dx)`` at each flow-time
     node (c-independent), one row per node, in either volume: ``ctx`` is a
     ``VolumeContext`` (torus, both movers) or an ``InfiniteVolume``
-    (cylinder, one mover).
-
-    A cylinder node's value depends on its set's window, so its key holds
-    the set's largest |s| as well as the node's s.
-    """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    pkey, nkey = profile.key(), numerics.key()
+    (cylinder, one mover)."""
     if isinstance(ctx, VolumeContext):
-        ckey = ctx.key()
-        keys = [("torus_node", pkey, ckey, t, float(s), nkey)
-                for s in s_nodes]
-        nodes = lambda: torus_nodes(profile, ctx, t, s_nodes, numerics)
+        welds = torus_nodes(profile, ctx, t, s_nodes, numerics)
     else:
-        extent = _s_extent(s_nodes)
-        keys = [("cyl_node", pkey, ctx.v, t, mover, float(s), extent, nkey)
-                for s in s_nodes]
-        nodes = lambda: cylinder_nodes(profile, ctx.v, t, mover, s_nodes,
-                                       numerics)
-
-    def solve(which):
-        welds = nodes()
-        xiv, grid = welds.xi_values, welds.grid
-        for sol in welds.solutions(which):
-            yield (complex(grid.integral(xiv * sol.schwarzian)),
-                   complex(grid.integral(xiv * sol.xprime ** 2)))
-
-    return np.array(_cached_many(cache, keys, solve), dtype=complex)
+        welds = cylinder_nodes(profile, ctx.v, t, mover, s_nodes, numerics)
+    xiv, grid = welds.xi_values, welds.grid
+    return np.array([(complex(grid.integral(xiv * sol.schwarzian)),
+                      complex(grid.integral(xiv * sol.xprime ** 2)))
+                     for sol in welds.solutions()], dtype=complex)
 
 
 def _flow_integrals(profile: TemperatureProfile, ctx, t: float, s_end: float,
-                    numerics: Numerics, cache=None, mover: str = "+"):
+                    numerics: Numerics, cache=None, mover: str = "+",
+                    keys=None):
     """``int_0^s_end ds`` of each entry of the node record, on the
-    Gauss-Legendre panels of ``numerics``: ``(a_SX, a_X'^2)``."""
-    nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
-    a_sx, a_xp2 = np.dot(weights, _node_records(profile, ctx, t, nodes,
-                                                numerics, cache, mover))
-    return complex(a_sx), complex(a_xp2)
+    Gauss-Legendre panels of ``numerics``: ``(a_SX, a_X'^2)``, cached as one
+    record keyed by ``s_end``, which fixes the nodes and the cylinder
+    window.  ``keys`` are the volume's (box or profile) and the numerics',
+    built here unless the caller has them."""
+    box = isinstance(ctx, VolumeContext)
+    vkey, nkey = keys or (ctx.key() if box else profile.key(), numerics.key())
+    key = (("torus_flow", vkey, t, s_end, nkey) if box
+           else ("cyl_flow", vkey, ctx.v, t, mover, s_end, nkey))
+
+    def integrate():
+        nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
+        a_sx, a_xp2 = np.dot(weights, _node_records(profile, ctx, t, nodes,
+                                                    numerics, mover))
+        return complex(a_sx), complex(a_xp2)
+
+    return _cached(cache, key, integrate)
+
+
+def _box_tau0(ctx: VolumeContext, cache, ckey: tuple) -> complex:
+    """tau_0 = i gamma_L / L, cached: its beta_{0,L} takes both kink tables."""
+    return _cached(cache, ("tau0", ckey), lambda: 1j * ctx.gammaL / ctx.L)
 
 
 def _fixed_rule(integrand, edges) -> float:
@@ -454,13 +436,14 @@ def psi_infinite(profile: TemperatureProfile, c: float, t: float,
 
     ctx = InfiniteVolume(v)
     gamma = v * profile.beta0
+    keys = profile.key(), numerics.key()
     parts = {}
     for mover in ("+", "-"):
         a_sx, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache,
-                                      mover)
+                                      mover, keys)
         action = a_sx - (2.0 * np.pi ** 2 / gamma ** 2) * a_xp2
         # includes v/(24 pi); depends on t but not on lam
-        ct = _cached(cache, ("ct_mover", profile.key(), t, v, 1.0, mover),
+        ct = _cached(cache, ("ct_mover", keys[0], t, v, 1.0, mover),
                      lambda: counterterm_mover(profile, t, v, 1.0, mover))
         parts[mover] = -1j * c / (24.0 * np.pi) * action \
             - 1j * c * s_end * ct
@@ -478,7 +461,7 @@ def effective_tau(profile: TemperatureProfile, ctx: VolumeContext, t: float,
     Returns ``(action, tau_hat)``.
     """
     a_sx, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache)
-    return a_sx, 1j * ctx.gammaL / ctx.L + a_xp2 / ctx.L ** 2
+    return a_sx, _box_tau0(ctx, cache, ctx.key()) + a_xp2 / ctx.L ** 2
 
 
 def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
@@ -492,14 +475,18 @@ def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
     numerics = numerics or Numerics()
     s_end = _flow_time(profile, lam, by_s)
     c = theory.c
-    tau0 = 1j * ctx.gammaL / ctx.L
     if s_end == 0.0:
         return PsiValue(lam, 0.0, 0.0 + 0.0j)
 
-    action, tau_hat = effective_tau(profile, ctx, t, s_end, numerics, cache)
+    # effective_tau, with the keys and tau_0 read once for the whole row
+    keys = ctx.key(), numerics.key()
+    tau0 = _box_tau0(ctx, cache, keys[0])
+    action, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache,
+                                    keys=keys)
+    tau_hat = tau0 + a_xp2 / ctx.L ** 2
     log_ratio = log_character(theory, tau_hat) - log_character(theory, tau0)
     # the counterterms at t and at 0 do not depend on lam
-    ct_t, ct_0 = [_cached(cache, ("ct_finite", ctx.key(), tt, c),
+    ct_t, ct_0 = [_cached(cache, ("ct_finite", keys[0], tt, c),
                           lambda tt=tt: counterterm_finite(profile, ctx, tt, c))
                   for tt in (t, 0.0)]
     ln_psi = (-1j * c / (24.0 * np.pi) * action + log_ratio

@@ -9,7 +9,6 @@ reconstruct, X = f - Y1 on the circle or g - Y1 on the line."""
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,6 +64,7 @@ class PhaseFactor:
     """
 
     def __init__(self, grid, union: np.ndarray, p: np.ndarray):
+        from fractions import Fraction  # not loaded by a warm fcs rerun
         M, n = grid.M, len(p)
         self.dp, self.x = grid.dp, grid.x[union]
         self.j0 = round(2.0 * p[0] / grid.dp) / 2
@@ -175,7 +175,6 @@ class WeldSolution:
     operator: object
     xm_coeff: np.ndarray          # X - id in the grid's spectrum
     cond_estimate: float
-    solve_residual: float
     _derivs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property

@@ -242,6 +242,7 @@ class TorusWeldSolution(WeldSolution):
     """X = f - Y1 on the assembly grid, with Y1's band coefficients on
     ``modes`` and the effective modular parameter by its two routes."""
 
+    solve_residual: float
     modes: np.ndarray
     y1_coeff: np.ndarray          # band coefficients, mean fixed to zero
     tau_eff_boundary: complex     # zero mode of the boundary equation

@@ -213,8 +213,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-14"
-        record["version"] = "weldfcs-cache-13"
+        assert record["version"] == "weldfcs-cache-15"
+        record["version"] = "weldfcs-cache-14"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -222,25 +222,41 @@ class TestCache:
     def test_key_strings_are_pinned(self):
         # the strings that name every record: a change to any of them
         # orphans existing caches, so they are pinned as the canonical form
-        # wrote them before its exact-type fast paths
-        from weldfcs import VolumeContext
+        # wrote them before its exact-type fast paths.  A stub cache serves
+        # every read, so the keys are the ones ln Psi asks for, and nothing
+        # is welded
+        from weldfcs import VolumeContext, fcs
         p = TemperatureProfile(2.0, 1.0, 0.25, 1.5, sharpness=5.0)
         num = Numerics(n_modes=128, tail_tol=2e-3, s_nodes=4, dx=0.08)
-        torus = ("torus_node", p.key(), VolumeContext(p, 40.0).key(), 1.0,
-                 0.0123456789, num.key())
-        cyl = ("cyl_node", p.key(), 1.0, np.float64(2.0), "-",
-               np.float64(-0.1) / 3, np.float64(0.7), num.key())
+        theory = Theory("free_boson_radius", 1.0, radius=1.0)
+        keys = []
+
+        class Served:
+            def get_scalar(self, key):
+                keys.append(_canonical(key))
+                return {"tau0": 0.1j, "ct_mover": 0.0,
+                        "ct_finite": 0.0}.get(key[0], (0j, 0j))
+
+        cache = Served()
+        fcs.psi_infinite(p, 1.0, np.float64(2.0), numerics=num, cache=cache,
+                         by_s=np.float64(-0.1) / 3)
+        fcs.psi_finite(p, theory, VolumeContext(p, 40.0), 1.0, numerics=num,
+                       cache=cache, by_s=0.0123456789)
         mixed = ("mixed", np.int64(-7), np.bool_(True),
                  np.complex128(1.5 - 0.25j), True, False, None, -0.0,
                  float("inf"), [1, [2.5, "x"], ()], complex(-0.0, 1e-300))
         prof = "('profile',2.0,1.0,0.25,1.5,'bump',5.0"
+        box = f"{prof},'L',40.0,'v',1.0)"
         nums = "('numerics',128,0.002,0.08,12.0,8.0,40.0,4,1)"
-        assert _canonical(torus) == (
-            f"('torus_node',{prof}),{prof},'L',40.0,'v',1.0),1.0,"
-            f"0.0123456789,{nums})")
-        assert _canonical(cyl) == (
-            f"('cyl_node',{prof}),1.0,2.0,'-',-0.03333333333333333,0.7,"
-            f"{nums})")
+        assert keys == [
+            f"('cyl_flow',{prof}),1.0,2.0,'+',-0.03333333333333333,{nums})",
+            f"('ct_mover',{prof}),2.0,1.0,1.0,'+')",
+            f"('cyl_flow',{prof}),1.0,2.0,'-',-0.03333333333333333,{nums})",
+            f"('ct_mover',{prof}),2.0,1.0,1.0,'-')",
+            f"('tau0',{box})",
+            f"('torus_flow',{box},1.0,0.0123456789,{nums})",
+            f"('ct_finite',{box},1.0,1.0)",
+            f"('ct_finite',{box},0.0,1.0)"]
         assert _canonical(mixed) == (
             "('mixed',-7,True,(1.5+-0.25j),True,False,None,-0.0,inf,"
             "(1,(2.5,'x'),()),(-0.0+1e-300j))")
@@ -295,8 +311,8 @@ class TestCache:
     @pytest.mark.parametrize("volume", ["infinite", "finite"])
     def test_partly_warm_cache_gives_cold_bits(self, tmp_path, kink, box,
                                                volume):
-        # delete the record of the smallest-|s| node: the rerun solves that
-        # node alone, and must land on the grid and flows of the whole set
+        # delete the - mover's flow record (or the box's): the rerun
+        # recomputes that record alone and lands on the cold bits
         from weldfcs import Theory, fcs
         num = fcs.Numerics(n_modes=128, tail_tol=2e-3, s_nodes=4, dx=0.08,
                            window_pad_gamma=5.0, window_factor=3.5,
@@ -312,32 +328,38 @@ class TestCache:
                                   numerics=num, cache=cache)
 
         cold = run()
-        nodes, _ = fcs._gl_nodes(cold.s_end, num.s_nodes, num.s_panels)
-        s_min = float(nodes[np.argmin(np.abs(nodes))])
-        extent = float(np.max(np.abs(nodes)))
-        key = (("cyl_node", kink.key(), 1.0, 2.0, "+", s_min, extent,
-                num.key())
+        key = (("cyl_flow", kink.key(), 1.0, 2.0, "-", cold.s_end, num.key())
                if volume == "infinite" else
-               ("torus_node", kink.key(), box.key(), 2.0, s_min, num.key()))
+               ("torus_flow", box.key(), 2.0, cold.s_end, num.key()))
         os.remove(cache._path(key))
         assert cache.get_scalar(key) is None
+        puts = []
+        put = cache.put_scalar
+        cache.put_scalar = lambda k, v: puts.append(k) or put(k, v)
+        misses = cache.misses
         assert run().ln_psi == cold.ln_psi
+        assert puts == [key] and cache.misses == misses + 1
         assert cache.get_scalar(key) is not None
 
     def test_node_on_another_window_is_a_miss(self, tmp_path, kink):
-        # a cylinder node's value depends on the window its set's largest
-        # |s| sizes: a cache filled by the set {s, 4 s} must not serve s on
-        # the narrower window of the set {s}
+        # a flow integral's nodes, and on the line the window its largest
+        # node sizes, follow from s_end: integrals at two s_end never share
+        # a record, and each equals its cold value
         from weldfcs import InfiniteVolume, fcs
         num = fcs.Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
-                           p_max_gamma=14.0)
+                           p_max_gamma=14.0, s_nodes=2)
         cache = SolveCache(tmp_path)
         line = InfiniteVolume(1.0)
-        fcs._node_records(kink, line, 2.0, [0.1, 0.4], num, cache)
-        alone = fcs._node_records(kink, line, 2.0, [0.1], num, cache)
-        assert (cache.hits, cache.misses) == (0, 3)
-        cold = fcs._node_records(kink, line, 2.0, [0.1], num)
-        assert np.array_equal(alone, cold)
+        warm = [fcs._flow_integrals(kink, line, 2.0, s_end, num, cache)
+                for s_end in (0.1, 0.4)]
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert len(list(tmp_path.rglob("*.json"))) == 2
+        cold = [fcs._flow_integrals(kink, line, 2.0, s_end, num)
+                for s_end in (0.1, 0.4)]
+        assert warm == cold and warm[0] != warm[1]
+        assert [fcs._flow_integrals(kink, line, 2.0, s_end, num, cache)
+                for s_end in (0.1, 0.4)] == cold
+        assert (cache.hits, cache.misses) == (2, 2)
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = SolveCache(tmp_path)
@@ -705,9 +727,9 @@ class TestCli:
                                             "re_lnpsi_minus,im_lnpsi_minus")
 
     def test_fcs_warm_rerun_builds_no_spline(self, tmp_path, monkeypatch):
-        # a warm rerun needs the tabulated int 1/beta (beta_{0,L}) and cache
-        # reads: no interpolant is built, each Legendre order is computed
-        # once, and the output is the cold run's, byte for byte
+        # a warm rerun is cache reads and the characters: it builds no kink
+        # table (tau_0 is a record) and no interpolant, computes no Legendre
+        # rule, and writes the cold run's output, byte for byte
         from weldfcs import profile, spectral
         data = base_config()
         data["numerics"] = {"n_modes": 96, "tail_tol": 5e-3, "s_nodes": 3,
@@ -727,15 +749,57 @@ class TestCli:
         def no_spline(*args, **kwargs):
             raise AssertionError("a warm rerun built an interpolant")
 
-        orders = []
+        orders, tables = [], []
         leggauss = np.polynomial.legendre.leggauss
+        cumsimps = profile._cumsimps
         monkeypatch.setattr(profile, "_QuinticHermite", no_spline)
+        monkeypatch.setattr(profile, "_cumsimps",
+                            lambda *a: tables.append(a) or cumsimps(*a))
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda n: orders.append(n) or leggauss(n))
         spectral.gauss_legendre.cache_clear()
         assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
         assert out.read_bytes() == cold
-        assert orders == [3]
+        assert orders == [] and tables == []
+
+    def test_fcs_leaves_one_record_per_flow_integral(self, tmp_path,
+                                                     monkeypatch):
+        # a cold both-mode run leaves 3 |t| |lambda| flow records (two
+        # movers and the box), 2 |t| mover and |t| + 1 box counterterms and
+        # one tau_0; a warm rerun reads them all and writes none
+        data = base_config()
+        data["numerics"] = {"n_modes": 64, "tail_tol": 5e-3, "s_nodes": 2,
+                            "dx": 0.08, "window_pad_gamma": 5.0,
+                            "window_factor": 3.5, "p_max_gamma": 14.0}
+        data["experiment"] = {"mode": "both", "t_values": [1.0, 2.0],
+                              "lambda_values": [-0.05, 0.05]}
+        cache_dir = tmp_path / "cache"
+        data["io"] = {"output_dir": str(tmp_path / "out"),
+                      "cache_dir": str(cache_dir)}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
+        records = sorted(cache_dir.rglob("*.json"))
+        assert len(records) == 3 * 2 * 2 + 2 * 2 + (2 + 1) + 1 == 20
+        kinds = [json.loads(r.read_text())["key"].split(",")[0][2:-1]
+                 for r in records]
+        assert {k: kinds.count(k) for k in set(kinds)} == {
+            "cyl_flow": 8, "torus_flow": 4, "ct_mover": 4, "ct_finite": 3,
+            "tau0": 1}
+        reads, writes = [], []
+        get, put = SolveCache.get_scalar, SolveCache.put_scalar
+
+        def recorded_get(self, key):
+            value = get(self, key)
+            reads.append(value is not None)
+            return value
+
+        monkeypatch.setattr(SolveCache, "get_scalar", recorded_get)
+        monkeypatch.setattr(SolveCache, "put_scalar", lambda self, k, v:
+                            writes.append(k) or put(self, k, v))
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
+        assert len(reads) == 32 and all(reads) and writes == []
+        assert sorted(cache_dir.rglob("*.json")) == records
 
     def test_fcs_unbounded_lattice_exits_3(self, tmp_path, capsys):
         # lambda = 1e6 drifts the cylinder window to M = 2^27 under the
@@ -1001,6 +1065,34 @@ class TestCli:
                          "weld-cylinder"], loaded)) == {
             "fcs cold": [], "fcs warm": [], "converge": [], "weld-torus": [],
             "weld-cylinder": []}
+
+    def test_warm_fcs_loads_no_numpy_polynomial(self, tmp_path):
+        # a fresh process that reruns fcs on a warm cache computes no
+        # Legendre rule, so it never loads numpy.polynomial; nor, building
+        # no phase factor and running no battery, fractions or the self-test
+        data = base_config(numerics={
+            "n_modes": 64, "tail_tol": 5e-3, "s_nodes": 3, "dx": 0.08,
+            "window_pad_gamma": 5.0, "window_factor": 3.5,
+            "p_max_gamma": 14.0})
+        data["experiment"] = {"mode": "both", "t_values": [1.0],
+                              "lambda_values": [-0.05, 0.05]}
+        data["io"] = {"output_dir": str(tmp_path / "out"),
+                      "cache_dir": str(tmp_path / "cache")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        argv = ["fcs", "--config", str(cfg_path)]
+        assert run_cli(argv) == 0                # the cold fill
+        script = (
+            "import json, sys\n"
+            "from weldfcs.cli import main\n"
+            "assert main(json.loads(sys.argv[1])) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m in\n"
+            "    ('fractions', 'weldfcs.selftest')\n"
+            "    or m.startswith('numpy.polynomial'))))\n")
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == []
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "weldfcs.cli", "--help"],
