@@ -46,8 +46,9 @@ class Theory:
         if self.model == "free_boson_radius":
             if self.radius is None or self.radius <= 0:
                 raise ValueError("free boson needs a positive radius")
-        if self.model == "free_fermion_c1" and self.c != 1.0:
-            raise ValueError("the free fermion has c = 1")
+        if self.model != "central_charge_only" and self.c != 1.0:
+            # both characters are c = 1 ones; ln Psi would scale by c alone
+            raise ValueError(f"the {self.model} model has c = 1")
 
     def key(self) -> tuple:
         return ("theory", *(getattr(self, f.name) for f in fields(self)))

@@ -25,9 +25,9 @@ from .config import (RunConfig, load_config, read_number, read_numbers,
                      read_positive)
 from .cylinder_weld import realspace_crosscheck
 from .errors import BoxTooSmall, ConfigInvalid, WeldFcsError
-from .fcs import (FcsResult, appendix_b_check, cylinder_nodes, ldf,
-                  levitov_lesovik, levy_khintchine_check, moments_closed_form,
-                  psi_finite, psi_infinite, rate_function, torus_nodes)
+from .fcs import (appendix_b_check, cylinder_nodes, ldf, levitov_lesovik,
+                  levy_khintchine_check, moments_closed_form, psi_finite,
+                  psi_infinite, rate_function, torus_nodes)
 from .profile import VolumeContext, build_h
 from .spectral import fit_loglog_slope
 from .torus_weld import residual_diagnostics
@@ -60,6 +60,19 @@ def _enc(value):
     return value
 
 
+def _write_outputs(cfg: RunConfig, stem: str, payload: dict, table=None,
+                   csv_stem: str | None = None) -> int:
+    """The one output path: ``<stem>.json`` iff ``io.formats`` lists json,
+    and the CSV ``table``, if the command has one, as ``<csv_stem>.csv``
+    (default ``stem``) iff it lists csv."""
+    outdir = Path(cfg.output_dir)
+    if "json" in cfg.formats:
+        _write_json(outdir / f"{stem}.json", payload)
+    if "csv" in cfg.formats and table is not None:
+        _write_csv(outdir / f"{csv_stem or stem}.csv", table)
+    return EXIT_OK
+
+
 def _maybe_cache(cfg: RunConfig, cli_dir):
     directory = resolve_cache_dir(cli_dir) or cfg.cache_dir
     return SolveCache(directory) if directory else None
@@ -85,18 +98,14 @@ def cmd_weld_torus(cfg: RunConfig, args) -> int:
         np.savez(outdir / f"weld_torus_t{t}_s{s}.npz",
                  x=grid.x, xprime=sol.xprime, schwarzian=sol.schwarzian,
                  y1_coeff=sol.y1_coeff, modes=sol.modes)
-    payload = {"command": "weld-torus", "metadata": cfg.metadata(),
-               "rows": rows}
-    _write_json(outdir / "weld_torus.json", payload)
-    if "csv" in cfg.formats:
-        header = ["t", "s", "re_tau_eff", "im_tau_eff", "boundary_eq_1",
-                  "boundary_eq_2", "tau_two_route"]
-        table = [header] + [
-            [r["t"], r["s"], r["tau_eff"]["re"], r["tau_eff"]["im"],
-             r["boundary_eq_1"], r["boundary_eq_2"], r["tau_two_route"]]
-            for r in rows]
-        _write_csv(outdir / "weld_torus.csv", table)
-    return EXIT_OK
+    table = [["t", "s", "re_tau_eff", "im_tau_eff", "boundary_eq_1",
+              "boundary_eq_2", "tau_two_route"]] + [
+        [r["t"], r["s"], r["tau_eff"]["re"], r["tau_eff"]["im"],
+         r["boundary_eq_1"], r["boundary_eq_2"], r["tau_two_route"]]
+        for r in rows]
+    return _write_outputs(cfg, "weld_torus", {
+        "command": "weld-torus", "metadata": cfg.metadata(), "rows": rows},
+        table)
 
 
 def cmd_weld_cylinder(cfg: RunConfig, args) -> int:
@@ -126,10 +135,8 @@ def cmd_weld_cylinder(cfg: RunConfig, args) -> int:
         np.savez(outdir / f"weld_cylinder_t{t}_s{s}_{'p' if mover == '+' else 'm'}.npz",
                  x=grid.x, xprime=sol.xprime, schwarzian=sol.schwarzian,
                  zhat=sol.zhat_ext, p=grid.p)
-    payload = {"command": "weld-cylinder", "metadata": cfg.metadata(),
-               "rows": rows}
-    _write_json(outdir / "weld_cylinder.json", payload)
-    return EXIT_OK
+    return _write_outputs(cfg, "weld_cylinder", {
+        "command": "weld-cylinder", "metadata": cfg.metadata(), "rows": rows})
 
 
 def cmd_fcs(cfg: RunConfig, args) -> int:
@@ -139,6 +146,7 @@ def cmd_fcs(cfg: RunConfig, args) -> int:
         raise ConfigInvalid("experiment.mode", f"unknown mode {mode!r}")
     t_values = read_numbers(exp, "t_values", "experiment", [2.0])
     lam_values = read_numbers(exp, "lambda_values", "experiment", [0.2])
+    box = None if mode == "infinite" else cfg.context()
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
 
@@ -149,9 +157,8 @@ def cmd_fcs(cfg: RunConfig, args) -> int:
                                v=cfg.v, numerics=num, cache=cache)
             row.update({"ln_psi": val.ln_psi, "ln_psi_plus": val.ln_psi_plus,
                         "ln_psi_minus": val.ln_psi_minus})
-        if mode in ("finite", "both"):
-            ctx = cfg.context()
-            valf = psi_finite(cfg.profile, cfg.theory, ctx, t, lam=lam,
+        if box is not None:
+            valf = psi_finite(cfg.profile, cfg.theory, box, t, lam=lam,
                               numerics=num, cache=cache)
             row["ln_psi_finite"] = valf.ln_psi
             if mode == "finite":
@@ -159,14 +166,19 @@ def cmd_fcs(cfg: RunConfig, args) -> int:
         return row
 
     entries = [eval_node(t, lam) for t in t_values for lam in lam_values]
-
-    result = FcsResult(t_values, lam_values, entries, cfg.metadata())
-    outdir = Path(cfg.output_dir)
-    if "json" in cfg.formats:
-        _write_json(outdir / "fcs.json", result.to_json_dict())
-    if "csv" in cfg.formats:
-        _write_csv(outdir / "fcs.csv", result.csv_rows())
-    return EXIT_OK
+    table = [["t", "lambda", "re_lnpsi", "im_lnpsi", "re_lnpsi_plus",
+              "im_lnpsi_plus", "re_lnpsi_minus", "im_lnpsi_minus"]]
+    for row in entries:
+        cells = [row["t"], row["lambda"]]
+        for key in ("ln_psi", "ln_psi_plus", "ln_psi_minus"):
+            z = row.get(key)
+            cells += ["", ""] if z is None else [z.real, z.imag]
+        table.append(cells)
+    return _write_outputs(cfg, "fcs", {
+        "schema": "weldfcs-fcs-1", "t_values": t_values,
+        "lambda_values": lam_values,
+        "rows": [{k: _enc(v) for k, v in row.items()} for row in entries],
+        "metadata": cfg.metadata()}, table)
 
 
 def cmd_moments(cfg: RunConfig, args) -> int:
@@ -196,17 +208,13 @@ def cmd_moments(cfg: RunConfig, args) -> int:
         "variance_rel_err": abs(var_pipe - closed["variance"]) / abs(closed["variance"]),
         "appendix_quadrature_abs_err": appx["abs_error"],
     }
-    outdir = Path(cfg.output_dir)
-    _write_json(outdir / "moments.json", payload)
-    if "csv" in cfg.formats:
-        _write_csv(outdir / "moments.csv", [
-            ["quantity", "closed_form", "pipeline", "rel_err"],
-            ["mean", closed["mean"], complex(mean_pipe).real,
-             payload["mean_rel_err"]],
-            ["variance", closed["variance"], complex(var_pipe).real,
-             payload["variance_rel_err"]],
-        ])
-    return EXIT_OK
+    return _write_outputs(cfg, "moments", payload, [
+        ["quantity", "closed_form", "pipeline", "rel_err"],
+        ["mean", closed["mean"], complex(mean_pipe).real,
+         payload["mean_rel_err"]],
+        ["variance", closed["variance"], complex(var_pipe).real,
+         payload["variance_rel_err"]],
+    ])
 
 
 def cmd_ldf(cfg: RunConfig, args) -> int:
@@ -236,13 +244,9 @@ def cmd_ldf(cfg: RunConfig, args) -> int:
         "gallavotti_cohen_defect": float(gc),
         "levy_khintchine_abs_err": lk["abs_error"],
     }
-    outdir = Path(cfg.output_dir)
-    _write_json(outdir / "ldf.json", payload)
-    if "csv" in cfg.formats:
-        table = [["sigma", "rate"]] + [[float(s), float(r)]
-                                       for s, r in zip(sigma, rf["rate"])]
-        _write_csv(outdir / "ldf_rate.csv", table)
-    return EXIT_OK
+    table = [["sigma", "rate"]] + [[float(s), float(r)]
+                                   for s, r in zip(sigma, rf["rate"])]
+    return _write_outputs(cfg, "ldf", payload, table, csv_stem="ldf_rate")
 
 
 def cmd_converge(cfg: RunConfig, args) -> int:
@@ -256,6 +260,14 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     s = read_number(exp, "s", "experiment", 0.25)
     lam = read_number(exp, "lambda", "experiment", 0.2)
     t_psi = read_number(exp, "t_psi", "experiment", 16.0)
+    theory = cfg.theory
+    if theory.model == "central_charge_only":
+        # finite volume needs a character: the c = 1 boson's stands in
+        try:
+            theory = Theory("free_boson_radius", theory.c, radius=1.0)
+        except ValueError as exc:
+            raise ConfigInvalid("theory.c", f"converge stands the boson in "
+                                f"for central_charge_only: {exc}") from exc
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
 
@@ -269,8 +281,6 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     h_inf = build_h(cfg.profile)
     A = h_inf(np.array(cfg.profile.support[0])).item()
     base_L = ls[0]
-    theory = cfg.theory if cfg.theory.model != "central_charge_only" \
-        else Theory("free_boson_radius", cfg.theory.c, radius=1.0)
     xerrs = []
     psi_defects = []
     vinf = psi_infinite(cfg.profile, cfg.theory.c, t_psi, lam=lam, v=cfg.v,
@@ -300,13 +310,9 @@ def cmd_converge(cfg: RunConfig, args) -> int:
         # the wrap the defects sit at the solvers' truncation floor
         "psi_wrapped": [bool(2.0 * cfg.v * t_psi >= L) for L in ls],
     }
-    outdir = Path(cfg.output_dir)
-    _write_json(outdir / "converge.json", payload)
-    if "csv" in cfg.formats:
-        table = [["L", "xprime_sup_error", "psi_defect"]]
-        table += [[L, e, d] for L, e, d in zip(ls, xerrs, psi_defects)]
-        _write_csv(outdir / "converge.csv", table)
-    return EXIT_OK
+    table = [["L", "xprime_sup_error", "psi_defect"]]
+    table += [[L, e, d] for L, e, d in zip(ls, xerrs, psi_defects)]
+    return _write_outputs(cfg, "converge", payload, table)
 
 
 def cmd_selftest(cfg, args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .characters import Theory
 from .errors import BoxTooSmall, ConfigInvalid
@@ -80,27 +80,24 @@ def read_positive(block: dict, key: str, blockname: str,
 class RunConfig:
     profile: TemperatureProfile
     v: float
-    L: float | None
+    box: VolumeContext | None       # None when profile.L is absent
     theory: Theory
     numerics: Numerics
     experiment: dict
     output_dir: str = "."
     cache_dir: str | None = None
     formats: tuple = ("json", "csv")
-    raw: dict = field(default_factory=dict)
 
     def context(self) -> VolumeContext:
-        if self.L is None:
+        if self.box is None:
             raise ConfigInvalid("profile.L", "finite-volume command needs L")
-        try:
-            return VolumeContext(self.profile, self.L, self.v)
-        except BoxTooSmall as exc:
-            raise ConfigInvalid("profile.half_width", str(exc)) from exc
+        return self.box
 
     def metadata(self) -> dict:
+        L = None if self.box is None else self.box.L
         return {
             "schema": SCHEMA_VERSION,
-            "profile": {**asdict(self.profile), "L": self.L, "v": self.v},
+            "profile": {**asdict(self.profile), "L": L, "v": self.v},
             "theory": asdict(self.theory),
             "numerics": asdict(self.numerics),
             "experiment": self.experiment,
@@ -126,19 +123,16 @@ def config_from_dict(data: dict) -> RunConfig:
     shape = pblock.get("shape", "bump")
     sharpness = read_positive(pblock, "sharpness", "profile", 4.0)
     v = read_positive(pblock, "v", "profile")
-    L = pblock.get("L")
-    if L is not None:
-        L = read_positive(pblock, "L", "profile")
-        if L / 4.0 < abs(center) + half_width:
-            raise ConfigInvalid(
-                "profile.half_width",
-                f"kink support exceeds [-L/4, L/4]: |center|+half_width="
-                f"{abs(center) + half_width} > L/4={L / 4.0}")
     try:
         profile = TemperatureProfile(beta_left, beta_right, center, half_width,
                                      shape, sharpness)
     except ValueError as exc:
         raise ConfigInvalid("profile.shape", str(exc)) from exc
+    try:
+        box = None if pblock.get("L") is None else VolumeContext(
+            profile, read_positive(pblock, "L", "profile"), v)
+    except BoxTooSmall as exc:
+        raise ConfigInvalid("profile.half_width", str(exc)) from exc
 
     tblock = data.get("theory", {"model": "central_charge_only", "c": 1.0})
     if not isinstance(tblock, dict):
@@ -197,11 +191,11 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigInvalid(f"io.{key}",
                                 f"must be a string, got {ioblock[key]!r}")
 
-    return RunConfig(profile=profile, v=v, L=L, theory=theory,
+    return RunConfig(profile=profile, v=v, box=box, theory=theory,
                      numerics=numerics, experiment=eblock,
                      output_dir=ioblock.get("output_dir", "."),
                      cache_dir=ioblock.get("cache_dir"),
-                     formats=tuple(formats), raw=data)
+                     formats=tuple(formats))
 
 
 def load_config(path: str) -> RunConfig:

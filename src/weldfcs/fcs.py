@@ -37,7 +37,6 @@ from .torus_weld import TorusWeldProblem, solve_Y1
 
 __all__ = [
     "Numerics",
-    "FcsResult",
     "psi_infinite",
     "psi_finite",
     "effective_tau",
@@ -697,47 +696,3 @@ def longtime_approach(profile: TemperatureProfile, c: float, t_grid,
         })
     return {"lam": lam, "rates": rates, "rows": rows}
 
-
-# ----------------------------------------------------------------------
-# result container
-# ----------------------------------------------------------------------
-
-@dataclass
-class FcsResult:
-    """Grid of counting-parameter evaluations with provenance metadata."""
-
-    t_values: list
-    lam_values: list
-    entries: list            # list of dict rows
-    metadata: dict
-
-    schema_version = "weldfcs-fcs-1"
-
-    def to_json_dict(self) -> dict:
-        def enc(z):
-            if isinstance(z, complex):
-                return {"re": z.real, "im": z.imag}
-            return z
-        rows = [{k: enc(v) for k, v in row.items()} for row in self.entries]
-        return {
-            "schema": self.schema_version,
-            "t_values": list(map(float, self.t_values)),
-            "lambda_values": list(map(float, self.lam_values)),
-            "rows": rows,
-            "metadata": self.metadata,
-        }
-
-    def csv_rows(self):
-        header = ["t", "lambda", "re_lnpsi", "im_lnpsi", "re_lnpsi_plus",
-                  "im_lnpsi_plus", "re_lnpsi_minus", "im_lnpsi_minus"]
-        yield header
-        for row in self.entries:
-            ln = row.get("ln_psi", 0j)
-            lp = row.get("ln_psi_plus")
-            lm = row.get("ln_psi_minus")
-            yield [row["t"], row["lambda"],
-                   ln.real, ln.imag,
-                   "" if lp is None else lp.real,
-                   "" if lp is None else lp.imag,
-                   "" if lm is None else lm.real,
-                   "" if lm is None else lm.imag]

@@ -421,6 +421,111 @@ def run_cli(args):
     return main(args)
 
 
+# the bytes of test_fcs_bytes_are_pinned's fcs.json and fcs.csv
+PINNED_JSON = b"""\
+{
+ "lambda_values": [
+  -0.05,
+  0.05
+ ],
+ "metadata": {
+  "experiment": {
+   "lambda_values": [
+    -0.05,
+    0.05
+   ],
+   "mode": "both",
+   "t_values": [
+    1.0
+   ]
+  },
+  "numerics": {
+   "dx": 0.03,
+   "n_modes": 128,
+   "p_max_gamma": 25.0,
+   "s_nodes": 4,
+   "s_panels": 1,
+   "tail_tol": 0.005,
+   "window_factor": 4.0,
+   "window_pad_gamma": 6.0
+  },
+  "profile": {
+   "L": 40.0,
+   "beta_left": 2.0,
+   "beta_right": 1.0,
+   "center": 0.0,
+   "half_width": 1.0,
+   "shape": "bump",
+   "sharpness": 4.0,
+   "v": 1.0
+  },
+  "schema": "weldfcs-config-1",
+  "theory": {
+   "c": 1.0,
+   "model": "free_boson_radius",
+   "radius": 1.0
+  }
+ },
+ "rows": [
+  {
+   "lambda": -0.05,
+   "ln_psi": {
+    "im": 0.5756857106237616,
+    "re": -0.0434469948714177
+   },
+   "ln_psi_finite": {
+    "im": -0.010047183943243458,
+    "re": 0.006631455962162306
+   },
+   "ln_psi_minus": {
+    "im": 0.2878428553118808,
+    "re": -0.02172349743570885
+   },
+   "ln_psi_plus": {
+    "im": 0.2878428553118808,
+    "re": -0.02172349743570885
+   },
+   "t": 1.0
+  },
+  {
+   "lambda": 0.05,
+   "ln_psi": {
+    "im": 0.5758857106237616,
+    "re": -0.0434469948714177
+   },
+   "ln_psi_finite": {
+    "im": -0.00984718394324346,
+    "re": 0.006631455962162306
+   },
+   "ln_psi_minus": {
+    "im": 0.2879428553118808,
+    "re": -0.02172349743570885
+   },
+   "ln_psi_plus": {
+    "im": 0.2879428553118808,
+    "re": -0.02172349743570885
+   },
+   "t": 1.0
+  }
+ ],
+ "schema": "weldfcs-fcs-1",
+ "t_values": [
+  1.0
+ ]
+}
+"""
+PINNED_CSV = (
+    b"t,lambda,re_lnpsi,im_lnpsi,re_lnpsi_plus,im_lnpsi_plus,"
+    b"re_lnpsi_minus,im_lnpsi_minus\r\n"
+    b"1.0,-0.05,-0.0434469948714177,0.5756857106237616,"
+    b"-0.02172349743570885,0.2878428553118808,-0.02172349743570885,"
+    b"0.2878428553118808\r\n"
+    b"1.0,0.05,-0.0434469948714177,0.5758857106237616,"
+    b"-0.02172349743570885,0.2879428553118808,-0.02172349743570885,"
+    b"0.2879428553118808\r\n"
+)
+
+
 def experiment_values():
     """hypothesis strategies, and the strategies of a number, of a value
     that is no finite number and of a value that is no non-empty list of
@@ -800,6 +905,125 @@ class TestCli:
         assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
         assert len(reads) == 32 and all(reads) and writes == []
         assert sorted(cache_dir.rglob("*.json")) == records
+
+    @pytest.mark.parametrize("command,json_stem,csv_stem", [
+        ("weld-torus", "weld_torus", "weld_torus"),
+        ("weld-cylinder", "weld_cylinder", None),
+        ("fcs", "fcs", "fcs"), ("moments", "moments", "moments"),
+        ("ldf", "ldf", "ldf_rate"), ("converge", "converge", "converge")])
+    def test_each_file_is_written_iff_its_format_is_listed(
+            self, tmp_path, command, json_stem, csv_stem):
+        # the JSON only under "json", the CSV table (weld-cylinder has
+        # none) only under "csv"; the welds' npz files under any formats
+        experiments = {
+            "weld-torus": {"t": 1.0, "s_values": [0.2]},
+            "weld-cylinder": {"t": 1.0, "s_values": [0.2]},
+            "fcs": {"mode": "both", "t_values": [1.0],
+                    "lambda_values": [0.05]},
+            "moments": {"t": 1.0},
+            "ldf": {"lambda_values": [0.2], "sigma_values": [-1.0, 1.0]},
+            "converge": {"L_values": [20.0, 40.0], "t": 1.0, "s": 0.2,
+                         "lambda": 0.2, "t_psi": 2.0}}
+        data = base_config(experiment=experiments[command], numerics={
+            "n_modes": 64, "tail_tol": 5e-3, "s_nodes": 3, "dx": 0.08,
+            "window_pad_gamma": 5.0, "window_factor": 3.5,
+            "p_max_gamma": 14.0})
+        written = {}
+        for formats in (["csv"], ["json"], []):
+            outdir = tmp_path / ("out_" + "_".join(formats))
+            data["io"] = {"output_dir": str(outdir), "formats": formats,
+                          "cache_dir": str(tmp_path / "cache")}
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(data))
+            assert run_cli([command, "--config", str(cfg_path)]) == 0
+            written[tuple(formats)] = sorted(
+                p.name for p in outdir.glob("*")) if outdir.exists() else []
+        npz = written[()]
+        assert all(name.endswith(".npz") for name in npz)
+        assert len(npz) == (1 if command.startswith("weld") else 0)
+        assert written[("json",)] == sorted(npz + [f"{json_stem}.json"])
+        assert written[("csv",)] == sorted(
+            npz + ([f"{csv_stem}.csv"] if csv_stem else []))
+
+    def test_fcs_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # fcs.json and fcs.csv of a both-mode run whose every record a stub
+        # cache serves: pins the rows' encoding and the CSV columns.  The
+        # box's a_X'^2 = 0 keeps tau at tau_0, so no character value, only
+        # arithmetic, enters the bytes
+        from weldfcs import cli
+
+        class Served:
+            def get_scalar(self, key):
+                if key[0] == "ct_finite":          # at t and at 0
+                    return 2e-3 * key[2]
+                return {"cyl_flow": (0.5 - 0.25j, 2.0 + 0.125j),
+                        "torus_flow": (0.75 + 0.5j, 0j),
+                        "tau0": 0.1j, "ct_mover": 1e-3}[key[0]]
+
+        monkeypatch.setattr(cli, "_maybe_cache",
+                            lambda cfg, cli_dir: Served())
+        data = base_config(experiment={"mode": "both", "t_values": [1.0],
+                                       "lambda_values": [-0.05, 0.05]})
+        data["io"] = {"output_dir": str(tmp_path)}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "fcs.csv").read_bytes() == PINNED_CSV
+        assert (tmp_path / "fcs.json").read_bytes() == PINNED_JSON
+
+    def test_fcs_without_box_exits_2_before_any_weld(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a both-mode run with no profile.L is refused before the infinite
+        # volume solves a node
+        from weldfcs import fcs
+        calls = []
+        records = fcs._node_records
+        monkeypatch.setattr(fcs, "_node_records", lambda *a, **k:
+                            calls.append(a) or records(*a, **k))
+        data = base_config(experiment={"mode": "both", "t_values": [1.0],
+                                       "lambda_values": [0.05]})
+        del data["profile"]["L"]
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
+        assert "'profile.L'" in capsys.readouterr().err
+        assert calls == []
+
+    def test_boson_away_from_c1_exits_2(self, tmp_path, capsys):
+        # its character is the c = 1 boson's, so at c = 2 the finite ln Psi
+        # would mix a c-scaled action with a c = 1 character ratio
+        data = base_config()
+        data["theory"]["c"] = 2.0
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'theory.model'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_converge_central_charge_only_away_from_c1_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        # converge stands the c = 1 boson in for central_charge_only, so it
+        # refuses c != 1 before any weld, with no traceback
+        from weldfcs import cli
+
+        def no_weld(*args, **kwargs):
+            raise AssertionError("converge welded at c != 1")
+
+        for name in ("psi_infinite", "psi_finite", "cylinder_nodes",
+                     "torus_nodes"):
+            monkeypatch.setattr(cli, name, no_weld)
+        data = base_config(experiment={"L_values": [40.0]})
+        data["theory"] = {"model": "central_charge_only", "c": 2.0}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["converge", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'theory.c'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_fcs_unbounded_lattice_exits_3(self, tmp_path, capsys):
         # lambda = 1e6 drifts the cylinder window to M = 2^27 under the
