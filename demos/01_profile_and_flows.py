@@ -48,9 +48,10 @@ print("plateau value gamma*dbeta/beta_left =",
       xi_plus.gamma * profile.delta_beta / profile.beta_left)
 
 # Flows: finite volume gives a lifted circle diffeomorphism, infinite
-# volume the shifted line diffeomorphism (identity outside a bounded set).
+# volume the shifted line diffeomorphism (identity outside a bounded set);
+# each comes with its inverse.
 grid = PeriodicGrid(ctx.L, 2048, x0=-0.75 * ctx.L)
-f_s = flow_family(build_xi(profile, ctx, t), [0.25], grid)[0]
+f_s, _ = flow_family(build_xi(profile, ctx, t), [0.25], grid)[0]
 print("\ncircle flow: min f' =", np.min(f_s.deriv_samples(1)),
       " lift defect =", np.max(np.abs(f_s(x + ctx.L) - f_s(x) - ctx.L)))
 
@@ -61,6 +62,7 @@ pad = 6.0 * xi_plus.gamma + abs(xi_plus.gamma * 0.25) + 1.0
 span = (hi - lo) + 2 * pad
 line = LineGrid(x0=lo - pad, span=span,
                 M=1 << int(np.ceil(np.log2(span / 0.02))))
-g_s = flow_family(xi_plus, [0.25], line)[0]
+g_s, g_inv = flow_family(xi_plus, [0.25], line)[0]
 print("line flow support:", g_s.support)
+print("inverse defect:", np.max(np.abs(g_inv(g_s.samples) - line.x)))
 print("max displacement:", np.max(np.abs(g_s.displacement())))

@@ -8,8 +8,8 @@ the welded boundary data.
 Run:  python demos/02_torus_welding.py
 """
 
-from weldfcs import (Diffeo, Numerics, TemperatureProfile,
-                     TorusWeldProblem, VolumeContext, effective_tau,
+from weldfcs import (Diffeo, Numerics, TemperatureProfile, Theory,
+                     TorusWeldProblem, VolumeContext, psi_finite,
                      residual_diagnostics, solve_Y1, torus_nodes)
 from weldfcs.spectral import PeriodicGrid
 
@@ -42,7 +42,8 @@ for key in ("boundary_eq_1", "boundary_eq_2", "tau_two_route",
 
 # the twist path: accumulate d tau / ds along re-solved weldings and
 # compare with the direct solve at the endpoint
-_, tau_hat = effective_tau(profile, ctx, 2.0, 0.25, numerics)
+tau_hat = psi_finite(profile, Theory("free_fermion_c1"), ctx, 2.0,
+                     numerics=numerics, by_s=0.25).meta["tau_hat"]
 print("\naccumulated tau(0.25) =", tau_hat)
 print("direct      tau(0.25) =", sol.tau_eff)
 print("difference:", abs(tau_hat - sol.tau_eff))

@@ -300,11 +300,10 @@ def cmd_converge(cfg: RunConfig, args) -> int:
         vfin = psi_finite(cfg.profile, theory, ctx, t_psi, lam=lam,
                           numerics=numL, cache=cache)
         psi_defects.append(abs(vfin.ln_psi - vinf.ln_psi))
-    slope = fit_loglog_slope(ls, xerrs)
     payload = {
         "command": "converge", "metadata": cfg.metadata(),
         "L_values": ls, "xprime_sup_errors": xerrs,
-        "xprime_slope": float(slope),
+        "xprime_slope": fit_loglog_slope(ls, xerrs),
         "psi_defects": psi_defects,
         # the box matters once the transported kink images wrap it; past
         # the wrap the defects sit at the solvers' truncation floor

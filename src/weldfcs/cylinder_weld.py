@@ -236,17 +236,18 @@ class CylinderWeldSolution(WeldSolution):
                                        points)
 
     def decay_diagnostics(self) -> dict:
-        """Exponential falloff of X' - 1 to the right of the twist support."""
+        """Exponential falloff of X' - 1 to the right of the twist support;
+        its rate is None when fewer than 4 points there lie above the
+        tail's floor, as at the identity weld."""
         x = self.grid.x
         tail = np.abs(self.xprime - 1.0)
         lo, hi = self.problem.g.support
         right = x > hi + 0.05 * self.problem.gamma
         floor = max(np.median(tail[-max(8, self.grid.M // 50):]), 1e-300)
         keep = right & (tail > 50.0 * floor)
+        rate = None
         if np.count_nonzero(keep) >= 4:
             rate = -float(np.polyfit(x[keep], np.log(tail[keep]), 1)[0])
-        else:
-            rate = float("nan")
         return {
             "xprime_tail_rate": rate,
             "expected_rate": 2.0 * np.pi / self.problem.gamma,

@@ -39,7 +39,6 @@ __all__ = [
     "Numerics",
     "psi_infinite",
     "psi_finite",
-    "effective_tau",
     "counterterm_mover",
     "counterterm_finite",
     "torus_nodes",
@@ -180,22 +179,9 @@ def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
 
 
 def _line_flow_family(xi_field: XiField, s_values, grid):
-    """The flows at several flow times paired with their inverses, in either
-    volume (``flow_family`` and its ``inverse``).  In finite volume the
-    inverses are the flows at -s, so one call over (s, -s) serves both and
-    takes phi on the grid once.
-
-    Calls ``flow_family`` through its module, so a traced run counts one
-    flows call per family.
-    """
-    if xi_field.finite:
-        s = np.asarray(s_values, dtype=float)
-        flows = profile_mod.flow_family(xi_field, np.concatenate([s, -s]),
-                                        grid)
-        return list(zip(flows[:len(s)], flows[len(s):]))
-    return list(zip(profile_mod.flow_family(xi_field, s_values, grid),
-                    profile_mod.flow_family(xi_field, s_values, grid,
-                                            inverse=True)))
+    """``flow_family`` through its module, so a traced run counts one flows
+    call per node set."""
+    return profile_mod.flow_family(xi_field, s_values, grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,16 +289,9 @@ def _cached(cache, key: tuple, compute):
     return value
 
 
-def _node_records(profile: TemperatureProfile, ctx, t: float, s_nodes,
-                  numerics: Numerics, mover: str = "+") -> np.ndarray:
-    """Welding record ``(int xi SX dx, int xi X'^2 dx)`` at each flow-time
-    node (c-independent), one row per node, in either volume: ``ctx`` is a
-    ``VolumeContext`` (torus, both movers) or an ``InfiniteVolume``
-    (cylinder, one mover)."""
-    if isinstance(ctx, VolumeContext):
-        welds = torus_nodes(profile, ctx, t, s_nodes, numerics)
-    else:
-        welds = cylinder_nodes(profile, ctx.v, t, mover, s_nodes, numerics)
+def _node_records(welds: WeldNodes) -> np.ndarray:
+    """Welding record ``(int xi SX dx, int xi X'^2 dx)`` at each node of
+    ``welds`` (c-independent), one row per node, in either volume."""
     xiv, grid = welds.xi_values, welds.grid
     return np.array([(complex(grid.integral(xiv * sol.schwarzian)),
                       complex(grid.integral(xiv * sol.xprime ** 2)))
@@ -327,15 +306,19 @@ def _flow_integrals(profile: TemperatureProfile, ctx, t: float, s_end: float,
     record keyed by ``s_end``, which fixes the nodes and the cylinder
     window.  ``keys`` are the volume's (box or profile) and the numerics',
     built here unless the caller has them."""
-    box = isinstance(ctx, VolumeContext)
-    vkey, nkey = keys or (ctx.key() if box else profile.key(), numerics.key())
-    key = (("torus_flow", vkey, t, s_end, nkey) if box
-           else ("cyl_flow", vkey, ctx.v, t, mover, s_end, nkey))
+    if isinstance(ctx, VolumeContext):
+        vkey, nkey = keys or (ctx.key(), numerics.key())
+        key = ("torus_flow", vkey, t, s_end, nkey)
+        welds = lambda s: torus_nodes(profile, ctx, t, s, numerics)
+    else:
+        vkey, nkey = keys or (profile.key(), numerics.key())
+        key = ("cyl_flow", vkey, ctx.v, t, mover, s_end, nkey)
+        welds = lambda s: cylinder_nodes(profile, ctx.v, t, mover, s,
+                                         numerics)
 
     def integrate():
         nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
-        a_sx, a_xp2 = np.dot(weights, _node_records(profile, ctx, t, nodes,
-                                                    numerics, mover))
+        a_sx, a_xp2 = np.dot(weights, _node_records(welds(nodes)))
         return complex(a_sx), complex(a_xp2)
 
     return _cached(cache, key, integrate)
@@ -450,19 +433,6 @@ def psi_infinite(profile: TemperatureProfile, c: float, t: float,
                     parts["-"])
 
 
-def effective_tau(profile: TemperatureProfile, ctx: VolumeContext, t: float,
-                  s_end: float, numerics: Numerics, cache=None):
-    """Welding action and effective modular parameter at flow time ``s_end``.
-
-    Both are flow-time integrals over torus weldings at the drifted modular
-    parameter: the action ``a_SX = int ds int xi SX dx`` and
-    ``tau^ = tau_0 + L^-2 int ds int xi X'^2 dx``.
-    Returns ``(action, tau_hat)``.
-    """
-    a_sx, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache)
-    return a_sx, _box_tau0(ctx, cache, ctx.key()) + a_xp2 / ctx.L ** 2
-
-
 def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
                t: float, lam: float | None = None,
                numerics: Numerics | None = None, cache=None,
@@ -477,7 +447,8 @@ def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
     if s_end == 0.0:
         return PsiValue(lam, 0.0, 0.0 + 0.0j)
 
-    # effective_tau, with the keys and tau_0 read once for the whole row
+    # tau^ = tau_0 + L^-2 int ds int xi X'^2 dx, with the keys and tau_0
+    # read once for the whole row
     keys = ctx.key(), numerics.key()
     tau0 = _box_tau0(ctx, cache, keys[0])
     action, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache,

@@ -554,52 +554,49 @@ class Diffeo:
         return Diffeo(self.grid, y)
 
 
-def flow_family(xi_field: XiField, s_values, grid,
-                inverse: bool = False) -> list:
-    """Flows of the transport field at several flow times, on one grid.
+def flow_family(xi_field: XiField, s_values, grid) -> list:
+    """Flows of the transport field at several flow times on one grid, each
+    paired with its inverse: ``[(map, inverse), ...]``.
 
     With ``phi = h o (shift by v t) o h^{-1}``, ``phi' = gamma / zeta``, so
     the flow of ``-zeta`` is a translation: ``f_s = phi^{-1}(phi - gamma s)``;
     the minus mover is the plus one reflected (``XiField.sigma``).  Finite
-    volume: the Diffeos ``f_s``, whose inverses are the flows at -s.
-    Infinite volume: the Diffeos ``g_s = f_s + gamma s``, or with
-    ``inverse`` ``g_s^{-1}(y) = f_{-s}(y - gamma s)``, exactly the identity
-    off the swept interval ``(a + min(0, gamma s), b + max(0, gamma s))``,
-    (a, b) the support of xi.  Zero time copies the lattice.  Every time
-    goes through one h^{-1} call per stage: a 2-D one in finite volume, one
-    over the concatenated swept points on the line.
+    volume: the Diffeos ``f_s`` and ``f_{-s}``, its inverse.  Infinite
+    volume: ``g_s = f_s + gamma s`` and ``g_s^{-1}(y) = f_{-s}(y - gamma s)``,
+    both exactly the identity off the swept interval
+    ``(a + min(0, gamma s), b + max(0, gamma s))``, (a, b) the support of
+    xi.  Zero time copies the lattice.  A family takes two h^{-1} calls: one
+    for phi over the lattice and, on the line, the inverses' start points,
+    and one for phi^{-1} over every moved point of every map and inverse.
     """
-    s_values = np.asarray(s_values, dtype=float)
+    s = np.asarray(s_values, dtype=float)
+    if not len(s):
+        return []
     gamma, h, x = xi_field.gamma, xi_field._hmap, grid.x
     sigma = xi_field.sigma
     vt = sigma * xi_field.v * xi_field.t
     phi = lambda y: h(h.inverse(sigma * y) + vt)
     phi_inv = lambda w: sigma * h(h.inverse(w) - vt)
+    shape = (len(s), len(x))
+    gs = np.broadcast_to((gamma * s)[:, None], shape)
+    moved = np.broadcast_to((s != 0)[:, None], shape)
     if xi_field.finite:
-        if inverse:
-            raise ValueError("a finite-volume flow's inverse is the flow "
-                             "at -s")
-        moved = s_values != 0
-        samples = np.tile(x, (len(s_values), 1))
-        samples[moved] = phi_inv(phi(x) - gamma * s_values[moved, None])
-        return [Diffeo(grid, row) for row in samples]
-    if not len(s_values):
-        return []
-    a, b = xi_field.support
-    swept = [(x > a + min(0.0, gamma * s)) & (x < b + max(0.0, gamma * s))
-             & (s != 0) for s in s_values.tolist()]
-    counts = [np.count_nonzero(m) for m in swept]
-    shift = np.repeat(gamma * s_values, counts)
-    if inverse:
-        y = np.concatenate([x[m] for m in swept])
-        moved = phi_inv(phi(y - shift) + sigma * shift)
+        # the inverse is the flow at -s, so both start from phi on the lattice
+        shift = gs[moved]
+        phi_x = start = np.broadcast_to(phi(x), shape)[moved]
     else:
-        phi_x = phi(x)
-        moved = phi_inv(np.concatenate([phi_x[m] for m in swept])
-                        - sigma * shift) + shift
-    out = []
-    for m, part in zip(swept, np.split(moved, np.cumsum(counts)[:-1])):
-        samples = x.copy()
-        samples[m] = part
-        out.append(Diffeo(grid, samples))
-    return out
+        a, b = xi_field.support
+        moved = (moved & (x > a + np.minimum(gs, 0.0))
+                 & (x < b + np.maximum(gs, 0.0)))
+        shift = gs[moved]
+        phi_all = phi(np.concatenate([x, np.broadcast_to(x, shape)[moved]
+                                      - shift]))
+        phi_x = np.broadcast_to(phi_all[:len(x)], shape)[moved]
+        start = phi_all[len(x):]
+    fwd, inv = np.split(phi_inv(np.concatenate([phi_x - sigma * shift,
+                                                start + sigma * shift])), 2)
+    if not xi_field.finite:
+        fwd += shift
+    samples = np.tile(x, (2, len(s), 1))
+    samples[0][moved], samples[1][moved] = fwd, inv
+    return [(Diffeo(grid, f), Diffeo(grid, g)) for f, g in zip(*samples)]

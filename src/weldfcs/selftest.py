@@ -154,7 +154,7 @@ def _():
         ctx = _ctx(p, L)
         xi = build_xi(p, ctx, t)
         grid = PeriodicGrid(L, 256, x0=-0.75 * L)
-        f = flow_family(xi, [s], grid)[0]
+        f, _ = flow_family(xi, [s], grid)[0]
         refs = [grid.x - ctx.gammaL * s, _ode_flow(xi.zeta, s, grid.x)]
         worst = max(worst, float(np.max(np.abs(f.samples - refs))))
     return worst
@@ -166,7 +166,7 @@ def _():
     ctx = _ctx(p)
     xi = build_xi(p, ctx, 1.0)
     grid = PeriodicGrid(ctx.L, 2048, x0=-30.0)
-    f_ab, f_a = flow_family(xi, [0.3, 0.15], grid)
+    (f_ab, _), (f_a, _) = flow_family(xi, [0.3, 0.15], grid)
     refs = [f_a(f_a.samples), _ode_flow(xi.zeta, 0.3, grid.x)]
     return float(np.max(np.abs(f_ab.samples - refs)))
 
@@ -176,8 +176,8 @@ def _():
     p = _default_profile()
     ctx = _ctx(p)
     grid = PeriodicGrid(ctx.L, 2048, x0=-30.0)
-    f1 = flow_family(build_xi(p, ctx, 1.0), [0.2], grid)[0]
-    f2 = flow_family(build_xi(p, ctx, -1.0), [-0.2], grid)[0]
+    f1, _ = flow_family(build_xi(p, ctx, 1.0), [0.2], grid)[0]
+    f2, _ = flow_family(build_xi(p, ctx, -1.0), [-0.2], grid)[0]
     lhs = f1(-grid.x - 20.0)
     rhs = -f2.samples - 20.0
     return float(np.max(np.abs(lhs - rhs)))
@@ -188,12 +188,12 @@ def _():
     p = _default_profile()
     xi_inf = build_xi(p, InfiniteVolume(1.0), 1.0, "+")
     span = LineGrid(-12.0, 24.0, 1024)
-    g_inf = flow_family(xi_inf, [0.3], span)[0]
+    g_inf, _ = flow_family(xi_inf, [0.3], span)[0]
     errs, Ls = [], [20.0, 40.0, 80.0]
     for L in Ls:
         ctx = _ctx(p, L)
         grid = PeriodicGrid(L, int(1024 * L / 20), x0=-0.75 * L)
-        fL = flow_family(build_xi(p, ctx, 1.0), [0.3], grid)[0]
+        fL, _ = flow_family(build_xi(p, ctx, 1.0), [0.3], grid)[0]
         h = build_h(p)
         hL = build_h(p, ctx)
         oLp = float(hL(np.array(-1.0)) - h(np.array(-1.0)))
@@ -264,8 +264,7 @@ def _():
     # at s = 0 the weld is the identity (X' = 1, SX = 0), so the node record
     # (int xi SX, int xi X'^2) is (0, int xi)
     welds = _cyl_nodes(2.0, [0.0])
-    a_sx, a_xp2 = fcs._node_records(_default_profile(), InfiniteVolume(1.0),
-                                    2.0, [0.0], _CYL_NUM)[0]
+    a_sx, a_xp2 = fcs._node_records(welds)[0]
     ref = welds.grid.integral(welds.xi_values)
     return max(abs(a_sx), abs(a_xp2 - ref)) / abs(ref)
 
@@ -352,8 +351,9 @@ def _():
 @check("torus.effective_tau_quadrature_vs_direct", 1e-9)
 def _():
     p = _default_profile()
-    _, tau_hat = fcs.effective_tau(p, _ctx(p), 2.0, 0.25,
-                                   replace(_KINK_NUM, s_panels=2))
+    tau_hat = fcs.psi_finite(p, characters.Theory("free_fermion_c1"), _ctx(p),
+                             2.0, numerics=replace(_KINK_NUM, s_panels=2),
+                             by_s=0.25).meta["tau_hat"]
     return abs(tau_hat - _kink_torus_solution().tau_eff)
 
 

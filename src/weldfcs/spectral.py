@@ -265,9 +265,13 @@ def bose_weight(p, gamma: float) -> np.ndarray:
     return a * np.where(p > 0, 1.0, np.exp(-gamma * a)) / -np.expm1(-gamma * a)
 
 
-def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+def fit_loglog_slope(xs, ys) -> float | None:
+    """Least-squares slope of log(ys) against log(xs) over the points with
+    ys > 0; None unless those hold at least two distinct xs, since fewer
+    fix no line."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    keep = ys > 0
+    if len(np.unique(xs[keep])) < 2:
+        return None
+    return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
 

@@ -17,8 +17,8 @@ import pytest
 from weldfcs import (CylinderWeldProblem, Diffeo, Numerics,
                      TemperatureProfile, Theory, TorusWeldProblem,
                      VolumeContext, appendix_b_check, build_h, character,
-                     cylinder_nodes, effective_tau, ldf, levitov_lesovik,
-                     log_character, longtime_approach, moments_closed_form,
+                     cylinder_nodes, ldf, levitov_lesovik, log_character,
+                     longtime_approach, moments_closed_form,
                      psi_finite, psi_infinite, rate_function, solve_Y1,
                      solve_cylinder, torus_nodes)
 from weldfcs.cache import SolveCache
@@ -94,7 +94,8 @@ def test_criterion_4_effective_tau_cross_check():
     t0 = time.time()
     ctx = VolumeContext(KINK, 40.0, 1.0)
     num = Numerics(n_modes=256, tail_tol=1e-3, s_nodes=8, s_panels=3)
-    _, tau_hat = effective_tau(KINK, ctx, 2.0, 0.25, num)
+    tau_hat = psi_finite(KINK, Theory("free_fermion_c1"), ctx, 2.0,
+                         numerics=num, by_s=0.25).meta["tau_hat"]
     direct = next(torus_nodes(KINK, ctx, 2.0, [0.25], num).solutions()).tau_eff
     dt = record(4, "accumulated vs direct effective tau at s=0.25",
                 abs(tau_hat - direct), 1e-8, t0)

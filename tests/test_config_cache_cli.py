@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -419,6 +420,12 @@ class TestCache:
 
 def run_cli(args):
     return main(args)
+
+
+# light numerics of the tests that run a whole command
+LIGHT_NUMERICS = {"n_modes": 64, "tail_tol": 5e-3, "s_nodes": 3, "dx": 0.08,
+                  "window_pad_gamma": 5.0, "window_factor": 3.5,
+                  "p_max_gamma": 14.0}
 
 
 # the bytes of test_fcs_bytes_are_pinned's fcs.json and fcs.csv
@@ -924,10 +931,8 @@ class TestCli:
             "ldf": {"lambda_values": [0.2], "sigma_values": [-1.0, 1.0]},
             "converge": {"L_values": [20.0, 40.0], "t": 1.0, "s": 0.2,
                          "lambda": 0.2, "t_psi": 2.0}}
-        data = base_config(experiment=experiments[command], numerics={
-            "n_modes": 64, "tail_tol": 5e-3, "s_nodes": 3, "dx": 0.08,
-            "window_pad_gamma": 5.0, "window_factor": 3.5,
-            "p_max_gamma": 14.0})
+        data = base_config(experiment=experiments[command],
+                           numerics=LIGHT_NUMERICS)
         written = {}
         for formats in (["csv"], ["json"], []):
             outdir = tmp_path / ("out_" + "_".join(formats))
@@ -944,6 +949,54 @@ class TestCli:
         assert written[("json",)] == sorted(npz + [f"{json_stem}.json"])
         assert written[("csv",)] == sorted(
             npz + ([f"{csv_stem}.csv"] if csv_stem else []))
+
+    @pytest.mark.parametrize("command,experiment", [
+        ("weld-torus", {"t": 1.0, "s_values": [0.0, 0.2]}),
+        ("weld-cylinder", {"t": 1.0, "s_values": [0.0, 0.25]}),
+        ("fcs", {"mode": "both", "t_values": [1.0],
+                 "lambda_values": [0.0, 0.05]}),
+        ("moments", {"t": 1.0}),
+        ("ldf", {"lambda_values": [0.2], "sigma_values": [-1.0, 1.0]}),
+        ("converge", {"L_values": [20.0, 40.0], "t": 1.0, "s": 0.0,
+                      "lambda": 0.2, "t_psi": 2.0})])
+    def test_json_has_no_nan_or_infinity(self, tmp_path, command, experiment):
+        # strict parsers reject NaN and Infinity; a value no data fixes (the
+        # identity weld's tail rate, the slope of all-zero errors) is null
+        def refuse(constant):
+            raise ValueError(f"{constant} in {command}'s JSON")
+
+        data = base_config(experiment=experiment, numerics=LIGHT_NUMERICS)
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli([command, "--config", str(cfg_path)]) == 0
+        outputs = sorted((tmp_path / "out").glob("*.json"))
+        assert len(outputs) == 1
+        out = json.loads(outputs[0].read_text(), parse_constant=refuse)
+        if command == "weld-cylinder":
+            assert out["rows"][0]["xprime_tail_rate"] is None
+            assert isinstance(out["rows"][1]["xprime_tail_rate"], float)
+
+    @pytest.mark.parametrize("experiment", [
+        {"L_values": [40.0], "s": 0.2}, {"L_values": [20.0, 40.0], "s": 0.0}],
+        ids=["one-box", "zero-errors"])
+    def test_converge_slope_without_two_positive_errors_is_null(
+            self, tmp_path, capsys, experiment):
+        # one box, or errors that are all 0 (the identity weld at s = 0),
+        # determine no slope: null, with no warning on the way
+        data = base_config(experiment={"t": 1.0, "lambda": 0.2,
+                                       "t_psi": 2.0, **experiment},
+                           numerics=LIGHT_NUMERICS)
+        data["io"] = {"output_dir": str(tmp_path)}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["converge", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        out = json.loads((tmp_path / "converge.json").read_text())
+        assert out["xprime_slope"] is None
+        assert len(out["xprime_sup_errors"]) == len(experiment["L_values"])
 
     def test_fcs_bytes_are_pinned(self, tmp_path, monkeypatch):
         # fcs.json and fcs.csv of a both-mode run whose every record a stub

@@ -34,13 +34,12 @@ def _case(beta_left, beta_right, t, mover, volume, s_max):
 
 
 def _at(xi, s, points, inverse=False):
-    """The closed form at arbitrary points: ``flow_family`` reads only the
-    lattice ``x`` of its grid, so no spectral interpolation enters.  In
-    finite volume the inverse is the flow at -s."""
+    """The closed form, or its inverse, at arbitrary points: ``flow_family``
+    reads only the lattice ``x`` of its grid, so no spectral interpolation
+    enters."""
     grid = SimpleNamespace(x=np.asarray(points, dtype=float))
-    if inverse and xi.finite:
-        return flow_family(xi, [-s], grid)[0].samples
-    return flow_family(xi, [s], grid, inverse=inverse)[0].samples
+    f, finv = flow_family(xi, [s], grid)[0]
+    return (finv if inverse else f).samples
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
@@ -61,7 +60,7 @@ def test_group_law_inverse_and_generator(beta_left, beta_right, t, mover,
     assert np.max(np.abs(_at(xi, a, _at(xi, a, pts), inverse=True) - pts)) \
         < 1e-11
 
-    fa, fp, fm = flow_family(xi, [a, EPS, -EPS], grid)
+    (fa, inv_a), (fp, _), (fm, _) = flow_family(xi, [a, EPS, -EPS], grid)
     # d f_s / ds = -zeta at s = 0: the mover's sign enters here
     rate = (fp.samples - fm.samples) / (2.0 * EPS) - shift
     assert np.max(np.abs(rate + xi.zeta(grid.x))) < 1e-5 * xi.gamma
@@ -69,7 +68,6 @@ def test_group_law_inverse_and_generator(beta_left, beta_right, t, mover,
     if volume == "infinite":
         # exactly the identity off the swept interval of the support
         lo, hi = xi.support
-        inv_a = flow_family(xi, [a], grid, inverse=True)[0]
         for s, g in ((a, fa), (a, inv_a), (EPS, fp), (-EPS, fm)):
             off = ((grid.x <= lo + min(0.0, xi.gamma * s))
                    | (grid.x >= hi + max(0.0, xi.gamma * s)))

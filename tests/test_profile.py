@@ -404,26 +404,27 @@ class TestFlows:
             else:
                 # g_s^{-1}(y) = f_{-s}(y - gamma s): the flow of +zeta
                 ref = ode_flow(lambda ss, y: xi.zeta(y), s, grid.x - gamma * s)
-        flow = flow_family(xi, [s], grid, inverse=case.startswith("inverse"))
-        assert np.max(np.abs(flow[0].samples - ref)) < 1e-11
+        f, finv = flow_family(xi, [s], grid)[0]
+        flow = finv if case.startswith("inverse") else f
+        assert np.max(np.abs(flow.samples - ref)) < 1e-11
 
     def test_zero_time_flow_is_identity(self, kink, box):
         xi = build_xi(kink, box, 1.0)
         grid = PeriodicGrid(box.L, 512, x0=-30.0)
-        f = flow_family(xi, [0.0], grid)[0]
+        f, _ = flow_family(xi, [0.0], grid)[0]
         assert np.array_equal(f.samples, grid.x)
 
     def test_circle_diffeo_invariants(self, kink, box):
         xi = build_xi(kink, box, 2.0)
         grid = PeriodicGrid(box.L, 2048, x0=-30.0)
-        f = flow_family(xi, [0.3], grid)[0]
+        f, _ = flow_family(xi, [0.3], grid)[0]
         x = np.linspace(-5, 5, 41)
         assert np.max(np.abs(f(x + box.L) - f(x) - box.L)) < 1e-10
         assert np.min(f.deriv_samples(1)) > 0
 
     def test_line_flow_identity_outside_support(self, kink):
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
-        g = flow_family(xi, [0.4], line_window(xi, 0.4))[0]
+        g, _ = flow_family(xi, [0.4], line_window(xi, 0.4))[0]
         lo, hi = g.support
         grid = g.grid
         outside = (grid.x < lo - 0.1) | (grid.x > hi + 0.1)
@@ -433,14 +434,13 @@ class TestFlows:
     def test_line_flow_inverse_is_backward_flow(self, kink):
         xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
         grid = line_window(xi, 0.3)
-        g = flow_family(xi, [0.3], grid)[0]
-        gi = flow_family(xi, [0.3], grid, inverse=True)[0]
+        g, gi = flow_family(xi, [0.3], grid)[0]
         x = np.linspace(*g.support, 101)
         assert np.max(np.abs(gi(g(x)) - x)) < 1e-10
 
     def test_recentered_line_flow_rate(self, kink):
         xi_inf = build_xi(kink, InfiniteVolume(1.0), 1.0, "+")
-        g_inf = flow_family(xi_inf, [0.3], line_window(xi_inf, 0.3))[0]
+        g_inf, _ = flow_family(xi_inf, [0.3], line_window(xi_inf, 0.3))[0]
         h = build_h(kink)
         A = float(h(np.array([-1.0]))[0])
         pts = np.linspace(-5, 3, 101)
@@ -449,7 +449,7 @@ class TestFlows:
         for L in Ls:
             ctx = VolumeContext(kink, L)
             grid = PeriodicGrid(L, int(2048 * L / 40), x0=-0.75 * L)
-            f_l = flow_family(build_xi(kink, ctx, 1.0), [0.3], grid)[0]
+            f_l, _ = flow_family(build_xi(kink, ctx, 1.0), [0.3], grid)[0]
             hl = build_h(kink, ctx)
             o_l = float(hl(np.array([-1.0]))[0]) - A
             g_l = f_l(pts + o_l) - o_l + ctx.gammaL * 0.3
@@ -466,14 +466,7 @@ class TestFlows:
         else:
             xi = build_xi(kink, InfiniteVolume(1.0), 2.0, "+")
             grid = line_window(xi, 0.3)
-        fwd = flow_family(xi, times, grid)
-        if volume == "finite":
-            # the inverses are the flows at -s, and there is no other route
-            inv = flow_family(xi, np.negative(times), grid)
-            with pytest.raises(ValueError, match="at -s"):
-                flow_family(xi, times, grid, inverse=True)
-        else:
-            inv = flow_family(xi, times, grid, inverse=True)
+        fwd, inv = zip(*flow_family(xi, times, grid))
         for s, f, fi in zip(times, fwd, inv):
             assert np.max(np.abs(f(fi.samples) - grid.x)) < 1e-10, s
         assert np.array_equal(fwd[1].samples, grid.x)
@@ -481,3 +474,37 @@ class TestFlows:
         if volume == "infinite":
             assert fwd[1].support == (0.0, 0.0)
             assert inv[1].support == (0.0, 0.0)
+
+    @pytest.mark.parametrize("case", ["circle", "line+", "line-"])
+    def test_family_pairs_equal_one_time_calls(self, kink, box, case):
+        # h and h^{-1} act point by point, so a map and its inverse keep
+        # their bits whichever times share the family
+        if case == "circle":
+            xi = build_xi(kink, box, 1.0)
+            grid = PeriodicGrid(box.L, 512, x0=-0.75 * box.L)
+        else:
+            xi = build_xi(kink, InfiniteVolume(1.0), 2.0, case[-1])
+            grid = line_window(xi, 0.4)
+        for times in ([-0.2, 0.0, 0.1, 0.3], [0.4, -0.4, 1e-9], []):
+            family = flow_family(xi, times, grid)
+            assert len(family) == len(times)
+            for s, pair in zip(times, family):
+                for got, ref in zip(pair, flow_family(xi, [s], grid)[0]):
+                    assert got.samples.tobytes() == ref.samples.tobytes(), s
+
+    @pytest.mark.parametrize("volume", ["finite", "infinite"])
+    def test_family_takes_two_inverse_calls(self, kink, box, monkeypatch,
+                                            volume):
+        # the node set's flows, maps and inverses together: one h^{-1} call
+        # for phi and one for phi^{-1}, on the line as on the circle
+        calls = []
+        inverse = ReparamMap.inverse
+        monkeypatch.setattr(ReparamMap, "inverse", lambda self, y:
+                            calls.append(y) or inverse(self, y))
+        num = Numerics(n_modes=64, s_nodes=4, dx=0.08, window_pad_gamma=5.0,
+                       window_factor=3.5, p_max_gamma=14.0)
+        s = _gl_nodes(0.3, 4, 1)[0]
+        nodes = (torus_nodes(kink, box, 2.0, s, num) if volume == "finite"
+                 else cylinder_nodes(kink, 1.0, 2.0, "+", s, num))
+        pairs = _line_flow_family(nodes.xi, nodes.s_values, nodes.grid)
+        assert len(pairs) == 4 and len(calls) == 2

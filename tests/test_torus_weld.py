@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from weldfcs import (Diffeo, Numerics, TorusWeldProblem, VolumeContext,
-                     assemble_K, build_xi, effective_tau, flow_family,
-                     residual_diagnostics, solve_Y1, torus_nodes, torus_weld)
+from weldfcs import (Diffeo, Numerics, Theory, TorusWeldProblem,
+                     VolumeContext, assemble_K, build_xi, flow_family,
+                     psi_finite, residual_diagnostics, solve_Y1, torus_nodes,
+                     torus_weld)
 from weldfcs.errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
 from weldfcs.fcs import _gl_nodes, _torus_bytes
 from weldfcs.spectral import PeriodicGrid
@@ -23,7 +24,7 @@ def kink_problem(kink, N, t, s, tail_tol=1.0, length=L):
     ctx = VolumeContext(kink, length, 1.0)
     xi = build_xi(kink, ctx, t)
     grid = PeriodicGrid(length, 4 * N, x0=-0.75 * length)
-    f, finv = flow_family(xi, [s, -s], grid)
+    f, finv = flow_family(xi, [s], grid)[0]
     tau = 1j * ctx.gammaL / length - ctx.gammaL * s / length
     return TorusWeldProblem(f, tau, N, finv, tail_tol)
 
@@ -194,7 +195,7 @@ class TestAssembly:
     def test_truncation_alarm(self, kink, box):
         xi = build_xi(kink, box, 2.0)
         grid = make_grid(64)
-        f, finv = flow_family(xi, [0.25, -0.25], grid)
+        f, finv = flow_family(xi, [0.25], grid)[0]
         with pytest.raises(TruncationTooCoarse):
             assemble_K(TorusWeldProblem(f, 0.1j, 64, finv, tail_tol=1e-12))
 
@@ -357,14 +358,24 @@ class TestSolve:
             assert np.max(np.abs(sol.xderiv(k) - ref)) < 1e-12
 
 
+def psi_at_flow_time(kink, box, t, s_end, numerics):
+    """ln Psi of the box at flow time s_end; its meta holds tau^ = tau_0 +
+    L^-2 int ds int xi X'^2 dx."""
+    return psi_finite(kink, Theory("free_fermion_c1"), box, t,
+                      numerics=numerics, by_s=s_end)
+
+
 class TestEffectiveTau:
     def test_zero_field_keeps_tau(self, kink, box):
         tau0 = 1j * box.gammaL / box.L
         # the end points of the two panels over [0, 0.3]
         for s_end, panels in ((0.15, 1), (0.3, 2)):
-            action, tau_hat = effective_tau(kink, box, 0.0, s_end, Numerics(
+            val = psi_at_flow_time(kink, box, 0.0, s_end, Numerics(
                 n_modes=96, tail_tol=1e-8, s_nodes=4, s_panels=panels))
-            assert abs(tau_hat - tau0) < 1e-13
+            # at t = 0 the counterterms cancel, so ln Psi less the character
+            # ratio is the action term -i a_SX / 24 pi
+            action = 24j * np.pi * (val.ln_psi - val.meta["log_char_ratio"])
+            assert abs(val.meta["tau_hat"] - tau0) < 1e-13
             assert abs(action) < 1e-13
 
     def test_initial_slope_is_field_mean(self, kink, box):
@@ -372,14 +383,14 @@ class TestEffectiveTau:
         xi = build_xi(kink, box, 2.0)
         grid = make_grid(192)
         ds = 2e-5
-        _, tau_hat = effective_tau(kink, box, 2.0, ds, Numerics(
-            n_modes=192, tail_tol=1e-3, s_nodes=4, s_panels=1))
+        tau_hat = psi_at_flow_time(kink, box, 2.0, ds, Numerics(
+            n_modes=192, tail_tol=1e-3, s_nodes=4, s_panels=1)).meta["tau_hat"]
         slope = (tau_hat - 1j * box.gammaL / box.L) / ds
         ref = grid.integral(xi(grid.x)) / box.L ** 2
         assert abs(slope - ref) < 1e-7
 
     def test_path_against_direct_solve(self, kink, box):
         num = Numerics(n_modes=192, tail_tol=1e-3, s_nodes=8, s_panels=2)
-        _, tau_hat = effective_tau(kink, box, 2.0, 0.25, num)
+        tau_hat = psi_at_flow_time(kink, box, 2.0, 0.25, num).meta["tau_hat"]
         direct = next(torus_nodes(kink, box, 2.0, [0.25], num).solutions())
         assert abs(tau_hat - direct.tau_eff) < 1e-10
