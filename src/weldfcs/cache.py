@@ -19,7 +19,7 @@ __all__ = ["SolveCache", "resolve_cache_dir"]
 
 # Bump whenever an algorithm change moves the bits of a cached value, so
 # records computed before the change are misses rather than served.
-_VERSION = "weldfcs-cache-15"
+_VERSION = "weldfcs-cache-16"
 
 
 def resolve_cache_dir(explicit: str | None = None) -> str | None:

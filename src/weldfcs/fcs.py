@@ -149,9 +149,11 @@ def _torus_bytes(n: int, support: int) -> int:
     map and inverse move ``support`` grid points between them (the union
     support U): V_A over the modes 0..n + n // 2 and V_B over -n..n, both
     on U, the GMRES basis, the FFT input and output of one phase-factor
-    product on the 4n-point lattice, and a band-edge tail slab of 2 w
-    columns with its FFT input and output and modulus (README "Command
-    line")."""
+    product on the 4n-point lattice, and the band-edge tail scan (README
+    "Command line").  That scan's largest piece is one FFT batch of w
+    columns (K21's two edge rectangles share it) with its input, output
+    and modulus, beside K12's 2 w edge rows of P over U; the formula counts
+    a batch of 2 w columns, so it still bounds them from above."""
     b, w, m = n // 2, max(1, n // 16), 4 * n
     return 16 * ((n + b + 1 + 2 * n + 1) * support
                  + (_GMRES_CAP + 1) * 2 * n + 2 * m

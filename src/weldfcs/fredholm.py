@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import progression_phases, schwarzian_from_derivatives
+from .spectral import (LatticePoints, lattice_roots, progression_phases,
+                       schwarzian_from_derivatives)
 
 # GMRES stops once its least-squares residual estimate is this fraction of
 # the right-hand side; unlike the true residual, that estimate keeps falling
@@ -35,13 +36,14 @@ def _substitution_kernel(grid, disps, p: np.ndarray, weight: float,
     ``V_k[m, j] = weight dx expm1(-i q_j d_m) e^{-i q_j x_m}``, whose rows at
     the points d does not move are exact zeros.  V_k is one table of
     ``progression_phases`` at (-x_U, -d), the conjugate of
-    ``e^{i q x} expm1(i q d)``, weight included.  Returns the list of the
-    V_k and U.
+    ``e^{i q x} expm1(i q d)``, weight included, with x_U the lattice
+    points themselves, so its phases of x are roots of unity.  Returns the
+    list of the V_k and U.
     """
     union = np.nonzero(np.logical_or.reduce([d != 0 for d in disps]))[0]
     j0, n = round(2.0 * p[0] / grid.dp) / 2, len(p)     # p_j = (j0 + j) dp
-    x = grid.x[union]
-    vs = [progression_phases(j0 + a, grid.dp, b - a, -x, -d[union],
+    x = -LatticePoints.of(grid, union)
+    vs = [progression_phases(j0 + a, grid.dp, b - a, x, -d[union],
                              weight * grid.dx).T
           for d, (a, b) in zip(disps, cols or [(0, n)] * len(disps))]
     return vs, union
@@ -64,20 +66,17 @@ class PhaseFactor:
     """
 
     def __init__(self, grid, union: np.ndarray, p: np.ndarray):
-        from fractions import Fraction  # not loaded by a warm fcs rerun
         M, n = grid.M, len(p)
-        self.dp, self.x = grid.dp, grid.x[union]
+        self.dp, self.lattice = grid.dp, LatticePoints.of(grid, union)
         self.j0 = round(2.0 * p[0] / grid.dp) / 2
-        mc = int(round(-grid.x0 / grid.dx))
-        xc = float(Fraction(grid.x0) + mc * Fraction(grid.span) / M)
-        mp = union - mc
+        mp = self.lattice.m
         self.size, self.scatter = M, mp % M
         k0 = math.floor(self.j0)
-        # e^{i pi m' / M} at m' reduced mod 2M into [-M, M)
-        self.pre = (np.exp(1j * np.pi * ((mp + M) % (2 * M) - M) / M)
+        # e^{i pi m' / M}, a root of unity
+        self.pre = (lattice_roots(M)[mp % (2 * M)]
                     if self.j0 != k0 else None)
         self.rows = (k0 + np.arange(n)) % M
-        self.post = np.exp(1j * p * xc)
+        self.post = np.exp(1j * p * self.lattice.xc)
 
     def __call__(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
         """``P[rows] @ w`` for w of shape (|U|,) or (|U|, k), by one FFT of
@@ -88,15 +87,10 @@ class PhaseFactor:
         y = np.fft.ifft(a, norm="forward")
         return (y[..., self.rows[rows]] * self.post[rows]).T
 
-    def table(self, start: int, stop: int) -> np.ndarray:
-        """The rows ``start:stop`` of P, by ``progression_phases``; rows whose
-        momenta are all negative are the rows at -p of the table at -x, in
-        reverse order."""
-        j0, n = self.j0 + start, stop - start
-        if j0 + n - 1 < 0:
-            return progression_phases(-(j0 + n - 1), self.dp, n,
-                                      -self.x)[::-1]
-        return progression_phases(j0, self.dp, n, self.x)
+    def table(self, rows: np.ndarray) -> np.ndarray:
+        """The rows ``rows`` (indices) of P, gathered from the lattice's
+        roots of unity (``LatticePoints.phases``)."""
+        return self.lattice.phases(self.j0 + np.asarray(rows), self.dp)
 
 
 def _gmres(sigma, b: np.ndarray, limit: float, error: type,
@@ -116,39 +110,42 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
     if beta == 0.0:
         return np.zeros_like(b), scale
     cap = min(_GMRES_CAP, n)
-    basis = np.empty((n, cap + 1), dtype=complex)
+    # one Krylov vector per row, so each is written and read contiguously
+    basis = np.empty((cap + 1, n), dtype=complex)
     hess = np.zeros((cap + 1, cap), dtype=complex)
-    # Givens rotations reduce hess to upper-triangular r column by column;
-    # g is the rotated right-hand side, |g[j + 1]| the residual estimate
+    # Givens rotations (cs real, sn complex) reduce hess to upper-triangular
+    # r column by column; g is the rotated right-hand side, |g[j + 1]| the
+    # residual estimate; the rotations run on Python scalars
     r = np.zeros((cap, cap), dtype=complex)
-    cs, sn = np.zeros(cap), np.zeros(cap, dtype=complex)
-    g = np.zeros(cap + 1, dtype=complex)
-    g[0] = beta
-    basis[:, 0] = b / beta
+    cs, sn, g = [], [], [complex(beta)]
+    basis[0] = b / beta
     for j in range(cap):
-        v = basis[:, :j + 1]
-        w = basis[:, j] + sigma(basis[:, j])
+        v = basis[:j + 1]
+        w = basis[j] + sigma(basis[j])
         for _ in range(2):
-            h = v.conj().T @ w
-            w -= v @ h
+            h = (v @ w.conj()).conj()
+            w -= h @ v
             hess[:j + 1, j] += h
-        hess[j + 1, j] = np.linalg.norm(w)
-        col = hess[:j + 2, j].copy()
+        norm = float(np.linalg.norm(w))
+        hess[j + 1, j] = norm
+        col = hess[:j + 1, j].tolist()
         for i in range(j):
-            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                  -np.conj(sn[i]) * col[i] + cs[i] * col[i + 1])
-        a, rho = col[j], np.hypot(abs(col[j]), col[j + 1].real)
+            c, s = cs[i], sn[i]
+            col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                  -s.conjugate() * col[i] + c * col[i + 1])
+        a = col[j]
+        rho = math.hypot(abs(a), norm)
         if rho == 0.0:
             raise error("system singular on its Krylov space")
-        cs[j] = abs(a) / rho
-        sn[j] = col[j + 1].real / rho * (a / abs(a) if a != 0 else 1.0)
-        r[:j + 1, j] = col[:j + 1]
-        r[j, j] = cs[j] * a + sn[j] * col[j + 1]
-        g[j + 1] = -np.conj(sn[j]) * g[j]
+        cs.append(abs(a) / rho)
+        sn.append(norm / rho * (a / abs(a) if a != 0 else 1.0))
+        col[j] = cs[j] * a + sn[j] * norm
+        r[:j + 1, j] = col
+        g.append(-sn[j].conjugate() * g[j])
         g[j] *= cs[j]
         if abs(g[j + 1]) <= _GMRES_TOL * beta:
             break
-        basis[:, j + 1] = w / hess[j + 1, j].real
+        basis[j + 1] = w / norm
     else:
         raise error(f"system not solved in {cap} GMRES iterations "
                     f"(residual estimate {abs(g[cap]) / beta:.2e})")
@@ -158,11 +155,11 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
     if cond > limit:
         raise error(f"system condition estimate {cond:.2e}")
     # back-substitution on the triangular factor, a column at a time
-    y = g[:k].copy()
+    y = np.array(g[:k])
     for i in range(k - 1, -1, -1):
         y[i] /= r[i, i]
         y[:i] -= r[:i, i] * y[i]
-    return basis[:, :k] @ y, cond
+    return y @ basis[:k], cond
 
 
 @dataclass(eq=False)

@@ -26,6 +26,8 @@ __all__ = [
     "fit_loglog_slope",
     "progression_phases",
     "gauss_legendre",
+    "lattice_roots",
+    "LatticePoints",
 ]
 
 
@@ -36,6 +38,55 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def lattice_roots(m: int) -> np.ndarray:
+    """``e^{i pi k / m}`` for k < 2 m, each angle reduced into [-pi, pi),
+    computed once per lattice size and returned read-only."""
+    k = np.arange(2 * m)
+    roots = np.exp(1j * np.pi * ((k + m) % (2 * m) - m) / m)
+    roots.flags.writeable = False
+    return roots
+
+
+@dataclass(frozen=True, eq=False)
+class LatticePoints:
+    """Points ``x_c + m span / M`` of a grid's M-point lattice, held as the
+    integers m and the lattice point x_c nearest x = 0 (|x_c| <= dx / 2,
+    rounded once from its exact value).  At a momentum p = k dp with 2 k an
+    integer, ``p x = p x_c + pi (2 k m) / M``, so e^{i p x} is a root of
+    unity (``lattice_roots``) times e^{i p x_c}, and no angle p x is
+    rounded."""
+
+    xc: float
+    m: np.ndarray
+    M: int
+
+    @classmethod
+    def of(cls, grid, index) -> LatticePoints:
+        """The grid's lattice points at ``index``."""
+        from fractions import Fraction  # not loaded by a warm fcs rerun
+        mc = int(round(-grid.x0 / grid.dx))
+        xc = float(Fraction(grid.x0) + mc * Fraction(grid.span) / grid.M)
+        return cls(xc, np.asarray(index) - mc, grid.M)
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def __neg__(self) -> LatticePoints:
+        return LatticePoints(-self.xc, -self.m, self.M)
+
+    def phases(self, k, dp: float, scale: float = 1.0) -> np.ndarray:
+        """The (len(k), len(self)) table ``scale e^{i k_j dp x_m}`` for
+        k_j with 2 k_j an integer, where dp = 2 pi / span: a gather from
+        the roots of unity, twiddled per row by ``scale e^{i k_j dp x_c}``
+        (an angle of at most |k_j| pi / M)."""
+        k = np.asarray(k, dtype=float)
+        idx = np.multiply.outer(np.rint(2.0 * k).astype(np.int64),
+                                self.m) % (2 * self.M)
+        twiddle = scale * np.exp(1j * (k * dp) * self.xc)
+        return twiddle[:, None] * lattice_roots(self.M)[idx]
 
 
 @dataclass(frozen=True)
@@ -199,12 +250,23 @@ def _progression_sum(j0: float, dp: float, w: np.ndarray,
     return res.reshape(np.shape(points) + w.shape[1:])
 
 
+def _phase_rows(k: np.ndarray, dp: float, x, scale: float = 1.0):
+    """``scale e^{i k_j dp x_m}``: gathered from roots of unity when x is a
+    ``LatticePoints``, else by ``np.exp`` of the rounded angles."""
+    if isinstance(x, LatticePoints):
+        return x.phases(k, dp, scale)
+    table = np.exp(1j * np.outer(k * dp, x))
+    return table if scale == 1.0 else scale * table
+
+
 def progression_phases(j0: float, dp: float, n: int, x, d=None,
                        scale: float = 1.0) -> np.ndarray:
     """The (n, len(x)) table ``scale e^{i p_j x_k}``, or with displacements d
     ``scale e^{i p_j x_k} expm1(i p_j d_k)``, over the momenta
     ``p_j = (j0 + j) dp``, j = 0..n-1, where dp > 0, ``2 j0`` is an integer
-    and the last momentum is not negative; ``scale`` is real.
+    and the last momentum is not negative; ``scale`` is real.  The points x
+    are an array, or the ``LatticePoints`` of a grid whose span is 2 pi /
+    dp, whose phases are then exact roots of unity times a small twiddle.
 
     The entry at -p is the conjugate of the one at p, so the rows with
     p < 0 are conjugates of rows of the table T over |p| = (mu + i) dp,
@@ -218,9 +280,10 @@ def progression_phases(j0: float, dp: float, n: int, x, d=None,
     E = expm1).  ``scale`` multiplies the block tables of c.  Rounding the
     angles costs what the direct ``np.exp`` costs; ``e^{-i p x}`` is the
     table at ``-x``, and the conjugate of the table with d the table at
-    (-x, -d).
+    (-x, -d); on a lattice the blocks of X are a gather instead.
     """
-    x = np.asarray(x, dtype=float)
+    if not isinstance(x, LatticePoints):
+        x = np.asarray(x, dtype=float)
     k = max(0, int(np.ceil(-j0)))                   # rows with p_j < 0
     mu = j0 + k
     # row j >= k is T[j - k], row j < k is conj(T[k - j - 2 mu])
@@ -230,9 +293,10 @@ def progression_phases(j0: float, dp: float, n: int, x, d=None,
     # T is written as whole blocks, just below the rows with p < 0
     buf = np.empty((k + blocks * b, len(x)), dtype=complex)
     table = buf[k:].reshape(blocks, b, len(x))
-    pc, pb = (mu + b * np.arange(blocks)) * dp, dp * np.arange(b)
-    base = scale * np.exp(1j * np.outer(pc, x))
-    sub = np.exp(1j * np.outer(pb, x))
+    kc, kb = mu + b * np.arange(blocks), np.arange(b)
+    pc, pb = kc * dp, kb * dp
+    base = _phase_rows(kc, dp, x, scale)
+    sub = _phase_rows(kb, dp, x)
     if d is None:
         np.multiply(base[:, None], sub[None], out=table)
     else:

@@ -123,12 +123,17 @@ class TorusOperator:
         z = self.dc[:n].conj() * y1
         fy = self.phase(self.vb @ z)                        # F y1
         fy[:n] += z
-        # r1 = Finv (E0 F y1 - Q E0p y2), over the modes 0..N+b
         u = self.dc[N:] * fy[N:]
+        return self._first_residual(u, y2), y2[:N] - self.qn[:0:-1] * fy[:N]
+
+    def _first_residual(self, u: np.ndarray, y2: np.ndarray) -> np.ndarray:
+        """The band residual r1 = Finv (E0 F y1 - Q E0p y2) from
+        u = D_c E0 F y1 over the modes 0..N+b, which it overwrites."""
+        N, n = self.N, 2 * self.N + 1
         u[:N + 1] -= self.dc[N:n] * self.qn * y2[N:]
         r1 = self.phase(self.va @ u, slice(0, n))
         r1[N:] += u[:N + 1]
-        return r1, y2[:N] - self.qn[:0:-1] * fy[:N]
+        return r1
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``(I - K) x``."""
@@ -155,71 +160,72 @@ def assemble_K(problem: TorusWeldProblem) -> TorusOperator:
     return op
 
 
-def _slab_max(op: TorusOperator, rects, v: np.ndarray, c0: int,
-              rw: np.ndarray, cw: np.ndarray) -> float:
-    """Largest entry of ``I + P V``, weighted by rw (rows) and cw (columns),
-    over rectangles ``((r0, r1), (a, b))`` of band rows and columns, where
-    column j of ``v`` is band column c0 + j.  A rectangle of a few rows
-    takes them from ``PhaseFactor.table``; one of a few columns is one FFT
-    batch."""
-    worst = 0.0
-    for (r0, r1), (a, b) in rects:
-        vs = v[:, a - c0:b - c0]
-        blk = (op.phase.table(r0, r1) @ vs if r1 - r0 < b - a
-               else op.phase(vs, slice(r0, r1)))
-        diag = np.arange(max(r0, a), min(r1, b))
-        blk[diag - r0, diag - a] += 1.0
-        worst = max(worst, float(np.max(np.abs(blk) * rw[r0:r1, None]
-                                        * cw[a:b])))
-    return worst
+def _piece_max(product, rows: np.ndarray, a: int, rw: np.ndarray,
+               cw: np.ndarray) -> float:
+    """Largest entry of ``I + product()``, weighted by rw (rows) and cw
+    (columns), where product() holds the band rows ``rows`` of P V over the
+    band columns a, a + 1, ..."""
+    blk = product()
+    i = np.nonzero((rows >= a) & (rows < a + blk.shape[1]))[0]
+    blk[i, rows[i] - a] += 1.0
+    return float(np.max(np.abs(blk) * rw[:, None] * cw))
 
 
-def _edge_slabs(op: TorusOperator, qabs: float, disps) -> dict:
-    """Per coupling block, its two slabs in the outermost mode band (N // 16
-    wide), edge rows and edge columns, as ``(bound, scan)`` pairs: scan()
-    is the slab's largest weighted entry, and bound is at least that.
+def _edge_pieces(op: TorusOperator, qabs: float, disps) -> dict:
+    """Per coupling block, its outermost mode band (w = N // 16 wide) in
+    pieces, as ``(bound, scan)`` pairs: scan() is the piece's largest
+    weighted entry, and bound is at least that.
 
     |K12[m, n]| is |(I + P_A V_A)[m, n]| |q|^n on n >= 0 and |K21[m, n]| is
-    |q|^|m| |(I + P_B V_B)[m, n]| on m < 0, so a slab holds the contiguous
-    rows and columns of positive weight.  Every entry of P has modulus 1
+    |q|^|m| |(I + P_B V_B)[m, n]| on m < 0.  Every entry of P has modulus 1
     and |expm1(i theta)| <= min(2, |theta|), so with ``disps`` the
     displacements d on U, |(I + P V)[m, n]| <= 1 + min(2 |S|, |q_n| |d|_1)
-    / M, S the points d moves, which times the weights bounds a slab.
+    / M, S the points d moves, which times the weights bounds a piece.
+
+    A block's edge rows are a few rows of P (``PhaseFactor.table``) applied
+    to V, one piece; K12's, whose column weights |q|^n fall, in column
+    blocks w wide, one piece each.  Its edge columns are one piece, one FFT
+    batch of w columns: K12's lie at the top of its columns, and K21's two
+    rectangles come from one batch, since V_B is conjugate-symmetric
+    (q_{-j} = -q_j on the band), so (P V_B)[-m, -j] = conj((P V_B)[m, j]):
+    the columns of modes N - w + 1..N on the rows m < 0 are those of modes
+    -N..-N + w - 1 on the rows -m > 0, at the same weight |q|^|m|.
     """
-    N = op.N
+    N, modes = op.N, op.modes
     n, w = 2 * N + 1, max(1, N // 16)
-    power, one = qabs ** np.abs(op.modes), np.ones(n)
-
-    def edges(lo, hi):
-        return [e for e in ((lo, min(hi, w)), (max(lo, n - w), hi))
-                if e[0] < e[1]]
-
+    power, one = qabs ** np.abs(modes), np.ones(n)
+    band = np.arange(n)
     out = {}
-    for name, v, c0, d, rw, cw, rows, cols in (
-            ("K12", op.va, N, disps[0], one, power * (op.modes >= 0),
-             (0, n), (N, n)),
-            ("K21", op.vb, 0, disps[1], power * (op.modes < 0), one,
-             (0, N), (0, n))):
+    for name, v, c0, d, rows, rw, cw, step, (ea, eb), erw in (
+            ("K12", op.va, N, disps[0], np.r_[0:w, n - w:n], one,
+             power * (modes >= 0), w, (n - w, n), one),
+            ("K21", op.vb, 0, disps[1], np.arange(w), power * (modes < 0),
+             one, n, (0, w), power * (modes != 0))):
         cbound = cw * (1.0 + np.minimum(
             2.0 * np.count_nonzero(d),
-            op.phase.dp * np.abs(op.modes) * np.sum(np.abs(d)))
+            op.phase.dp * np.abs(modes) * np.sum(np.abs(d)))
             / op.phase.size)
-        out[name] = []
-        for rects in ([(r, cols) for r in edges(*rows)],
-                      [(rows, c) for c in edges(*cols)]):
-            bound = max(float(np.max(rw[r0:r1]) * np.max(cbound[a:b]))
-                        for (r0, r1), (a, b) in rects)
-            out[name].append((bound, partial(_slab_max, op, rects, v, c0,
-                                             rw, cw)))
+        cols = partial(op.phase, v[:, ea - c0:eb - c0], slice(0, n))
+        pieces = [(float(np.max(erw) * np.max(cbound[ea:eb])),
+                   partial(_piece_max, cols, band, ea, erw, cw[ea:eb]))]
+        table, rwr = op.phase.table(rows), rw[rows]
+        starts = range(c0, n, step)
+        bounds = np.max(rwr) * np.maximum.reduceat(cbound, starts)
+        for a, bound in zip(starts, bounds.tolist()):
+            block = partial(np.matmul, table, v[:, a - c0:a - c0 + step])
+            pieces.append((bound, partial(_piece_max, block, rows, a, rwr,
+                                          cw[a:a + step])))
+        out[name] = pieces
     return out
 
 
 def _tail_diagnostics(op: TorusOperator, qabs: float, disps) -> dict:
     """Largest entries in the outermost mode band of the coupling blocks,
-    read off the factors a slab at a time (``_edge_slabs``).  The slab with
-    the larger bound is scanned first and the other only if its bound
-    reaches half the largest entry found, so it is skipped only when it
-    cannot hold the maximum, rounding included.
+    read off the factors a piece at a time (``_edge_pieces``).  The pieces
+    are scanned in order of decreasing bound, and the scan stops at the
+    first whose bound is below half the largest entry found, so a piece is
+    skipped only when it cannot hold the maximum, rounding included, and
+    the tails are those of a scan of every piece bit for bit.
 
     Both fall as N grows.  K11's band edge is left out: its corner holds the
     part of the product that the buffer cuts off, which is the same share of
@@ -228,11 +234,12 @@ def _tail_diagnostics(op: TorusOperator, qabs: float, disps) -> dict:
     error).
     """
     tails = {}
-    for name, slabs in _edge_slabs(op, qabs, disps).items():
+    for name, pieces in _edge_pieces(op, qabs, disps).items():
         worst = 0.0
-        for bound, scan in sorted(slabs, key=lambda slab: -slab[0]):
-            if bound >= 0.5 * worst:
-                worst = max(worst, scan())
+        for bound, scan in sorted(pieces, key=lambda piece: -piece[0]):
+            if bound < 0.5 * worst:
+                break
+            worst = max(worst, scan())
         tails[name] = worst
     return tails
 
@@ -281,9 +288,11 @@ def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:
     band = modes % grid.M
     # X - id = (f - id) - Y1, from f - id's coefficients once Y1 is solved
     xm = grid.coefficients(problem.f.displacement())
-    # the residuals at Y1 = 0, Y2 = f - id are -K12 fm and Em fm
-    rhs, em_fm = op.residuals(np.zeros(len(modes), dtype=complex), xm[band])
-    rhs[:N] += em_fm
+    # the residuals at Y1 = 0, Y2 = f - id are -K12 fm and Em fm, where
+    # F Y1 = 0
+    fm = xm[band]
+    rhs = op._first_residual(np.zeros_like(op.dc[N:]), fm)
+    rhs[:N] += fm[:N]
     # GMRES on the Dg-scaled projected system, gated by the Hessenberg
     # estimate times cond(Dg), which bounds the unscaled condition
     sel = modes != 0

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 # one BLAS thread, as perfbench runs: a threaded pool makes small dense
 # solves slower and the timed acceptance criteria noisy
@@ -39,14 +40,22 @@ def rng():
 @pytest.fixture(scope="session")
 def lattice_phase():
     """The oracle of the welding phase factor: ``e^{i p_j x_m}`` over the
-    momenta ``p_j = (j0 + j) 2 pi / span``, j < n, and the lattice points
-    ``x_m = x0 + m span / M``, m in ``union``, with the angles formed and
-    their cosine and sine taken in extended precision, rounded to complex."""
+    momenta ``p_j = k_j 2 pi / span``, k_j = j0 + j, j < n, and the lattice
+    points ``x_m = x0 + m span / M``, m in ``union``.  The angle is reduced
+    mod 2 pi exactly, ``p_j x_m / 2 pi = k_j x0 / span + k_j m / M``: the
+    first term mod 1 in rational arithmetic, the second in integers; the
+    cosine and sine of the sum are taken in extended precision and rounded
+    to complex, so the origin's distance from 0 costs no accuracy."""
     def phase(grid, union, j0, n):
         ld = np.longdouble
-        span = ld(grid.span)
-        p = (ld(j0) + np.arange(n, dtype=ld)) * (8 * np.arctan(ld(1)) / span)
-        x = ld(grid.x0) + np.asarray(union, dtype=ld) * (span / grid.M)
-        a = np.multiply.outer(p, x)
+        k2 = round(2 * j0) + 2 * np.arange(n)             # 2 k_j
+        x0 = Fraction(grid.x0) / Fraction(grid.span)
+        rows = [Fraction(int(k), 2) * x0 % 1 for k in k2]
+        # each fraction to extended precision as a double and its remainder
+        row = np.array([ld(float(r)) + ld(float(r - Fraction(float(r))))
+                        for r in rows], dtype=ld)
+        col = (np.multiply.outer(k2, np.asarray(union, dtype=np.int64))
+               % (2 * grid.M)).astype(ld) / (2 * grid.M)
+        a = 8 * np.arctan(ld(1)) * (row[:, None] + col)
         return np.cos(a).astype(float) + 1j * np.sin(a).astype(float)
     return phase

@@ -7,7 +7,8 @@ from weldfcs.fcs import (counterterm_finite, counterterm_mover,
                          moments_closed_form)
 from weldfcs.fredholm import PhaseFactor
 from weldfcs.profile import VolumeContext
-from weldfcs.spectral import LineGrid, PeriodicGrid, progression_phases
+from weldfcs.spectral import (LatticePoints, LineGrid, PeriodicGrid,
+                              progression_phases)
 
 
 def counterterm(profile, t, v, c):
@@ -230,6 +231,32 @@ class TestSpectralTools:
         assert np.max(np.abs(phase(w[:, 1]) - got[:, 1])) \
             < 4 * np.finfo(float).eps * scale
         assert np.array_equal(phase(w, slice(5, 50)), got[5:50])
+
+    @pytest.mark.parametrize("grid,j0,n", PHASE_FACTORS)
+    def test_lattice_phases_match_longdouble(self, grid, j0, n, rng,
+                                             lattice_phase):
+        # the x-phases of the lattice points gathered from roots of unity:
+        # the table itself, the blocked table built from its blocks (at x
+        # and -x, as the V factors take it), and rows of P from
+        # PhaseFactor.table, all within 16 eps of the largest entry of the
+        # extended-precision table (they err by 1.8 to 6.3 eps), where
+        # np.exp of the rounded angles errs by 2.5e-13 to 7.9e-12
+        eps = np.finfo(float).eps
+        union = np.sort(rng.choice(grid.M, 300, replace=False))
+        ref = lattice_phase(grid, union, j0, n)
+        x = LatticePoints.of(grid, union)
+        direct = np.exp(1j * np.outer((j0 + np.arange(n)) * grid.dp,
+                                      grid.x[union]))
+        assert np.max(np.abs(direct - ref)) > 16 * eps
+        rows = np.r_[0:7, n // 2:n // 2 + 5, n - 9:n]
+        for got, want in (
+                (x.phases(j0 + np.arange(n), grid.dp), ref),
+                (progression_phases(j0, grid.dp, n, x), ref),
+                (progression_phases(j0, grid.dp, n, -x), ref.conj()),
+                (PhaseFactor(grid, union, (j0 + np.arange(n)) * grid.dp)
+                 .table(rows), ref[rows])):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 16 * eps
 
     @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
                         reason="numpy 1.x runs the C pocketfft, not the C++ "

@@ -214,8 +214,8 @@ class TestCache:
         cache.put_scalar(key, 2.0)
         path = Path(cache._path(key))
         record = json.loads(path.read_text())
-        assert record["version"] == "weldfcs-cache-15"
-        record["version"] = "weldfcs-cache-14"
+        assert record["version"] == "weldfcs-cache-16"
+        record["version"] = "weldfcs-cache-15"
         path.write_text(json.dumps(record))
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)

@@ -71,14 +71,14 @@ def union_support(prob):
     return np.nonzero(np.logical_or(*prob.displacements))[0]
 
 
-def tail_slabs(op, prob):
-    """Per coupling block, the largest weighted entry of each of its two
-    edge slabs from a scan of all four, and each slab's bound."""
+def tail_pieces(op, prob):
+    """Per coupling block, the largest weighted entry of each of its edge
+    pieces from a scan of every piece, and each piece's bound."""
     union = union_support(prob)
-    slabs = torus_weld._edge_slabs(op, abs(prob.q),
-                                   [d[union] for d in prob.displacements])
-    return {name: [(scan(), bound) for bound, scan in pair]
-            for name, pair in slabs.items()}
+    pieces = torus_weld._edge_pieces(op, abs(prob.q),
+                                     [d[union] for d in prob.displacements])
+    return {name: [(scan(), bound) for bound, scan in block]
+            for name, block in pieces.items()}
 
 
 def held_arrays(op):
@@ -227,23 +227,43 @@ class TestAssembly:
 
 class TestFactored:
     def test_tails_skip_is_exact(self, kink, oracle_problems):
-        # the reported tails equal a scan of all four slabs bit for bit: on
-        # the benchmark node, where the bound skips a slab of each block; at
-        # N = 12, below assemble_K's gate, where no slab is skipped and K12's
-        # slab with the smaller bound holds the larger entry; and on the
-        # identity, whose union support is empty.  Every bound holds.
+        # the reported tails equal an unpruned scan of every piece, taken
+        # by the same routes, bit for bit: on the benchmark node, where the
+        # bounds skip K12's edge columns, about half of its column blocks
+        # and K21's edge rows; at t = 30, s = -1, N = 64, where K12's
+        # largest entry lies in a later column block than the first and
+        # the column scan still stops before the last; at N = 12, below
+        # assemble_K's gate, where no piece is skipped and a K12 piece with
+        # a smaller bound holds the larger entry; and on the identity,
+        # whose union support is empty, where only the bound of K12's last
+        # column block (mode N alone) is below half its corner entry, and
+        # no K21 piece is skipped.
+        # Every bound holds.
         grid = make_grid(64)
         f0 = Diffeo(grid, grid.x.copy())
-        cases = ((oracle_problems[0], True),
-                 (kink_problem(kink, 12, 30.0, -1.0), False),
-                 (TorusWeldProblem(f0, 0.1j, 64, f0), False))
+        early = kink_problem(kink, 64, 30.0, -1.0)
+        # per case, whether any piece of K12 and of K21 is skipped
+        cases = ((oracle_problems[0], (True, True)), (early, (True, True)),
+                 (kink_problem(kink, 12, 30.0, -1.0), (False, False)),
+                 (TorusWeldProblem(f0, 0.1j, 64, f0), (True, False)))
         for prob, skips in cases:
             op = TorusOperator(prob)
-            for name, pair in tail_slabs(op, prob).items():
-                worst = max(w for w, _ in pair)
+            pieces = tail_pieces(op, prob)
+            for (name, block), skip in zip(pieces.items(), skips):
+                worst = max(w for w, _ in block)
                 assert op.tails[name] == worst
-                assert all(w <= b for w, b in pair)
-                assert any(b < 0.5 * worst for _, b in pair) == skips
+                assert all(w <= b for w, b in block)
+                assert any(b < 0.5 * worst for _, b in block) == skip
+            # piece 0 of K12 is its edge columns, piece 1 the first column
+            # block of its edge rows
+            k12 = pieces["K12"]
+            worst = max(w for w, _ in k12)
+            if prob is oracle_problems[0]:
+                skipped = sum(b < 0.5 * worst for _, b in k12[1:])
+                assert 3 * skipped >= len(k12) - 1
+            if prob is early:
+                assert k12[1][0] < worst
+                assert k12[-1][1] < 0.5 * worst
         assert op.va.shape[0] == op.vb.shape[0] == 0
 
     def test_memory_formula_bounds_the_operator(self, kink, oracle_problems):
