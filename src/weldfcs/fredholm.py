@@ -76,7 +76,9 @@ class PhaseFactor:
         self.pre = (lattice_roots(M)[mp % (2 * M)]
                     if self.j0 != k0 else None)
         self.rows = (k0 + np.arange(n)) % M
-        self.post = np.exp(1j * p * self.lattice.xc)
+        # none where x_c = 0, as on the torus's assembly grid
+        self.post = (np.exp(1j * p * self.lattice.xc)
+                     if self.lattice.xc != 0.0 else None)
 
     def __call__(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
         """``P[rows] @ w`` for w of shape (|U|,) or (|U|, k), by one FFT of
@@ -84,8 +86,10 @@ class PhaseFactor:
         wt = w.T if self.pre is None else w.T * self.pre
         a = np.zeros(wt.shape[:-1] + (self.size,), dtype=complex)
         a[..., self.scatter] = wt
-        y = np.fft.ifft(a, norm="forward")
-        return (y[..., self.rows[rows]] * self.post[rows]).T
+        y = np.fft.ifft(a, norm="forward")[..., self.rows[rows]]
+        if self.post is not None:
+            y *= self.post[rows]
+        return y.T
 
     def table(self, rows: np.ndarray) -> np.ndarray:
         """The rows ``rows`` (indices) of P, gathered from the lattice's
@@ -112,23 +116,24 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
     cap = min(_GMRES_CAP, n)
     # one Krylov vector per row, so each is written and read contiguously
     basis = np.empty((cap + 1, n), dtype=complex)
-    hess = np.zeros((cap + 1, cap), dtype=complex)
-    # Givens rotations (cs real, sn complex) reduce hess to upper-triangular
-    # r column by column; g is the rotated right-hand side, |g[j + 1]| the
-    # residual estimate; the rotations run on Python scalars
-    r = np.zeros((cap, cap), dtype=complex)
-    cs, sn, g = [], [], [complex(beta)]
+    # the Hessenberg columns; Givens rotations (cs real, sn complex) reduce
+    # each to a column of the upper-triangular r; g is the rotated
+    # right-hand side, |g[j + 1]| the residual estimate.  The rotations and
+    # the back-substitution run on Python scalars
+    hess, r, cs, sn, g = [], [], [], [], [complex(beta)]
     basis[0] = b / beta
     for j in range(cap):
         v = basis[:j + 1]
         w = basis[j] + sigma(basis[j])
+        h = np.zeros(j + 2, dtype=complex)
         for _ in range(2):
-            h = (v @ w.conj()).conj()
-            w -= h @ v
-            hess[:j + 1, j] += h
-        norm = float(np.linalg.norm(w))
-        hess[j + 1, j] = norm
-        col = hess[:j + 1, j].tolist()
+            c = (v @ w.conj()).conj()
+            w -= c @ v
+            h[:j + 1] += c
+        norm = math.sqrt(np.vdot(w, w).real)
+        h[j + 1] = norm
+        hess.append(h)
+        col = h[:j + 1].tolist()
         for i in range(j):
             c, s = cs[i], sn[i]
             col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
@@ -140,7 +145,7 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
         cs.append(abs(a) / rho)
         sn.append(norm / rho * (a / abs(a) if a != 0 else 1.0))
         col[j] = cs[j] * a + sn[j] * norm
-        r[:j + 1, j] = col
+        r.append(col)
         g.append(-sn[j].conjugate() * g[j])
         g[j] *= cs[j]
         if abs(g[j + 1]) <= _GMRES_TOL * beta:
@@ -150,16 +155,20 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
         raise error(f"system not solved in {cap} GMRES iterations "
                     f"(residual estimate {abs(g[cap]) / beta:.2e})")
     k = j + 1
-    sv = np.linalg.svd(hess[:k + 1, :k], compute_uv=False)
+    hk = np.zeros((k + 1, k), dtype=complex)
+    for i, h in enumerate(hess):
+        hk[:i + 2, i] = h
+    sv = np.linalg.svd(hk, compute_uv=False)
     cond = scale * float(sv[0] / max(sv[-1], 1e-300))
     if cond > limit:
         raise error(f"system condition estimate {cond:.2e}")
     # back-substitution on the triangular factor, a column at a time
-    y = np.array(g[:k])
+    y = g[:k]
     for i in range(k - 1, -1, -1):
-        y[i] /= r[i, i]
-        y[:i] -= r[:i, i] * y[i]
-    return y @ basis[:k], cond
+        y[i] /= r[i][i]
+        for m in range(i):
+            y[m] -= r[i][m] * y[i]
+    return np.array(y) @ basis[:k], cond
 
 
 @dataclass(eq=False)

@@ -83,10 +83,12 @@ class LatticePoints:
         the roots of unity, twiddled per row by ``scale e^{i k_j dp x_c}``
         (an angle of at most |k_j| pi / M)."""
         k = np.asarray(k, dtype=float)
-        idx = np.multiply.outer(np.rint(2.0 * k).astype(np.int64),
-                                self.m) % (2 * self.M)
-        twiddle = scale * np.exp(1j * (k * dp) * self.xc)
-        return twiddle[:, None] * lattice_roots(self.M)[idx]
+        idx = np.multiply.outer(np.rint(2.0 * k).astype(np.int64), self.m)
+        idx %= 2 * self.M
+        table = lattice_roots(self.M)[idx]
+        if self.xc == 0.0:
+            return table if scale == 1.0 else scale * table
+        return (scale * np.exp(1j * (k * dp) * self.xc))[:, None] * table
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,17 @@ def _phase_rows(k: np.ndarray, dp: float, x, scale: float = 1.0):
     return table if scale == 1.0 else scale * table
 
 
+def _expm1i(theta: np.ndarray) -> np.ndarray:
+    """``expm1(i theta)`` for real theta in the form in which ``np.expm1``
+    evaluates it, ``-2 sin^2(theta / 2) + i sin(theta)``, from real sines
+    (no complex exponential, and no cancellation at small theta)."""
+    half = np.sin(0.5 * theta)
+    out = np.empty(theta.shape, dtype=complex)
+    np.multiply(-2.0 * half, half, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def progression_phases(j0: float, dp: float, n: int, x, d=None,
                        scale: float = 1.0) -> np.ndarray:
     """The (n, len(x)) table ``scale e^{i p_j x_k}``, or with displacements d
@@ -301,8 +314,8 @@ def progression_phases(j0: float, dp: float, n: int, x, d=None,
         np.multiply(base[:, None], sub[None], out=table)
     else:
         d = np.asarray(d, dtype=float)
-        fsub = sub * np.expm1(1j * np.outer(pb, d))
-        np.multiply((base * np.expm1(1j * np.outer(pc, d)))[:, None],
+        fsub = sub * _expm1i(np.outer(pb, d))
+        np.multiply((base * _expm1i(np.outer(pc, d)))[:, None],
                     sub + fsub, out=table)
         tmp = np.empty_like(fsub)
         for blk, xc in zip(table, base):

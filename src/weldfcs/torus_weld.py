@@ -32,7 +32,7 @@ equation.  The difference of the two routes and the band-edge tails of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -112,6 +112,7 @@ class TorusOperator:
         self.dc = np.exp(-1j * p * (L * tau.real))
         self.dg = -np.expm1(-L * tau.imag * np.abs(p[:2 * N + 1]))
         self.qn = problem.q ** np.arange(N + 1, dtype=float)
+        self.dcc = self.dc[:2 * N + 1].conj()
         self.tails = _tail_diagnostics(
             self, abs(problem.q), [d[union] for d in problem.displacements])
 
@@ -120,7 +121,7 @@ class TorusOperator:
         ``Em y2 - K21 y1`` (modes < 0) of the two boundary relations, with
         ``F = (I + P_B V_B) conj(D_c)`` and ``Finv = (I + P_A V_A) D_c``."""
         N, n = self.N, len(y1)
-        z = self.dc[:n].conj() * y1
+        z = self.dcc * y1
         fy = self.phase(self.vb @ z)                        # F y1
         fy[:n] += z
         u = self.dc[N:] * fy[N:]
@@ -160,6 +161,10 @@ def assemble_K(problem: TorusWeldProblem) -> TorusOperator:
     return op
 
 
+def _times(table, v: np.ndarray) -> np.ndarray:
+    return table() @ v
+
+
 def _piece_max(product, rows: np.ndarray, a: int, rw: np.ndarray,
                cw: np.ndarray) -> float:
     """Largest entry of ``I + product()``, weighted by rw (rows) and cw
@@ -197,8 +202,8 @@ def _edge_pieces(op: TorusOperator, qabs: float, disps) -> dict:
     band = np.arange(n)
     out = {}
     for name, v, c0, d, rows, rw, cw, step, (ea, eb), erw in (
-            ("K12", op.va, N, disps[0], np.r_[0:w, n - w:n], one,
-             power * (modes >= 0), w, (n - w, n), one),
+            ("K12", op.va, N, disps[0], np.concatenate((band[:w], band[-w:])),
+             one, power * (modes >= 0), w, (n - w, n), one),
             ("K21", op.vb, 0, disps[1], np.arange(w), power * (modes < 0),
              one, n, (0, w), power * (modes != 0))):
         cbound = cw * (1.0 + np.minimum(
@@ -208,11 +213,12 @@ def _edge_pieces(op: TorusOperator, qabs: float, disps) -> dict:
         cols = partial(op.phase, v[:, ea - c0:eb - c0], slice(0, n))
         pieces = [(float(np.max(erw) * np.max(cbound[ea:eb])),
                    partial(_piece_max, cols, band, ea, erw, cw[ea:eb]))]
-        table, rwr = op.phase.table(rows), rw[rows]
+        # the edge rows of P, gathered when a piece first needs them
+        table, rwr = cache(partial(op.phase.table, rows)), rw[rows]
         starts = range(c0, n, step)
         bounds = np.max(rwr) * np.maximum.reduceat(cbound, starts)
         for a, bound in zip(starts, bounds.tolist()):
-            block = partial(np.matmul, table, v[:, a - c0:a - c0 + step])
+            block = partial(_times, table, v[:, a - c0:a - c0 + step])
             pieces.append((bound, partial(_piece_max, block, rows, a, rwr,
                                           cw[a:a + step])))
         out[name] = pieces
@@ -297,10 +303,15 @@ def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:
     # estimate times cond(Dg), which bounds the unscaled condition
     sel = modes != 0
     dg = op.dg[sel]
-    y, cond = _gmres(lambda y: op.matvec(np.insert(y, N, 0.0))[sel] / dg - y,
-                     rhs[sel] / dg, _COND_LIMIT, SingularSystem,
+    y1 = np.zeros(len(modes), dtype=complex)
+
+    def scaled(y):
+        y1[sel] = y
+        return op.matvec(y1)[sel] / dg - y
+
+    y, cond = _gmres(scaled, rhs[sel] / dg, _COND_LIMIT, SingularSystem,
                      scale=float(dg.max() / dg.min()))
-    y1 = np.insert(y, N, 0.0)
+    y1[sel] = y
     # the residual of the unprojected system: its projection gives the
     # solve's true relative residual, its zero mode the second tau route
     resid = op.matvec(y1) - rhs

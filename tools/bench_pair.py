@@ -11,8 +11,9 @@ commit.  Each side is exported once into a scratch directory, so neither
 run reads the other's files or leftovers.  Per workload, pair k runs the
 parent first when k is even and the change first when k is odd, one run at
 a time, each ``--seconds`` long at ``--seed`` (0 by default; another seed
-checks a claim on inputs not used while the change was written).  ``--traced`` more runs per side
-and workload take the per-layer split (``--trace 1``).
+checks a claim on inputs not used while the change was written).
+``--traced`` more runs per side and workload take the per-layer split
+(``--trace 1``).
 
 It writes ``BENCH_<tag>.json`` (``--out`` overrides the path): per workload
 and end-to-end metric, each side's runs, median and quartiles, the pairs
