@@ -116,24 +116,23 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
     cap = min(_GMRES_CAP, n)
     # one Krylov vector per row, so each is written and read contiguously
     basis = np.empty((cap + 1, n), dtype=complex)
-    # the Hessenberg columns; Givens rotations (cs real, sn complex) reduce
-    # each to a column of the upper-triangular r; g is the rotated
-    # right-hand side, |g[j + 1]| the residual estimate.  The rotations and
-    # the back-substitution run on Python scalars
-    hess, r, cs, sn, g = [], [], [], [], [complex(beta)]
+    hess = np.zeros((cap + 1, cap), dtype=complex)
+    # Givens rotations (cs real, sn complex) reduce hess to the
+    # upper-triangular r column by column; g is the rotated right-hand
+    # side, |g[j + 1]| the residual estimate.  The rotations and the
+    # back-substitution run on Python scalars
+    r, cs, sn, g = [], [], [], [complex(beta)]
     basis[0] = b / beta
     for j in range(cap):
         v = basis[:j + 1]
         w = basis[j] + sigma(basis[j])
-        h = np.zeros(j + 2, dtype=complex)
         for _ in range(2):
-            c = (v @ w.conj()).conj()
-            w -= c @ v
-            h[:j + 1] += c
+            h = (v @ w.conj()).conj()
+            w -= h @ v
+            hess[:j + 1, j] += h
         norm = math.sqrt(np.vdot(w, w).real)
-        h[j + 1] = norm
-        hess.append(h)
-        col = h[:j + 1].tolist()
+        hess[j + 1, j] = norm
+        col = hess[:j + 1, j].tolist()
         for i in range(j):
             c, s = cs[i], sn[i]
             col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
@@ -155,10 +154,7 @@ def _gmres(sigma, b: np.ndarray, limit: float, error: type,
         raise error(f"system not solved in {cap} GMRES iterations "
                     f"(residual estimate {abs(g[cap]) / beta:.2e})")
     k = j + 1
-    hk = np.zeros((k + 1, k), dtype=complex)
-    for i, h in enumerate(hess):
-        hk[:i + 2, i] = h
-    sv = np.linalg.svd(hk, compute_uv=False)
+    sv = np.linalg.svd(hess[:k + 1, :k], compute_uv=False)
     cond = scale * float(sv[0] / max(sv[-1], 1e-300))
     if cond > limit:
         raise error(f"system condition estimate {cond:.2e}")

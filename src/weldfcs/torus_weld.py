@@ -32,7 +32,7 @@ equation.  The difference of the two routes and the band-edge tails of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -161,10 +161,6 @@ def assemble_K(problem: TorusWeldProblem) -> TorusOperator:
     return op
 
 
-def _times(table, v: np.ndarray) -> np.ndarray:
-    return table() @ v
-
-
 def _piece_max(product, rows: np.ndarray, a: int, rw: np.ndarray,
                cw: np.ndarray) -> float:
     """Largest entry of ``I + product()``, weighted by rw (rows) and cw
@@ -204,7 +200,7 @@ def _edge_pieces(op: TorusOperator, qabs: float, disps) -> dict:
     for name, v, c0, d, rows, rw, cw, step, (ea, eb), erw in (
             ("K12", op.va, N, disps[0], np.concatenate((band[:w], band[-w:])),
              one, power * (modes >= 0), w, (n - w, n), one),
-            ("K21", op.vb, 0, disps[1], np.arange(w), power * (modes < 0),
+            ("K21", op.vb, 0, disps[1], band[:w], power * (modes < 0),
              one, n, (0, w), power * (modes != 0))):
         cbound = cw * (1.0 + np.minimum(
             2.0 * np.count_nonzero(d),
@@ -213,12 +209,11 @@ def _edge_pieces(op: TorusOperator, qabs: float, disps) -> dict:
         cols = partial(op.phase, v[:, ea - c0:eb - c0], slice(0, n))
         pieces = [(float(np.max(erw) * np.max(cbound[ea:eb])),
                    partial(_piece_max, cols, band, ea, erw, cw[ea:eb]))]
-        # the edge rows of P, gathered when a piece first needs them
-        table, rwr = cache(partial(op.phase.table, rows)), rw[rows]
+        table, rwr = op.phase.table(rows), rw[rows]
         starts = range(c0, n, step)
         bounds = np.max(rwr) * np.maximum.reduceat(cbound, starts)
         for a, bound in zip(starts, bounds.tolist()):
-            block = partial(_times, table, v[:, a - c0:a - c0 + step])
+            block = partial(np.matmul, table, v[:, a - c0:a - c0 + step])
             pieces.append((bound, partial(_piece_max, block, rows, a, rwr,
                                           cw[a:a + step])))
         out[name] = pieces

@@ -15,7 +15,7 @@ checks a claim on inputs not used while the change was written).
 ``--traced`` more runs per side and workload take the per-layer split
 (``--trace 1``).
 
-It writes ``BENCH_<tag>.json`` (``--out`` overrides the path): per workload
+It writes ``BENCH_<tag>.json`` at the checkout's root: per workload
 and end-to-end metric, each side's runs, median and quartiles, the pairs
 the change wins and the change's median relative to the parent's; the
 median per-layer split of each side; the seed-0 ln Psi fingerprint lines
@@ -181,7 +181,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--traced", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd())
                 .decode().strip())
@@ -189,7 +188,7 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
 
-    out = Path(args.out) if args.out else root / f"BENCH_{args.tag}.json"
+    out = root / f"BENCH_{args.tag}.json"
     scratch = Path(tempfile.mkdtemp(prefix="bench_pair-"))
     try:
         trees = {"parent": scratch / "parent", "change": scratch / "change"}
