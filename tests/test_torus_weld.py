@@ -237,8 +237,7 @@ class TestFactored:
         # a smaller bound holds the larger entry; and on the identity,
         # whose union support is empty, where only the bound of K12's last
         # column block (mode N alone) is below half its corner entry, and
-        # no K21 piece is skipped.
-        # Every bound holds.
+        # no K21 piece is skipped.  Every bound holds.
         grid = make_grid(64)
         f0 = Diffeo(grid, grid.x.copy())
         early = kink_problem(kink, 64, 30.0, -1.0)
