@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from .characters import Theory
 from .errors import BoxTooSmall, ConfigInvalid
 from .fcs import Numerics
-from .profile import TemperatureProfile, VolumeContext
+from .profile import ProfileValueError, TemperatureProfile, VolumeContext
 
 __all__ = ["RunConfig", "load_config", "config_from_dict", "read_number",
            "read_numbers", "read_positive"]
@@ -126,8 +126,8 @@ def config_from_dict(data: dict) -> RunConfig:
     try:
         profile = TemperatureProfile(beta_left, beta_right, center, half_width,
                                      shape, sharpness)
-    except ValueError as exc:
-        raise ConfigInvalid("profile.shape", str(exc)) from exc
+    except ProfileValueError as exc:
+        raise ConfigInvalid(f"profile.{exc.key}", str(exc)) from exc
     try:
         box = None if pblock.get("L") is None else VolumeContext(
             profile, read_positive(pblock, "L", "profile"), v)

@@ -22,25 +22,25 @@ Momentum-space kernels of the substitution operators::
 where the second form comes from the change of variables x = g(y).  On the
 lattice A, and B from the inverse displacement in the first form, factor
 through the union of the two supports into one shared phase factor and a V
-factor each (``fredholm._substitution_kernel``).  The phase factor is a
-slice of the lattice DFT, applied by FFT and never stored
-(``fredholm.PhaseFactor``).  Sigma is a short chain of these blocks, so it
-is never formed: ``(I + Sigma) dZ = -Sigma Z12`` is solved from the
-factors by ``fredholm._gmres``, in a few iterations, since Sigma is a
-compact perturbation of the identity of low numerical rank.
+factor each, all built by one ``fredholm.PhaseFactor`` per node.  The phase
+factor is a slice of the lattice DFT, applied by FFT and never stored.
+Sigma is a short chain of these blocks, so it is never formed:
+``(I + Sigma) dZ = -Sigma Z12`` is solved from the factors by
+``fredholm._gmres``, in a few iterations, since Sigma is a compact
+perturbation of the identity of low numerical rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import NearSingular, WindowTooSmall
-from .fredholm import PhaseFactor, WeldSolution, _gmres, _substitution_kernel
+from .fredholm import PhaseFactor, WeldSolution, _gmres
 from .profile import Diffeo
-from .spectral import LineGrid, gauss_legendre
+from .spectral import LineGrid, gauss_legendre_panels
 
 __all__ = [
     "CylinderWeldProblem",
@@ -109,11 +109,11 @@ class FactoredSigma:
     b2, and one over V_A z.
     """
 
-    def __init__(self, phase, va, vb, psol, gamma: float):
+    def __init__(self, phase, psol, gamma: float):
         n2 = len(psol)
         self.shape = (n2, n2)
         self.nn = nn = n2 // 2
-        self.phase, self.va, self.vb = phase, va, vb
+        self.phase, (self.va, self.vb) = phase, phase.v
         pm, pp = psol[:nn], psol[nn:]
         self.eqp = np.exp(-gamma * pp)[:, None]
         self.eqm = np.exp(gamma * pm)[:, None]
@@ -194,21 +194,19 @@ def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     ghat_ext = grid.ft(problem.g.displacement())
     # the quadrature weight W is folded into V; both factors share the
     # phase factor over the union of the two supports
-    (va, vb), union = _substitution_kernel(grid, problem.displacements,
-                                           psol, W)
+    phase = PhaseFactor(grid, problem.displacements, psol, W)
 
     # sum_q W A(p, q) e^{-gamma q} ghat(q) over q > 0, for every lattice p:
     # the transform of a field that lives on the support of the displacement
     eqp_cols = np.where(psol > 0, np.exp(-gamma * np.clip(psol, 0.0, None)), 0.0)
     u = np.zeros(grid.M, dtype=complex)
-    u[union] = va @ (eqp_cols * ghat_ext[sel]) / grid.dx
+    u[phase.union] = phase.v[0] @ (eqp_cols * ghat_ext[sel]) / grid.dx
     daq_ghat_ext = grid.ft(u)
 
     z12_ext = -daq_ghat_ext - np.where(
         pext > 0, np.exp(-gamma * np.clip(pext, 0.0, None)), -1.0) * ghat_ext
     return CylinderOperator(problem, sel, psol,
-                            FactoredSigma(PhaseFactor(grid, union, psol),
-                                          va, vb, psol, gamma),
+                            FactoredSigma(phase, psol, gamma),
                             z12_ext, ghat_ext)
 
 
@@ -301,13 +299,7 @@ def realspace_crosscheck(problem: CylinderWeldProblem,
         return (f[:, 1] - f[:, 2], y + f[:, 0].real, 1.0 + f[:, 1].real,
                 -f[:, 2])
 
-    nodes, wts = gauss_legendre(24)
-
-    def panels(edges):
-        """Nodes and weights of a 24-point Gauss-Legendre rule per panel."""
-        half = 0.5 * np.diff(edges)[:, None]
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        return (half * nodes + mid).ravel(), (half * wts).ravel()
+    panels = partial(gauss_legendre_panels, 24)
 
     def smooth_rule(a, b):
         # panels resolve the gamma-scale structure of the boundary data

@@ -27,12 +27,13 @@ from .characters import Theory, log_character
 from .cylinder_weld import CylinderWeldProblem, solve_cylinder
 from .errors import (ConfigInvalid, DeltaBetaZero, NodeTooLarge, OutOfRange,
                      PoleHit)
-from .fredholm import _GMRES_CAP
+from .fredholm import _GMRES_CAP, PhaseFactor
 # flow_family is not called here, but perfbench's tracer wraps this name
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       XiField, build_h, build_xi, flow_family,
                       periodize_profile)
-from .spectral import LineGrid, PeriodicGrid, bose_weight, gauss_legendre
+from .spectral import (LineGrid, PeriodicGrid, bose_weight,
+                       gauss_legendre_panels)
 from .torus_weld import TorusWeldProblem, solve_Y1
 
 __all__ = [
@@ -169,15 +170,19 @@ def _refuse_torus(n: int, support: int):
         "lower numerics.n_modes")
 
 
-def _gl_nodes(s_end: float, n_nodes: int, n_panels: int):
-    """Gauss-Legendre nodes/weights for int_0^{s_end} ds, panelized."""
-    gl_x, gl_w = gauss_legendre(n_nodes)
-    edges = np.linspace(0.0, s_end, n_panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * gl_x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * gl_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _flow_rule(s_end: float, numerics: Numerics):
+    """Nodes and weights of the flow-time rule, ``numerics.s_nodes``-point
+    Gauss-Legendre on each of ``numerics.s_panels`` equal panels of
+    [0, s_end].  The rule is refused before it is built when its arrays
+    would pass the budget: the n x n companion matrix whose eigenvalues
+    are the n nodes (``numpy.polynomial.legendre.leggauss``), and the
+    nodes and weights of all panels."""
+    n, panels = numerics.s_nodes, numerics.s_panels
+    _refuse_over_budget(8 * n * n + 16 * n * panels,
+                        f"flow-time rule of numerics.s_nodes = {n} on "
+                        f"numerics.s_panels = {panels}",
+                        "lower numerics.s_nodes or numerics.s_panels")
+    return gauss_legendre_panels(n, np.linspace(0.0, s_end, panels + 1))
 
 
 def _line_flow_family(xi_field: XiField, s_values, grid):
@@ -226,7 +231,7 @@ class WeldNodes:
                                              finv, num.tail_tol)
                             for (f, finv), s in zip(pairs, s_values)]
                 _refuse_torus(n, max(
-                    (np.count_nonzero(np.logical_or(*p.displacements))
+                    (len(PhaseFactor.support(p.displacements))
                      for p in problems), default=0))
             else:
                 problems = [CylinderWeldProblem(
@@ -319,7 +324,7 @@ def _flow_integrals(profile: TemperatureProfile, ctx, t: float, s_end: float,
                                          numerics)
 
     def integrate():
-        nodes, weights = _gl_nodes(s_end, numerics.s_nodes, numerics.s_panels)
+        nodes, weights = _flow_rule(s_end, numerics)
         a_sx, a_xp2 = np.dot(weights, _node_records(welds(nodes)))
         return complex(a_sx), complex(a_xp2)
 
@@ -342,7 +347,8 @@ def _fixed_rule(integrand, edges) -> float:
     edges = np.unique(edges)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        nodes, weights = _gl_nodes(b - a, 32, 8)
+        nodes, weights = gauss_legendre_panels(32,
+                                               np.linspace(0.0, b - a, 9))
         total += float(np.dot(weights, integrand(a + nodes)))
     return total
 

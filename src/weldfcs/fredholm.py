@@ -1,8 +1,9 @@
-"""The core of both welding solvers: support factors of the substitution
+"""The core of both welding solvers: one lattice object per welding node
+(``PhaseFactor``), which holds the support factors of the substitution
 kernels, on a lattice a sum over the points the displacement moves, since
-``expm1(0) == 0`` makes every other term exactly zero; the phase factor
-that maps them back to momenta, which is a slice of the lattice DFT and is
-applied by one FFT (Cooley and Tukey, Math. Comp. 19 (1965)); GMRES,
+``expm1(0) == 0`` makes every other term exactly zero, and applies the
+phase factor that maps them back to momenta, a slice of the lattice DFT,
+by one FFT (Cooley and Tukey, Math. Comp. 19 (1965)); GMRES,
 which takes a few steps on the identity plus a compact part (Campbell,
 Ipsen, Kelley and Meyer, BIT 36 (1996)); and the welded map both solutions
 reconstruct, X = f - Y1 on the circle or g - Y1 on the line."""
@@ -23,62 +24,62 @@ _GMRES_TOL = 1e-15
 _GMRES_CAP = 100
 
 
-def _substitution_kernel(grid, disps, p: np.ndarray, weight: float,
-                         cols=None):
-    """Support factors of the weighted kernel blocks
-    ``weight * (e^{-i q d} - 1)^(p, q)`` of each displacement d in
-    ``disps``, for p in ``p``, consecutive momenta of the grid's spacing dp
-    from a multiple of dp / 2, and q in ``p[a:b]`` for its pair
-    ``cols[k] = (a, b)`` (all of ``p`` by default).
-
-    Only the union U of the supports contributes, so block k is the product
-    ``P @ V_k`` of the phase factor ``P = e^{i p x_U}`` (``PhaseFactor``) and
-    ``V_k[m, j] = weight dx expm1(-i q_j d_m) e^{-i q_j x_m}``, whose rows at
-    the points d does not move are exact zeros.  V_k is one table of
-    ``progression_phases`` at (-x_U, -d), the conjugate of
-    ``e^{i q x} expm1(i q d)``, weight included, with x_U the lattice
-    points themselves, so its phases of x are roots of unity.  Returns the
-    list of the V_k and U.
-    """
-    union = np.nonzero(np.logical_or.reduce([d != 0 for d in disps]))[0]
-    j0, n = round(2.0 * p[0] / grid.dp) / 2, len(p)     # p_j = (j0 + j) dp
-    x = -LatticePoints.of(grid, union)
-    vs = [progression_phases(j0 + a, grid.dp, b - a, x, -d[union],
-                             weight * grid.dx).T
-          for d, (a, b) in zip(disps, cols or [(0, n)] * len(disps))]
-    return vs, union
-
-
 class PhaseFactor:
-    """``P[j, k] = e^{i p_j x_{U_k}}`` over momenta ``p_j = (j0 + j) dp``,
-    consecutive from a multiple of dp / 2, and lattice points U of a
-    periodic or line grid; applied by FFT and never stored.
+    """The lattice of one welding node: the union U of the supports of
+    ``disps`` (``support``), held as ``union`` with the displacements on it
+    (``disps``), the phase factor ``P[j, k] = e^{i p_j x_{U_k}}`` over the
+    momenta ``p_j = (j0 + j) dp`` of ``p``, consecutive from a multiple of
+    dp / 2, applied by FFT and never stored, and the support factors ``v``.
+
+    The kernel block ``weight * (e^{-i q d} - 1)^(p, q)`` of the k-th
+    displacement d, for q in ``p[a:b]`` with ``cols[k] = (a, b)`` (all of
+    ``p`` by default), is ``P @ V_k`` with
+    ``V_k[m, j] = weight dx expm1(-i q_j d_m) e^{-i q_j x_m}``: one table
+    of ``progression_phases`` at (-x_U, -d), the conjugate of
+    ``e^{i q x} expm1(i q d)``, whose rows at the points d does not move
+    are exact zeros.
 
     With m_c the lattice point nearest x = 0 (x_c = x_0 + m_c span / M in
     exact arithmetic, |x_c| <= dx / 2) and m' = m - m_c,
-    ``p_j x_m = p_j x_c + 2 pi (j0 + j) m' / M``.  So ``P w`` scatters w
-    onto the lattice at m' mod M, pre-twiddles it by ``e^{2 pi i f m' / M}``
-    for the fractional part f of j0 (1/2 on the line's half-offset lattice,
-    0 on the circle), takes one unscaled inverse FFT, reads the rows
-    ``floor(j0) + j`` mod M and post-twiddles them by ``e^{i p_j x_c}``.
-    Every twiddle angle is at most pi, so the product errs by the FFT's
-    round-off, not by the rounding of p x.
+    ``p_j x_m = p_j x_c + 2 pi (j0 + j) m' / M``, so the phases of x in P
+    and the V_k are roots of unity times a twiddle (``LatticePoints``).
+    ``P w`` scatters w onto the lattice at m' mod M, pre-twiddles it by
+    ``e^{2 pi i f m' / M}`` for the fractional part f of j0 (1/2 on the
+    line's half-offset lattice, 0 on the circle), takes one unscaled
+    inverse FFT, reads the rows ``floor(j0) + j`` mod M and post-twiddles
+    them by ``e^{i p_j x_c}``.  Every twiddle angle is at most pi, so the
+    product errs by the FFT's round-off, not by the rounding of p x.
     """
 
-    def __init__(self, grid, union: np.ndarray, p: np.ndarray):
+    def __init__(self, grid, disps, p: np.ndarray, weight: float,
+                 cols=None):
+        from fractions import Fraction  # not loaded by a warm fcs rerun
         M, n = grid.M, len(p)
-        self.dp, self.lattice = grid.dp, LatticePoints.of(grid, union)
-        self.j0 = round(2.0 * p[0] / grid.dp) / 2
-        mp = self.lattice.m
+        self.union = union = self.support(disps)
+        self.disps = [d[union] for d in disps]
+        mc = int(round(-grid.x0 / grid.dx))
+        xc = float(Fraction(grid.x0) + mc * Fraction(grid.span) / M)
+        mp = union - mc
+        self.dp, self.lattice = grid.dp, LatticePoints(xc, mp, M)
+        self.j0 = j0 = round(2.0 * p[0] / grid.dp) / 2
+        x = LatticePoints(-xc, -mp, M)
+        self.v = [progression_phases(j0 + a, grid.dp, b - a, x, -d,
+                                     weight * grid.dx).T
+                  for d, (a, b) in zip(self.disps,
+                                       cols or [(0, n)] * len(disps))]
         self.size, self.scatter = M, mp % M
-        k0 = math.floor(self.j0)
+        k0 = math.floor(j0)
         # e^{i pi m' / M}, a root of unity
-        self.pre = (lattice_roots(M)[mp % (2 * M)]
-                    if self.j0 != k0 else None)
+        self.pre = lattice_roots(M)[mp % (2 * M)] if j0 != k0 else None
         self.rows = (k0 + np.arange(n)) % M
         # none where x_c = 0, as on the torus's assembly grid
-        self.post = (np.exp(1j * p * self.lattice.xc)
-                     if self.lattice.xc != 0.0 else None)
+        self.post = np.exp(1j * p * xc) if xc != 0.0 else None
+
+    @staticmethod
+    def support(disps) -> np.ndarray:
+        """The union U of the supports: the grid points any of the
+        displacements moves."""
+        return np.nonzero(np.logical_or.reduce([d != 0 for d in disps]))[0]
 
     def __call__(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
         """``P[rows] @ w`` for w of shape (|U|,) or (|U|, k), by one FFT of

@@ -21,6 +21,8 @@ tables and nothing else.  Everything here is numpy alone.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
@@ -32,6 +34,7 @@ from .spectral import LineGrid, PeriodicGrid
 
 __all__ = [
     "TemperatureProfile",
+    "ProfileValueError",
     "VolumeContext",
     "InfiniteVolume",
     "ReparamMap",
@@ -44,6 +47,9 @@ __all__ = [
 ]
 
 _SMOOTHSTEP_POINTS = 2 ** 14  # resolution of the cumulative-integral tables
+# past this sharpness the bump's peak e^{-sharpness} is below the smallest
+# normal double, so the bump underflows and the smoothstep has no norm
+_SHARPNESS_MAX = -math.log(sys.float_info.min)
 
 
 def _cumsimps(y: np.ndarray, dx: float) -> np.ndarray:
@@ -106,6 +112,14 @@ class _QuinticHermite:
         return self.f[k] + s * (g0 + s * (0.5 * c0 + s * (a + s * (b + s * c))))
 
 
+class ProfileValueError(ValueError):
+    """A ``TemperatureProfile`` field out of its domain, named by ``key``."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class TemperatureProfile:
     """Smooth inverse-temperature kink with exactly constant asymptotes."""
@@ -118,12 +132,17 @@ class TemperatureProfile:
     sharpness: float = 4.0
 
     def __post_init__(self):
-        if self.beta_left <= 0 or self.beta_right <= 0:
-            raise ValueError("inverse temperatures must be positive")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        for key in ("beta_left", "beta_right", "half_width"):
+            if getattr(self, key) <= 0:
+                raise ProfileValueError(key, f"{key} must be positive")
         if self.shape != "bump":
-            raise ValueError(f"unknown profile shape '{self.shape}'")
+            raise ProfileValueError("shape",
+                                    f"unknown profile shape '{self.shape}'")
+        if not 0 < self.sharpness <= _SHARPNESS_MAX:
+            raise ProfileValueError("sharpness", (
+                f"sharpness must lie in (0, {_SHARPNESS_MAX:.4f}], where the "
+                f"bump's peak e^-sharpness is a normal double; got "
+                f"{self.sharpness!r}"))
 
     # -- smoothstep machinery ------------------------------------------------
     def _bump(self, u: np.ndarray, order: int = 0) -> np.ndarray:

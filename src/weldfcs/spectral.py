@@ -26,6 +26,7 @@ __all__ = [
     "fit_loglog_slope",
     "progression_phases",
     "gauss_legendre",
+    "gauss_legendre_panels",
     "lattice_roots",
     "LatticePoints",
 ]
@@ -38,6 +39,16 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+def gauss_legendre_panels(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel
+    between consecutive ``edges``, panel after panel."""
+    nodes, weights = gauss_legendre(n)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * nodes + mid).ravel(), (half * weights).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -54,31 +65,17 @@ def lattice_roots(m: int) -> np.ndarray:
 class LatticePoints:
     """Points ``x_c + m span / M`` of a grid's M-point lattice, held as the
     integers m and the lattice point x_c nearest x = 0 (|x_c| <= dx / 2,
-    rounded once from its exact value).  At a momentum p = k dp with 2 k an
-    integer, ``p x = p x_c + pi (2 k m) / M``, so e^{i p x} is a root of
-    unity (``lattice_roots``) times e^{i p x_c}, and no angle p x is
-    rounded."""
+    rounded once from its exact value by ``fredholm.PhaseFactor``).  At a
+    momentum p = k dp with 2 k an integer, ``p x = p x_c + pi (2 k m) / M``,
+    so e^{i p x} is a root of unity (``lattice_roots``) times e^{i p x_c},
+    and no angle p x is rounded."""
 
     xc: float
     m: np.ndarray
     M: int
 
-    @classmethod
-    def of(cls, grid, index) -> LatticePoints:
-        """The grid's lattice points at ``index``."""
-        from fractions import Fraction  # not loaded by a warm fcs rerun
-        mc = int(round(-grid.x0 / grid.dx))
-        xc = float(Fraction(grid.x0) + mc * Fraction(grid.span) / grid.M)
-        return cls(xc, np.asarray(index) - mc, grid.M)
-
-    def __len__(self) -> int:
-        return len(self.m)
-
-    def __neg__(self) -> LatticePoints:
-        return LatticePoints(-self.xc, -self.m, self.M)
-
     def phases(self, k, dp: float, scale: float = 1.0) -> np.ndarray:
-        """The (len(k), len(self)) table ``scale e^{i k_j dp x_m}`` for
+        """The (len(k), len(m)) table ``scale e^{i k_j dp x_m}`` for
         k_j with 2 k_j an integer, where dp = 2 pi / span: a gather from
         the roots of unity, twiddled per row by ``scale e^{i k_j dp x_c}``
         (an angle of at most |k_j| pi / M)."""
@@ -191,7 +188,7 @@ class LineGrid:
 
     @cached_property
     def _phases(self):
-        return (np.exp(1j * np.pi * np.arange(self.M) / self.M),
+        return (lattice_roots(self.M)[:self.M],
                 (np.arange(self.M) - self.M // 2) % self.M,
                 np.exp(1j * self.p * self.x0))
 
@@ -303,13 +300,13 @@ def progression_phases(j0: float, dp: float, n: int, x, d=None,
     r = max(n - k, int(k + 1 - 2 * mu) if k else 0)
     b = max(1, int(np.ceil(np.sqrt(r))))
     blocks = -(-r // b)
-    # T is written as whole blocks, just below the rows with p < 0
-    buf = np.empty((k + blocks * b, len(x)), dtype=complex)
-    table = buf[k:].reshape(blocks, b, len(x))
     kc, kb = mu + b * np.arange(blocks), np.arange(b)
     pc, pb = kc * dp, kb * dp
     base = _phase_rows(kc, dp, x, scale)
     sub = _phase_rows(kb, dp, x)
+    # T is written as whole blocks, just below the rows with p < 0
+    buf = np.empty((k + blocks * b, sub.shape[1]), dtype=complex)
+    table = buf[k:].reshape(blocks, b, -1)
     if d is None:
         np.multiply(base[:, None], sub[None], out=table)
     else:

@@ -37,7 +37,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from .fredholm import PhaseFactor, WeldSolution, _gmres, _substitution_kernel
+from .fredholm import PhaseFactor, WeldSolution, _gmres
 from .profile import Diffeo
 from .spectral import PeriodicGrid, schwarzian_from_derivatives
 
@@ -104,17 +104,15 @@ class TorusOperator:
     def __init__(self, problem: TorusWeldProblem):
         N, grid, L, tau = problem.n_modes, problem.grid, problem.L, problem.tau
         p = grid.dp * np.arange(-N, N + N // 2 + 1)
-        (self.va, self.vb), union = _substitution_kernel(
-            grid, problem.displacements, p, 1.0 / L,
-            cols=((N, len(p)), (0, 2 * N + 1)))
-        self.phase = PhaseFactor(grid, union, p)
+        self.phase = PhaseFactor(grid, problem.displacements, p, 1.0 / L,
+                                 cols=((N, len(p)), (0, 2 * N + 1)))
+        self.va, self.vb = self.phase.v
         self.N, self.modes = N, np.arange(-N, N + 1)
         self.dc = np.exp(-1j * p * (L * tau.real))
         self.dg = -np.expm1(-L * tau.imag * np.abs(p[:2 * N + 1]))
         self.qn = problem.q ** np.arange(N + 1, dtype=float)
         self.dcc = self.dc[:2 * N + 1].conj()
-        self.tails = _tail_diagnostics(
-            self, abs(problem.q), [d[union] for d in problem.displacements])
+        self.tails = _tail_diagnostics(self, abs(problem.q))
 
     def residuals(self, y1: np.ndarray, y2: np.ndarray):
         """The residuals ``E0p y1 - K11 y1 - K12 y2`` (band) and
@@ -172,16 +170,17 @@ def _piece_max(product, rows: np.ndarray, a: int, rw: np.ndarray,
     return float(np.max(np.abs(blk) * rw[:, None] * cw))
 
 
-def _edge_pieces(op: TorusOperator, qabs: float, disps) -> dict:
+def _edge_pieces(op: TorusOperator, qabs: float) -> dict:
     """Per coupling block, its outermost mode band (w = N // 16 wide) in
     pieces, as ``(bound, scan)`` pairs: scan() is the piece's largest
     weighted entry, and bound is at least that.
 
     |K12[m, n]| is |(I + P_A V_A)[m, n]| |q|^n on n >= 0 and |K21[m, n]| is
     |q|^|m| |(I + P_B V_B)[m, n]| on m < 0.  Every entry of P has modulus 1
-    and |expm1(i theta)| <= min(2, |theta|), so with ``disps`` the
-    displacements d on U, |(I + P V)[m, n]| <= 1 + min(2 |S|, |q_n| |d|_1)
-    / M, S the points d moves, which times the weights bounds a piece.
+    and |expm1(i theta)| <= min(2, |theta|), so with d the displacement on
+    U (``PhaseFactor.disps``), |(I + P V)[m, n]| <= 1 + min(2 |S|, |q_n|
+    |d|_1) / M, S the points d moves, which times the weights bounds a
+    piece.
 
     A block's edge rows are a few rows of P (``PhaseFactor.table``) applied
     to V, one piece; K12's, whose column weights |q|^n fall, in column
@@ -197,10 +196,11 @@ def _edge_pieces(op: TorusOperator, qabs: float, disps) -> dict:
     power, one = qabs ** np.abs(modes), np.ones(n)
     band = np.arange(n)
     out = {}
+    d_a, d_b = op.phase.disps
     for name, v, c0, d, rows, rw, cw, step, (ea, eb), erw in (
-            ("K12", op.va, N, disps[0], np.concatenate((band[:w], band[-w:])),
+            ("K12", op.va, N, d_a, np.concatenate((band[:w], band[-w:])),
              one, power * (modes >= 0), w, (n - w, n), one),
-            ("K21", op.vb, 0, disps[1], band[:w], power * (modes < 0),
+            ("K21", op.vb, 0, d_b, band[:w], power * (modes < 0),
              one, n, (0, w), power * (modes != 0))):
         cbound = cw * (1.0 + np.minimum(
             2.0 * np.count_nonzero(d),
@@ -220,7 +220,7 @@ def _edge_pieces(op: TorusOperator, qabs: float, disps) -> dict:
     return out
 
 
-def _tail_diagnostics(op: TorusOperator, qabs: float, disps) -> dict:
+def _tail_diagnostics(op: TorusOperator, qabs: float) -> dict:
     """Largest entries in the outermost mode band of the coupling blocks,
     read off the factors a piece at a time (``_edge_pieces``).  The pieces
     are scanned in order of decreasing bound, and the scan stops at the
@@ -235,7 +235,7 @@ def _tail_diagnostics(op: TorusOperator, qabs: float, disps) -> dict:
     error).
     """
     tails = {}
-    for name, pieces in _edge_pieces(op, qabs, disps).items():
+    for name, pieces in _edge_pieces(op, qabs).items():
         worst = 0.0
         for bound, scan in sorted(pieces, key=lambda piece: -piece[0]):
             if bound < 0.5 * worst:

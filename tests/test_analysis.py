@@ -11,6 +11,16 @@ from weldfcs.spectral import (LatticePoints, LineGrid, PeriodicGrid,
                               progression_phases)
 
 
+def phase_factor(grid, union, j0, n):
+    """The phase factor of the momenta (j0 + j) dp, j < n, over the lattice
+    points ``union``: that of a displacement moving exactly those points,
+    with its V factor over one momentum."""
+    d = np.zeros(grid.M)
+    d[union] = 1.0
+    return PhaseFactor(grid, (d,), (j0 + np.arange(n)) * grid.dp, 1.0,
+                       cols=[(0, 1)])
+
+
 def counterterm(profile, t, v, c):
     """Counterterm of both movers."""
     return sum(counterterm_mover(profile, t, v, c, mover) for mover in "+-")
@@ -22,6 +32,13 @@ class TestSpectralTools:
         u = np.exp(-1j * 2 * np.pi * 3 / 7.0 * grid.x)
         d = grid.derivative(u, 1)
         assert np.max(np.abs(d - (-1j * 2 * np.pi * 3 / 7.0) * u)) < 1e-12
+
+    @pytest.mark.parametrize("M", [8, 512, 1024, 32768])
+    def test_line_pre_twiddle_is_the_lattice_roots(self, M):
+        # the line transform's pre-twiddle e^{i pi m / M}, m < M, is read
+        # from the lattice's roots of unity, bit for bit its direct table
+        hs = LineGrid(-3.0, 7.0, M)._phases[0]
+        assert np.array_equal(hs, np.exp(1j * np.pi * np.arange(M) / M))
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_series_of_transform_is_derivative(self, periodic):
@@ -221,7 +238,8 @@ class TestSpectralTools:
         # dense np.exp table errs by the rounding of p x (6e-14 to 3e-12 of
         # the largest entry on these grids)
         union = np.sort(rng.choice(grid.M, 300, replace=False))
-        phase = PhaseFactor(grid, union, (j0 + np.arange(n)) * grid.dp)
+        phase = phase_factor(grid, union, j0, n)
+        assert np.array_equal(phase.union, union)
         w = rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3))
         ref = lattice_phase(grid, union, j0, n) @ w
         scale = np.max(np.abs(ref))
@@ -244,7 +262,8 @@ class TestSpectralTools:
         eps = np.finfo(float).eps
         union = np.sort(rng.choice(grid.M, 300, replace=False))
         ref = lattice_phase(grid, union, j0, n)
-        x = LatticePoints.of(grid, union)
+        phase = phase_factor(grid, union, j0, n)
+        x = phase.lattice
         direct = np.exp(1j * np.outer((j0 + np.arange(n)) * grid.dp,
                                       grid.x[union]))
         assert np.max(np.abs(direct - ref)) > 16 * eps
@@ -252,9 +271,10 @@ class TestSpectralTools:
         for got, want in (
                 (x.phases(j0 + np.arange(n), grid.dp), ref),
                 (progression_phases(j0, grid.dp, n, x), ref),
-                (progression_phases(j0, grid.dp, n, -x), ref.conj()),
-                (PhaseFactor(grid, union, (j0 + np.arange(n)) * grid.dp)
-                 .table(rows), ref[rows])):
+                (progression_phases(j0, grid.dp, n,
+                                    LatticePoints(-x.xc, -x.m, x.M)),
+                 ref.conj()),
+                (phase.table(rows), ref[rows])):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 16 * eps
 
@@ -272,8 +292,7 @@ class TestSpectralTools:
         for grid, j0 in ((PeriodicGrid(40.0, M, -10.0), -M // 4),
                          (LineGrid(-31.7, 0.07 * M, M), 0.5 - M // 4)):
             union = np.sort(rng.choice(M, M // 8, replace=False))
-            phase = PhaseFactor(grid, union,
-                                (j0 + np.arange(M // 2)) * grid.dp)
+            phase = phase_factor(grid, union, j0, M // 2)
             for k in (1, 3, 24):
                 w = (rng.standard_normal((len(union), k))
                      + 1j * rng.standard_normal((len(union), k)))

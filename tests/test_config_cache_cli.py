@@ -1124,6 +1124,52 @@ class TestCli:
         assert peak < 2 ** 24
         assert "NodeTooLarge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["infinite", "finite"])
+    def test_fcs_flow_rule_over_budget_exits_3_unallocated(
+            self, tmp_path, capsys, mode):
+        # s_nodes = 100000 needs a 74.5 GiB companion matrix for its nodes;
+        # the rule is refused before that or any node is built
+        data = base_config()
+        data["numerics"]["s_nodes"] = 100000
+        data["experiment"] = {"mode": mode, "t_values": [4.0],
+                              "lambda_values": [0.02]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            assert run_cli(["fcs", "--config", str(cfg_path)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NodeTooLarge: ")
+        assert "numerics.s_nodes = 100000" in err
+
+    def test_fcs_sharpness_past_the_normal_range_exits_2(self, tmp_path,
+                                                          capsys):
+        # e^-745 underflows to 0, and so would the whole bump: refused as
+        # a config error naming the key, before any weld
+        data = base_config()
+        data["profile"]["sharpness"] = 745.0
+        data["experiment"] = {"mode": "infinite", "t_values": [1.0],
+                              "lambda_values": [0.2]}
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "'profile.sharpness'" in err
+        assert not (tmp_path / "out").exists()
+        # the bound is where e^-sharpness leaves the normal doubles
+        edge = -np.log(sys.float_info.min)
+        assert np.exp(-edge) >= sys.float_info.min
+        TemperatureProfile(2.0, 1.0, sharpness=edge)
+        with pytest.raises(ValueError, match="sharpness"):
+            TemperatureProfile(2.0, 1.0, sharpness=np.nextafter(edge, 1e3))
+
     @pytest.mark.parametrize("mode,solver", [("infinite", "solve_cylinder"),
                                              ("finite", "solve_Y1")])
     def test_fcs_out_of_memory_exits_3_naming_the_node(

@@ -9,11 +9,10 @@ from weldfcs import (CylinderWeldProblem, Diffeo, InfiniteVolume,
                      Numerics, TorusWeldProblem, assemble_sigma, build_xi,
                      cylinder_nodes, cylinder_weld, flow_family,
                      realspace_crosscheck, solve_cylinder)
-from weldfcs.fredholm import _substitution_kernel
+from weldfcs.fredholm import PhaseFactor
 from weldfcs.errors import NearSingular, WindowTooSmall
-from weldfcs.fcs import (_NODE_BYTES_MAX, _cylinder_size, _gl_nodes,
-                         cylinder_grid)
-from weldfcs.spectral import LineGrid, PeriodicGrid
+from weldfcs.fcs import _NODE_BYTES_MAX, _cylinder_size, cylinder_grid
+from weldfcs.spectral import LineGrid, PeriodicGrid, gauss_legendre_panels
 
 # the benchmark's cylinder numerics (perfbench infinite-moments)
 BENCH = Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
@@ -36,13 +35,11 @@ def dense_sigma(op, lattice_phase):
     """The recast Nystrom matrix formed from the dense kernel blocks DA and
     DB, with the phase factor formed in extended precision: the oracle of
     the factored product (p < 0 block first)."""
-    prob, psol = op.problem, op.psol
+    prob, psol, sigma = op.problem, op.psol, op.sigma
     grid, gamma = prob.grid, prob.gamma
-    W = grid.dp / (2.0 * np.pi)
-    (va, vb), union = _substitution_kernel(grid, prob.displacements,
-                                           psol, W)
-    phase = lattice_phase(grid, union, psol[0] / grid.dp, len(psol))
-    DA, DB = phase @ va, phase @ vb
+    phase = lattice_phase(grid, sigma.phase.union, psol[0] / grid.dp,
+                          len(psol))
+    DA, DB = phase @ sigma.va, phase @ sigma.vb
     n2 = len(psol)
     m, p = slice(0, n2 // 2), slice(n2 // 2, n2)
     eqp, eqm = np.exp(-gamma * psol[p]), np.exp(gamma * psol[m])
@@ -69,7 +66,8 @@ def oracle_nodes(kink, lean_numerics):
     window), both movers."""
     sols = []
     for num, lam, ends in ((BENCH, 0.04, False), (lean_numerics, 0.2, True)):
-        s_nodes, _ = _gl_nodes(lam / kink.delta_beta, num.s_nodes, 1)
+        s_nodes, _ = gauss_legendre_panels(num.s_nodes,
+                                           [0.0, lam / kink.delta_beta])
         if ends:
             s_nodes = s_nodes[[0, -1]]
         for mover in "+-":
@@ -138,9 +136,9 @@ class TestAssembly:
         rows = rng.choice(len(psol), 12, replace=False)
         cols = rng.choice(len(psol), 12, replace=False)
         for disp in prob.displacements:
-            (v,), union = _substitution_kernel(grid, (disp,), psol, 1.0)
-            block = lattice_phase(grid, union, psol[0] / grid.dp,
-                                  len(psol)) @ v
+            phase = PhaseFactor(grid, (disp,), psol, 1.0)
+            block = lattice_phase(grid, phase.union, psol[0] / grid.dp,
+                                  len(psol)) @ phase.v[0]
             d = disp.astype(np.longdouble)
             worst = 0.0
             for j in cols:

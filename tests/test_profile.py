@@ -5,10 +5,11 @@ from scipy.integrate import solve_ivp
 from weldfcs import (InfiniteVolume, TemperatureProfile, VolumeContext,
                      build_h, build_xi, flow_family, periodize_profile)
 from weldfcs.errors import BoxTooSmall
-from weldfcs.fcs import (Numerics, _gl_nodes, _line_flow_family,
-                         cylinder_nodes, torus_nodes)
+from weldfcs.fcs import (Numerics, _line_flow_family, cylinder_nodes,
+                         torus_nodes)
 from weldfcs.profile import ReparamMap
-from weldfcs.spectral import LineGrid, PeriodicGrid, fit_loglog_slope
+from weldfcs.spectral import (LineGrid, PeriodicGrid, fit_loglog_slope,
+                              gauss_legendre_panels)
 
 
 def brute_force_periodized(profile, L, x):
@@ -288,7 +289,7 @@ class TestReparamMap:
         moments = Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
                            p_max_gamma=26.0, s_nodes=4)
         for lam in (-0.04, -0.02, 0.02, 0.04):
-            s = _gl_nodes(lam / kink.delta_beta, 4, 1)[0]
+            s = gauss_legendre_panels(4, [0.0, lam / kink.delta_beta])[0]
             sets = [cylinder_nodes(kink, 1.0, 4.0, mover, s, moments)
                     for mover in "+-"]
             sets += [torus_nodes(kink, VolumeContext(kink, L), 4.0, s,
@@ -503,7 +504,7 @@ class TestFlows:
                             calls.append(y) or inverse(self, y))
         num = Numerics(n_modes=64, s_nodes=4, dx=0.08, window_pad_gamma=5.0,
                        window_factor=3.5, p_max_gamma=14.0)
-        s = _gl_nodes(0.3, 4, 1)[0]
+        s = gauss_legendre_panels(4, [0.0, 0.3])[0]
         nodes = (torus_nodes(kink, box, 2.0, s, num) if volume == "finite"
                  else cylinder_nodes(kink, 1.0, 2.0, "+", s, num))
         pairs = _line_flow_family(nodes.xi, nodes.s_values, nodes.grid)

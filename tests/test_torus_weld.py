@@ -7,8 +7,8 @@ from weldfcs import (Diffeo, Numerics, Theory, TorusWeldProblem,
                      psi_finite, residual_diagnostics, solve_Y1, torus_nodes,
                      torus_weld)
 from weldfcs.errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from weldfcs.fcs import _gl_nodes, _torus_bytes
-from weldfcs.spectral import PeriodicGrid
+from weldfcs.fcs import _torus_bytes
+from weldfcs.spectral import PeriodicGrid, gauss_legendre_panels
 from weldfcs.torus_weld import TorusOperator
 
 L = 40.0
@@ -66,17 +66,10 @@ def factored_blocks(op):
     return K11, K12, K21
 
 
-def union_support(prob):
-    """The grid points the map or its inverse moves."""
-    return np.nonzero(np.logical_or(*prob.displacements))[0]
-
-
 def tail_pieces(op, prob):
     """Per coupling block, the largest weighted entry of each of its edge
     pieces from a scan of every piece, and each piece's bound."""
-    union = union_support(prob)
-    pieces = torus_weld._edge_pieces(op, abs(prob.q),
-                                     [d[union] for d in prob.displacements])
+    pieces = torus_weld._edge_pieces(op, abs(prob.q))
     return {name: [(scan(), bound) for bound, scan in block]
             for name, block in pieces.items()}
 
@@ -93,7 +86,7 @@ def oracle_problems(kink):
     node of criterion 9's t = 30 set (lambda = 0.2), at L = 40, N = 192."""
     probs = []
     for t, lam in ((4.0, 0.04), (30.0, 0.2)):
-        s = _gl_nodes(lam / kink.delta_beta, 4, 1)[0][-1]
+        s = gauss_legendre_panels(4, [0.0, lam / kink.delta_beta])[0][-1]
         probs.append(kink_problem(kink, 192, t, s))
     return probs
 
@@ -124,7 +117,7 @@ class TestAssembly:
         # F = (I + P_B V_B) conj(D_c) from the factors, on the band, with P
         # formed in extended precision
         n = 2 * N + 1
-        P = lattice_phase(grid, union_support(prob), -N, n)
+        P = lattice_phase(grid, op.phase.union, -N, n)
         F = (np.eye(n) + P @ op.vb) * op.dc[:n].conj()
         assert np.max(np.abs(np.diag(F) - np.exp(-1j * pn * b))) < 1e-12
         assert np.max(np.abs(factored_blocks(op)[0])) < 1e-12
@@ -212,15 +205,13 @@ class TestAssembly:
             solve(32)
         sol_192 = solve(192)
         assert abs(solve(128).tau_eff - sol_192.tau_eff) < 1e-11
-        # a kernel whose two tau_eff routes disagree is rejected by the solve
-        assemble = torus_weld.assemble_K
-
-        def tampered(problem):
-            op = assemble(problem)
-            op.qn = 2.0 * op.qn
-            return op
-
-        monkeypatch.setattr(torus_weld, "assemble_K", tampered)
+        # a solve whose two tau_eff routes disagree is rejected: here the
+        # jump-datum route reads 1e-2 off.  An operator assembled for
+        # another tau would not do: the routes agree to round-off whatever
+        # tau the operator is assembled for
+        jump_route = torus_weld.TorusWeldSolution.tau_eff.func
+        monkeypatch.setattr(torus_weld.TorusWeldSolution, "tau_eff",
+                            property(lambda sol: jump_route(sol) + 1e-2))
         with pytest.raises(TruncationTooCoarse, match="two-route"):
             solve_Y1(sol_192.problem)
 
@@ -270,13 +261,13 @@ class TestFactored:
         # benchmark L = 40 node and on a node of criterion 9's t = 30,
         # L = 80 set (N = 512); the phase factor is not among them: the
         # only arrays over the union support are V_A and V_B
-        s = _gl_nodes(0.2 / kink.delta_beta, 6, 1)[0][-1]
+        s = gauss_legendre_panels(6, [0.0, 0.2 / kink.delta_beta])[0][-1]
         for prob in (oracle_problems[0],
                      kink_problem(kink, 512, 30.0, s, length=80.0)):
             op = TorusOperator(prob)
             arrays = held_arrays(op)
             held = sum(a.nbytes for a in arrays.values())
-            union = len(union_support(prob))
+            union = len(op.phase.union)
             assert sorted(name for name, a in arrays.items()
                           if a.ndim > 1) == ["va", "vb"]
             assert op.va.shape[0] == op.vb.shape[0] == union

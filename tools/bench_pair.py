@@ -17,11 +17,11 @@ checks a claim on inputs not used while the change was written).
 
 It writes ``BENCH_<tag>.json`` at the checkout's root: per workload
 and end-to-end metric, each side's runs, median and quartiles, the pairs
-the change wins and the change's median relative to the parent's; the
-median per-layer split of each side; the seed-0 ln Psi fingerprint lines
-and their largest relative move; each side's cache version; the rounds
-each run completed (``peak_rss_mb`` of ``warm-grid`` grows with them); and
-the host.  A metric whose parent runs spread wider than its bound (the
+the change wins (in all, and split by the side that ran first) and the
+change's median relative to the parent's; the median per-layer split of
+each side; the seed-0 ln Psi fingerprint lines and their largest relative
+move; each side's cache version; the rounds each run completed
+(``peak_rss_mb`` of ``warm-grid`` grows with them); and the host.  A metric whose parent runs spread wider than its bound (the
 quartile distance over the median, bounds from ``BENCHMARK.json``) is
 marked unresolved: no move within the bound can be told from that spread.
 Only the standard library is used.
@@ -106,20 +106,33 @@ def summary(values: list) -> dict:
     return {"runs": values, "median": med, "q1": q1, "q3": q3}
 
 
+def first_side(k: int) -> str:
+    """The side that runs first in pair k."""
+    return "parent" if k % 2 == 0 else "change"
+
+
 def compare(parent: list, change: list, better: str, bound: float) -> dict:
     """Both sides' summaries, pair wins and the resolution of a metric;
-    a metric some run did not report is unresolved."""
+    a metric some run did not report is unresolved.  The change's wins are
+    also split by the side that ran first in the pair: wins that follow the
+    order say more about the order than about the change."""
     p, c = summary(parent), summary(change)
     if not parent or len(parent) != len(change):
         return {"parent": p, "change": c, "better": better, "bound": bound,
                 "unresolved": True, "gain_resolved": False}
     sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    won = [sign * (b - a) > 0 for a, b in zip(parent, change)]
+    wins = sum(won)
+    by_first = {side: [w for k, w in enumerate(won) if first_side(k) == side]
+                for side in ("parent", "change")}
     iqr = p["q3"] - p["q1"]
     spread = iqr / abs(p["median"]) if p["median"] else None
     return {
         "parent": p, "change": c, "better": better, "bound": bound,
         "pairs": len(parent), "change_wins": wins,
+        "change_wins_by_first": {side: {"pairs": len(w),
+                                        "change_wins": sum(w)}
+                                 for side, w in by_first.items()},
         "ratio": c["median"] / p["median"] if p["median"] else None,
         "parent_spread": spread,
         "unresolved": spread is None or spread > bound,
@@ -205,7 +218,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for k in range(args.pairs):
-                order = ("parent", "change") if k % 2 == 0 \
+                order = ("parent", "change") if first_side(k) == "parent" \
                     else ("change", "parent")
                 for side in order:
                     runs[side].append(run_once(trees[side], workload,
