@@ -50,6 +50,8 @@ _SMOOTHSTEP_POINTS = 2 ** 14  # resolution of the cumulative-integral tables
 # past this sharpness the bump's peak e^{-sharpness} is below the smallest
 # normal double, so the bump underflows and the smoothstep has no norm
 _SHARPNESS_MAX = -math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_TINY = math.log(sys.float_info.min * sys.float_info.epsilon)  # 5e-324
 
 
 def _cumsimps(y: np.ndarray, dx: float) -> np.ndarray:
@@ -132,9 +134,10 @@ class TemperatureProfile:
     sharpness: float = 4.0
 
     def __post_init__(self):
-        for key in ("beta_left", "beta_right", "half_width"):
-            if getattr(self, key) <= 0:
-                raise ProfileValueError(key, f"{key} must be positive")
+        if self.beta_left <= 0 or self.beta_right <= 0:
+            raise ValueError("inverse temperatures must be positive")
+        if self.half_width <= 0:
+            raise ValueError("half_width must be positive")
         if self.shape != "bump":
             raise ProfileValueError("shape",
                                     f"unknown profile shape '{self.shape}'")
@@ -143,6 +146,30 @@ class TemperatureProfile:
                 f"sharpness must lie in (0, {_SHARPNESS_MAX:.4f}], where the "
                 f"bump's peak e^-sharpness is a normal double; got "
                 f"{self.sharpness!r}"))
+        # near that bound the bump's norm is subnormal, and the scale
+        # delta_beta / (half_width^k norm) of beta' and beta'' can overflow,
+        # which would make them NaN.  The norm is at least
+        # 2 e^-(s + 1) / sqrt(s + 1), the bump's least value on
+        # |u| < 1 / sqrt(s + 1) times that length, so the bump's table is
+        # built here, to check the scale itself, only where that floor
+        # leaves the scale within e^8 of the double range
+        s, db = self.sharpness, abs(self.delta_beta)
+        floor = [k * math.log(self.half_width) + math.log(2.0) - (s + 1.0)
+                 - 0.5 * math.log1p(s) for k in (1, 2)]
+        if any(f < _LOG_TINY + 8.0 or db and math.log(db) - f > _LOG_MAX - 8.0
+               for f in floor):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                scales = [self._deriv_scale(k) for k in (1, 2)]
+            if not np.all(np.isfinite(scales)):
+                # the sharpness is at fault where 1 / norm overflows alone
+                norm = self._step_table[1]
+                key = ("sharpness" if norm * sys.float_info.max < 1.0
+                       else "half_width")
+                raise ProfileValueError(key, (
+                    f"delta_beta / (half_width^k norm), the scale of beta' "
+                    f"and beta'', overflows at delta_beta {self.delta_beta!r},"
+                    f" half_width {self.half_width!r} and sharpness {s!r}, "
+                    f"where the bump's norm is {norm:.3g}"))
 
     # -- smoothstep machinery ------------------------------------------------
     def _bump(self, u: np.ndarray, order: int = 0) -> np.ndarray:
@@ -195,13 +222,17 @@ class TemperatureProfile:
         u = (x - self.center) / self.half_width
         if order not in (1, 2):
             raise ValueError("beta_deriv supports order 1 and 2")
-        norm = self._step_table[1]
-        db = self.beta_right - self.beta_left
         out = np.zeros_like(u)
         m = np.abs(u) < 1.0
-        out[m] = (db / (self.half_width ** order * norm)
-                  * self._bump(u[m], order - 1))
+        out[m] = self._deriv_scale(order) * self._bump(u[m], order - 1)
         return out
+
+    def _deriv_scale(self, order: int):
+        """delta_beta / (half_width^order norm), which scales the bump (order
+        1) or its derivative (order 2) into beta's derivative."""
+        norm = self._step_table[1]
+        db = self.beta_right - self.beta_left
+        return db / (self.half_width ** order * norm)
 
     @property
     def support(self) -> tuple[float, float]:

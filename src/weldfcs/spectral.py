@@ -271,7 +271,7 @@ def _expm1i(theta: np.ndarray) -> np.ndarray:
 
 def progression_phases(j0: float, dp: float, n: int, x, d=None,
                        scale: float = 1.0) -> np.ndarray:
-    """The (n, len(x)) table ``scale e^{i p_j x_k}``, or with displacements d
+    """The (n, number of points) table ``scale e^{i p_j x_k}``, or with displacements d
     ``scale e^{i p_j x_k} expm1(i p_j d_k)``, over the momenta
     ``p_j = (j0 + j) dp``, j = 0..n-1, where dp > 0, ``2 j0`` is an integer
     and the last momentum is not negative; ``scale`` is real.  The points x
@@ -283,7 +283,7 @@ def progression_phases(j0: float, dp: float, n: int, x, d=None,
     i = 0..r-1, with mu the least |p| / dp.  T is built by angle addition in
     blocks of B = ceil(sqrt(r)) rows: ``|p| = c + b dp`` with c the block's
     first momentum and b < B, so T is ``X_c X_b`` with X = e^{i p x}, about
-    2 sqrt(r) len(x) exponentials and one complex multiply per entry.  With
+    2 sqrt(r) exponentials a point and one complex multiply per entry.  With
     d it is ``F_c G_b + X_c F_b``, F = X expm1(i p d) and G = X + F =
     e^{i p (x + d)}, whose terms share a sign at small p d, so those keep
     their relative accuracy (at x = 0 it is ``E_c + E_b + E_c E_b`` with

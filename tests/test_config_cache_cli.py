@@ -1149,26 +1149,36 @@ class TestCli:
 
     def test_fcs_sharpness_past_the_normal_range_exits_2(self, tmp_path,
                                                           capsys):
-        # e^-745 underflows to 0, and so would the whole bump: refused as
-        # a config error naming the key, before any weld
-        data = base_config()
-        data["profile"]["sharpness"] = 745.0
-        data["experiment"] = {"mode": "infinite", "t_values": [1.0],
-                              "lambda_values": [0.2]}
-        data["io"] = {"output_dir": str(tmp_path / "out")}
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(data))
-        assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ")
-        assert "'profile.sharpness'" in err
-        assert not (tmp_path / "out").exists()
-        # the bound is where e^-sharpness leaves the normal doubles
+        # e^-745 underflows to 0, and so would the whole bump; at 708 the
+        # bump's norm is subnormal and beta' would overflow to NaN.  Both
+        # are refused as a config error naming the key, before any weld
+        for sharpness in (745.0, 708.0):
+            data = base_config()
+            data["profile"]["sharpness"] = sharpness
+            data["experiment"] = {"mode": "infinite", "t_values": [1.0],
+                                  "lambda_values": [0.2]}
+            data["io"] = {"output_dir": str(tmp_path / "out")}
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(data))
+            assert run_cli(["fcs", "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert "'profile.sharpness'" in err
+            assert not (tmp_path / "out").exists()
+        # the outer bound is where e^-sharpness leaves the normal doubles;
+        # at |delta_beta| = half_width = 1 the norm's bound comes first,
+        # between 707.0 and 707.2, where 1 / norm passes the largest double
         edge = -np.log(sys.float_info.min)
         assert np.exp(-edge) >= sys.float_info.min
-        TemperatureProfile(2.0, 1.0, sharpness=edge)
-        with pytest.raises(ValueError, match="sharpness"):
-            TemperatureProfile(2.0, 1.0, sharpness=np.nextafter(edge, 1e3))
+        p = TemperatureProfile(2.0, 1.0, sharpness=707.0)
+        assert np.isfinite(p.beta_deriv(np.linspace(-1, 1, 101), 2)).all()
+        for sharpness in (707.2, edge, np.nextafter(edge, 1e3)):
+            with pytest.raises(ValueError, match="sharpness"):
+                TemperatureProfile(2.0, 1.0, sharpness=sharpness)
+        # the same scale overflows at a tiny half-width, which is then named
+        with pytest.raises(ValueError, match="half_width") as exc:
+            TemperatureProfile(2.0, 1.0, half_width=1e-160)
+        assert exc.value.key == "half_width"
 
     @pytest.mark.parametrize("mode,solver", [("infinite", "solve_cylinder"),
                                              ("finite", "solve_Y1")])

@@ -34,12 +34,14 @@ def solve_kink(kink, t, s, p_max_gamma=33.0):
 def dense_sigma(op, lattice_phase):
     """The recast Nystrom matrix formed from the dense kernel blocks DA and
     DB, with the phase factor formed in extended precision: the oracle of
-    the factored product (p < 0 block first)."""
-    prob, psol, sigma = op.problem, op.psol, op.sigma
+    the factored product (p < 0 block first).  V_A, V_B and U are built
+    again from the problem's displacements and the weight dp / (2 pi), not
+    read off the operator under test."""
+    prob, psol = op.problem, op.psol
     grid, gamma = prob.grid, prob.gamma
-    phase = lattice_phase(grid, sigma.phase.union, psol[0] / grid.dp,
-                          len(psol))
-    DA, DB = phase @ sigma.va, phase @ sigma.vb
+    ref = PhaseFactor(grid, prob.displacements, psol, grid.dp / (2.0 * np.pi))
+    phase = lattice_phase(grid, ref.union, psol[0] / grid.dp, len(psol))
+    DA, DB = phase @ ref.v[0], phase @ ref.v[1]
     n2 = len(psol)
     m, p = slice(0, n2 // 2), slice(n2 // 2, n2)
     eqp, eqm = np.exp(-gamma * psol[p]), np.exp(gamma * psol[m])

@@ -66,6 +66,11 @@ def factored_blocks(op):
     return K11, K12, K21
 
 
+def union_support(prob):
+    """The grid points the map or its inverse moves."""
+    return np.nonzero(np.logical_or(*prob.displacements))[0]
+
+
 def tail_pieces(op, prob):
     """Per coupling block, the largest weighted entry of each of its edge
     pieces from a scan of every piece, and each piece's bound."""
@@ -117,7 +122,7 @@ class TestAssembly:
         # F = (I + P_B V_B) conj(D_c) from the factors, on the band, with P
         # formed in extended precision
         n = 2 * N + 1
-        P = lattice_phase(grid, op.phase.union, -N, n)
+        P = lattice_phase(grid, union_support(prob), -N, n)
         F = (np.eye(n) + P @ op.vb) * op.dc[:n].conj()
         assert np.max(np.abs(np.diag(F) - np.exp(-1j * pn * b))) < 1e-12
         assert np.max(np.abs(factored_blocks(op)[0])) < 1e-12
@@ -205,13 +210,15 @@ class TestAssembly:
             solve(32)
         sol_192 = solve(192)
         assert abs(solve(128).tau_eff - sol_192.tau_eff) < 1e-11
-        # a solve whose two tau_eff routes disagree is rejected: here the
-        # jump-datum route reads 1e-2 off.  An operator assembled for
-        # another tau would not do: the routes agree to round-off whatever
-        # tau the operator is assembled for
-        jump_route = torus_weld.TorusWeldSolution.tau_eff.func
-        monkeypatch.setattr(torus_weld.TorusWeldSolution, "tau_eff",
-                            property(lambda sol: jump_route(sol) + 1e-2))
+        # a kernel whose two tau_eff routes disagree is rejected by the solve
+        assemble = torus_weld.assemble_K
+
+        def tampered(problem):
+            op = assemble(problem)
+            op.qn = 2.0 * op.qn
+            return op
+
+        monkeypatch.setattr(torus_weld, "assemble_K", tampered)
         with pytest.raises(TruncationTooCoarse, match="two-route"):
             solve_Y1(sol_192.problem)
 
@@ -267,7 +274,7 @@ class TestFactored:
             op = TorusOperator(prob)
             arrays = held_arrays(op)
             held = sum(a.nbytes for a in arrays.values())
-            union = len(op.phase.union)
+            union = len(union_support(prob))
             assert sorted(name for name, a in arrays.items()
                           if a.ndim > 1) == ["va", "vb"]
             assert op.va.shape[0] == op.vb.shape[0] == union
