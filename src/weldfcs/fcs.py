@@ -150,15 +150,15 @@ def _torus_bytes(n: int, support: int) -> int:
     map and inverse move ``support`` grid points between them (the union
     support U): V_A over the modes 0..n + n // 2 and V_B over -n..n, both
     on U, the GMRES basis, the FFT input and output of one phase-factor
-    product on the 4n-point lattice, and the band-edge tail scan (README
-    "Command line").  That scan's largest piece is one FFT batch of w
-    columns (K21's two edge rectangles share it) with its input, output
-    and modulus, beside K12's 2 w edge rows of P over U; the formula counts
-    a batch of 2 w columns, so it still bounds them from above."""
+    product on the 4n-point lattice, and the band-edge scan (README
+    "Command line").  That scan takes at most 2 w rows of P over U at a
+    time, with their gather index (3 w |U| complex in all), and forms
+    products of at most w (2 n + 2) entries, with their modulus and its
+    weighted copy; the formula counts 4 w (|U| + n + 1)."""
     b, w, m = n // 2, max(1, n // 16), 4 * n
     return 16 * ((n + b + 1 + 2 * n + 1) * support
                  + (_GMRES_CAP + 1) * 2 * n + 2 * m
-                 + 2 * w * (2 * m + 2 * n + 1))
+                 + 4 * w * (support + n + 1))
 
 
 def _refuse_torus(n: int, support: int):

@@ -120,23 +120,29 @@ class PeriodicGrid:
         """Mode momenta in FFT storage order (modes 0, 1, ..., -1)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.M, d=1.0 / self.M) / self.L
 
+    @cached_property
+    def _phases(self):
+        """The momenta and e^{+-i p x0}, built once per grid."""
+        p = self.momenta()
+        return p, np.exp(1j * p * self.x0), np.exp(-1j * p * self.x0)
+
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Coefficients c_n of u = sum c_n exp(-i p_n x), FFT storage order."""
         c = np.fft.ifft(values)
-        return c * np.exp(1j * self.momenta() * self.x0)
+        return c * self._phases[1]
 
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         c = np.fft.ifft(values)
-        return np.fft.fft(c * (-1j * self.momenta()) ** order)
+        return np.fft.fft(c * (-1j * self._phases[0]) ** order)
 
     def series(self, coeff: np.ndarray, order: int = 0) -> np.ndarray:
         """The ``order``-th derivative on the grid of ``sum c_n exp(-i p_n x)``
         (``coefficients``' layout), by one FFT; the Nyquist mode is a cosine,
         whose odd derivatives vanish on the grid as in ``derivative``.real."""
-        p = self.momenta()
+        p, _, shift = self._phases
         d = (-1j * p) ** order
         d[self.M // 2] = d[self.M // 2].real
-        return np.fft.fft(coeff * d * np.exp(-1j * p * self.x0))
+        return np.fft.fft(coeff * d * shift)
 
     def integral(self, values: np.ndarray) -> complex | float:
         """Trapezoid rule over one period (spectrally accurate)."""

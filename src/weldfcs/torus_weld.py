@@ -27,12 +27,14 @@ The effective modular parameter of the welded torus follows from the
 integrated jump datum, and independently from the zero-mode boundary
 equation.  The difference of the two routes and the band-edge tails of
 ``K12`` and ``K21`` fall as N grows; each is checked against ``tail_tol``.
+The tail check forms only the band-edge entries whose bound exceeds
+``tail_tol``; the tails themselves are taken only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -112,7 +114,67 @@ class TorusOperator:
         self.dg = -np.expm1(-L * tau.imag * np.abs(p[:2 * N + 1]))
         self.qn = problem.q ** np.arange(N + 1, dtype=float)
         self.dcc = self.dc[:2 * N + 1].conj()
-        self.tails = _tail_diagnostics(self, abs(problem.q))
+        self.qabs = abs(problem.q)
+
+    def band_edges(self, tol: float | None = None) -> dict:
+        """Per coupling block, the largest weighted entry of its outermost
+        mode band, w = N // 16 wide: K12's 2 w edge rows over the columns
+        n >= 0 and its last w columns; K21's first w rows and its rows
+        m < 0 over both edge-column bands.
+
+        |K12[m, n]| is |(I + P_A V_A)[m, n]| |q|^n on n >= 0 and |K21[m, n]|
+        is |q|^|m| |(I + P_B V_B)[m, n]| on m < 0; each rectangle is a few
+        rows of P (``PhaseFactor.table``, 2 w at a time) applied to V, plus
+        the identity where the row mode is the column mode.  Every entry of
+        P has modulus 1 and |expm1| <= 2, so an entry at weight |q|^|k| is
+        at most |q|^|k| (1 + 2 |S| / M), S the points its block's
+        displacement moves.  With ``tol`` only the modes k whose bound
+        exceeds it are formed, so the result exceeds ``tol`` exactly when
+        the whole band does; without, the band is scanned whole.
+
+        K11's band edge is left out: its corner holds the part of the
+        product that the buffer cuts off, which is the same share of the
+        band-edge modes at every N, and the solve does not feel it (dropping
+        the buffer raises it tenfold but moves tau_eff within its truncation
+        error).
+        """
+        N, n, w = self.N, 2 * self.N + 1, max(1, self.N // 16)
+        power, one = self.qabs ** np.abs(self.modes), np.ones(n)
+        band = np.arange(n)
+        edge = np.concatenate((band[:w], band[-w:]))
+        out = {}
+        # per block: V, the band index of its first column, the block's
+        # displacement, its row and column weights, and its rectangles as
+        # (rows, first column, end column); column ranges slice V, so no
+        # part of it is copied
+        for name, v, c0, d, rw, cw, rects in (
+                ("K12", self.va, N, self.phase.disps[0], one, power,
+                 ((edge, N, n), (band, n - w, n))),
+                ("K21", self.vb, 0, self.phase.disps[1], power, one,
+                 ((band[:w], 0, n), (band[:N], 0, w), (band[:N], n - w, n)))):
+            g = 1.0 + 2.0 * np.count_nonzero(d) / self.phase.size
+            worst = 0.0
+            for rows, a, b in rects:
+                if tol is not None:
+                    # no column weight rises along a range, so the columns
+                    # kept are its first ones
+                    rows = rows[g * rw[rows] > tol]
+                    b = a + np.count_nonzero(g * cw[a:b] > tol)
+                for k in range(0, len(rows), 2 * w):
+                    r = rows[k:k + 2 * w]
+                    blk = self.phase.table(r) @ v[:, a - c0:b - c0]
+                    i = np.nonzero((r >= a) & (r < b))[0]
+                    blk[i, r[i] - a] += 1.0
+                    blk = np.abs(blk) * rw[r, None] * cw[a:b]
+                    worst = max(worst, float(np.max(blk, initial=0.0)))
+            out[name] = worst
+        return out
+
+    @cached_property
+    def tails(self) -> dict:
+        """The band-edge tails of K12 and K21 (``band_edges``), computed
+        only when read (``residual_diagnostics``)."""
+        return self.band_edges()
 
     def residuals(self, y1: np.ndarray, y2: np.ndarray):
         """The residuals ``E0p y1 - K11 y1 - K12 y2`` (band) and
@@ -148,101 +210,21 @@ def assemble_K(problem: TorusWeldProblem) -> TorusOperator:
     the buffer b = N // 2, which keeps its band-edge entries spectrally
     accurate (the substitution operators scatter modes by a finite bandwidth
     factor).  M >= 4 N keeps N + b below the grid's Nyquist mode.
+
+    A node whose band-edge tails exceed ``tail_tol`` is refused
+    (``TruncationTooCoarse``).  The check forms only the entries whose
+    bound exceeds ``tail_tol`` (``TorusOperator.band_edges``), so it
+    refuses exactly when the whole band does; the message reports the
+    exact worst tail.
     """
     op = TorusOperator(problem)
-    worst = max(op.tails.values())
-    if worst > problem.tail_tol:
+    if max(op.band_edges(problem.tail_tol).values()) > problem.tail_tol:
+        worst = max(op.tails.values())
         raise TruncationTooCoarse(
             f"kernel band-edge magnitude {worst:.2e} exceeds "
             f"tail_tol={problem.tail_tol:.2e} at N={problem.n_modes}; "
             f"raise n_modes")
     return op
-
-
-def _piece_max(product, rows: np.ndarray, a: int, rw: np.ndarray,
-               cw: np.ndarray) -> float:
-    """Largest entry of ``I + product()``, weighted by rw (rows) and cw
-    (columns), where product() holds the band rows ``rows`` of P V over the
-    band columns a, a + 1, ..."""
-    blk = product()
-    i = np.nonzero((rows >= a) & (rows < a + blk.shape[1]))[0]
-    blk[i, rows[i] - a] += 1.0
-    return float(np.max(np.abs(blk) * rw[:, None] * cw))
-
-
-def _edge_pieces(op: TorusOperator, qabs: float) -> dict:
-    """Per coupling block, its outermost mode band (w = N // 16 wide) in
-    pieces, as ``(bound, scan)`` pairs: scan() is the piece's largest
-    weighted entry, and bound is at least that.
-
-    |K12[m, n]| is |(I + P_A V_A)[m, n]| |q|^n on n >= 0 and |K21[m, n]| is
-    |q|^|m| |(I + P_B V_B)[m, n]| on m < 0.  Every entry of P has modulus 1
-    and |expm1(i theta)| <= min(2, |theta|), so with d the displacement on
-    U (``PhaseFactor.disps``), |(I + P V)[m, n]| <= 1 + min(2 |S|, |q_n|
-    |d|_1) / M, S the points d moves, which times the weights bounds a
-    piece.
-
-    A block's edge rows are a few rows of P (``PhaseFactor.table``) applied
-    to V, one piece; K12's, whose column weights |q|^n fall, in column
-    blocks w wide, one piece each.  Its edge columns are one piece, one FFT
-    batch of w columns: K12's lie at the top of its columns, and K21's two
-    rectangles come from one batch, since V_B is conjugate-symmetric
-    (q_{-j} = -q_j on the band), so (P V_B)[-m, -j] = conj((P V_B)[m, j]):
-    the columns of modes N - w + 1..N on the rows m < 0 are those of modes
-    -N..-N + w - 1 on the rows -m > 0, at the same weight |q|^|m|.
-    """
-    N, modes = op.N, op.modes
-    n, w = 2 * N + 1, max(1, N // 16)
-    power, one = qabs ** np.abs(modes), np.ones(n)
-    band = np.arange(n)
-    out = {}
-    d_a, d_b = op.phase.disps
-    for name, v, c0, d, rows, rw, cw, step, (ea, eb), erw in (
-            ("K12", op.va, N, d_a, np.concatenate((band[:w], band[-w:])),
-             one, power * (modes >= 0), w, (n - w, n), one),
-            ("K21", op.vb, 0, d_b, band[:w], power * (modes < 0),
-             one, n, (0, w), power * (modes != 0))):
-        cbound = cw * (1.0 + np.minimum(
-            2.0 * np.count_nonzero(d),
-            op.phase.dp * np.abs(modes) * np.sum(np.abs(d)))
-            / op.phase.size)
-        cols = partial(op.phase, v[:, ea - c0:eb - c0], slice(0, n))
-        pieces = [(float(np.max(erw) * np.max(cbound[ea:eb])),
-                   partial(_piece_max, cols, band, ea, erw, cw[ea:eb]))]
-        table, rwr = op.phase.table(rows), rw[rows]
-        starts = range(c0, n, step)
-        bounds = np.max(rwr) * np.maximum.reduceat(cbound, starts)
-        for a, bound in zip(starts, bounds.tolist()):
-            block = partial(np.matmul, table, v[:, a - c0:a - c0 + step])
-            pieces.append((bound, partial(_piece_max, block, rows, a, rwr,
-                                          cw[a:a + step])))
-        out[name] = pieces
-    return out
-
-
-def _tail_diagnostics(op: TorusOperator, qabs: float) -> dict:
-    """Largest entries in the outermost mode band of the coupling blocks,
-    read off the factors a piece at a time (``_edge_pieces``).  The pieces
-    are scanned in order of decreasing bound, and the scan stops at the
-    first whose bound is below half the largest entry found, so a piece is
-    skipped only when it cannot hold the maximum, rounding included, and
-    the tails are those of a scan of every piece bit for bit.
-
-    Both fall as N grows.  K11's band edge is left out: its corner holds the
-    part of the product that the buffer cuts off, which is the same share of
-    the band-edge modes at every N, and the solve does not feel it (dropping
-    the buffer raises it tenfold but moves tau_eff within its truncation
-    error).
-    """
-    tails = {}
-    for name, pieces in _edge_pieces(op, qabs).items():
-        worst = 0.0
-        for bound, scan in sorted(pieces, key=lambda piece: -piece[0]):
-            if bound < 0.5 * worst:
-                break
-            worst = max(worst, scan())
-        tails[name] = worst
-    return tails
 
 
 @dataclass(eq=False)

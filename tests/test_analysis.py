@@ -40,6 +40,25 @@ class TestSpectralTools:
         hs = LineGrid(-3.0, 7.0, M)._phases[0]
         assert np.array_equal(hs, np.exp(1j * np.pi * np.arange(M) / M))
 
+    def test_periodic_phases_match_direct_fft_expressions(self):
+        # coefficients and series read the grid's momenta and e^{+-i p x0}
+        # once per grid, bit for bit the explicit expressions, call after
+        # call, on the torus assembly grid (x0 = -0.75 L)
+        L, M = 40.0, 256
+        grid = PeriodicGrid(L, M, x0=-0.75 * L)
+        p = 2.0 * np.pi * np.fft.fftfreq(M, d=1.0 / M) / L
+        u = np.random.default_rng(5).standard_normal(M)
+        for _ in range(2):
+            c = grid.coefficients(u)
+            assert np.array_equal(
+                c, np.fft.ifft(u) * np.exp(1j * p * grid.x0))
+            for k in range(4):
+                d = (-1j * p) ** k
+                d[M // 2] = d[M // 2].real
+                assert np.array_equal(
+                    grid.series(c, k),
+                    np.fft.fft(c * d * np.exp(-1j * p * grid.x0)))
+
     @pytest.mark.parametrize("periodic", [True, False])
     def test_series_of_transform_is_derivative(self, periodic):
         # on the circle a real u with a nonzero Nyquist coefficient, whose

@@ -1,0 +1,79 @@
+"""``tools/bench_pair.compare`` on synthetic run lists; no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pair", Path(__file__).parents[1] / "tools" / "bench_pair.py")
+bench_pair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pair)
+compare = bench_pair.compare
+
+# ten parent runs: median 100.5, quartiles 98.25 and 102.75 (IQR 4.5)
+PARENT = [96.0, 104.0, 98.0, 102.0, 100.0, 101.0, 99.0, 103.0, 97.0, 105.0]
+
+
+def shifted(runs, by, losses=()):
+    """The runs moved by ``by``, except the pairs in ``losses``, which move
+    the other way."""
+    return [r - by if k in losses else r + by for k, r in enumerate(runs)]
+
+
+class TestCompare:
+    def test_gain_resolves_at_nine_of_ten_beyond_the_iqr(self):
+        out = compare(PARENT, shifted(PARENT, 7.0, losses={3}), "higher",
+                      0.25)
+        assert out["change_wins"] == 9
+        assert out["change"]["median"] - out["parent"]["median"] > 4.5
+        assert out["gain_resolved"] and not out["unresolved"]
+
+    def test_gain_does_not_resolve_at_eight_of_ten(self):
+        out = compare(PARENT, shifted(PARENT, 7.0, losses={3, 6}), "higher",
+                      0.25)
+        assert out["change_wins"] == 8
+        assert out["change"]["median"] - out["parent"]["median"] > 4.5
+        assert not out["gain_resolved"]
+
+    def test_gain_within_the_iqr_does_not_resolve(self):
+        out = compare(PARENT, shifted(PARENT, 1.0), "higher", 0.25)
+        assert out["change_wins"] == 10
+        assert not out["gain_resolved"]
+
+    def test_wide_parent_spread_is_unresolved(self):
+        # IQR / median = 4.5 / 100.5, over a bound of 0.04 and under 0.05
+        assert compare(PARENT, PARENT, "higher", 0.04)["unresolved"]
+        assert not compare(PARENT, PARENT, "higher", 0.05)["unresolved"]
+
+    @pytest.mark.parametrize("better", ["higher", "lower"])
+    def test_regressed_by_direction(self, better):
+        # the change's median 30 % above or below the parent's, against a
+        # bound of 0.25; a 20 % move is within it
+        worse = 1.3 if better == "lower" else 0.7
+        better_by = 0.7 if better == "lower" else 1.3
+        for factor, regressed in ((worse, True), (better_by, False),
+                                  (1.0 + (worse - 1.0) * 2 / 3, False)):
+            out = compare(PARENT, [r * factor for r in PARENT], better,
+                          0.25)
+            assert out["regressed"] is regressed, factor
+
+    def test_lower_is_better_gain(self):
+        out = compare(PARENT, shifted(PARENT, -6.0), "lower", 0.25)
+        assert out["change_wins"] == 10 and out["gain_resolved"]
+        assert not compare(PARENT, shifted(PARENT, 6.0), "lower",
+                           0.25)["gain_resolved"]
+
+    def test_wins_split_by_the_side_that_ran_first(self):
+        # pair k runs the parent first when k is even: the change loses the
+        # pairs 0, 2 and 4, where the parent ran first
+        out = compare(PARENT, shifted(PARENT, 6.0, losses={0, 2, 4}),
+                      "higher", 0.25)
+        assert out["change_wins_by_first"] == {
+            "parent": {"pairs": 5, "change_wins": 2},
+            "change": {"pairs": 5, "change_wins": 5}}
+
+    def test_missing_runs_are_unresolved(self):
+        out = compare(PARENT, PARENT[:9], "higher", 0.25)
+        assert out["unresolved"] and not out["gain_resolved"]
+        assert out["regressed"] is None

@@ -772,6 +772,9 @@ class TestCli:
         row = payload["rows"][0]
         assert row["tau_two_route"] < 1e-9
         assert row["tau_eff"]["im"] > 0
+        # the band-edge tails, taken when read, under the run's tail_tol
+        tol = data["numerics"]["tail_tol"]
+        assert 0 < row["tail_K12"] <= tol and 0 < row["tail_K21"] <= tol
         assert (outdir / "weld_torus_t1.0_s0.2.npz").exists()
 
     def test_weld_cylinder_command(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -69,14 +71,6 @@ def factored_blocks(op):
 def union_support(prob):
     """The grid points the map or its inverse moves."""
     return np.nonzero(np.logical_or(*prob.displacements))[0]
-
-
-def tail_pieces(op, prob):
-    """Per coupling block, the largest weighted entry of each of its edge
-    pieces from a scan of every piece, and each piece's bound."""
-    pieces = torus_weld._edge_pieces(op, abs(prob.q))
-    return {name: [(scan(), bound) for bound, scan in block]
-            for name, block in pieces.items()}
 
 
 def held_arrays(op):
@@ -224,44 +218,64 @@ class TestAssembly:
 
 
 class TestFactored:
-    def test_tails_skip_is_exact(self, kink, oracle_problems):
-        # the reported tails equal an unpruned scan of every piece, taken
-        # by the same routes, bit for bit: on the benchmark node, where the
-        # bounds skip K12's edge columns, about half of its column blocks
-        # and K21's edge rows; at t = 30, s = -1, N = 64, where K12's
-        # largest entry lies in a later column block than the first and
-        # the column scan still stops before the last; at N = 12, below
-        # assemble_K's gate, where no piece is skipped and a K12 piece with
-        # a smaller bound holds the larger entry; and on the identity,
-        # whose union support is empty, where only the bound of K12's last
-        # column block (mode N alone) is below half its corner entry, and
-        # no K21 piece is skipped.  Every bound holds.
+    def test_tail_check_matches_exact_tails(self, kink, oracle_problems):
+        # assemble_K forms only the band-edge entries whose bound exceeds
+        # tail_tol, yet refuses a node exactly when its exact tails do, and
+        # each block's check exceeds tail_tol exactly when its tail does: on
+        # the two oracle nodes, at t = 30, s = -1 with N = 64 and N = 12, at
+        # t = 2, s = -0.3 with N = 32, and on the identity (empty union
+        # support), each at tolerances just below and just above each
+        # block's tail, at 2e-3 and at 1e-12
         grid = make_grid(64)
         f0 = Diffeo(grid, grid.x.copy())
-        early = kink_problem(kink, 64, 30.0, -1.0)
-        # per case, whether any piece of K12 and of K21 is skipped
-        cases = ((oracle_problems[0], (True, True)), (early, (True, True)),
-                 (kink_problem(kink, 12, 30.0, -1.0), (False, False)),
-                 (TorusWeldProblem(f0, 0.1j, 64, f0), (True, False)))
-        for prob, skips in cases:
+        identity = TorusWeldProblem(f0, 0.1j, 64, f0)
+        cases = [*oracle_problems, kink_problem(kink, 64, 30.0, -1.0),
+                 kink_problem(kink, 12, 30.0, -1.0),
+                 kink_problem(kink, 32, 2.0, -0.3), identity]
+        refused = passed = 0
+        for prob in cases:
             op = TorusOperator(prob)
-            pieces = tail_pieces(op, prob)
-            for (name, block), skip in zip(pieces.items(), skips):
-                worst = max(w for w, _ in block)
-                assert op.tails[name] == worst
-                assert all(w <= b for w, b in block)
-                assert any(b < 0.5 * worst for _, b in block) == skip
-            # piece 0 of K12 is its edge columns, piece 1 the first column
-            # block of its edge rows
-            k12 = pieces["K12"]
-            worst = max(w for w, _ in k12)
-            if prob is oracle_problems[0]:
-                skipped = sum(b < 0.5 * worst for _, b in k12[1:])
-                assert 3 * skipped >= len(k12) - 1
-            if prob is early:
-                assert k12[1][0] < worst
-                assert k12[-1][1] < 0.5 * worst
-        assert op.va.shape[0] == op.vb.shape[0] == 0
+            tails = op.tails
+            worst = max(tails.values())
+            for tol in (*(v * (1 + e) for v in tails.values()
+                          for e in (-1e-9, 1e-9)), 2e-3, 1e-12):
+                assert ({k: v > tol for k, v in op.band_edges(tol).items()}
+                        == {k: v > tol for k, v in tails.items()})
+                check = replace(prob, tail_tol=tol)
+                if worst > tol:
+                    refused += 1
+                    with pytest.raises(TruncationTooCoarse,
+                                       match=f"magnitude {worst:.2e}"):
+                        assemble_K(check)
+                else:
+                    passed += 1
+                    assemble_K(check)
+        assert refused and passed
+        # on the identity each tail is the band's innermost diagonal entry,
+        # |q|^(N - w + 1) at N = 64, w = 4
+        corner = abs(identity.q) ** 61
+        assert tails == pytest.approx({"K12": corner, "K21": corner},
+                                      rel=1e-14, abs=0.0)
+
+    def test_band_edge_entries_within_their_bounds(self, kink):
+        # every dense K12 and K21 entry in the outermost band, w = N // 16
+        # wide, is at most |q|^|k| (1 + 2 |S| / M), k the mode that weights
+        # it (K12's column, K21's row) and S the points its block's
+        # displacement moves: the bound by which the check skips entries
+        prob = kink_problem(kink, 64, 30.0, -1.0)
+        N, M = prob.n_modes, prob.grid.M
+        modes = np.arange(-N, N + 1)
+        power = abs(prob.q) ** np.abs(modes)
+        _, K12, K21 = dense_blocks(prob)
+        w = N // 16
+        edge = np.zeros(K12.shape, dtype=bool)
+        edge[:w] = edge[-w:] = edge[:, :w] = edge[:, -w:] = True
+        for block, d, weight in ((K12, prob.displacements[0], power[None]),
+                                 (K21, prob.displacements[1],
+                                  power[:, None])):
+            bound = np.broadcast_to(
+                weight * (1.0 + 2.0 * np.count_nonzero(d) / M), block.shape)
+            assert np.all(np.abs(block)[edge] <= bound[edge])
 
     def test_memory_formula_bounds_the_operator(self, kink, oracle_problems):
         # _torus_bytes against the arrays the operator holds, on the

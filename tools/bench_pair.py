@@ -24,6 +24,8 @@ move; each side's cache version; the rounds each run completed
 (``peak_rss_mb`` of ``warm-grid`` grows with them); and the host.  A metric whose parent runs spread wider than its bound (the
 quartile distance over the median, bounds from ``BENCHMARK.json``) is
 marked unresolved: no move within the bound can be told from that spread.
+A metric whose change median is worse than the parent's by more than its
+bound is marked regressed.
 Only the standard library is used.
 """
 
@@ -115,11 +117,14 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
     """Both sides' summaries, pair wins and the resolution of a metric;
     a metric some run did not report is unresolved.  The change's wins are
     also split by the side that ran first in the pair: wins that follow the
-    order say more about the order than about the change."""
+    order say more about the order than about the change.  ``regressed``
+    is whether the change's median is worse than the parent's by more than
+    ``bound``, relative to the parent's median."""
     p, c = summary(parent), summary(change)
     if not parent or len(parent) != len(change):
         return {"parent": p, "change": c, "better": better, "bound": bound,
-                "unresolved": True, "gain_resolved": False}
+                "unresolved": True, "gain_resolved": False,
+                "regressed": None}
     sign = 1.0 if better == "higher" else -1.0
     won = [sign * (b - a) > 0 for a, b in zip(parent, change)]
     wins = sum(won)
@@ -139,7 +144,9 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
         # the gain test: won in 9 of 10 pairs, by more than the parent's
         # quartile distance
         "gain_resolved": wins >= 0.9 * len(parent)
-        and abs(c["median"] - p["median"]) > iqr,
+        and sign * (c["median"] - p["median"]) > iqr,
+        "regressed": sign * (c["median"] - p["median"])
+        < -bound * abs(p["median"]) if p["median"] else None,
     }
 
 
