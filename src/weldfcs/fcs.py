@@ -247,6 +247,7 @@ class WeldNodes:
                 raise self._out_of_memory(f"node at t = {xi.t:.6g}, "
                                           f"s = {s:.6g}") from exc
             yield sol
+            del sol             # the next node is solved without its factors
 
 
 def torus_nodes(profile: TemperatureProfile, ctx: VolumeContext, t: float,
@@ -298,11 +299,16 @@ def _cached(cache, key: tuple, compute):
 
 def _node_records(welds: WeldNodes) -> np.ndarray:
     """Welding record ``(int xi SX dx, int xi X'^2 dx)`` at each node of
-    ``welds`` (c-independent), one row per node, in either volume."""
+    ``welds`` (c-independent), one row per node, in either volume.  No
+    solution is held past its record, so a node is solved while the one
+    before it, with its factors, is already freed."""
     xiv, grid = welds.xi_values, welds.grid
-    return np.array([(complex(grid.integral(xiv * sol.schwarzian)),
-                      complex(grid.integral(xiv * sol.xprime ** 2)))
-                     for sol in welds.solutions()], dtype=complex)
+
+    def record(sol):
+        return (complex(grid.integral(xiv * sol.schwarzian)),
+                complex(grid.integral(xiv * sol.xprime ** 2)))
+
+    return np.array(list(map(record, welds.solutions())), dtype=complex)
 
 
 def _flow_integrals(profile: TemperatureProfile, ctx, t: float, s_end: float,

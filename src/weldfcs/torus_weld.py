@@ -145,28 +145,34 @@ class TorusOperator:
         out = {}
         # per block: V, the band index of its first column, the block's
         # displacement, its row and column weights, and its rectangles as
-        # (rows, first column, end column); column ranges slice V, so no
-        # part of it is copied
+        # rows over column ranges (first column, end column); the ranges
+        # slice V, so no part of it is copied
         for name, v, c0, d, rw, cw, rects in (
                 ("K12", self.va, N, self.phase.disps[0], one, power,
-                 ((edge, N, n), (band, n - w, n))),
+                 ((edge, [(N, n)]), (band, [(n - w, n)]))),
                 ("K21", self.vb, 0, self.phase.disps[1], power, one,
-                 ((band[:w], 0, n), (band[:N], 0, w), (band[:N], n - w, n)))):
+                 ((band[:w], [(0, n)]), (band[:N], [(0, w), (n - w, n)])))):
             g = 1.0 + 2.0 * np.count_nonzero(d) / self.phase.size
             worst = 0.0
-            for rows, a, b in rects:
+            for rows, ranges in rects:
                 if tol is not None:
                     # no column weight rises along a range, so the columns
                     # kept are its first ones
                     rows = rows[g * rw[rows] > tol]
-                    b = a + np.count_nonzero(g * cw[a:b] > tol)
+                    ranges = [(a, a + np.count_nonzero(g * cw[a:b] > tol))
+                              for a, b in ranges]
+                    ranges = [(a, b) for a, b in ranges if b > a]
+                    if not ranges:
+                        continue
                 for k in range(0, len(rows), 2 * w):
                     r = rows[k:k + 2 * w]
-                    blk = self.phase.table(r) @ v[:, a - c0:b - c0]
-                    i = np.nonzero((r >= a) & (r < b))[0]
-                    blk[i, r[i] - a] += 1.0
-                    blk = np.abs(blk) * rw[r, None] * cw[a:b]
-                    worst = max(worst, float(np.max(blk, initial=0.0)))
+                    table = self.phase.table(r)
+                    for a, b in ranges:
+                        blk = table @ v[:, a - c0:b - c0]
+                        i = np.nonzero((r >= a) & (r < b))[0]
+                        blk[i, r[i] - a] += 1.0
+                        blk = np.abs(blk) * rw[r, None] * cw[a:b]
+                        worst = max(worst, float(np.max(blk)))
             out[name] = worst
         return out
 

@@ -1,11 +1,12 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weldfcs import (InfiniteVolume, Theory, build_xi, ldf, levy_jump_rates,
-                     moments_closed_form, psi_finite, psi_infinite,
-                     rate_function)
+from weldfcs import (InfiniteVolume, Numerics, Theory, build_xi, fcs, ldf,
+                     levy_jump_rates, moments_closed_form, psi_finite,
+                     psi_infinite, rate_function)
 from weldfcs.errors import PoleHit
 
 
@@ -195,3 +196,24 @@ class TestPsiFinite:
         vi = psi_infinite(kink, 1.0, 4.0, lam=0.2, numerics=lean_numerics)
         assert vf.meta["tau_hat"].imag > 0
         assert abs(vf.ln_psi - vi.ln_psi) < 1e-8
+
+
+class TestNodeRecords:
+    def test_each_solution_freed_before_the_next_solve(self, kink, box,
+                                                       monkeypatch):
+        # a node's solution, with its factors, is gone when the next node
+        # of the set is solved, so a set holds one node's factors at a time
+        refs, alive = [], []
+        solve = fcs.solve_Y1
+
+        def tracked(problem):
+            alive.append(sum(ref() is not None for ref in refs))
+            sol = solve(problem)
+            refs.append(weakref.ref(sol))
+            return sol
+
+        monkeypatch.setattr(fcs, "solve_Y1", tracked)
+        welds = fcs.torus_nodes(kink, box, 2.0, [0.1, 0.2, 0.3],
+                                Numerics(n_modes=96, tail_tol=1e-3))
+        assert fcs._node_records(welds).shape == (3, 2)
+        assert alive == [0, 0, 0]
