@@ -277,6 +277,46 @@ class TestFactored:
                 weight * (1.0 + 2.0 * np.count_nonzero(d) / M), block.shape)
             assert np.all(np.abs(block)[edge] <= bound[edge])
 
+    @pytest.mark.parametrize("N", [12, 64])
+    def test_band_edges_cover_the_edge_band(self, kink, N):
+        # band_edges against the whole weighted K12 and K21 formed from the
+        # same factors and masked to the outermost band, at t = 30, s = -1;
+        # then with V_A's band columns and V_B reversed, which moves K21's
+        # largest edge entries to its last columns; with the weights
+        # |q|^-|k|, which move both blocks' to their outermost modes; and
+        # with random V factors under unit weights, which put them anywhere
+        # in the band
+        prob = kink_problem(kink, N, 30.0, -1.0)
+        op = TorusOperator(prob)
+        n = len(op.modes)
+        w = max(1, N // 16)
+        edge = np.zeros((n, n), dtype=bool)
+        edge[:w] = edge[-w:] = edge[:, :w] = edge[:, -w:] = True
+        P, eye = op.phase.table(np.arange(n)), np.eye(n)
+        rng = np.random.default_rng(7)
+        for variant in ("as assembled", "reversed V", "inverse weights",
+                        *["random V"] * 6):
+            if variant == "reversed V":
+                op.va = np.concatenate((op.va[:, N::-1], op.va[:, N + 1:]),
+                                       axis=1)
+                op.vb = op.vb[:, ::-1]
+            if variant == "inverse weights":
+                op.qabs = 1.0 / abs(prob.q)
+            if variant == "random V":
+                op.va, op.vb = (rng.standard_normal(v.shape)
+                                + 1j * rng.standard_normal(v.shape)
+                                for v in (op.va, op.vb))
+                op.qabs = 1.0
+            power = op.qabs ** np.abs(op.modes)
+            K12 = np.zeros((n, n), dtype=complex)
+            K12[:, N:] = (P @ op.va[:, :N + 1] + eye[:, N:]) * power[N:]
+            K21 = np.zeros((n, n), dtype=complex)
+            K21[:N] = ((P @ op.vb + eye) * power[:, None])[:N]
+            got = op.band_edges()
+            for name, block in (("K12", K12), ("K21", K21)):
+                ref = np.max(np.abs(block[edge]))
+                assert abs(got[name] - ref) < 1e-12 * ref, (variant, name)
+
     def test_memory_formula_bounds_the_operator(self, kink, oracle_problems):
         # _torus_bytes against the arrays the operator holds, on the
         # benchmark L = 40 node and on a node of criterion 9's t = 30,
