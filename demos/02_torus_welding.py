@@ -9,8 +9,8 @@ Run:  python demos/02_torus_welding.py
 """
 
 from weldfcs import (Diffeo, Numerics, TemperatureProfile, Theory,
-                     TorusWeldProblem, VolumeContext, psi_finite,
-                     residual_diagnostics, solve_Y1, torus_nodes)
+                     TorusWeldProblem, VolumeContext, psi_finite, solve_Y1,
+                     torus_nodes)
 from weldfcs.spectral import PeriodicGrid
 
 L = 40.0
@@ -35,7 +35,7 @@ sol = next(torus_nodes(profile, ctx, 2.0, [0.25], numerics).solutions())
 print("\nkink flow:   tau_eff =", sol.tau_eff)
 print("Im tau_eff > 0:", sol.tau_eff.imag > 0)
 
-diag = residual_diagnostics(sol)
+diag = sol.diagnostics
 for key in ("boundary_eq_1", "boundary_eq_2", "tau_two_route",
             "xprime_sq_rel", "schwarzian_abs"):
     print(f"  {key:15s} = {diag[key]:.3e}")

@@ -24,15 +24,15 @@ print(f"window: [{grid.x0:.1f}, {grid.x0 + grid.span:.1f}]  M = {grid.M}  "
       f"dp = {grid.dp:.4f}")
 
 sol = next(welds.solutions())
-problem = sol.problem
-print("condition estimate:", f"{sol.cond_estimate:.2f}",
-      " solve residual:", f"{sol.solve_residual:.1e}")
-print("assembly:", {k: f"{v:.2e}" for k, v in sol.operator.diagnostics.items()})
+diag = sol.diagnostics
+print("condition estimate:", f"{diag['cond_estimate']:.2f}",
+      " solve residual:", f"{diag['solve_residual']:.1e}")
+print("assembly:", {k: f"{diag[k]:.2e}"
+                    for k in ("schwartz_bound", "source_tail")})
 
 # exponential tail of X' - 1 right of the twist support
-decay = sol.decay_diagnostics()
-print(f"\nfitted tail rate {decay['xprime_tail_rate']:.3f} "
-      f"vs 2 pi / gamma = {decay['expected_rate']:.3f}")
+print(f"\nfitted tail rate {diag['xprime_tail_rate']:.3f} "
+      f"vs 2 pi / gamma = {diag['expected_rate']:.3f}")
 
 # deep inside the plateau the welding degenerates to a pure translation,
 # with a known complex multiplication factor
@@ -46,5 +46,5 @@ print(f"predicted  = {predicted:.8f}")
 
 # independent real-space route: Cauchy boundary relations with principal
 # values by symmetric excision
-defects = realspace_crosscheck(problem, sol, probes=np.linspace(-6, 1, 5))
+defects = realspace_crosscheck(sol, probes=np.linspace(-6, 1, 5))
 print("\nreal-space boundary defects:", defects)

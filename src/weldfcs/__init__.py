@@ -13,6 +13,6 @@ from .profile import (Diffeo, InfiniteVolume, ReparamMap, TemperatureProfile,
                       VolumeContext, XiField, build_h, build_xi, flow_family,
                       periodize_profile)
 from .torus_weld import (TorusWeldProblem, TorusWeldSolution, assemble_K,
-                         residual_diagnostics, solve_Y1)
+                         solve_Y1)
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ from .fcs import (appendix_b_check, cylinder_nodes, ldf, levitov_lesovik,
                   psi_infinite, rate_function, torus_nodes)
 from .profile import VolumeContext, build_h
 from .spectral import fit_loglog_slope
-from .torus_weld import residual_diagnostics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,6 +79,26 @@ def _maybe_cache(cfg: RunConfig, cli_dir):
 
 # ----------------------------------------------------------------- commands
 
+def _weld_rows(cfg: RunConfig, welds, s_values, head: dict, npz_name: str,
+               arrays, extra=None) -> list:
+    """The weld commands' one node loop.  Per node of ``welds``, at the
+    flow times ``s_values``: the file ``npz_name.format(s=s)`` holding the
+    grid, X', S X and ``arrays(sol)``, and the row
+    ``{**head, "s": s, **sol.diagnostics}``, with ``extra(sol)`` if given.
+    The nodes go through ``map``, so no solution outlives its row: each
+    node is solved once the one before it is freed."""
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+
+    def row(s, sol):
+        np.savez(outdir / npz_name.format(s=s), x=welds.grid.x,
+                 xprime=sol.xprime, schwarzian=sol.schwarzian, **arrays(sol))
+        diag = {**sol.diagnostics, **(extra(sol) if extra else {})}
+        return {**head, "s": s, **{k: _enc(v) for k, v in diag.items()}}
+
+    return list(map(row, s_values, welds.solutions()))
+
+
 def cmd_weld_torus(cfg: RunConfig, args) -> int:
     exp = cfg.experiment
     ctx = cfg.context()
@@ -87,17 +106,10 @@ def cmd_weld_torus(cfg: RunConfig, args) -> int:
     s_values = read_numbers(exp, "s_values", "experiment",
                             [read_number(exp, "s", "experiment", 0.25)])
     welds = torus_nodes(cfg.profile, ctx, t, s_values, cfg.numerics)
-    grid = welds.grid
-    rows = []
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for s, sol in zip(s_values, welds.solutions()):
-        diag = residual_diagnostics(sol)
-        rows.append({"t": t, "s": s, "tau_eff": _enc(sol.tau_eff),
-                     **{k: _enc(v) for k, v in diag.items()}})
-        np.savez(outdir / f"weld_torus_t{t}_s{s}.npz",
-                 x=grid.x, xprime=sol.xprime, schwarzian=sol.schwarzian,
-                 y1_coeff=sol.y1_coeff, modes=sol.modes)
+    rows = _weld_rows(cfg, welds, s_values, {"t": t},
+                      f"weld_torus_t{t}_s{{s}}.npz",
+                      lambda sol: {"y1_coeff": sol.y1_coeff,
+                                   "modes": sol.modes})
     table = [["t", "s", "re_tau_eff", "im_tau_eff", "boundary_eq_1",
               "boundary_eq_2", "tau_two_route"]] + [
         [r["t"], r["s"], r["tau_eff"]["re"], r["tau_eff"]["im"],
@@ -122,19 +134,11 @@ def cmd_weld_cylinder(cfg: RunConfig, args) -> int:
                             [read_number(exp, "s", "experiment", 0.25)])
     welds = cylinder_nodes(cfg.profile, cfg.v, t, mover, s_values,
                            cfg.numerics)
-    grid = welds.grid
-    rows = []
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for s, sol in zip(s_values, welds.solutions()):
-        diag = {**sol.operator.diagnostics, **sol.decay_diagnostics()}
-        if crosscheck:
-            diag.update(realspace_crosscheck(sol.problem, sol))
-        rows.append({"t": t, "s": s, "mover": mover,
-                     **{k: _enc(v) for k, v in diag.items()}})
-        np.savez(outdir / f"weld_cylinder_t{t}_s{s}_{'p' if mover == '+' else 'm'}.npz",
-                 x=grid.x, xprime=sol.xprime, schwarzian=sol.schwarzian,
-                 zhat=sol.zhat_ext, p=grid.p)
+    rows = _weld_rows(cfg, welds, s_values, {"t": t, "mover": mover},
+                      f"weld_cylinder_t{t}_s{{s}}_"
+                      f"{'p' if mover == '+' else 'm'}.npz",
+                      lambda sol: {"zhat": sol.zhat_ext, "p": welds.grid.p},
+                      realspace_crosscheck if crosscheck else None)
     return _write_outputs(cfg, "weld_cylinder", {
         "command": "weld-cylinder", "metadata": cfg.metadata(), "rows": rows})
 

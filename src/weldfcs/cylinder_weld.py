@@ -147,36 +147,6 @@ class CylinderOperator:
     z12_ext: np.ndarray           # source on the full fine lattice
     ghat_ext: np.ndarray
 
-    @cached_property
-    def diagnostics(self) -> dict:
-        """Sampled Schwartz-type bound ``|Sigma^(p, q)| (1+p^2)(1+q^2)`` over
-        ``Sigma[::7, ::7]``, the largest |Sigma| entry and the source's tail.
-
-        Computed on first read from Sigma's columns, a block at a time, so the
-        solve pays nothing for it and no n x n array is held.
-        """
-        n2, grid = len(self.psol), self.problem.grid
-        step, block = 7, 14       # blocks start on a sampled column
-        sigma_max, sampled = 0.0, []
-        for j0 in range(0, n2, block):
-            s = self.sigma.matmat(np.eye(n2, min(block, n2 - j0), -j0,
-                                         dtype=complex))
-            sigma_max = max(sigma_max, float(np.max(np.abs(s))))
-            sampled.append(s[::step, ::step])
-        ssub = np.hstack(sampled) / (grid.dp / (2.0 * np.pi))
-        pp = self.psol[::step]
-        wgt = (1.0 + pp[:, None] ** 2) * (1.0 + pp[None, :] ** 2)
-        src = np.abs(self.ghat_ext)
-        peak = float(np.max(src))
-        pext = grid.p
-        ncut = max(2, len(pext) // 20)
-        edge = float(np.max(src[np.argsort(np.abs(pext))[-ncut:]]))
-        return {
-            "schwartz_bound": float(np.max(np.abs(ssub) * wgt)),
-            "source_tail": edge / peak if peak > 0 else 0.0,
-            "sigma_max": sigma_max,
-        }
-
 
 def assemble_sigma(problem: CylinderWeldProblem) -> CylinderOperator:
     """Factor the recast Nystrom operator and assemble the closed-form source."""
@@ -233,24 +203,51 @@ class CylinderWeldSolution(WeldSolution):
         return 1.0 + self.grid.eval_ft(-1j * self.grid.p * self.xm_coeff,
                                        points)
 
-    def decay_diagnostics(self) -> dict:
-        """Exponential falloff of X' - 1 to the right of the twist support;
-        its rate is None when fewer than 4 points there lie above the
-        tail's floor, as at the identity weld."""
-        x = self.grid.x
+    @cached_property
+    def diagnostics(self) -> dict:
+        """The solve's diagnostics (``WeldSolution.diagnostics``) with the
+        sampled Schwartz-type bound ``|Sigma^(p, q)| (1+p^2)(1+q^2)`` over
+        ``Sigma[::7, ::7]``, the source's tail and the exponential falloff
+        of X' - 1 to the right of the twist support.
+
+        Sigma's sampled columns are formed from unit columns, a block at a
+        time, so no n x n array is held.  The falloff rate is None when
+        fewer than 4 points there lie above the tail's floor, as at the
+        identity weld.
+        """
+        op, grid, gamma = self.operator, self.grid, self.problem.gamma
+        n2, step, block = len(op.psol), 7, 16
+        cols = np.arange(0, n2, step)
+        sampled = []
+        for k in range(0, len(cols), block):
+            c = cols[k:k + block]
+            units = np.zeros((n2, len(c)), dtype=complex)
+            units[c, np.arange(len(c))] = 1.0
+            sampled.append(op.sigma.matmat(units)[::step])
+        ssub = np.hstack(sampled) / (grid.dp / (2.0 * np.pi))
+        pp = op.psol[::step]
+        wgt = (1.0 + pp[:, None] ** 2) * (1.0 + pp[None, :] ** 2)
+        src = np.abs(op.ghat_ext)
+        peak = float(np.max(src))
+        ncut = max(2, grid.M // 20)
+        edge = float(np.max(src[np.argsort(np.abs(grid.p))[-ncut:]]))
+
+        x = grid.x
         tail = np.abs(self.xprime - 1.0)
-        lo, hi = self.problem.g.support
-        right = x > hi + 0.05 * self.problem.gamma
-        floor = max(np.median(tail[-max(8, self.grid.M // 50):]), 1e-300)
+        right = x > self.problem.g.support[1] + 0.05 * gamma
+        floor = max(np.median(tail[-max(8, grid.M // 50):]), 1e-300)
         keep = right & (tail > 50.0 * floor)
         rate = None
         if np.count_nonzero(keep) >= 4:
             rate = -float(np.polyfit(x[keep], np.log(tail[keep]), 1)[0])
-        return {
+        own = {
+            "schwartz_bound": float(np.max(np.abs(ssub) * wgt)),
+            "source_tail": edge / peak if peak > 0 else 0.0,
             "xprime_tail_rate": rate,
-            "expected_rate": 2.0 * np.pi / self.problem.gamma,
+            "expected_rate": 2.0 * np.pi / gamma,
             "xprime_min_abs": float(np.min(np.abs(self.xprime))),
         }
+        return {**super().diagnostics, **own}
 
 
 def solve_cylinder(problem: CylinderWeldProblem) -> CylinderWeldSolution:
@@ -267,9 +264,7 @@ def solve_cylinder(problem: CylinderWeldProblem) -> CylinderWeldSolution:
                                 cond, zhat_ext, dz, rhs)
 
 
-def realspace_crosscheck(problem: CylinderWeldProblem,
-                         sol: CylinderWeldSolution,
-                         probes=None) -> dict:
+def realspace_crosscheck(sol: CylinderWeldSolution, probes=None) -> dict:
     """Defects of the two real-space boundary relations (derivative form).
 
     The boundary values of the derivative of the holomorphic correction must
@@ -285,7 +280,7 @@ def realspace_crosscheck(problem: CylinderWeldProblem,
     Gauss-Legendre panels; the quadrature route never touches the
     momentum-space solve.
     """
-    grid = sol.grid
+    grid, problem = sol.grid, sol.problem
     gamma = problem.gamma
     lo, hi = problem.g.support
     ghat = sol.operator.ghat_ext

@@ -10,6 +10,7 @@ reconstruct, X = f - Y1 on the circle or g - Y1 on the line."""
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +184,14 @@ class WeldSolution:
     @property
     def grid(self):
         return self.problem.grid
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        """The solve's condition estimate and true relative residual; each
+        solution class adds its own checks of the welded map.  Taken on first
+        read, so a solve that nobody reports on pays nothing for them."""
+        return {"cond_estimate": self.cond_estimate,
+                "solve_residual": self.solve_residual}
 
     def xderiv(self, order: int) -> np.ndarray:
         """The ``order``-th derivative of X on the grid, kept once made."""

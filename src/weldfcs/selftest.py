@@ -299,7 +299,7 @@ def _():
             ft, 0.1j, N, profile.Diffeo(grid, grid.x + 2.0)))
         worst = max(worst, abs(sol.tau_eff - (0.1j + 2.0 / 40.0)),
                     10.0 * np.max(np.abs(sol.y1_coeff)),
-                    torus_weld.residual_diagnostics(sol)["tau_two_route"])
+                    sol.diagnostics["tau_two_route"])
     return float(worst)
 
 
@@ -310,20 +310,20 @@ def _():
     fs = profile.Diffeo(grid, grid.x + eps * np.sin(2 * np.pi * grid.x / 40.0))
     sol = torus_weld.solve_Y1(torus_weld.TorusWeldProblem(fs, 0.15j, N,
                                                        fs.inverse()))
-    d = torus_weld.residual_diagnostics(sol)
+    d = sol.diagnostics
     return max(d["boundary_eq_1"], d["boundary_eq_2"], d["tau_two_route"])
 
 
 @check("torus.kink_lemma1_stform1_rel", 1e-8)
 def _():
     sol = _kink_torus_solution()
-    return sol.lemma1_defects()["xprime_sq_rel"]
+    return sol.diagnostics["xprime_sq_rel"]
 
 
 @check("torus.kink_lemma1_stform2_abs", 1e-7)
 def _():
     sol = _kink_torus_solution()
-    return sol.lemma1_defects()["schwarzian_abs"]
+    return sol.diagnostics["schwarzian_abs"]
 
 
 _KINK_NUM = fcs.Numerics(n_modes=256, tail_tol=1e-3)
@@ -398,10 +398,8 @@ def _cyl_nodes(t, s_values, mover="+"):
 
 
 @cache
-def _cyl_setup():
-    welds = _cyl_nodes(2.0, [0.25])
-    sol = next(welds.solutions())
-    return welds.xi, sol.problem, sol
+def _cyl_solution():
+    return next(_cyl_nodes(2.0, [0.25]).solutions())
 
 
 @check("cylinder.identity_weld_exact", 0.0)
@@ -456,40 +454,34 @@ def _():
 
 @check("cylinder.exponential_tail_rate", 0.1)
 def _():
-    _, prob, sol = _cyl_setup()
-    d = sol.decay_diagnostics()
+    d = _cyl_solution().diagnostics
     return abs(d["xprime_tail_rate"] / d["expected_rate"] - 1.0)
 
 
 @check("cylinder.xprime_nonvanishing", 0.0)
 def _():
-    _, prob, sol = _cyl_setup()
-    return 0.0 if sol.decay_diagnostics()["xprime_min_abs"] > 0.1 else 1.0
+    return 0.0 if _cyl_solution().diagnostics["xprime_min_abs"] > 0.1 else 1.0
 
 
 @check("cylinder.nystrom_not_singular", 1e3)
 def _():
-    _, prob, sol = _cyl_setup()
-    return sol.cond_estimate
+    return _cyl_solution().cond_estimate
 
 
 @check("cylinder.realspace_crosscheck", 1e-5)
 def _():
-    xi, prob, sol = _cyl_setup()
-    d = cylinder_weld.realspace_crosscheck(prob, sol, probes=np.linspace(-3, 1, 5))
+    d = cylinder_weld.realspace_crosscheck(_cyl_solution(), probes=np.linspace(-3, 1, 5))
     return max(d["boundary_eq_1"], d["boundary_eq_2"])
 
 
 @check("cylinder.sigma_schwartz_bound", 1e3)
 def _():
-    _, prob, sol = _cyl_setup()
-    return sol.operator.diagnostics["schwartz_bound"]
+    return _cyl_solution().diagnostics["schwartz_bound"]
 
 
 @check("cylinder.source_resolved", 1e-10)
 def _():
-    _, prob, sol = _cyl_setup()
-    return sol.operator.diagnostics["source_tail"]
+    return _cyl_solution().diagnostics["source_tail"]
 
 
 # ---------------------------------------------------------------- characters

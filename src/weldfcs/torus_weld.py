@@ -48,7 +48,6 @@ __all__ = [
     "TorusWeldSolution",
     "assemble_K",
     "solve_Y1",
-    "residual_diagnostics",
 ]
 
 
@@ -179,7 +178,7 @@ class TorusOperator:
     @cached_property
     def tails(self) -> dict:
         """The band-edge tails of K12 and K21 (``band_edges``), computed
-        only when read (``residual_diagnostics``)."""
+        only when read (``TorusWeldSolution.diagnostics``)."""
         return self.band_edges()
 
     def residuals(self, y1: np.ndarray, y2: np.ndarray):
@@ -252,22 +251,36 @@ class TorusWeldSolution(WeldSolution):
         jump = self.grid.integral(self.problem.f.displacement() * self.xprime)
         return complex(self.problem.tau - jump / self.problem.L ** 2)
 
-    def lemma1_defects(self) -> dict:
-        """Stokes identities relating X-integrals across the two boundaries."""
-        grid = self.grid
-        fp = self.problem.f.deriv_samples(1)
+    @cached_property
+    def diagnostics(self) -> dict:
+        """The solve's diagnostics (``WeldSolution.diagnostics``) with
+        ``tau_eff``, the largest unprojected residuals of the two boundary
+        relations, the two-route tau difference, the band-edge tails of K12
+        and K21 and the defects of the Stokes identities relating
+        X-integrals across the two boundaries (lemma 1)."""
+        problem, grid = self.problem, self.grid
+        N, f = problem.n_modes, problem.f
+        # Y12 = (f - id) + L (tau^ - tau), with f - id = (X - id) + Y1
+        jump = self.xm_coeff[self.modes % grid.M] + self.y1_coeff
+        jump[N] += problem.L * (self.tau_eff - problem.tau)
+        r1, r2 = self.operator.residuals(self.y1_coeff, self.y1_coeff - jump)
+        fp = f.deriv_samples(1)
         xp2 = self.xprime ** 2
-        i_a = grid.integral(xp2)
-        i_b = grid.integral(xp2 / fp)
-        sf = schwarzian_from_derivatives(fp, self.problem.f.deriv_samples(2),
-                                         self.problem.f.deriv_samples(3))
+        i_a, i_b = grid.integral(xp2), grid.integral(xp2 / fp)
+        sf = schwarzian_from_derivatives(fp, f.deriv_samples(2),
+                                         f.deriv_samples(3))
         sx = self.schwarzian
-        j_a = grid.integral(sx)
-        j_b = grid.integral((sx - sf) / fp)
-        return {
+        j_a, j_b = grid.integral(sx), grid.integral((sx - sf) / fp)
+        own = {
+            "tau_eff": self.tau_eff,
+            "boundary_eq_1": float(np.max(np.abs(r1))),
+            "boundary_eq_2": float(np.max(np.abs(r2))),
+            "tau_two_route": abs(self.tau_eff - self.tau_eff_boundary),
+            **{f"tail_{k}": v for k, v in self.operator.tails.items()},
             "xprime_sq_rel": abs(i_a - i_b) / abs(i_a),
             "schwarzian_abs": abs(j_a - j_b),
         }
+        return {**super().diagnostics, **own}
 
 
 def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:
@@ -312,24 +325,3 @@ def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:
             f"tail_tol={problem.tail_tol:.2e} at N={N}; raise n_modes")
     return sol
 
-
-def residual_diagnostics(sol: TorusWeldSolution) -> dict:
-    """Unprojected boundary-relation residuals plus the solve's diagnostics."""
-    problem, grid = sol.problem, sol.grid
-    N, L = problem.n_modes, problem.L
-
-    # Y12 = (f - id) + L (tau^ - tau), with f - id = (X - id) + Y1
-    jump = sol.xm_coeff[sol.modes % grid.M] + sol.y1_coeff
-    jump[N] += L * (sol.tau_eff - problem.tau)
-    r1, r2 = sol.operator.residuals(sol.y1_coeff, sol.y1_coeff - jump)
-
-    out = {
-        "boundary_eq_1": float(np.max(np.abs(r1))),
-        "boundary_eq_2": float(np.max(np.abs(r2))),
-        "tau_two_route": abs(sol.tau_eff - sol.tau_eff_boundary),
-        "solve_residual": sol.solve_residual,
-        "cond_estimate": sol.cond_estimate,
-    }
-    out.update({f"tail_{k}": v for k, v in sol.operator.tails.items()})
-    out.update(sol.lemma1_defects())
-    return out

@@ -78,7 +78,7 @@ def test_criterion_3_lemma1_identities():
                         Numerics(n_modes=256, tail_tol=1e-3))
     grid = welds.grid
     sol = next(welds.solutions())
-    d = sol.lemma1_defects()
+    d = sol.diagnostics
     sx_scale = abs(grid.integral(sol.schwarzian))
     rel2 = d["schwarzian_abs"] / max(sx_scale, 1.0)
     defect = max(d["xprime_sq_rel"], rel2)

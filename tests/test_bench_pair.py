@@ -1,6 +1,8 @@
-"""``tools/bench_pair.compare`` on synthetic run lists; no benchmark runs."""
+"""``tools/bench_pair``: ``compare`` on synthetic run lists, and ``main``
+with its exports and runs stubbed; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,64 @@ class TestCompare:
         out = compare(PARENT, PARENT[:9], "higher", 0.25)
         assert out["unresolved"] and not out["gain_resolved"]
         assert out["regressed"] is None
+
+
+class TestRuns:
+    def test_each_run_has_a_fresh_tree_of_its_own(self, tmp_path,
+                                                  monkeypatch):
+        # export and run_once stubbed: every run reads its side's export
+        # from a directory no other run used, which is gone after the run;
+        # its name's length varies over a side's runs and is the same for
+        # both runs of a pair
+        root = tmp_path / "checkout"
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps({
+            "workloads": [{"name": "w1"}, {"name": "w2"}],
+            "end_to_end": [{"name": "lnpsi_per_s", "better": "higher",
+                            "bound": 0.25}]}))
+        exports, seen = [], []
+
+        def export(root_, rev, dest):
+            (dest / "src" / "weldfcs").mkdir(parents=True)
+            (dest / "src" / "weldfcs" / "cache.py").write_text(
+                '_VERSION = "v"\n')
+            (dest / "rev").write_text(rev)
+            exports.append(dest)
+            return f"commit-{rev}"
+
+        def run_once(tree, workload, seed, seconds, trace):
+            seen.append({"tree": tree, "rev": (tree / "rev").read_text(),
+                         "files": sorted(p.name for p in tree.iterdir()),
+                         "workload": workload, "trace": trace})
+            return {"correct": True, "exit": 0, "attempted": 4, "failed": 0,
+                    "metrics": {"lnpsi_per_s": {"value": 1.0 + len(seen)}},
+                    "rounds": 3, "fingerprint": [], "absent": []}
+
+        monkeypatch.setattr(bench_pair, "git",
+                            lambda *args, cwd: str(root).encode())
+        monkeypatch.setattr(bench_pair, "export", export)
+        monkeypatch.setattr(bench_pair, "run_once", run_once)
+        monkeypatch.setattr(bench_pair, "host", lambda tree: {})
+        monkeypatch.setattr(bench_pair.tempfile, "tempdir", str(tmp_path))
+        assert bench_pair.main(["--parent", "P", "--change", "C", "--tag",
+                                "t", "--pairs", "3", "--traced", "1"]) == 0
+        # 2 workloads x (3 pairs + 1 traced run) x 2 sides
+        assert len(seen) == 16 and len(exports) == 2
+        trees = [r["tree"] for r in seen]
+        assert len(set(trees)) == 16
+        assert not set(trees) & set(exports)
+        assert all(r["files"] == ["rev", "src"] for r in seen)
+        assert not any(t.exists() for t in trees + exports)
+        for side, rev in (("parent", "P"), ("change", "C")):
+            mine = [r for r in seen if r["tree"].name.startswith(side)]
+            assert len(mine) == 8 and all(r["rev"] == rev for r in mine)
+            assert len({len(r["tree"].name) for r in mine}) == 8
+        for k in range(3):
+            pair = seen[2 * k:2 * k + 2]
+            assert {r["rev"] for r in pair} == {"P", "C"}
+            assert len({len(r["tree"].name) for r in pair}) == 1
+        record = json.loads((root / "BENCH_t.json").read_text())
+        assert record["commits"] == {"parent": "commit-P",
+                                     "change": "commit-C"}
+        assert record["workloads"]["w2"]["metrics"]["lnpsi_per_s"]["pairs"] \
+            == 3

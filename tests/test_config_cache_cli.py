@@ -7,16 +7,18 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weldfcs import Numerics, TemperatureProfile, Theory
+from weldfcs import (Numerics, TemperatureProfile, Theory, cylinder_nodes,
+                     fcs, realspace_crosscheck)
 from weldfcs.cache import SolveCache, _canonical, resolve_cache_dir
 from weldfcs.cli import main
-from weldfcs.config import config_from_dict
+from weldfcs.config import config_from_dict, load_config
 from weldfcs.errors import ConfigInvalid
 
 
@@ -775,6 +777,10 @@ class TestCli:
         # the band-edge tails, taken when read, under the run's tail_tol
         tol = data["numerics"]["tail_tol"]
         assert 0 < row["tail_K12"] <= tol and 0 < row["tail_K21"] <= tol
+        assert set(row) == {"t", "s", "tau_eff", "boundary_eq_1",
+                            "boundary_eq_2", "tau_two_route", "tail_K12",
+                            "tail_K21", "xprime_sq_rel", "schwarzian_abs",
+                            "cond_estimate", "solve_residual"}
         assert (outdir / "weld_torus_t1.0_s0.2.npz").exists()
 
     def test_weld_cylinder_command(self, tmp_path):
@@ -791,7 +797,58 @@ class TestCli:
         assert [row["s"] for row in payload["rows"]] == [-0.1, 0.2]
         for row in payload["rows"]:
             assert row["xprime_min_abs"] > 0
+            # the solve's own diagnostics, from the same source as the rest
+            assert row["cond_estimate"] >= 1.0
+            assert row["solve_residual"] < 1e-10
+            assert set(row) == {"t", "s", "mover", "cond_estimate",
+                                "solve_residual", "schwartz_bound",
+                                "source_tail", "xprime_tail_rate",
+                                "expected_rate", "xprime_min_abs"}
         assert (outdir / "weld_cylinder_t1.0_s0.2_p.npz").exists()
+
+    def test_weld_cylinder_crosscheck_rows(self, tmp_path):
+        # crosscheck on: each row carries the real-space defects of its own
+        # node, as realspace_crosscheck gives them on that node
+        data = base_config(numerics=LIGHT_NUMERICS,
+                           experiment={"t": 1.0, "s_values": [-0.1, 0.2],
+                                       "crosscheck": True})
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli(["weld-cylinder", "--config", str(cfg_path)]) == 0
+        rows = json.loads((tmp_path / "out" / "weld_cylinder.json")
+                          .read_text())["rows"]
+        cfg = load_config(cfg_path)
+        welds = cylinder_nodes(cfg.profile, cfg.v, 1.0, "+", [-0.1, 0.2],
+                               cfg.numerics)
+        refs = [realspace_crosscheck(sol) for sol in welds.solutions()]
+        assert [{k: row[k] for k in ref} for row, ref in zip(rows, refs)] \
+            == refs
+        assert all(0 < v < 1e-3 for ref in refs for v in ref.values())
+
+    @pytest.mark.parametrize("command,solver", [
+        ("weld-torus", "solve_Y1"), ("weld-cylinder", "solve_cylinder")])
+    def test_weld_commands_free_each_solution_before_the_next_solve(
+            self, tmp_path, monkeypatch, command, solver):
+        # a node's solution, with its factors, is gone when the command
+        # solves the next node, so it holds one node's factors at a time
+        refs, alive = [], []
+        solve = getattr(fcs, solver)
+
+        def tracked(problem):
+            alive.append(sum(ref() is not None for ref in refs))
+            sol = solve(problem)
+            refs.append(weakref.ref(sol))
+            return sol
+
+        monkeypatch.setattr(fcs, solver, tracked)
+        data = base_config(numerics=LIGHT_NUMERICS,
+                           experiment={"t": 1.0, "s_values": [0.1, 0.2, 0.3]})
+        data["io"] = {"output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli([command, "--config", str(cfg_path)]) == 0
+        assert alive == [0, 0, 0]
 
     def test_converge_command(self, tmp_path):
         # two boxes, light numerics: 2 v t_psi = 24 wraps L=20 but not L=40

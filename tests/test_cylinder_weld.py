@@ -205,24 +205,24 @@ class TestAssembly:
 
     def test_schwartz_decay_diagnostic(self, kink):
         _, _, sol = solve_kink(kink, 4.0, 0.3)
-        d = sol.operator.diagnostics
+        d = sol.diagnostics
         assert np.isfinite(d["schwartz_bound"])
         # weighted kernel bounded by an O(10) constant for the default kink
         assert d["schwartz_bound"] < 100.0
 
     def test_diagnostics_stay_within_the_node_budget(self, kink):
-        # the diagnostics apply Sigma a block of columns at a time; their
-        # peak stays under the working set that admitted the node
-        # (M = 2048, order 380: about 4.8 MB against 7.0 MB)
+        # the diagnostics apply Sigma to a block of unit columns at a
+        # time; their peak stays under the working set that admitted the
+        # node (M = 2048, order 380: about 2.8 MB against 7.0 MB)
         num = Numerics(dx=0.04, window_pad_gamma=6.0, window_factor=4.0,
                        p_max_gamma=20.0)
         welds = cylinder_nodes(kink, 1.0, 2.0, "+", [0.25], num)
-        op = next(welds.solutions()).operator
+        sol = next(welds.solutions())
         _, _, nbytes = _cylinder_size(welds.grid, 20.0 / welds.xi.gamma,
                                       num.window_factor)
         tracemalloc.start()
         try:
-            op.diagnostics
+            sol.diagnostics
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,7 +316,7 @@ class TestSolve:
 
     def test_exponential_tail_and_nonvanishing(self, kink):
         _, _, sol = solve_kink(kink, 2.0, 0.25)
-        d = sol.decay_diagnostics()
+        d = sol.diagnostics
         assert abs(d["xprime_tail_rate"] - d["expected_rate"]) \
             < 0.1 * d["expected_rate"]
         assert d["xprime_min_abs"] > 0.5
@@ -328,22 +328,21 @@ class TestRealspaceCrosscheck:
     def test_identity(self, kink):
         grid = LineGrid(-20.0, 40.0, 1024)
         g0 = Diffeo(grid, grid.x.copy())
-        prob = CylinderWeldProblem(g0, kink.beta0, 20.0, g0)
-        sol = solve_cylinder(prob)
-        d = realspace_crosscheck(prob, sol, probes=np.array([0.0, 3.0]))
+        sol = solve_cylinder(CylinderWeldProblem(g0, kink.beta0, 20.0, g0))
+        d = realspace_crosscheck(sol, probes=np.array([0.0, 3.0]))
         assert d["boundary_eq_1"] < 1e-12
         assert d["boundary_eq_2"] < 1e-12
 
     def test_kink_flow(self, kink):
-        xi, prob, sol = solve_kink(kink, 2.0, 0.2, p_max_gamma=53.0)
-        d = realspace_crosscheck(prob, sol, probes=np.linspace(-3, 1, 5))
+        _, _, sol = solve_kink(kink, 2.0, 0.2, p_max_gamma=53.0)
+        d = realspace_crosscheck(sol, probes=np.linspace(-3, 1, 5))
         assert d["boundary_eq_1"] < 1e-6
         assert d["boundary_eq_2"] < 1e-6
 
     def test_defect_decreases_with_pmax(self, kink):
         defects = []
         for pm in (20.0, 33.0, 53.0):
-            xi, prob, sol = solve_kink(kink, 2.0, 0.2, p_max_gamma=pm)
-            d = realspace_crosscheck(prob, sol, probes=np.linspace(-2, 1, 3))
+            _, _, sol = solve_kink(kink, 2.0, 0.2, p_max_gamma=pm)
+            d = realspace_crosscheck(sol, probes=np.linspace(-2, 1, 3))
             defects.append(max(d["boundary_eq_1"], d["boundary_eq_2"]))
         assert defects[0] > defects[1] > defects[2]

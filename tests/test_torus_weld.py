@@ -6,8 +6,7 @@ import scipy.linalg as sla
 
 from weldfcs import (Diffeo, Numerics, Theory, TorusWeldProblem,
                      VolumeContext, assemble_K, build_xi, flow_family,
-                     psi_finite, residual_diagnostics, solve_Y1, torus_nodes,
-                     torus_weld)
+                     psi_finite, solve_Y1, torus_nodes, torus_weld)
 from weldfcs.errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
 from weldfcs.fcs import _torus_bytes
 from weldfcs.spectral import PeriodicGrid, gauss_legendre_panels
@@ -408,7 +407,7 @@ class TestSolve:
             n_modes=256, tail_tol=1e-3)).solutions())
         assert sol.tau_eff.imag > 0
         assert sol.solve_residual < 1e-10
-        d = residual_diagnostics(sol)
+        d = sol.diagnostics
         assert d["boundary_eq_1"] < 1e-10
         assert d["boundary_eq_2"] < 1e-10
         assert d["tau_two_route"] < 1e-10

@@ -7,13 +7,17 @@ each, alternately, from clean exports.
 
 Run from a weldfcs checkout.  ``--change .`` takes the working tree (the
 tracked files and the untracked ones git does not ignore) instead of a
-commit.  Each side is exported once into a scratch directory, so neither
-run reads the other's files or leftovers.  Per workload, pair k runs the
-parent first when k is even and the change first when k is odd, one run at
-a time, each ``--seconds`` long at ``--seed`` (0 by default; another seed
-checks a claim on inputs not used while the change was written).
-``--traced`` more runs per side and workload take the per-layer split
-(``--trace 1``).
+commit.  Each side is exported once into a scratch directory, and every
+run gets a fresh copy of that export, removed after the run, so no run
+reads another's files or leftovers.  The copy's name grows by one
+character per run of its side, modulo 8, and both runs of a pair share a
+length: an effect tied to the layout of one path (the heap's, say) spreads
+over the runs instead of counting in every pair.  Per workload, pair k
+runs the parent first when k is even and the change first when k is odd,
+one run at a time, each ``--seconds`` long at ``--seed`` (0 by default;
+another seed checks a claim on inputs not used while the change was
+written).  ``--traced`` more runs per side and workload take the per-layer
+split (``--trace 1``).
 
 It writes ``BENCH_<tag>.json`` at the checkout's root: per workload
 and end-to-end metric, each side's runs, median and quartiles, the pairs
@@ -222,20 +226,33 @@ def main(argv=None) -> int:
             "cache_version": {s: cache_version(t) for s, t in trees.items()},
             "workloads": {},
         }
+        made = {"parent": 0, "change": 0}
+
+        def run(side: str, workload: str, trace: bool) -> dict:
+            """One run of ``side`` from a fresh copy of its export, in a
+            directory whose name is k % 8 characters longer at the side's
+            k-th run."""
+            k = made[side]
+            made[side] += 1
+            tree = scratch / f"{side}{k:03d}{'_' * (k % 8)}"
+            shutil.copytree(trees[side], tree, symlinks=True)
+            try:
+                return run_once(tree, workload, args.seed, args.seconds,
+                                trace)
+            finally:
+                shutil.rmtree(tree, ignore_errors=True)
+
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for k in range(args.pairs):
                 order = ("parent", "change") if first_side(k) == "parent" \
                     else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(trees[side], workload,
-                                               args.seed, args.seconds,
-                                               False))
+                    runs[side].append(run(side, workload, False))
                     print(f"{workload} pair {k} {side}: "
                           f"{runs[side][-1]['metrics'].get('lnpsi_per_s')}",
                           file=sys.stderr, flush=True)
-            traced = {side: [run_once(trees[side], workload, args.seed,
-                                      args.seconds, True)
+            traced = {side: [run(side, workload, True)
                              for _ in range(args.traced)]
                       for side in trees}
             entry = {
