@@ -297,10 +297,7 @@ def cmd_converge(cfg: RunConfig, args) -> int:
         h_L = build_h(cfg.profile, ctx)
         oLp = h_L(np.array(cfg.profile.support[0])).item() - A
         # recentered X' of the torus solution at the comparison points
-        c_band = welds.grid.coefficients(sol.xprime - 1.0)[
-            sol.modes % welds.grid.M]
-        xl = 1.0 + welds.grid.eval_band(c_band, pts + oLp)
-        xerrs.append(float(np.max(np.abs(xl - ref))))
+        xerrs.append(float(np.max(np.abs(sol.xprime_at(pts + oLp) - ref))))
         vfin = psi_finite(cfg.profile, theory, ctx, t_psi, lam=lam,
                           numerics=numL, cache=cache)
         psi_defects.append(abs(vfin.ln_psi - vinf.ln_psi))

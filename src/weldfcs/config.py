@@ -24,6 +24,7 @@ SCHEMA_VERSION = "weldfcs-config-1"
 
 _PROFILE_KEYS = {f.name for f in fields(TemperatureProfile)} | {"L", "v"}
 _THEORY_KEYS = {f.name for f in fields(Theory)}
+_NUMERICS_KEYS = {f.name for f in fields(Numerics)}
 _IO_KEYS = {"output_dir", "cache_dir", "formats"}
 
 
@@ -31,6 +32,21 @@ def _require(block: dict, key: str, blockname: str):
     if key not in block:
         raise ConfigInvalid(f"{blockname}.{key}", "missing required key")
     return block[key]
+
+
+def _block(data: dict, name: str, default: dict | None = None,
+           keys: set | None = None) -> dict:
+    """``data[name]``, or ``default`` when absent (required when None),
+    refused unless it is an object whose keys all lie in ``keys`` (any
+    keys when None)."""
+    block = data.get(name, default)
+    if not isinstance(block, dict):
+        raise ConfigInvalid(name, f"missing {name} block" if default is None
+                            else f"{name} block must be an object")
+    for key in block:
+        if keys is not None and key not in keys:
+            raise ConfigInvalid(f"{name}.{key}", "unknown key")
+    return block
 
 
 def _is_finite_number(val) -> bool:
@@ -110,12 +126,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigInvalid("schema", f"expected {SCHEMA_VERSION}")
 
-    pblock = data.get("profile")
-    if not isinstance(pblock, dict):
-        raise ConfigInvalid("profile", "missing profile block")
-    for key in pblock:
-        if key not in _PROFILE_KEYS:
-            raise ConfigInvalid(f"profile.{key}", "unknown key")
+    pblock = _block(data, "profile", keys=_PROFILE_KEYS)
     beta_left = read_positive(pblock, "beta_left", "profile")
     beta_right = read_positive(pblock, "beta_right", "profile")
     half_width = read_positive(pblock, "half_width", "profile")
@@ -134,12 +145,8 @@ def config_from_dict(data: dict) -> RunConfig:
     except BoxTooSmall as exc:
         raise ConfigInvalid("profile.half_width", str(exc)) from exc
 
-    tblock = data.get("theory", {"model": "central_charge_only", "c": 1.0})
-    if not isinstance(tblock, dict):
-        raise ConfigInvalid("theory", "theory block must be an object")
-    for key in tblock:
-        if key not in _THEORY_KEYS:
-            raise ConfigInvalid(f"theory.{key}", "unknown key")
+    tblock = _block(data, "theory", {"model": "central_charge_only", "c": 1.0},
+                    _THEORY_KEYS)
     c = read_positive(tblock, "c", "theory", 1.0)
     radius = tblock.get("radius")
     if radius is not None:
@@ -149,13 +156,7 @@ def config_from_dict(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigInvalid("theory.model", str(exc)) from exc
 
-    nblock = data.get("numerics", {})
-    if not isinstance(nblock, dict):
-        raise ConfigInvalid("numerics", "numerics block must be an object")
-    valid = {f.name for f in fields(Numerics)}
-    for key in nblock:
-        if key not in valid:
-            raise ConfigInvalid(f"numerics.{key}", "unknown key")
+    nblock = _block(data, "numerics", {}, _NUMERICS_KEYS)
     int_fields = {"n_modes", "s_nodes", "s_panels"}
     for key, val in nblock.items():
         if not _is_finite_number(val) or val <= 0:
@@ -170,16 +171,9 @@ def config_from_dict(data: dict) -> RunConfig:
     except TypeError as exc:
         raise ConfigInvalid("numerics", str(exc)) from exc
 
-    eblock = data.get("experiment", {})
-    if not isinstance(eblock, dict):
-        raise ConfigInvalid("experiment", "experiment block must be an object")
+    eblock = _block(data, "experiment", {})
 
-    ioblock = data.get("io", {})
-    if not isinstance(ioblock, dict):
-        raise ConfigInvalid("io", "io block must be an object")
-    for key in ioblock:
-        if key not in _IO_KEYS:
-            raise ConfigInvalid(f"io.{key}", "unknown key")
+    ioblock = _block(data, "io", {}, _IO_KEYS)
     formats = ioblock.get("formats", ["json", "csv"])
     if not isinstance(formats, list):
         raise ConfigInvalid("io.formats", f"must be a list, got {formats!r}")

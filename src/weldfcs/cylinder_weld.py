@@ -32,13 +32,14 @@ perturbation of the identity of low numerical rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import NearSingular, WindowTooSmall
-from .fredholm import PhaseFactor, WeldSolution, _gmres
+from .fredholm import _GMRES_CAP, PhaseFactor, WeldSolution, _gmres
 from .profile import Diffeo
 from .spectral import LineGrid, gauss_legendre_panels
 
@@ -46,6 +47,7 @@ __all__ = [
     "CylinderWeldProblem",
     "CylinderWeldSolution",
     "assemble_sigma",
+    "node_size",
     "solve_cylinder",
     "realspace_crosscheck",
 ]
@@ -70,7 +72,7 @@ class CylinderWeldProblem:
     def __post_init__(self):
         grid = self.g.grid
         lo, hi = self.g.support
-        if lo != hi:  # nontrivial support
+        if np.any(self.g.moved()):      # one moved point has lo == hi
             gap = min(lo - grid.x0, grid.x0 + grid.span - hi)
             if gap < _MIN_EDGE_GAP * self.gamma:
                 raise WindowTooSmall(
@@ -199,10 +201,6 @@ class CylinderWeldSolution(WeldSolution):
         return float(np.linalg.norm(dz + self.operator.sigma.matvec(dz) - rhs)
                      / max(np.linalg.norm(rhs), 1e-300))
 
-    def xprime_at(self, points) -> np.ndarray:
-        return 1.0 + self.grid.eval_ft(-1j * self.grid.p * self.xm_coeff,
-                                       points)
-
     @cached_property
     def diagnostics(self) -> dict:
         """The solve's diagnostics (``WeldSolution.diagnostics``) with the
@@ -248,6 +246,27 @@ class CylinderWeldSolution(WeldSolution):
             "xprime_min_abs": float(np.min(np.abs(self.xprime))),
         }
         return {**super().diagnostics, **own}
+
+
+def node_size(grid: LineGrid, p_max: float,
+              window_factor: float) -> tuple[int, int, int]:
+    """Lattice size, Nystrom order n and complex bytes of the working set of
+    a cylinder node on ``grid`` with momentum cutoff ``p_max``; allocates
+    nothing.
+
+    The order counts the half-offset momenta |p| <= p_max, as
+    ``assemble_sigma`` selects them.  The working set is the two n x |U|
+    kernel factors V_A and V_B, the GMRES basis of at most
+    ``_GMRES_CAP + 1`` vectors of length n, one lattice array, and the FFT
+    input and output of a two-column phase-factor product on the lattice.
+    Both displacements live in the padded window, 1 / ``window_factor`` of
+    the lattice, so their union support U has at most M / window_factor + 1
+    points.
+    """
+    order = min(2 * math.floor(p_max / grid.dp + 0.5), grid.M)
+    supp = min(grid.M, math.floor(grid.M / window_factor) + 1)
+    return grid.M, order, 16 * (2 * order * supp + (_GMRES_CAP + 1) * order
+                                + 5 * grid.M)
 
 
 def solve_cylinder(problem: CylinderWeldProblem) -> CylinderWeldSolution:

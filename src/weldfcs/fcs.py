@@ -24,17 +24,17 @@ import numpy as np
 
 from . import profile as profile_mod
 from .characters import Theory, log_character
-from .cylinder_weld import CylinderWeldProblem, solve_cylinder
+from .cylinder_weld import CylinderWeldProblem, node_size, solve_cylinder
 from .errors import (ConfigInvalid, DeltaBetaZero, NodeTooLarge, OutOfRange,
                      PoleHit)
-from .fredholm import _GMRES_CAP, PhaseFactor
+from .fredholm import PhaseFactor
 # flow_family is not called here, but perfbench's tracer wraps this name
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       XiField, build_h, build_xi, flow_family,
                       periodize_profile)
 from .spectral import (LineGrid, PeriodicGrid, bose_weight,
                        gauss_legendre_panels)
-from .torus_weld import TorusWeldProblem, solve_Y1
+from .torus_weld import TorusWeldProblem, node_bytes, solve_Y1
 
 __all__ = [
     "Numerics",
@@ -101,8 +101,9 @@ def cylinder_grid(xi_field: XiField, s_extent: float,
     return LineGrid(x0=x0, span=span, M=m)
 
 
-# a welding node whose working set (see _cylinder_size and _torus_bytes)
-# would take more bytes than this is refused before any of it is allocated
+# a welding node whose working set (``cylinder_weld.node_size``,
+# ``torus_weld.node_bytes``) would take more bytes than this is refused
+# before any of it is allocated
 _NODE_BYTES_MAX = 2 ** 30
 
 
@@ -124,48 +125,11 @@ def _count(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"2^{math.log2(n):.4g}"
 
 
-def _cylinder_size(grid: LineGrid, p_max: float,
-                   window_factor: float) -> tuple[int, int, int]:
-    """Lattice size, Nystrom order n and complex bytes of the working set of
-    a cylinder node on ``grid`` with momentum cutoff ``p_max``; allocates
-    nothing.
-
-    The order counts the half-offset momenta |p| <= p_max, as
-    ``assemble_sigma`` selects them.  The working set is the two n x |U|
-    kernel factors V_A and V_B, the GMRES basis of at most
-    ``_GMRES_CAP + 1`` vectors of length n, one lattice array, and the FFT
-    input and output of a two-column phase-factor product on the lattice.
-    Both displacements live in the padded window, 1 / ``window_factor`` of
-    the lattice, so their union support U has at most M / window_factor + 1
-    points.
-    """
-    order = min(2 * math.floor(p_max / grid.dp + 0.5), grid.M)
-    supp = min(grid.M, math.floor(grid.M / window_factor) + 1)
-    return grid.M, order, 16 * (2 * order * supp + (_GMRES_CAP + 1) * order
-                                + 5 * grid.M)
-
-
-def _torus_bytes(n: int, support: int) -> int:
-    """Complex bytes of the working set of a torus node with n modes whose
-    map and inverse move ``support`` grid points between them (the union
-    support U): V_A over the modes 0..n + n // 2 and V_B over -n..n, both
-    on U, the GMRES basis, the FFT input and output of one phase-factor
-    product on the 4n-point lattice, and the band-edge scan (README
-    "Command line").  That scan takes at most 2 w rows of P over U at a
-    time, with their gather index (3 w |U| complex in all), and forms
-    products of at most w (2 n + 2) entries, with their modulus and its
-    weighted copy; the formula counts 4 w (|U| + n + 1)."""
-    b, w, m = n // 2, max(1, n // 16), 4 * n
-    return 16 * ((n + b + 1 + 2 * n + 1) * support
-                 + (_GMRES_CAP + 1) * 2 * n + 2 * m
-                 + 4 * w * (support + n + 1))
-
-
 def _refuse_torus(n: int, support: int):
     """Refuse a torus node with n modes and union support of ``support``
     points if its working set is over the budget."""
     _refuse_over_budget(
-        _torus_bytes(n, support),
+        node_bytes(n, support),
         f"torus node with {n} modes and {support} moved grid points",
         "lower numerics.n_modes")
 
@@ -279,7 +243,7 @@ def cylinder_nodes(profile: TemperatureProfile, v: float, t: float,
                             f"below the first solve momentum "
                             f"{0.5 * grid.dp:.6g}, so the Nystrom system "
                             f"would be empty")
-    m, order, nbytes = _cylinder_size(grid, p_max, numerics.window_factor)
+    m, order, nbytes = node_size(grid, p_max, numerics.window_factor)
     _refuse_over_budget(nbytes, f"cylinder node needs a {_count(m)}-point "
                         f"lattice and a Nystrom system of order "
                         f"{_count(order)}",

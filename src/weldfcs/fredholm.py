@@ -204,6 +204,11 @@ class WeldSolution:
     def xprime(self) -> np.ndarray:
         return self.xderiv(1)
 
+    def xprime_at(self, points) -> np.ndarray:
+        """X' at arbitrary points: the interpolant of ``xprime``, the X'
+        the action integrates, over all of its grid's modes."""
+        return 1.0 + self.grid.interpolate(self.xprime - 1.0, points)
+
     @property
     def schwarzian(self) -> np.ndarray:
         """S X on the grid (X' never vanishes for solvable data)."""

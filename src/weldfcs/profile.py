@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoxTooSmall
-from .spectral import LineGrid, PeriodicGrid
+from .spectral import LineGrid, PeriodicGrid, schwarzian_from_derivatives
 
 __all__ = [
     "TemperatureProfile",
@@ -408,17 +408,9 @@ class ReparamMap:
         sgn = np.where(reflected, -1.0, 1.0)
         return p.beta(arg), sgn * p.beta_deriv(arg, 1), p.beta_deriv(arg, 2)
 
-    def deriv(self, x, order: int = 1) -> np.ndarray:
-        """Analytic derivatives: h' = beta0/beta and its chain rule."""
-        b0 = self.beta0
-        b, b1, b2 = self._beta_derivs(np.asarray(x, dtype=float))
-        if order == 1:
-            return b0 / b
-        if order == 2:
-            return -b0 * b1 / b ** 2
-        if order == 3:
-            return b0 * (2.0 * b1 ** 2 - b * b2) / b ** 3
-        raise ValueError("deriv supports orders 1..3")
+    def deriv(self, x) -> np.ndarray:
+        """h' = beta0 / beta, analytic."""
+        return self.beta0 / self._beta(np.asarray(x, dtype=float))
 
     def schwarzian(self, x) -> np.ndarray:
         """S h = (beta'/beta)^2 / 2 - beta''/beta, supported on the kink."""
@@ -589,6 +581,13 @@ class Diffeo:
                 d = d + 1.0
             self._cache[key] = d
         return self._cache[key]
+
+    @cached_property
+    def schwarzian(self) -> np.ndarray:
+        """S f on the grid, from the spectral derivatives
+        (``deriv_samples``)."""
+        return schwarzian_from_derivatives(
+            *(self.deriv_samples(order) for order in (1, 2, 3)))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -15,8 +15,7 @@ import numpy as np
 from . import characters, cylinder_weld, fcs, profile, torus_weld
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
                       build_h, build_xi, flow_family, periodize_profile)
-from .spectral import (LineGrid, PeriodicGrid, bose_weight,
-                       schwarzian_from_derivatives)
+from .spectral import LineGrid, PeriodicGrid, bose_weight
 
 CHECKS = []
 
@@ -206,16 +205,10 @@ def _():
 
 # ---------------------------------------------------------------- schwarzian
 
-def _schwarzian(f):
-    """S(f) on the grid, by the solvers' spectral route."""
-    return schwarzian_from_derivatives(
-        *(f.deriv_samples(order) for order in (1, 2, 3)))
-
-
 @check("schwarzian.identity", 0.0)
 def _():
     grid = PeriodicGrid(10.0, 256)
-    s = _schwarzian(profile.Diffeo(grid, grid.x.copy()))
+    s = profile.Diffeo(grid, grid.x.copy()).schwarzian
     return float(np.max(np.abs(s)))
 
 
@@ -227,10 +220,10 @@ def _():
         + 0.1 * np.cos(4 * np.pi * grid.x / L)
     f1 = lambda y: y + 0.2 * np.sin(2 * np.pi * y / L + 0.5)
     inner = profile.Diffeo(grid, f2)
-    s12 = _schwarzian(profile.Diffeo(grid, f1(f2)))
-    s1 = _schwarzian(profile.Diffeo(grid, f1(grid.x)))
+    s12 = profile.Diffeo(grid, f1(f2)).schwarzian
+    s1 = profile.Diffeo(grid, f1(grid.x)).schwarzian
     rhs = inner.deriv_samples(1) ** 2 * grid.interpolate(s1, f2).real \
-        + _schwarzian(inner)
+        + inner.schwarzian
     return float(np.max(np.abs(s12 - rhs)))
 
 
@@ -245,10 +238,10 @@ def _():
         + 0.15 * np.cos(4 * np.pi * y / L + 0.3)
     fa = profile.Diffeo(grid, _ode_flow(zeta, 0.12, grid.x))
     fab = profile.Diffeo(grid, _ode_flow(zeta, 0.24, grid.x))
-    s_a = _schwarzian(fa)
+    s_a = fa.schwarzian
     rhs = fa.deriv_samples(1) ** 2 * grid.interpolate(s_a, fa.samples).real \
         + s_a
-    return float(np.max(np.abs(_schwarzian(fab) - rhs)))
+    return float(np.max(np.abs(fab.schwarzian - rhs)))
 
 
 @check("counterterm.t0_and_flat", 0.0)

@@ -148,12 +148,6 @@ class PeriodicGrid:
         """Trapezoid rule over one period (spectrally accurate)."""
         return np.sum(values) * self.dx
 
-    def eval_band(self, coeff_band: np.ndarray,
-                  points: np.ndarray) -> np.ndarray:
-        """Evaluate a symmetric-band trig series at arbitrary points."""
-        n_max = (len(coeff_band) - 1) // 2
-        return _progression_sum(-n_max, self.dp, coeff_band, points)
-
     def interpolate(self, values: np.ndarray,
                     points: np.ndarray) -> np.ndarray:
         """The trigonometric interpolant of periodic samples at arbitrary

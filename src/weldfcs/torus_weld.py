@@ -39,14 +39,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from .fredholm import PhaseFactor, WeldSolution, _gmres
+from .fredholm import _GMRES_CAP, PhaseFactor, WeldSolution, _gmres
 from .profile import Diffeo
-from .spectral import PeriodicGrid, schwarzian_from_derivatives
+from .spectral import PeriodicGrid
 
 __all__ = [
     "TorusWeldProblem",
     "TorusWeldSolution",
     "assemble_K",
+    "node_bytes",
     "solve_Y1",
 ]
 
@@ -267,10 +268,8 @@ class TorusWeldSolution(WeldSolution):
         fp = f.deriv_samples(1)
         xp2 = self.xprime ** 2
         i_a, i_b = grid.integral(xp2), grid.integral(xp2 / fp)
-        sf = schwarzian_from_derivatives(fp, f.deriv_samples(2),
-                                         f.deriv_samples(3))
         sx = self.schwarzian
-        j_a, j_b = grid.integral(sx), grid.integral((sx - sf) / fp)
+        j_a, j_b = grid.integral(sx), grid.integral((sx - f.schwarzian) / fp)
         own = {
             "tau_eff": self.tau_eff,
             "boundary_eq_1": float(np.max(np.abs(r1))),
@@ -281,6 +280,22 @@ class TorusWeldSolution(WeldSolution):
             "schwarzian_abs": abs(j_a - j_b),
         }
         return {**super().diagnostics, **own}
+
+
+def node_bytes(n: int, support: int) -> int:
+    """Complex bytes of the working set of a torus node with n modes whose
+    map and inverse move ``support`` grid points between them (the union
+    support U): V_A over the modes 0..n + n // 2 and V_B over -n..n, both
+    on U, the GMRES basis, the FFT input and output of one phase-factor
+    product on the 4n-point lattice, and the band-edge scan (README
+    "Command line").  That scan takes at most 2 w rows of P over U at a
+    time, with their gather index (3 w |U| complex in all), and forms
+    products of at most w (2 n + 2) entries, with their modulus and its
+    weighted copy; the formula counts 4 w (|U| + n + 1)."""
+    b, w, m = n // 2, max(1, n // 16), 4 * n
+    return 16 * ((n + b + 1 + 2 * n + 1) * support
+                 + (_GMRES_CAP + 1) * 2 * n + 2 * m
+                 + 4 * w * (support + n + 1))
 
 
 def solve_Y1(problem: TorusWeldProblem) -> TorusWeldSolution:

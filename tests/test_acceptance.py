@@ -177,13 +177,10 @@ def test_criterion_9_thermodynamic_limit(psi_cache):
         n = int(256 * L / 40)
         welds = torus_nodes(KINK, ctx, t, [s], Numerics(n_modes=n,
                                                         tail_tol=2e-3))
-        grid = welds.grid
         sol = next(welds.solutions())
         h_l = build_h(KINK, ctx)
         o_l = h_l(np.array(-1.0)).item() - a_pt
-        band = grid.coefficients(sol.xprime - 1.0)[sol.modes % grid.M]
-        errs.append(float(np.max(np.abs(
-            1.0 + grid.eval_band(band, pts + o_l) - ref))))
+        errs.append(float(np.max(np.abs(sol.xprime_at(pts + o_l) - ref))))
     slope = fit_loglog_slope(Ls, errs)
     slope_defect = max(0.0, abs(slope + 1.0) - 0.3)
 

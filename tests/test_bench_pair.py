@@ -81,62 +81,91 @@ class TestCompare:
         assert out["regressed"] is None
 
 
+def stubbed_main(tmp_path, monkeypatch, pairs=3):
+    """``main`` over two workloads with ``export`` and ``run_once``
+    stubbed: each run reports ``lnpsi_per_s`` 1 + (runs so far).  Returns
+    the checkout, the exports and one entry per run."""
+    root = tmp_path / "checkout"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "lnpsi_per_s", "better": "higher",
+                        "bound": 0.25}]}))
+    exports, seen = [], []
+
+    def export(root_, rev, dest):
+        (dest / "src" / "weldfcs").mkdir(parents=True)
+        (dest / "src" / "weldfcs" / "cache.py").write_text(
+            '_VERSION = "v"\n')
+        (dest / "rev").write_text(rev)
+        exports.append(dest)
+        return f"commit-{rev}"
+
+    def run_once(tree, workload, seed, seconds, trace):
+        seen.append({"tree": tree, "rev": (tree / "rev").read_text(),
+                     "files": sorted(p.name for p in tree.iterdir()),
+                     "workload": workload, "trace": trace,
+                     "value": 1.0 + len(seen)})
+        return {"correct": True, "exit": 0, "attempted": 4, "failed": 0,
+                "metrics": {"lnpsi_per_s": {"value": seen[-1]["value"]}},
+                "rounds": 3, "fingerprint": [], "absent": []}
+
+    monkeypatch.setattr(bench_pair, "git",
+                        lambda *args, cwd: str(root).encode())
+    monkeypatch.setattr(bench_pair, "export", export)
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "host", lambda tree: {})
+    monkeypatch.setattr(bench_pair.tempfile, "tempdir", str(tmp_path))
+    assert bench_pair.main(["--parent", "P", "--change", "C", "--tag",
+                            "t", "--pairs", str(pairs), "--traced",
+                            "1"]) == 0
+    return root, exports, seen
+
+
 class TestRuns:
     def test_each_run_has_a_fresh_tree_of_its_own(self, tmp_path,
                                                   monkeypatch):
-        # export and run_once stubbed: every run reads its side's export
-        # from a directory no other run used, which is gone after the run;
-        # its name's length varies over a side's runs and is the same for
-        # both runs of a pair
-        root = tmp_path / "checkout"
-        root.mkdir()
-        (root / "BENCHMARK.json").write_text(json.dumps({
-            "workloads": [{"name": "w1"}, {"name": "w2"}],
-            "end_to_end": [{"name": "lnpsi_per_s", "better": "higher",
-                            "bound": 0.25}]}))
-        exports, seen = [], []
-
-        def export(root_, rev, dest):
-            (dest / "src" / "weldfcs").mkdir(parents=True)
-            (dest / "src" / "weldfcs" / "cache.py").write_text(
-                '_VERSION = "v"\n')
-            (dest / "rev").write_text(rev)
-            exports.append(dest)
-            return f"commit-{rev}"
-
-        def run_once(tree, workload, seed, seconds, trace):
-            seen.append({"tree": tree, "rev": (tree / "rev").read_text(),
-                         "files": sorted(p.name for p in tree.iterdir()),
-                         "workload": workload, "trace": trace})
-            return {"correct": True, "exit": 0, "attempted": 4, "failed": 0,
-                    "metrics": {"lnpsi_per_s": {"value": 1.0 + len(seen)}},
-                    "rounds": 3, "fingerprint": [], "absent": []}
-
-        monkeypatch.setattr(bench_pair, "git",
-                            lambda *args, cwd: str(root).encode())
-        monkeypatch.setattr(bench_pair, "export", export)
-        monkeypatch.setattr(bench_pair, "run_once", run_once)
-        monkeypatch.setattr(bench_pair, "host", lambda tree: {})
-        monkeypatch.setattr(bench_pair.tempfile, "tempdir", str(tmp_path))
-        assert bench_pair.main(["--parent", "P", "--change", "C", "--tag",
-                                "t", "--pairs", "3", "--traced", "1"]) == 0
-        # 2 workloads x (3 pairs + 1 traced run) x 2 sides
-        assert len(seen) == 16 and len(exports) == 2
+        # every run reads its side's export from a directory no other run
+        # used, which is gone after the run; its name's length varies over
+        # a side's runs and is the same for both runs of a pair
+        root, exports, seen = stubbed_main(tmp_path, monkeypatch)
+        # 2 workloads x (1 warm-up + 3 pairs + 1 traced run) x 2 sides
+        assert len(seen) == 20 and len(exports) == 2
         trees = [r["tree"] for r in seen]
-        assert len(set(trees)) == 16
+        assert len(set(trees)) == 20
         assert not set(trees) & set(exports)
         assert all(r["files"] == ["rev", "src"] for r in seen)
         assert not any(t.exists() for t in trees + exports)
         for side, rev in (("parent", "P"), ("change", "C")):
             mine = [r for r in seen if r["tree"].name.startswith(side)]
-            assert len(mine) == 8 and all(r["rev"] == rev for r in mine)
+            assert len(mine) == 10 and all(r["rev"] == rev for r in mine)
             assert len({len(r["tree"].name) for r in mine}) == 8
-        for k in range(3):
-            pair = seen[2 * k:2 * k + 2]
-            assert {r["rev"] for r in pair} == {"P", "C"}
-            assert len({len(r["tree"].name) for r in pair}) == 1
+        for workload in ("w1", "w2"):
+            timed = [r for r in seen
+                     if r["workload"] == workload and not r["trace"]][2:]
+            for k in range(3):
+                pair = timed[2 * k:2 * k + 2]
+                assert {r["rev"] for r in pair} == {"P", "C"}
+                assert len({len(r["tree"].name) for r in pair}) == 1
         record = json.loads((root / "BENCH_t.json").read_text())
         assert record["commits"] == {"parent": "commit-P",
                                      "change": "commit-C"}
         assert record["workloads"]["w2"]["metrics"]["lnpsi_per_s"]["pairs"] \
             == 3
+
+    def test_one_discarded_warm_up_per_side_and_workload(self, tmp_path,
+                                                         monkeypatch):
+        # each workload opens with one untraced run of each side, before
+        # the pairs, and neither warm-up reaches the record
+        root, _, seen = stubbed_main(tmp_path, monkeypatch)
+        record = json.loads((root / "BENCH_t.json").read_text())
+        for workload in ("w1", "w2"):
+            runs = [r for r in seen if r["workload"] == workload]
+            warm = runs[:2]
+            assert {r["rev"] for r in warm} == {"P", "C"}
+            assert not any(r["trace"] for r in warm)
+            metric = record["workloads"][workload]["metrics"]["lnpsi_per_s"]
+            kept = metric["parent"]["runs"] + metric["change"]["runs"]
+            assert len(kept) == 6
+            assert not {r["value"] for r in warm} & set(kept)
+            assert sorted(kept) == [r["value"] for r in runs[2:8]]

@@ -9,9 +9,10 @@ from weldfcs import (CylinderWeldProblem, Diffeo, InfiniteVolume,
                      Numerics, TorusWeldProblem, assemble_sigma, build_xi,
                      cylinder_nodes, cylinder_weld, flow_family,
                      realspace_crosscheck, solve_cylinder)
+from weldfcs.cylinder_weld import node_size
 from weldfcs.fredholm import PhaseFactor
 from weldfcs.errors import NearSingular, WindowTooSmall
-from weldfcs.fcs import _NODE_BYTES_MAX, _cylinder_size, cylinder_grid
+from weldfcs.fcs import _NODE_BYTES_MAX, cylinder_grid
 from weldfcs.spectral import LineGrid, PeriodicGrid, gauss_legendre_panels
 
 # the benchmark's cylinder numerics (perfbench infinite-moments)
@@ -120,7 +121,7 @@ class TestAssembly:
         p_max = num.p_max_gamma / xi.gamma
         for s in (0.2, 10.0, 1e3):
             grid = cylinder_grid(xi, s, num)
-            m, order, nbytes = _cylinder_size(grid, p_max, num.window_factor)
+            m, order, nbytes = node_size(grid, p_max, num.window_factor)
             n_sel = np.count_nonzero(np.abs(grid.p) <= p_max)
             assert (m, order) == (grid.M, n_sel - n_sel % 2)
             assert (nbytes > _NODE_BYTES_MAX) == (s == 1e3)
@@ -218,8 +219,8 @@ class TestAssembly:
                        p_max_gamma=20.0)
         welds = cylinder_nodes(kink, 1.0, 2.0, "+", [0.25], num)
         sol = next(welds.solutions())
-        _, _, nbytes = _cylinder_size(welds.grid, 20.0 / welds.xi.gamma,
-                                      num.window_factor)
+        _, _, nbytes = node_size(welds.grid, 20.0 / welds.xi.gamma,
+                                 num.window_factor)
         tracemalloc.start()
         try:
             sol.diagnostics
@@ -235,6 +236,18 @@ class TestAssembly:
         g, gi = flow_family(xi, [0.2], grid)[0]
         with pytest.raises(WindowTooSmall):
             CylinderWeldProblem(g, xi.gamma, 10.0, gi)
+
+    @pytest.mark.parametrize("moved", [[3], [3, 4]])
+    def test_window_check_sees_a_single_moved_point(self, moved):
+        # a map that moves one point has a support with lo == hi; its gap
+        # to the window edge (0.23) is below 5 gamma all the same
+        grid = LineGrid(-20.0, 40.0, 512)
+        samples = grid.x.copy()
+        samples[moved] += 1e-3
+        g = Diffeo(grid, samples)
+        assert np.isclose(grid.x[3], -19.77, atol=5e-3)
+        with pytest.raises(WindowTooSmall):
+            CylinderWeldProblem(g, 4.0 / 3.0, 10.0, g)
 
 
 class TestMatrixFree:
@@ -313,6 +326,10 @@ class TestSolve:
             ref = (k == 1) + grid.ift((-1j * p) ** k * ghat) \
                 - grid.ift((-1j * p) ** (k - 1) * y1p_hat)
             assert np.max(np.abs(sol.xderiv(k) - ref)) < 1e-12
+
+    def test_xprime_at_reproduces_the_grid_samples(self, kink):
+        _, prob, sol = solve_kink(kink, 2.0, 0.25)
+        assert np.max(np.abs(sol.xprime_at(prob.grid.x) - sol.xprime)) < 1e-12
 
     def test_exponential_tail_and_nonvanishing(self, kink):
         _, _, sol = solve_kink(kink, 2.0, 0.25)

@@ -7,7 +7,7 @@ from weldfcs import (InfiniteVolume, TemperatureProfile, VolumeContext,
 from weldfcs.errors import BoxTooSmall
 from weldfcs.fcs import (Numerics, _line_flow_family, cylinder_nodes,
                          torus_nodes)
-from weldfcs.profile import ReparamMap
+from weldfcs.profile import Diffeo, ReparamMap
 from weldfcs.spectral import (LineGrid, PeriodicGrid, fit_loglog_slope,
                               gauss_legendre_panels)
 
@@ -509,3 +509,48 @@ class TestFlows:
                  else cylinder_nodes(kink, 1.0, 2.0, "+", s, num))
         pairs = _line_flow_family(nodes.xi, nodes.s_values, nodes.grid)
         assert len(pairs) == 4 and len(calls) == 2
+
+
+def schwarzian(d1, d2, d3):
+    return d3 / d1 - 1.5 * (d2 / d1) ** 2
+
+
+def bump_derivatives(u):
+    """phi = e^{1/(u^2 - 1)} on |u| < 1, zero elsewhere, and its first three
+    derivatives, by the chain rule on g = 1/(u^2 - 1)."""
+    out = np.zeros((4,) + u.shape)
+    m = np.abs(u) < 1.0
+    v = u[m]
+    q = v * v - 1.0
+    g1, g2 = -2.0 * v / q ** 2, (6.0 * v * v + 2.0) / q ** 3
+    g3 = -24.0 * v * (v * v + 1.0) / q ** 4
+    phi = np.exp(1.0 / q)
+    out[:, m] = [phi, phi * g1, phi * (g1 ** 2 + g2),
+                 phi * (g1 ** 3 + 3.0 * g1 * g2 + g3)]
+    return out
+
+
+class TestDiffeo:
+    # measured max |S f - closed form|: 1.7e-11 on the circle (|S f| up to
+    # 0.39) and 1.4e-8 on the line (|S f| up to 4.0), where the bump's
+    # transform falls slower than exponentially
+    def test_schwarzian_on_the_circle(self):
+        L = 10.0
+        grid = PeriodicGrid(L, 128, x0=-L / 2)
+        k, x = 2.0 * np.pi / L, grid.x
+        a = 0.5 / k
+        f = Diffeo(grid, x + a * np.sin(k * x))
+        ref = schwarzian(1.0 + a * k * np.cos(k * x),
+                         -a * k ** 2 * np.sin(k * x),
+                         -a * k ** 3 * np.cos(k * x))
+        assert np.max(np.abs(f.schwarzian - ref)) < 1e-10
+
+    def test_schwarzian_of_a_compactly_supported_line_map(self):
+        # f = x + a phi(x / w), the identity off [-w, w], f' >= 0.6
+        grid = LineGrid(-10.0, 20.0, 2048)
+        w, a = 5.0, 2.5
+        phi = bump_derivatives(grid.x / w)
+        f = Diffeo(grid, grid.x + a * phi[0])
+        ref = schwarzian(1.0 + a / w * phi[1], a / w ** 2 * phi[2],
+                         a / w ** 3 * phi[3])
+        assert np.max(np.abs(f.schwarzian - ref)) < 1e-7

@@ -8,9 +8,8 @@ from weldfcs import (Diffeo, Numerics, Theory, TorusWeldProblem,
                      VolumeContext, assemble_K, build_xi, flow_family,
                      psi_finite, solve_Y1, torus_nodes, torus_weld)
 from weldfcs.errors import QOnUnitCircle, SingularSystem, TruncationTooCoarse
-from weldfcs.fcs import _torus_bytes
 from weldfcs.spectral import PeriodicGrid, gauss_legendre_panels
-from weldfcs.torus_weld import TorusOperator
+from weldfcs.torus_weld import TorusOperator, node_bytes
 
 L = 40.0
 
@@ -317,7 +316,7 @@ class TestFactored:
                 assert abs(got[name] - ref) < 1e-12 * ref, (variant, name)
 
     def test_memory_formula_bounds_the_operator(self, kink, oracle_problems):
-        # _torus_bytes against the arrays the operator holds, on the
+        # node_bytes against the arrays the operator holds, on the
         # benchmark L = 40 node and on a node of criterion 9's t = 30,
         # L = 80 set (N = 512); the phase factor is not among them: the
         # only arrays over the union support are V_A and V_B
@@ -331,7 +330,7 @@ class TestFactored:
             assert sorted(name for name, a in arrays.items()
                           if a.ndim > 1) == ["va", "vb"]
             assert op.va.shape[0] == op.vb.shape[0] == union
-            assert held <= _torus_bytes(prob.n_modes, union) <= 2 * held
+            assert held <= node_bytes(prob.n_modes, union) <= 2 * held
 
     def test_factored_operator_matches_dense_oracle(self, oracle_problems):
         for prob in oracle_problems:
@@ -426,6 +425,12 @@ class TestSolve:
                 * np.exp(-1j * pn * grid.x0)
             ref = f.deriv_samples(k) - np.fft.fft(full)
             assert np.max(np.abs(sol.xderiv(k) - ref)) < 1e-12
+
+    def test_xprime_at_reproduces_the_grid_samples(self, kink):
+        # off the grid X' is the interpolant of the samples the action
+        # integrates, so on the grid it gives them back
+        sol = solve_Y1(kink_problem(kink, 96, 2.0, 0.25, tail_tol=1e-3))
+        assert np.max(np.abs(sol.xprime_at(sol.grid.x) - sol.xprime)) < 1e-12
 
 
 def psi_at_flow_time(kink, box, t, s_end, numerics):

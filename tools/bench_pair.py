@@ -12,9 +12,10 @@ run gets a fresh copy of that export, removed after the run, so no run
 reads another's files or leftovers.  The copy's name grows by one
 character per run of its side, modulo 8, and both runs of a pair share a
 length: an effect tied to the layout of one path (the heap's, say) spreads
-over the runs instead of counting in every pair.  Per workload, pair k
-runs the parent first when k is even and the change first when k is odd,
-one run at a time, each ``--seconds`` long at ``--seed`` (0 by default;
+over the runs instead of counting in every pair.  Per workload, each side
+first makes one warm-up run, which is discarded; then pair k runs the
+parent first when k is even and the change first when k is odd, one run
+at a time, each ``--seconds`` long at ``--seed`` (0 by default;
 another seed checks a claim on inputs not used while the change was
 written).  ``--traced`` more runs per side and workload take the per-layer
 split (``--trace 1``).
@@ -243,6 +244,10 @@ def main(argv=None) -> int:
                 shutil.rmtree(tree, ignore_errors=True)
 
         for workload in workloads:
+            # one discarded warm-up per side, so neither side's first timed
+            # run is the first run of the workload on the host
+            for side in trees:
+                run(side, workload, False)
             runs = {"parent": [], "change": []}
             for k in range(args.pairs):
                 order = ("parent", "change") if first_side(k) == "parent" \
