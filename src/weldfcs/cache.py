@@ -80,13 +80,17 @@ class SolveCache:
         return os.path.join(self.dir, digest[:2], f"{digest}.json")
 
     def get_scalar(self, key):
+        """The value stored under ``key``, or None.  A record that is not a
+        JSON object of this version with a value (an empty or truncated
+        file, as a crash can leave one) is a miss, which the next
+        ``put_scalar`` replaces."""
         try:
             with open(self._path(key)) as fh:
                 record = json.load(fh)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        if record.get("version") != _VERSION:
+        except (FileNotFoundError, ValueError):
+            record = None
+        if not (isinstance(record, dict) and "value" in record
+                and record.get("version") == _VERSION):
             self.misses += 1
             return None
         self.hits += 1

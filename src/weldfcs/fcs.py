@@ -275,35 +275,13 @@ def _node_records(welds: WeldNodes) -> np.ndarray:
     return np.array(list(map(record, welds.solutions())), dtype=complex)
 
 
-def _flow_integrals(profile: TemperatureProfile, ctx, t: float, s_end: float,
-                    numerics: Numerics, cache=None, mover: str = "+",
-                    keys=None):
-    """``int_0^s_end ds`` of each entry of the node record, on the
-    Gauss-Legendre panels of ``numerics``: ``(a_SX, a_X'^2)``, cached as one
-    record keyed by ``s_end``, which fixes the nodes and the cylinder
-    window.  ``keys`` are the volume's (box or profile) and the numerics',
-    built here unless the caller has them."""
-    if isinstance(ctx, VolumeContext):
-        vkey, nkey = keys or (ctx.key(), numerics.key())
-        key = ("torus_flow", vkey, t, s_end, nkey)
-        welds = lambda s: torus_nodes(profile, ctx, t, s, numerics)
-    else:
-        vkey, nkey = keys or (profile.key(), numerics.key())
-        key = ("cyl_flow", vkey, ctx.v, t, mover, s_end, nkey)
-        welds = lambda s: cylinder_nodes(profile, ctx.v, t, mover, s,
-                                         numerics)
-
-    def integrate():
-        nodes, weights = _flow_rule(s_end, numerics)
-        a_sx, a_xp2 = np.dot(weights, _node_records(welds(nodes)))
-        return complex(a_sx), complex(a_xp2)
-
-    return _cached(cache, key, integrate)
-
-
-def _box_tau0(ctx: VolumeContext, cache, ckey: tuple) -> complex:
-    """tau_0 = i gamma_L / L, cached: its beta_{0,L} takes both kink tables."""
-    return _cached(cache, ("tau0", ckey), lambda: 1j * ctx.gammaL / ctx.L)
+def _flow_integrals(welds, s_end: float, numerics: Numerics):
+    """``int_0^s_end ds`` of each entry of the node record on the
+    Gauss-Legendre panels of ``numerics``: ``(a_SX, a_X'^2)``.  ``welds``
+    builds the node set at the rule's flow times."""
+    nodes, weights = _flow_rule(s_end, numerics)
+    a_sx, a_xp2 = np.dot(weights, _node_records(welds(nodes)))
+    return complex(a_sx), complex(a_xp2)
 
 
 def _fixed_rule(integrand, edges) -> float:
@@ -394,21 +372,23 @@ def psi_infinite(profile: TemperatureProfile, c: float, t: float,
     if s_end == 0.0:
         return PsiValue(lam, 0.0, 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j)
 
-    ctx = InfiniteVolume(v)
     gamma = v * profile.beta0
-    keys = profile.key(), numerics.key()
-    parts = {}
-    for mover in ("+", "-"):
-        a_sx, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache,
-                                      mover, keys)
-        action = a_sx - (2.0 * np.pi ** 2 / gamma ** 2) * a_xp2
-        # includes v/(24 pi); depends on t but not on lam
-        ct = _cached(cache, ("ct_mover", keys[0], t, v, 1.0, mover),
-                     lambda: counterterm_mover(profile, t, v, 1.0, mover))
-        parts[mover] = -1j * c / (24.0 * np.pi) * action \
-            - 1j * c * s_end * ct
-    return PsiValue(lam, s_end, parts["+"] + parts["-"], parts["+"],
-                    parts["-"])
+    pkey = profile.key()
+    # one record holds both movers' flow integrals and one their
+    # counterterms, which include v/(24 pi) and do not depend on lam
+    flows = _cached(cache, ("cyl_flows", pkey, v, t, s_end, numerics.key()),
+                    lambda: tuple(_flow_integrals(
+                        lambda s, m=m: cylinder_nodes(profile, v, t, m, s,
+                                                      numerics),
+                        s_end, numerics) for m in ("+", "-")))
+    cts = _cached(cache, ("ct_movers", pkey, t, v),
+                  lambda: tuple(counterterm_mover(profile, t, v, 1.0, m)
+                                for m in ("+", "-")))
+    plus, minus = [-1j * c / (24.0 * np.pi)
+                   * (a_sx - (2.0 * np.pi ** 2 / gamma ** 2) * a_xp2)
+                   - 1j * c * s_end * ct
+                   for (a_sx, a_xp2), ct in zip(flows, cts)]
+    return PsiValue(lam, s_end, plus + minus, plus, minus)
 
 
 def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
@@ -425,20 +405,23 @@ def psi_finite(profile: TemperatureProfile, theory: Theory, ctx: VolumeContext,
     if s_end == 0.0:
         return PsiValue(lam, 0.0, 0.0 + 0.0j)
 
-    # tau^ = tau_0 + L^-2 int ds int xi X'^2 dx, with the keys and tau_0
-    # read once for the whole row
-    keys = ctx.key(), numerics.key()
-    tau0 = _box_tau0(ctx, cache, keys[0])
-    action, a_xp2 = _flow_integrals(profile, ctx, t, s_end, numerics, cache,
-                                    keys=keys)
+    # tau_0 (its beta_{0,L} takes both kink tables) and the counterterms at
+    # t and at 0, which do not depend on lam, in one record
+    bkey = ctx.key()
+    tau0, ct = _cached(cache, ("box_terms", bkey, t, c),
+                       lambda: (1j * ctx.gammaL / ctx.L,
+                                counterterm_finite(profile, ctx, t, c)
+                                - counterterm_finite(profile, ctx, 0.0, c)))
+    action, a_xp2 = _cached(
+        cache, ("torus_flow", bkey, t, s_end, numerics.key()),
+        lambda: _flow_integrals(
+            lambda s: torus_nodes(profile, ctx, t, s, numerics), s_end,
+            numerics))
+    # tau^ = tau_0 + L^-2 int ds int xi X'^2 dx
     tau_hat = tau0 + a_xp2 / ctx.L ** 2
     log_ratio = log_character(theory, tau_hat) - log_character(theory, tau0)
-    # the counterterms at t and at 0 do not depend on lam
-    ct_t, ct_0 = [_cached(cache, ("ct_finite", keys[0], tt, c),
-                          lambda tt=tt: counterterm_finite(profile, ctx, tt, c))
-                  for tt in (t, 0.0)]
     ln_psi = (-1j * c / (24.0 * np.pi) * action + log_ratio
-              - 1j * s_end * (ct_t - ct_0))
+              - 1j * s_end * ct)
     return PsiValue(lam, s_end, ln_psi,
                     meta={"tau_hat": tau_hat, "tau0": tau0,
                           "log_char_ratio": log_ratio})
@@ -504,7 +487,7 @@ def moments_closed_form(profile: TemperatureProfile, c: float, t: float,
     return {"mean": mean, "variance": var, "delta_beta": dbeta, "gamma": gamma}
 
 
-def appendix_b_check(gamma: float, p: float, shift_frac: float = 0.25) -> dict:
+def appendix_b_check(gamma: float, p: float) -> dict:
     """Fourier transform of the inverse fourth-power sinh kernel.
 
     Quadrature along a contour shifted into the upper half plane (the +i0
@@ -512,7 +495,7 @@ def appendix_b_check(gamma: float, p: float, shift_frac: float = 0.25) -> dict:
     ``(gamma^4 / 3 pi^3) p (p^2 + 4 pi^2/gamma^2) / (1 - e^{-gamma p})``.
     """
     from scipy.integrate import quad
-    eta = shift_frac * gamma
+    eta = 0.25 * gamma
     span = 12.0 * gamma          # integrand ~ exp(-4 pi |y| / gamma)
 
     def integrand(y):

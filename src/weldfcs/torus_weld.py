@@ -220,12 +220,13 @@ def assemble_K(problem: TorusWeldProblem) -> TorusOperator:
     A node whose band-edge tails exceed ``tail_tol`` is refused
     (``TruncationTooCoarse``).  The check forms only the entries whose
     bound exceeds ``tail_tol`` (``TorusOperator.band_edges``), so it
-    refuses exactly when the whole band does; the message reports the
-    exact worst tail.
+    refuses exactly when the whole band does; an entry over ``tail_tol``
+    has its bound over it, so the worst entry it forms is the exact worst
+    tail, which the message reports.
     """
     op = TorusOperator(problem)
-    if max(op.band_edges(problem.tail_tol).values()) > problem.tail_tol:
-        worst = max(op.tails.values())
+    worst = max(op.band_edges(problem.tail_tol).values())
+    if worst > problem.tail_tol:
         raise TruncationTooCoarse(
             f"kernel band-edge magnitude {worst:.2e} exceeds "
             f"tail_tol={problem.tail_tol:.2e} at N={problem.n_modes}; "

@@ -81,6 +81,50 @@ class TestCompare:
         assert out["regressed"] is None
 
 
+def lnpsi(label, z):
+    """A fingerprint line as ``perfbench/run.py`` prints it."""
+    return f"lnpsi {label}: {z.real!r} {z.imag!r}"
+
+
+class TestFingerprintMove:
+    def test_largest_relative_move(self):
+        parent = [lnpsi("a t=1.0", 2.0 + 0j), lnpsi("b t=1.0", 1j),
+                  lnpsi("c t=1.0", 0j)]
+        change = [lnpsi("a t=1.0", 2.0 + 2e-12j), lnpsi("b t=1.0", 3e-12 + 1j),
+                  lnpsi("c t=1.0", 0j)]
+        assert bench_pair.fingerprint_move(parent, change) == pytest.approx(
+            3e-12, rel=1e-9)
+        assert bench_pair.fingerprint_move(parent, parent) == 0.0
+
+    def test_move_from_zero_is_absolute(self):
+        assert bench_pair.fingerprint_move(
+            [lnpsi("a", 0j)], [lnpsi("a", 5e-17 + 0j)]) == 5e-17
+
+    def test_length_mismatch_is_none(self):
+        lines = [lnpsi("a", 1.0 + 0j), lnpsi("b", 2.0 + 0j)]
+        assert bench_pair.fingerprint_move(lines, lines[:1]) is None
+
+    def test_label_mismatch_is_none(self):
+        assert bench_pair.fingerprint_move(
+            [lnpsi("a t=1.0", 1.0 + 0j)], [lnpsi("a t=2.0", 1.0 + 0j)]) is None
+
+
+class TestCacheVersion:
+    def write(self, tree, text):
+        (tree / "src" / "weldfcs").mkdir(parents=True)
+        (tree / "src" / "weldfcs" / "cache.py").write_text(text)
+        return tree
+
+    def test_reads_the_version_line(self, tmp_path):
+        tree = self.write(tmp_path, '"""doc"""\n\n_VERSION = "weldfcs-x"\n')
+        assert bench_pair.cache_version(tree) == "weldfcs-x"
+
+    def test_absent_version_is_none(self, tmp_path):
+        # an indented or renamed assignment is not the module constant
+        tree = self.write(tmp_path, '    _VERSION = "v"\nVERSION = "v"\n')
+        assert bench_pair.cache_version(tree) is None
+
+
 def stubbed_main(tmp_path, monkeypatch, pairs=3):
     """``main`` over two workloads with ``export`` and ``run_once``
     stubbed: each run reports ``lnpsi_per_s`` 1 + (runs so far).  Returns

@@ -222,6 +222,22 @@ class TestCache:
         assert cache.get_scalar(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
 
+    @pytest.mark.parametrize("text", ["", '{"vers', "[1, 2]",
+                                      '{"version": "weldfcs-cache-16"}'],
+                             ids=["empty", "truncated", "list", "no-value"])
+    def test_unreadable_record_is_a_miss(self, tmp_path, text):
+        # a record that is not a JSON object holding version and value (a
+        # crash can leave a file empty or cut short) is a miss, and the next
+        # put replaces it
+        cache = SolveCache(tmp_path)
+        key = ("node", 1.0)
+        cache.put_scalar(key, 2.0)
+        Path(cache._path(key)).write_text(text)
+        assert cache.get_scalar(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put_scalar(key, 3.0)
+        assert cache.get_scalar(key) == 3.0
+
     def test_key_strings_are_pinned(self):
         # the strings that name every record: a change to any of them
         # orphans existing caches, so they are pinned as the canonical form
@@ -237,8 +253,9 @@ class TestCache:
         class Served:
             def get_scalar(self, key):
                 keys.append(_canonical(key))
-                return {"tau0": 0.1j, "ct_mover": 0.0,
-                        "ct_finite": 0.0}.get(key[0], (0j, 0j))
+                return {"cyl_flows": ((0j, 0j), (0j, 0j)),
+                        "ct_movers": (0.0, 0.0), "box_terms": (0.1j, 0.0),
+                        "torus_flow": (0j, 0j)}[key[0]]
 
         cache = Served()
         fcs.psi_infinite(p, 1.0, np.float64(2.0), numerics=num, cache=cache,
@@ -252,14 +269,10 @@ class TestCache:
         box = f"{prof},'L',40.0,'v',1.0)"
         nums = "('numerics',128,0.002,0.08,12.0,8.0,40.0,4,1)"
         assert keys == [
-            f"('cyl_flow',{prof}),1.0,2.0,'+',-0.03333333333333333,{nums})",
-            f"('ct_mover',{prof}),2.0,1.0,1.0,'+')",
-            f"('cyl_flow',{prof}),1.0,2.0,'-',-0.03333333333333333,{nums})",
-            f"('ct_mover',{prof}),2.0,1.0,1.0,'-')",
-            f"('tau0',{box})",
-            f"('torus_flow',{box},1.0,0.0123456789,{nums})",
-            f"('ct_finite',{box},1.0,1.0)",
-            f"('ct_finite',{box},0.0,1.0)"]
+            f"('cyl_flows',{prof}),1.0,2.0,-0.03333333333333333,{nums})",
+            f"('ct_movers',{prof}),2.0,1.0)",
+            f"('box_terms',{box},1.0,1.0)",
+            f"('torus_flow',{box},1.0,0.0123456789,{nums})"]
         assert _canonical(mixed) == (
             "('mixed',-7,True,(1.5+-0.25j),True,False,None,-0.0,inf,"
             "(1,(2.5,'x'),()),(-0.0+1e-300j))")
@@ -314,7 +327,7 @@ class TestCache:
     @pytest.mark.parametrize("volume", ["infinite", "finite"])
     def test_partly_warm_cache_gives_cold_bits(self, tmp_path, kink, box,
                                                volume):
-        # delete the - mover's flow record (or the box's): the rerun
+        # delete the movers' flow record (or the box's): the rerun
         # recomputes that record alone and lands on the cold bits
         from weldfcs import Theory, fcs
         num = fcs.Numerics(n_modes=128, tail_tol=2e-3, s_nodes=4, dx=0.08,
@@ -331,7 +344,7 @@ class TestCache:
                                   numerics=num, cache=cache)
 
         cold = run()
-        key = (("cyl_flow", kink.key(), 1.0, 2.0, "-", cold.s_end, num.key())
+        key = (("cyl_flows", kink.key(), 1.0, 2.0, cold.s_end, num.key())
                if volume == "infinite" else
                ("torus_flow", box.key(), 2.0, cold.s_end, num.key()))
         os.remove(cache._path(key))
@@ -348,21 +361,33 @@ class TestCache:
         # a flow integral's nodes, and on the line the window its largest
         # node sizes, follow from s_end: integrals at two s_end never share
         # a record, and each equals its cold value
-        from weldfcs import InfiniteVolume, fcs
+        from weldfcs import fcs
         num = fcs.Numerics(dx=0.08, window_pad_gamma=5.0, window_factor=3.5,
                            p_max_gamma=14.0, s_nodes=2)
         cache = SolveCache(tmp_path)
-        line = InfiniteVolume(1.0)
-        warm = [fcs._flow_integrals(kink, line, 2.0, s_end, num, cache)
-                for s_end in (0.1, 0.4)]
-        assert (cache.hits, cache.misses) == (0, 2)
-        assert len(list(tmp_path.rglob("*.json"))) == 2
-        cold = [fcs._flow_integrals(kink, line, 2.0, s_end, num)
-                for s_end in (0.1, 0.4)]
-        assert warm == cold and warm[0] != warm[1]
-        assert [fcs._flow_integrals(kink, line, 2.0, s_end, num, cache)
-                for s_end in (0.1, 0.4)] == cold
-        assert (cache.hits, cache.misses) == (2, 2)
+
+        def flows(s_end, cache=None):
+            # the movers' record of psi_infinite at t = 2, by_s = s_end
+            key = ("cyl_flows", kink.key(), 1.0, 2.0, s_end, num.key())
+            fcs.psi_infinite(kink, 1.0, 2.0, numerics=num, cache=cache,
+                             by_s=s_end)
+            return None if cache is None else cache.get_scalar(key)
+
+        def cold(s_end):
+            return tuple(fcs._flow_integrals(
+                lambda s, m=m: fcs.cylinder_nodes(kink, 1.0, 2.0, m, s, num),
+                s_end, num) for m in ("+", "-"))
+
+        warm = [flows(s_end, cache) for s_end in (0.1, 0.4)]
+        # the first run misses its flow and counterterm records, the second
+        # only its flow record (the counterterms do not depend on s_end);
+        # each flow record, read back after its run, is a hit
+        assert (cache.hits, cache.misses) == (3, 3)
+        assert len(list(tmp_path.rglob("*.json"))) == 3
+        assert warm == [cold(s_end) for s_end in (0.1, 0.4)]
+        assert warm[0] != warm[1]
+        assert [flows(s_end, cache) for s_end in (0.1, 0.4)] == warm
+        assert (cache.hits, cache.misses) == (9, 3)
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = SolveCache(tmp_path)
@@ -934,11 +959,38 @@ class TestCli:
         assert out.read_bytes() == cold
         assert orders == [] and tables == []
 
+    def test_fcs_rerun_over_unreadable_records_gives_cold_bytes(self,
+                                                                tmp_path):
+        # every record emptied, or cut short, is recomputed: the rerun
+        # exits 0 with the cold run's bytes and leaves readable records
+        data = base_config(experiment={"mode": "both", "t_values": [1.0],
+                                       "lambda_values": [0.05]},
+                           numerics=LIGHT_NUMERICS)
+        cache_dir = tmp_path / "cache"
+        data["io"] = {"output_dir": str(tmp_path / "out"),
+                      "cache_dir": str(cache_dir)}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "out" / "fcs.json"
+        assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
+        cold = out.read_bytes()
+        records = sorted(cache_dir.rglob("*.json"))
+        for cut in (lambda text: "", lambda text: text[:len(text) // 2]):
+            for record in records:
+                record.write_text(cut(record.read_text()))
+            out.unlink()
+            assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
+            assert out.read_bytes() == cold
+            assert sorted(cache_dir.rglob("*.json")) == records
+            assert all("value" in json.loads(r.read_text()) for r in records)
+
     def test_fcs_leaves_one_record_per_flow_integral(self, tmp_path,
                                                      monkeypatch):
-        # a cold both-mode run leaves 3 |t| |lambda| flow records (two
-        # movers and the box), 2 |t| mover and |t| + 1 box counterterms and
-        # one tau_0; a warm rerun reads them all and writes none
+        # a cold both-mode run leaves 2 |t| |lambda| flow records (the
+        # movers' and the box's) and 2 |t| records of the lambda-free terms
+        # (the movers' counterterms; the box's tau_0 and counterterm
+        # difference); a warm rerun reads two records per row, all hits,
+        # and writes none
         data = base_config()
         data["numerics"] = {"n_modes": 64, "tail_tol": 5e-3, "s_nodes": 2,
                             "dx": 0.08, "window_pad_gamma": 5.0,
@@ -952,12 +1004,11 @@ class TestCli:
         cfg_path.write_text(json.dumps(data))
         assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
         records = sorted(cache_dir.rglob("*.json"))
-        assert len(records) == 3 * 2 * 2 + 2 * 2 + (2 + 1) + 1 == 20
+        assert len(records) == 2 * 2 * 2 + 2 * 2 == 12
         kinds = [json.loads(r.read_text())["key"].split(",")[0][2:-1]
                  for r in records]
         assert {k: kinds.count(k) for k in set(kinds)} == {
-            "cyl_flow": 8, "torus_flow": 4, "ct_mover": 4, "ct_finite": 3,
-            "tau0": 1}
+            "cyl_flows": 4, "torus_flow": 4, "ct_movers": 2, "box_terms": 2}
         reads, writes = [], []
         get, put = SolveCache.get_scalar, SolveCache.put_scalar
 
@@ -970,7 +1021,7 @@ class TestCli:
         monkeypatch.setattr(SolveCache, "put_scalar", lambda self, k, v:
                             writes.append(k) or put(self, k, v))
         assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
-        assert len(reads) == 32 and all(reads) and writes == []
+        assert len(reads) == 16 and all(reads) and writes == []
         assert sorted(cache_dir.rglob("*.json")) == records
 
     @pytest.mark.parametrize("command,json_stem,csv_stem", [
@@ -1067,11 +1118,13 @@ class TestCli:
 
         class Served:
             def get_scalar(self, key):
-                if key[0] == "ct_finite":          # at t and at 0
-                    return 2e-3 * key[2]
-                return {"cyl_flow": (0.5 - 0.25j, 2.0 + 0.125j),
+                flow = (0.5 - 0.25j, 2.0 + 0.125j)
+                return {"cyl_flows": (flow, flow),
                         "torus_flow": (0.75 + 0.5j, 0j),
-                        "tau0": 0.1j, "ct_mover": 1e-3}[key[0]]
+                        "ct_movers": (1e-3, 1e-3),
+                        # tau_0, and the counterterm at t less that at 0
+                        "box_terms": (0.1j, 2e-3 * key[2] - 2e-3 * 0.0),
+                        }[key[0]]
 
         monkeypatch.setattr(cli, "_maybe_cache",
                             lambda cfg, cli_dir: Served())

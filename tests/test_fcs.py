@@ -198,6 +198,20 @@ class TestPsiFinite:
         assert abs(vf.ln_psi - vi.ln_psi) < 1e-8
 
 
+    @pytest.mark.parametrize("t,lam", [(2.0, 0.2), (7.0, -0.3)])
+    def test_mirror_time(self, kink, box, t, lam):
+        # the box's periodized profile is reflection-symmetric, so
+        # ln Psi_L(L/v - t) = ln Psi_L(t).  The two sides weld different
+        # maps at one mode count, so the defect sees the torus truncation:
+        # at N = 384 it is 9.4e-15 and 5.0e-14, at N = 256 4.1e-12 and
+        # 1.1e-11
+        th = Theory("free_boson_radius", 1.0, radius=1.0)
+        num = Numerics(n_modes=384, tail_tol=5e-3, s_nodes=6)
+        here, mirror = (psi_finite(kink, th, box, tt, lam=lam, numerics=num)
+                        for tt in (t, box.L / box.v - t))
+        assert abs(mirror.ln_psi - here.ln_psi) <= 1e-12
+
+
 class TestNodeRecords:
     def test_each_solution_freed_before_the_next_solve(self, kink, box,
                                                        monkeypatch):

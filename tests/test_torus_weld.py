@@ -220,15 +220,19 @@ class TestFactored:
         # assemble_K forms only the band-edge entries whose bound exceeds
         # tail_tol, yet refuses a node exactly when its exact tails do, and
         # each block's check exceeds tail_tol exactly when its tail does: on
-        # the two oracle nodes, at t = 30, s = -1 with N = 64 and N = 12, at
-        # t = 2, s = -0.3 with N = 32, and on the identity (empty union
-        # support), each at tolerances just below and just above each
-        # block's tail, at 2e-3 and at 1e-12
+        # the two oracle nodes, at t = 30, s = -1 with N = 12, 64, 96, 128
+        # and 192, at t = 2, s = -0.3 with N = 32, and on the identity
+        # (empty union support), each at tolerances just below and just
+        # above each block's tail, at 2e-3 and at 1e-12.  A refusal reports
+        # the worst entry of the pruned scan, which holds every entry over
+        # tail_tol: the worst tail, to rounding (the two scans batch their
+        # rows differently, so not always bit for bit)
         grid = make_grid(64)
         f0 = Diffeo(grid, grid.x.copy())
         identity = TorusWeldProblem(f0, 0.1j, 64, f0)
-        cases = [*oracle_problems, kink_problem(kink, 64, 30.0, -1.0),
-                 kink_problem(kink, 12, 30.0, -1.0),
+        cases = [*oracle_problems,
+                 *(kink_problem(kink, n, 30.0, -1.0)
+                   for n in (12, 64, 96, 128, 192)),
                  kink_problem(kink, 32, 2.0, -0.3), identity]
         refused = passed = 0
         for prob in cases:
@@ -245,6 +249,8 @@ class TestFactored:
                     with pytest.raises(TruncationTooCoarse,
                                        match=f"magnitude {worst:.2e}"):
                         assemble_K(check)
+                    pruned = max(op.band_edges(tol).values())
+                    assert abs(pruned - worst) <= 1e-13 * worst
                 else:
                     passed += 1
                     assemble_K(check)
