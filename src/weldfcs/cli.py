@@ -192,6 +192,10 @@ def cmd_moments(cfg: RunConfig, args) -> int:
     if t == 0.0:
         raise ConfigInvalid("experiment.t", "t = 0 transfers no energy, so "
                             "the moments have no relative error; use t != 0")
+    if h * h < sys.float_info.min:
+        raise ConfigInvalid("experiment.fd_step", f"the square of {h!r} is "
+                            f"not a normal double, so the second difference "
+                            f"divides by zero; use a step above 1.5e-154")
     cache = _maybe_cache(cfg, args.cache_dir)
     num = cfg.numerics
     closed = moments_closed_form(cfg.profile, cfg.theory.c, t, cfg.v)

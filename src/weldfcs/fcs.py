@@ -28,10 +28,10 @@ from .cylinder_weld import CylinderWeldProblem, node_size, solve_cylinder
 from .errors import (ConfigInvalid, DeltaBetaZero, NodeTooLarge, OutOfRange,
                      PoleHit)
 from .fredholm import PhaseFactor
-# flow_family is not called here, but perfbench's tracer wraps this name
 from .profile import (InfiniteVolume, TemperatureProfile, VolumeContext,
-                      XiField, build_h, build_xi, flow_family,
-                      periodize_profile)
+                      XiField, build_h, build_xi, periodize_profile)
+# flow_family is not called here, but perfbench's tracer wraps this name
+from .profile import flow_family  # noqa: F401
 from .spectral import (LineGrid, PeriodicGrid, bose_weight,
                        gauss_legendre_panels)
 from .torus_weld import TorusWeldProblem, node_bytes, solve_Y1
@@ -563,16 +563,24 @@ def rate_function(beta_left: float, beta_right: float, c: float,
 
     The objective ``nu sigma - Xi(-i nu)`` is strictly concave on
     ``(-beta_right, beta_left)`` and its derivative spans all of R, so the
-    stationary point is bracketed and polished to machine accuracy.
+    stationary point is bracketed and polished to machine accuracy.  The
+    bracket stops 1e-12 min(beta) short of the poles; a sigma past the
+    slopes it reaches there raises ``OutOfRange``.
     """
     from scipy.optimize import brentq
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     eps = 1e-12 * min(beta_left, beta_right)
+    lo, hi = -beta_right + eps, beta_left - eps
+    d_lo, d_hi = (_ldf_real_deriv(beta_left, beta_right, c, nu)
+                  for nu in (lo, hi))
     out_i = np.empty(len(sigma))
     out_nu = np.empty(len(sigma))
     for k, s in enumerate(sigma):
+        if not d_lo <= s <= d_hi:
+            raise OutOfRange(f"sigma = {s:.6g} lies outside the slopes "
+                             f"[{d_lo:.6g}, {d_hi:.6g}] that the bracket of "
+                             f"nu* reaches")
         fun = lambda nu: _ldf_real_deriv(beta_left, beta_right, c, nu) - s
-        lo, hi = -beta_right + eps, beta_left - eps
         nu_star = brentq(fun, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
         out_nu[k] = nu_star
         out_i[k] = nu_star * s - _ldf_real(beta_left, beta_right, c, nu_star)

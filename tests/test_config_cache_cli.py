@@ -639,14 +639,16 @@ class TestCli:
 
     def test_non_numeric_values_exit_2_naming_the_key(self, tmp_path,
                                                       capsys):
-        # with values out of range: a finite-difference step <= 0, a box
-        # that cannot hold the kink and a crosscheck flag that is not a bool
+        # with values out of range: a finite-difference step <= 0 or whose
+        # square underflows, a box that cannot hold the kink and a
+        # crosscheck flag that is not a bool
         for command, block, key, value in (
                 ("ldf", "profile", "center", "left"),
                 ("fcs", "experiment", "t_values", ["x"]),
                 ("moments", "experiment", "fd_step", "small"),
                 ("moments", "experiment", "fd_step", 0),
                 ("moments", "experiment", "fd_step", -0.02),
+                ("moments", "experiment", "fd_step", 1e-200),
                 ("moments", "experiment", "t", 0),
                 ("converge", "experiment", "L_values", [40.0, 3.0]),
                 ("ldf", "experiment", "lambda_values", []),
@@ -895,33 +897,34 @@ class TestCli:
         assert len(payload["psi_defects"]) == 2
         assert len(payload["xprime_sup_errors"]) == 2
 
-    def test_fcs_determinism_and_cache_equivalence(self, tmp_path):
-        data = base_config()
-        data["numerics"] = {"n_modes": 96, "tail_tol": 5e-3, "s_nodes": 4,
-                            "dx": 0.04, "window_pad_gamma": 5.0,
-                            "window_factor": 4.0, "p_max_gamma": 20.0}
-        data["experiment"] = {"mode": "infinite", "t_values": [1.0],
-                              "lambda_values": [0.15]}
-        outputs = {}
-        for tag in ("one", "two", "cached"):
+    @pytest.mark.parametrize("command,experiment", [
+        ("fcs", {"mode": "infinite", "t_values": [1.0],
+                 "lambda_values": [0.15]}),
+        ("moments", {"t": 1.0}),
+        ("converge", {"L_values": [20.0, 40.0], "t": 2.0, "s": 0.2,
+                      "lambda": 0.2, "t_psi": 12.0})],
+        ids=["fcs", "moments", "converge"])
+    def test_fcs_determinism_and_cache_equivalence(self, tmp_path, command,
+                                                   experiment):
+        # a cold run without a cache, a cold run that fills one and a warm
+        # rerun over it write the same <command>.json and .csv, byte for
+        # byte, and the warm rerun adds no record
+        data = base_config(numerics=LIGHT_NUMERICS, experiment=experiment)
+        cache_dir = tmp_path / "cache"
+        outputs, records = {}, {}
+        for tag in ("one", "cold", "warm"):
             outdir = tmp_path / tag
             data["io"] = {"output_dir": str(outdir)}
-            if tag == "cached":
-                data["io"]["cache_dir"] = str(tmp_path / "cache")
+            if tag != "one":
+                data["io"]["cache_dir"] = str(cache_dir)
             cfg_path = tmp_path / f"{tag}.json"
             cfg_path.write_text(json.dumps(data))
-            assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
-            if tag == "cached":   # warm the cache and rerun
-                assert run_cli(["fcs", "--config", str(cfg_path)]) == 0
-            outputs[tag] = (outdir / "fcs.json").read_bytes()
-        assert outputs["one"] == outputs["two"]
-        json_one = json.loads(outputs["one"])
-        json_cached = json.loads(outputs["cached"])
-        assert json_one["rows"] == json_cached["rows"]
-        csv_text = (tmp_path / "one" / "fcs.csv").read_text()
-        assert csv_text.splitlines()[0] == ("t,lambda,re_lnpsi,im_lnpsi,"
-                                            "re_lnpsi_plus,im_lnpsi_plus,"
-                                            "re_lnpsi_minus,im_lnpsi_minus")
+            assert run_cli([command, "--config", str(cfg_path)]) == 0
+            outputs[tag] = [(outdir / f"{command}.{ext}").read_bytes()
+                            for ext in ("json", "csv")]
+            records[tag] = sorted(cache_dir.rglob("*.json"))
+        assert outputs["one"] == outputs["cold"] == outputs["warm"]
+        assert records["cold"] and records["warm"] == records["cold"]
 
     def test_fcs_warm_rerun_builds_no_spline(self, tmp_path, monkeypatch):
         # a warm rerun is cache reads and the characters: it builds no kink
@@ -1432,7 +1435,8 @@ class TestCli:
         ("moments", "profile", "v", 1e300, "OutOfRange"),
         ("moments", "profile", "v", 1e-300, "OutOfRange"),
         ("moments", "profile", "v", 1e-150, "OutOfRange"),
-        ("moments", "profile", "v", 1e20, "NodeTooLarge")])
+        ("moments", "profile", "v", 1e20, "NodeTooLarge"),
+        ("ldf", "experiment", "sigma_values", [1e30], "OutOfRange")])
     def test_extreme_values_exit_3_naming_the_error(
             self, tmp_path, capsys, command, block, key, value, error):
         # sizes past the float range and closed forms that leave it are
